@@ -110,8 +110,11 @@ type Coordinator struct {
 
 	// Health/remediation state (idle while cfg.HeartbeatEvery == 0).
 	checkpoints map[id.ServerID][]byte // last complete checkpoint blob per server
-	cpPartial   map[id.ServerID][]byte // in-flight chunked checkpoint uploads
-	parked      []id.ServerID          // dead owners awaiting a spare (FIFO)
+	// cpPartial holds in-flight chunked checkpoint uploads; cpOverflows
+	// counts the ones dropped for outgrowing protocol.MaxBlobSize.
+	cpPartial   map[id.ServerID]protocol.Reassembler
+	cpOverflows int
+	parked      []id.ServerID // dead owners awaiting a spare (FIFO)
 	deaths      int
 	adoptions   int
 	drains      int
@@ -196,7 +199,7 @@ func New(cfg Config) (*Coordinator, error) {
 		pol:         pol,
 		servers:     make(map[id.ServerID]*serverState),
 		checkpoints: make(map[id.ServerID][]byte),
-		cpPartial:   make(map[id.ServerID][]byte),
+		cpPartial:   make(map[id.ServerID]protocol.Reassembler),
 	}, nil
 }
 
@@ -791,7 +794,7 @@ func (c *Coordinator) RestoreState(st *State) error {
 	for _, cp := range st.Checkpoints {
 		c.checkpoints[cp.ID] = append([]byte(nil), cp.Blob...)
 	}
-	c.cpPartial = make(map[id.ServerID][]byte)
+	c.cpPartial = make(map[id.ServerID]protocol.Reassembler)
 	c.servers = make(map[id.ServerID]*serverState, len(st.Servers))
 	for _, s := range st.Servers {
 		ss := &serverState{

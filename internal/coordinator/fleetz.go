@@ -49,6 +49,9 @@ type FleetSnapshot struct {
 	Deaths    int           `json:"deaths,omitempty"`
 	Adoptions int           `json:"adoptions,omitempty"`
 	Drains    int           `json:"drains,omitempty"`
+	// CheckpointOverflows counts checkpoint uploads dropped for outgrowing
+	// protocol.MaxBlobSize.
+	CheckpointOverflows int `json:"checkpoint_overflows,omitempty"`
 	// Decisions is the recent decision ring, oldest first.
 	Decisions []Decision `json:"decisions,omitempty"`
 }
@@ -71,6 +74,7 @@ func (c *Coordinator) Fleet() FleetSnapshot {
 		Regions:   []FleetRegion{},
 		Servers:   []FleetServer{},
 	}
+	snap.CheckpointOverflows = c.cpOverflows
 	if c.m != nil {
 		for _, part := range c.m.Partitions() {
 			r := FleetRegion{Owner: part.Owner, Bounds: part.Bounds}

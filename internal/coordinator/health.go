@@ -99,17 +99,24 @@ func (c *Coordinator) handleHeartbeat(from id.ServerID, hb *protocol.Heartbeat) 
 }
 
 // handleCheckpoint accumulates a server's chunked checkpoint upload and
-// installs it as the server's recovery blob when the final chunk arrives.
+// installs it as the server's recovery blob when the final chunk arrives. An
+// upload that outgrows protocol.MaxBlobSize is dropped and counted (the
+// returned error is the one log line); the last complete checkpoint stays.
 func (c *Coordinator) handleCheckpoint(from id.ServerID, msg *protocol.SnapshotData) ([]Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.servers[from]; !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownServer, from)
 	}
-	c.cpPartial[from] = append(c.cpPartial[from], msg.Blob...)
-	if msg.Final {
-		c.checkpoints[from] = c.cpPartial[from]
-		delete(c.cpPartial, from)
+	part := c.cpPartial[from]
+	blob, done, err := part.Add(msg.Blob, msg.Final)
+	c.cpPartial[from] = part
+	if err != nil {
+		c.cpOverflows++
+		return nil, fmt.Errorf("coordinator: checkpoint upload from %v dropped: %w", from, err)
+	}
+	if done {
+		c.checkpoints[from] = blob
 	}
 	return nil, nil
 }
@@ -411,6 +418,14 @@ func (c *Coordinator) Deaths() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.deaths
+}
+
+// CheckpointOverflows returns the number of checkpoint uploads dropped for
+// outgrowing protocol.MaxBlobSize.
+func (c *Coordinator) CheckpointOverflows() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cpOverflows
 }
 
 // Adoptions returns the number of partitions adopted by spares.

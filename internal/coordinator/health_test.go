@@ -269,6 +269,64 @@ func TestCheckpointChunksAccumulate(t *testing.T) {
 	}
 }
 
+// TestCheckpointUploadIsBounded: a server that streams checkpoint chunks and
+// never sets Final used to grow cpPartial without limit. The upload is now
+// dropped at protocol.MaxBlobSize, counted once, and the last complete
+// checkpoint stays in place; the next complete upload is accepted whole and
+// is what a spare adopts.
+func TestCheckpointUploadIsBounded(t *testing.T) {
+	c, vc := newHealthMC(t)
+	r1, _ := register(t, c, "a:1", 5)
+	r2, _ := register(t, c, "b:2", 5) // spare
+	shipCheckpoint(t, c, r1.Server, []byte("v1"))
+
+	chunk := bytes.Repeat([]byte{7}, protocol.MaxFrameSize)
+	errs := 0
+	for sent := 0; sent < 2*protocol.MaxBlobSize; sent += len(chunk) {
+		if _, err := c.HandleMessage(r1.Server, &protocol.SnapshotData{Blob: chunk}); err != nil {
+			if !errors.Is(err, protocol.ErrBlobTooLarge) {
+				t.Fatal(err)
+			}
+			errs++
+		}
+		if part := c.cpPartial[r1.Server]; part.Len() > protocol.MaxBlobSize {
+			t.Fatalf("partial upload grew to %d bytes", part.Len())
+		}
+	}
+	if part := c.cpPartial[r1.Server]; part.Len() != 0 {
+		t.Errorf("dropped upload still holds %d bytes", part.Len())
+	}
+	if errs != 1 || c.CheckpointOverflows() != 1 || c.Fleet().CheckpointOverflows != 1 {
+		t.Errorf("overflow: %d errors, counter %d, /fleetz %d; want 1 each",
+			errs, c.CheckpointOverflows(), c.Fleet().CheckpointOverflows)
+	}
+	if n := c.CheckpointSize(r1.Server); n != len("v1") {
+		t.Errorf("last complete checkpoint lost: %d bytes", n)
+	}
+
+	// The dropped stream ends at its final chunk; the upload after it counts.
+	if _, err := c.HandleMessage(r1.Server, &protocol.SnapshotData{Blob: []byte("tail"), Final: true}); err != nil {
+		t.Fatal(err)
+	}
+	blob := []byte(`{"world":"v2"}`)
+	if _, err := c.HandleMessage(r1.Server, &protocol.SnapshotData{Blob: blob[:5]}); err != nil {
+		t.Fatal(err)
+	}
+	shipCheckpoint(t, c, r1.Server, blob[5:])
+	beat(t, c, r2.Server)
+	vc.Advance(2 * time.Second)
+	beat(t, c, r2.Server)
+	vc.Advance(2 * time.Second)
+	beat(t, c, r2.Server)
+	got := msgsTo(c.Tick(), r2.Server)
+	if len(got) == 0 {
+		t.Fatal("spare got nothing after the owner's lease expired")
+	}
+	if adopt, ok := got[0].(*protocol.Adopt); !ok || !adopt.Final || !bytes.Equal(adopt.Blob, blob) {
+		t.Fatalf("spare adopts %#v, want the whole v2 checkpoint", got[0])
+	}
+}
+
 func TestDrainHandsPartitionToSpare(t *testing.T) {
 	c, _ := newHealthMC(t)
 	r1, _ := register(t, c, "a:1", 5)

@@ -20,6 +20,7 @@
 package gameserver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -128,15 +129,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TransferChunk <= 0 {
 		cfg.TransferChunk = 64
 	}
-	cell := cfg.Radius
-	if cell <= 0 {
-		cell = 1
-	}
 	return &Server{
 		cfg:     cfg,
 		bounds:  cfg.Bounds,
 		clients: make(map[id.ClientID]*clientState),
-		grid:    spatial.NewGrid[id.ClientID](cell),
+		grid:    spatial.NewGrid[id.ClientID](cfg.Radius),
 		objects: make(map[id.ObjectID]protocol.ObjectState),
 	}, nil
 }
@@ -285,12 +282,8 @@ func (s *Server) RestoreState(st *State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bounds = st.Bounds
-	cell := s.cfg.Radius
-	if cell <= 0 {
-		cell = 1
-	}
 	s.clients = make(map[id.ClientID]*clientState, len(st.Clients))
-	s.grid = spatial.NewGrid[id.ClientID](cell)
+	s.grid = spatial.NewGrid[id.ClientID](s.cfg.Radius)
 	for _, cs := range st.Clients {
 		s.clients[cs.Client] = &clientState{id: cs.Client, pos: cs.Pos}
 		s.grid.Insert(cs.Client, cs.Pos)
@@ -453,25 +446,14 @@ func (s *Server) handleUpdateLocked(dst []Envelope, u *protocol.GameUpdate) ([]E
 	// Local consistency: every client whose visibility circle contains the
 	// event sees it, including the actor (its echo is the response-latency
 	// signal the evaluation measures).
-	s.scratch = s.scratch[:0]
-	s.scratch = s.grid.QueryCircle(u.Origin, s.cfg.Radius, s.scratch)
-	if u.Dest != u.Origin {
-		s.scratch = s.grid.QueryCircle(u.Dest, s.cfg.Radius, s.scratch)
-	}
-	// Grid queries walk hash maps, so their order is random; sort so the
-	// whole pipeline stays deterministic for a fixed seed. Sorting also
-	// makes duplicates (from the two-circle query) adjacent, so dedup is a
-	// previous-element compare instead of a per-update map. slices.Sort,
-	// unlike sort.Slice, does not allocate a closure — this runs once per
-	// processed packet.
-	slices.Sort(s.scratch)
-	for i, c := range s.scratch {
-		if i > 0 && c == s.scratch[i-1] {
-			continue
-		}
+	// The grid returns the union of the two discs once each, in ascending
+	// ClientID order, so fan-out order is deterministic for a fixed seed
+	// without a per-packet sort.
+	s.scratch = s.grid.QueryDiscs(u.Origin, u.Dest, s.cfg.Radius, s.scratch[:0])
+	for _, c := range s.scratch {
 		dst = append(dst, Envelope{Dest: DestClient, Client: c, Msg: u})
-		s.stats.Delivered++
 	}
+	s.stats.Delivered += uint64(len(s.scratch))
 	return dst, nil
 }
 
@@ -505,14 +487,12 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 	s.bounds = r.Bounds
 
 	// Find clients now outside our range.
-	s.scratch = s.scratch[:0]
-	s.scratch = s.grid.QueryOutsideRect(r.Bounds, s.scratch)
+	// The grid answers in ascending ClientID order; per-target grouping,
+	// chunking and redirects all inherit it.
+	s.scratch = s.grid.QueryOutsideRect(r.Bounds, s.scratch[:0])
 	if len(s.scratch) == 0 {
 		return dst, nil
 	}
-	// Deterministic migration order regardless of grid-map iteration order
-	// (per-target grouping, chunking and redirects all inherit it).
-	sort.Slice(s.scratch, func(i, j int) bool { return s.scratch[i] < s.scratch[j] })
 
 	// Group them by handoff target.
 	perTarget := make(map[id.ServerID][]*clientState)
@@ -536,7 +516,7 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 	for target := range perTarget {
 		targets = append(targets, target)
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	slices.Sort(targets)
 	for _, target := range targets {
 		migrating := perTarget[target]
 		// State first, then redirects: the receiving game server adopts
@@ -598,10 +578,10 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 	for target := range perObjTarget {
 		objTargets = append(objTargets, target)
 	}
-	sort.Slice(objTargets, func(i, j int) bool { return objTargets[i] < objTargets[j] })
+	slices.Sort(objTargets)
 	for _, target := range objTargets {
 		objs := perObjTarget[target]
-		sort.Slice(objs, func(i, j int) bool { return objs[i].Object < objs[j].Object })
+		slices.SortFunc(objs, func(a, b protocol.ObjectState) int { return cmp.Compare(a.Object, b.Object) })
 		for start := 0; start < len(objs); start += s.cfg.TransferChunk {
 			end := start + s.cfg.TransferChunk
 			if end > len(objs) {

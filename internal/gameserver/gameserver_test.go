@@ -2,6 +2,7 @@ package gameserver
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"matrix/internal/geom"
@@ -467,42 +468,89 @@ func TestProcessAppendMatchesProcess(t *testing.T) {
 
 // TestProcessAppendZeroAllocSteadyState is the per-tick envelope path
 // allocation budget: with connected clients and a reused buffer, handling
-// a same-cell move update must not allocate.
+// a move update must not allocate — neither a same-cell move answered from
+// one cell nor a move across cells whose fan-out merges several.
 func TestProcessAppendZeroAllocSteadyState(t *testing.T) {
-	s := newTestGS(t, Config{})
-	for i := 1; i <= 20; i++ {
-		join(t, s, id.ClientID(i), geom.Pt(50+float64(i)*0.1, 50))
+	for _, tc := range []struct {
+		name   string
+		spread float64 // client spacing; the test server's cell is 5
+		there  geom.Point
+	}{
+		{"same cell", 0.1, geom.Pt(50.15, 50.05)},
+		{"across cells", 0.9, geom.Pt(57, 52)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestGS(t, Config{})
+			for i := 1; i <= 20; i++ {
+				join(t, s, id.ClientID(i), geom.Pt(50+float64(i)*tc.spread, 50))
+			}
+			home := geom.Pt(50+tc.spread, 50)
+			there := &protocol.GameUpdate{Client: 1, Kind: protocol.KindMove, Origin: home, Dest: tc.there}
+			back := &protocol.GameUpdate{Client: 1, Kind: protocol.KindMove, Origin: tc.there, Dest: home}
+			buf := make([]Envelope, 0, 64)
+			step := func() {
+				for _, u := range []*protocol.GameUpdate{there, back} {
+					if err := s.Enqueue(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				out, err := s.ProcessAppend(buf[:0], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out) < 4 {
+					t.Fatalf("%d envelopes: no fan-out", len(out))
+				}
+				buf = out[:0]
+			}
+			// Warm the inbox and scratch capacities outside the measured region.
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Errorf("per-tick envelope path allocates %.1f/op, budget is 0", allocs)
+			}
+		})
 	}
-	u := &protocol.GameUpdate{
-		Client: 1, Kind: protocol.KindMove,
-		Origin: geom.Pt(50.1, 50), Dest: geom.Pt(50.15, 50.05), // same grid cell
+}
+
+// TestOverlappingMoveDeliversOncePerClientAscending: a move's audience is
+// the union of the discs around Origin and Dest. A client inside both gets
+// the update once, and the fan-out is in ascending ClientID order whatever
+// order the clients joined in and whichever cells they stand in — the order
+// every fingerprint and golden inherits.
+func TestOverlappingMoveDeliversOncePerClientAscending(t *testing.T) {
+	s := newTestGS(t, Config{}) // radius 5, so cells are 5 wide
+	at := map[id.ClientID]geom.Point{
+		9: geom.Pt(50, 50), // the mover
+		7: geom.Pt(52, 50), // in both discs
+		3: geom.Pt(47, 50), // origin disc only, another cell
+		8: geom.Pt(58, 51), // dest disc only
+		5: geom.Pt(54, 47), // in both discs, another cell
+		4: geom.Pt(70, 70), // in neither
 	}
-	buf := make([]Envelope, 0, 64)
-	// Warm the inbox and scratch capacities outside the measured region.
-	for i := 0; i < 3; i++ {
-		if err := s.Enqueue(u); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		buf, err = s.ProcessAppend(buf[:0], 0)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []id.ClientID{9, 7, 3, 8, 5, 4} {
+		join(t, s, c, at[c])
+	}
+	if err := s.Enqueue(&protocol.GameUpdate{
+		Client: 9, Kind: protocol.KindMove, Origin: at[9], Dest: geom.Pt(54, 50),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	envs, err := s.Process(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []id.ClientID
+	for _, e := range envs {
+		if e.Dest == DestClient {
+			got = append(got, e.Client)
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := s.Enqueue(u); err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.ProcessAppend(buf[:0], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) == 0 {
-			t.Fatal("no envelopes")
-		}
-		buf = out[:0]
-	})
-	if allocs != 0 {
-		t.Errorf("per-tick envelope path allocates %.1f/op, budget is 0", allocs)
+	if want := []id.ClientID{3, 5, 7, 8, 9}; !slices.Equal(got, want) {
+		t.Errorf("fan-out = %v, want %v", got, want)
+	}
+	if d := s.Stats().Delivered; d != 5 {
+		t.Errorf("Delivered = %d, want 5", d)
 	}
 }

@@ -171,6 +171,7 @@ func (h *CoordinatorHost) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE matrix_mc_deaths_total counter\nmatrix_mc_deaths_total %d\n", h.mc.Deaths())
 	fmt.Fprintf(w, "# TYPE matrix_mc_adoptions_total counter\nmatrix_mc_adoptions_total %d\n", h.mc.Adoptions())
 	fmt.Fprintf(w, "# TYPE matrix_mc_drains_total counter\nmatrix_mc_drains_total %d\n", h.mc.Drains())
+	fmt.Fprintf(w, "# TYPE matrix_mc_checkpoint_overflows_total counter\nmatrix_mc_checkpoint_overflows_total %d\n", h.mc.CheckpointOverflows())
 	fmt.Fprintf(w, "# TYPE matrix_mc_parked_regions gauge\nmatrix_mc_parked_regions %d\n", len(h.mc.Parked()))
 	metrics.WriteRuntime(w)
 }

@@ -130,7 +130,11 @@ type ServerHost struct {
 	dialing map[string][]protocol.Message
 	inbound map[transport.Conn]bool // accepted peer connections
 	clients map[id.ClientID]transport.Conn
-	closed  bool
+	// evict holds clients whose live connection dropped, keyed to the
+	// game server's Processed count at which every frame they had queued
+	// has run; a new connection for the client cancels its entry.
+	evict  map[id.ClientID]uint64
+	closed bool
 
 	// ingress is the single-writer funnel: mcLoop and the peer pumps park
 	// core-bound messages here and tickLoop alone routes them, so every
@@ -156,8 +160,11 @@ type ServerHost struct {
 	drainReply  chan *protocol.DrainReply
 	drained     chan struct{} // closed when the evacuation completes
 	drainOnce   sync.Once
-	adoptBuf    []byte        // accumulating chunked Adopt blob
-	ticks       atomic.Uint64 // game ticks processed (atomic: /metrics reads it)
+	// adoptBuf accumulates the chunked Adopt blob; adoptDrops counts streams
+	// dropped for outgrowing protocol.MaxBlobSize.
+	adoptBuf   protocol.Reassembler
+	adoptDrops atomic.Uint64
+	ticks      atomic.Uint64 // game ticks processed (atomic: /metrics reads it)
 	// cpTick is the tick count when the last checkpoint shipped; atomic so
 	// harnesses can watch checkpoint progress from outside the tick loop.
 	cpTick atomic.Uint64
@@ -252,6 +259,7 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 		dialing:    make(map[string][]protocol.Message),
 		inbound:    make(map[transport.Conn]bool),
 		clients:    make(map[id.ClientID]transport.Conn),
+		evict:      make(map[id.ClientID]uint64),
 		tickBatch:  make(map[string][]protocol.Message),
 		drainReply: make(chan *protocol.DrainReply, 1),
 		drained:    make(chan struct{}),
@@ -379,6 +387,7 @@ func (h *ServerHost) writeMetrics(w io.Writer) {
 	h.mu.Unlock()
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_conns gauge\nmatrix_server_peer_conns %d\n", peers)
 	fmt.Fprintf(w, "# TYPE matrix_server_ticks counter\nmatrix_server_ticks %d\n", h.ticks.Load())
+	fmt.Fprintf(w, "# TYPE matrix_server_adopt_overflows_total counter\nmatrix_server_adopt_overflows_total %d\n", h.adoptDrops.Load())
 	if h.mw != nil {
 		h.mw.Stats().WritePrometheus(w)
 	}
@@ -566,6 +575,7 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 		_ = old.Close()
 	}
 	h.clients[hello.Client] = conn
+	delete(h.evict, hello.Client)
 	h.mu.Unlock()
 
 	if err := h.gs.Enqueue(hello); err != nil {
@@ -692,6 +702,7 @@ func (h *ServerHost) tickLoop() {
 			h.routeGame(envs, h.tickBatch)
 			h.flushBatches(h.tickBatch)
 			h.tickEnvs.Done(envs)
+			h.evictDropped()
 			if h.tr != nil {
 				h.traceTick(t0, t1, t2, h.tr.Now())
 			}
@@ -788,7 +799,10 @@ func (h *ServerHost) routeGame(envs []gameserver.Envelope, batch map[string][]pr
 				traceCorr(h.tr, hostTracePid, hostTraceTidTick, e.Msg)
 			}
 			if err := conn.Send(e.Msg); err != nil {
-				h.dropClient(e.Client, conn)
+				// Only close: the client's pump sees it and runs dropClient,
+				// because only the pump knows when the client's last frame
+				// is queued.
+				_ = conn.Close()
 			}
 		}
 	}
@@ -961,12 +975,14 @@ func (h *ServerHost) sendPeerConn(addr string, conn transport.Conn, msgs []proto
 // tick goroutine via drainIngress, so the restore strictly precedes the
 // activating RangeUpdate the MC sends next on the same connection.
 func (h *ServerHost) handleAdopt(m *protocol.Adopt) {
-	h.adoptBuf = append(h.adoptBuf, m.Blob...)
-	if !m.Final {
+	blob, done, err := h.adoptBuf.Add(m.Blob, m.Final)
+	if err != nil {
+		h.adoptDrops.Add(1)
+		h.cfg.Logger.Printf("server %v: adopt stream for %v's region dropped: %v", h.core.ID(), m.Victim, err)
+	}
+	if !done {
 		return
 	}
-	blob := h.adoptBuf
-	h.adoptBuf = nil
 	if len(blob) == 0 {
 		h.cfg.Logger.Printf("server %v: cold-adopting %v's region %v (no checkpoint: world starts empty)",
 			h.core.ID(), m.Victim, m.Bounds)
@@ -1103,19 +1119,47 @@ func (h *ServerHost) Drained() <-chan struct{} { return h.drained }
 // Drained fires).
 func (h *ServerHost) DrainExitRequested() bool { return h.drainExit.Load() }
 
-// dropClient forgets a client connection (and, when this was the client's
-// live connection, its rate-limit bucket — a reconnect starts fresh).
+// dropClient forgets a client connection. When this was the client's live
+// connection it also forgets its rate-limit bucket (a reconnect starts
+// fresh) and schedules the avatar's eviction. Called by the client's pump
+// once it will enqueue nothing more, so the queue position read here is past
+// every frame the client sent.
 func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 	_ = conn.Close()
+	st := h.gs.Stats()
 	h.mu.Lock()
 	current := h.clients[c] == conn
 	if current {
 		delete(h.clients, c)
+		h.evict[c] = st.Processed + uint64(st.QueueLen)
 	}
 	h.mu.Unlock()
 	if current && h.mw != nil {
 		if l := h.mw.Limiter(); l != nil {
 			l.Forget(c)
+		}
+	}
+}
+
+// evictDropped removes the avatars of clients whose connection dropped
+// without a despawn, which would otherwise count as load for ever and block
+// every later reclaim. An avatar goes only once the frames its client had
+// queued have been processed — a queued despawn still runs as a local
+// despawn and reaches the peers — and never when the client has reconnected
+// (serveClient cancels the entry); one that already migrated away is a
+// no-op. An empty queue also counts as drained, so an adopt restore that
+// rewinds Processed cannot park an entry. Runs on the tick goroutine.
+func (h *ServerHost) evictDropped() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.evict) == 0 {
+		return
+	}
+	st := h.gs.Stats()
+	for c, after := range h.evict {
+		if st.Processed >= after || st.QueueLen == 0 {
+			delete(h.evict, c)
+			h.gs.Evict(c)
 		}
 	}
 }

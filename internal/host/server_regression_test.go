@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"strings"
@@ -517,5 +518,163 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(cbody, want) {
 			t.Errorf("coordinator scrape missing %q:\n%s", want, cbody)
 		}
+	}
+}
+
+// joinRaw dials h as client c on a bare connection (no ClientHost, so the
+// test owns the socket) and waits for the welcome.
+func joinRaw(t *testing.T, nw transport.Network, h *ServerHost, c id.ClientID, pos geom.Point) transport.Conn {
+	t.Helper()
+	conn, err := nw.Dial(h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(&protocol.ClientHello{Client: c, Pos: pos}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("client %v: no welcome: %v", c, err)
+		}
+		if m.MsgType() == protocol.TypeClientWelcome {
+			return conn
+		}
+	}
+}
+
+// TestDroppedConnectionEvictsAvatar: a client whose socket drops without a
+// despawn used to leave its avatar behind for ever — a ghost that counts as
+// load and blocks every later reclaim (benchmark/README.md finding). The
+// host now evicts it on the tick goroutine, but never for a client that has
+// reconnected, and only after the frames the client had already queued have
+// run, so a despawn racing the close is still a local despawn.
+func TestDroppedConnectionEvictsAvatar(t *testing.T) {
+	start := func(t *testing.T, rate int) (transport.Network, *ServerHost) {
+		nw := transport.NewMemNetwork()
+		mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mc.Close() })
+		h, err := StartServer(ServerConfig{
+			Network: nw, Coordinator: mc.Addr(), Radius: 40,
+			TickInterval: 2 * time.Millisecond, ServiceRate: rate,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		return nw, h
+	}
+	move := func(c id.ClientID, kind protocol.UpdateKind, to geom.Point) *protocol.GameUpdate {
+		return &protocol.GameUpdate{Client: c, Kind: kind, Origin: to, Dest: to}
+	}
+
+	t.Run("drop without despawn", func(t *testing.T) {
+		nw, h := start(t, 0)
+		conn := joinRaw(t, nw, h, 1, geom.Pt(100, 100))
+		if err := conn.Send(move(1, protocol.KindMove, geom.Pt(101, 100))); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "move applied", func() bool {
+			p, _ := h.Game().ClientPos(1)
+			return p == geom.Pt(101, 100)
+		})
+		conn.Close()
+		waitFor(t, "ghost evicted", func() bool { return h.Game().ClientCount() == 0 })
+	})
+
+	t.Run("reconnect keeps the avatar", func(t *testing.T) {
+		nw, h := start(t, 0)
+		joinRaw(t, nw, h, 1, geom.Pt(100, 100))
+		// The same client on a new connection: the host closes the old one
+		// itself, and that drop must not cost the client its avatar.
+		joinRaw(t, nw, h, 1, geom.Pt(100, 100))
+		ticks := h.ticks.Load()
+		waitFor(t, "a few ticks", func() bool { return h.ticks.Load() >= ticks+5 })
+		if st := h.Game().Stats(); st.ClientsCurrent != 1 || st.JoinsAccepted != 1 {
+			t.Fatalf("after reconnect: %d clients, %d joins accepted; want the one avatar kept", st.ClientsCurrent, st.JoinsAccepted)
+		}
+	})
+
+	t.Run("despawn then immediate close", func(t *testing.T) {
+		// One frame per tick: the moves and the despawn are still queued
+		// when the socket closes, and every one must run as a local update
+		// (forwarded to Matrix) before the record goes.
+		nw, h := start(t, 1)
+		conn := joinRaw(t, nw, h, 1, geom.Pt(100, 100))
+		before := h.Core().Stats().GamePacketsIn
+		for i := 1; i <= 3; i++ {
+			if err := conn.Send(move(1, protocol.KindMove, geom.Pt(100+float64(i), 100))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := conn.Send(move(1, protocol.KindDespawn, geom.Pt(103, 100))); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		waitFor(t, "avatar gone", func() bool { return h.Game().ClientCount() == 0 })
+		waitFor(t, "queue drained", func() bool { return h.Game().QueueLen() == 0 })
+		if got := h.Core().Stats().GamePacketsIn - before; got != 4 {
+			t.Fatalf("%d of the 4 queued updates ran as local updates; the avatar went too early", got)
+		}
+	})
+}
+
+// TestAdoptStreamIsBounded: an Adopt stream that never sets Final used to
+// grow adoptBuf without limit. It is now dropped at protocol.MaxBlobSize and
+// counted in /metrics, and the complete stream after it still restores the
+// victim's world.
+func TestAdoptStreamIsBounded(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	// A near-stopped tick loop: the test plays the tick goroutine, which
+	// owns handleAdopt.
+	h, err := StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, TickInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+
+	// The victim's checkpoint: one avatar.
+	if err := h.gs.Enqueue(&protocol.ClientHello{Client: 7, Pos: geom.Pt(10, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.gs.Process(0); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := h.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.gs.Evict(7)
+
+	chunk := make([]byte, protocol.MaxFrameSize)
+	for sent := 0; sent < 2*protocol.MaxBlobSize; sent += len(chunk) {
+		h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: chunk})
+		if n := h.adoptBuf.Len(); n > protocol.MaxBlobSize {
+			t.Fatalf("adopt buffer grew to %d bytes", n)
+		}
+	}
+	if n := h.adoptBuf.Len(); n != 0 {
+		t.Errorf("dropped stream still holds %d bytes", n)
+	}
+	var out bytes.Buffer
+	h.writeMetrics(&out)
+	if !strings.Contains(out.String(), "matrix_server_adopt_overflows_total 1\n") {
+		t.Errorf("overflow not counted once in /metrics:\n%s", out.String())
+	}
+
+	h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}) // ends the dropped stream
+	h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]})
+	h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true})
+	if p, ok := h.Game().ClientPos(7); !ok || p != geom.Pt(10, 10) {
+		t.Fatalf("checkpoint after the overflow not restored: avatar 7 at %v, %v", p, ok)
 	}
 }

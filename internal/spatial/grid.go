@@ -5,61 +5,122 @@
 package spatial
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"matrix/internal/geom"
 )
 
-// Grid is a uniform spatial hash from cells to entity keys. The zero value
-// is not usable; call NewGrid. Grid is not safe for concurrent use (each
-// game server owns one and serializes access through its inbox).
-type Grid[K comparable] struct {
+// entry is one entity inside a cell.
+type entry[K cmp.Ordered] struct {
+	key K
+	pt  geom.Point
+}
+
+// span is the run [lo:hi] of a query scratch buffer.
+type span struct{ lo, hi int }
+
+// Grid is a uniform spatial hash from cells to entity keys. Every cell
+// keeps its entries in ascending key order, so every query returns
+// ascending keys by merging the cells it visits: callers that need a
+// deterministic order get it from the structure, not from a sort. The zero
+// value is not usable; call NewGrid. Grid is not safe for concurrent use
+// (each game server owns one and serializes access through its inbox);
+// queries reuse grid-owned scratch.
+type Grid[K cmp.Ordered] struct {
 	cell  float64
-	cells map[[2]int32]map[K]geom.Point
+	cells map[[2]int32][]entry[K]
 	pos   map[K]geom.Point
+
+	// Query scratch: keys holds the keys that passed the filter, one
+	// ascending run per visited cell (runs says where each one is); tmp is
+	// the buffer the merge passes alternate with.
+	keys, tmp []K
+	runs      []span
+	// visited counts the cells queries have looked up — the work bound the
+	// tests pin for hostile coordinates.
+	visited uint64
 }
 
 // NewGrid creates a grid with the given cell size. Radius queries are most
 // efficient when cell is close to the typical query radius. A non-positive
 // cell defaults to 1.
-func NewGrid[K comparable](cell float64) *Grid[K] {
+func NewGrid[K cmp.Ordered](cell float64) *Grid[K] {
 	if cell <= 0 {
 		cell = 1
 	}
 	return &Grid[K]{
 		cell:  cell,
-		cells: make(map[[2]int32]map[K]geom.Point),
+		cells: make(map[[2]int32][]entry[K]),
 		pos:   make(map[K]geom.Point),
 	}
 }
 
+// maxCoord bounds cell coordinates. Points further out share the edge cell
+// (queries filter by exact position, so results stay exact), a loop over a
+// cell range can never wrap, and the float→int conversion is never out of
+// range.
+const maxCoord = 1 << 30
+
+// coord maps one axis value to its cell coordinate. NaN maps to cell 0: a
+// NaN position is stored there and no query can match it, and a query around
+// a NaN centre looks there and matches nothing.
+func (g *Grid[K]) coord(v float64) int32 {
+	c := math.Floor(v / g.cell)
+	switch {
+	case c >= maxCoord:
+		return maxCoord
+	case c <= -maxCoord:
+		return -maxCoord
+	case c != c:
+		return 0
+	}
+	return int32(c)
+}
+
 // cellOf maps a point to its cell coordinates.
 func (g *Grid[K]) cellOf(p geom.Point) [2]int32 {
-	return [2]int32{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
+	return [2]int32{g.coord(p.X), g.coord(p.Y)}
+}
+
+// cellRange is an inclusive rectangle of cells; x0 > x1 means empty.
+type cellRange struct{ x0, y0, x1, y1 int32 }
+
+func (r cellRange) contains(cx, cy int32) bool {
+	return r.x0 <= cx && cx <= r.x1 && r.y0 <= cy && cy <= r.y1
+}
+
+// cellsOver returns the cells overlapping the box [minX,maxX]×[minY,maxY].
+func (g *Grid[K]) cellsOver(minX, minY, maxX, maxY float64) cellRange {
+	return cellRange{g.coord(minX), g.coord(minY), g.coord(maxX), g.coord(maxY)}
 }
 
 // Len returns the number of entities in the grid.
 func (g *Grid[K]) Len() int { return len(g.pos) }
 
+func searchCell[K cmp.Ordered](run []entry[K], k K) (int, bool) {
+	return slices.BinarySearchFunc(run, k, func(e entry[K], k K) int { return cmp.Compare(e.key, k) })
+}
+
 // Insert adds or moves an entity to p.
 func (g *Grid[K]) Insert(k K, p geom.Point) {
+	nc := g.cellOf(p)
 	if old, ok := g.pos[k]; ok {
-		oc, nc := g.cellOf(old), g.cellOf(p)
+		oc := g.cellOf(old)
 		if oc == nc {
 			g.pos[k] = p
-			g.cells[oc][k] = p
+			run := g.cells[oc]
+			i, _ := searchCell(run, k)
+			run[i].pt = p
 			return
 		}
 		g.removeFromCell(k, oc)
 	}
 	g.pos[k] = p
-	c := g.cellOf(p)
-	m, ok := g.cells[c]
-	if !ok {
-		m = make(map[K]geom.Point)
-		g.cells[c] = m
-	}
-	m[k] = p
+	run := g.cells[nc]
+	i, _ := searchCell(run, k)
+	g.cells[nc] = slices.Insert(run, i, entry[K]{k, p})
 }
 
 // Remove deletes an entity; unknown keys are a no-op.
@@ -72,13 +133,16 @@ func (g *Grid[K]) Remove(k K) {
 	g.removeFromCell(k, g.cellOf(p))
 }
 
+// removeFromCell drops k from cell c. Empty cells leave the index, so the
+// index stays bounded by the population however far entities wander.
 func (g *Grid[K]) removeFromCell(k K, c [2]int32) {
-	if m, ok := g.cells[c]; ok {
-		delete(m, k)
-		if len(m) == 0 {
-			delete(g.cells, c)
-		}
+	run := g.cells[c]
+	if len(run) == 1 {
+		delete(g.cells, c)
+		return
 	}
+	i, _ := searchCell(run, k)
+	g.cells[c] = slices.Delete(run, i, i+1)
 }
 
 // Position returns the stored position of k.
@@ -87,71 +151,171 @@ func (g *Grid[K]) Position(k K) (geom.Point, bool) {
 	return p, ok
 }
 
-// QueryCircle appends to dst every entity within dist of center (Euclidean,
-// inclusive) and returns the extended slice. Pass a reused dst to avoid
-// allocation on hot paths.
+// QueryCircle appends to dst, in ascending key order, every entity within
+// dist of center (Euclidean, inclusive) and returns the extended slice. Pass
+// a reused dst to avoid allocation on hot paths.
 func (g *Grid[K]) QueryCircle(center geom.Point, dist float64, dst []K) []K {
-	if dist < 0 {
+	return g.QueryDiscs(center, center, dist, dst)
+}
+
+// QueryDiscs appends to dst, in ascending key order and each once, every
+// entity within dist of a or of b — the audience of a move from a to b. It
+// visits each cell overlapping either disc once, never the cells between
+// two far-apart discs, so the work is bounded by the discs however far
+// apart a and b are. A NaN or infinite centre matches nothing.
+func (g *Grid[K]) QueryDiscs(a, b geom.Point, dist float64, dst []K) []K {
+	if !(dist >= 0) {
 		return dst
 	}
-	minC := g.cellOf(geom.Pt(center.X-dist, center.Y-dist))
-	maxC := g.cellOf(geom.Pt(center.X+dist, center.Y+dist))
 	d2 := dist * dist
-	for cx := minC[0]; cx <= maxC[0]; cx++ {
-		for cy := minC[1]; cy <= maxC[1]; cy++ {
-			m, ok := g.cells[[2]int32{cx, cy}]
-			if !ok {
-				continue
-			}
-			for k, p := range m {
-				dx, dy := p.X-center.X, p.Y-center.Y
-				if dx*dx+dy*dy <= d2 {
-					dst = append(dst, k)
+	g.keys, g.runs = g.keys[:0], g.runs[:0]
+	ra := g.cellsOver(a.X-dist, a.Y-dist, a.X+dist, a.Y+dist)
+	rb := cellRange{x0: 1}
+	if b != a {
+		rb = g.cellsOver(b.X-dist, b.Y-dist, b.X+dist, b.Y+dist)
+	}
+	for pass, r := range [2]cellRange{ra, rb} {
+		for cx := r.x0; cx <= r.x1; cx++ {
+			for cy := r.y0; cy <= r.y1; cy++ {
+				if pass == 1 && ra.contains(cx, cy) {
+					continue // already taken, with both discs tested
+				}
+				g.visited++
+				cell := g.cells[[2]int32{cx, cy}]
+				n := len(g.keys)
+				keys := slices.Grow(g.keys, len(cell))[:n+len(cell)]
+				w := n
+				for _, e := range cell {
+					// Whether an entry is a hit is a coin toss to the branch
+					// predictor, so store every key and step past it only on
+					// a hit: the conditional moves cost less than the misses.
+					ax, ay := e.pt.X-a.X, e.pt.Y-a.Y
+					bx, by := e.pt.X-b.X, e.pt.Y-b.Y
+					keys[w] = e.key
+					hit := 0
+					if ax*ax+ay*ay <= d2 {
+						hit = 1
+					}
+					if bx*bx+by*by <= d2 {
+						hit = 1
+					}
+					w += hit
+				}
+				g.keys = keys[:w]
+				if w > n {
+					g.runs = append(g.runs, span{n, w})
 				}
 			}
 		}
 	}
-	return dst
+	return g.merge(dst)
 }
 
-// QueryRect appends every entity inside r (half-open) to dst.
+// QueryRect appends every entity inside r (half-open) to dst, in ascending
+// key order.
 func (g *Grid[K]) QueryRect(r geom.Rect, dst []K) []K {
 	if r.Empty() {
 		return dst
 	}
-	minC := g.cellOf(geom.Pt(r.MinX, r.MinY))
-	maxC := g.cellOf(geom.Pt(r.MaxX, r.MaxY))
-	for cx := minC[0]; cx <= maxC[0]; cx++ {
-		for cy := minC[1]; cy <= maxC[1]; cy++ {
-			m, ok := g.cells[[2]int32{cx, cy}]
-			if !ok {
-				continue
-			}
-			for k, p := range m {
-				if r.Contains(p) {
-					dst = append(dst, k)
+	g.keys, g.runs = g.keys[:0], g.runs[:0]
+	cr := g.cellsOver(r.MinX, r.MinY, r.MaxX, r.MaxY)
+	for cx := cr.x0; cx <= cr.x1; cx++ {
+		for cy := cr.y0; cy <= cr.y1; cy++ {
+			g.visited++
+			n := len(g.keys)
+			for _, e := range g.cells[[2]int32{cx, cy}] {
+				if r.Contains(e.pt) {
+					g.keys = append(g.keys, e.key)
 				}
+			}
+			if len(g.keys) > n {
+				g.runs = append(g.runs, span{n, len(g.keys)})
 			}
 		}
 	}
+	return g.merge(dst)
+}
+
+// merge appends the runs collected in g.keys to dst as one ascending
+// sequence: neighbouring runs are merged pairwise, pass by pass, alternating
+// between the two scratch buffers, and the last merge writes into dst.
+// (Merging the two shortest runs first moves fewer keys, yet measured 10 %
+// slower on the flash-crowd probe: picking the pair costs more than it
+// saves at a dozen runs.)
+func (g *Grid[K]) merge(dst []K) []K {
+	src, tmp, runs := g.keys, g.tmp, g.runs
+	for len(runs) > 2 {
+		tmp = tmp[:0]
+		w := 0
+		for i := 0; i < len(runs); i += 2 {
+			a, b := runs[i], span{}
+			if i+1 < len(runs) {
+				b = runs[i+1]
+			}
+			lo := len(tmp)
+			tmp = merge2(tmp, src[a.lo:a.hi], src[b.lo:b.hi])
+			runs[w] = span{lo, len(tmp)}
+			w++
+		}
+		runs = runs[:w]
+		src, tmp = tmp, src
+	}
+	g.keys, g.tmp = src, tmp // keep both buffers' capacity
+	switch len(runs) {
+	case 0:
+		return dst
+	case 1:
+		return append(dst, src[runs[0].lo:runs[0].hi]...)
+	}
+	return merge2(dst, src[runs[0].lo:runs[0].hi], src[runs[1].lo:runs[1].hi])
+}
+
+// merge2 appends the merge of two ascending runs to dst. Which run the next
+// key comes from is a coin toss to the branch predictor, so the loop selects
+// with conditional moves instead of branching on the comparison.
+func merge2[K cmp.Ordered](dst, a, b []K) []K {
+	n := len(dst)
+	dst = slices.Grow(dst, len(a)+len(b))[:n+len(a)+len(b)]
+	out := dst[n:]
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		v := y
+		if x < y {
+			v = x
+		}
+		out[k] = v
+		k++
+		if x < y {
+			i++
+		}
+		j = k - i
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
 	return dst
 }
 
-// QueryOutsideRect appends every entity NOT inside r to dst — exactly the
-// set a game server must redirect after its range shrinks.
+// QueryOutsideRect appends every entity NOT inside r to dst, in ascending
+// key order — exactly the set a game server must redirect after its range
+// shrinks.
 func (g *Grid[K]) QueryOutsideRect(r geom.Rect, dst []K) []K {
+	n := len(dst)
 	for k, p := range g.pos {
 		if !r.Contains(p) {
 			dst = append(dst, k)
 		}
 	}
+	slices.Sort(dst[n:])
 	return dst
 }
 
-// Keys appends all entity keys to dst.
+// Keys appends all entity keys to dst, in ascending order.
 func (g *Grid[K]) Keys(dst []K) []K {
+	n := len(dst)
 	for k := range g.pos {
 		dst = append(dst, k)
 	}
+	slices.Sort(dst[n:])
 	return dst
 }

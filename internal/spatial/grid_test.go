@@ -1,18 +1,13 @@
 package spatial
 
 import (
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"matrix/internal/geom"
 )
-
-func sorted(ks []int) []int {
-	out := append([]int(nil), ks...)
-	sort.Ints(out)
-	return out
-}
 
 func TestInsertQueryBasics(t *testing.T) {
 	g := NewGrid[int](10)
@@ -22,7 +17,7 @@ func TestInsertQueryBasics(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	got := sorted(g.QueryCircle(geom.Pt(5, 5), 3, nil))
+	got := g.QueryCircle(geom.Pt(5, 5), 3, nil)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("QueryCircle = %v", got)
 	}
@@ -90,11 +85,11 @@ func TestQueryRect(t *testing.T) {
 	g.Insert(2, geom.Pt(15, 5))
 	g.Insert(3, geom.Pt(10, 5)) // on boundary: half-open => belongs to [10,20)
 	r := geom.R(0, 0, 10, 10)
-	got := sorted(g.QueryRect(r, nil))
+	got := g.QueryRect(r, nil)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("QueryRect = %v", got)
 	}
-	out := sorted(g.QueryOutsideRect(r, nil))
+	out := g.QueryOutsideRect(r, nil)
 	if len(out) != 2 || out[0] != 2 || out[1] != 3 {
 		t.Fatalf("QueryOutsideRect = %v", out)
 	}
@@ -125,7 +120,7 @@ func TestKeys(t *testing.T) {
 	g := NewGrid[int](10)
 	g.Insert(1, geom.Pt(0, 0))
 	g.Insert(2, geom.Pt(5, 5))
-	ks := sorted(g.Keys(nil))
+	ks := g.Keys(nil)
 	if len(ks) != 2 || ks[0] != 1 || ks[1] != 2 {
 		t.Fatalf("Keys = %v", ks)
 	}
@@ -207,4 +202,194 @@ func TestQueryReusesDst(t *testing.T) {
 	if cap(got) != cap(buf) {
 		t.Error("dst not reused")
 	}
+}
+
+// model is the plain-map reference the property test and the fuzzer compare
+// the grid against.
+type model map[int]geom.Point
+
+func within(p, c geom.Point, dist float64) bool {
+	dx, dy := p.X-c.X, p.Y-c.Y
+	return dx*dx+dy*dy <= dist*dist
+}
+
+func (m model) discs(a, b geom.Point, dist float64) []int {
+	var out []int
+	for k, p := range m {
+		if within(p, a, dist) || within(p, b, dist) {
+			out = append(out, k)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkAgainst holds the grid to the model: same population, and the
+// two-disc query returns exactly the union, ascending, each key once.
+func checkAgainst(t *testing.T, g *Grid[int], m model, a, b geom.Point, dist float64) {
+	t.Helper()
+	if g.Len() != len(m) {
+		t.Fatalf("Len = %d, model has %d", g.Len(), len(m))
+	}
+	got := g.QueryDiscs(a, b, dist, nil)
+	if want := m.discs(a, b, dist); !slices.Equal(got, want) {
+		t.Fatalf("QueryDiscs(%v, %v, %v) = %v, want %v", a, b, dist, got, want)
+	}
+	if one := g.QueryCircle(a, dist, nil); !slices.Equal(one, m.discs(a, a, dist)) {
+		t.Fatalf("QueryCircle(%v, %v) = %v, want %v", a, dist, one, m.discs(a, a, dist))
+	}
+}
+
+// TestQueryDiscsMatchesBruteForce drives random insert / move-across-cells /
+// move-within-cell / remove traffic over negative and positive coordinates
+// and checks the two-disc query against a linear scan for coincident,
+// overlapping and far-apart discs.
+func TestQueryDiscsMatchesBruteForce(t *testing.T) {
+	rnd := rand.New(rand.NewSource(13))
+	pt := func() geom.Point { return geom.Pt(rnd.Float64()*200-100, rnd.Float64()*200-100) }
+	for trial := 0; trial < 40; trial++ {
+		cell := []float64{1, 5, 10, 33}[rnd.Intn(4)]
+		g, m := NewGrid[int](cell), model{}
+		for op := 0; op < 600; op++ {
+			k := rnd.Intn(150)
+			switch old, ok := m[k]; {
+			case rnd.Intn(5) == 0:
+				g.Remove(k)
+				delete(m, k)
+			case ok && rnd.Intn(2) == 0: // nudge: mostly stays in its cell
+				p := geom.Pt(old.X+rnd.Float64()*cell/4, old.Y-rnd.Float64()*cell/4)
+				g.Insert(k, p)
+				m[k] = p
+			default:
+				p := pt()
+				g.Insert(k, p)
+				m[k] = p
+			}
+			if op%20 != 0 {
+				continue
+			}
+			a, dist := pt(), rnd.Float64()*40
+			b := a
+			switch rnd.Intn(3) {
+			case 1: // overlapping discs, as a move produces
+				b = geom.Pt(a.X+rnd.Float64()*dist, a.Y-rnd.Float64()*dist)
+			case 2:
+				b = pt()
+			}
+			checkAgainst(t, g, m, a, b, dist)
+		}
+	}
+}
+
+// TestQueryWorkBoundedByDiscs pins the bound a hostile update must not
+// break: Origin and Dest come off the wire, and however far apart they are
+// the query looks at the cells under the two discs, never the cells between
+// them. NaN and infinite centres neither panic nor loop, and match nothing.
+func TestQueryWorkBoundedByDiscs(t *testing.T) {
+	g := NewGrid[int](10)
+	g.Insert(1, geom.Pt(5, 5))
+	g.Insert(2, geom.Pt(1e9, -1e9))
+	g.Insert(3, geom.Pt(1e300, 1e300)) // beyond the last cell: clamped, still exact
+	const perDisc = 9                  // dist == cell: at most 3×3 cells under a disc
+	cases := []struct {
+		name string
+		a, b geom.Point
+		want []int
+	}{
+		{"teleport", geom.Pt(5, 5), geom.Pt(1e9, -1e9), []int{1, 2}},
+		{"teleport past the last cell", geom.Pt(1e300, 1e300), geom.Pt(-1e300, 5), []int{3}},
+		{"overlap", geom.Pt(5, 5), geom.Pt(12, 12), []int{1}},
+		{"NaN origin", geom.Pt(math.NaN(), 5), geom.Pt(5, 5), []int{1}},
+		{"NaN both", geom.Pt(math.NaN(), math.NaN()), geom.Pt(5, math.NaN()), nil},
+		{"Inf", geom.Pt(math.Inf(1), 5), geom.Pt(5, math.Inf(-1)), nil},
+	}
+	for _, tc := range cases {
+		before := g.visited
+		got := g.QueryDiscs(tc.a, tc.b, 10, nil)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+		if n := g.visited - before; n > 2*perDisc {
+			t.Errorf("%s: visited %d cells, bound is %d", tc.name, n, 2*perDisc)
+		}
+	}
+	// A stored NaN position is never a hit, and removing it still works.
+	g.Insert(4, geom.Pt(math.NaN(), 0))
+	if got := g.QueryCircle(geom.Pt(0, 0), 10, nil); !slices.Equal(got, []int{1}) {
+		t.Errorf("NaN position matched: %v", got)
+	}
+	g.Remove(4)
+	if g.Len() != 3 {
+		t.Errorf("Len = %d after removing the NaN entity", g.Len())
+	}
+}
+
+// TestQueryZeroAllocSteadyState: the query merges through grid-owned scratch,
+// so with a warm dst a multi-cell two-disc query does not allocate.
+func TestQueryZeroAllocSteadyState(t *testing.T) {
+	g := NewGrid[int](10)
+	rnd := rand.New(rand.NewSource(3))
+	for k := 0; k < 400; k++ {
+		g.Insert(k, geom.Pt(rnd.Float64()*60, rnd.Float64()*60))
+	}
+	a, b := geom.Pt(25, 25), geom.Pt(33, 31)
+	dst := g.QueryDiscs(a, b, 10, nil)
+	if len(dst) < 20 {
+		t.Fatalf("only %d hits: the merge is not exercised", len(dst))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = g.QueryDiscs(a, b, 10, dst[:0])
+		// A same-cell move and a move across cells and back reuse cell capacity.
+		g.Insert(7, geom.Pt(25, 25))
+		g.Insert(7, geom.Pt(45, 45))
+	})
+	if allocs != 0 {
+		t.Errorf("query + move allocates %.1f/op, budget is 0", allocs)
+	}
+}
+
+// FuzzGridOps replays an op stream against the grid and a plain map. Each op
+// is 4 bytes: kind, key, x, y. Coordinates are small signed integers scaled
+// so that neighbouring values share cells and the extremes do not.
+func FuzzGridOps(f *testing.F) {
+	f.Add([]byte{}) // the op streams worth keeping are in testdata/fuzz/FuzzGridOps
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		g, m := NewGrid[int](8), model{}
+		for ; len(ops) >= 4; ops = ops[4:] {
+			k := int(ops[1] % 32)
+			p := geom.Pt(float64(int8(ops[2]))*1.5, float64(int8(ops[3]))*1.5)
+			switch ops[0] % 4 {
+			case 0:
+				g.Insert(k, p)
+				m[k] = p
+			case 1:
+				g.Remove(k)
+				delete(m, k)
+			case 2:
+				r := geom.R(p.X, p.Y, p.X+float64(ops[1]), p.Y+float64(ops[1]))
+				var want []int
+				for mk, mp := range m {
+					if r.Contains(mp) {
+						want = append(want, mk)
+					}
+				}
+				slices.Sort(want)
+				if got := g.QueryRect(r, nil); !slices.Equal(got, want) {
+					t.Fatalf("QueryRect(%v) = %v, want %v", r, got, want)
+				}
+			case 3:
+				b := geom.Pt(p.X+float64(ops[1]%16), p.Y-float64(ops[1]/16))
+				checkAgainst(t, g, m, p, b, 12)
+			}
+		}
+		keys := g.Keys(nil)
+		if len(keys) != len(m) || !slices.IsSorted(keys) {
+			t.Fatalf("Keys = %v for a model of %d", keys, len(m))
+		}
+		for _, k := range keys {
+			if p, ok := g.Position(k); !ok || p != m[k] {
+				t.Fatalf("Position(%d) = %v,%v, model has %v", k, p, ok, m[k])
+			}
+		}
+	})
 }
