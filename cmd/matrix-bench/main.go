@@ -13,8 +13,6 @@
 //	matrix-bench -exp scenarios -scenario flashcrowd,lossy -workers 4
 //	matrix-bench -trace out.json                   # Perfetto trace of flashcrowd
 //	matrix-bench -record out/ -audit               # flight recording + decision audit
-//	matrix-bench -bench-json BENCH.json            # machine-readable cost record
-//	matrix-bench -bench-baseline BENCH.json        # regression gate vs committed record
 package main
 
 import (
@@ -30,11 +28,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
-	"matrix/internal/bench"
 	"matrix/internal/experiments"
 	"matrix/internal/flight"
 	"matrix/internal/policy"
@@ -68,10 +64,6 @@ func run(args []string) error {
 	traceFile := fs.String("trace", "", "run one -scenario (default flashcrowd) with the tracer attached and write Chrome trace JSON (Perfetto-loadable) to this file")
 	recordDir := fs.String("record", "", "run one -scenario (default flashcrowd) with the flight recorder attached and write flight.csv, flight.json and audit.txt into this directory; combine with -trace to get the counter tracks and decision instants merged into the Perfetto trace")
 	auditFlag := fs.Bool("audit", false, "with -record: also print the decision audit timeline on stdout")
-	benchJSON := fs.String("bench-json", "", "measure the bench scenarios (-scenario, default flashcrowd,reclaimstress) and write the machine-readable record to this file")
-	benchBaseline := fs.String("bench-baseline", "", "measure the bench scenarios and fail if tick cost regressed past -bench-threshold vs this committed record")
-	benchRepeats := fs.Int("bench-repeats", 2, "full runs per bench scenario (the fastest wins)")
-	benchThreshold := fs.Float64("bench-threshold", bench.DefaultThreshold, "relative ns/tick regression that fails -bench-baseline")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for CPU/heap profiling while experiments run")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,23 +94,22 @@ func run(args []string) error {
 	defer stop()
 	runner := experiments.Runner{Workers: *workers, SimWorkers: *simWorkers, Policy: *policyFlag}
 
+	// The one-simulation modes, in precedence order (see singleRun).
+	single := singleRun{scenario: *scenarioFlag, seed: *seed, simWorkers: *simWorkers, policy: *policyFlag}
 	if *restoreFile != "" {
-		return runRestore(ctx, *restoreFile, *simWorkers, *policyFlag)
+		single.restore = *restoreFile
+		return single.run(ctx)
 	}
 	if *snapFile != "" {
-		return runSnapshot(ctx, *snapFile, *snapAt, *scenarioFlag, *seed, *simWorkers, *policyFlag)
+		single.snapshot, single.snapAt = *snapFile, *snapAt
+		return single.run(ctx)
 	}
 	if *auditFlag && *recordDir == "" {
 		return fmt.Errorf("-audit requires -record")
 	}
-	if *recordDir != "" {
-		return runRecord(ctx, *recordDir, *auditFlag, *traceFile, *scenarioFlag, *seed, *simWorkers, *policyFlag)
-	}
-	if *traceFile != "" {
-		return runTrace(ctx, *traceFile, *scenarioFlag, *seed, *simWorkers, *policyFlag)
-	}
-	if *benchJSON != "" || *benchBaseline != "" {
-		return runBench(ctx, *benchJSON, *benchBaseline, *scenarioFlag, *seed, *simWorkers, *benchRepeats, *benchThreshold, *policyFlag)
+	if *recordDir != "" || *traceFile != "" {
+		single.record, single.audit, single.trace = *recordDir, *auditFlag, *traceFile
+		return single.run(ctx)
 	}
 
 	want := map[string]bool{}
@@ -250,55 +241,172 @@ func run(args []string) error {
 	return nil
 }
 
-// runSnapshot runs one scenario, captures its complete state at the given
-// virtual time into a file, then finishes the run and prints its
-// fingerprint digest — the value a later -restore run must reproduce.
-func runSnapshot(ctx context.Context, path string, at float64, scenarioFlag string, seed int64, simWorkers int, pol string) error {
-	name := strings.TrimSpace(scenarioFlag)
-	if name == "" || name == "all" || strings.Contains(name, ",") {
-		return fmt.Errorf("-snapshot needs exactly one -scenario (have %q)", scenarioFlag)
+// singleRun describes the one-simulation modes: -restore, -snapshot, -record
+// and -trace all resolve one sim, attach observers, step it to the end, write
+// their artifacts and print the run's fingerprint digest. Empty fields are
+// off; run() fills in exactly one mode (plus trace alongside record).
+type singleRun struct {
+	restore  string  // snapshot file to resume from
+	snapshot string  // snapshot file to write at snapAt
+	snapAt   float64 // virtual seconds (0 = the scenario's midpoint)
+	record   string  // flight-recording directory
+	audit    bool    // with record: decision timeline on stdout
+	trace    string  // Chrome trace JSON file
+
+	scenario   string
+	seed       int64
+	simWorkers int
+	policy     string
+}
+
+// run executes the mode. Tracing and recording are observation only and
+// snapshots never record a worker count, so the digest printed at the end
+// matches a plain run of the same scenario and seed whatever was attached —
+// and a -restore prints the digest its capturing process printed (unless
+// -policy names a different policy, which swaps it in at the restore point
+// with fresh state, so the digest then diverges by design).
+func (o singleRun) run(ctx context.Context) error {
+	name := "restored"
+	var s *sim.Sim
+	if o.restore != "" {
+		snap, err := snapshot.ReadFile(o.restore)
+		if err != nil {
+			return err
+		}
+		s, err = snapshot.RestoreWith(snap, sim.RestoreOptions{SimWorkers: o.simWorkers, Policy: o.policy})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "restored snapshot from %s at t=%.1fs\n", o.restore, s.NextTime())
+	} else {
+		sc, err := o.oneScenario()
+		if err != nil {
+			return err
+		}
+		name = sc.Name
+		cfg := sc.Config(o.seed)
+		cfg.SimWorkers = o.simWorkers
+		cfg.Policy = o.policy
+		// A capture point at or past the scenario's end would silently never
+		// fire mid-run (the run finishes first and captures a trivial
+		// end-state snapshot); a negative one is never reached. Fail fast and
+		// name the valid range against the resolved duration instead.
+		if o.snapshot != "" {
+			if o.snapAt < 0 || o.snapAt >= cfg.DurationSeconds {
+				return fmt.Errorf("-snapshot-at %g is outside scenario %q, which runs %g simulated seconds; valid range is 0 < t < %g (0 picks the midpoint)",
+					o.snapAt, name, cfg.DurationSeconds, cfg.DurationSeconds)
+			}
+			if o.snapAt == 0 {
+				o.snapAt = cfg.DurationSeconds / 2
+			}
+		}
+		if s, err = sim.New(cfg); err != nil {
+			return err
+		}
 	}
-	sc, ok := experiments.ScenarioByName(name)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(experiments.ScenarioNames(), ","))
+
+	var rec *flight.Recorder
+	if o.record != "" {
+		rec = flight.New()
+		s.SetRecorder(rec)
 	}
-	cfg := sc.Config(seed)
-	cfg.SimWorkers = simWorkers
-	cfg.Policy = pol
-	// A capture point at or past the scenario's end would silently never
-	// fire mid-run (the loop below finishes first and captures a trivial
-	// end-state snapshot); a negative one is never reached. Fail fast and
-	// name the valid range against the resolved duration instead.
-	if at < 0 || at >= cfg.DurationSeconds {
-		return fmt.Errorf("-snapshot-at %g is outside scenario %q, which runs %g simulated seconds; valid range is 0 < t < %g (0 picks the midpoint)",
-			at, name, cfg.DurationSeconds, cfg.DurationSeconds)
+	var tr *trace.Tracer
+	if o.trace != "" {
+		tr = trace.New(0)
+		s.SetTracer(tr)
 	}
-	if at == 0 {
-		at = cfg.DurationSeconds / 2
+	if o.restore == "" {
+		if err := s.Start(); err != nil {
+			return err
+		}
 	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return err
+
+	if o.snapshot != "" {
+		if err := stepAll(ctx, s, o.snapAt); err != nil {
+			return err
+		}
+		snap, err := snapshot.Capture(s)
+		if err != nil {
+			return err
+		}
+		if err := snapshot.WriteFile(o.snapshot, snap); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "snapshot of %q at t=%.1fs written to %s\n", name, s.Now(), o.snapshot)
 	}
-	if err := s.Start(); err != nil {
-		return err
-	}
-	if err := stepAll(ctx, s, at); err != nil {
-		return err
-	}
-	snap, err := snapshot.Capture(s)
-	if err != nil {
-		return err
-	}
-	if err := snapshot.WriteFile(path, snap); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "snapshot of %q at t=%.1fs written to %s\n", name, s.Now(), path)
 	if err := stepAll(ctx, s, 0); err != nil {
 		return err
 	}
+
+	// Artifacts: flight.csv (time series), flight.json (series + decision
+	// log, schema matrix-flight/1) and audit.txt (the human-readable decision
+	// timeline), byte-identical for any -sim-workers value; then the trace —
+	// load it at https://ui.perfetto.dev — with the recording's counter tracks
+	// and decision instants merged in when both ran.
+	if rec != nil {
+		if err := os.MkdirAll(o.record, 0o755); err != nil {
+			return err
+		}
+		for _, a := range []struct {
+			name  string
+			write func(io.Writer) error
+		}{
+			{"flight.csv", rec.WriteCSV},
+			{"flight.json", rec.WriteJSON},
+			{"audit.txt", rec.WriteTimeline},
+		} {
+			if err := writeArtifact(filepath.Join(o.record, a.name), a.write); err != nil {
+				return err
+			}
+		}
+	}
+	if tr != nil {
+		if rec != nil {
+			rec.MergeTrace(tr)
+		}
+		if err := writeArtifact(o.trace, tr.WriteJSON); err != nil {
+			return err
+		}
+		if rec != nil {
+			fmt.Fprintf(os.Stderr, "trace of %q with flight counters merged written to %s\n", name, o.trace)
+		} else {
+			fmt.Fprintf(os.Stderr, "trace of %q: %d events (%d dropped by the ring) written to %s\n",
+				name, tr.Len(), tr.Dropped(), o.trace)
+		}
+	}
+	if rec != nil {
+		fmt.Fprintf(os.Stderr, "flight recording of %q: %d samples x %d series, %d decisions written to %s\n",
+			name, rec.Rows(), len(rec.Columns()), len(rec.Decisions()), o.record)
+		if o.audit {
+			if err := rec.WriteTimeline(os.Stdout); err != nil {
+				return err
+			}
+		}
+	}
 	printFingerprint(name, s.Finish())
 	return nil
+}
+
+// oneScenario resolves the single scenario the mode runs. -record and
+// -trace default to flashcrowd when -scenario was left at "all"; -snapshot
+// has no default.
+func (o singleRun) oneScenario() (experiments.Scenario, error) {
+	name := strings.TrimSpace(o.scenario)
+	mode := "-snapshot"
+	if o.snapshot == "" {
+		mode = "this mode"
+		if name == "" || name == "all" {
+			name = "flashcrowd"
+		}
+	}
+	if name == "" || name == "all" || strings.Contains(name, ",") {
+		return experiments.Scenario{}, fmt.Errorf("%s needs exactly one -scenario (have %q)", mode, o.scenario)
+	}
+	sc, ok := experiments.ScenarioByName(name)
+	if !ok {
+		return experiments.Scenario{}, fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(experiments.ScenarioNames(), ","))
+	}
+	return sc, nil
 }
 
 // stepAll drives s until done (or until the next tick would reach `until`,
@@ -320,29 +428,6 @@ func stepAll(ctx context.Context, s *sim.Sim, until float64) error {
 	return nil
 }
 
-// runRestore loads a snapshot file, finishes the run, and prints the same
-// fingerprint digest the capturing process printed — whatever -sim-workers
-// either process ran with (snapshots never record a worker count). A
-// -policy naming a different policy than the captured run swaps it in at
-// the restore point (fresh policy state), so the digest then diverges by
-// design.
-func runRestore(ctx context.Context, path string, simWorkers int, pol string) error {
-	snap, err := snapshot.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	s, err := snapshot.RestoreWith(snap, sim.RestoreOptions{SimWorkers: simWorkers, Policy: pol})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "restored snapshot from %s at t=%.1fs\n", path, s.NextTime())
-	if err := stepAll(ctx, s, 0); err != nil {
-		return err
-	}
-	printFingerprint("restored", s.Finish())
-	return nil
-}
-
 // servePprof exposes net/http/pprof on addr (empty = off). The profile
 // handlers live on http.DefaultServeMux via the pprof import.
 func servePprof(addr string) error {
@@ -358,224 +443,22 @@ func servePprof(addr string) error {
 	return nil
 }
 
-// oneScenario resolves the single scenario a mode needs, defaulting to
-// def when the -scenario flag was left at "all".
-func oneScenario(scenarioFlag, def string) (experiments.Scenario, error) {
-	name := strings.TrimSpace(scenarioFlag)
-	if name == "" || name == "all" {
-		name = def
-	}
-	if strings.Contains(name, ",") {
-		return experiments.Scenario{}, fmt.Errorf("this mode needs exactly one -scenario (have %q)", scenarioFlag)
-	}
-	sc, ok := experiments.ScenarioByName(name)
-	if !ok {
-		return experiments.Scenario{}, fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(experiments.ScenarioNames(), ","))
-	}
-	return sc, nil
-}
-
-// runTrace runs one scenario with the tracer attached and writes the ring
-// as Chrome trace JSON — load the file at https://ui.perfetto.dev. The
-// traced run's fingerprint is identical to the untraced run's (tracing is
-// observation only), so the digest printed here matches a plain run.
-func runTrace(ctx context.Context, path, scenarioFlag string, seed int64, simWorkers int, pol string) error {
-	sc, err := oneScenario(scenarioFlag, "flashcrowd")
-	if err != nil {
-		return err
-	}
-	cfg := sc.Config(seed)
-	cfg.SimWorkers = simWorkers
-	cfg.Policy = pol
-	s, err := sim.New(cfg)
-	if err != nil {
-		return err
-	}
-	tr := trace.New(0)
-	s.SetTracer(tr)
-	if err := s.Start(); err != nil {
-		return err
-	}
-	if err := stepAll(ctx, s, 0); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := tr.WriteJSON(w); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "trace of %q: %d events (%d dropped by the ring) written to %s\n",
-		sc.Name, tr.Len(), tr.Dropped(), path)
-	printFingerprint(sc.Name, s.Finish())
-	return nil
-}
-
-// runRecord runs one scenario with the flight recorder attached and writes
-// the recording artifacts into dir: flight.csv (time series), flight.json
-// (series + decision log, schema matrix-flight/1) and audit.txt (the
-// human-readable decision timeline). Recording is observation only — the
-// fingerprint printed here matches an unrecorded run, and the artifact
-// bytes are identical for any -sim-workers value. When -trace is also set,
-// the recording's counter tracks and decision instants are merged into the
-// Perfetto trace before it is written.
-func runRecord(ctx context.Context, dir string, audit bool, tracePath, scenarioFlag string, seed int64, simWorkers int, pol string) error {
-	sc, err := oneScenario(scenarioFlag, "flashcrowd")
-	if err != nil {
-		return err
-	}
-	cfg := sc.Config(seed)
-	cfg.SimWorkers = simWorkers
-	cfg.Policy = pol
-	s, err := sim.New(cfg)
-	if err != nil {
-		return err
-	}
-	rec := flight.New()
-	s.SetRecorder(rec)
-	var tr *trace.Tracer
-	if tracePath != "" {
-		tr = trace.New(0)
-		s.SetTracer(tr)
-	}
-	if err := s.Start(); err != nil {
-		return err
-	}
-	if err := stepAll(ctx, s, 0); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	artifacts := []struct {
-		name  string
-		write func(io.Writer) error
-	}{
-		{"flight.csv", rec.WriteCSV},
-		{"flight.json", rec.WriteJSON},
-		{"audit.txt", rec.WriteTimeline},
-	}
-	for _, a := range artifacts {
-		if err := writeArtifact(filepath.Join(dir, a.name), a.write); err != nil {
-			return err
-		}
-	}
-	if tr != nil {
-		rec.MergeTrace(tr)
-		if err := writeArtifact(tracePath, tr.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace of %q with flight counters merged written to %s\n", sc.Name, tracePath)
-	}
-	fmt.Fprintf(os.Stderr, "flight recording of %q: %d samples x %d series, %d decisions written to %s\n",
-		sc.Name, rec.Rows(), len(rec.Columns()), len(rec.Decisions()), dir)
-	if audit {
-		if err := rec.WriteTimeline(os.Stdout); err != nil {
-			return err
-		}
-	}
-	printFingerprint(sc.Name, s.Finish())
-	return nil
-}
-
-// writeArtifact creates path and streams write into it, surfacing close
-// errors (a full disk shows up at close with buffered writers).
+// writeArtifact creates path and streams write into it through a buffer,
+// surfacing flush and close errors (a full disk shows up there).
 func writeArtifact(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	w := bufio.NewWriter(f)
+	if err := write(w); err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
 		_ = f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// benchDefaults is the scenario set the bench gate measures when
-// -scenario is left at "all": one split-heavy churn workload and one
-// reclaim-thrashing workload bound the tick path from both sides.
-var benchDefaults = []string{"flashcrowd", "reclaimstress"}
-
-// runBench measures the bench scenario set, optionally writes the record
-// (-bench-json) and optionally gates against a committed baseline
-// (-bench-baseline), returning an error — a non-zero exit — on
-// regression.
-func runBench(ctx context.Context, jsonPath, baselinePath, scenarioFlag string, seed int64, simWorkers, repeats int, threshold float64, pol string) error {
-	names := benchDefaults
-	if s := strings.TrimSpace(scenarioFlag); s != "" && s != "all" {
-		names = nil
-		for _, n := range strings.Split(s, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	}
-	// Load the baseline before measuring anything: a missing or
-	// wrong-schema file should fail in milliseconds, not minutes.
-	var base *bench.File
-	if baselinePath != "" {
-		var err error
-		if base, err = bench.ReadFile(baselinePath); err != nil {
-			return err
-		}
-	}
-	f := bench.NewFile()
-	for _, name := range names {
-		sc, ok := experiments.ScenarioByName(name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(experiments.ScenarioNames(), ","))
-		}
-		cfg := sc.Config(seed)
-		cfg.SimWorkers = simWorkers
-		cfg.Policy = pol
-		start := time.Now()
-		m, err := bench.Run(ctx, cfg, repeats)
-		if err != nil {
-			return fmt.Errorf("bench %s: %w", name, err)
-		}
-		f.Scenarios[name] = m
-		fmt.Fprintf(os.Stderr, "bench %s: %d ticks x%d runs in %.1fs\n", name, m.Ticks, repeats, time.Since(start).Seconds())
-	}
-	printBench(f)
-	if jsonPath != "" {
-		if err := bench.WriteFile(jsonPath, f); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bench record written to %s\n", jsonPath)
-	}
-	if base != nil {
-		if err := bench.Compare(base, f, threshold); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bench gate passed vs %s (threshold %.0f%%)\n", baselinePath, threshold*100)
-	}
-	return nil
-}
-
-// printBench renders the measurement table on stdout.
-func printBench(f *bench.File) {
-	names := make([]string, 0, len(f.Scenarios))
-	for name := range f.Scenarios {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Printf("%-16s %12s %12s %12s %10s %10s\n", "scenario", "ns/tick", "allocs/tick", "ticks/sec", "p50 ms", "p95 ms")
-	for _, name := range names {
-		m := f.Scenarios[name]
-		fmt.Printf("%-16s %12.0f %12.1f %12.0f %10.2f %10.2f\n",
-			name, m.NsPerTick, m.AllocsPerTick, m.TicksPerSec, m.LatencyP50Ms, m.LatencyP95Ms)
-	}
 }
 
 func printFingerprint(name string, res *sim.Result) {

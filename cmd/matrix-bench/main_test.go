@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"matrix/internal/bench"
 	"matrix/internal/policy"
 	"matrix/internal/trace"
 )
@@ -169,36 +168,6 @@ func firstLine(b []byte) string {
 	return s
 }
 
-// TestBenchJSONAndGate covers the bench record + gate CLI path with one
-// real measurement: the record is schema-valid, and a generous synthetic
-// baseline passes the gate in the same invocation.
-func TestBenchJSONAndGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full flashcrowd run")
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	basePath := filepath.Join(dir, "base.json")
-	base := bench.NewFile()
-	base.Scenarios["flashcrowd"] = bench.Measurement{NsPerTick: 1e15} // nothing is slower than this
-	if err := bench.WriteFile(basePath, base); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"-bench-json", out, "-bench-baseline", basePath,
-		"-bench-repeats", "1", "-scenario", "flashcrowd", "-sim-workers", "2"})
-	if err != nil {
-		t.Fatalf("bench run: %v", err)
-	}
-	f, err := bench.ReadFile(out)
-	if err != nil {
-		t.Fatalf("bench record unreadable: %v", err)
-	}
-	m, ok := f.Scenarios["flashcrowd"]
-	if !ok || m.NsPerTick <= 0 || m.Ticks <= 0 || m.TicksPerSec <= 0 {
-		t.Errorf("bench record implausible: %+v", f.Scenarios)
-	}
-}
-
 // TestPolicyFlag table-tests the parse-time -policy validation: every
 // registered name (and the empty default) is accepted, unknown names fail
 // before any simulation starts and the error lists the valid names. The
@@ -241,26 +210,13 @@ func TestPolicyFlag(t *testing.T) {
 }
 
 // TestFlagValidation exercises the cheap error paths: bad scenario names
-// and baselines must fail before any simulation runs.
+// and flag combinations must fail before any simulation runs.
 func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-trace", "/tmp/x.json", "-scenario", "nope"}); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("-trace with unknown scenario: %v", err)
 	}
 	if err := run([]string{"-trace", "/tmp/x.json", "-scenario", "flashcrowd,lossy"}); err == nil || !strings.Contains(err.Error(), "exactly one") {
 		t.Errorf("-trace with two scenarios: %v", err)
-	}
-	if err := run([]string{"-bench-baseline", "/does/not/exist.json"}); err == nil {
-		t.Error("-bench-baseline with missing file succeeded")
-	}
-	badSchema := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(badSchema, []byte(`{"schema":"matrix-bench/99","scenarios":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-bench-baseline", badSchema}); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("-bench-baseline with wrong schema: %v", err)
-	}
-	if err := run([]string{"-bench-json", "/tmp/x.json", "-scenario", "nope"}); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
-		t.Errorf("-bench-json with unknown scenario: %v", err)
 	}
 	if err := run([]string{"-audit"}); err == nil || !strings.Contains(err.Error(), "-record") {
 		t.Errorf("-audit without -record: %v", err)

@@ -244,7 +244,7 @@ func (s *Server) HandleMessage(from id.ServerID, m protocol.Message) ([]Envelope
 	}
 	switch msg := m.(type) {
 	case *protocol.GameUpdate:
-		return s.HandleGameUpdate(msg)
+		return s.AppendGameUpdate(nil, msg)
 	case *protocol.Forward:
 		return s.handlePeerForward(msg)
 	case *protocol.LoadReport:
@@ -267,14 +267,6 @@ func (s *Server) HandleMessage(from id.ServerID, m protocol.Message) ([]Envelope
 	default:
 		return nil, fmt.Errorf("core: unexpected message %v", m.MsgType())
 	}
-}
-
-// HandleGameUpdate routes one spatially-tagged packet from the local game
-// server to every peer in its consistency set, returning the envelopes in
-// a fresh slice. Hot loops should use AppendGameUpdate with a reused
-// buffer.
-func (s *Server) HandleGameUpdate(u *protocol.GameUpdate) ([]Envelope, error) {
-	return s.AppendGameUpdate(nil, u)
 }
 
 // AppendGameUpdate routes one spatially-tagged packet from the local game

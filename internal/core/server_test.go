@@ -100,7 +100,7 @@ func TestNewServerValidation(t *testing.T) {
 
 func TestGameUpdateInteriorNotForwarded(t *testing.T) {
 	s := newActiveServer(t, 1, twoParts(), nil)
-	envs, err := s.HandleGameUpdate(&protocol.GameUpdate{
+	envs, err := s.AppendGameUpdate(nil, &protocol.GameUpdate{
 		Client: 1, Kind: protocol.KindMove,
 		Origin: geom.Pt(90, 50), Dest: geom.Pt(90, 50),
 	})
@@ -118,7 +118,7 @@ func TestGameUpdateInteriorNotForwarded(t *testing.T) {
 
 func TestGameUpdateBoundaryForwarded(t *testing.T) {
 	s := newActiveServer(t, 1, twoParts(), nil)
-	envs, err := s.HandleGameUpdate(&protocol.GameUpdate{
+	envs, err := s.AppendGameUpdate(nil, &protocol.GameUpdate{
 		Client: 1, Kind: protocol.KindMove,
 		Origin: geom.Pt(52, 50), Dest: geom.Pt(52, 50),
 	})
@@ -149,7 +149,7 @@ func TestGameUpdateDestInOtherBand(t *testing.T) {
 	// Origin interior, destination inside the boundary band: the packet
 	// must still reach the neighbour (union of origin and dest sets).
 	s := newActiveServer(t, 1, twoParts(), nil)
-	envs, err := s.HandleGameUpdate(&protocol.GameUpdate{
+	envs, err := s.AppendGameUpdate(nil, &protocol.GameUpdate{
 		Client: 1, Kind: protocol.KindAction,
 		Origin: geom.Pt(80, 50), Dest: geom.Pt(51, 50),
 	})
@@ -166,7 +166,7 @@ func TestGameUpdateInactive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.HandleGameUpdate(&protocol.GameUpdate{}); !errors.Is(err, ErrInactive) {
+	if _, err := s.AppendGameUpdate(nil, &protocol.GameUpdate{}); !errors.Is(err, ErrInactive) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestGameUpdateNoTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.HandleGameUpdate(&protocol.GameUpdate{Origin: geom.Pt(1, 1), Dest: geom.Pt(1, 1)}); !errors.Is(err, ErrNoTable) {
+	if _, err := s.AppendGameUpdate(nil, &protocol.GameUpdate{Origin: geom.Pt(1, 1), Dest: geom.Pt(1, 1)}); !errors.Is(err, ErrNoTable) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -213,7 +213,7 @@ func TestKindRadiusException(t *testing.T) {
 	}
 	at := geom.Pt(60, 50) // 10 units from the x=50 boundary
 	move := &protocol.GameUpdate{Kind: protocol.KindMove, Origin: at, Dest: at}
-	envs, err := s.HandleGameUpdate(move)
+	envs, err := s.AppendGameUpdate(nil, move)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestKindRadiusException(t *testing.T) {
 		t.Errorf("move at 10 units forwarded with R=5: %+v", envs)
 	}
 	chat := &protocol.GameUpdate{Kind: protocol.KindChat, Origin: at, Dest: at}
-	envs, err = s.HandleGameUpdate(chat)
+	envs, err = s.AppendGameUpdate(nil, chat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestNonProximalFlow(t *testing.T) {
 		Client: 4, Kind: protocol.KindAction,
 		Origin: geom.Pt(90, 50), Dest: geom.Pt(5, 5),
 	}
-	envs, err := s.HandleGameUpdate(u)
+	envs, err := s.AppendGameUpdate(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,8 +586,8 @@ func TestDestString(t *testing.T) {
 	}
 }
 
-// TestAppendGameUpdateMatchesHandle: the append API and the allocating
-// wrapper must route identically.
+// TestAppendGameUpdateMatchesHandle: appending to a reused buffer must
+// route exactly like the nil-dst call HandleMessage makes.
 func TestAppendGameUpdateMatchesHandle(t *testing.T) {
 	a := newActiveServer(t, 1, twoParts(), nil)
 	b := newActiveServer(t, 1, twoParts(), nil)
@@ -598,7 +598,7 @@ func TestAppendGameUpdateMatchesHandle(t *testing.T) {
 	}
 	buf := make([]Envelope, 0, 4)
 	for _, u := range updates {
-		got, errA := a.HandleGameUpdate(u)
+		got, errA := a.HandleMessage(id.None, u)
 		want, errB := b.AppendGameUpdate(buf[:0], u)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("errors diverge: %v vs %v", errA, errB)

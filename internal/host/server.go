@@ -713,15 +713,18 @@ func (h *ServerHost) tickLoop() {
 				h.cfg.Logger.Printf("server %v: load report: %v", h.core.ID(), err)
 				continue
 			}
-			h.routeCore(envs, nil)
+			// Batched and flushed like the game tick: a one-message batch
+			// frames byte-identically to a plain send.
+			h.routeCore(envs, h.tickBatch)
+			h.flushBatches(h.tickBatch)
 		}
 	}
 }
 
-// routeCore delivers a Matrix server's envelopes. When batch is non-nil,
-// peer-bound messages are collected into it (keyed by dial address) for a
-// later flushBatches instead of being sent immediately; coordinator and
-// game-server deliveries are never deferred.
+// routeCore delivers a Matrix server's envelopes. Peer-bound messages are
+// collected into batch (keyed by dial address) for a later flushBatches
+// instead of being sent immediately; coordinator and game-server deliveries
+// are never deferred.
 func (h *ServerHost) routeCore(envs []core.Envelope, batch map[string][]protocol.Message) {
 	for _, e := range envs {
 		switch e.Dest {
@@ -737,15 +740,11 @@ func (h *ServerHost) routeCore(envs []core.Envelope, batch map[string][]protocol
 			if h.tr != nil {
 				h.tracePeerForward(e.Msg)
 			}
-			if batch != nil {
-				if e.Addr == "" {
-					h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.core.ID(), e.Msg.MsgType())
-					continue
-				}
-				batch[e.Addr] = append(batch[e.Addr], e.Msg)
+			if e.Addr == "" {
+				h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.core.ID(), e.Msg.MsgType())
 				continue
 			}
-			h.sendPeer(e.Addr, e.Msg)
+			batch[e.Addr] = append(batch[e.Addr], e.Msg)
 		}
 	}
 }
@@ -783,7 +782,7 @@ func (h *ServerHost) routeGame(envs []gameserver.Envelope, batch map[string][]pr
 			// the redirect). Flush before the redirect reaches the client
 			// so the state frame precedes the client's rejoin on the wire.
 			// Redirects are rare, so the early flush barely dents batching.
-			if _, isRedirect := e.Msg.(*protocol.Redirect); isRedirect && batch != nil {
+			if _, isRedirect := e.Msg.(*protocol.Redirect); isRedirect {
 				h.flushBatches(batch)
 			}
 			h.mu.Lock()
@@ -821,17 +820,6 @@ func (h *ServerHost) flushBatches(batch map[string][]protocol.Message) {
 		}
 		batch[addr] = msgs[:0]
 	}
-}
-
-// sendPeer sends one message to a peer Matrix server. (A one-message
-// batch frames identically to a plain send, so this shares the batch
-// path.)
-func (h *ServerHost) sendPeer(addr string, m protocol.Message) {
-	if addr == "" {
-		h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.core.ID(), m.MsgType())
-		return
-	}
-	h.sendPeerMsgs(addr, m)
 }
 
 // maxDialBacklog bounds the frames queued behind an in-flight peer dial.

@@ -15,6 +15,7 @@ import (
 
 	"matrix/internal/id"
 	"matrix/internal/protocol"
+	"matrix/internal/trace"
 )
 
 // Trace track layout for a live host: one process (the host), with the
@@ -33,13 +34,6 @@ var hostPhaseHistograms = []string{
 	"tick/process-ms",
 	"tick/route-ms",
 	"tick/total-ms",
-}
-
-// hostPacketID correlates one client packet across the host's layers: the
-// client id in the high bits, the packet sequence in the low 24 — the same
-// scheme the simulator uses, so tooling reads both the same way.
-func hostPacketID(c id.ClientID, seq id.PacketSeq) uint64 {
-	return uint64(c)<<24 | uint64(seq)&0xFFFFFF
 }
 
 // traceTick closes the tick's phase slices and feeds the phase histograms.
@@ -61,14 +55,14 @@ func (h *ServerHost) traceTick(t0, t1, t2, t3 int64) {
 // goroutine; the tracer is lock-free, so this is safe alongside the tick.
 func (h *ServerHost) tracePacketIn(m protocol.Message) {
 	if u, ok := m.(*protocol.GameUpdate); ok {
-		h.tr.AsyncBegin(hostTracePid, "packet", "packet", hostPacketID(u.Client, u.Seq), h.tr.Now())
+		h.tr.AsyncBegin(hostTracePid, "packet", "packet", trace.PacketID(u.Client, u.Seq), h.tr.Now())
 	}
 }
 
 // tracePeerForward marks a packet leaving for a peer Matrix server.
 func (h *ServerHost) tracePeerForward(m protocol.Message) {
 	if f, ok := m.(*protocol.Forward); ok {
-		h.tr.AsyncStep(hostTracePid, "packet", "peer-forward", hostPacketID(f.Update.Client, f.Update.Seq), h.tr.Now())
+		h.tr.AsyncStep(hostTracePid, "packet", "peer-forward", trace.PacketID(f.Update.Client, f.Update.Seq), h.tr.Now())
 	}
 }
 
@@ -76,7 +70,7 @@ func (h *ServerHost) tracePeerForward(m protocol.Message) {
 // the ingress funnel.
 func (h *ServerHost) tracePeerHandle(m protocol.Message) {
 	if f, ok := m.(*protocol.Forward); ok {
-		h.tr.AsyncStep(hostTracePid, "packet", "peer-handle", hostPacketID(f.Update.Client, f.Update.Seq), h.tr.Now())
+		h.tr.AsyncStep(hostTracePid, "packet", "peer-handle", trace.PacketID(f.Update.Client, f.Update.Seq), h.tr.Now())
 	}
 }
 
@@ -84,7 +78,7 @@ func (h *ServerHost) tracePeerHandle(m protocol.Message) {
 // back to it (the delivery the sim's latency measure uses too).
 func (h *ServerHost) tracePacketOut(c id.ClientID, m protocol.Message) {
 	if u, ok := m.(*protocol.GameUpdate); ok && u.Client == c {
-		h.tr.AsyncEnd(hostTracePid, "packet", "packet", hostPacketID(u.Client, u.Seq), h.tr.Now())
+		h.tr.AsyncEnd(hostTracePid, "packet", "packet", trace.PacketID(u.Client, u.Seq), h.tr.Now())
 	}
 }
 

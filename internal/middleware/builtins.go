@@ -115,8 +115,8 @@ func (l *RateLimiter) Forget(c id.ClientID) {
 	l.mu.Unlock()
 }
 
-// Reset drops every bucket — what a process restart does to limiter state,
-// which is exactly how the simulation models node crashes.
+// Reset drops every bucket — what a process restart does to limiter state;
+// the simulation calls it when a state-losing crash restarts a node.
 func (l *RateLimiter) Reset() {
 	l.mu.Lock()
 	l.buckets = make(map[id.ClientID]*bucket)
@@ -164,7 +164,7 @@ func (l *RateLimiter) SetState(bs []BucketState) {
 func Admission(shedQueue int) Middleware {
 	return func(next Handler) Handler {
 		return func(req *Request) Verdict {
-			if req.QueueLen >= shedQueue && Sheddable(req.Msg) {
+			if req.QueueLen >= shedQueue && sheddable(req.Msg) {
 				return DropOverload
 			}
 			return next(req)
@@ -172,10 +172,9 @@ func Admission(shedQueue int) Middleware {
 	}
 }
 
-// Sheddable reports whether m may be dropped under overload: data plane
-// per netem's classification, minus despawns. Exported so the simulator's
-// deterministic admission path shares the exact wire-path classification.
-func Sheddable(m protocol.Message) bool {
+// sheddable reports whether m may be dropped under overload: data plane
+// per netem's classification, minus despawns.
+func sheddable(m protocol.Message) bool {
 	if !netem.DataPlane(m) {
 		return false // control plane: never shed
 	}

@@ -38,6 +38,7 @@ import (
 	"matrix/internal/netem"
 	"matrix/internal/protocol"
 	"matrix/internal/scratch"
+	"matrix/internal/trace"
 )
 
 // actionKind tags one buffered phase-B routing action.
@@ -91,7 +92,7 @@ func (o *serverOut) release() {
 
 // ensureEngine sizes the per-server output slots and per-worker buffers.
 // Cheap when already sized; called once per Step so a restored sim (which
-// skips Start) and a mid-run SetSimWorkers both work.
+// skips Start) works too.
 func (s *Sim) ensureEngine() int {
 	w := s.cfg.SimWorkers
 	if w < 1 {
@@ -160,15 +161,9 @@ func (s *Sim) processNode(w, idx int) {
 	out := &s.outs[idx]
 	out.reset()
 
-	var envs []gameserver.Envelope
-	var err error
-	if s.compatAlloc {
-		envs, err = n.gs.Process(s.cfg.ServiceRatePerTick)
-	} else {
-		gsBuf := s.gsBufs.Worker(w)
-		envs, err = n.gs.ProcessAppend(gsBuf.Take(), s.cfg.ServiceRatePerTick)
-		defer gsBuf.Done(envs)
-	}
+	gsBuf := s.gsBufs.Worker(w)
+	envs, err := n.gs.ProcessAppend(gsBuf.Take(), s.cfg.ServiceRatePerTick)
+	defer gsBuf.Done(envs)
 	if err != nil {
 		out.gsErrs++
 	}
@@ -181,10 +176,10 @@ func (s *Sim) processNode(w, idx int) {
 				// tracer is lock-free and feeds nothing back into the tick.
 				if u, isUpdate := e.Msg.(*protocol.GameUpdate); isUpdate {
 					s.tr.AsyncStep(tracePidServer(s.order[idx]), "packet", "core-handle",
-						packetSpanID(u.Client, u.Seq), s.tr.Now())
+						trace.PacketID(u.Client, u.Seq), s.tr.Now())
 				}
 			}
-			out.appendCore(s, n, e.Msg)
+			out.appendCore(n, e.Msg)
 		case gameserver.DestClient:
 			out.actions = append(out.actions, tickAction{kind: actClient, client: e.Client, msg: e.Msg})
 		}
@@ -193,10 +188,10 @@ func (s *Sim) processNode(w, idx int) {
 
 // appendCore hands one message from the game server to its co-located
 // Matrix server and buffers the emitted envelopes as one phase-B action.
-func (o *serverOut) appendCore(s *Sim, n *node, m protocol.Message) {
+func (o *serverOut) appendCore(n *node, m protocol.Message) {
 	lo := len(o.coreEnvs)
 	var err error
-	if u, isUpdate := m.(*protocol.GameUpdate); isUpdate && !s.compatAlloc {
+	if u, isUpdate := m.(*protocol.GameUpdate); isUpdate {
 		o.coreEnvs, err = n.core.AppendGameUpdate(o.coreEnvs, u)
 	} else {
 		var envs []core.Envelope

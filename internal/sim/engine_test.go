@@ -163,59 +163,6 @@ func TestSimWorkersRestoreAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSimWorkersMidRunRebound changes the pool size every 50 ticks via
-// SetSimWorkers: the worker count is a pure execution knob, so even a run
-// that keeps re-bounding it mid-flight must reproduce the serial
-// fingerprint.
-func TestSimWorkersMidRunRebound(t *testing.T) {
-	cfg := engineScenarios()["clean"]
-	want := runWithWorkers(t, cfg, 1)
-
-	s := mustNew(t, cfg)
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	bounds := []int{1, 8, 2, 0, 5}
-	for n := 0; !s.Done(); n++ {
-		if n%50 == 0 {
-			s.SetSimWorkers(bounds[(n/50)%len(bounds)])
-		}
-		if err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Finish().Fingerprint(); got != want {
-		t.Error("re-bounding SimWorkers mid-run changed the fingerprint")
-	}
-}
-
-// TestSimWorkersCompatAllocPath drives the legacy allocating APIs through
-// the worker pool: the compat path must stay byte-identical to both its
-// serial self and the batched path, workers or not.
-func TestSimWorkersCompatAllocPath(t *testing.T) {
-	cfg := stepTestConfig(11)
-	run := func(compat bool, workers int) string {
-		c := cfg
-		c.SimWorkers = workers
-		s := mustNew(t, c)
-		s.compatAlloc = compat
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Fingerprint()
-	}
-	want := run(false, 1)
-	for _, tc := range []struct {
-		compat  bool
-		workers int
-	}{{true, 1}, {true, 8}, {false, 8}} {
-		if got := run(tc.compat, tc.workers); got != want {
-			t.Errorf("compat=%v workers=%d diverges from batched serial", tc.compat, tc.workers)
-		}
-	}
-}
-
 // BenchmarkTickEngine measures one simulation's wall clock serial vs
 // pooled (the docs/PERF.md intra-sim table comes from this on a multi-core
 // box: go test -bench TickEngine -benchtime 3x matrix/internal/sim).

@@ -3,6 +3,9 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"matrix/internal/game"
+	"matrix/internal/id"
 )
 
 // mwTestConfig is the step-test workload with the admission chain turned
@@ -22,11 +25,14 @@ func mwTestConfig(seed int64) Config {
 }
 
 // TestMiddlewareCountsAndFingerprint pins the chain's observable effect:
-// both admission counters fire under the hotspot workload, the fingerprint
+// both admission counters fire under the hotspot workload and equal the sum
+// of the per-node production chains' own drop counters (the sim counts the
+// chain's verdicts, it does not judge anything itself), the fingerprint
 // grows a middleware line, and a chain-free run of the same seed keeps its
 // historical fingerprint (no line, different trajectory).
 func TestMiddlewareCountsAndFingerprint(t *testing.T) {
-	res, err := mustNew(t, mwTestConfig(17)).Run()
+	s := mustNew(t, mwTestConfig(17))
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +45,15 @@ func TestMiddlewareCountsAndFingerprint(t *testing.T) {
 	if res.AdmissionShed == 0 {
 		t.Error("shed queue never fired under the join burst")
 	}
+	var limited, shed int64
+	for _, sid := range s.order {
+		st := s.nodes[sid].mw.Stats()
+		limited += st.RateLimited.Value()
+		shed += st.Shed.Value()
+	}
+	if uint64(limited) != res.RateLimited || uint64(shed) != res.AdmissionShed {
+		t.Errorf("chain stats ratelimited=%d shed=%d, result says %d / %d", limited, shed, res.RateLimited, res.AdmissionShed)
+	}
 	if !strings.Contains(res.Fingerprint(), "middleware ratelimited=") {
 		t.Error("fingerprint missing the middleware line")
 	}
@@ -49,6 +64,43 @@ func TestMiddlewareCountsAndFingerprint(t *testing.T) {
 	}
 	if strings.Contains(plain.Fingerprint(), "middleware") {
 		t.Error("chain-free fingerprint grew a middleware line")
+	}
+
+	// A state-losing crash kills the server process, and its in-memory token
+	// buckets with it: the restart tick must leave the node's limiter empty
+	// (the restart disconnected its clients, so nothing refills it within the
+	// tick) while the chain's drop counters, which feed Result, carry on.
+	const root = id.ServerID(1)
+	cfg := mwTestConfig(17)
+	cfg.Script = append(game.Script{
+		{At: 3, Kind: game.EventCrashLose, Servers: []id.ServerID{root}},
+		{At: 4, Kind: game.EventRecover, Servers: []id.ServerID{root}},
+	}, cfg.Script...)
+	s = mustNew(t, cfg)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for s.NextTime() < 4 {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := s.nodes[root]
+	if len(n.mw.Limiter().State()) == 0 {
+		t.Fatal("root server judged no client before the crash; the check would be vacuous")
+	}
+	dropsBefore := n.mw.Stats().RateLimited.Value()
+	if err := s.Step(); err != nil { // the recover tick
+		t.Fatal(err)
+	}
+	if s.res.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", s.res.Restarts)
+	}
+	if got := n.mw.Limiter().State(); len(got) != 0 {
+		t.Errorf("restarted node still holds %d token buckets", len(got))
+	}
+	if n.mw.Stats().RateLimited.Value() != dropsBefore {
+		t.Error("restart disturbed the chain's drop counters")
 	}
 }
 

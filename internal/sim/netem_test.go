@@ -171,31 +171,3 @@ func TestNetemCrashFreezesAndRecovers(t *testing.T) {
 		t.Fatal("crashing the root server severed no traffic")
 	}
 }
-
-// TestNetemCompatAllocPathIdentical pins that the buffer-reusing fast path
-// and the legacy allocating path stay byte-identical under impairment too
-// (delayed messages must not alias reused buffers).
-func TestNetemCompatAllocPathIdentical(t *testing.T) {
-	cfg := netemBaseConfig(5)
-	cfg.Netem = netem.Config{Link: netem.LinkConfig{Loss: 0.03, JitterMs: 250}}
-	fast, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastRes, err := fast.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow.compatAlloc = true
-	slowRes, err := slow.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fastRes.Fingerprint() != slowRes.Fingerprint() {
-		t.Fatal("append path and legacy path diverged under netem")
-	}
-}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"matrix/internal/clock"
@@ -125,10 +124,10 @@ type Config struct {
 	SimWorkers int `json:"-"`
 }
 
-// MiddlewareConfig is the simulator's projection of the host middleware
-// chain: the two deterministic stages (rate limiting and overload
-// admission). Auth and audit are wire-host concerns with no simulation
-// analogue. A zero field disables its stage.
+// MiddlewareConfig selects which stages of the host middleware chain
+// (internal/middleware) every simulated server mounts: the two deterministic
+// ones, rate limiting and overload admission. Auth and audit are wire-host
+// concerns with no simulation analogue. A zero field disables its stage.
 type MiddlewareConfig struct {
 	// RateLimitPerSec is each client's sustained update budget (updates per
 	// simulated second); despawns are exempt. Zero disables rate limiting.
@@ -272,10 +271,16 @@ type Result struct {
 	AdmissionShed uint64
 }
 
-// node is one server slot: a Matrix server and its co-located game server.
+// node is one server slot: a Matrix server, its co-located game server and
+// — when Config.Middleware enables a stage — the production admission chain
+// in front of the game server's queue (nil otherwise). The chain is judged on
+// the stepping goroutine only (generateTraffic, pumpNetem delivery, phase-B
+// routing), never inside phase A, and its per-client token buckets advance on
+// virtual time, so decisions are identical for any SimWorkers value.
 type node struct {
 	core *core.Server
 	gs   *gameserver.Server
+	mw   *middleware.Chain
 }
 
 // nodeCheckpoint is one server's periodic full-state capture, the restore
@@ -306,7 +311,7 @@ type Sim struct {
 	mc      *coordinator.Coordinator
 	nodes   map[id.ServerID]*node
 	order   []id.ServerID // deterministic iteration order
-	clients map[id.ClientID]*simClient
+	clients []*simClient  // every client ever spawned, ascending by ID (see client)
 	gen     id.Generator
 	reg     *metrics.Registry
 	lat     *metrics.Histogram
@@ -355,10 +360,6 @@ type Sim struct {
 	chkEvery    int     // checkpoint period in ticks (0 = off)
 	ghostAfter  float64 // ghost idle timeout in seconds (<= 0 = off)
 
-	// Per-tick scratch, reused across ticks (reset, not reallocated).
-	idScratch []id.ClientID
-	scScratch []*simClient
-
 	// Tick-engine state (see engine.go): outs holds each server's buffered
 	// phase-A fallout (indexed by position in order), gsBufs the per-worker
 	// game-server envelope buffers, live the positions processing this
@@ -367,17 +368,9 @@ type Sim struct {
 	gsBufs scratch.Pool[gameserver.Envelope]
 	live   []int
 
-	// Middleware admission state (nil when Config.Middleware is disabled):
-	// one rate limiter per server, its per-client token buckets advanced on
-	// virtual time. Judged on the stepping goroutine only — generateTraffic,
-	// pumpNetem delivery and phase-B routing — never inside phase A, so the
-	// decisions are identical for any SimWorkers value.
-	mwLim map[id.ServerID]*middleware.RateLimiter
-
-	// compatAlloc forces the legacy allocating APIs (Process /
-	// HandleGameUpdate) instead of the buffer-reusing append APIs. Tests
-	// set it to prove both paths produce byte-identical fingerprints.
-	compatAlloc bool
+	// mwReq is the request context every admission judgment reuses (see
+	// admit), so judging allocates nothing.
+	mwReq middleware.Request
 
 	// Tracing state (see trace.go; nil tr = tracing off, the default).
 	// trTickBase/trAnchor anchor the virtual-first trace clock at the
@@ -402,29 +395,7 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{
-		cfg:         cfg,
-		clk:         clock.NewVirtual(time.Unix(0, 0)),
-		nodes:       make(map[id.ServerID]*node),
-		clients:     make(map[id.ClientID]*simClient),
-		reg:         metrics.NewRegistry(),
-		lat:         &metrics.Histogram{},
-		swLat:       &metrics.Histogram{},
-		recGap:      &metrics.Histogram{},
-		activePrev:  make(map[id.ServerID]bool),
-		latSkip:     make(map[id.ClientID]int),
-		ghosts:      make(map[id.ClientID]float64),
-		loseState:   make(map[id.ServerID]bool),
-		checkpoints: make(map[id.ServerID]*nodeCheckpoint),
-		rejoinSince: make(map[id.ClientID]float64),
-		rngSeed:     cfg.Seed,
-	}
-	mcPol, err := policy.New(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	mcCfg := coordinator.Config{World: cfg.World, Static: cfg.Static, Policy: mcPol}
-	s.mc, err = coordinator.New(mcCfg)
+	s, err := newSim(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -444,6 +415,37 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
+// newSim builds the empty shell New and RestoreWith both start from: a
+// sanitized config, a virtual clock at zero, fresh instruments and a
+// coordinator with no servers yet.
+func newSim(cfg Config) (*Sim, error) {
+	s := &Sim{
+		cfg:         cfg,
+		clk:         clock.NewVirtual(time.Unix(0, 0)),
+		nodes:       make(map[id.ServerID]*node),
+		reg:         metrics.NewRegistry(),
+		lat:         &metrics.Histogram{},
+		swLat:       &metrics.Histogram{},
+		recGap:      &metrics.Histogram{},
+		activePrev:  make(map[id.ServerID]bool),
+		latSkip:     make(map[id.ClientID]int),
+		ghosts:      make(map[id.ClientID]float64),
+		loseState:   make(map[id.ServerID]bool),
+		checkpoints: make(map[id.ServerID]*nodeCheckpoint),
+		rejoinSince: make(map[id.ClientID]float64),
+		rngSeed:     cfg.Seed,
+	}
+	mcPol, err := policy.New(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	s.mc, err = coordinator.New(coordinator.Config{World: cfg.World, Static: cfg.Static, Policy: mcPol})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // registerServer creates one server slot and registers it with the MC.
 func (s *Sim) registerServer() error {
 	addr := fmt.Sprintf("sim:%d", len(s.order)+1)
@@ -451,9 +453,21 @@ func (s *Sim) registerServer() error {
 	if err != nil {
 		return err
 	}
+	if _, err := s.addNode(reply); err != nil {
+		return err
+	}
+	for _, e := range envs {
+		s.deliverToCore(e.To, id.None, e.Msg)
+	}
+	return nil
+}
+
+// addNode builds the server slot a RegisterReply describes — Matrix server,
+// co-located game server, admission chain — and appends it to the fleet.
+func (s *Sim) addNode(reply *protocol.RegisterReply) (*node, error) {
 	pol, err := policy.New(s.cfg.Policy)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cs, err := core.NewServer(core.Config{
 		Load:   s.cfg.LoadPolicy,
@@ -461,7 +475,7 @@ func (s *Sim) registerServer() error {
 		Policy: pol,
 	}, reply, s.cfg.Profile.Radius)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	gs, err := gameserver.New(gameserver.Config{
 		Server:   reply.Server,
@@ -472,51 +486,50 @@ func (s *Sim) registerServer() error {
 		ResolveOwner: cs.ResolveOwner,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.nodes[reply.Server] = &node{core: cs, gs: gs}
+	n := &node{core: cs, gs: gs}
+	// The admission chain is the host's own (internal/middleware), built
+	// with only the stages the config enables, in the host's order: the
+	// per-client token bucket first, then overload admission.
+	if mw := s.cfg.Middleware; mw.Enabled() {
+		mc := middleware.Config{
+			RateLimitPerSec: mw.RateLimitPerSec,
+			RateLimitBurst:  mw.RateLimitBurst,
+			ShedQueue:       mw.ShedQueue,
+		}
+		if mw.RateLimitPerSec > 0 {
+			mc.Stages = append(mc.Stages, middleware.StageRateLimit)
+		}
+		if mw.ShedQueue > 0 {
+			mc.Stages = append(mc.Stages, middleware.StageAdmission)
+		}
+		if n.mw, err = middleware.New(mc); err != nil {
+			return nil, err
+		}
+	}
+	s.nodes[reply.Server] = n
 	s.order = append(s.order, reply.Server)
-	for _, e := range envs {
-		s.deliverToCore(e.To, id.None, e.Msg)
-	}
-	return nil
+	return n, nil
 }
 
-// limiterFor returns (lazily creating) server sid's rate limiter. Only
-// called when the middleware chain is active.
-func (s *Sim) limiterFor(sid id.ServerID) *middleware.RateLimiter {
-	l := s.mwLim[sid]
-	if l == nil {
-		l = middleware.NewRateLimiter(s.cfg.Middleware.RateLimitPerSec, s.cfg.Middleware.RateLimitBurst)
-		s.mwLim[sid] = l
-	}
-	return l
-}
-
-// admitIngress is the simulator's middleware chain: it judges one message
-// arriving at server sid exactly as the wire host's chain would — the
-// per-client token bucket first (client-sourced updates only, despawns
-// exempt), then overload admission against the receiving queue. It returns
-// false when the message is shed, counting the decision into the result
-// (and thus the fingerprint). Runs on the stepping goroutine only.
-func (s *Sim) admitIngress(sid id.ServerID, fromClient bool, m protocol.Message) bool {
-	mw := s.cfg.Middleware
-	if s.mwLim == nil {
+// admit runs one message arriving at n's game server through the node's
+// admission chain, exactly as the wire host judges an inbound frame: the
+// clock is virtual time and the load signal is the receiving queue. It
+// returns false when the message is shed, counting the verdict into the
+// result (and thus the fingerprint). Runs on the stepping goroutine only.
+func (s *Sim) admit(n *node, src middleware.Source, client id.ClientID, m protocol.Message) bool {
+	if n.mw == nil {
 		return true
 	}
-	if fromClient && mw.RateLimitPerSec > 0 {
-		if u, ok := m.(*protocol.GameUpdate); ok && u.Kind != protocol.KindDespawn {
-			if !s.limiterFor(sid).Allow(u.Client, s.now) {
-				s.res.RateLimited++
-				return false
-			}
-		}
-	}
-	if mw.ShedQueue > 0 && middleware.Sheddable(m) {
-		if n, ok := s.nodes[sid]; ok && n.gs.QueueLen() >= mw.ShedQueue {
-			s.res.AdmissionShed++
-			return false
-		}
+	s.mwReq = middleware.Request{Source: src, Client: client, Msg: m, Now: s.now, QueueLen: n.gs.QueueLen()}
+	switch n.mw.Handle(&s.mwReq) {
+	case middleware.DropRateLimited:
+		s.res.RateLimited++
+		return false
+	case middleware.DropOverload:
+		s.res.AdmissionShed++
+		return false
 	}
 	return true
 }
@@ -533,7 +546,7 @@ func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message
 	if s.tr != nil {
 		if fwd, isFwd := m.(*protocol.Forward); isFwd {
 			s.tr.AsyncStep(tracePidServer(to), "packet", "peer-handle",
-				packetSpanID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now())
+				trace.PacketID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now())
 		}
 	}
 	envs, err := n.core.HandleMessage(from, m)
@@ -564,18 +577,19 @@ func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
 		case core.DestGameServer:
 			// Peer-forwarded data plane passes the local admission stage
 			// before it can land on an overloaded queue.
-			if !s.admitIngress(from, false, e.Msg) {
+			n := s.nodes[from]
+			if !s.admit(n, middleware.SourcePeer, 0, e.Msg) {
 				continue
 			}
 			// Overflow drops are counted by the game server itself.
-			_ = s.nodes[from].gs.Enqueue(e.Msg)
+			_ = n.gs.Enqueue(e.Msg)
 		case core.DestPeer:
 			if s.tr != nil {
 				// A forward crossing the server boundary: the cross-server
 				// hop in the packet's span.
 				if fwd, isFwd := e.Msg.(*protocol.Forward); isFwd {
 					s.tr.AsyncStepArg(tracePidServer(from), "packet", "peer-forward",
-						packetSpanID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now(),
+						trace.PacketID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now(),
 						"peer", int64(e.Peer))
 				}
 			}
@@ -620,12 +634,7 @@ func (s *Sim) noteTopology(req protocol.Message, envs []coordinator.Envelope) {
 				continue
 			}
 			if rep.Granted {
-				if debugTopology {
-					fmt.Printf("sim: t=%.1f reclaim parent=%v child=%v\n", s.now, rr.Parent, rr.Child)
-				}
 				s.events = append(s.events, TopologyEvent{Time: s.now, Kind: "reclaim", Server: rr.Child})
-			} else if debugTopology {
-				fmt.Printf("sim: t=%.1f reclaim denied parent=%v child=%v reason=%q\n", s.now, rr.Parent, rr.Child, rep.Reason)
 			}
 			if s.rec != nil {
 				s.auditReclaim(rr, rep, corr)
@@ -636,15 +645,15 @@ func (s *Sim) noteTopology(req protocol.Message, envs []coordinator.Envelope) {
 
 // deliverToClient hands a message to a client and reacts to its events.
 func (s *Sim) deliverToClient(cid id.ClientID, m protocol.Message) {
-	sc, ok := s.clients[cid]
-	if !ok || !sc.alive {
+	sc := s.client(cid)
+	if sc == nil || !sc.alive {
 		return
 	}
 	if s.tr != nil {
 		// The echo of the client's own update closes its packet span.
 		if u, isUpdate := m.(*protocol.GameUpdate); isUpdate && u.Client == cid {
 			s.tr.AsyncEnd(tracePidServer(sc.assigned), "packet", "packet",
-				packetSpanID(u.Client, u.Seq), s.tr.Now())
+				trace.PacketID(u.Client, u.Seq), s.tr.Now())
 		}
 	}
 	ev, err := sc.cl.Handle(m)
@@ -716,6 +725,17 @@ func minf(a, b float64) float64 {
 	return b
 }
 
+// client returns client cid's record, nil when the sim never spawned it.
+// The generator hands out 1, 2, 3, … and entries never leave s.clients (a
+// departed client just stops being alive), so client c sits at index c-1 and
+// a plain range over the slice is the deterministic ascending-ID order.
+func (s *Sim) client(cid id.ClientID) *simClient {
+	if i := int(cid) - 1; i >= 0 && i < len(s.clients) {
+		return s.clients[i]
+	}
+	return nil
+}
+
 // addClient spawns a client at pos, optionally attracted to a hotspot.
 func (s *Sim) addClient(pos geom.Point, tag string, attract *geom.Point, spread float64) {
 	cid := s.gen.NextClient()
@@ -734,29 +754,23 @@ func (s *Sim) addClient(pos geom.Point, tag string, attract *geom.Point, spread 
 		assigned: s.ownerOf(pos),
 		alive:    true,
 	}
-	s.clients[cid] = sc
+	s.clients = append(s.clients, sc)
 	s.sendHello(sc)
 }
 
-// removeClients despawns count clients with the given tag.
+// removeClients despawns the count lowest-ID live clients with the given tag.
 func (s *Sim) removeClients(tag string, count int) {
-	// Deterministic order: ascending client ID.
-	ids := make([]id.ClientID, 0, len(s.clients))
-	for cid, sc := range s.clients {
-		if sc.alive && sc.tag == tag {
-			ids = append(ids, cid)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, cid := range ids {
+	for _, sc := range s.clients {
 		if count == 0 {
 			return
 		}
-		sc := s.clients[cid]
+		if !sc.alive || sc.tag != tag {
+			continue
+		}
 		sc.alive = false
 		if n, ok := s.nodes[sc.assigned]; ok {
 			leave := sc.cl.MakeAction(protocol.KindDespawn, sc.cl.Pos())
-			if s.nm == nil || !s.impair(netem.ClientEndpoint(cid), netem.ServerEndpoint(sc.assigned), netemToGS, leave) {
+			if s.nm == nil || !s.impair(netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned), netemToGS, leave) {
 				_ = n.gs.Enqueue(leave) // overflow counted by the game server
 			}
 		}
@@ -833,7 +847,11 @@ func (s *Sim) pumpNetem() {
 		case netemToGS:
 			if n, ok := s.nodes[e.to.Server]; ok {
 				// A delayed message is judged at arrival, like any other.
-				if !s.admitIngress(e.to.Server, e.from.Client != 0, e.msg) {
+				src := middleware.SourcePeer
+				if e.from.Client != 0 {
+					src = middleware.SourceClient
+				}
+				if !s.admit(n, src, e.from.Client, e.msg) {
 					continue
 				}
 				_ = n.gs.Enqueue(e.msg) // overflow counted by the game server
@@ -874,8 +892,8 @@ func (s *Sim) expireGhosts() {
 	}
 	slices.Sort(due)
 	for _, cid := range due {
-		sc, scOK := s.clients[cid]
-		live := scOK && sc.alive
+		sc := s.client(cid)
+		live := sc != nil && sc.alive
 		found, cleared := false, true
 		for _, sid := range s.order {
 			n := s.nodes[sid]
@@ -960,21 +978,12 @@ func (s *Sim) Start() error {
 	// impairment event; otherwise every send below keeps the historical
 	// instant path (and its byte-identical fingerprint).
 	if s.cfg.Netem.Enabled() || s.script.HasImpairment() {
-		ncfg := s.cfg.Netem
-		if ncfg.Seed == 0 {
-			ncfg.Seed = s.cfg.Seed
-		}
-		s.nm = netem.NewModel(ncfg)
-		s.nq = make(map[int][]netemEntry)
-		s.res.NetemActive = true
+		s.enableNetem()
 	}
 
-	// The admission chain activates on an enabled middleware config; runs
-	// without one keep the historical judge-free path (and fingerprint).
-	if s.cfg.Middleware.Enabled() {
-		s.mwLim = make(map[id.ServerID]*middleware.RateLimiter)
-		s.res.MiddlewareActive = true
-	}
+	// The admission chain (see addNode) runs on an enabled middleware
+	// config; runs without one keep the historical judge-free fingerprint.
+	s.res.MiddlewareActive = s.cfg.Middleware.Enabled()
 
 	// Base population scattered uniformly.
 	for i := 0; i < s.cfg.BasePopulation; i++ {
@@ -986,6 +995,18 @@ func (s *Sim) Start() error {
 	}
 
 	return nil
+}
+
+// enableNetem switches network emulation on with a fresh model (impairment
+// streams seeded from Config.Seed unless Netem.Seed names its own).
+func (s *Sim) enableNetem() {
+	ncfg := s.cfg.Netem
+	if ncfg.Seed == 0 {
+		ncfg.Seed = s.cfg.Seed
+	}
+	s.nm = netem.NewModel(ncfg)
+	s.nq = make(map[int][]netemEntry)
+	s.res.NetemActive = true
 }
 
 // initCadence derives every tick-grid quantity from the sanitized config:
@@ -1163,7 +1184,7 @@ func (s *Sim) Step() error {
 	}
 
 	// 5. Hello retries for clients stuck unconnected (dropped joins).
-	for _, sc := range s.clientsInOrder() {
+	for _, sc := range s.clients {
 		if sc.alive && !sc.cl.Connected() && s.now-sc.helloAt >= 1.0 {
 			s.sendHello(sc)
 		}
@@ -1172,8 +1193,8 @@ func (s *Sim) Step() error {
 	// 6. Latency measurement window.
 	if !s.latWindowed && s.cfg.LatencyIgnoreBeforeSeconds > 0 && s.now >= s.cfg.LatencyIgnoreBeforeSeconds {
 		s.latWindowed = true
-		for cid, sc := range s.clients {
-			s.latSkip[cid] = len(sc.cl.Latencies())
+		for _, sc := range s.clients {
+			s.latSkip[sc.cl.ID()] = len(sc.cl.Latencies())
 		}
 	}
 
@@ -1234,7 +1255,9 @@ func (s *Sim) restartNode(sid id.ServerID) {
 	delete(s.loseState, sid)
 	// The process died: its in-memory token buckets died with it. A
 	// restarted server starts every client's budget fresh.
-	delete(s.mwLim, sid)
+	if n.mw != nil && n.mw.Limiter() != nil {
+		n.mw.Limiter().Reset()
+	}
 	chkCore, chkGame := s.blankNodeState(sid)
 	if chk := s.checkpoints[sid]; chk != nil {
 		chkCore, chkGame = chk.core, chk.game
@@ -1256,7 +1279,7 @@ func (s *Sim) restartNode(sid id.ServerID) {
 	// culls every copy except a live client's current one.
 	if s.ghostAfter > 0 {
 		for _, cid := range n.gs.ClientIDs() {
-			if sc, ok := s.clients[cid]; !ok || !sc.alive || sc.assigned != sid {
+			if sc := s.client(cid); sc == nil || !sc.alive || sc.assigned != sid {
 				s.ghosts[cid] = s.now
 			}
 		}
@@ -1276,7 +1299,7 @@ func (s *Sim) restartNode(sid id.ServerID) {
 	// The restart reset every connection: clients of this server rejoin
 	// via the hello-retry path, and the recovery-gap histogram times the
 	// crash-recovery blackout each one experienced.
-	for _, sc := range s.clientsInOrder() {
+	for _, sc := range s.clients {
 		if sc.alive && sc.assigned == sid {
 			sc.cl.Disconnect()
 			s.rejoinSince[sc.cl.ID()] = s.now
@@ -1305,7 +1328,7 @@ func (s *Sim) Finish() *Result {
 
 // generateTraffic makes every connected client emit its due updates.
 func (s *Sim) generateTraffic(dt float64) {
-	for _, sc := range s.clientsInOrder() {
+	for _, sc := range s.clients {
 		if !sc.alive || !sc.cl.Connected() {
 			continue
 		}
@@ -1332,41 +1355,18 @@ func (s *Sim) generateTraffic(dt float64) {
 				continue
 			}
 			// The network delivered it; the server's chain judges it.
-			if !s.admitIngress(sc.assigned, true, u) {
+			if !s.admit(n, middleware.SourceClient, sc.cl.ID(), u) {
 				continue
 			}
 			if s.tr != nil {
 				// The packet span opens as the update enters its server's
 				// inbox and ends when its echo reaches the client.
 				s.tr.AsyncBegin(tracePidServer(sc.assigned), "packet", "packet",
-					packetSpanID(u.Client, u.Seq), s.tr.Now())
+					trace.PacketID(u.Client, u.Seq), s.tr.Now())
 			}
 			_ = n.gs.Enqueue(u) // overflow counted by the game server
 		}
 	}
-}
-
-// clientsInOrder returns clients sorted by ID for determinism. The
-// returned slice is scratch reused across calls (twice per tick); callers
-// must finish iterating before the next call.
-func (s *Sim) clientsInOrder() []*simClient {
-	ids := s.idScratch[:0]
-	for cid := range s.clients {
-		ids = append(ids, cid)
-	}
-	slices.Sort(ids)
-	s.idScratch = ids
-	out := s.scScratch[:0]
-	for _, cid := range ids {
-		out = append(out, s.clients[cid])
-	}
-	// Clear any stale tail left from a larger previous round, so the
-	// scratch array never redundantly pins client records.
-	if len(out) < len(s.scScratch) {
-		clear(s.scScratch[len(out):])
-	}
-	s.scScratch = out
-	return out
 }
 
 // sample appends the per-server series points (Figure 2's panels).
@@ -1419,9 +1419,9 @@ func (s *Sim) finish() *Result {
 		}
 	}
 	// Collect client latencies (ms), honouring the measurement window.
-	for cid, sc := range s.clients {
+	for _, sc := range s.clients {
 		lats := sc.cl.Latencies()
-		if skip := s.latSkip[cid]; skip > 0 {
+		if skip := s.latSkip[sc.cl.ID()]; skip > 0 {
 			if skip >= len(lats) {
 				continue
 			}
@@ -1434,12 +1434,6 @@ func (s *Sim) finish() *Result {
 	return &res
 }
 
-// SetSimWorkers re-bounds the intra-sim worker pool before the next Step
-// (see Config.SimWorkers). The worker count never affects results, so
-// changing it mid-run — e.g. on a sim restored from a snapshot, which
-// does not record it — is always safe.
-func (s *Sim) SetSimWorkers(n int) { s.cfg.SimWorkers = n }
-
 // MC exposes the coordinator for assertions in tests and experiments.
 func (s *Sim) MC() *coordinator.Coordinator { return s.mc }
 
@@ -1451,9 +1445,3 @@ func (s *Sim) Node(sid id.ServerID) (*core.Server, *gameserver.Server, bool) {
 	}
 	return n.core, n.gs, true
 }
-
-// debugTopology enables split/reclaim tracing in experiments (tests only).
-var debugTopology = false
-
-// DebugTopology toggles split/reclaim tracing to stdout.
-func DebugTopology(on bool) { debugTopology = on }

@@ -19,7 +19,6 @@ import (
 	"slices"
 	"time"
 
-	"matrix/internal/clock"
 	"matrix/internal/coordinator"
 	"matrix/internal/core"
 	"matrix/internal/game"
@@ -202,14 +201,13 @@ func (s *Sim) CaptureState() (*State, error) {
 			return nil, fmt.Errorf("sim: capture %v game server: %w", sid, err)
 		}
 		ns := NodeState{Server: sid, Core: cs, Game: gs}
-		if l := s.mwLim[sid]; l != nil {
-			ns.Limiter = l.State()
+		if n.mw != nil && n.mw.Limiter() != nil {
+			ns.Limiter = n.mw.Limiter().State()
 		}
 		st.Nodes = append(st.Nodes, ns)
 	}
 
-	for _, cid := range sortedClientIDs(s.clients) {
-		sc := s.clients[cid]
+	for _, sc := range s.clients {
 		st.Clients = append(st.Clients, ClientState{
 			Client:    sc.cl.State(),
 			Mover:     sc.mover.State(),
@@ -268,9 +266,7 @@ func (s *Sim) CaptureState() (*State, error) {
 	for _, cid := range sortedClientIDs(s.ghosts) {
 		st.Ghosts = append(st.Ghosts, GhostState{Client: cid, DroppedAt: s.ghosts[cid]})
 	}
-	for _, sid := range sortedServerIDs(s.loseState) {
-		st.LoseState = append(st.LoseState, sid)
-	}
+	st.LoseState = slices.Sorted(maps.Keys(s.loseState))
 	for _, sid := range s.order {
 		if chk := s.checkpoints[sid]; chk != nil {
 			st.Checkpoints = append(st.Checkpoints, CheckpointState{
@@ -351,26 +347,17 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		return nil, errors.New("sim: restored duration ends before the snapshot point")
 	}
 
-	s := &Sim{
-		cfg:         cfg,
-		clk:         clock.NewVirtual(time.Unix(0, 0)),
-		nodes:       make(map[id.ServerID]*node),
-		clients:     make(map[id.ClientID]*simClient),
-		reg:         metrics.NewRegistryFromState(st.Registry),
-		lat:         metrics.NewHistogramFromSamples(st.Latency),
-		swLat:       metrics.NewHistogramFromSamples(st.SwitchLatency),
-		recGap:      metrics.NewHistogramFromSamples(st.RecoveryGap),
-		activePrev:  make(map[id.ServerID]bool),
-		latSkip:     make(map[id.ClientID]int),
-		ghosts:      make(map[id.ClientID]float64),
-		loseState:   make(map[id.ServerID]bool),
-		checkpoints: make(map[id.ServerID]*nodeCheckpoint),
-		rejoinSince: make(map[id.ClientID]float64),
-		rngSeed:     cfg.Seed,
-		started:     true,
-		tick:        st.Tick,
-		latWindowed: st.LatWindowed,
+	s, err := newSim(cfg)
+	if err != nil {
+		return nil, err
 	}
+	s.reg = metrics.NewRegistryFromState(st.Registry)
+	s.lat = metrics.NewHistogramFromSamples(st.Latency)
+	s.swLat = metrics.NewHistogramFromSamples(st.SwitchLatency)
+	s.recGap = metrics.NewHistogramFromSamples(st.RecoveryGap)
+	s.started = true
+	s.tick = st.Tick
+	s.latWindowed = st.LatWindowed
 	s.initCadence()
 	s.rng = &mulberryRand{state: st.RNG}
 	s.gen.SetState(st.Gen)
@@ -380,15 +367,6 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 	// advances equal one k-tick advance.
 	s.clk.Advance(time.Duration(st.Tick) * time.Duration(s.dt*float64(time.Second)))
 
-	mcPol, err := policy.New(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	mcCfg := coordinator.Config{World: cfg.World, Static: cfg.Static, Policy: mcPol}
-	s.mc, err = coordinator.New(mcCfg)
-	if err != nil {
-		return nil, err
-	}
 	if st.Coordinator == nil {
 		return nil, errors.New("sim: state has no coordinator")
 	}
@@ -402,21 +380,11 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		return nil, err
 	}
 
-	if cfg.Middleware.Enabled() {
-		s.mwLim = make(map[id.ServerID]*middleware.RateLimiter)
-		s.res.MiddlewareActive = true
-	}
-
 	for _, ns := range st.Nodes {
 		if ns.Core == nil || ns.Game == nil {
 			return nil, fmt.Errorf("sim: node %v state incomplete", ns.Server)
 		}
-		reply := &protocol.RegisterReply{Server: ns.Server, Bounds: ns.Core.Bounds, World: cfg.World}
-		pol, err := policy.New(cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := core.NewServer(core.Config{Load: cfg.LoadPolicy, Clock: s.clk, Policy: pol}, reply, cfg.Profile.Radius)
+		n, err := s.addNode(&protocol.RegisterReply{Server: ns.Server, Bounds: ns.Core.Bounds, World: cfg.World})
 		if err != nil {
 			return nil, err
 		}
@@ -426,35 +394,31 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 			cp.PolicyState = nil
 			coreState = &cp
 		}
-		if err := cs.RestoreState(coreState); err != nil {
+		if err := n.core.RestoreState(coreState); err != nil {
 			return nil, fmt.Errorf("sim: restore %v core: %w", ns.Server, err)
 		}
-		gs, err := gameserver.New(gameserver.Config{
-			Server:       ns.Server,
-			Bounds:       ns.Game.Bounds,
-			Radius:       cfg.Profile.Radius,
-			MaxQueue:     cfg.MaxQueue,
-			ResolveOwner: cs.ResolveOwner,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := gs.RestoreState(ns.Game); err != nil {
+		if err := n.gs.RestoreState(ns.Game); err != nil {
 			return nil, fmt.Errorf("sim: restore %v game server: %w", ns.Server, err)
 		}
-		s.nodes[ns.Server] = &node{core: cs, gs: gs}
-		s.order = append(s.order, ns.Server)
-		if s.mwLim != nil && len(ns.Limiter) > 0 {
-			s.limiterFor(ns.Server).SetState(ns.Limiter)
+		if len(ns.Limiter) > 0 && n.mw != nil && n.mw.Limiter() != nil {
+			n.mw.Limiter().SetState(ns.Limiter)
 		}
 	}
 
+	// Client c sits at index c-1 (see Sim.client), so the image must hold
+	// exactly the IDs the generator has handed out, in order.
+	if st.Gen.Client != uint64(len(st.Clients)) {
+		return nil, fmt.Errorf("sim: state has %d clients but the generator issued %d", len(st.Clients), st.Gen.Client)
+	}
 	for _, cst := range st.Clients {
+		if cst.Client.ID != id.ClientID(len(s.clients)+1) {
+			return nil, fmt.Errorf("sim: state client %d is %v, want ascending IDs from 1", len(s.clients), cst.Client.ID)
+		}
 		cl, err := gameclient.NewFromState(cst.Client, s.clk)
 		if err != nil {
 			return nil, fmt.Errorf("sim: restore client %v: %w", cst.Client.ID, err)
 		}
-		s.clients[cst.Client.ID] = &simClient{
+		s.clients = append(s.clients, &simClient{
 			cl:        cl,
 			mover:     game.NewMoverFromState(cfg.Profile, cfg.World, cst.Mover),
 			tag:       cst.Tag,
@@ -464,7 +428,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 			helloAt:   cst.HelloAt,
 			redirAt:   cst.RedirAt,
 			redirOpen: cst.RedirOpen,
-		}
+		})
 	}
 
 	s.events = append([]TopologyEvent(nil), st.Events...)
@@ -515,13 +479,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		// This matches a cold run of the full script: its model would have
 		// existed from t=0 but, with a zero link config and no events yet,
 		// would have made no draws and held no link state.
-		ncfg := cfg.Netem
-		if ncfg.Seed == 0 {
-			ncfg.Seed = cfg.Seed
-		}
-		s.nm = netem.NewModel(ncfg)
-		s.nq = make(map[int][]netemEntry)
-		s.res.NetemActive = true
+		s.enableNetem()
 	}
 	for _, g := range st.Ghosts {
 		s.ghosts[g.Client] = g.DroppedAt
@@ -573,10 +531,5 @@ func eventsEqual(a, b game.Event) bool {
 
 // sortedClientIDs returns a client-keyed map's keys, sorted.
 func sortedClientIDs[V any](m map[id.ClientID]V) []id.ClientID {
-	return slices.Sorted(maps.Keys(m))
-}
-
-// sortedServerIDs returns a server-keyed map's keys, sorted.
-func sortedServerIDs(m map[id.ServerID]bool) []id.ServerID {
 	return slices.Sorted(maps.Keys(m))
 }

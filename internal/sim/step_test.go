@@ -5,6 +5,7 @@ import (
 
 	"matrix/internal/game"
 	"matrix/internal/geom"
+	"matrix/internal/id"
 )
 
 // stepTestConfig is a small hotspot run that still splits, so the step
@@ -117,4 +118,75 @@ func mustNew(t *testing.T, cfg Config) *Sim {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestClientsAscendingByID pins the invariant every per-tick client walk
+// leans on instead of sorting: s.clients is strictly ascending by ID (client
+// c at index c-1) after joins, after leaves — a departed client keeps its
+// slot — and after a capture→restore, and the by-ID lookup agrees with it.
+func TestClientsAscendingByID(t *testing.T) {
+	check := func(when string, s *Sim) {
+		t.Helper()
+		if len(s.clients) != 180 { // 30 base + 150 "hot", departed or not
+			t.Fatalf("%s: %d client records, want 180", when, len(s.clients))
+		}
+		for i, sc := range s.clients {
+			if sc.cl.ID() != id.ClientID(i+1) {
+				t.Fatalf("%s: clients[%d] has ID %v, want %d", when, i, sc.cl.ID(), i+1)
+			}
+			if s.client(sc.cl.ID()) != sc {
+				t.Fatalf("%s: lookup of %v returns another record", when, sc.cl.ID())
+			}
+		}
+		if s.client(0) != nil || s.client(181) != nil {
+			t.Errorf("%s: lookup invents clients outside 1..180", when)
+		}
+	}
+	stepTo := func(s *Sim, until float64) {
+		t.Helper()
+		for !s.Done() && s.NextTime() < until {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := mustNew(t, stepTestConfig(17))
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stepTo(s, 10)
+	check("after the join wave", s)
+	stepTo(s, 25)
+	check("after the leave wave", s)
+	alive := 0
+	for _, sc := range s.clients {
+		if sc.alive {
+			alive++
+		}
+	}
+	if alive != 30 {
+		t.Errorf("%d clients alive after the leave wave, want the 30 base clients", alive)
+	}
+
+	st, err := s.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after restore", restored)
+
+	// An image whose clients are not the generator's 1..n in order cannot
+	// be indexed by ID and must be refused, not silently mis-indexed.
+	st.Clients[0], st.Clients[1] = st.Clients[1], st.Clients[0]
+	if _, err := Restore(st); err == nil {
+		t.Error("Restore accepted out-of-order clients")
+	}
+	st.Clients[0], st.Clients[1] = st.Clients[1], st.Clients[0]
+	st.Clients = st.Clients[:len(st.Clients)-1]
+	if _, err := Restore(st); err == nil {
+		t.Error("Restore accepted fewer clients than the generator issued")
+	}
 }

@@ -39,13 +39,6 @@ const (
 // tracePidServer maps a server to its trace process id.
 func tracePidServer(sid id.ServerID) int32 { return tracePidServerBase + int32(sid) }
 
-// packetSpanID correlates one client packet across every server that
-// touches it: the client id in the high bits, the packet sequence in the
-// low 24 (a sim client emits far fewer than 16M updates).
-func packetSpanID(c id.ClientID, seq id.PacketSeq) uint64 {
-	return uint64(c)<<24 | uint64(seq)&0xFFFFFF
-}
-
 // SetTracer attaches (or, with nil, detaches) a tracer to the run. Call it
 // before stepping; the sim installs its virtual-first clock into tr and
 // names the engine and server tracks. Tracing is observation only: the
@@ -69,9 +62,6 @@ func (s *Sim) SetTracer(tr *trace.Tracer) {
 		tr.NameProcess(tracePidServer(sid), sid.String())
 	}
 }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (s *Sim) Tracer() *trace.Tracer { return s.tr }
 
 // traceNow is the sim's trace clock: the current tick's virtual start plus
 // the wall time spent inside the tick so far. trTickBase/trAnchor are

@@ -32,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"matrix/internal/id"
 )
 
 // Phase bytes follow the Chrome trace-event format ("ph" field).
@@ -167,6 +169,14 @@ func (t *Tracer) InstantArg(pid, tid int32, name string, ts int64, argName strin
 		return
 	}
 	t.emit(Event{Ph: PhaseInstant, Pid: pid, Tid: tid, Name: name, TS: ts, ArgName: argName, Arg: arg})
+}
+
+// PacketID is the async-span id that correlates one client packet across
+// every layer and server that touches it, in the simulator and on live hosts
+// alike: the client id in the high bits, the packet sequence in the low 24
+// (no client emits 16M updates inside one trace ring).
+func PacketID(c id.ClientID, seq id.PacketSeq) uint64 {
+	return uint64(c)<<24 | uint64(seq)&0xFFFFFF
 }
 
 // AsyncBegin opens an async span correlated by (cat, id). Async spans may
