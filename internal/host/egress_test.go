@@ -1,0 +1,532 @@
+package host
+
+import (
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"matrix/internal/gameclient"
+	"matrix/internal/gameserver"
+	"matrix/internal/geom"
+	"matrix/internal/id"
+	"matrix/internal/load"
+	"matrix/internal/netem"
+	"matrix/internal/protocol"
+	"matrix/internal/transport"
+)
+
+// spyNetwork is the server host's view of the wire: every connection the
+// host accepts or dials through it logs each frame the host writes, in call
+// order across connections, and can be told to fail its writes. Test clients
+// and fake peers use the embedded inner Network directly, so only the host's
+// own writes are logged.
+type spyNetwork struct {
+	transport.Network
+	mu     sync.Mutex
+	frames []spyFrame
+}
+
+// spyFrame is one Send or SendBatch call: one frame on the wire.
+type spyFrame struct {
+	conn *spyConn
+	msgs []protocol.Message
+}
+
+type spyConn struct {
+	transport.Conn
+	nw   *spyNetwork
+	fail atomic.Bool // writes report ErrClosed without reaching the wire
+}
+
+func (c *spyConn) Send(m protocol.Message) error {
+	return c.write([]protocol.Message{m}, func() error { return c.Conn.Send(m) })
+}
+
+func (c *spyConn) SendBatch(ms []protocol.Message) error {
+	return c.write(ms, func() error { return c.Conn.SendBatch(ms) })
+}
+
+// write logs and sends under one lock, so the log order is the wire order.
+func (c *spyConn) write(ms []protocol.Message, send func() error) error {
+	if c.fail.Load() {
+		return transport.ErrClosed
+	}
+	c.nw.mu.Lock()
+	defer c.nw.mu.Unlock()
+	// Copied: the host recycles its outbox slice after the write.
+	c.nw.frames = append(c.nw.frames, spyFrame{c, append([]protocol.Message(nil), ms...)})
+	return send()
+}
+
+func (n *spyNetwork) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &spyConn{Conn: c, nw: n}, nil
+}
+
+func (n *spyNetwork) Listen(addr string) (transport.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &spyListener{l, n}, nil
+}
+
+type spyListener struct {
+	transport.Listener
+	nw *spyNetwork
+}
+
+func (l *spyListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &spyConn{Conn: c, nw: l.nw}, nil
+}
+
+// frameWith returns the log index of the first frame holding a message of
+// type typ, or -1.
+func (n *spyNetwork) frameWith(typ protocol.MsgType) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i, f := range n.frames {
+		for _, m := range f.msgs {
+			if m.MsgType() == typ {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// framesOn returns the frames logged on conn, oldest first.
+func (n *spyNetwork) framesOn(conn transport.Conn) [][]protocol.Message {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var out [][]protocol.Message
+	for _, f := range n.frames {
+		if f.conn == conn {
+			out = append(out, f.msgs)
+		}
+	}
+	return out
+}
+
+// clientConn returns the host's registered connection for client c (nil
+// when it has none).
+func (n *spyNetwork) clientConn(h *ServerHost, c id.ClientID) *spyConn {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	conn, _ := h.clients[c].(*spyConn)
+	return conn
+}
+
+// startServerOn boots a coordinator on mcNet and one server host from cfg
+// (its Coordinator and Radius filled in), both closed with the test.
+func startServerOn(t *testing.T, mcNet transport.Network, cfg ServerConfig) *ServerHost {
+	t.Helper()
+	mc, err := ServeCoordinator(mcNet, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatalf("ServeCoordinator: %v", err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	cfg.Coordinator, cfg.Radius = mc.Addr(), 40
+	h, err := StartServer(cfg)
+	if err != nil {
+		t.Fatalf("StartServer: %v", err)
+	}
+	t.Cleanup(func() { h.Close() })
+	return h
+}
+
+// startSpiedServer boots a coordinator on inner and one server host whose
+// every connection goes through the returned spy.
+func startSpiedServer(t *testing.T, inner transport.Network) (*spyNetwork, *ServerHost) {
+	t.Helper()
+	spy := &spyNetwork{Network: inner}
+	return spy, startServerOn(t, inner, ServerConfig{
+		Network: spy, TickInterval: 2 * time.Millisecond, ReportInterval: 50 * time.Millisecond,
+	})
+}
+
+// deliver builds the envelopes that hand msgs to client c, in order.
+func deliver(c id.ClientID, msgs ...protocol.Message) []gameserver.Envelope {
+	envs := make([]gameserver.Envelope, len(msgs))
+	for i, m := range msgs {
+		envs[i] = gameserver.Envelope{Dest: gameserver.DestClient, Client: c, Msg: m}
+	}
+	return envs
+}
+
+// update is a game update from client `from` with a recognisable Seq.
+func update(from id.ClientID, seq id.PacketSeq) *protocol.GameUpdate {
+	return &protocol.GameUpdate{Client: from, Seq: seq, Kind: protocol.KindMove, Origin: geom.Pt(100, 100), Dest: geom.Pt(101, 100)}
+}
+
+// seqs lists the Seq of every game update in msgs, in order.
+func seqs(msgs []protocol.Message) []id.PacketSeq {
+	var out []id.PacketSeq
+	for _, m := range msgs {
+		if u, ok := m.(*protocol.GameUpdate); ok {
+			out = append(out, u.Seq)
+		}
+	}
+	return out
+}
+
+// TestEgressOneFramePerClientPerTick: the host's own tick loop, fed a burst
+// of updates, writes each client at most one frame per flush — so far fewer
+// frames than messages — and every message still arrives, in emission order.
+func TestEgressOneFramePerClientPerTick(t *testing.T) {
+	spy, h := startSpiedServer(t, transport.NewMemNetwork())
+	sender, err := DialClient(ClientConfig{Network: spy.Network, ServerAddr: h.Addr(),
+		Client: gameclient.Config{ID: 1, Pos: geom.Pt(100, 100)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	watcher := joinRaw(t, spy.Network, h, 2, geom.Pt(110, 100))
+	conn := spy.clientConn(h, 2)
+	framesBefore, ticksBefore := len(spy.framesOn(conn)), h.ticks.Load()
+
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := sender.Send(sender.Client().MakeAction(protocol.KindAction, geom.Pt(105, 100))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []id.PacketSeq
+	for len(got) < n {
+		m, err := watcher.Recv()
+		if err != nil {
+			t.Fatalf("after %d of %d updates: %v", len(got), n, err)
+		}
+		got = append(got, seqs([]protocol.Message{m})...)
+	}
+	for i := 1; i < n; i++ {
+		if got[i] != got[i-1]+1 {
+			t.Fatalf("updates out of emission order: seq %d follows %d", got[i], got[i-1])
+		}
+	}
+	// Every game tick writes the watcher at most one frame (a load-report
+	// flush has no client deliveries to write).
+	frames := len(spy.framesOn(conn)) - framesBefore
+	flushes := int(h.ticks.Load()-ticksBefore) + 1
+	if frames > flushes {
+		t.Errorf("%d frames to one client across %d ticks: more than one frame per flush", frames, flushes)
+	}
+	if frames >= n {
+		t.Errorf("%d frames for %d deliveries: nothing was coalesced", frames, n)
+	}
+}
+
+// TestEgressOneFrameOnTheSocket reads a client's raw TCP socket frame by
+// frame: k deliveries collected in one tick are exactly one Batch frame, in
+// emission order with the redirect last, and a one-delivery tick is a plain
+// frame, byte-identical to what Send would have written.
+func TestEgressOneFrameOnTheSocket(t *testing.T) {
+	_, hosts := startCluster(t, transport.TCPNetwork{}, 1, load.Config{})
+	h := hosts[0]
+	sock, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+	hello, err := protocol.Marshal(&protocol.ClientHello{Client: 7, Pos: geom.Pt(100, 100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sock.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	// nextFrame returns the messages of the next frame on the socket.
+	var buf []byte
+	nextFrame := func() []protocol.Message {
+		t.Helper()
+		_ = sock.SetReadDeadline(time.Now().Add(5 * time.Second))
+		frame, err := protocol.ReadFrame(sock, buf)
+		if err != nil {
+			t.Fatalf("read frame: %v", err)
+		}
+		buf = frame[:0]
+		m, err := protocol.Unmarshal(frame)
+		if err != nil {
+			t.Fatalf("decode frame: %v", err)
+		}
+		if b, ok := m.(*protocol.Batch); ok {
+			return b.Msgs
+		}
+		return []protocol.Message{m}
+	}
+	for welcomed := false; !welcomed; {
+		for _, m := range nextFrame() {
+			welcomed = welcomed || m.MsgType() == protocol.TypeClientWelcome
+		}
+	}
+
+	eg := newEgress()
+	redirect := &protocol.Redirect{Client: 7, NewOwner: 99, NewAddr: "elsewhere"}
+	h.routeGame(deliver(7, update(1, 1), update(2, 2), update(3, 3), update(4, 4), redirect), eg)
+	h.flush(eg)
+	h.routeGame(deliver(7, update(1, 5)), eg)
+	h.flush(eg)
+
+	first := nextFrame()
+	if got := seqs(first); len(first) != 5 || len(got) != 4 || got[0] != 1 || got[3] != 4 {
+		t.Fatalf("first frame holds %d messages, updates %v: want the tick's 5 in one frame, in order", len(first), got)
+	}
+	if first[4].MsgType() != protocol.TypeRedirect {
+		t.Fatalf("last message of the frame is %v, want the redirect", first[4].MsgType())
+	}
+	if second := nextFrame(); len(second) != 1 || seqs(second)[0] != 5 {
+		t.Fatalf("second frame holds %v: want the lone update 5", second)
+	}
+}
+
+// TestEgressFlushSurvivesAFailedClient: a client whose write fails in the
+// middle of a flush is closed — its pump then forgets it and its avatar is
+// evicted — and every other client in the same flush still gets its frame.
+func TestEgressFlushSurvivesAFailedClient(t *testing.T) {
+	spy, h := startSpiedServer(t, transport.NewMemNetwork())
+	const clients = 8
+	for c := id.ClientID(1); c <= clients; c++ {
+		joinRaw(t, spy.Network, h, c, geom.Pt(100+float64(c), 100))
+	}
+	broken := spy.clientConn(h, 3)
+	broken.fail.Store(true)
+
+	eg := newEgress()
+	for c := id.ClientID(1); c <= clients; c++ {
+		h.routeGame(deliver(c, update(c, 1000), update(c, 1001)), eg)
+	}
+	h.flush(eg)
+
+	for c := id.ClientID(1); c <= clients; c++ {
+		if c == 3 {
+			continue
+		}
+		frames := spy.framesOn(spy.clientConn(h, c))
+		if got := seqs(frames[len(frames)-1]); len(got) != 2 || got[0] != 1000 || got[1] != 1001 {
+			t.Errorf("client %v: last frame holds updates %v, want [1000 1001]", c, got)
+		}
+	}
+	waitFor(t, "failed client forgotten", func() bool { return spy.clientConn(h, 3) == nil })
+	waitFor(t, "failed client's avatar evicted", func() bool { return h.Game().ClientCount() == clients-1 })
+	waitFor(t, "failed client's outbox reaped from the host's egress", func() bool {
+		h.mu.Lock() // evictDropped reaps under h.mu
+		defer h.mu.Unlock()
+		return len(h.gone) == 0
+	})
+}
+
+// TestEgressReconnectDoesNotInheritFrames: deliveries are collected for the
+// connection, not the client. A client that reconnects between collect and
+// flush gets nothing that was addressed to its old socket.
+func TestEgressReconnectDoesNotInheritFrames(t *testing.T) {
+	spy, h := startSpiedServer(t, transport.NewMemNetwork())
+	joinRaw(t, spy.Network, h, 5, geom.Pt(100, 100))
+	oldConn := spy.clientConn(h, 5)
+
+	eg := newEgress()
+	h.routeGame(deliver(5, update(9, 1000)), eg)
+	fresh := joinRaw(t, spy.Network, h, 5, geom.Pt(100, 100)) // the host closes the old socket
+	newConn := spy.clientConn(h, 5)
+	if newConn == oldConn {
+		t.Fatal("reconnect did not replace the registered connection")
+	}
+	h.flush(eg)
+	h.routeGame(deliver(5, update(9, 1001)), eg)
+	h.flush(eg)
+
+	for {
+		m, err := fresh.Recv()
+		if err != nil {
+			t.Fatalf("new connection: %v", err)
+		}
+		if got := seqs([]protocol.Message{m}); len(got) == 1 && got[0] >= 1000 {
+			if got[0] != 1001 {
+				t.Fatalf("new connection received update %d, addressed to the old one", got[0])
+			}
+			break
+		}
+	}
+	for _, f := range spy.framesOn(newConn) {
+		for _, s := range seqs(f) {
+			if s == 1000 {
+				t.Fatal("the old connection's delivery was written to the new connection")
+			}
+		}
+	}
+}
+
+// TestEgressIdleTickWritesNothing: ticks that route no client delivery put
+// no frame on any client socket, and leave nothing behind in the egress.
+func TestEgressIdleTickWritesNothing(t *testing.T) {
+	spy, h := startSpiedServer(t, transport.NewMemNetwork())
+	joinRaw(t, spy.Network, h, 1, geom.Pt(100, 100))
+	joinRaw(t, spy.Network, h, 2, geom.Pt(110, 100))
+	conns := []*spyConn{spy.clientConn(h, 1), spy.clientConn(h, 2)}
+	// Let the joins' own fallout (welcomes, spawn announcements) drain.
+	ticks := h.ticks.Load()
+	waitFor(t, "joins settled", func() bool { return h.ticks.Load() >= ticks+5 })
+	before := len(spy.framesOn(conns[0])) + len(spy.framesOn(conns[1]))
+	ticks = h.ticks.Load()
+	waitFor(t, "idle ticks", func() bool { return h.ticks.Load() >= ticks+20 })
+	if after := len(spy.framesOn(conns[0])) + len(spy.framesOn(conns[1])); after != before {
+		t.Fatalf("%d frames written to idle clients across 20 ticks", after-before)
+	}
+	// The same through the seam: flushing collected-then-flushed outboxes
+	// writes nothing more.
+	eg := newEgress()
+	h.routeGame(deliver(1, update(2, 1)), eg)
+	h.flush(eg)
+	before = len(spy.framesOn(conns[0]))
+	h.flush(eg)
+	if after := len(spy.framesOn(conns[0])); after != before {
+		t.Fatalf("flushing an empty egress wrote %d frames", after-before)
+	}
+}
+
+// TestEgressIsBounded: an outbox keeps no messages and no burst-sized backing
+// array past its flush, and the host's outbox table follows the connections
+// it serves — churn does not grow it.
+func TestEgressIsBounded(t *testing.T) {
+	spy, h := startSpiedServer(t, transport.NewMemNetwork())
+	const clients, stay = 40, 5
+	conns := make([]transport.Conn, clients)
+	for i := range conns {
+		conns[i] = joinRaw(t, spy.Network, h, id.ClientID(i+1), geom.Pt(100+float64(i), 100))
+	}
+
+	eg := newEgress()
+	burst := make([]protocol.Message, maxRetainedOutbox+1)
+	for i := range burst {
+		burst[i] = update(2, id.PacketSeq(i))
+	}
+	h.routeGame(deliver(1, update(2, 0)), eg)
+	h.routeGame(deliver(2, burst...), eg)
+	h.flush(eg)
+	small, big := eg.clients[spy.clientConn(h, 1)].msgs, eg.clients[spy.clientConn(h, 2)].msgs
+	if len(small) != 0 || cap(small) == 0 {
+		t.Fatalf("ordinary outbox after flush: len %d cap %d; want empty with its capacity kept", len(small), cap(small))
+	}
+	if small[:1][0] != nil {
+		t.Error("flushed outbox still holds its message pointer")
+	}
+	if cap(big) != 0 {
+		t.Errorf("burst outbox kept %d slots past the flush, cap is %d", cap(big), maxRetainedOutbox)
+	}
+
+	for _, c := range conns[stay:] {
+		c.Close()
+	}
+	waitFor(t, "dropped clients evicted", func() bool { return h.Game().ClientCount() == stay })
+	waitFor(t, "their outboxes reaped", func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.gone) == 0
+	})
+	h.Close() // the tick goroutine has exited: its egress is safe to read
+	if n := len(h.out.clients); n > stay {
+		t.Errorf("%d outboxes left for %d live connections", n, stay)
+	}
+}
+
+// TestEgressNetemDropsPerMessage: on an impaired client link the loss model
+// still judges every delivery on its own — a coalesced frame is not lost or
+// kept as a whole.
+func TestEgressNetemDropsPerMessage(t *testing.T) {
+	mem := transport.NewMemNetwork()
+	h := startServerOn(t, mem, ServerConfig{
+		Network:      netem.WrapNetwork(mem, netem.LinkConfig{Loss: 0.5}, 1),
+		TickInterval: 2 * time.Millisecond,
+	})
+	joinRaw(t, mem, h, 1, geom.Pt(100, 100)) // hellos and welcomes are control plane: never lost
+
+	const k = 400
+	msgs := make([]protocol.Message, k)
+	for i := range msgs {
+		msgs[i] = update(2, id.PacketSeq(i))
+	}
+	eg := newEgress()
+	h.routeGame(deliver(1, msgs...), eg)
+	h.flush(eg)
+
+	h.mu.Lock()
+	link := h.clients[1].(*netem.Conn)
+	h.mu.Unlock()
+	st := link.Stats()
+	if st.Lost == 0 || st.Lost >= k {
+		t.Fatalf("%d of %d deliveries lost at 50%% loss: the frame was judged as a whole", st.Lost, k)
+	}
+	// Passed also counts the welcome-time control frames; data plane only:
+	if passed := k - st.Lost; passed < k/4 || passed > 3*k/4 {
+		t.Fatalf("%d of %d deliveries passed at 50%% loss", passed, k)
+	}
+}
+
+// TestEgressFlushZeroAlloc is the egress allocation budget: once every
+// connection has an outbox, collecting and flushing a 64-client × 6-delivery
+// tick over loopback TCP allocates nothing. (Counts are only meaningful
+// without the race detector's instrumentation.)
+func TestEgressFlushZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// A host that never ticks, reports or beats on its own: the test's
+	// egress is the only writer, and nothing else allocates meanwhile.
+	h := startServerOn(t, transport.TCPNetwork{}, ServerConfig{
+		Network:      transport.TCPNetwork{},
+		TickInterval: time.Hour, ReportInterval: time.Hour, HeartbeatEvery: -1, CheckpointEvery: -1,
+	})
+
+	const clients, perClient = 64, 6
+	for c := id.ClientID(1); c <= clients; c++ {
+		sock, err := net.Dial("tcp", h.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sock.Close()
+		hello, err := protocol.Marshal(&protocol.ClientHello{Client: c, Pos: geom.Pt(100, 100)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sock.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		go io.Copy(io.Discard, sock) // keep the socket buffer from filling
+	}
+	waitFor(t, "clients registered", func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.clients) == clients
+	})
+
+	var envs []gameserver.Envelope
+	for i := 0; i < perClient; i++ {
+		u := update(id.ClientID(i+1), id.PacketSeq(i))
+		for c := id.ClientID(1); c <= clients; c++ { // one update's fan-out at a time, as the game server emits it
+			envs = append(envs, deliver(c, u)...)
+		}
+	}
+	eg := newEgress()
+	step := func() {
+		h.routeGame(envs, eg)
+		h.flush(eg)
+	}
+	for i := 0; i < 3; i++ {
+		step() // create the outboxes and grow the encode buffers
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("collect + flush allocates %.1f/op, budget is 0", allocs)
+	}
+	if len(eg.clients) != clients {
+		t.Errorf("%d outboxes for %d connections", len(eg.clients), clients)
+	}
+}

@@ -134,6 +134,7 @@ type ServerHost struct {
 	// game server's Processed count at which every frame they had queued
 	// has run; a new connection for the client cancels its entry.
 	evict  map[id.ClientID]uint64
+	gone   []transport.Conn // client pumps exited since the last tick (see evictDropped)
 	closed bool
 
 	// ingress is the single-writer funnel: mcLoop and the peer pumps park
@@ -146,11 +147,11 @@ type ServerHost struct {
 	ingressSpare []ingressMsg
 
 	// tickLoop-owned scratch (no locking): the per-tick envelope buffers
-	// and the per-peer message batches flushed as one frame per peer per
-	// tick. Map entries and their slices are reused across ticks.
+	// and the tick's outbound traffic, flushed as one frame per connection
+	// per tick.
 	tickEnvs     scratch.Buf[gameserver.Envelope]
 	tickCoreEnvs scratch.Buf[core.Envelope]
-	tickBatch    map[string][]protocol.Message
+	out          *egress
 
 	// Health state. adoptBuf/ticks/cpTick are tick-goroutine owned (Adopt
 	// frames and the checkpoint ticker both run there).
@@ -260,7 +261,7 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 		inbound:    make(map[transport.Conn]bool),
 		clients:    make(map[id.ClientID]transport.Conn),
 		evict:      make(map[id.ClientID]uint64),
-		tickBatch:  make(map[string][]protocol.Message),
+		out:        newEgress(),
 		drainReply: make(chan *protocol.DrainReply, 1),
 		drained:    make(chan struct{}),
 		done:       make(chan struct{}),
@@ -444,9 +445,9 @@ func (h *ServerHost) enqueueIngress(from id.ServerID, m protocol.Message) {
 }
 
 // drainIngress feeds everything the funnel holds through the Matrix
-// server, collecting peer-bound fallout into batch. Runs on the tick
+// server, collecting peer-bound fallout into eg. Runs on the tick
 // goroutine only; both backing slices are reused tick over tick.
-func (h *ServerHost) drainIngress(batch map[string][]protocol.Message) {
+func (h *ServerHost) drainIngress(eg *egress) {
 	h.ingressMu.Lock()
 	msgs := h.ingress
 	h.ingress = h.ingressSpare[:0]
@@ -482,7 +483,7 @@ func (h *ServerHost) drainIngress(batch map[string][]protocol.Message) {
 		if err != nil {
 			h.cfg.Logger.Printf("server %v: message %v: %v", h.core.ID(), im.msg.MsgType(), err)
 		}
-		h.routeCore(envs, batch)
+		h.routeCore(envs, eg)
 	}
 	for i := range msgs {
 		msgs[i] = ingressMsg{}
@@ -686,21 +687,17 @@ func (h *ServerHost) tickLoop() {
 			h.ticks.Add(1)
 			t0 := h.tr.Now()
 			// Coordinator and peer fallout first: split/reclaim state
-			// transfers join this tick's batch, ahead of whatever redirects
-			// the game server emits below (routeGame flushes the batch
-			// before any redirect reaches a client).
-			h.drainIngress(h.tickBatch)
+			// transfers join this tick's egress, whose flush writes them
+			// ahead of whatever redirects the game server emits below.
+			h.drainIngress(h.out)
 			t1 := h.tr.Now()
 			envs, err := h.gs.ProcessAppend(h.tickEnvs.Take(), h.cfg.ServiceRate)
 			if err != nil {
 				h.cfg.Logger.Printf("server %v: process: %v", h.core.ID(), err)
 			}
 			t2 := h.tr.Now()
-			// Everything this tick produced for the same peer leaves as one
-			// batch frame — the per-message framing and write amortized
-			// across the tick.
-			h.routeGame(envs, h.tickBatch)
-			h.flushBatches(h.tickBatch)
+			h.routeGame(envs, h.out)
+			h.flush(h.out)
 			h.tickEnvs.Done(envs)
 			h.evictDropped()
 			if h.tr != nil {
@@ -715,17 +712,17 @@ func (h *ServerHost) tickLoop() {
 			}
 			// Batched and flushed like the game tick: a one-message batch
 			// frames byte-identically to a plain send.
-			h.routeCore(envs, h.tickBatch)
-			h.flushBatches(h.tickBatch)
+			h.routeCore(envs, h.out)
+			h.flush(h.out)
 		}
 	}
 }
 
 // routeCore delivers a Matrix server's envelopes. Peer-bound messages are
-// collected into batch (keyed by dial address) for a later flushBatches
-// instead of being sent immediately; coordinator and game-server deliveries
-// are never deferred.
-func (h *ServerHost) routeCore(envs []core.Envelope, batch map[string][]protocol.Message) {
+// collected into eg (keyed by dial address) for a later flush instead of
+// being sent immediately; coordinator and game-server deliveries are never
+// deferred.
+func (h *ServerHost) routeCore(envs []core.Envelope, eg *egress) {
 	for _, e := range envs {
 		switch e.Dest {
 		case core.DestCoordinator:
@@ -744,14 +741,14 @@ func (h *ServerHost) routeCore(envs []core.Envelope, batch map[string][]protocol
 				h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.core.ID(), e.Msg.MsgType())
 				continue
 			}
-			batch[e.Addr] = append(batch[e.Addr], e.Msg)
+			eg.peers[e.Addr] = append(eg.peers[e.Addr], e.Msg)
 		}
 	}
 }
 
 // routeGame delivers a game server's envelopes, collecting peer-bound
-// fallout into batch (see routeCore).
-func (h *ServerHost) routeGame(envs []gameserver.Envelope, batch map[string][]protocol.Message) {
+// fallout (see routeCore) and client deliveries into eg for a later flush.
+func (h *ServerHost) routeGame(envs []gameserver.Envelope, eg *egress) {
 	for _, e := range envs {
 		switch e.Dest {
 		case gameserver.DestMatrix:
@@ -771,54 +768,103 @@ func (h *ServerHost) routeGame(envs []gameserver.Envelope, batch map[string][]pr
 			if err != nil {
 				h.cfg.Logger.Printf("server %v: game->matrix: %v", h.core.ID(), err)
 			} else {
-				h.routeCore(out, batch)
+				h.routeCore(out, eg)
 			}
 			if reused {
 				h.tickCoreEnvs.Done(out)
 			}
 		case gameserver.DestClient:
-			// Migration ordering: a redirected client's state transfer is
-			// sitting in the peer batch (the game server emits state before
-			// the redirect). Flush before the redirect reaches the client
-			// so the state frame precedes the client's rejoin on the wire.
-			// Redirects are rare, so the early flush barely dents batching.
-			if _, isRedirect := e.Msg.(*protocol.Redirect); isRedirect {
-				h.flushBatches(batch)
-			}
 			h.mu.Lock()
 			conn, ok := h.clients[e.Client]
 			h.mu.Unlock()
 			if !ok {
 				continue // client disconnected; deliveries are best-effort
 			}
-			if h.tr != nil {
-				h.tracePacketOut(e.Client, e.Msg)
-				// A corr-stamped redirect closes the handoff's server leg:
-				// the decision is now visible to the client.
-				traceCorr(h.tr, hostTracePid, hostTraceTidTick, e.Msg)
+			co := eg.clients[conn]
+			if co == nil {
+				if n := len(eg.free); n > 0 {
+					co, eg.free = eg.free[n-1], eg.free[:n-1]
+				} else {
+					co = &clientOut{msgs: make([]protocol.Message, 0, newOutboxCap)}
+				}
+				co.client = e.Client
+				eg.clients[conn] = co
 			}
-			if err := conn.Send(e.Msg); err != nil {
-				// Only close: the client's pump sees it and runs dropClient,
-				// because only the pump knows when the client's last frame
-				// is queued.
-				_ = conn.Close()
-			}
+			co.msgs = append(co.msgs, e.Msg)
 		}
 	}
 }
 
-// flushBatches sends every collected per-peer batch as one frame and
-// resets the batch map for reuse (entries keep their capacity; the peer
-// set is small and stable).
-func (h *ServerHost) flushBatches(batch map[string][]protocol.Message) {
-	for addr, msgs := range batch {
+// egress is one tick's outbound traffic, collected per connection by
+// routeCore and routeGame and written by flush; entries and their slices are
+// reused across ticks. Clients are keyed by connection, not ID: a reconnect
+// before the flush must not inherit the old socket's frames. An entry whose
+// pump has exited moves to free (see evictDropped) for the next connection to
+// pick up, so churn neither grows the table nor allocates.
+type egress struct {
+	peers   map[string][]protocol.Message // by dial address; small, stable set
+	clients map[transport.Conn]*clientOut
+	free    []*clientOut
+}
+
+// clientOut is one client connection's deliveries awaiting the flush.
+type clientOut struct {
+	client id.ClientID
+	msgs   []protocol.Message
+}
+
+func newEgress() *egress {
+	return &egress{peers: make(map[string][]protocol.Message), clients: make(map[transport.Conn]*clientOut)}
+}
+
+// An outbox starts at newOutboxCap slots — a dense crowd's busy tick, so a
+// connection's first minute is not spent doubling its way there — and keeps
+// at most maxRetainedOutbox between ticks, as transport.maxRetainedBuf does
+// for encode buffers: one burst tick must not pin its backing array for ever.
+const (
+	newOutboxCap      = 32
+	maxRetainedOutbox = 1024
+)
+
+// recycle empties a flushed outbox for reuse, dropping the message pointers.
+func recycle(msgs []protocol.Message) []protocol.Message {
+	if cap(msgs) > maxRetainedOutbox {
+		return nil
+	}
+	clear(msgs)
+	return msgs[:0]
+}
+
+// flush writes everything eg collected, one frame (and one write) per
+// connection, the per-message cost amortized across the tick: peers first,
+// then clients. That order is what makes a migration safe — the game server
+// emits a client's state transfer before its redirect, so the state is on the
+// peer's wire before the redirect can make the client rejoin there.
+func (h *ServerHost) flush(eg *egress) {
+	for addr, msgs := range eg.peers {
 		if len(msgs) > 0 {
 			h.sendPeerMsgs(addr, msgs...)
 		}
-		for i := range msgs {
-			msgs[i] = nil
+		eg.peers[addr] = recycle(msgs)
+	}
+	for conn, co := range eg.clients {
+		if len(co.msgs) == 0 {
+			continue
 		}
-		batch[addr] = msgs[:0]
+		if h.tr != nil {
+			for _, m := range co.msgs {
+				// Stamped as the frame is written. A corr-stamped redirect
+				// closes the handoff's server leg: the client now sees it.
+				h.tracePacketOut(co.client, m)
+				traceCorr(h.tr, hostTracePid, hostTraceTidTick, m)
+			}
+		}
+		if err := conn.SendBatch(co.msgs); err != nil {
+			// Only close: the client's pump sees it and runs dropClient —
+			// only the pump knows when the client's last frame is queued.
+			_ = conn.Close()
+		}
+		co.msgs = recycle(co.msgs)
 	}
 }
 
@@ -1116,6 +1162,7 @@ func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 	_ = conn.Close()
 	st := h.gs.Stats()
 	h.mu.Lock()
+	h.gone = append(h.gone, conn)
 	current := h.clients[c] == conn
 	if current {
 		delete(h.clients, c)
@@ -1136,10 +1183,20 @@ func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 // despawn and reaches the peers — and never when the client has reconnected
 // (serveClient cancels the entry); one that already migrated away is a
 // no-op. An empty queue also counts as drained, so an adopt restore that
-// rewinds Processed cannot park an entry. Runs on the tick goroutine.
+// rewinds Processed cannot park an entry. A connection whose pump has exited
+// is never routed to again, so its (flushed, empty) outbox is retired here
+// too. Runs on the tick goroutine, after the flush.
 func (h *ServerHost) evictDropped() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	for _, conn := range h.gone {
+		if co := h.out.clients[conn]; co != nil {
+			delete(h.out.clients, conn)
+			h.out.free = append(h.out.free, co)
+		}
+	}
+	clear(h.gone)
+	h.gone = h.gone[:0]
 	if len(h.evict) == 0 {
 		return
 	}

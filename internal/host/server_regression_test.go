@@ -197,115 +197,60 @@ func TestPeerDialBacklogFlushedInOrder(t *testing.T) {
 }
 
 // TestStateBeforeRedirectWireOrder pins the S2 regression: peer-bound
-// fallout routed on the tick goroutine is deferred into the tick batch (not
-// sent from other goroutines), and routeGame flushes that batch before any
-// redirect reaches a client — the migrating state is committed to the peer
-// connection ahead of the client's rejoin.
+// fallout and client deliveries routed on the tick goroutine are both
+// deferred into the tick's egress (nothing is written while routing), and
+// one flush writes every peer frame before any client frame — the migrating
+// state is committed to the peer connection ahead of the redirect that makes
+// the client rejoin there. The test fills and flushes an egress of its own,
+// so it shares no outbox with the host's running tick loop.
 func TestStateBeforeRedirectWireOrder(t *testing.T) {
-	nw := transport.NewMemNetwork()
-	_, hosts := startCluster(t, nw, 1, load.Config{})
-	h := hosts[0]
+	spy, h := startSpiedServer(t, transport.NewMemNetwork())
 
-	// A fake peer captures what the host sends it.
-	ln, err := nw.Listen("peer:x")
+	// A fake peer that swallows what the host sends it.
+	ln, err := spy.Network.Listen("peer:x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	peerGot := make(chan protocol.Message, 16)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		for {
-			m, err := conn.Recv()
-			if err != nil {
-				return
+		if conn, err := ln.Accept(); err == nil {
+			for err == nil {
+				_, err = conn.Recv()
 			}
-			peerGot <- m
 		}
 	}()
+	joinRaw(t, spy.Network, h, 42, geom.Pt(100, 100))
 
-	// A raw client connection (no auto-reconnect) registered with the host.
-	cl, err := nw.Dial(h.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Send(&protocol.ClientHello{Client: 42, Pos: geom.Pt(100, 100)}); err != nil {
-		t.Fatal(err)
-	}
-	clientGot := make(chan protocol.Message, 16)
-	go func() {
-		for {
-			m, err := cl.Recv()
-			if err != nil {
-				return
-			}
-			clientGot <- m
-		}
-	}()
-	waitFor(t, "client registered", func() bool {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return h.clients[42] != nil
-	})
-
-	// Establish the peer connection first (warm-up frame), so the ordered
-	// flush below runs synchronously on the established connection.
+	// Establish the peer connection first (warm-up frame), so the flush
+	// below writes synchronously on the established connection.
 	h.sendPeerMsgs("peer:x", fwd(0))
-	select {
-	case <-peerGot:
-	case <-time.After(5 * time.Second):
-		t.Fatal("warm-up frame never arrived")
-	}
+	waitFor(t, "warm-up frame written", func() bool { return spy.frameWith(protocol.TypeForward) >= 0 })
 
-	// Simulate what the tick goroutine does during a migration: the state
-	// transfer is routed first and must be DEFERRED into the batch (the S2
-	// fix — before it, another goroutine could push it onto the wire out of
-	// order), then the redirect flushes the batch ahead of itself.
-	batch := make(map[string][]protocol.Message)
+	// What the tick goroutine does during a migration: the game server
+	// emits the state transfer, then the redirect. Both must be DEFERRED.
+	eg := newEgress()
 	st := &protocol.StateTransfer{From: h.ID(), To: 99, Final: true}
-	h.routeCore([]core.Envelope{{Dest: core.DestPeer, Peer: 99, Addr: "peer:x", Msg: st}}, batch)
-	if len(batch["peer:x"]) != 1 {
-		t.Fatalf("state transfer not deferred into batch: %v", batch)
-	}
-	select {
-	case m := <-peerGot:
-		t.Fatalf("peer already received %v before the flush", m.MsgType())
-	default:
-	}
-
+	h.routeCore([]core.Envelope{{Dest: core.DestPeer, Peer: 99, Addr: "peer:x", Msg: st}}, eg)
 	h.routeGame([]gameserver.Envelope{{
 		Dest:   gameserver.DestClient,
 		Client: 42,
 		Msg:    &protocol.Redirect{Client: 42, NewOwner: 99, NewAddr: "peer:x"},
-	}}, batch)
-
-	// The redirect arrives; the state transfer was sent on the (established,
-	// single-writer) peer connection before it, so it must already be there.
-	waitForMsg := func(ch chan protocol.Message, want protocol.MsgType) protocol.Message {
-		deadline := time.After(5 * time.Second)
-		for {
-			select {
-			case m := <-ch:
-				if m.MsgType() == want {
-					return m
-				}
-			case <-deadline:
-				t.Fatalf("no %v frame arrived", want)
-			}
-		}
+	}}, eg)
+	if len(eg.peers["peer:x"]) != 1 || len(eg.clients) != 1 {
+		t.Fatalf("not deferred into the egress: peers %v, %d client outboxes", eg.peers, len(eg.clients))
 	}
-	waitForMsg(clientGot, protocol.TypeRedirect)
-	select {
-	case m := <-peerGot:
-		if m.MsgType() != protocol.TypeStateTransfer {
-			t.Fatalf("peer got %v, want state transfer", m.MsgType())
-		}
-	case <-time.After(time.Second):
-		t.Fatal("state transfer not on the peer connection after the redirect was delivered")
+	if s, r := spy.frameWith(protocol.TypeStateTransfer), spy.frameWith(protocol.TypeRedirect); s >= 0 || r >= 0 {
+		t.Fatalf("written before the flush: state transfer at frame %d, redirect at frame %d", s, r)
+	}
+
+	h.flush(eg)
+
+	s, r := spy.frameWith(protocol.TypeStateTransfer), spy.frameWith(protocol.TypeRedirect)
+	if s < 0 || r < 0 || s > r {
+		t.Fatalf("state transfer is frame %d, redirect frame %d: want both written, state first", s, r)
+	}
+	if len(eg.peers["peer:x"]) != 0 || len(eg.clients[spy.clientConn(h, 42)].msgs) != 0 {
+		t.Fatal("flush left messages in the egress")
 	}
 }
 
