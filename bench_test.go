@@ -1,15 +1,10 @@
-// Repository benchmarks: one testing.B benchmark per table and figure in
-// the paper's evaluation (E1–E5, see internal/experiments), plus
-// ablations for the design choices and microbenchmarks of the
-// latency-critical primitives. docs/PERF.md records the allocation
-// baseline the codec and envelope-path benchmarks are held to.
+// Repository benchmarks: what neither `go run ./benchmark` (the per-layer
+// and end-to-end perf record, see BENCHMARK.json) nor the experiments
+// tests (which assert every E-row's headline numbers) cover — the wall
+// clock of the whole scenario sweep and of the intra-sim tick engine, and
+// ablations for two design choices the paper leaves open.
 //
-// Regenerate everything with:
-//
-//	go test -bench=. -benchmem
-//
-// The experiment benchmarks report their headline numbers as custom
-// metrics, so `-bench` output doubles as the reproduction record.
+//	go test -bench=. -benchtime=1x
 package matrix_test
 
 import (
@@ -18,169 +13,15 @@ import (
 	"testing"
 	"time"
 
-	"matrix"
 	"matrix/internal/experiments"
 	"matrix/internal/game"
 	"matrix/internal/geom"
 	"matrix/internal/id"
 	"matrix/internal/load"
 	"matrix/internal/overlap"
-	"matrix/internal/protocol"
 	"matrix/internal/sim"
 	"matrix/internal/space"
 )
-
-// --- E1: Figure 2 ---
-
-// fig2Result caches the Figure 2 run across the two panel benchmarks (the
-// paper's two panels come from one experiment).
-var fig2Result *sim.Result
-
-func fig2(b *testing.B) *sim.Result {
-	b.Helper()
-	if fig2Result == nil {
-		res, err := experiments.RunFigure2(context.Background(), experiments.Runner{}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig2Result = res
-	}
-	return fig2Result
-}
-
-// BenchmarkFigure2aHotspotClients regenerates Figure 2(a): clients per
-// server over time under the 600-client hotspot.
-func BenchmarkFigure2aHotspotClients(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := fig2(b)
-		r := experiments.Figure2a(res)
-		b.ReportMetric(r.Numbers["peak_servers"], "peak-servers")
-		b.ReportMetric(r.Numbers["splits"], "splits")
-		b.ReportMetric(r.Numbers["reclaims"], "reclaims")
-		b.ReportMetric(r.Numbers["final_servers"], "final-servers")
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// BenchmarkFigure2bQueueLengths regenerates Figure 2(b): receive-queue
-// length per server over time for the same run.
-func BenchmarkFigure2bQueueLengths(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := fig2(b)
-		r := experiments.Figure2b(res)
-		b.ReportMetric(r.Numbers["peak_queue"], "peak-queue")
-		b.ReportMetric(r.Numbers["final_queue"], "final-queue")
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// --- E2: static partitioning vs Matrix ---
-
-// BenchmarkStaticVsMatrix regenerates the §4.2 comparison for all three
-// games: static partitioning saturates and drops; Matrix deploys extra
-// servers and recovers.
-func BenchmarkStaticVsMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunStaticVsMatrix(context.Background(), experiments.Runner{}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Numbers["bzflag/static/dropped"], "bzflag-static-drops")
-		b.ReportMetric(r.Numbers["bzflag/matrix/dropped"], "bzflag-matrix-drops")
-		b.ReportMetric(r.Numbers["bzflag/matrix/peak_servers"], "bzflag-matrix-servers")
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// --- E3: microbenchmarks ---
-
-// BenchmarkSwitchingLatency regenerates the client switching-latency
-// microbenchmark (E3a).
-func BenchmarkSwitchingLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSwitchingMicro(context.Background(), experiments.Runner{}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Numbers["mean_ms"], "mean-ms")
-		b.ReportMetric(r.Numbers["p95_ms"], "p95-ms")
-		b.ReportMetric(r.Numbers["switches"], "switches")
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// BenchmarkCoordinatorOverhead regenerates the MC-overhead microbenchmark
-// (E3b): overlap-table recompute cost vs fleet size.
-func BenchmarkCoordinatorOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCoordinatorMicro(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Numbers["ms_n128"], "ms-at-128-servers")
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// BenchmarkOverlapTraffic regenerates the traffic-vs-overlap microbenchmark
-// (E3c): inter-Matrix bytes track overlap-region size linearly.
-func BenchmarkOverlapTraffic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunTrafficMicro(context.Background(), experiments.Runner{}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Numbers["fwd_packets_r10"], "fwd-pkts-r10")
-		b.ReportMetric(r.Numbers["fwd_packets_r80"], "fwd-pkts-r80")
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// --- E4: user-study proxy ---
-
-// BenchmarkUserTransparency regenerates the user-study proxy: steady-state
-// response latency with and without splits.
-func BenchmarkUserTransparency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunUserStudy(context.Background(), experiments.Runner{}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Numbers["quiet_p95"], "quiet-p95-ms")
-		b.ReportMetric(r.Numbers["busy_p95"], "busy-p95-ms")
-		b.ReportMetric(r.Numbers["busy_switches"], "switches")
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-// --- E5: asymptotic analysis ---
-
-// BenchmarkAsymptoticModel regenerates the §4.2 scaling model sweep.
-func BenchmarkAsymptoticModel(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunAsymptotic()
-		last = r.Numbers["players_at_10k"]
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-	b.ReportMetric(last, "players-at-10k-servers")
-}
 
 // --- scenario sweep (shared scenario table) ---
 
@@ -213,7 +54,7 @@ func BenchmarkScenarioSweep(b *testing.B) {
 //	go test -bench ScenarioSimWorkers -benchtime 3x
 func BenchmarkScenarioSimWorkers(b *testing.B) {
 	if testing.Short() {
-		b.Skip("8 full runs of the two heaviest scenarios; the CI smoke step only needs benchmarks to compile")
+		b.Skip("8 full runs of the two heaviest scenarios")
 	}
 	for _, name := range []string{"surge-drain", "recovery"} {
 		sc, ok := experiments.ScenarioByName(name)
@@ -342,173 +183,4 @@ func BenchmarkAblationSplitPolicy(b *testing.B) {
 	}
 	b.ReportMetric(la, "left-worst-aspect")
 	b.ReportMetric(ra, "right-worst-aspect")
-}
-
-// --- primitive microbenchmarks (the O(1) and codec claims) ---
-
-// BenchmarkTableLookup measures the fast-path consistency-set lookup the
-// paper claims is O(1): the cost must stay flat as the fleet grows.
-func BenchmarkTableLookup(b *testing.B) {
-	for _, n := range []int{4, 16, 64, 256} {
-		b.Run(fmt.Sprintf("servers-%d", n), func(b *testing.B) {
-			m, err := space.NewMap(geom.R(0, 0, 4096, 4096), 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var gen id.Generator
-			gen.NextServer()
-			live := []id.ServerID{1}
-			for i := 0; len(live) < n; i++ {
-				victim := live[(i*13+5)%len(live)]
-				child := gen.NextServer()
-				if _, _, err := m.Split(victim, child, space.SplitToLeft{}); err != nil {
-					b.Fatal(err)
-				}
-				live = append(live, child)
-			}
-			tab, err := overlap.BuildTable(1, m.Partitions(), 25, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bounds := tab.Bounds()
-			pts := make([]geom.Point, 64)
-			for i := range pts {
-				fx := float64(i%8) / 8
-				fy := float64(i/8) / 8
-				pts[i] = geom.Pt(bounds.MinX+fx*bounds.Width(), bounds.MinY+fy*bounds.Height())
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = tab.Lookup(pts[i%len(pts)])
-			}
-		})
-	}
-}
-
-// BenchmarkCodecGameUpdate measures wire-codec throughput for the dominant
-// packet type. The append-encode variant is the hot path the transports
-// use: encoding into a reused buffer is allocation-free in steady state
-// (docs/PERF.md records the baseline).
-func BenchmarkCodecGameUpdate(b *testing.B) {
-	u := &protocol.GameUpdate{
-		Client: 42, Seq: 7, Kind: protocol.KindMove,
-		Origin: geom.Pt(123.5, 456.25), Dest: geom.Pt(124, 457),
-		SentUnix: 1234567890, Payload: make([]byte, 48),
-	}
-	b.Run("marshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := protocol.Marshal(u); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("append-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, 256)
-		var err error
-		for i := 0; i < b.N; i++ {
-			if buf, err = protocol.AppendEncode(buf[:0], u); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	frame, err := protocol.Marshal(u)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("unmarshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := protocol.Unmarshal(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCodecBatch measures the per-tick batch path: N forwards packed
-// into one frame with a reused buffer, versus N individual marshals — the
-// amortization the transports exploit via SendBatch.
-func BenchmarkCodecBatch(b *testing.B) {
-	const n = 32
-	msgs := make([]protocol.Message, n)
-	for i := range msgs {
-		msgs[i] = &protocol.Forward{From: 1, Update: protocol.GameUpdate{
-			Client: matrix.ClientID(i + 1), Seq: 7, Kind: protocol.KindMove,
-			Origin: geom.Pt(123.5, 456.25), Dest: geom.Pt(124, 457),
-			SentUnix: 1234567890, Payload: make([]byte, 48),
-		}}
-	}
-	b.Run("per-message", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, m := range msgs {
-				if _, err := protocol.Marshal(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, 8192)
-		var ends []int
-		for i := 0; i < b.N; i++ {
-			out, e, err := protocol.AppendBatches(buf[:0], ends, msgs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf, ends = out, e
-		}
-	})
-}
-
-// BenchmarkOverlapTableBuild measures the MC-side table construction that
-// runs on every split/reclaim.
-func BenchmarkOverlapTableBuild(b *testing.B) {
-	m, err := space.NewMap(geom.R(0, 0, 4096, 4096), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var gen id.Generator
-	gen.NextServer()
-	live := []id.ServerID{1}
-	for i := 0; len(live) < 32; i++ {
-		victim := live[(i*13+5)%len(live)]
-		child := gen.NextServer()
-		if _, _, err := m.Split(victim, child, space.SplitToLeft{}); err != nil {
-			b.Fatal(err)
-		}
-		live = append(live, child)
-	}
-	parts := m.Partitions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := overlap.BuildAll(parts, 25, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEndToEndSimTick measures whole-cluster simulation throughput
-// (packets processed per wall second), characterizing the harness itself.
-// Allocations are reported because the per-tick envelope path is pinned to
-// a budget (docs/PERF.md): regressions show up here first.
-func BenchmarkEndToEndSimTick(b *testing.B) {
-	cfg := matrix.SimulationConfig{
-		Profile:         matrix.BzflagProfile(),
-		World:           matrix.R(0, 0, 1000, 1000),
-		Seed:            1,
-		DurationSeconds: 10,
-		MaxServers:      2,
-		BasePopulation:  100,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matrix.RunSimulation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

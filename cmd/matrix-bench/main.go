@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -46,18 +47,15 @@ func main() {
 	}
 }
 
-var order = []string{"fig2a", "fig2b", "staticvs", "microswitch", "micromc", "microtraffic", "userstudy", "asymptotic", "degraded", "recovery", "policy", "scenarios"}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("matrix-bench", flag.ContinueOnError)
-	expFlag := fs.String("exp", "all", "experiments to run: all or a comma list of "+strings.Join(order, ","))
+	expFlag := fs.String("exp", "all", "experiments to run: all or a comma list of "+strings.Join(experiments.ExperimentKeys(), ","))
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	simWorkers := fs.Int("sim-workers", 0, "intra-sim tick worker pool per simulation (<=1 = serial; fingerprints are identical for any value)")
 	scenarioFlag := fs.String("scenario", "all", "scenarios for -exp scenarios: all or a comma list of "+strings.Join(experiments.ScenarioNames(), ","))
 	listFlag := fs.Bool("list", false, "print the scenario and policy tables (name + description) and exit")
 	policyFlag := fs.String("policy", "", "decision policy for sweeps and single-run modes: "+strings.Join(policy.Names(), ", ")+" (empty = paper; -exp policy always runs all of them)")
-	branchFlag := fs.Bool("branch", false, "share scenario-family warmups via snapshots in -exp scenarios (results identical to cold starts)")
 	snapFile := fs.String("snapshot", "", "run one -scenario, snapshot its full state at -snapshot-at into this file, then finish the run")
 	snapAt := fs.Float64("snapshot-at", 0, "virtual time (seconds) of the -snapshot capture (0 = half the scenario duration)")
 	restoreFile := fs.String("restore", "", "restore a -snapshot file and finish its run (fingerprint matches the uninterrupted run)")
@@ -112,131 +110,30 @@ func run(args []string) error {
 		return single.run(ctx)
 	}
 
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for _, e := range order {
-			want[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(*expFlag, ",") {
-			e = strings.TrimSpace(e)
-			if e == "" {
-				continue
-			}
-			found := false
-			for _, known := range order {
-				if e == known {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("unknown experiment %q (known: %s)", e, strings.Join(order, ","))
-			}
-			want[e] = true
-		}
+	rows, err := experiments.SelectExperiments(*expFlag)
+	if err != nil {
+		return err
 	}
-
-	var scenarios []string
+	suite := &experiments.Suite{Runner: runner, Seed: *seed}
 	if *scenarioFlag != "all" {
 		for _, s := range strings.Split(*scenarioFlag, ",") {
 			if s = strings.TrimSpace(s); s != "" {
-				scenarios = append(scenarios, s)
+				suite.Scenarios = append(suite.Scenarios, s)
 			}
 		}
 	}
-
-	// Figure 2's two panels come from one simulation run.
-	var fig2 *sim.Result
-	if want["fig2a"] || want["fig2b"] {
-		fmt.Fprintln(os.Stderr, "running Figure 2 hotspot scenario (300 simulated seconds)...")
-		res, err := experiments.RunFigure2(ctx, runner, *seed)
-		if err != nil {
-			return err
-		}
-		fig2 = res
-	}
-	for _, e := range order {
-		if !want[e] {
-			continue
-		}
+	for _, e := range rows {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		switch e {
-		case "fig2a":
-			fmt.Print(experiments.Figure2a(fig2).String())
-		case "fig2b":
-			fmt.Print(experiments.Figure2b(fig2).String())
-		case "staticvs":
-			r, err := experiments.RunStaticVsMatrix(ctx, runner, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "microswitch":
-			r, err := experiments.RunSwitchingMicro(ctx, runner, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "micromc":
-			r, err := experiments.RunCoordinatorMicro(ctx)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "microtraffic":
-			r, err := experiments.RunTrafficMicro(ctx, runner, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "userstudy":
-			r, err := experiments.RunUserStudy(ctx, runner, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "asymptotic":
-			fmt.Print(experiments.RunAsymptotic().String())
-		case "degraded":
-			r, err := experiments.RunDegradedStaticVsMatrix(ctx, runner, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "recovery":
-			r, err := experiments.RunRecovery(ctx, runner, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "policy":
-			fmt.Fprintln(os.Stderr, "running policy head-to-head (all policies x full scenario table, branched warmups)...")
-			r, err := experiments.RunPolicyStudy(ctx, runner, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-		case "scenarios":
-			start := time.Now()
-			run := experiments.RunScenarios
-			if *branchFlag {
-				run = experiments.RunScenariosBranched
-			}
-			r, err := run(ctx, runner, *seed, scenarios...)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-			mode := "cold"
-			if *branchFlag {
-				mode = "branched"
-			}
-			fmt.Fprintf(os.Stderr, "scenario sweep (%s) took %.2fs\n", mode, time.Since(start).Seconds())
+		start := time.Now()
+		rep, err := e.Run(ctx, suite)
+		if err != nil {
+			return err
 		}
+		fmt.Print(rep.String())
 		fmt.Println()
+		fmt.Fprintf(os.Stderr, "%s took %.2fs\n", e.Key, time.Since(start).Seconds())
 	}
 	return nil
 }
@@ -322,7 +219,7 @@ func (o singleRun) run(ctx context.Context) error {
 	}
 
 	if o.snapshot != "" {
-		if err := stepAll(ctx, s, o.snapAt); err != nil {
+		if err := s.StepUntil(ctx, o.snapAt); err != nil {
 			return err
 		}
 		snap, err := snapshot.Capture(s)
@@ -334,7 +231,7 @@ func (o singleRun) run(ctx context.Context) error {
 		}
 		fmt.Fprintf(os.Stderr, "snapshot of %q at t=%.1fs written to %s\n", name, s.Now(), o.snapshot)
 	}
-	if err := stepAll(ctx, s, 0); err != nil {
+	if err := s.StepUntil(ctx, math.Inf(1)); err != nil {
 		return err
 	}
 
@@ -407,25 +304,6 @@ func (o singleRun) oneScenario() (experiments.Scenario, error) {
 		return experiments.Scenario{}, fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(experiments.ScenarioNames(), ","))
 	}
 	return sc, nil
-}
-
-// stepAll drives s until done (or until the next tick would reach `until`,
-// when positive), polling ctx so Ctrl-C cancels mid-run.
-func stepAll(ctx context.Context, s *sim.Sim, until float64) error {
-	for n := 0; !s.Done(); n++ {
-		if until > 0 && s.NextTime() >= until {
-			return nil
-		}
-		if n%50 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := s.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // servePprof exposes net/http/pprof on addr (empty = off). The profile

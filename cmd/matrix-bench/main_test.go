@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"matrix/internal/experiments"
 	"matrix/internal/policy"
 	"matrix/internal/trace"
 )
@@ -223,5 +224,21 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-record", "/tmp/rec", "-scenario", "nope"}); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("-record with unknown scenario: %v", err)
+	}
+	// -branch is gone (the sweep engine finds shared warmups itself): the
+	// flag set must reject it rather than silently accept a no-op.
+	if err := run([]string{"-branch", "-list"}); err == nil || !strings.Contains(err.Error(), "not defined: -branch") {
+		t.Errorf("-branch: err = %v, want an unknown-flag error", err)
+	}
+	// An unknown -exp key lists the experiment table's keys, first unknown
+	// key first.
+	err := run([]string{"-exp", "asymptotic,nope,zzz"})
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
+		t.Fatalf("-exp with unknown keys: %v", err)
+	}
+	for _, key := range experiments.ExperimentKeys() {
+		if !strings.Contains(err.Error(), key) {
+			t.Errorf("unknown -exp error %q does not list key %q", err, key)
+		}
 	}
 }

@@ -3,17 +3,20 @@
 // Both cmd/matrix-bench and the repository-root benchmarks call into this
 // package, so the numbers printed by either are produced by the same code.
 //
-// Index:
+// Index (the -exp key of each row of Experiments() in brackets):
 //
-//	E1a  Figure 2(a): clients per server vs. time under a 600-client hotspot
-//	E1b  Figure 2(b): server receive-queue length vs. time, same run
-//	E2   static partitioning vs. Matrix across bzflag/daimonin/quake2
-//	E3a  microbenchmark: client switching latency
-//	E3b  microbenchmark: coordinator overhead
-//	E3c  microbenchmark: inter-Matrix traffic vs. overlap population
-//	E4   user-study proxy: response-latency transparency across splits
-//	E5   asymptotic scaling model
-//	E6   static vs Matrix under degraded networks (beyond the paper)
+//	E1a  [fig2a]        Figure 2(a): clients per server vs. time under a 600-client hotspot
+//	E1b  [fig2b]        Figure 2(b): server receive-queue length vs. time, same run
+//	E2   [staticvs]     static partitioning vs. Matrix across bzflag/daimonin/quake2
+//	E3a  [microswitch]  microbenchmark: client switching latency
+//	E3b  [micromc]      microbenchmark: coordinator overhead
+//	E3c  [microtraffic] microbenchmark: inter-Matrix traffic vs. overlap population
+//	E4   [userstudy]    user-study proxy: response-latency transparency across splits
+//	E5   [asymptotic]   asymptotic scaling model
+//	E6   [degraded]     static vs Matrix under degraded networks (beyond the paper)
+//	E7   [recovery]     recovery gap and redirect storm vs checkpoint interval
+//	E8   [policy]       every registered decision policy across the scenario table
+//	     [scenarios]    the named workload scenarios (scenarios.go)
 package experiments
 
 import (
@@ -77,17 +80,6 @@ func Figure2Config(seed int64) sim.Config {
 		LoadPolicy:         load.Config{OverloadQueue: 3000},
 		SampleEverySeconds: 5,
 	}
-}
-
-// RunFigure2 executes the Figure 2 scenario once and returns the run for
-// both panels. The single run goes through the sweep engine so it is
-// cancellable mid-run.
-func RunFigure2(ctx context.Context, r Runner, seed int64) (*sim.Result, error) {
-	results, err := r.RunConfigs(ctx, []sim.Config{Figure2Config(seed)})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
 }
 
 // Figure2a renders the clients-per-server time series (paper Fig. 2a).
@@ -357,14 +349,13 @@ func RunCoordinatorMicro(ctx context.Context) (*Report, error) {
 			return nil, err
 		}
 		const rounds = 20
-		start := nowMonotonic()
+		start := time.Now()
 		for i := 0; i < rounds; i++ {
 			if _, err := overlap.BuildAll(parts, 40, uint64(i)); err != nil {
 				return nil, err
 			}
 		}
-		elapsed := nowMonotonic() - start
-		per := elapsed / float64(rounds)
+		per := time.Since(start).Seconds() / rounds
 		r.addf("%-10d %12.3fms %12.4fms", n, per*1000, per*1000/float64(n))
 		r.Numbers[fmt.Sprintf("ms_n%d", n)] = per * 1000
 	}
@@ -390,11 +381,6 @@ func randomPartitions(n int, seed int64) ([]space.Partition, error) {
 		live = append(live, child)
 	}
 	return m.Partitions(), nil
-}
-
-// nowMonotonic returns seconds on a monotonic clock.
-func nowMonotonic() float64 {
-	return float64(time.Now().UnixNano()) / 1e9
 }
 
 // RunUserStudy executes E4, the user-study proxy: compare the response

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,8 +10,7 @@ import (
 )
 
 // runScaledFigure2 runs a shortened Figure 2 (first hotspot only) so unit
-// tests stay fast; the full 300-second run is exercised by the repository
-// benchmarks.
+// tests stay fast; the full 300-second run is `matrix-bench -exp fig2a,fig2b`.
 func runScaledFigure2(t *testing.T) *sim.Result {
 	t.Helper()
 	cfg := Figure2Config(7)
@@ -100,6 +100,57 @@ func TestTrafficMicroLinearInOverlap(t *testing.T) {
 	r40 := p40 / a40
 	if r40 > 3*r10 || r10 > 3*r40 {
 		t.Errorf("traffic/overlap ratio drifts: %v vs %v", r10, r40)
+	}
+}
+
+// TestCoordinatorMicro checks E3b's shape: one row per fleet size, every
+// timing positive (they are time.Since readings, so a wall-clock step
+// cannot make one negative).
+func TestCoordinatorMicro(t *testing.T) {
+	r, err := RunCoordinatorMicro(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Numbers) != 7 {
+		t.Errorf("got %d fleet sizes, want 7: %v", len(r.Numbers), r.Numbers)
+	}
+	for key, ms := range r.Numbers {
+		if ms <= 0 {
+			t.Errorf("%s = %v ms, want a positive duration", key, ms)
+		}
+	}
+}
+
+// TestExperimentTable pins the table -exp reads: unique keys, every row
+// runnable, selection in table order whatever the request order, and an
+// unknown key reported in request order with the keys listed.
+func TestExperimentTable(t *testing.T) {
+	keys := ExperimentKeys()
+	seen := map[string]bool{}
+	for i, e := range Experiments() {
+		if e.Key == "" || e.Run == nil || seen[e.Key] || e.Key != keys[i] {
+			t.Fatalf("bad row %d: key %q", i, e.Key)
+		}
+		seen[e.Key] = true
+	}
+	all, err := SelectExperiments("all")
+	if err != nil || len(all) != len(keys) {
+		t.Fatalf("all = %d rows, %v", len(all), err)
+	}
+	rows, err := SelectExperiments(" scenarios, fig2b ,,fig2a,fig2b")
+	if err != nil || len(rows) != 3 || rows[0].Key != "fig2a" || rows[1].Key != "fig2b" || rows[2].Key != "scenarios" {
+		t.Errorf("selection = %v, %v; want fig2a fig2b scenarios", rows, err)
+	}
+	for i := 0; i < 20; i++ {
+		_, err := SelectExperiments("fig2a,zzz,aaa")
+		if err == nil || !strings.Contains(err.Error(), `"zzz"`) || !strings.Contains(err.Error(), strings.Join(keys, ",")) {
+			t.Fatalf("unknown key error = %v", err)
+		}
+	}
+	// The cheap row end to end.
+	rep, err := all[slices.Index(keys, "asymptotic")].Run(context.Background(), &Suite{})
+	if err != nil || rep.ID != "E5" {
+		t.Errorf("asymptotic row = %v, %v", rep, err)
 	}
 }
 

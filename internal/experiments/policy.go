@@ -1,25 +1,23 @@
 // E8 — the policy head-to-head: every registered decision policy
 // (internal/policy) runs the full scenario table and the policies are
-// ranked on a composite of the headline costs. The sweep is branched the
-// same way RunScenariosBranched branches: each scenario family's shared
-// warmup is simulated ONCE per seed (under the default paper policy,
-// since the family members must share their prefix bit-for-bit), and one
-// tail per (member, policy) pair is restored from that snapshot with
-// sim.RestoreOptions.Policy swapping the decision policy at the branch
-// point. The static straw man is the exception: restoring an adaptively
-// split fleet under a policy whose whole premise is "never reshape"
-// would hand it the adaptive warmup for free, so static rows always
-// cold-start on an internal/staticpart grid of MaxServers fixed tiles.
+// ranked on a composite of the headline costs. It is one job list for the
+// sweep engine: each scenario family's shared warmup is simulated ONCE per
+// seed (under the default paper policy, since the family members must
+// share their prefix bit-for-bit), and every (member, policy) pair is a
+// tail restored from it with Job.TailPolicy swapping the decision policy
+// in at the branch point. The static straw man is the exception: restoring
+// an adaptively split fleet under a policy whose whole premise is "never
+// reshape" would hand it the adaptive warmup for free, so static rows
+// always cold-start on an internal/staticpart grid of MaxServers fixed
+// tiles.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"matrix/internal/policy"
-	"matrix/internal/sim"
 	"matrix/internal/staticpart"
 )
 
@@ -57,153 +55,48 @@ type PolicyStanding struct {
 }
 
 // RunPolicyStudy executes E8: all registered policies across the full
-// scenario table, ranked by composite score. Family warmups run once per
-// family+seed and fan one tail out per policy; everything else (and every
-// static-policy row) cold-starts.
+// scenario table, ranked by composite score. Jobs (and the per-scenario
+// metrics) are keyed "<scenario>/<policy>".
 func RunPolicyStudy(ctx context.Context, r Runner, seed int64) (*Report, error) {
-	standings, perScenario, err := PolicyStudyOutputs(ctx, r, seed)
+	pols, scs := policy.Names(), Scenarios()
+	var jobs []Job
+	for _, sc := range scs {
+		for _, pol := range pols {
+			j := sc.job(seed)
+			j.Name += "/" + pol
+			switch {
+			case pol == "static":
+				tiles, err := staticpart.Grid(j.Config.World, j.Config.MaxServers)
+				if err != nil {
+					return nil, fmt.Errorf("policy study %s: %w", j.Name, err)
+				}
+				j.Config.Policy, j.Config.Static, j.Family = pol, tiles, ""
+			case j.branches():
+				// The paper tail restores the captured policy state and stays
+				// byte-identical to its cold run; a rival tail starts fresh.
+				j.Config.Policy, j.TailPolicy = policy.Default, pol
+			default:
+				j.Config.Policy = pol
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	outs, err := r.Run(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
-	return policyReport(standings, Scenarios(), perScenario), nil
-}
-
-// PolicyStudyOutputs is RunPolicyStudy without the report rendering: the
-// ranked standings plus the raw per-scenario metrics keyed
-// "<scenario>/<policy>".
-func PolicyStudyOutputs(ctx context.Context, r Runner, seed int64) ([]PolicyStanding, map[string]policyMetrics, error) {
-	pols := policy.Names()
-	scs := Scenarios()
-
-	type member struct {
-		sc  Scenario
-		cfg sim.Config
-	}
-	var cold []member
-	families := map[string][]member{}
-	var famOrder []string
-	for _, sc := range scs {
-		m := member{sc: sc, cfg: sc.Config(seed)}
-		if sc.Family == "" || sc.WarmupSeconds <= 0 {
-			cold = append(cold, m)
-			continue
-		}
-		if _, ok := families[sc.Family]; !ok {
-			famOrder = append(famOrder, sc.Family)
-		}
-		families[sc.Family] = append(families[sc.Family], m)
-	}
-
-	results := make(map[string]*sim.Result, len(scs)*len(pols))
-	var mu sync.Mutex
-	var firstErr error
-	put := func(sc, pol string, res *sim.Result, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("policy study %s/%s: %w", sc, pol, err)
-			}
-			return
-		}
-		results[sc+"/"+pol] = res
-	}
-
-	// One bounded pool, same shape as BranchedOutputs: warmup tasks return
-	// after submitting their tails, so the pool cannot deadlock.
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.workers())
-	submit := func(f func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f()
-		}()
-	}
-	runCold := func(m member, pol string) {
-		submit(func() {
-			if err := ctx.Err(); err != nil {
-				put(m.sc.Name, pol, nil, err)
-				return
-			}
-			cfg := m.cfg
-			cfg.Policy = pol
-			if pol == "static" {
-				tiles, err := staticpart.Grid(cfg.World, cfg.MaxServers)
-				if err != nil {
-					put(m.sc.Name, pol, nil, err)
-					return
-				}
-				cfg.Static = tiles
-			}
-			res, err := r.runOne(ctx, cfg)
-			put(m.sc.Name, pol, res, err)
-		})
-	}
-
-	for _, m := range cold {
-		for _, pol := range pols {
-			runCold(m, pol)
-		}
-	}
-	for _, fam := range famOrder {
-		members := families[fam]
-		// Static rows cold-start even inside families (see package doc).
-		for _, m := range members {
-			runCold(m, "static")
-		}
-		submit(func() {
-			// The shared warmup runs under the default policy; the tails
-			// diverge at the branch point via RestoreOptions.Policy (the
-			// paper tail restores the captured policy state and stays
-			// byte-identical to its cold run; a rival tail swaps the
-			// policy in with fresh state).
-			warmCfg := members[0].cfg
-			warmCfg.Policy = policy.Default
-			st, err := r.runWarmup(ctx, warmCfg, members[0].sc.WarmupSeconds)
-			if err != nil {
-				for _, m := range members {
-					for _, pol := range pols {
-						if pol != "static" {
-							put(m.sc.Name, pol, nil, err)
-						}
-					}
-				}
-				return
-			}
-			for _, m := range members {
-				for _, pol := range pols {
-					if pol == "static" {
-						continue
-					}
-					m, pol := m, pol
-					submit(func() {
-						res, err := r.runPolicyTail(ctx, st, m.cfg, pol)
-						put(m.sc.Name, pol, res, err)
-					})
-				}
-			}
-		})
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-
-	perScenario := make(map[string]policyMetrics, len(results))
-	for key, res := range results {
-		splits, reclaims := countEvents(res)
-		perScenario[key] = policyMetrics{
-			P95Ms:     res.Latency.Quantile(0.95),
-			Dropped:   float64(res.DroppedPackets),
-			Redirects: float64(res.Redirects),
-			Peak:      float64(res.PeakServers),
+	perScenario := make(map[string]policyMetrics, len(outs))
+	for _, o := range outs {
+		splits, reclaims := countEvents(o.Result)
+		perScenario[o.Name] = policyMetrics{
+			P95Ms:     o.Result.Latency.Quantile(0.95),
+			Dropped:   float64(o.Result.DroppedPackets),
+			Redirects: float64(o.Result.Redirects),
+			Peak:      float64(o.Result.PeakServers),
 			Topology:  float64(splits + reclaims),
 		}
 	}
-	return rankPolicies(pols, scs, perScenario), perScenario, nil
+	return policyReport(rankPolicies(pols, scs, perScenario), scs, perScenario), nil
 }
 
 // rankPolicies computes each policy's composite score (see
@@ -278,36 +171,4 @@ func policyReport(standings []PolicyStanding, scs []Scenario, perScenario map[st
 		}
 	}
 	return rep
-}
-
-// runPolicyTail is runTail with a policy swap at the branch point: the
-// member simulation restores from the family snapshot under pol (fresh
-// policy state when pol differs from the captured run's policy) and runs
-// to completion.
-func (r Runner) runPolicyTail(ctx context.Context, st *sim.State, cfg sim.Config, pol string) (*sim.Result, error) {
-	simWorkers := cfg.SimWorkers
-	if simWorkers == 0 {
-		simWorkers = r.SimWorkers
-	}
-	s, err := sim.RestoreWith(st, sim.RestoreOptions{
-		Script:          cfg.Script,
-		DurationSeconds: cfg.DurationSeconds,
-		SimWorkers:      simWorkers,
-		Policy:          pol,
-	})
-	if err != nil {
-		return nil, err
-	}
-	every := r.cancelEvery()
-	for n := 0; !s.Done(); n++ {
-		if n%every == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return s.Finish(), nil
 }

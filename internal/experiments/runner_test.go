@@ -76,7 +76,7 @@ func TestRunnerDeterminism(t *testing.T) {
 
 // TestRunnerOrderPreserved submits jobs whose wall-clock ordering is the
 // reverse of their submission ordering (the first job is by far the
-// slowest) and checks the aggregator still emits them in submission order.
+// slowest) and checks the outputs still come back in submission order.
 func TestRunnerOrderPreserved(t *testing.T) {
 	t.Parallel()
 	var jobs []Job
@@ -87,16 +87,17 @@ func TestRunnerOrderPreserved(t *testing.T) {
 		cfg.DurationSeconds = 60 - 9*float64(i) // 60s .. 15s
 		jobs = append(jobs, Job{Name: fmt.Sprintf("job-%d", i), Config: cfg})
 	}
+	outs, err := (Runner{Workers: 4}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
-	for o := range (Runner{Workers: 4}).Stream(context.Background(), jobs) {
-		if o.Err != nil {
-			t.Fatalf("%s: %v", o.Name, o.Err)
-		}
+	for _, o := range outs {
 		got = append(got, o.Name)
 	}
 	for i, name := range got {
 		if want := fmt.Sprintf("job-%d", i); name != want {
-			t.Fatalf("stream order %v, want submission order", got)
+			t.Fatalf("output order %v, want submission order", got)
 		}
 	}
 	if len(got) != len(jobs) {
@@ -141,7 +142,7 @@ func TestRunnerCancelMidRun(t *testing.T) {
 
 // TestRunnerPoolRace floods an 8-worker pool with more jobs than workers;
 // run under -race (CI does) it verifies the pool, the per-run state and
-// the order-preserving aggregator share nothing hot.
+// the output slots share nothing hot.
 func TestRunnerPoolRace(t *testing.T) {
 	t.Parallel()
 	var jobs []Job

@@ -23,15 +23,17 @@ type Scenario struct {
 	Title string
 	// Config builds the scenario's simulation for a seed.
 	Config func(seed int64) sim.Config
-	// Family groups scenarios that share a deterministic warmup prefix:
-	// identical configs (apart from script tail and duration) whose script
-	// events before WarmupSeconds match exactly. RunScenariosBranched runs
-	// one warmup per family and seed, snapshots it, and fans the tails out
-	// from the snapshot. Empty means the scenario always cold-starts.
-	Family string
-	// WarmupSeconds is the family's branch point; every family member must
-	// declare the same value.
+	// Family groups scenarios that share a deterministic warmup prefix and
+	// WarmupSeconds is the family's branch point (see Job.Family: a sweep
+	// holding several members simulates the prefix once). Empty means the
+	// scenario shares nothing.
+	Family        string
 	WarmupSeconds float64
+}
+
+// job is the scenario's entry in a sweep's job list.
+func (sc Scenario) job(seed int64) Job {
+	return Job{Name: sc.Name, Config: sc.Config(seed), Family: sc.Family, WarmupSeconds: sc.WarmupSeconds}
 }
 
 // scenarioTable lists every named workload, paper figures first.
@@ -352,44 +354,24 @@ func SurgeCrashConfig(seed int64) sim.Config {
 }
 
 // RunScenarios executes the named scenarios (all of them when names is
-// empty) concurrently on the sweep engine and reports each one's headline
-// numbers. Numbers are keyed "<scenario>/<metric>".
+// empty, otherwise in request order) on the sweep engine and reports each
+// one's headline numbers. Numbers are keyed "<scenario>/<metric>".
 func RunScenarios(ctx context.Context, r Runner, seed int64, names ...string) (*Report, error) {
-	scs, err := scenariosByName(names)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]Job, 0, len(scs))
-	for _, sc := range scs {
-		jobs = append(jobs, Job{Name: sc.Name, Config: sc.Config(seed)})
-	}
-	outs, err := r.Run(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	return scenarioReport(outs), nil
-}
-
-// scenariosByName resolves names (all scenarios when empty) in table order
-// of the request.
-func scenariosByName(names []string) ([]Scenario, error) {
 	if len(names) == 0 {
 		names = ScenarioNames()
 	}
-	scs := make([]Scenario, 0, len(names))
+	jobs := make([]Job, 0, len(names))
 	for _, name := range names {
 		sc, ok := ScenarioByName(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown scenario %q (known: %v)", name, ScenarioNames())
 		}
-		scs = append(scs, sc)
+		jobs = append(jobs, sc.job(seed))
 	}
-	return scs, nil
-}
-
-// scenarioReport renders the shared sweep report for RunScenarios and
-// RunScenariosBranched.
-func scenarioReport(outs []RunOutput) *Report {
+	outs, err := r.Run(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{ID: "SWEEP", Title: "scenario sweep", Numbers: map[string]float64{}}
 	rep.addf("%-16s %5s %6s %7s %9s %10s %8s %9s %8s %8s %7s %9s %12s", "scenario", "peak", "final", "splits", "reclaims", "redirects", "dropped", "lost", "severed", "delayed", "ghosts", "restarts", "p95 lat(ms)")
 	for _, o := range outs {
@@ -416,5 +398,5 @@ func scenarioReport(outs []RunOutput) *Report {
 		rep.Numbers[o.Name+"/shed"] = float64(res.AdmissionShed)
 		rep.Numbers[o.Name+"/p95_ms"] = res.Latency.Quantile(0.95)
 	}
-	return rep
+	return rep, nil
 }

@@ -166,6 +166,11 @@ type ServerHost struct {
 	adoptBuf   protocol.Reassembler
 	adoptDrops atomic.Uint64
 	ticks      atomic.Uint64 // game ticks processed (atomic: /metrics reads it)
+	// ingressDrops and backlogDrops count the messages the two bounded
+	// queues of the live path refused (the ingress funnel, a peer's dial
+	// backlog); dropsLogged is the sum the tick loop has already reported.
+	ingressDrops, backlogDrops atomic.Uint64
+	dropsLogged                uint64
 	// cpTick is the tick count when the last checkpoint shipped; atomic so
 	// harnesses can watch checkpoint progress from outside the tick loop.
 	cpTick atomic.Uint64
@@ -389,6 +394,8 @@ func (h *ServerHost) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_conns gauge\nmatrix_server_peer_conns %d\n", peers)
 	fmt.Fprintf(w, "# TYPE matrix_server_ticks counter\nmatrix_server_ticks %d\n", h.ticks.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_adopt_overflows_total counter\nmatrix_server_adopt_overflows_total %d\n", h.adoptDrops.Load())
+	fmt.Fprintf(w, "# TYPE matrix_server_ingress_overflows_total counter\nmatrix_server_ingress_overflows_total %d\n", h.ingressDrops.Load())
+	fmt.Fprintf(w, "# TYPE matrix_server_peer_backlog_drops_total counter\nmatrix_server_peer_backlog_drops_total %d\n", h.backlogDrops.Load())
 	if h.mw != nil {
 		h.mw.Stats().WritePrometheus(w)
 	}
@@ -399,6 +406,19 @@ func (h *ServerHost) writeMetrics(w io.Writer) {
 		}
 	}
 	metrics.WriteRuntime(w)
+}
+
+// logDrops reports what the bounded queues refused since the last report:
+// one line per tick at most, however many frames overflowed — the drops
+// happen exactly when the tick is behind, which is no time for a log line
+// per frame. Tick goroutine only.
+func (h *ServerHost) logDrops() {
+	in, bl := h.ingressDrops.Load(), h.backlogDrops.Load()
+	if in+bl == h.dropsLogged {
+		return
+	}
+	h.dropsLogged = in + bl
+	h.cfg.Logger.Printf("server %v: bounded queues dropping: %d ingress message(s) (funnel full), %d peer message(s) (dial backlog full) in total", h.core.ID(), in, bl)
 }
 
 // mcLoop pumps coordinator messages into the ingress funnel; the tick
@@ -425,8 +445,8 @@ type ingressMsg struct {
 }
 
 // maxIngress bounds the funnel between ticks; beyond it frames are dropped
-// with a log line rather than growing without bound while the tick
-// goroutine is busy.
+// and counted (ingressDrops) rather than growing without bound while the
+// tick goroutine is busy.
 const maxIngress = 1 << 16
 
 // enqueueIngress parks one coordinator- or peer-originated message for the
@@ -437,7 +457,7 @@ func (h *ServerHost) enqueueIngress(from id.ServerID, m protocol.Message) {
 	h.ingressMu.Lock()
 	if len(h.ingress) >= maxIngress {
 		h.ingressMu.Unlock()
-		h.cfg.Logger.Printf("server %v: ingress overflow, dropping %v", h.core.ID(), m.MsgType())
+		h.ingressDrops.Add(1)
 		return
 	}
 	h.ingress = append(h.ingress, ingressMsg{from: from, msg: m})
@@ -700,6 +720,7 @@ func (h *ServerHost) tickLoop() {
 			h.flush(h.out)
 			h.tickEnvs.Done(envs)
 			h.evictDropped()
+			h.logDrops()
 			if h.tr != nil {
 				h.traceTick(t0, t1, t2, h.tr.Now())
 			}
@@ -868,7 +889,8 @@ func (h *ServerHost) flush(eg *egress) {
 	}
 }
 
-// maxDialBacklog bounds the frames queued behind an in-flight peer dial.
+// maxDialBacklog bounds the frames queued behind an in-flight peer dial;
+// a batch that does not fit is dropped whole and counted (backlogDrops).
 const maxDialBacklog = 4096
 
 // sendPeerMsgs sends msgs as one batch to a peer Matrix server. The first
@@ -888,7 +910,7 @@ func (h *ServerHost) sendPeerMsgs(addr string, msgs ...protocol.Message) {
 		pending, inFlight := h.dialing[addr]
 		if len(pending)+len(msgs) > maxDialBacklog {
 			h.mu.Unlock()
-			h.cfg.Logger.Printf("server %v: dial backlog to peer %s full, dropping %d message(s)", h.core.ID(), addr, len(msgs))
+			h.backlogDrops.Add(uint64(len(msgs)))
 			return
 		}
 		// Copied, not aliased: the caller reuses its batch slices.

@@ -903,16 +903,6 @@ func Size(m Message) (int, error) {
 	return frameHeaderSize + n, nil
 }
 
-// Write encodes m and writes the frame to w.
-func Write(w io.Writer, m Message) error {
-	frame, err := Marshal(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
 // ReadFrame reads exactly one length-prefixed frame from r, reusing buf's
 // storage when it is large enough. The returned slice is only valid until
 // the next ReadFrame with the same buf; decoded messages never alias it
@@ -937,13 +927,4 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("protocol: body: %w", err)
 	}
 	return frame, nil
-}
-
-// Read reads exactly one frame from r and decodes it.
-func Read(r io.Reader) (Message, error) {
-	frame, err := ReadFrame(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(frame)
 }

@@ -172,29 +172,45 @@ func normalize(m Message) Message {
 	}
 }
 
-func TestWriteRead(t *testing.T) {
-	var buf bytes.Buffer
+// TestFrameStreamRoundTrip writes several Marshal'd frames back to back
+// and reads them the way the transports do (ReadFrame into a recycled
+// buffer, then Unmarshal); the stream's end must surface as an error.
+func TestFrameStreamRoundTrip(t *testing.T) {
+	var stream bytes.Buffer
 	want := []Message{
 		&LoadReport{Server: 1, Clients: 10, QueueLen: 2},
 		&Ack{Of: TypeLoadReport},
 		&GameUpdate{Client: 5, Kind: KindChat, Payload: []byte("hello world")},
 	}
 	for _, m := range want {
-		if err := Write(&buf, m); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	for i, w := range want {
-		got, err := Read(&buf)
+		frame, err := Marshal(m)
 		if err != nil {
-			t.Fatalf("Read %d: %v", i, err)
+			t.Fatalf("Marshal: %v", err)
 		}
-		if got.MsgType() != w.MsgType() {
-			t.Fatalf("Read %d: type %v, want %v", i, got.MsgType(), w.MsgType())
-		}
+		stream.Write(frame)
 	}
-	if _, err := Read(&buf); err == nil {
-		t.Fatal("Read past end must fail")
+	var buf []byte
+	for i, w := range want {
+		frame, err := ReadFrame(&stream, buf)
+		if err != nil {
+			t.Fatalf("ReadFrame %d: %v", i, err)
+		}
+		got, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatalf("Unmarshal %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("frame %d: got %+v, want %+v", i, got, w)
+		}
+		buf = frame
+	}
+	if _, err := ReadFrame(&stream, buf); err == nil {
+		t.Fatal("ReadFrame past end must fail")
+	}
+	// A stream cut inside a body is an error too, not a short frame.
+	stream.Write([]byte{0, 0, 0, 3, uint8(TypeAck), 1})
+	if _, err := ReadFrame(&stream, buf); err == nil {
+		t.Fatal("ReadFrame of a truncated body must fail")
 	}
 }
 
@@ -250,11 +266,11 @@ func TestFrameSizeLimit(t *testing.T) {
 	if _, err := Marshal(big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized marshal: %v", err)
 	}
-	// A frame header claiming a huge body must be rejected by Read before
-	// allocating.
+	// A frame header claiming a huge body must be rejected by ReadFrame
+	// before allocating.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, uint8(TypeAck)})
-	if _, err := Read(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(&buf, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("huge header: %v", err)
 	}
 }

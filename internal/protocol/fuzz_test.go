@@ -45,9 +45,11 @@ func FuzzUnmarshal(f *testing.F) {
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer
 	for _, m := range sampleMessages() {
-		if err := Write(&stream, m); err != nil {
+		frame, err := Marshal(m)
+		if err != nil {
 			f.Fatal(err)
 		}
+		stream.Write(frame)
 	}
 	f.Add(stream.Bytes())
 	f.Add([]byte{})

@@ -13,6 +13,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -947,20 +948,43 @@ func (m *mulberryRand) next() float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// Run executes the simulation to completion and returns the results. It is
-// a thin loop over the step primitives; callers that need finer control
-// (worker pools checking a context, cluster co-simulation on a shared
-// clock) drive Start/Step/Done/Finish directly.
+// Run executes the simulation to completion and returns the results:
+// Start, StepUntil the end, Finish. Callers that need finer control
+// (sweeps polling a context, snapshots mid-run, cluster co-simulation on
+// a shared clock) drive those primitives directly.
 func (s *Sim) Run() (*Result, error) {
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
-	for !s.Done() {
-		if err := s.Step(); err != nil {
-			return nil, err
-		}
+	if err := s.StepUntil(context.Background(), math.Inf(1)); err != nil {
+		return nil, err
 	}
 	return s.Finish(), nil
+}
+
+// pollTicks is how many ticks StepUntil advances between context polls
+// (5 simulated seconds at the default 0.1s tick).
+const pollTicks = 50
+
+// StepUntil is the stepping loop every driver shares: it Steps while the
+// simulation is not Done and the next tick would run strictly before
+// `until` virtual seconds (math.Inf(1) runs to the end), so on a nil return
+// either Done() or NextTime() >= until holds — every script event with
+// At >= until is still ahead, which is what a snapshot at a branch point
+// needs. The context is polled every pollTicks steps, so cancellation
+// lands mid-run; its error is returned as is.
+func (s *Sim) StepUntil(ctx context.Context, until float64) error {
+	for n := 0; !s.Done() && s.NextTime() < until; n++ {
+		if n%pollTicks == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if err := s.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Start prepares the run: it spawns the base population and derives the
@@ -1045,9 +1069,8 @@ func (s *Sim) Now() float64 { return s.now }
 // Tick returns the index of the next tick Step will execute.
 func (s *Sim) Tick() int { return s.tick }
 
-// NextTime returns the virtual time of the next tick Step will execute.
-// Branching sweeps step a warmup while NextTime() < T and then snapshot, so
-// every event with At >= T belongs to the branches. Valid after Start.
+// NextTime returns the virtual time of the next tick Step will execute
+// (what StepUntil compares against its bound). Valid after Start.
 func (s *Sim) NextTime() float64 { return float64(s.tick) * s.dt }
 
 // Step advances the simulation by one tick: script events, client traffic,

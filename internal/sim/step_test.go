@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"math"
 	"testing"
 
 	"matrix/internal/game"
@@ -59,6 +62,73 @@ func TestStepPrimitivesMatchRun(t *testing.T) {
 	// counting) — they return the same Result.
 	if s.Finish() != stepped {
 		t.Error("second Finish returned a different Result")
+	}
+}
+
+// TestStepUntil pins the one stepping loop against the hand-written loop
+// the sweep engine's warmups used to carry (Step while !Done and NextTime
+// < t): on the continuation matrix's scenarios it stops on the same tick —
+// the first one at or after t, so every event with At >= t is still ahead
+// — and capture → restore → StepUntil(+Inf) → Finish there equals the
+// uninterrupted run. A cancelled context stops it before any Step.
+func TestStepUntil(t *testing.T) {
+	ctx := context.Background()
+	for name, cfg := range engineScenarios() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			want, err := mustNew(t, cfg).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 12.34 falls between two ticks, 15 exactly on one.
+			for _, until := range []float64{12.34, 15} {
+				ref := mustNew(t, cfg)
+				if err := ref.Start(); err != nil {
+					t.Fatal(err)
+				}
+				for !ref.Done() && ref.NextTime() < until {
+					if err := ref.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				s := mustNew(t, cfg)
+				if err := s.Start(); err != nil {
+					t.Fatal(err)
+				}
+				cancelled, cancel := context.WithCancel(ctx)
+				cancel()
+				if err := s.StepUntil(cancelled, until); !errors.Is(err, context.Canceled) || s.Tick() != 0 {
+					t.Fatalf("cancelled StepUntil: err = %v at tick %d, want context.Canceled at tick 0", err, s.Tick())
+				}
+				if err := s.StepUntil(ctx, until); err != nil {
+					t.Fatal(err)
+				}
+				if s.Tick() != ref.Tick() {
+					t.Fatalf("StepUntil(%g) stopped at tick %d, the hand loop at %d", until, s.Tick(), ref.Tick())
+				}
+				if s.NextTime() < until || s.Now() >= until {
+					t.Errorf("StepUntil(%g) stopped with Now=%g NextTime=%g, want Now < until <= NextTime", until, s.Now(), s.NextTime())
+				}
+				st, err := s.CaptureState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored, err := Restore(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.StepUntil(ctx, math.Inf(1)); err != nil {
+					t.Fatal(err)
+				}
+				if !restored.Done() {
+					t.Error("StepUntil(+Inf) returned before Done")
+				}
+				if restored.Finish().Fingerprint() != want.Fingerprint() {
+					t.Errorf("capture at StepUntil(%g) → restore → finish diverges from the uninterrupted run", until)
+				}
+			}
+		})
 	}
 }
 
