@@ -160,6 +160,11 @@ func (s *Server) Drain(exit bool, timeout time.Duration) error { return s.h.Drai
 // Drained is closed once a requested drain has fully evacuated the server.
 func (s *Server) Drained() <-chan struct{} { return s.h.Drained() }
 
+// DrainExitRequested reports, once Drained has fired, whether the drain
+// retired this server from the fleet (the process should exit) rather than
+// returning it to the spare pool (it keeps serving as a spare).
+func (s *Server) DrainExitRequested() bool { return s.h.DrainExitRequested() }
+
 // Snapshot dumps the node's complete state (Matrix server + game server) as
 // a versioned blob. Any peer can also fetch it over the wire by sending a
 // SnapshotRequest frame; matrix-server's -dump flag does exactly that.

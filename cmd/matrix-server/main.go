@@ -213,8 +213,19 @@ func run(args []string) error {
 		defer t.Stop()
 		snapC = t.C
 	}
+	drained := srv.Drained()
 	for {
 		select {
+		case <-drained:
+			// A drain this process did not ask for (matrix-coordinator
+			// -drain). Retired from the fleet, nothing will ever reach this
+			// server again: exit. Returned to the spare pool, it stands by.
+			if srv.DrainExitRequested() {
+				logger.Info("drained for exit by the coordinator, shutting down")
+				return nil
+			}
+			logger.Info("drained to the spare pool, standing by")
+			drained = nil
 		case <-stop:
 			if !*drain {
 				return nil
@@ -277,9 +288,13 @@ func dump(logger *slog.Logger, addr, out string) error {
 	if err := conn.Send(&protocol.SnapshotRequest{}); err != nil {
 		return err
 	}
-	// The server streams the blob in chunks, the last one marked Final.
-	var blob []byte
-	for {
+	// The server streams the blob in chunks, the last one marked Final; the
+	// reassembler refuses a stream that outgrows protocol.MaxBlobSize.
+	var (
+		re   protocol.Reassembler
+		blob []byte
+	)
+	for done := false; !done; {
 		reply, err := conn.Recv()
 		if err != nil {
 			return fmt.Errorf("receive snapshot: %w", err)
@@ -288,9 +303,8 @@ func dump(logger *slog.Logger, addr, out string) error {
 		if !ok {
 			return fmt.Errorf("unexpected reply %v", reply.MsgType())
 		}
-		blob = append(blob, data.Blob...)
-		if data.Final {
-			break
+		if blob, done, err = re.Add(data.Blob, data.Final); err != nil {
+			return fmt.Errorf("receive snapshot: %w", err)
 		}
 	}
 	if out == "" {

@@ -1,8 +1,16 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"matrix/internal/protocol"
+	"matrix/internal/transport"
 )
 
 // TestMiddlewareFlagValidation pins the parse-time guards: malformed
@@ -80,5 +88,42 @@ func TestMiddlewareFlagValidationBeforeDial(t *testing.T) {
 	err := run(args)
 	if err == nil || !strings.Contains(err.Error(), `unknown stage "nonsense"`) {
 		t.Errorf("run(%v) = %v, want the spec error (not a dial error)", args, err)
+	}
+}
+
+// TestDumpBoundsNeverFinalStream points -dump at a listener that streams
+// 17 × 1 MiB SnapshotData chunks and never sets Final: the dump must fail
+// with ErrBlobTooLarge when the stream outgrows protocol.MaxBlobSize instead
+// of buffering whatever a broken (or hostile) server keeps sending.
+func TestDumpBoundsNeverFinalStream(t *testing.T) {
+	ln, err := transport.TCPNetwork{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := conn.Recv(); err != nil { // the SnapshotRequest
+			return
+		}
+		chunk := make([]byte, protocol.ChunkSize)
+		for i := 0; i < 17; i++ {
+			if conn.Send(&protocol.SnapshotData{Blob: chunk}) != nil {
+				return
+			}
+		}
+		_, _ = conn.Recv() // hold the stream open until dump hangs up
+	}()
+	out := filepath.Join(t.TempDir(), "dump.snap")
+	err = dump(slog.New(slog.NewTextHandler(io.Discard, nil)), ln.Addr(), out)
+	if !errors.Is(err, protocol.ErrBlobTooLarge) {
+		t.Fatalf("dump of a never-final 17 MiB stream = %v, want ErrBlobTooLarge", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Error("dump wrote a file for a stream it refused")
 	}
 }

@@ -340,11 +340,6 @@ func (c *Cluster) wait(d time.Duration, cond func() bool, pulse bool) bool {
 	}
 }
 
-// WaitCheckpoint blocks until the coordinator holds a checkpoint for sid.
-func (c *Cluster) WaitCheckpoint(sid id.ServerID, d time.Duration) bool {
-	return c.WaitUntil(d, func() bool { return c.mc.MC().CheckpointSize(sid) > 0 })
-}
-
 // Close tears the whole fleet down, clients first.
 func (c *Cluster) Close() {
 	c.mu.Lock()

@@ -27,65 +27,19 @@ func TestE2EKillNineOverTCP(t *testing.T) {
 		t.Skip("skipping process-level e2e in -short mode")
 	}
 
-	bin := t.TempDir()
-	coordBin := filepath.Join(bin, "matrix-coordinator")
-	serverBin := filepath.Join(bin, "matrix-server")
-	build(t, coordBin, "matrix/cmd/matrix-coordinator")
-	build(t, serverBin, "matrix/cmd/matrix-server")
-
-	mcAddr := freeAddr(t)
-	metricsAddr := freeAddr(t)
-	s1Addr := freeAddr(t)
-	s2Addr := freeAddr(t)
-
-	startProc(t, coordBin,
-		"-addr", mcAddr, "-status", "0",
-		"-heartbeat-every", "50ms", "-lease-misses", "3",
-		"-metrics-addr", metricsAddr)
-	// The metrics endpoint comes up after the MC listener binds, so a
-	// successful scrape (key present, not a zero default) means servers
-	// can register.
-	waitFor(t, "coordinator up", func() bool {
-		_, ok := scrape(metricsAddr)["matrix_mc_server_conns"]
-		return ok
-	})
-
-	serverArgs := func(addr string) []string {
-		return []string{
-			"-coordinator", mcAddr, "-addr", addr, "-status", "0",
-			"-tick", "2ms", "-heartbeat-every", "25ms", "-checkpoint-every", "50ms",
-		}
-	}
-	// Start the victim first and alone so it deterministically registers
-	// first and owns the whole world; the second server is the warm spare.
-	victim := startProc(t, serverBin, serverArgs(s1Addr)...)
-	waitFor(t, "owner registered", func() bool {
-		return scrape(metricsAddr)["matrix_mc_active_servers"] == 1
-	})
-	startProc(t, serverBin, serverArgs(s2Addr)...)
-	waitFor(t, "spare registered", func() bool {
-		return scrape(metricsAddr)["matrix_mc_spare_servers"] == 1
-	})
-
-	cl, err := matrix.Dial(s1Addr, 1, matrix.Pt(500, 500),
-		matrix.WithNetwork(matrix.TCP()),
-		matrix.WithFallbackAddrs(s2Addr),
-		matrix.WithRedialEvery(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	f := startE2EFleet(t)
+	cl := f.dialClient(t)
 	owner := cl.Server()
 
 	// Let a post-join checkpoint ship, then kill -9 the owner.
 	time.Sleep(300 * time.Millisecond)
-	if err := victim.Process.Kill(); err != nil {
+	if err := f.owner.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	_ = victim.Wait()
+	_ = f.owner.Wait()
 
 	waitFor(t, "spare adopted the world", func() bool {
-		m := scrape(metricsAddr)
+		m := scrape(f.metricsAddr)
 		return m["matrix_mc_deaths_total"] == 1 &&
 			m["matrix_mc_adoptions_total"] == 1 &&
 			m["matrix_mc_active_servers"] == 1
@@ -100,6 +54,139 @@ func TestE2EKillNineOverTCP(t *testing.T) {
 		_ = cl.Move(matrix.Pt(501, 500))
 		return cl.Stats().Received > got
 	})
+}
+
+// TestE2EDrainExitEndsProcess drains the real binaries through the admin
+// path (matrix-coordinator -drain N): a drain back to the spare pool leaves
+// the process running as a spare, a drain-for-exit ends it with status 0,
+// and both times the world moves to the other server and the client follows.
+func TestE2EDrainExitEndsProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-level e2e in -short mode")
+	}
+	f := startE2EFleet(t)
+	cl := f.dialClient(t)
+	first := cl.Server()
+	adminDrain := func(target matrix.ServerID, extra ...string) {
+		t.Helper()
+		args := append([]string{"-addr", f.mcAddr, "-drain", strconv.Itoa(int(target))}, extra...)
+		if out, err := exec.Command(f.coordBin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("admin drain of %v: %v\n%s", target, err, out)
+		}
+	}
+	exited := func(cmd *exec.Cmd) <-chan error {
+		c := make(chan error, 1)
+		go func() { c <- cmd.Wait() }()
+		return c
+	}
+	ownerExit, spareExit := exited(f.owner), exited(f.spare)
+
+	// Back to the pool: the spare takes the world, the drained owner
+	// re-registers as the new spare and its process lives on.
+	adminDrain(first)
+	waitFor(t, "client followed the world to the spare", func() bool {
+		return cl.Server() != 0 && cl.Server() != first
+	})
+	second := cl.Server()
+	waitFor(t, "drained owner back in the spare pool", func() bool {
+		m := scrape(f.metricsAddr)
+		return m["matrix_mc_drains_total"] == 1 && m["matrix_mc_active_servers"] == 1 && m["matrix_mc_spare_servers"] == 1
+	})
+	select {
+	case err := <-ownerExit:
+		t.Fatalf("a drain to the spare pool ended the process: %v", err)
+	case <-time.After(500 * time.Millisecond):
+	}
+
+	// For exit: the world moves back, and this time the process ends.
+	adminDrain(second, "-drain-exit")
+	select {
+	case err := <-spareExit:
+		if err != nil {
+			t.Fatalf("drain-exit: process ended with %v, want exit status 0", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain-exit: the retired process is still running after 5s")
+	}
+	waitFor(t, "the remaining server owns the world", func() bool {
+		m := scrape(f.metricsAddr)
+		return m["matrix_mc_drains_total"] == 2 && m["matrix_mc_active_servers"] == 1 && m["matrix_mc_spare_servers"] == 0
+	})
+	waitFor(t, "client followed the world back", func() bool { return cl.Server() == first })
+	got := cl.Stats().Received
+	waitFor(t, "client traffic flows again", func() bool {
+		_ = cl.Move(matrix.Pt(501, 500))
+		return cl.Stats().Received > got
+	})
+}
+
+// e2eFleet is a coordinator and two matrix-server processes over TCP: owner
+// registered first and owns the whole world, spare is the warm spare.
+type e2eFleet struct {
+	coordBin, mcAddr, metricsAddr string
+	ownerAddr, spareAddr          string
+	owner, spare                  *exec.Cmd
+}
+
+// startE2EFleet builds the real binaries and boots the fleet; every process
+// dies with the test.
+func startE2EFleet(t *testing.T) *e2eFleet {
+	t.Helper()
+	bin := t.TempDir()
+	f := &e2eFleet{
+		coordBin:    filepath.Join(bin, "matrix-coordinator"),
+		mcAddr:      freeAddr(t),
+		metricsAddr: freeAddr(t),
+		ownerAddr:   freeAddr(t),
+		spareAddr:   freeAddr(t),
+	}
+	serverBin := filepath.Join(bin, "matrix-server")
+	build(t, f.coordBin, "matrix/cmd/matrix-coordinator")
+	build(t, serverBin, "matrix/cmd/matrix-server")
+
+	startProc(t, f.coordBin,
+		"-addr", f.mcAddr, "-status", "0",
+		"-heartbeat-every", "50ms", "-lease-misses", "3",
+		"-metrics-addr", f.metricsAddr)
+	// The metrics endpoint comes up after the MC listener binds, so a
+	// successful scrape (key present, not a zero default) means servers
+	// can register.
+	waitFor(t, "coordinator up", func() bool {
+		_, ok := scrape(f.metricsAddr)["matrix_mc_server_conns"]
+		return ok
+	})
+
+	serverArgs := func(addr string) []string {
+		return []string{
+			"-coordinator", f.mcAddr, "-addr", addr, "-status", "0",
+			"-tick", "2ms", "-heartbeat-every", "25ms", "-checkpoint-every", "50ms",
+		}
+	}
+	// Start the owner first and alone so it deterministically registers
+	// first and owns the whole world; the second server is the warm spare.
+	f.owner = startProc(t, serverBin, serverArgs(f.ownerAddr)...)
+	waitFor(t, "owner registered", func() bool {
+		return scrape(f.metricsAddr)["matrix_mc_active_servers"] == 1
+	})
+	f.spare = startProc(t, serverBin, serverArgs(f.spareAddr)...)
+	waitFor(t, "spare registered", func() bool {
+		return scrape(f.metricsAddr)["matrix_mc_spare_servers"] == 1
+	})
+	return f
+}
+
+// dialClient joins client 1 at the owner, with the spare as its fallback.
+func (f *e2eFleet) dialClient(t *testing.T) *matrix.Client {
+	t.Helper()
+	cl, err := matrix.Dial(f.ownerAddr, 1, matrix.Pt(500, 500),
+		matrix.WithNetwork(matrix.TCP()),
+		matrix.WithFallbackAddrs(f.spareAddr),
+		matrix.WithRedialEvery(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	return cl
 }
 
 // build compiles a cmd package into dst with the module's own toolchain.

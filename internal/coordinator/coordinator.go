@@ -163,14 +163,6 @@ func (c *Coordinator) recordLocked(d Decision) {
 	c.decisions = append(c.decisions, d)
 }
 
-// RecentDecisions returns the newest decisions, oldest first (bounded by
-// maxRecentDecisions).
-func (c *Coordinator) RecentDecisions() []Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Decision(nil), c.decisions...)
-}
-
 // New creates a Coordinator for the given world.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.World.Empty() {

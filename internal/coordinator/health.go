@@ -22,11 +22,6 @@ import (
 	"matrix/internal/protocol"
 )
 
-// adoptChunkSize bounds the blob slice carried by one Adopt frame, mirroring
-// the host's snapshot chunking so a large checkpoint never approaches
-// protocol.MaxFrameSize.
-const adoptChunkSize = 1 << 20
-
 // defaultLeaseMisses is how many beats a server may miss before its lease
 // expires when Config.LeaseMisses is zero.
 const defaultLeaseMisses = 3
@@ -238,24 +233,11 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 	// the victim's rectangle. The handoff list lets it immediately migrate
 	// avatars the stale checkpoint places outside the adopted bounds.
 	var out []Envelope
-	if len(blob) == 0 {
-		// Cold adoption: no checkpoint was ever shipped. The spare starts
-		// the region empty and clients rebuild their avatars on reconnect.
-		out = append(out, Envelope{To: spareID, Msg: &protocol.Adopt{Victim: victim, Bounds: bounds, Final: true, Corr: corr}})
-	} else {
-		for off := 0; off < len(blob); off += adoptChunkSize {
-			end := off + adoptChunkSize
-			if end > len(blob) {
-				end = len(blob)
-			}
-			out = append(out, Envelope{To: spareID, Msg: &protocol.Adopt{
-				Victim: victim,
-				Bounds: bounds,
-				Blob:   blob[off:end],
-				Final:  end == len(blob),
-				Corr:   corr,
-			}})
-		}
+	// A cold adoption (no checkpoint was ever shipped) is the empty blob's
+	// single empty Final chunk: the spare starts the region empty and
+	// clients rebuild their avatars on reconnect.
+	for chunk, final := range protocol.Chunks(blob) {
+		out = append(out, Envelope{To: spareID, Msg: &protocol.Adopt{Victim: victim, Bounds: bounds, Blob: chunk, Final: final, Corr: corr}})
 	}
 	if tables, err := c.tableEnvelopesLocked(); err == nil {
 		out = append(out, tables...)

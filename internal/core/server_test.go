@@ -8,8 +8,8 @@ import (
 	"matrix/internal/clock"
 	"matrix/internal/geom"
 	"matrix/internal/id"
-	"matrix/internal/load"
 	"matrix/internal/overlap"
+	"matrix/internal/policy"
 	"matrix/internal/protocol"
 	"matrix/internal/space"
 )
@@ -344,7 +344,7 @@ func TestSplitReplyGrantedUpdatesState(t *testing.T) {
 }
 
 func TestSplitReplyDeniedAllowsRetry(t *testing.T) {
-	cfg := load.DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	s := newActiveServer(t, 1, twoParts(), clk)
 	if _, err := s.HandleLocalLoad(400, 0); err != nil {
@@ -370,7 +370,7 @@ func TestSplitReplyDeniedAllowsRetry(t *testing.T) {
 }
 
 func TestReclaimFlow(t *testing.T) {
-	cfg := load.DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	s := newActiveServer(t, 1, twoParts(), clk)
 	// Adopt child 2 via a granted split reply.

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"sync"
 	"time"
@@ -64,7 +65,7 @@ func DialClient(cfg ClientConfig) (*ClientHost, error) {
 		cfg.RedialEvery = 200 * time.Millisecond
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = log.New(logDiscard{}, "", 0)
+		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	cl, err := gameclient.New(cfg.Client)
 	if err != nil {

@@ -66,7 +66,7 @@ func ServeCoordinator(nw transport.Network, addr string, cfg coordinator.Config,
 		return nil, err
 	}
 	if logger == nil {
-		logger = log.New(logDiscard{}, "", 0)
+		logger = log.New(io.Discard, "", 0)
 	}
 	h := &CoordinatorHost{
 		mc:     mc,
@@ -101,12 +101,6 @@ func (h *CoordinatorHost) leaseLoop(every time.Duration) {
 	}
 }
 
-// logDiscard is an io.Writer that drops everything (avoids importing
-// io/ioutil just for tests).
-type logDiscard struct{}
-
-func (logDiscard) Write(p []byte) (int, error) { return len(p), nil }
-
 // Addr returns the address servers should dial.
 func (h *CoordinatorHost) Addr() string { return h.ln.Addr() }
 
@@ -128,7 +122,7 @@ func (h *CoordinatorHost) SetTracer(tr *trace.Tracer) {
 // the bound address and a closer that stops the endpoint. Values are
 // sampled at scrape time.
 func (h *CoordinatorHost) ServeMetrics(addr string) (string, io.Closer, error) {
-	return metrics.ServeMux(addr, h.writeMetrics, h.Ready, map[string]http.HandlerFunc{
+	return metrics.Serve(addr, h.writeMetrics, h.Ready, map[string]http.HandlerFunc{
 		"/fleetz": h.serveFleetz,
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"matrix/internal/coordinator"
 	"matrix/internal/gameclient"
 	"matrix/internal/geom"
+	"matrix/internal/metrics"
 	"matrix/internal/protocol"
 	"matrix/internal/trace"
 	"matrix/internal/transport"
@@ -234,6 +235,22 @@ func TestCoordinatorHostMetricsAndHealth(t *testing.T) {
 		code, _ := httpGet(t, "http://"+addr+"/readyz")
 		return code == http.StatusServiceUnavailable
 	})
+}
+
+// TestTickHistogramsBoundedWithoutScraper feeds 70 000 traced ticks to a host
+// nobody scrapes: every phase histogram must restart at maxPhaseSamples
+// instead of keeping one raw sample per tick for the life of the process.
+func TestTickHistogramsBoundedWithoutScraper(t *testing.T) {
+	h := &ServerHost{tr: trace.New(64), treg: metrics.NewRegistry()}
+	for i := int64(0); i < 70_000; i++ {
+		h.traceTick(i, i+1, i+2, i+4)
+	}
+	for _, name := range hostPhaseHistograms {
+		if n := h.treg.Histogram(name).Count(); n != 70_000-maxPhaseSamples {
+			t.Errorf("%s holds %d samples after 70 000 unscraped ticks, want %d (one restart at %d)",
+				name, n, 70_000-maxPhaseSamples, maxPhaseSamples)
+		}
+	}
 }
 
 // TestUntracedHostHasNoTickHistograms pins the off-by-default contract:

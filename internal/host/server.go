@@ -100,7 +100,7 @@ func (c ServerConfig) sanitized() ServerConfig {
 		c.CheckpointEvery = 10 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = log.New(logDiscard{}, "", 0)
+		c.Logger = log.New(io.Discard, "", 0)
 	}
 	return c
 }
@@ -302,26 +302,15 @@ func (h *ServerHost) Snapshot() ([]byte, error) {
 	return snapshot.MarshalNode(h.core, h.gs)
 }
 
-// snapshotChunkSize keeps each SnapshotData frame comfortably under the
-// codec's MaxFrameSize, so a heavily loaded node still dumps cleanly.
-const snapshotChunkSize = 1 << 20
-
-// sendSnapshotChunks streams a snapshot blob as SnapshotData frames, the
-// last one marked Final.
-func sendSnapshotChunks(conn transport.Conn, blob []byte) error {
-	for start := 0; ; start += snapshotChunkSize {
-		end := start + snapshotChunkSize
-		if end > len(blob) {
-			end = len(blob)
-		}
-		final := end == len(blob)
-		if err := conn.Send(&protocol.SnapshotData{Blob: blob[start:end], Final: final}); err != nil {
+// sendSnapshot streams a snapshot blob as SnapshotData frames, the last one
+// marked Final.
+func sendSnapshot(conn transport.Conn, blob []byte) error {
+	for chunk, final := range protocol.Chunks(blob) {
+		if err := conn.Send(&protocol.SnapshotData{Blob: chunk, Final: final}); err != nil {
 			return err
 		}
-		if final {
-			return nil
-		}
 	}
+	return nil
 }
 
 // RestoreSnapshot re-adopts the game-world state (client avatars and map
@@ -378,12 +367,12 @@ func (h *ServerHost) clockSeconds() float64 { return time.Since(h.started).Secon
 // endpoint. Gauges are sampled at scrape time; the middleware chain's
 // counters are included when a chain is configured.
 func (h *ServerHost) ServeMetrics(addr string) (string, io.Closer, error) {
-	return metrics.ServeWith(addr, h.writeMetrics, h.Ready)
+	return metrics.Serve(addr, h.writeMetrics, h.Ready, nil)
 }
 
 // writeMetrics renders one scrape. The tick-phase histograms (populated
-// only while tracing) are reset after rendering so their raw-sample store
-// is bounded by the scrape interval, not the process lifetime.
+// only while tracing) are reset after rendering, so a scrape reports the
+// ticks since the last one (traceTick bounds them when nobody scrapes).
 func (h *ServerHost) writeMetrics(w io.Writer) {
 	rep := h.gs.LoadReport()
 	fmt.Fprintf(w, "# TYPE matrix_server_clients gauge\nmatrix_server_clients %d\n", rep.Clients)
@@ -541,7 +530,7 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		blob, err := snapshot.MarshalNode(h.core, h.gs)
 		if err != nil {
 			h.cfg.Logger.Printf("server %v: snapshot: %v", h.core.ID(), err)
-		} else if err := sendSnapshotChunks(conn, blob); err != nil {
+		} else if err := sendSnapshot(conn, blob); err != nil {
 			h.cfg.Logger.Printf("server %v: snapshot send: %v", h.core.ID(), err)
 		}
 		_ = conn.Close()
@@ -1064,7 +1053,7 @@ func (h *ServerHost) shipCheckpoint() {
 		h.cfg.Logger.Printf("server %v: checkpoint marshal: %v", h.core.ID(), err)
 		return
 	}
-	if err := sendSnapshotChunks(h.mcConn, blob); err != nil {
+	if err := sendSnapshot(h.mcConn, blob); err != nil {
 		h.cfg.Logger.Printf("server %v: checkpoint ship: %v", h.core.ID(), err)
 		return
 	}
@@ -1171,8 +1160,8 @@ func (h *ServerHost) Drain(exit bool, timeout time.Duration) error {
 func (h *ServerHost) Drained() <-chan struct{} { return h.drained }
 
 // DrainExitRequested reports whether the drain grant asked this process to
-// exit rather than re-join the spare pool (the cmd binary checks it after
-// Drained fires).
+// exit rather than re-join the spare pool (matrix-server checks it when
+// Drained fires, and exits).
 func (h *ServerHost) DrainExitRequested() bool { return h.drainExit.Load() }
 
 // dropClient forgets a client connection. When this was the client's live

@@ -7,7 +7,8 @@
 // created — so slices from the tick loop and async packet spans from the
 // connection pumps land on one shared timeline. The tick-phase histograms
 // live in a host-local registry that writeMetrics resets after every
-// scrape, keeping the raw-sample store bounded by the scrape interval.
+// scrape; with no scraper they restart at maxPhaseSamples, so the
+// raw-sample store is bounded either way.
 package host
 
 import (
@@ -27,9 +28,16 @@ const (
 	hostTraceTidNet  = 2
 )
 
-// hostPhaseHistograms names the tick-phase histograms writeMetrics renders
-// and resets each scrape (milliseconds per tick spent in each phase).
-var hostPhaseHistograms = []string{
+// maxPhaseSamples caps each tick-phase histogram's raw-sample store: one
+// that reaches it starts over. At the default 10 ms tick that is eleven
+// minutes between scrapes — far beyond any scrape interval, so only a traced
+// host that nobody scrapes ever gets there (4 × 512 KiB at most, for ever).
+const maxPhaseSamples = 1 << 16
+
+// hostPhaseHistograms names the tick-phase histograms traceTick feeds, in
+// its order, and writeMetrics renders and resets each scrape (milliseconds
+// per tick spent in each phase).
+var hostPhaseHistograms = [...]string{
 	"tick/drain-ms",
 	"tick/process-ms",
 	"tick/route-ms",
@@ -45,10 +53,13 @@ func (h *ServerHost) traceTick(t0, t1, t2, t3 int64) {
 	h.tr.Slice(hostTracePid, hostTraceTidTick, "process", t1, t2-t1)
 	h.tr.Slice(hostTracePid, hostTraceTidTick, "route-flush", t2, t3-t2)
 	h.tr.Slice(hostTracePid, hostTraceTidTick, "tick", t0, t3-t0)
-	h.treg.Histogram("tick/drain-ms").Observe(float64(t1-t0) / 1000)
-	h.treg.Histogram("tick/process-ms").Observe(float64(t2-t1) / 1000)
-	h.treg.Histogram("tick/route-ms").Observe(float64(t3-t2) / 1000)
-	h.treg.Histogram("tick/total-ms").Observe(float64(t3-t0) / 1000)
+	for i, us := range [...]int64{t1 - t0, t2 - t1, t3 - t2, t3 - t0} {
+		hist := h.treg.Histogram(hostPhaseHistograms[i])
+		if hist.Count() >= maxPhaseSamples {
+			hist.Reset()
+		}
+		hist.Observe(float64(us) / 1000)
+	}
 }
 
 // tracePacketIn opens a packet span when a client game update clears the

@@ -61,9 +61,6 @@ func (g *Generator) NextServer() ServerID { return ServerID(g.server.Add(1)) }
 // NextClient returns a fresh ClientID.
 func (g *Generator) NextClient() ClientID { return ClientID(g.client.Add(1)) }
 
-// NextObject returns a fresh ObjectID.
-func (g *Generator) NextObject() ObjectID { return ObjectID(g.object.Add(1)) }
-
 // GeneratorState is a Generator's serializable snapshot: the last ID handed
 // out in each namespace.
 type GeneratorState struct {

@@ -38,9 +38,6 @@ func TestGeneratorSequential(t *testing.T) {
 	if g.NextClient() != 1 || g.NextClient() != 2 {
 		t.Error("client IDs must start at 1 and increment")
 	}
-	if g.NextObject() != 1 {
-		t.Error("object IDs must start at 1")
-	}
 }
 
 func TestGeneratorConcurrentUnique(t *testing.T) {

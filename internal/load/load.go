@@ -10,7 +10,6 @@
 package load
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -20,103 +19,9 @@ import (
 	"matrix/internal/policy"
 )
 
-// Config tunes the split/reclaim policy.
-type Config struct {
-	// OverloadClients is the client count at which a server is overloaded
-	// and tries to split (paper: 300).
-	OverloadClients int
-	// UnderloadClients is the client count below which a server counts as
-	// underloaded and becomes a reclamation candidate (paper: 150).
-	UnderloadClients int
-	// OverloadQueue, when positive, also marks the server overloaded when
-	// its receive-queue length reaches this value — the paper's "or via
-	// system performance measurements" trigger. It catches overloads that
-	// client counts miss (e.g. heavy inter-server forwarding near a
-	// partition corner). Zero disables the queue trigger.
-	OverloadQueue int
-	// SplitCooldown is the minimum interval between two splits by the same
-	// server, preventing split storms while redirected clients are still in
-	// flight.
-	SplitCooldown time.Duration
-	// ReclaimDwell is how long the combined parent+child load must stay
-	// under the reclaim headroom before the parent actually reclaims,
-	// preventing split/reclaim oscillation at the threshold boundary.
-	ReclaimDwell time.Duration
-	// ReclaimHeadroom is the fraction of OverloadClients that the combined
-	// parent+child load must stay below for a reclaim to be safe. A merge
-	// that immediately re-overloads the parent would oscillate.
-	ReclaimHeadroom float64
-}
-
-// DefaultConfig returns the paper-aligned policy: overload at 300 clients,
-// underload below 150, 2s split cooldown, 3s reclaim dwell, and a merged
-// load ceiling of 80% of the overload threshold.
-func DefaultConfig() Config {
-	return Config{
-		OverloadClients:  300,
-		UnderloadClients: 150,
-		SplitCooldown:    2 * time.Second,
-		ReclaimDwell:     3 * time.Second,
-		ReclaimHeadroom:  0.8,
-	}
-}
-
-// withDefaults returns cfg with zero fields replaced by defaults.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.OverloadClients <= 0 {
-		c.OverloadClients = d.OverloadClients
-	}
-	if c.UnderloadClients <= 0 {
-		c.UnderloadClients = d.UnderloadClients
-	}
-	if c.SplitCooldown <= 0 {
-		c.SplitCooldown = d.SplitCooldown
-	}
-	if c.ReclaimDwell <= 0 {
-		c.ReclaimDwell = d.ReclaimDwell
-	}
-	if c.ReclaimHeadroom <= 0 || c.ReclaimHeadroom > 1 {
-		c.ReclaimHeadroom = d.ReclaimHeadroom
-	}
-	return c
-}
-
-// Validate rejects configurations that defaults cannot repair. A negative
-// OverloadQueue is a typo (zero disables the queue trigger, positive
-// enables it), and an underload threshold above the overload threshold
-// would mark every freshly split child reclaimable the moment it spawns,
-// so the fleet would thrash split/reclaim forever.
-func (c Config) Validate() error {
-	if c.OverloadQueue < 0 {
-		return fmt.Errorf("load: OverloadQueue must be zero (queue trigger off) or positive, got %d", c.OverloadQueue)
-	}
-	e := c.withDefaults()
-	if e.UnderloadClients > e.OverloadClients {
-		return fmt.Errorf("load: UnderloadClients (%d) exceeds OverloadClients (%d); a server would be underloaded and overloaded at once", e.UnderloadClients, e.OverloadClients)
-	}
-	return nil
-}
-
-// sanitized validates cfg and fills defaults.
-func (c Config) sanitized() (Config, error) {
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c.withDefaults(), nil
-}
-
-// thresholds is the policy-visible view of the (sanitized) config.
-func (c Config) thresholds() policy.Thresholds {
-	return policy.Thresholds{
-		OverloadClients:  c.OverloadClients,
-		UnderloadClients: c.UnderloadClients,
-		OverloadQueue:    c.OverloadQueue,
-		SplitCooldown:    c.SplitCooldown,
-		ReclaimDwell:     c.ReclaimDwell,
-		ReclaimHeadroom:  c.ReclaimHeadroom,
-	}
-}
+// Config is the paper's tunables; the one definition, with its defaults
+// and validation, is policy.Thresholds.
+type Config = policy.Thresholds
 
 // Tracker holds one Matrix server's view of its own and its children's load
 // and routes the two topology questions — ShouldSplit and ReclaimCandidate
@@ -143,9 +48,9 @@ type Tracker struct {
 
 // NewTracker creates a Tracker with the given thresholds; a nil clk uses
 // the wall clock, a nil pol the default paper policy. The config is
-// validated (see Config.Validate) and defaults are filled in.
+// validated (see policy.Thresholds.Validate) and defaults are filled in.
 func NewTracker(cfg Config, clk clock.Clock, pol policy.Policy) (*Tracker, error) {
-	sc, err := cfg.sanitized()
+	sc, err := cfg.Sanitized()
 	if err != nil {
 		return nil, err
 	}
@@ -238,21 +143,6 @@ func (t *Tracker) ForgetChild(child id.ServerID) {
 	delete(t.reclaimVerdicts, child)
 }
 
-// Overloaded reports whether this server is at or over the split threshold.
-func (t *Tracker) Overloaded() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clients >= t.cfg.OverloadClients
-}
-
-// Underloaded reports whether this server is below the underload threshold
-// (making it a candidate for being reclaimed by its parent).
-func (t *Tracker) Underloaded() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clients < t.cfg.UnderloadClients
-}
-
 // ShouldSplit asks the policy whether the server should request a split
 // now, given the latest load report and the split history. The verdict
 // (with the inputs the policy read) is cached for the decision audit.
@@ -265,7 +155,7 @@ func (t *Tracker) ShouldSplit() bool {
 		QueueLen:  t.queueLen,
 		HaveSplit: t.haveSplit,
 		LastSplit: t.lastSplit,
-		Cfg:       t.cfg.thresholds(),
+		Cfg:       t.cfg,
 	})
 	t.splitVerdict = v
 	return v.Act
@@ -340,7 +230,7 @@ func (t *Tracker) ReclaimCandidate(child id.ServerID) bool {
 		Clients:  t.clients,
 		QueueLen: t.queueLen,
 		Child:    cv,
-		Cfg:      t.cfg.thresholds(),
+		Cfg:      t.cfg,
 	})
 	t.reclaimVerdicts[child] = v
 	return v.Act
@@ -451,13 +341,4 @@ func (t *Tracker) RestoreState(st TrackerState) {
 			t.belowSince[cs.Child] = time.Unix(0, cs.BelowSinceNs)
 		}
 	}
-}
-
-// ChildLoad returns the last reported load of child and whether it is
-// known.
-func (t *Tracker) ChildLoad(child id.ServerID) (int, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cl, ok := t.childLoad[child]
-	return cl, ok
 }

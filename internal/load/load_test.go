@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"matrix/internal/clock"
+	"matrix/internal/id"
+	"matrix/internal/policy"
 )
 
 func newTestTracker(cfg Config) (*Tracker, *clock.Virtual) {
@@ -17,8 +19,19 @@ func newTestTracker(cfg Config) (*Tracker, *clock.Virtual) {
 	return tr, clk
 }
 
+// childLoad reads child's recorded client count back out of the tracker's
+// snapshot, the only place it is visible.
+func childLoad(tr *Tracker, child id.ServerID) (int, bool) {
+	for _, cs := range tr.State().Children {
+		if cs.Child == child {
+			return cs.Clients, true
+		}
+	}
+	return 0, false
+}
+
 func TestDefaultsMatchPaper(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	if cfg.OverloadClients != 300 {
 		t.Errorf("OverloadClients = %d, want 300 (paper Fig.2 caption)", cfg.OverloadClients)
 	}
@@ -48,7 +61,7 @@ func TestConfigValidate(t *testing.T) {
 		wantErr string // substring of the error, "" = valid
 	}{
 		{"zero defaults", Config{}, ""},
-		{"paper defaults", DefaultConfig(), ""},
+		{"paper defaults", policy.DefaultThresholds(), ""},
 		{"equal thresholds", Config{OverloadClients: 200, UnderloadClients: 200}, ""},
 		{"queue trigger off", Config{OverloadQueue: 0}, ""},
 		{"queue trigger on", Config{OverloadQueue: 1500}, ""},
@@ -96,32 +109,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestOverloadedUnderloaded(t *testing.T) {
-	tr, _ := newTestTracker(DefaultConfig())
-	tests := []struct {
-		clients             int
-		overload, underload bool
-	}{
-		{0, false, true},
-		{149, false, true},
-		{150, false, false},
-		{299, false, false},
-		{300, true, false},
-		{600, true, false},
-	}
-	for _, tt := range tests {
-		tr.SetLoad(tt.clients, 0)
-		if got := tr.Overloaded(); got != tt.overload {
-			t.Errorf("clients=%d Overloaded=%v want %v", tt.clients, got, tt.overload)
-		}
-		if got := tr.Underloaded(); got != tt.underload {
-			t.Errorf("clients=%d Underloaded=%v want %v", tt.clients, got, tt.underload)
-		}
-	}
-}
-
 func TestShouldSplitCooldown(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(400, 0)
 	if !tr.ShouldSplit() {
@@ -143,7 +132,7 @@ func TestShouldSplitCooldown(t *testing.T) {
 }
 
 func TestReclaimRequiresDwell(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(50, 0)
 	tr.SetChildLoad(2, 40, 0)
@@ -160,7 +149,7 @@ func TestReclaimRequiresDwell(t *testing.T) {
 }
 
 func TestReclaimDwellResetsOnSpike(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(50, 0)
 	tr.SetChildLoad(2, 40, 0)
@@ -178,7 +167,7 @@ func TestReclaimDwellResetsOnSpike(t *testing.T) {
 }
 
 func TestReclaimHeadroomCeiling(t *testing.T) {
-	cfg := DefaultConfig() // ceiling = 0.8*300 = 240
+	cfg := policy.DefaultThresholds() // ceiling = 0.8*300 = 240
 	tr, clk := newTestTracker(cfg)
 	// Child individually underloaded but merge would overload the parent.
 	tr.SetLoad(220, 0)
@@ -199,14 +188,14 @@ func TestReclaimHeadroomCeiling(t *testing.T) {
 }
 
 func TestReclaimUnknownChild(t *testing.T) {
-	tr, _ := newTestTracker(DefaultConfig())
+	tr, _ := newTestTracker(policy.DefaultThresholds())
 	if tr.ReclaimCandidate(9) {
 		t.Fatal("unknown child must not be reclaimable")
 	}
 }
 
 func TestForgetChild(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(10, 0)
 	tr.SetChildLoad(2, 10, 0)
@@ -219,22 +208,22 @@ func TestForgetChild(t *testing.T) {
 	if tr.ReclaimCandidate(2) {
 		t.Fatal("forgotten child must not be reclaimable")
 	}
-	if _, ok := tr.ChildLoad(2); ok {
+	if _, ok := childLoad(tr, 2); ok {
 		t.Fatal("forgotten child load must be gone")
 	}
 }
 
 func TestChildLoadReadback(t *testing.T) {
-	tr, _ := newTestTracker(DefaultConfig())
+	tr, _ := newTestTracker(policy.DefaultThresholds())
 	tr.SetChildLoad(3, 123, 0)
-	got, ok := tr.ChildLoad(3)
+	got, ok := childLoad(tr, 3)
 	if !ok || got != 123 {
-		t.Fatalf("ChildLoad = %d,%v", got, ok)
+		t.Fatalf("child load in State = %d,%v", got, ok)
 	}
 }
 
 func TestQueueLenTracking(t *testing.T) {
-	tr, _ := newTestTracker(DefaultConfig())
+	tr, _ := newTestTracker(policy.DefaultThresholds())
 	tr.SetLoad(10, 55)
 	if tr.QueueLen() != 55 {
 		t.Errorf("QueueLen = %d", tr.QueueLen())
@@ -244,11 +233,27 @@ func TestQueueLenTracking(t *testing.T) {
 	}
 }
 
+// TestReclaimUnderloadBoundary pins the paper's "< 150 clients" edge on the
+// path that uses it: a child one client under the threshold is reclaimable
+// after the dwell, a child exactly at it never is.
+func TestReclaimUnderloadBoundary(t *testing.T) {
+	cfg := policy.DefaultThresholds()
+	for load, want := range map[int]bool{cfg.UnderloadClients - 1: true, cfg.UnderloadClients: false} {
+		tr, clk := newTestTracker(cfg)
+		tr.SetLoad(10, 0)
+		tr.SetChildLoad(2, load, 0)
+		clk.Advance(cfg.ReclaimDwell)
+		if got := tr.ReclaimCandidate(2); got != want {
+			t.Errorf("child with %d clients: ReclaimCandidate = %v, want %v", load, got, want)
+		}
+	}
+}
+
 // TestNoOscillation simulates the boundary case the hysteresis exists for:
 // load hovering exactly at the underload threshold must not produce
 // alternating split/reclaim decisions.
 func TestNoOscillation(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	flips := 0
 	last := false
@@ -276,7 +281,7 @@ func TestForgetChildMidDwellClearsTimer(t *testing.T) {
 	// A child forgotten halfway through its dwell (e.g. it crashed and the
 	// topology moved on) must not leave a stale dwell timer behind: if the
 	// same child ID reappears, its dwell starts from scratch.
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(50, 0)
 	tr.SetChildLoad(2, 40, 0)
@@ -301,7 +306,7 @@ func TestForgetChildMidDwellClearsTimer(t *testing.T) {
 func TestReSetChildLoadAfterForgetHighLoad(t *testing.T) {
 	// Forget, then the child comes back hot: it must not be reclaimable,
 	// and the old (low) load must not linger anywhere.
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(50, 0)
 	tr.SetChildLoad(2, 40, 0)
@@ -312,7 +317,7 @@ func TestReSetChildLoadAfterForgetHighLoad(t *testing.T) {
 	}
 	tr.ForgetChild(2)
 	tr.SetChildLoad(2, 280, 0)
-	if got, ok := tr.ChildLoad(2); !ok || got != 280 {
+	if got, ok := childLoad(tr, 2); !ok || got != 280 {
 		t.Fatalf("ChildLoad = %d,%v; want 280,true", got, ok)
 	}
 	clk.Advance(cfg.ReclaimDwell * 3)
@@ -325,7 +330,7 @@ func TestReSetChildLoadAfterForgetHighLoad(t *testing.T) {
 func TestForgetChildDoesNotDisturbSiblings(t *testing.T) {
 	// Forgetting one child (crash scenarios forget mid-run) must leave a
 	// sibling's dwell progress intact.
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(50, 0)
 	tr.SetChildLoad(2, 40, 0)
@@ -341,7 +346,7 @@ func TestForgetChildDoesNotDisturbSiblings(t *testing.T) {
 func TestSetLoadKeepsForgottenChildForgotten(t *testing.T) {
 	// SetLoad re-evaluates every known child's dwell; it must not
 	// resurrect a forgotten child.
-	cfg := DefaultConfig()
+	cfg := policy.DefaultThresholds()
 	tr, clk := newTestTracker(cfg)
 	tr.SetLoad(50, 0)
 	tr.SetChildLoad(2, 40, 0)
@@ -352,7 +357,7 @@ func TestSetLoadKeepsForgottenChildForgotten(t *testing.T) {
 	if tr.ReclaimCandidate(2) {
 		t.Fatal("SetLoad resurrected a forgotten child")
 	}
-	if _, ok := tr.ChildLoad(2); ok {
+	if _, ok := childLoad(tr, 2); ok {
 		t.Fatal("forgotten child's load reappeared")
 	}
 }

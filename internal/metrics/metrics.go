@@ -143,27 +143,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.samples[idx]
 }
 
-// Stddev returns the sample standard deviation (0 for fewer than 2 samples).
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	var sum float64
-	for _, v := range h.samples {
-		sum += v
-	}
-	mean := sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
 // Samples returns a copy of the raw samples in their current in-memory
 // order (insertion order, or sorted if a quantile has been computed). Used
 // by the snapshot subsystem; restoring the copy with NewHistogramFromSamples

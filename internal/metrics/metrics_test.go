@@ -96,19 +96,6 @@ func TestHistogramObserveAfterQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramStddev(t *testing.T) {
-	var h Histogram
-	h.Observe(2)
-	if h.Stddev() != 0 {
-		t.Error("stddev of 1 sample must be 0")
-	}
-	h.Observe(4)
-	// Sample stddev of {2,4} = sqrt(2).
-	if got := h.Stddev(); math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Errorf("Stddev = %v, want sqrt(2)", got)
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(1)

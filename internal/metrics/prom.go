@@ -125,27 +125,17 @@ func (m *metricsServer) Close() error { return m.srv.Close() }
 
 // Serve starts an HTTP server on addr exposing GET /metrics, rendered by
 // write on every scrape (write runs on the HTTP handler goroutine; callers
-// typically refresh gauges there before rendering). It returns the bound
-// address — useful when addr requests an ephemeral port — and a closer
-// that stops the server.
-func Serve(addr string, write func(io.Writer)) (string, io.Closer, error) {
-	return ServeWith(addr, write, nil)
-}
-
-// ServeWith is Serve plus health probes: /healthz always answers 200 (the
-// process is alive and serving), and /readyz answers 200 when ready()
-// returns nil or 503 with the error text when it doesn't (nil ready = always
-// ready). Orchestrators point liveness at /healthz and traffic-gating at
-// /readyz; see docs/OPERATIONS.md.
-func ServeWith(addr string, write func(io.Writer), ready func() error) (string, io.Closer, error) {
-	return ServeMux(addr, write, ready, nil)
-}
-
-// ServeMux is ServeWith plus caller-supplied endpoints (e.g. the
-// coordinator's /fleetz snapshot), registered on the same listener beside
-// /metrics and the health probes. Patterns colliding with the built-in
-// routes panic, as with any ServeMux double-registration.
-func ServeMux(addr string, write func(io.Writer), ready func() error, extra map[string]http.HandlerFunc) (string, io.Closer, error) {
+// typically refresh gauges there before rendering), beside the health
+// probes: /healthz always answers 200 (the process is alive and serving),
+// and /readyz answers 200 when ready() returns nil or 503 with the error
+// text when it doesn't (nil ready = always ready). Orchestrators point
+// liveness at /healthz and traffic-gating at /readyz; see
+// docs/OPERATIONS.md. extra holds caller-supplied endpoints (e.g. the
+// coordinator's /fleetz snapshot) for the same listener; patterns colliding
+// with the built-in routes panic, as with any ServeMux double-registration.
+// It returns the bound address — useful when addr requests an ephemeral
+// port — and a closer that stops the server.
+func Serve(addr string, write func(io.Writer), ready func() error, extra map[string]http.HandlerFunc) (string, io.Closer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("metrics: listen %s: %w", addr, err)

@@ -140,7 +140,7 @@ func TestWriteRuntimeShape(t *testing.T) {
 func TestServeMuxExtraEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("mux/ops").Inc()
-	addr, closer, err := ServeMux(
+	addr, closer, err := Serve(
 		"127.0.0.1:0",
 		func(w io.Writer) { WritePrometheus(w, reg) },
 		nil,
@@ -151,7 +151,7 @@ func TestServeMuxExtraEndpoints(t *testing.T) {
 			},
 		})
 	if err != nil {
-		t.Fatalf("ServeMux: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	defer closer.Close()
 

@@ -136,7 +136,7 @@ func TestServeWithHealth(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("probe/ops").Inc()
 	var notReady atomic.Bool
-	addr, closer, err := ServeWith(
+	addr, closer, err := Serve(
 		"127.0.0.1:0",
 		func(w io.Writer) { WritePrometheus(w, reg) },
 		func() error {
@@ -144,9 +144,10 @@ func TestServeWithHealth(t *testing.T) {
 				return io.ErrClosedPipe
 			}
 			return nil
-		})
+		},
+		nil)
 	if err != nil {
-		t.Fatalf("ServeWith: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	defer closer.Close()
 

@@ -72,28 +72,10 @@ func (c *Conn) Stats() ConnStats {
 	return c.stats
 }
 
-// Send implements transport.Conn.
+// Send implements transport.Conn as SendBatch of one message: one loss
+// draw, then one delay draw, and a lone message travels as a plain frame.
 func (c *Conn) Send(m protocol.Message) error {
-	c.mu.Lock()
-	if err := c.usableLocked(); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	if DataPlane(m) && c.st.judgeLoss(c.link) {
-		c.stats.Lost++
-		c.mu.Unlock()
-		return nil
-	}
-	c.stats.Passed++
-	delay := c.delayLocked()
-	if delay <= 0 {
-		c.mu.Unlock()
-		return c.inner.Send(m)
-	}
-	c.stats.Delayed++
-	c.pushLocked(time.Now().Add(delay), []protocol.Message{m})
-	c.mu.Unlock()
-	return nil
+	return c.SendBatch([]protocol.Message{m})
 }
 
 // SendBatch implements transport.Conn. Loss is judged per message (the

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -235,4 +237,63 @@ func TestCloseDiscardsQueuedSends(t *testing.T) {
 	if err := client.Send(update(2)); err == nil {
 		t.Fatal("Send after Close succeeded")
 	}
+}
+
+// TestSendIsSendBatchOfOne: Send(m) and SendBatch([m]) are one code path —
+// the same loss draw, then the same delay draw — so twin connections with
+// one seed pass and lose the same messages out of a thousand, count the
+// same, and put the same bytes on the wire. Without delay the arrival order
+// is the send order too; with jitter the two pumps race the wall clock, so
+// only the set is compared.
+func TestSendIsSendBatchOfOne(t *testing.T) {
+	for name, link := range map[string]LinkConfig{
+		"loss":        {Loss: 0.3},
+		"loss+jitter": {Loss: 0.3, DelayMs: 1, JitterMs: 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			single, singleSrv := connPair(t, link, 42)
+			batch, batchSrv := connPair(t, link, 42)
+			for i := 0; i < 1000; i++ {
+				var m protocol.Message = update(i)
+				if i%10 == 9 {
+					m = &protocol.LoadReport{Clients: int32(i)} // control plane: never lost
+				}
+				if err := single.Send(m); err != nil {
+					t.Fatal(err)
+				}
+				if err := batch.SendBatch([]protocol.Message{m}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := single.(*Conn).Stats()
+			if st2 := batch.(*Conn).Stats(); st != st2 {
+				t.Fatalf("Send stats %+v, SendBatch stats %+v", st, st2)
+			}
+			if st.Lost == 0 || st.Passed+st.Lost != 1000 || link.DelayMs > 0 && st.Delayed != st.Passed {
+				t.Fatalf("stats %+v do not describe 1000 sends on %+v", st, link)
+			}
+			got1 := recvN(t, singleSrv, int(st.Passed))
+			got2 := recvN(t, batchSrv, int(st.Passed))
+			if link.DelayMs > 0 {
+				for _, got := range [][]protocol.Message{got1, got2} {
+					sort.Slice(got, func(i, j int) bool { return order(got[i]) < order(got[j]) })
+				}
+			}
+			if !reflect.DeepEqual(got1, got2) {
+				t.Fatal("Send and SendBatch delivered different messages")
+			}
+			if a, b := single.BytesSent(), batch.BytesSent(); a != b || a != singleSrv.BytesReceived() || b != batchSrv.BytesReceived() {
+				t.Fatalf("Send put %d bytes on the wire (%d received), SendBatch %d (%d received)",
+					a, singleSrv.BytesReceived(), b, batchSrv.BytesReceived())
+			}
+		})
+	}
+}
+
+// order recovers the send index the test put in a message.
+func order(m protocol.Message) int {
+	if lr, ok := m.(*protocol.LoadReport); ok {
+		return int(lr.Clients)
+	}
+	return int(m.(*protocol.GameUpdate).Client)
 }

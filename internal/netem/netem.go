@@ -237,10 +237,6 @@ func (m *Model) Recover(servers []id.ServerID) {
 // Crashed reports whether a server is currently fail-stopped.
 func (m *Model) Crashed(s id.ServerID) bool { return m.crashed[s] }
 
-// CutOff reports whether a server is currently partitioned off the
-// backbone.
-func (m *Model) CutOff(s id.ServerID) bool { return m.cut[s] }
-
 // Severed reports whether the from→to link is currently blackholed by a
 // partition or crash. Consumers holding messages in flight re-check it at
 // delivery time: a packet in the pipe when the link went down is lost.
@@ -318,11 +314,6 @@ func (st *linkState) judgeLoss(l LinkConfig) bool {
 // CrashedServers returns the currently fail-stopped servers, sorted.
 func (m *Model) CrashedServers() []id.ServerID {
 	return sortedIDs(m.crashed)
-}
-
-// CutServers returns the currently partitioned-off servers, sorted.
-func (m *Model) CutServers() []id.ServerID {
-	return sortedIDs(m.cut)
 }
 
 func sortedIDs(set map[id.ServerID]bool) []id.ServerID {

@@ -81,37 +81,6 @@ func (s Set) Union(o Set) Set {
 	return out
 }
 
-// Without returns s with v removed, sharing no storage with s.
-func (s Set) Without(v id.ServerID) Set {
-	out := make(Set, 0, len(s))
-	for _, e := range s {
-		if e != v {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// IsSubsetOf reports whether every element of s is in o.
-func (s Set) IsSubsetOf(o Set) bool {
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] == o[j]:
-			i++
-			j++
-		case s[i] > o[j]:
-			j++
-		default:
-			return false
-		}
-	}
-	return i == len(s)
-}
-
 // Clone returns a copy of s.
 func (s Set) Clone() Set {
 	if len(s) == 0 {

@@ -270,7 +270,7 @@ func TestTableIsConservativeSupersetOfExact(t *testing.T) {
 			}
 			exact := ConsistencySet(p, owner, parts, r)
 			table := tabs[owner].Lookup(p)
-			if !exact.IsSubsetOf(table) {
+			if !subsetOf(exact, table) {
 				t.Fatalf("seed %d point %v owner %v: exact %v ⊄ table %v",
 					seed, p, owner, exact, table)
 			}

@@ -49,21 +49,94 @@ type Verdict struct {
 	Inputs []KV
 }
 
-// Thresholds is the policy-visible slice of load.Config: the paper's
-// tunables, already sanitized (defaults filled in, ranges validated).
+// Thresholds are the paper's tunables, the one definition every layer
+// shares: load.Config (and through it sim.Config.LoadPolicy and the
+// facade's LoadPolicy) is an alias of this type, and policies read it
+// already sanitized (defaults filled in, ranges validated).
 type Thresholds struct {
-	// OverloadClients is the split trigger (paper: 300 clients).
+	// OverloadClients is the client count at which a server is overloaded
+	// and tries to split (paper: 300).
 	OverloadClients int
-	// UnderloadClients is the reclaim-candidate bound (paper: 150).
+	// UnderloadClients is the client count below which a server counts as
+	// underloaded and becomes a reclamation candidate (paper: 150).
 	UnderloadClients int
-	// OverloadQueue, when positive, also triggers on queue depth.
+	// OverloadQueue, when positive, also marks the server overloaded when
+	// its receive-queue length reaches this value — the paper's "or via
+	// system performance measurements" trigger. It catches overloads that
+	// client counts miss (e.g. heavy inter-server forwarding near a
+	// partition corner). Zero disables the queue trigger.
 	OverloadQueue int
-	// SplitCooldown is the minimum interval between one server's splits.
+	// SplitCooldown is the minimum interval between two splits by the same
+	// server, preventing split storms while redirected clients are still in
+	// flight.
 	SplitCooldown time.Duration
-	// ReclaimDwell is how long combined load must stay quiet pre-reclaim.
+	// ReclaimDwell is how long the combined parent+child load must stay
+	// under the reclaim headroom before the parent actually reclaims,
+	// preventing split/reclaim oscillation at the threshold boundary.
 	ReclaimDwell time.Duration
-	// ReclaimHeadroom caps combined load at this fraction of overload.
+	// ReclaimHeadroom is the fraction of OverloadClients that the combined
+	// parent+child load must stay below for a reclaim to be safe. A merge
+	// that immediately re-overloads the parent would oscillate.
 	ReclaimHeadroom float64
+}
+
+// DefaultThresholds returns the paper-aligned tunables: overload at 300
+// clients, underload below 150, 2s split cooldown, 3s reclaim dwell, and a
+// merged load ceiling of 80% of the overload threshold.
+func DefaultThresholds() Thresholds {
+	return Thresholds{
+		OverloadClients:  300,
+		UnderloadClients: 150,
+		SplitCooldown:    2 * time.Second,
+		ReclaimDwell:     3 * time.Second,
+		ReclaimHeadroom:  0.8,
+	}
+}
+
+// withDefaults returns c with zero fields replaced by defaults.
+func (c Thresholds) withDefaults() Thresholds {
+	d := DefaultThresholds()
+	if c.OverloadClients <= 0 {
+		c.OverloadClients = d.OverloadClients
+	}
+	if c.UnderloadClients <= 0 {
+		c.UnderloadClients = d.UnderloadClients
+	}
+	if c.SplitCooldown <= 0 {
+		c.SplitCooldown = d.SplitCooldown
+	}
+	if c.ReclaimDwell <= 0 {
+		c.ReclaimDwell = d.ReclaimDwell
+	}
+	if c.ReclaimHeadroom <= 0 || c.ReclaimHeadroom > 1 {
+		c.ReclaimHeadroom = d.ReclaimHeadroom
+	}
+	return c
+}
+
+// Validate rejects configurations that defaults cannot repair. A negative
+// OverloadQueue is a typo (zero disables the queue trigger, positive
+// enables it), and an underload threshold above the overload threshold
+// would mark every freshly split child reclaimable the moment it spawns,
+// so the fleet would thrash split/reclaim forever. (The messages keep the
+// "load:" prefix every CLI and facade caller has always been shown.)
+func (c Thresholds) Validate() error {
+	if c.OverloadQueue < 0 {
+		return fmt.Errorf("load: OverloadQueue must be zero (queue trigger off) or positive, got %d", c.OverloadQueue)
+	}
+	e := c.withDefaults()
+	if e.UnderloadClients > e.OverloadClients {
+		return fmt.Errorf("load: UnderloadClients (%d) exceeds OverloadClients (%d); a server would be underloaded and overloaded at once", e.UnderloadClients, e.OverloadClients)
+	}
+	return nil
+}
+
+// Sanitized validates c and fills defaults.
+func (c Thresholds) Sanitized() (Thresholds, error) {
+	if err := c.Validate(); err != nil {
+		return Thresholds{}, err
+	}
+	return c.withDefaults(), nil
 }
 
 // LoadView is what a split decision may read: one server's latest load

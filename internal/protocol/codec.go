@@ -661,66 +661,6 @@ func (m *Adopt) decodeBody(r *reader) error {
 	return r.err
 }
 
-// newMessage allocates the empty message for a wire type.
-func newMessage(t MsgType) (Message, error) {
-	switch t {
-	case TypeGameUpdate:
-		return &GameUpdate{}, nil
-	case TypeForward:
-		return &Forward{}, nil
-	case TypeRegisterRequest:
-		return &RegisterRequest{}, nil
-	case TypeRegisterReply:
-		return &RegisterReply{}, nil
-	case TypeLoadReport:
-		return &LoadReport{}, nil
-	case TypeOverlapTable:
-		return &OverlapTable{}, nil
-	case TypeSplitRequest:
-		return &SplitRequest{}, nil
-	case TypeSplitReply:
-		return &SplitReply{}, nil
-	case TypeReclaimRequest:
-		return &ReclaimRequest{}, nil
-	case TypeReclaimReply:
-		return &ReclaimReply{}, nil
-	case TypeRedirect:
-		return &Redirect{}, nil
-	case TypeStateTransfer:
-		return &StateTransfer{}, nil
-	case TypeNonProximalQuery:
-		return &NonProximalQuery{}, nil
-	case TypeNonProximalReply:
-		return &NonProximalReply{}, nil
-	case TypeClientHello:
-		return &ClientHello{}, nil
-	case TypeClientWelcome:
-		return &ClientWelcome{}, nil
-	case TypeRangeUpdate:
-		return &RangeUpdate{}, nil
-	case TypeAck:
-		return &Ack{}, nil
-	case TypeError:
-		return &ErrorMsg{}, nil
-	case TypeBatch:
-		return &Batch{}, nil
-	case TypeSnapshotRequest:
-		return &SnapshotRequest{}, nil
-	case TypeSnapshotData:
-		return &SnapshotData{}, nil
-	case TypeHeartbeat:
-		return &Heartbeat{}, nil
-	case TypeDrainRequest:
-		return &DrainRequest{}, nil
-	case TypeDrainReply:
-		return &DrainReply{}, nil
-	case TypeAdopt:
-		return &Adopt{}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, uint8(t))
-	}
-}
-
 // frameHeaderSize is the per-frame envelope: u32 body length + u8 type.
 const frameHeaderSize = 5
 

@@ -337,14 +337,25 @@ func TestRegionsWireConversion(t *testing.T) {
 	}
 }
 
+// TestMsgTypeStrings walks the msgTypes table: every wire type has a name
+// and a constructor for a message of that very type (a hole or a row under
+// the wrong index fails here), and nothing outside the table decodes.
 func TestMsgTypeStrings(t *testing.T) {
 	for typ := TypeGameUpdate; typ < typeMax; typ++ {
 		if s := typ.String(); s == "" || s[0] == 'm' && s[1] == 's' && s[2] == 'g' {
 			t.Errorf("type %d has no name: %q", uint8(typ), s)
 		}
+		if m, err := newMessage(typ); err != nil || m.MsgType() != typ {
+			t.Errorf("newMessage(%v) = %T, %v", typ, m, err)
+		}
 	}
 	if MsgType(0).String() != "msgtype(0)" {
 		t.Errorf("zero type: %q", MsgType(0).String())
+	}
+	for _, typ := range []MsgType{0, typeMax, 255} {
+		if m, err := newMessage(typ); !errors.Is(err, ErrBadType) || m != nil {
+			t.Errorf("newMessage(%d) = %v, %v; want ErrBadType", uint8(typ), m, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,6 +73,86 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// reassemblerSeeds are FuzzReassembler's committed inputs: a blob to round
+// trip at a chunk size, then an op stream (see the target).
+var reassemblerSeeds = []struct {
+	name string
+	blob []byte
+	size uint8
+	ops  []byte
+}{
+	{"seed-empty", nil, 0, nil},
+	{"seed-two-streams", []byte("abcdefg"), 2, []byte{0, 0, 2, 1, 0, 2, 1, 0, 0}},
+	{"seed-never-final", []byte{1}, 0, bytes.Repeat([]byte{0, 0x20, 0}, 9)},
+	{"seed-oversize-then-final-then-blob", nil, 7, []byte{0, 0xff, 0xff, 0, 0xff, 0xff, 1, 0, 1, 1, 0, 9}},
+	{"seed-final-crosses-the-bound", nil, 1, []byte{0, 0x7f, 0xff, 1, 0xff, 0xff, 1, 0, 3}},
+}
+
+// fuzzChunk backs every chunk FuzzReassembler feeds: contents are checked by
+// the round-trip half, the op stream only needs lengths.
+var fuzzChunk = make([]byte, 0xffff<<9)
+
+// FuzzReassembler has two halves. Chunks → Reassembler must round-trip any
+// blob at any chunk size with exactly the last chunk final. Then an op
+// stream — 3 bytes each: final flag, u16 length in 512-byte units, so one
+// chunk can outgrow MaxBlobSize on its own — is fed to one Reassembler next
+// to a model of it: whatever the sizes and wherever Final falls it never
+// panics, never holds more than MaxBlobSize, reports each overflow once, and
+// returns a blob only on a final chunk closing a stream that stayed in
+// bounds.
+func FuzzReassembler(f *testing.F) {
+	for _, s := range reassemblerSeeds {
+		f.Add(s.blob, s.size, s.ops)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte, size uint8, ops []byte) {
+		var r Reassembler
+		n := 0
+		for chunk, final := range chunks(blob, int(size)+1) {
+			n++
+			got, done, err := r.Add(chunk, final)
+			if err != nil || done != final || len(chunk) > int(size)+1 {
+				t.Fatalf("chunk %d (%d bytes, final=%v): done=%v err=%v", n, len(chunk), final, done, err)
+			}
+			if done && !bytes.Equal(got, blob) {
+				t.Fatalf("round trip of %d bytes at chunk size %d returned %d bytes", len(blob), int(size)+1, len(got))
+			}
+		}
+		if want := max(1, (len(blob)+int(size))/(int(size)+1)); n != want || r.Len() != 0 {
+			t.Fatalf("%d bytes at chunk size %d: %d chunks (want %d), %d bytes left behind", len(blob), int(size)+1, n, want, r.Len())
+		}
+
+		held, dropping := 0, false
+		for ; len(ops) >= 3; ops = ops[3:] {
+			final := ops[0]&1 == 1
+			chunk := fuzzChunk[:int(ops[1])<<17|int(ops[2])<<9]
+			got, done, err := r.Add(chunk, final)
+			switch {
+			case dropping:
+				if got != nil || done || err != nil {
+					t.Fatalf("inside a dropped stream: %d bytes, done=%v, err=%v", len(got), done, err)
+				}
+				dropping = !final
+			case held+len(chunk) > MaxBlobSize:
+				if got != nil || done || !errors.Is(err, ErrBlobTooLarge) {
+					t.Fatalf("overflow at %d+%d bytes: %d bytes, done=%v, err=%v", held, len(chunk), len(got), done, err)
+				}
+				held, dropping = 0, !final
+			default:
+				held += len(chunk)
+				if err != nil || done != final || done && len(got) != held {
+					t.Fatalf("in bounds at %d bytes (final=%v): %d bytes, done=%v, err=%v", held, final, len(got), done, err)
+				}
+				if final {
+					held = 0
+				}
+			}
+			if r.Len() != held || r.Len() > MaxBlobSize {
+				t.Fatalf("holding %d bytes, model says %d (bound %d)", r.Len(), held, MaxBlobSize)
+			}
+		}
+	})
+}
+
 // TestRegenerateFuzzCorpus rewrites the committed seed corpus under
 // testdata/fuzz/ from sampleMessages(). Gated behind an env var: run
 //
@@ -107,4 +188,13 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	write("FuzzReadFrame", "seed-all-types-stream", stream.Bytes())
 	write("FuzzReadFrame", "seed-truncated-body", []byte{0, 0, 0, 3, 9, 1})
 	write("FuzzReadFrame", "seed-oversized-length", []byte{0xff, 0xff, 0xff, 0xff, 0})
+	for _, s := range reassemblerSeeds {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\n[]byte(%q)\n", s.blob, s.size, s.ops)
+		if err := os.MkdirAll(filepath.Join("testdata", "fuzz", "FuzzReassembler"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join("testdata", "fuzz", "FuzzReassembler", s.name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

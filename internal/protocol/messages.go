@@ -60,40 +60,55 @@ const (
 // counter per message type with no map on the hot path.
 const NumMsgTypes = int(typeMax)
 
+// msgTypes is the one table of wire types, indexed by MsgType (index 0 is
+// the detectably invalid zero byte): the name String prints and the
+// constructor the decoder calls. A new message type is one new row.
+var msgTypes = [typeMax]struct {
+	name string
+	new  func() Message
+}{
+	TypeGameUpdate:       {"game-update", func() Message { return new(GameUpdate) }},
+	TypeForward:          {"forward", func() Message { return new(Forward) }},
+	TypeRegisterRequest:  {"register-request", func() Message { return new(RegisterRequest) }},
+	TypeRegisterReply:    {"register-reply", func() Message { return new(RegisterReply) }},
+	TypeLoadReport:       {"load-report", func() Message { return new(LoadReport) }},
+	TypeOverlapTable:     {"overlap-table", func() Message { return new(OverlapTable) }},
+	TypeSplitRequest:     {"split-request", func() Message { return new(SplitRequest) }},
+	TypeSplitReply:       {"split-reply", func() Message { return new(SplitReply) }},
+	TypeReclaimRequest:   {"reclaim-request", func() Message { return new(ReclaimRequest) }},
+	TypeReclaimReply:     {"reclaim-reply", func() Message { return new(ReclaimReply) }},
+	TypeRedirect:         {"redirect", func() Message { return new(Redirect) }},
+	TypeStateTransfer:    {"state-transfer", func() Message { return new(StateTransfer) }},
+	TypeNonProximalQuery: {"non-proximal-query", func() Message { return new(NonProximalQuery) }},
+	TypeNonProximalReply: {"non-proximal-reply", func() Message { return new(NonProximalReply) }},
+	TypeClientHello:      {"client-hello", func() Message { return new(ClientHello) }},
+	TypeClientWelcome:    {"client-welcome", func() Message { return new(ClientWelcome) }},
+	TypeRangeUpdate:      {"range-update", func() Message { return new(RangeUpdate) }},
+	TypeAck:              {"ack", func() Message { return new(Ack) }},
+	TypeError:            {"error", func() Message { return new(ErrorMsg) }},
+	TypeBatch:            {"batch", func() Message { return new(Batch) }},
+	TypeSnapshotRequest:  {"snapshot-request", func() Message { return new(SnapshotRequest) }},
+	TypeSnapshotData:     {"snapshot-data", func() Message { return new(SnapshotData) }},
+	TypeHeartbeat:        {"heartbeat", func() Message { return new(Heartbeat) }},
+	TypeDrainRequest:     {"drain-request", func() Message { return new(DrainRequest) }},
+	TypeDrainReply:       {"drain-reply", func() Message { return new(DrainReply) }},
+	TypeAdopt:            {"adopt", func() Message { return new(Adopt) }},
+}
+
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
-	names := [...]string{
-		TypeGameUpdate:       "game-update",
-		TypeForward:          "forward",
-		TypeRegisterRequest:  "register-request",
-		TypeRegisterReply:    "register-reply",
-		TypeLoadReport:       "load-report",
-		TypeOverlapTable:     "overlap-table",
-		TypeSplitRequest:     "split-request",
-		TypeSplitReply:       "split-reply",
-		TypeReclaimRequest:   "reclaim-request",
-		TypeReclaimReply:     "reclaim-reply",
-		TypeRedirect:         "redirect",
-		TypeStateTransfer:    "state-transfer",
-		TypeNonProximalQuery: "non-proximal-query",
-		TypeNonProximalReply: "non-proximal-reply",
-		TypeClientHello:      "client-hello",
-		TypeClientWelcome:    "client-welcome",
-		TypeRangeUpdate:      "range-update",
-		TypeAck:              "ack",
-		TypeError:            "error",
-		TypeBatch:            "batch",
-		TypeSnapshotRequest:  "snapshot-request",
-		TypeSnapshotData:     "snapshot-data",
-		TypeHeartbeat:        "heartbeat",
-		TypeDrainRequest:     "drain-request",
-		TypeDrainReply:       "drain-reply",
-		TypeAdopt:            "adopt",
-	}
-	if int(t) < len(names) && names[t] != "" {
-		return names[t]
+	if t < typeMax && msgTypes[t].name != "" {
+		return msgTypes[t].name
 	}
 	return fmt.Sprintf("msgtype(%d)", uint8(t))
+}
+
+// newMessage allocates the empty message for a wire type.
+func newMessage(t MsgType) (Message, error) {
+	if t < typeMax && msgTypes[t].new != nil {
+		return msgTypes[t].new(), nil
+	}
+	return nil, fmt.Errorf("%w: %d", ErrBadType, uint8(t))
 }
 
 // Message is implemented by every protocol message.

@@ -1,6 +1,9 @@
 package protocol
 
-import "errors"
+import (
+	"errors"
+	"iter"
+)
 
 // MaxBlobSize bounds a blob reassembled from a chunked SnapshotData or
 // Adopt stream, so that a sender that never sets Final cannot grow the
@@ -8,6 +11,29 @@ import "errors"
 // 400 000 avatars at the ≈ 40 bytes each one spends; the largest the tests
 // and the benchmark produce is 4 KiB (live-hotspot, 96 avatars).
 const MaxBlobSize = 4 * MaxFrameSize
+
+// ChunkSize is the most blob bytes one SnapshotData or Adopt frame carries:
+// comfortably under MaxFrameSize, so a heavily loaded node's checkpoint
+// still ships, dumps and adopts cleanly.
+const ChunkSize = 1 << 20
+
+// Chunks cuts blob into the pieces of one chunked stream, in order, each
+// with whether it is the stream's last — what the sender puts in the
+// frame's Final field and Reassembler.Add takes back. An empty blob is one
+// empty final chunk, so a receiver always sees the stream end.
+func Chunks(blob []byte) iter.Seq2[[]byte, bool] { return chunks(blob, ChunkSize) }
+
+func chunks(blob []byte, size int) iter.Seq2[[]byte, bool] {
+	return func(yield func([]byte, bool) bool) {
+		for len(blob) > size {
+			if !yield(blob[:size:size], false) {
+				return
+			}
+			blob = blob[size:]
+		}
+		yield(blob, true)
+	}
+}
 
 // ErrBlobTooLarge reports a chunked stream that outgrew MaxBlobSize.
 var ErrBlobTooLarge = errors.New("protocol: chunked blob exceeds MaxBlobSize")

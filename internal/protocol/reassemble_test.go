@@ -51,3 +51,46 @@ func TestReassemblerBoundsNeverFinalStream(t *testing.T) {
 		t.Fatalf("blob after the dropped stream: %q %v %v", blob, done, err)
 	}
 }
+
+// TestChunksRoundTrip: Chunks and Reassembler are each other's inverse at
+// every length around the chunk boundary, exactly the last chunk is final,
+// and the empty blob is one empty final chunk (the cold-adopt and empty-dump
+// framing).
+func TestChunksRoundTrip(t *testing.T) {
+	big := make([]byte, 3*ChunkSize+7)
+	for i := range big {
+		big[i] = byte(i*7 + i>>11)
+	}
+	for _, n := range []int{0, 1, ChunkSize - 1, ChunkSize, ChunkSize + 1, 3*ChunkSize + 7} {
+		blob := big[:n]
+		var (
+			r     Reassembler
+			count int
+			got   []byte
+			done  bool
+		)
+		for chunk, final := range Chunks(blob) {
+			if done {
+				t.Fatalf("len %d: chunk %d follows the final one", n, count)
+			}
+			if len(chunk) > ChunkSize || len(chunk) == 0 && n != 0 {
+				t.Fatalf("len %d: chunk %d is %d bytes", n, count, len(chunk))
+			}
+			count++
+			var err error
+			if got, done, err = r.Add(chunk, final); err != nil || done != final {
+				t.Fatalf("len %d: chunk %d (final=%v): done=%v err=%v", n, count, final, done, err)
+			}
+		}
+		if want := max(1, (n+ChunkSize-1)/ChunkSize); count != want {
+			t.Errorf("len %d: %d chunks, want %d", n, count, want)
+		}
+		if !done || !bytes.Equal(got, blob) {
+			t.Errorf("len %d: reassembled %d bytes, done=%v", n, len(got), done)
+		}
+	}
+	// A consumer may stop early.
+	for range Chunks(big) {
+		break
+	}
+}

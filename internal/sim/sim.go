@@ -221,8 +221,6 @@ type Result struct {
 	SwitchLatency *metrics.Histogram
 	// Events lists splits/reclaims in time order.
 	Events []TopologyEvent
-	// PeakServers is the maximum simultaneously active server count.
-	PeakServers int
 	// FinalServers is the active count at the end.
 	FinalServers int
 	// ForwardedBytes is the total inter-Matrix traffic.
@@ -234,10 +232,23 @@ type Result struct {
 	DroppedPackets uint64
 	// DeliveredUpdates counts client-visible event deliveries.
 	DeliveredUpdates uint64
-	// Redirects counts client server-switches.
-	Redirects uint64
 	// OverlapAreaLast is the summed overlap area at the end of the run.
 	OverlapAreaLast float64
+	// RecoveryGap is the distribution of recover→reconnected times in
+	// milliseconds for clients of restarted servers (the recovery gap).
+	RecoveryGap *metrics.Histogram
+	// Counters are the scalar accumulators that are live during a run.
+	Counters
+}
+
+// Counters are the scalar accumulators of Result that are live during a run
+// (the rest are derived at Finish). State.Counters stores this same struct,
+// so its field names, order and tags are snapshot format.
+type Counters struct {
+	// PeakServers is the maximum simultaneously active server count.
+	PeakServers int
+	// Redirects counts client server-switches.
+	Redirects uint64
 	// ClientSeconds integrates connected clients over time (load measure).
 	ClientSeconds float64
 	// NetemActive records whether network emulation ran; the netem
@@ -259,17 +270,16 @@ type Result struct {
 	// RecoveryRejoins counts clients forced to reconnect because their
 	// server restarted (the redirect/rejoin storm a restart causes).
 	RecoveryRejoins uint64
-	// RecoveryGap is the distribution of recover→reconnected times in
-	// milliseconds for clients of restarted servers (the recovery gap).
-	RecoveryGap *metrics.Histogram
 	// MiddlewareActive records whether the admission chain ran; its
 	// counters join the fingerprint only when it did, so middleware-free
-	// runs keep their historical byte-identical fingerprints.
-	MiddlewareActive bool
+	// runs keep their historical byte-identical fingerprints. The three
+	// middleware counters are omitted from a snapshot when zero, so ones
+	// captured before the chain existed re-encode byte-identically.
+	MiddlewareActive bool `json:",omitempty"`
 	// RateLimited counts client updates shed by per-client token buckets.
-	RateLimited uint64
+	RateLimited uint64 `json:",omitempty"`
 	// AdmissionShed counts data-plane messages shed by overload admission.
-	AdmissionShed uint64
+	AdmissionShed uint64 `json:",omitempty"`
 }
 
 // node is one server slot: a Matrix server, its co-located game server and
@@ -538,7 +548,8 @@ func (s *Sim) admit(n *node, src middleware.Source, client id.ClientID, m protoc
 // deliverToCore hands a message to a Matrix server and routes the fallout.
 // This is the general path: handlers build fresh envelope slices, which
 // re-entrant deliveries (MC fallout, peer chains) require. The per-tick
-// hot path is deliverLocalUpdate.
+// hot path does not come through here: the tick engine (engine.go) calls
+// core.AppendGameUpdate on a reused buffer for every local update.
 func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message) {
 	n, ok := s.nodes[to]
 	if !ok {

@@ -98,26 +98,6 @@ type SkipState struct {
 	Skip   int
 }
 
-// CountersState mirrors the scalar accumulators of Result that are live
-// during a run (the rest are derived at Finish).
-type CountersState struct {
-	PeakServers     int
-	Redirects       uint64
-	ClientSeconds   float64
-	NetemActive     bool
-	NetemLost       uint64
-	NetemSevered    uint64
-	NetemDelayed    uint64
-	GhostsExpired   uint64
-	Restarts        uint64
-	RecoveryRejoins uint64
-	// The middleware counters are omitted when zero, so snapshots captured
-	// before the admission chain existed re-encode byte-identically.
-	MiddlewareActive bool   `json:",omitempty"`
-	RateLimited      uint64 `json:",omitempty"`
-	AdmissionShed    uint64 `json:",omitempty"`
-}
-
 // State is a Sim's complete serializable image between two ticks.
 type State struct {
 	Config      Config
@@ -133,7 +113,7 @@ type State struct {
 	SwitchLatency []float64
 	RecoveryGap   []float64
 	Events        []TopologyEvent
-	Counters      CountersState
+	Counters      Counters
 	ActivePrev    []id.ServerID
 	LatSkip       []SkipState
 	LatWindowed   bool
@@ -167,22 +147,7 @@ func (s *Sim) CaptureState() (*State, error) {
 		RecoveryGap:   s.recGap.Samples(),
 		Events:        append([]TopologyEvent(nil), s.events...),
 		LatWindowed:   s.latWindowed,
-		Counters: CountersState{
-			PeakServers:     s.res.PeakServers,
-			Redirects:       s.res.Redirects,
-			ClientSeconds:   s.res.ClientSeconds,
-			NetemActive:     s.res.NetemActive,
-			NetemLost:       s.res.NetemLost,
-			NetemSevered:    s.res.NetemSevered,
-			NetemDelayed:    s.res.NetemDelayed,
-			GhostsExpired:   s.res.GhostsExpired,
-			Restarts:        s.res.Restarts,
-			RecoveryRejoins: s.res.RecoveryRejoins,
-
-			MiddlewareActive: s.res.MiddlewareActive,
-			RateLimited:      s.res.RateLimited,
-			AdmissionShed:    s.res.AdmissionShed,
-		},
+		Counters:      s.res.Counters,
 	}
 	// The worker count is an execution knob that never affects results:
 	// captured state is identical whatever pool the run used, and a
@@ -432,19 +397,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 	}
 
 	s.events = append([]TopologyEvent(nil), st.Events...)
-	s.res.PeakServers = st.Counters.PeakServers
-	s.res.Redirects = st.Counters.Redirects
-	s.res.ClientSeconds = st.Counters.ClientSeconds
-	s.res.NetemActive = st.Counters.NetemActive
-	s.res.NetemLost = st.Counters.NetemLost
-	s.res.NetemSevered = st.Counters.NetemSevered
-	s.res.NetemDelayed = st.Counters.NetemDelayed
-	s.res.GhostsExpired = st.Counters.GhostsExpired
-	s.res.Restarts = st.Counters.Restarts
-	s.res.RecoveryRejoins = st.Counters.RecoveryRejoins
-	s.res.MiddlewareActive = st.Counters.MiddlewareActive
-	s.res.RateLimited = st.Counters.RateLimited
-	s.res.AdmissionShed = st.Counters.AdmissionShed
+	s.res.Counters = st.Counters
 	for _, sid := range st.ActivePrev {
 		s.activePrev[sid] = true
 	}

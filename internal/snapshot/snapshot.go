@@ -11,13 +11,12 @@
 // incompatible State change; Decode rejects versions it does not know, and
 // the checked-in testdata goldens guarantee old snapshots keep decoding.
 //
-// Three consumers build on it:
+// Two consumers build on it (the simulator's own state-losing crash
+// recovery does not: it keeps per-server core/gameserver States in memory
+// and calls their RestoreState directly):
 //
 //   - branching sweeps (internal/experiments) run a shared warmup once,
 //     Capture, and fan scenario tails out via sim.RestoreWith;
-//   - state-losing crash recovery inside the simulator restores individual
-//     servers from periodic checkpoints (sim handles that itself; this
-//     package defines the on-disk/wire envelope);
 //   - the CLI surface: matrix-bench -snapshot/-restore files, and the
 //     protocol's SnapshotRequest/SnapshotData frames, which carry a live
 //     matrix-server's node state as a MarshalNode blob.
@@ -192,11 +191,12 @@ func DecodeNode(blob []byte) (*Node, error) {
 	return &n, nil
 }
 
-// RestoreNode loads a MarshalNode blob into a live server pair wholesale —
-// both components, identity included. The components must carry the same
-// ServerID the blob was captured from (the simulator's crash recovery path;
-// a live restart that re-registered under a fresh ID should use
-// RestoreNodeGame instead).
+// RestoreNode loads a MarshalNode blob into a server pair wholesale — both
+// components, identity included. The components must carry the same
+// ServerID the blob was captured from. Its only caller is the benchmark's
+// snapshot.restore_node_us probe (benchmark/probes.go): a live host that
+// re-registered under a fresh ID uses RestoreNodeGame, and the simulator
+// restores its in-memory checkpoints with RestoreState.
 func RestoreNode(blob []byte, c *core.Server, g *gameserver.Server) error {
 	n, err := DecodeNode(blob)
 	if err != nil {

@@ -394,10 +394,6 @@ func (m *Map) Reclaim(child id.ServerID) (parent id.ServerID, merged geom.Rect, 
 func (m *Map) CanReclaim(child id.ServerID) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.canReclaimLocked(child)
-}
-
-func (m *Map) canReclaimLocked(child id.ServerID) bool {
 	childBounds, ok := m.bounds[child]
 	if !ok || child == m.root || len(m.children[child]) > 0 {
 		return false
@@ -405,21 +401,6 @@ func (m *Map) canReclaimLocked(child id.ServerID) bool {
 	parentBounds := m.bounds[m.parent[child]]
 	merged := parentBounds.Union(childBounds)
 	return merged.Area()-parentBounds.Area()-childBounds.Area() <= 1e-9*merged.Area()
-}
-
-// ReclaimableChildren returns the children of s that can be reclaimed right
-// now (leaves whose rectangles still merge with s's), sorted by ID.
-func (m *Map) ReclaimableChildren(s id.ServerID) []id.ServerID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]id.ServerID, 0, len(m.children[s]))
-	for k := range m.children[s] {
-		if m.canReclaimLocked(k) {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // PartitionNode is one partition plus its split-tree parent, the unit of a

@@ -168,13 +168,12 @@ func TestReclaimableChildren(t *testing.T) {
 	if _, _, err := m.Split(2, 4, SplitToLeft{}); err != nil {
 		t.Fatal(err)
 	}
-	got := m.ReclaimableChildren(1)
-	if len(got) != 1 || got[0] != 3 {
-		t.Errorf("ReclaimableChildren(1) = %v, want [3] (2 has a child)", got)
-	}
-	got = m.ReclaimableChildren(2)
-	if len(got) != 1 || got[0] != 4 {
-		t.Errorf("ReclaimableChildren(2) = %v, want [4]", got)
+	// Only a leaf whose rectangle still merges with its parent's can go:
+	// 3 (child of 1) and 4 (child of 2) are leaves, 2 has a child.
+	for child, want := range map[id.ServerID]bool{1: false, 2: false, 3: true, 4: true} {
+		if got := m.CanReclaim(child); got != want {
+			t.Errorf("CanReclaim(%v) = %v, want %v", child, got, want)
+		}
 	}
 }
 

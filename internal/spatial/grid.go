@@ -145,12 +145,6 @@ func (g *Grid[K]) removeFromCell(k K, c [2]int32) {
 	g.cells[c] = slices.Delete(run, i, i+1)
 }
 
-// Position returns the stored position of k.
-func (g *Grid[K]) Position(k K) (geom.Point, bool) {
-	p, ok := g.pos[k]
-	return p, ok
-}
-
 // QueryCircle appends to dst, in ascending key order, every entity within
 // dist of center (Euclidean, inclusive) and returns the extended slice. Pass
 // a reused dst to avoid allocation on hot paths.
@@ -205,31 +199,6 @@ func (g *Grid[K]) QueryDiscs(a, b geom.Point, dist float64, dst []K) []K {
 				if w > n {
 					g.runs = append(g.runs, span{n, w})
 				}
-			}
-		}
-	}
-	return g.merge(dst)
-}
-
-// QueryRect appends every entity inside r (half-open) to dst, in ascending
-// key order.
-func (g *Grid[K]) QueryRect(r geom.Rect, dst []K) []K {
-	if r.Empty() {
-		return dst
-	}
-	g.keys, g.runs = g.keys[:0], g.runs[:0]
-	cr := g.cellsOver(r.MinX, r.MinY, r.MaxX, r.MaxY)
-	for cx := cr.x0; cx <= cr.x1; cx++ {
-		for cy := cr.y0; cy <= cr.y1; cy++ {
-			g.visited++
-			n := len(g.keys)
-			for _, e := range g.cells[[2]int32{cx, cy}] {
-				if r.Contains(e.pt) {
-					g.keys = append(g.keys, e.key)
-				}
-			}
-			if len(g.keys) > n {
-				g.runs = append(g.runs, span{n, len(g.keys)})
 			}
 		}
 	}

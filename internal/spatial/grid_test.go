@@ -45,9 +45,8 @@ func TestMoveAcrossCells(t *testing.T) {
 	if got := g.QueryCircle(geom.Pt(95, 95), 1, nil); len(got) != 1 {
 		t.Fatalf("new cell empty: %v", got)
 	}
-	p, ok := g.Position(1)
-	if !ok || p != geom.Pt(95, 95) {
-		t.Fatalf("Position = %v,%v", p, ok)
+	if p, ok := g.pos[1]; !ok || p != geom.Pt(95, 95) {
+		t.Fatalf("stored position = %v,%v", p, ok)
 	}
 }
 
@@ -58,8 +57,8 @@ func TestMoveWithinCell(t *testing.T) {
 	if got := g.QueryCircle(geom.Pt(6, 6), 0.5, nil); len(got) != 1 {
 		t.Fatalf("in-cell move lost: %v", got)
 	}
-	if p, _ := g.Position(1); p != geom.Pt(6, 6) {
-		t.Fatalf("Position = %v", p)
+	if p := g.pos[1]; p != geom.Pt(6, 6) {
+		t.Fatalf("stored position = %v", p)
 	}
 }
 
@@ -71,7 +70,7 @@ func TestRemove(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if _, ok := g.Position(1); ok {
+	if _, ok := g.pos[1]; ok {
 		t.Fatal("removed entity still has position")
 	}
 	if got := g.QueryCircle(geom.Pt(5, 5), 10, nil); len(got) != 0 {
@@ -85,16 +84,12 @@ func TestQueryRect(t *testing.T) {
 	g.Insert(2, geom.Pt(15, 5))
 	g.Insert(3, geom.Pt(10, 5)) // on boundary: half-open => belongs to [10,20)
 	r := geom.R(0, 0, 10, 10)
-	got := g.QueryRect(r, nil)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("QueryRect = %v", got)
-	}
 	out := g.QueryOutsideRect(r, nil)
 	if len(out) != 2 || out[0] != 2 || out[1] != 3 {
 		t.Fatalf("QueryOutsideRect = %v", out)
 	}
-	if got := g.QueryRect(geom.Rect{}, nil); len(got) != 0 {
-		t.Fatalf("empty rect query = %v", got)
+	if got := g.QueryOutsideRect(geom.Rect{}, nil); len(got) != 3 {
+		t.Fatalf("everything is outside the empty rect, got %v", got)
 	}
 }
 
@@ -369,13 +364,13 @@ func FuzzGridOps(f *testing.F) {
 				r := geom.R(p.X, p.Y, p.X+float64(ops[1]), p.Y+float64(ops[1]))
 				var want []int
 				for mk, mp := range m {
-					if r.Contains(mp) {
+					if !r.Contains(mp) {
 						want = append(want, mk)
 					}
 				}
 				slices.Sort(want)
-				if got := g.QueryRect(r, nil); !slices.Equal(got, want) {
-					t.Fatalf("QueryRect(%v) = %v, want %v", r, got, want)
+				if got := g.QueryOutsideRect(r, nil); !slices.Equal(got, want) {
+					t.Fatalf("QueryOutsideRect(%v) = %v, want %v", r, got, want)
 				}
 			case 3:
 				b := geom.Pt(p.X+float64(ops[1]%16), p.Y-float64(ops[1]/16))
@@ -387,8 +382,8 @@ func FuzzGridOps(f *testing.F) {
 			t.Fatalf("Keys = %v for a model of %d", keys, len(m))
 		}
 		for _, k := range keys {
-			if p, ok := g.Position(k); !ok || p != m[k] {
-				t.Fatalf("Position(%d) = %v,%v, model has %v", k, p, ok, m[k])
+			if p, ok := g.pos[k]; !ok || p != m[k] {
+				t.Fatalf("stored position of %d = %v,%v, model has %v", k, p, ok, m[k])
 			}
 		}
 	})

@@ -155,15 +155,8 @@ func (t *Tracer) SliceArg(pid, tid int32, name string, start, dur int64, argName
 	t.emit(Event{Ph: PhaseSlice, Pid: pid, Tid: tid, Name: name, TS: start, Dur: dur, ArgName: argName, Arg: arg})
 }
 
-// Instant records a point event on (pid, tid).
-func (t *Tracer) Instant(pid, tid int32, name string, ts int64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Ph: PhaseInstant, Pid: pid, Tid: tid, Name: name, TS: ts})
-}
-
-// InstantArg is Instant with one integer argument.
+// InstantArg records a point event on (pid, tid) with one integer argument
+// (an empty argName records none).
 func (t *Tracer) InstantArg(pid, tid int32, name string, ts int64, argName string, arg int64) {
 	if t == nil {
 		return

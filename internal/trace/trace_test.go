@@ -19,7 +19,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	tr.Slice(1, 2, "s", 0, 1)
 	tr.SliceArg(1, 2, "s", 0, 1, "k", 3)
-	tr.Instant(1, 2, "i", 0)
+	tr.InstantArg(1, 2, "i", 0, "", 0)
 	tr.InstantArg(1, 2, "i", 0, "k", 3)
 	tr.AsyncBegin(1, "c", "a", 7, 0)
 	tr.AsyncStep(1, "c", "a", 7, 1)
@@ -81,7 +81,7 @@ func TestRingWrap(t *testing.T) {
 	tr := New(100) // rounds up to 128
 	tr.NameProcess(1, "engine")
 	for i := 0; i < 200; i++ {
-		tr.Instant(1, 0, "e", int64(i))
+		tr.InstantArg(1, 0, "e", int64(i), "", 0)
 	}
 	if tr.Len() != 128 {
 		t.Fatalf("Len = %d, want 128", tr.Len())
@@ -108,9 +108,9 @@ func TestRingWrap(t *testing.T) {
 // in the ring; emit metadata and stay under capacity, it leads the export.
 func TestMetadataSurvivesWrap(t *testing.T) {
 	tr := New(128)
-	tr.Instant(1, 0, "early", 1)
+	tr.InstantArg(1, 0, "early", 1, "", 0)
 	tr.NameProcess(1, "engine")
-	tr.Instant(1, 0, "late", 2)
+	tr.InstantArg(1, 0, "late", 2, "", 0)
 	evs := tr.Events()
 	if len(evs) != 3 || evs[0].Ph != PhaseMetadata {
 		t.Fatalf("metadata not hoisted: %+v", evs)
@@ -124,7 +124,7 @@ func TestWriteJSONShape(t *testing.T) {
 	tr.NameProcess(7, "server-7")
 	tr.NameThread(7, 2, "worker-2")
 	tr.SliceArg(7, 2, "phase-a", 100, 50, "server", 3)
-	tr.Instant(7, 0, "mark \"x\"", 120)
+	tr.InstantArg(7, 0, "mark \"x\"", 120, "", 0)
 	tr.AsyncBegin(7, "packet", "packet", 0xdeadbeef, 100)
 	tr.AsyncStepArg(7, "packet", "peer-forward", 0xdeadbeef, 110, "peer", 4)
 	tr.AsyncEnd(7, "packet", "packet", 0xdeadbeef, 130)

@@ -371,17 +371,6 @@ func newMemQueue() *memQueue {
 	return q
 }
 
-func (q *memQueue) push(frame []byte) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	q.frames = append(q.frames, frame)
-	q.cond.Signal()
-	return nil
-}
-
 // pushAll enqueues every frame or none (connection closed), mirroring the
 // TCP side's single contiguous Write: a chunked batch is never partially
 // delivered.
@@ -440,18 +429,10 @@ func newMemPair(listenerAddr, dialerName string) (client, server *memConn) {
 	return client, server
 }
 
+// Send is SendBatch of one message: AppendBatches frames a lone message
+// directly, so the bytes and their accounting are a plain frame's.
 func (c *memConn) Send(m protocol.Message) error {
-	frame, err := protocol.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := c.out.push(frame); err != nil {
-		return err
-	}
-	c.countsMu.Lock()
-	c.sent += uint64(len(frame))
-	c.countsMu.Unlock()
-	return nil
+	return c.SendBatch([]protocol.Message{m})
 }
 
 func (c *memConn) SendBatch(ms []protocol.Message) error {

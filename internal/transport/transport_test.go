@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -510,5 +511,39 @@ func TestSendBatchEmpty(t *testing.T) {
 				t.Fatalf("got %v, %v", m, err)
 			}
 		})
+	}
+}
+
+// TestMemSendIsSendBatchOfOne: on the in-memory transport Send(m) and
+// SendBatch([m]) are one code path, so over a thousand messages of mixed
+// types and sizes twin connections deliver the same messages and count the
+// same bytes on both ends.
+func TestMemSendIsSendBatchOfOne(t *testing.T) {
+	nw := NewMemNetwork()
+	c1, s1 := connPair(t, nw)
+	c2, s2 := connPair(t, nw)
+	samples := batchSample()
+	for i := 0; i < 1000; i++ {
+		var m protocol.Message = &protocol.GameUpdate{
+			Client: id.ClientID(i), Seq: id.PacketSeq(i), Kind: protocol.KindMove,
+			Origin: geom.Pt(float64(i), 2), Dest: geom.Pt(3, 4), Payload: make([]byte, i%97)}
+		if i%4 == 3 {
+			m = samples[i%len(samples)]
+		}
+		if err := c1.Send(m); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+		if err := c2.SendBatch([]protocol.Message{m}); err != nil {
+			t.Fatalf("SendBatch %d: %v", i, err)
+		}
+		got1, err1 := s1.Recv()
+		got2, err2 := s2.Recv()
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(got1, got2) || got1.MsgType() != m.MsgType() {
+			t.Fatalf("message %d: Send delivered %#v (%v), SendBatch %#v (%v), sent %#v", i, got1, err1, got2, err2, m)
+		}
+		if c1.BytesSent() != c2.BytesSent() || s1.BytesReceived() != s2.BytesReceived() || c1.BytesSent() != s1.BytesReceived() {
+			t.Fatalf("after message %d: Send side sent %d / received %d, SendBatch side %d / %d",
+				i, c1.BytesSent(), s1.BytesReceived(), c2.BytesSent(), s2.BytesReceived())
+		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"matrix/internal/gameclient"
 	"matrix/internal/geom"
 	"matrix/internal/id"
-	"matrix/internal/load"
 	"matrix/internal/middleware"
 	"matrix/internal/netem"
 	"matrix/internal/policy"
@@ -62,7 +61,7 @@ type (
 	GameUpdate = protocol.GameUpdate
 	// LoadPolicy tunes the split/reclaim thresholds; the zero value is the
 	// paper's 300/150-client policy.
-	LoadPolicy = load.Config
+	LoadPolicy = policy.Thresholds
 	// Network abstracts the transport (TCP or in-memory).
 	Network = transport.Network
 	// Profile is a game workload's traffic shape.
@@ -159,7 +158,7 @@ func Figure2Script(world Rect) Script { return game.Figure2Script(world) }
 
 // DefaultLoadPolicy returns the paper's thresholds: overload at 300
 // clients, underload below 150.
-func DefaultLoadPolicy() LoadPolicy { return load.DefaultConfig() }
+func DefaultLoadPolicy() LoadPolicy { return policy.DefaultThresholds() }
 
 // PolicyNames lists the registered decision policies ("paper",
 // "hysteresis", ...) in presentation order. Pass one to WithPolicy, a
