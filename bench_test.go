@@ -2,7 +2,7 @@
 // and end-to-end perf record, see BENCHMARK.json) nor the experiments
 // tests (which assert every E-row's headline numbers) cover — the wall
 // clock of the whole scenario sweep and of the intra-sim tick engine, and
-// ablations for two design choices the paper leaves open.
+// an ablation of the reclaim dwell, a design choice the paper leaves open.
 //
 //	go test -bench=. -benchtime=1x
 package matrix_test
@@ -16,11 +16,8 @@ import (
 	"matrix/internal/experiments"
 	"matrix/internal/game"
 	"matrix/internal/geom"
-	"matrix/internal/id"
 	"matrix/internal/load"
-	"matrix/internal/overlap"
 	"matrix/internal/sim"
-	"matrix/internal/space"
 )
 
 // --- scenario sweep (shared scenario table) ---
@@ -83,7 +80,7 @@ func BenchmarkScenarioSimWorkers(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices the paper leaves open) ---
+// --- Ablation (a design choice the paper leaves open) ---
 
 // ablationConfig is a small hotspot scenario shared by the ablations.
 func ablationConfig(seed int64) sim.Config {
@@ -133,54 +130,4 @@ func BenchmarkAblationReclaimDwell(b *testing.B) {
 	}
 	b.ReportMetric(with, "events-with-dwell")
 	b.ReportMetric(without, "events-no-dwell")
-}
-
-// BenchmarkAblationSplitPolicy compares split-to-left against the mirror
-// split-to-right on identical load: both are load-oblivious, showing the
-// paper's "though simple, this algorithm still provides good performance"
-// is not sensitive to the handedness choice.
-func BenchmarkAblationSplitPolicy(b *testing.B) {
-	run := func(policy space.SplitPolicy) (float64, float64) {
-		m, err := space.NewMap(geom.R(0, 0, 1024, 1024), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var gen id.Generator
-		gen.NextServer()
-		live := []id.ServerID{1}
-		for i := 0; len(live) < 64; i++ {
-			// Deterministic round-robin victim selection.
-			victim := live[(i*7+3)%len(live)]
-			child := gen.NextServer()
-			if _, _, err := m.Split(victim, child, policy); err != nil {
-				b.Fatal(err)
-			}
-			live = append(live, child)
-		}
-		// Quality metrics: worst aspect ratio and overlap area at R=20.
-		worstAspect := 1.0
-		tables, err := overlap.BuildAll(m.Partitions(), 20, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var overlapArea float64
-		for _, p := range m.Partitions() {
-			a := p.Bounds.Width() / p.Bounds.Height()
-			if a < 1 {
-				a = 1 / a
-			}
-			if a > worstAspect {
-				worstAspect = a
-			}
-			overlapArea += tables[p.Owner].OverlapArea()
-		}
-		return worstAspect, overlapArea
-	}
-	var la, ra float64
-	for i := 0; i < b.N; i++ {
-		la, _ = run(space.SplitToLeft{})
-		ra, _ = run(space.SplitToRight{})
-	}
-	b.ReportMetric(la, "left-worst-aspect")
-	b.ReportMetric(ra, "right-worst-aspect")
 }

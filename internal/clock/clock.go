@@ -60,15 +60,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.now = v.now.Add(d)
 }
 
-// Set jumps the clock to t if t is not earlier than the current time.
-func (v *Virtual) Set(t time.Time) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t.After(v.now) {
-		v.now = t
-	}
-}
-
 var (
 	_ Clock = Wall{}
 	_ Clock = (*Virtual)(nil)

@@ -42,19 +42,6 @@ func TestVirtualNegativeAdvanceIgnored(t *testing.T) {
 	}
 }
 
-func TestVirtualSetMonotone(t *testing.T) {
-	origin := time.Unix(1000, 0)
-	v := NewVirtual(origin)
-	v.Set(origin.Add(10 * time.Second))
-	if got := v.Now(); !got.Equal(origin.Add(10 * time.Second)) {
-		t.Fatalf("Set forward failed: %v", got)
-	}
-	v.Set(origin) // backwards: ignored
-	if got := v.Now(); !got.Equal(origin.Add(10 * time.Second)) {
-		t.Fatalf("Set backwards must be ignored: %v", got)
-	}
-}
-
 func TestVirtualConcurrent(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
 	var wg sync.WaitGroup

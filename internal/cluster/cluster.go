@@ -25,8 +25,8 @@ import (
 )
 
 // Config sizes the fleet. The zero value is usable: defaults favour fast
-// convergence under `go test` (10ms heartbeats, 3 misses, 25ms
-// checkpoints, 2ms ticks).
+// convergence under `go test` (10ms heartbeats, 25ms checkpoints, 2ms
+// ticks) and a lease no scheduler stall can expire.
 type Config struct {
 	// Servers is the initial fleet size; the first owns the whole world,
 	// the rest wait as warm spares (default 2).
@@ -34,7 +34,12 @@ type Config struct {
 	// HeartbeatEvery is both the servers' beat cadence and the
 	// coordinator's lease tick (default 10ms).
 	HeartbeatEvery time.Duration
-	// LeaseMisses kills a lease after this many missed beats (default 3).
+	// LeaseMisses kills a lease after this many missed beats. The default,
+	// 1000 (a 10s lease), outlasts every wait in the suites: a kill or a
+	// drain is detected through the dropped connection, and on a loaded
+	// machine a short wall-clock lease expires on healthy servers whose
+	// heartbeat goroutine was merely starved. Only a test that zombifies a
+	// server (connection up, beats paused) needs a short lease, and sets it.
 	LeaseMisses int
 	// CheckpointEvery is the servers' checkpoint-shipping cadence
 	// (default 25ms).
@@ -63,7 +68,7 @@ func (c Config) withDefaults() Config {
 		c.HeartbeatEvery = 10 * time.Millisecond
 	}
 	if c.LeaseMisses == 0 {
-		c.LeaseMisses = 3
+		c.LeaseMisses = 1000
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 25 * time.Millisecond

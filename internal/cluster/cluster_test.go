@@ -147,7 +147,7 @@ func TestClientsReconnectAfterCrash(t *testing.T) {
 // keeps its connection is only caught by lease expiry; when it comes back
 // it finds itself replaced and is demoted to a spare.
 func TestZombieLeaseExpiresAndDemotes(t *testing.T) {
-	c, err := New(Config{Servers: 2})
+	c, err := New(Config{Servers: 2, LeaseMisses: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

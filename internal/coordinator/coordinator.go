@@ -34,7 +34,6 @@ import (
 var (
 	ErrPoolExhausted = errors.New("coordinator: no spare servers available")
 	ErrUnknownServer = errors.New("coordinator: unknown server")
-	ErrNotSpare      = errors.New("coordinator: server is not a spare")
 	ErrBadRadius     = errors.New("coordinator: radius must be positive")
 	ErrNotActive     = errors.New("coordinator: server owns no partition")
 )
@@ -347,7 +346,6 @@ func (c *Coordinator) handleSplit(from id.ServerID, req *protocol.SplitRequest) 
 	if idx < 0 {
 		return deny(fmt.Sprintf("policy %q picked %v, which is not a spare", c.pol.Name(), childID)), nil
 	}
-	child := c.servers[childID]
 	bounds, err := c.m.Bounds(from)
 	if err != nil {
 		return deny(err.Error()), nil
@@ -364,9 +362,7 @@ func (c *Coordinator) handleSplit(from id.ServerID, req *protocol.SplitRequest) 
 	if err != nil {
 		return deny(err.Error()), nil
 	}
-	c.spares = append(c.spares[:idx], c.spares[idx+1:]...)
-	child.active = true
-	child.draining = false
+	child := c.activateSpareLocked(idx)
 	c.splits++
 	corr := c.nextCorrLocked()
 	c.recordLocked(Decision{Seq: corr, Kind: "split", Server: from, Child: childID, Granted: true,
@@ -517,29 +513,39 @@ func (c *Coordinator) tableEnvelopesLocked() ([]Envelope, error) {
 			return nil, fmt.Errorf("coordinator: build tables (r=%v): %w", r, err)
 		}
 		for _, part := range parts {
-			tab := tables[part.Owner]
-			regions := tab.Regions()
-			// Collect the peers this table can route to, with addresses.
-			var peerSet overlap.Set
-			for _, reg := range regions {
-				peerSet = peerSet.Union(reg.Peers)
-			}
-			out = append(out, Envelope{
-				To: part.Owner,
-				Msg: &protocol.OverlapTable{
-					Server:  part.Owner,
-					Version: version,
-					Bounds:  part.Bounds,
-					Radius:  r,
-					Regions: protocol.RegionsToWire(regions),
-					Peers:   c.peerAddrsLocked(peerSet),
-				},
-			})
+			out = append(out, c.tableEnvelopeLocked(part.Owner, tables[part.Owner], r))
 		}
 	}
 	// Deterministic delivery order helps tests and debugging.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].To < out[j].To })
 	return out, nil
+}
+
+// tableEnvelopeLocked packages owner's overlap table for radius r with the
+// addresses of every peer it can route to.
+func (c *Coordinator) tableEnvelopeLocked(owner id.ServerID, tab *overlap.Table, r float64) Envelope {
+	regions := tab.Regions()
+	var peerSet overlap.Set
+	for _, reg := range regions {
+		peerSet = peerSet.Union(reg.Peers)
+	}
+	return Envelope{To: owner, Msg: &protocol.OverlapTable{
+		Server:  owner,
+		Version: tab.Version(),
+		Bounds:  tab.Bounds(),
+		Radius:  r,
+		Regions: protocol.RegionsToWire(regions),
+		Peers:   c.peerAddrsLocked(peerSet),
+	}}
+}
+
+// activateSpareLocked takes spares[i] out of the pool to own a partition
+// (the caller has put it in the map); any drain it was finishing is over.
+func (c *Coordinator) activateSpareLocked(i int) *serverState {
+	st := c.servers[c.spares[i]]
+	c.spares = append(c.spares[:i], c.spares[i+1:]...)
+	st.active, st.draining = true, false
+	return st
 }
 
 // radiiLocked returns the default radius plus configured extras, deduped.
@@ -617,22 +623,7 @@ func (c *Coordinator) resyncLocked(sid id.ServerID) ([]Envelope, error) {
 		if err != nil {
 			return nil, fmt.Errorf("coordinator: resync table (r=%v): %w", r, err)
 		}
-		regions := tab.Regions()
-		var peerSet overlap.Set
-		for _, reg := range regions {
-			peerSet = peerSet.Union(reg.Peers)
-		}
-		out = append(out, Envelope{
-			To: sid,
-			Msg: &protocol.OverlapTable{
-				Server:  sid,
-				Version: version,
-				Bounds:  bounds,
-				Radius:  r,
-				Regions: protocol.RegionsToWire(regions),
-				Peers:   c.peerAddrsLocked(peerSet),
-			},
-		})
+		out = append(out, c.tableEnvelopeLocked(sid, tab, r))
 	}
 	out = append(out, Envelope{To: sid, Msg: &protocol.RangeUpdate{Server: sid, Bounds: bounds, Handoff: handoff}})
 	return out, nil

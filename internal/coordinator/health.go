@@ -210,10 +210,7 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 	if err != nil {
 		return nil
 	}
-	c.spares = c.spares[1:]
-	spare := c.servers[spareID]
-	spare.active = true
-	spare.draining = false
+	c.activateSpareLocked(0)
 	c.adoptions++
 
 	blob := c.checkpoints[victim]
@@ -335,10 +332,7 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 		if err != nil {
 			return nil, err
 		}
-		c.spares = c.spares[1:]
-		spare := c.servers[spareID]
-		spare.active = true
-		spare.draining = false
+		c.activateSpareLocked(0)
 		successor = spareID
 		out = append(out, Envelope{To: spareID, Msg: &protocol.RangeUpdate{
 			Server:  spareID,

@@ -209,18 +209,6 @@ func (s *Server) Parent() id.ServerID {
 	return s.parent
 }
 
-// Children returns this server's current children, sorted.
-func (s *Server) Children() []id.ServerID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]id.ServerID, 0, len(s.child))
-	for c := range s.child {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Stats returns a copy of the traffic counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
@@ -783,14 +771,6 @@ func (s *Server) radiusForLocked(k protocol.UpdateKind) float64 {
 		return r
 	}
 	return s.radius
-}
-
-// PeerAddr returns the known address for a peer server.
-func (s *Server) PeerAddr(p id.ServerID) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.peers[p]
-	return info.addr, ok
 }
 
 // ResolveOwner returns the peer server whose partition contains p, with its

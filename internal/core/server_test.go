@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -320,12 +321,11 @@ func TestSplitReplyGrantedUpdatesState(t *testing.T) {
 	if !s.Bounds().Eq(keep) {
 		t.Errorf("bounds = %v", s.Bounds())
 	}
-	kids := s.Children()
-	if len(kids) != 1 || kids[0] != 3 {
+	if kids := s.childOrder; !slices.Equal(kids, []id.ServerID{3}) {
 		t.Errorf("children = %v", kids)
 	}
-	if addr, ok := s.PeerAddr(3); !ok || addr != "c:9" {
-		t.Errorf("child addr = %q,%v", addr, ok)
+	if info, ok := s.peers[3]; !ok || info.addr != "c:9" {
+		t.Errorf("child addr = %q,%v", info.addr, ok)
 	}
 	if len(envs) != 1 || envs[0].Dest != DestGameServer {
 		t.Fatalf("envelopes = %+v", envs)
@@ -414,8 +414,8 @@ func TestReclaimFlow(t *testing.T) {
 	if !s.Bounds().Eq(merged) {
 		t.Errorf("bounds = %v", s.Bounds())
 	}
-	if len(s.Children()) != 0 {
-		t.Errorf("children = %v", s.Children())
+	if kids := s.childOrder; len(kids) != 0 || len(s.child) != 0 {
+		t.Errorf("children = %v", kids)
 	}
 	if len(envs) != 1 || envs[0].Dest != DestGameServer {
 		t.Fatalf("envelopes = %+v", envs)

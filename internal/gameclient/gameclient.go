@@ -17,11 +17,8 @@ import (
 	"matrix/internal/protocol"
 )
 
-// Client errors.
-var (
-	ErrNotConnected = errors.New("gameclient: not connected")
-	ErrNilMessage   = errors.New("gameclient: nil message")
-)
+// ErrNilMessage is what Handle returns for a nil message.
+var ErrNilMessage = errors.New("gameclient: nil message")
 
 // Event is what a Handle call tells the host to do next.
 type Event uint8

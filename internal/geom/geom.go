@@ -35,54 +35,6 @@ func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.3f,%.3f)", p.X, p.Y) }
 
-// Metric computes a game-specific distance between two points. The paper
-// requires only that games expose "a game-specific distance metric"; Matrix
-// treats it as opaque. Implementations must be symmetric, non-negative and
-// satisfy the triangle inequality for overlap regions to be conservative.
-type Metric interface {
-	// Distance returns the distance between a and b.
-	Distance(a, b Point) float64
-	// Name identifies the metric for diagnostics.
-	Name() string
-}
-
-// Euclidean is the standard L2 metric, the default for all bundled games.
-type Euclidean struct{}
-
-// Distance implements Metric.
-func (Euclidean) Distance(a, b Point) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }
-
-// Name implements Metric.
-func (Euclidean) Name() string { return "euclidean" }
-
-// Manhattan is the L1 metric, useful for grid-movement games.
-type Manhattan struct{}
-
-// Distance implements Metric.
-func (Manhattan) Distance(a, b Point) float64 {
-	return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y)
-}
-
-// Name implements Metric.
-func (Manhattan) Name() string { return "manhattan" }
-
-// Chebyshev is the L∞ metric.
-type Chebyshev struct{}
-
-// Distance implements Metric.
-func (Chebyshev) Distance(a, b Point) float64 {
-	return math.Max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y))
-}
-
-// Name implements Metric.
-func (Chebyshev) Name() string { return "chebyshev" }
-
-var (
-	_ Metric = Euclidean{}
-	_ Metric = Manhattan{}
-	_ Metric = Chebyshev{}
-)
-
 // Rect is an axis-aligned rectangle, closed on the min edge and open on the
 // max edge ([MinX,MaxX) × [MinY,MaxY)) so that a tiling of rectangles assigns
 // every point to exactly one tile. A Rect with MaxX<=MinX or MaxY<=MinY is

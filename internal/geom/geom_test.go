@@ -37,61 +37,6 @@ func TestPointNorm(t *testing.T) {
 	}
 }
 
-func TestMetrics(t *testing.T) {
-	a, b := Pt(0, 0), Pt(3, 4)
-	tests := []struct {
-		m    Metric
-		want float64
-		name string
-	}{
-		{Euclidean{}, 5, "euclidean"},
-		{Manhattan{}, 7, "manhattan"},
-		{Chebyshev{}, 4, "chebyshev"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.m.Name(), func(t *testing.T) {
-			if got := tt.m.Distance(a, b); got != tt.want {
-				t.Fatalf("Distance = %v, want %v", got, tt.want)
-			}
-			if tt.m.Name() != tt.name {
-				t.Fatalf("Name = %q, want %q", tt.m.Name(), tt.name)
-			}
-		})
-	}
-}
-
-func TestMetricSymmetry(t *testing.T) {
-	metrics := []Metric{Euclidean{}, Manhattan{}, Chebyshev{}}
-	for _, m := range metrics {
-		m := m
-		f := func(ax, ay, bx, by float64) bool {
-			a, b := Pt(ax, ay), Pt(bx, by)
-			d1, d2 := m.Distance(a, b), m.Distance(b, a)
-			return d1 == d2 && d1 >= 0
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", m.Name(), err)
-		}
-	}
-}
-
-func TestMetricTriangleInequality(t *testing.T) {
-	metrics := []Metric{Euclidean{}, Manhattan{}, Chebyshev{}}
-	for _, m := range metrics {
-		m := m
-		f := func(ax, ay, bx, by, cx, cy int16) bool {
-			a := Pt(float64(ax), float64(ay))
-			b := Pt(float64(bx), float64(by))
-			c := Pt(float64(cx), float64(cy))
-			// Small epsilon for float rounding in Hypot.
-			return m.Distance(a, c) <= m.Distance(a, b)+m.Distance(b, c)+1e-9
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", m.Name(), err)
-		}
-	}
-}
-
 func TestRectEmpty(t *testing.T) {
 	tests := []struct {
 		name string

@@ -180,7 +180,7 @@ type ServerHost struct {
 }
 
 // StartServer registers with the MC and brings the pumps up.
-func StartServer(cfg ServerConfig) (*ServerHost, error) {
+func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	cfg = cfg.sanitized()
 	var mw *middleware.Chain
 	if cfg.Middleware.Enabled() {
@@ -198,34 +198,31 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 		_ = ln.Close()
 		return nil, fmt.Errorf("host: dial coordinator: %w", err)
 	}
+	// From here on a failed start gives the listener and the connection back.
+	defer func() {
+		if err != nil {
+			_ = ln.Close()
+			_ = mcConn.Close()
+		}
+	}()
 	if err := mcConn.Send(&protocol.RegisterRequest{Addr: ln.Addr(), Radius: cfg.Radius}); err != nil {
-		_ = ln.Close()
-		_ = mcConn.Close()
 		return nil, err
 	}
 	first, err := mcConn.Recv()
 	if err != nil {
-		_ = ln.Close()
-		_ = mcConn.Close()
 		return nil, fmt.Errorf("host: registration reply: %w", err)
 	}
 	reply, ok := first.(*protocol.RegisterReply)
 	if !ok {
-		_ = ln.Close()
-		_ = mcConn.Close()
 		return nil, fmt.Errorf("host: unexpected registration reply %v", first.MsgType())
 	}
 
 	pol, err := policy.New(cfg.Policy)
 	if err != nil {
-		_ = ln.Close()
-		_ = mcConn.Close()
 		return nil, err
 	}
 	cs, err := core.NewServer(core.Config{Load: cfg.Load, Policy: pol}, reply, cfg.Radius)
 	if err != nil {
-		_ = ln.Close()
-		_ = mcConn.Close()
 		return nil, err
 	}
 	gs, err := gameserver.New(gameserver.Config{
@@ -236,8 +233,6 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 		ResolveOwner: cs.ResolveOwner,
 	})
 	if err != nil {
-		_ = ln.Close()
-		_ = mcConn.Close()
 		return nil, err
 	}
 
@@ -245,8 +240,6 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 	// joined yet, so the adopted world can never wipe a live session.
 	if cfg.Restore != nil {
 		if err := snapshot.RestoreNodeGame(cfg.Restore, gs); err != nil {
-			_ = ln.Close()
-			_ = mcConn.Close()
 			return nil, fmt.Errorf("host: restore snapshot: %w", err)
 		}
 	}

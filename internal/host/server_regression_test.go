@@ -688,3 +688,25 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 		t.Fatalf("checkpoint after the overflow not restored: avatar 7 at %v, %v", p, ok)
 	}
 }
+
+// TestFailedStartReleasesListener: a start that fails after registering (here
+// on an unknown policy name) must give its listener address and its
+// coordinator connection back — one cleanup covers every such exit.
+func TestFailedStartReleasesListener(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	cfg := ServerConfig{Network: nw, Coordinator: mc.Addr(), ListenAddr: "srv", Radius: 40, Policy: "no-such-policy"}
+	if _, err := StartServer(cfg); err == nil {
+		t.Fatal("StartServer accepted an unknown policy")
+	}
+	cfg.Policy = ""
+	h, err := StartServer(cfg)
+	if err != nil {
+		t.Fatalf("the failed start kept the listener address: %v", err)
+	}
+	h.Close()
+}

@@ -106,20 +106,6 @@ func (t *Tracker) refreshDwellLocked(child id.ServerID) {
 	}
 }
 
-// Clients returns the last reported client count.
-func (t *Tracker) Clients() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clients
-}
-
-// QueueLen returns the last reported queue length.
-func (t *Tracker) QueueLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.queueLen
-}
-
 // SetChildLoad records a child's reported client count and queue length
 // (the coordinator relays children's load reports to parents so reclaim
 // decisions stay local).

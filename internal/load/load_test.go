@@ -225,11 +225,8 @@ func TestChildLoadReadback(t *testing.T) {
 func TestQueueLenTracking(t *testing.T) {
 	tr, _ := newTestTracker(policy.DefaultThresholds())
 	tr.SetLoad(10, 55)
-	if tr.QueueLen() != 55 {
-		t.Errorf("QueueLen = %d", tr.QueueLen())
-	}
-	if tr.Clients() != 10 {
-		t.Errorf("Clients = %d", tr.Clients())
+	if st := tr.State(); st.QueueLen != 55 || st.Clients != 10 {
+		t.Errorf("State after SetLoad(10, 55): Clients = %d, QueueLen = %d", st.Clients, st.QueueLen)
 	}
 }
 

@@ -33,10 +33,11 @@ func TestPromName(t *testing.T) {
 // scrapes of the same registry are byte-identical regardless of the order
 // instruments were registered in.
 func TestWritePrometheusSortedStable(t *testing.T) {
-	reg := NewRegistry()
+	// Gauges only enter a registry through a restored snapshot.
+	gauges := RegistryState{Gauges: []GaugeState{{Name: "mid/level", Value: 2.5}}}
+	reg := NewRegistryFromState(gauges)
 	reg.Counter("zeta/ops").Add(3)
 	reg.Counter("alpha/ops").Add(1)
-	reg.Gauge("mid/level").Set(2.5)
 	reg.Histogram("beta/lat-ms").Observe(1)
 
 	first := scrape(reg)
@@ -51,9 +52,8 @@ func TestWritePrometheusSortedStable(t *testing.T) {
 	}
 
 	// Same instruments registered in the opposite order scrape identically.
-	reg2 := NewRegistry()
+	reg2 := NewRegistryFromState(gauges)
 	reg2.Histogram("beta/lat-ms").Observe(1)
-	reg2.Gauge("mid/level").Set(2.5)
 	reg2.Counter("alpha/ops").Add(1)
 	reg2.Counter("zeta/ops").Add(3)
 	if got := scrape(reg2); got != first {

@@ -14,14 +14,15 @@ import (
 // send side: data-plane messages can be lost, and everything can be
 // delayed by the configured latency + jitter. Delayed messages are
 // released by a background pump in deadline order, so jitter reorders them
-// exactly as it would on a real degraded path. The receive side is a pure
-// pass-through — impair both ends' conns to model a bad link both ways.
+// exactly as it would on a real degraded path. The receive side, the peer
+// name and the byte counts (bytes actually transmitted) are the embedded
+// conn's — impair both ends' conns to model a bad link both ways.
 //
 // Send and SendBatch report nil for impaired (dropped or deferred)
 // messages, the way a kernel accepts a datagram it may never deliver; a
 // later transport failure surfaces on the next call.
 type Conn struct {
-	inner transport.Conn
+	transport.Conn // the wrapped connection
 
 	mu      sync.Mutex
 	link    LinkConfig
@@ -54,9 +55,9 @@ func WrapConn(inner transport.Conn, link LinkConfig, seed int64) transport.Conn 
 		return inner
 	}
 	c := &Conn{
-		inner:    inner,
+		Conn:     inner,
 		link:     link,
-		st:       linkState{rng: rng64{state: mix64(uint64(seed))}},
+		st:       linkState{rng: Rand{State: mix64(uint64(seed))}},
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		pumpDone: make(chan struct{}),
@@ -106,7 +107,7 @@ func (c *Conn) SendBatch(ms []protocol.Message) error {
 	delay := c.delayLocked()
 	if delay <= 0 {
 		c.mu.Unlock()
-		return c.inner.SendBatch(keep)
+		return c.Conn.SendBatch(keep)
 	}
 	c.stats.Delayed++
 	c.pushLocked(time.Now().Add(delay), keep)
@@ -126,7 +127,7 @@ func (c *Conn) usableLocked() error {
 func (c *Conn) delayLocked() time.Duration {
 	d := c.link.DelayMs
 	if c.link.JitterMs > 0 {
-		d += c.st.rng.float() * c.link.JitterMs
+		d += c.st.rng.Float() * c.link.JitterMs
 	}
 	return time.Duration(d * float64(time.Millisecond))
 }
@@ -176,7 +177,7 @@ func (c *Conn) pump() {
 		}
 		e := heap.Pop(&c.q).(sendEntry)
 		c.mu.Unlock()
-		if err := c.inner.SendBatch(e.ms); err != nil {
+		if err := c.Conn.SendBatch(e.ms); err != nil {
 			c.mu.Lock()
 			if c.sendErr == nil {
 				c.sendErr = err
@@ -185,9 +186,6 @@ func (c *Conn) pump() {
 		}
 	}
 }
-
-// Recv implements transport.Conn (pass-through).
-func (c *Conn) Recv() (protocol.Message, error) { return c.inner.Recv() }
 
 // Close implements transport.Conn. Messages still queued for delayed
 // release are discarded, as a dying link would discard them. The inner
@@ -202,19 +200,10 @@ func (c *Conn) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	close(c.done)
-	err := c.inner.Close()
+	err := c.Conn.Close()
 	<-c.pumpDone
 	return err
 }
-
-// RemoteAddr implements transport.Conn.
-func (c *Conn) RemoteAddr() string { return c.inner.RemoteAddr() }
-
-// BytesSent implements transport.Conn (bytes actually transmitted).
-func (c *Conn) BytesSent() uint64 { return c.inner.BytesSent() }
-
-// BytesReceived implements transport.Conn.
-func (c *Conn) BytesReceived() uint64 { return c.inner.BytesReceived() }
 
 // sendEntry is one deferred send.
 type sendEntry struct {

@@ -168,7 +168,7 @@ type linkKey struct{ from, to uint64 }
 // linkState is one directed link's mutable state: its PRNG stream and its
 // Gilbert–Elliott loss-chain position.
 type linkState struct {
-	rng rng64
+	rng Rand
 	bad bool
 }
 
@@ -189,9 +189,6 @@ func NewModel(cfg Config) *Model {
 // (timed impair script events). Link PRNG streams and burst states carry
 // over — only the parameters change.
 func (m *Model) SetLink(l LinkConfig) { m.link = l }
-
-// Link returns the impairment currently in effect.
-func (m *Model) Link() LinkConfig { return m.link }
 
 // Cut partitions the given servers off the server backbone: every
 // server↔server link with exactly one end inside the cut set blackholes.
@@ -272,7 +269,7 @@ func (m *Model) Judge(from, to Endpoint, lossEligible bool) Verdict {
 		return Verdict{Drop: true}
 	}
 	if m.link.JitterMs > 0 {
-		v.DelaySec += st.rng.float() * m.link.JitterMs / 1000
+		v.DelaySec += st.rng.Float() * m.link.JitterMs / 1000
 	}
 	return v
 }
@@ -284,7 +281,7 @@ func (m *Model) state(from, to Endpoint) *linkState {
 	k := linkKey{from.key(), to.key()}
 	st, ok := m.links[k]
 	if !ok {
-		st = &linkState{rng: rng64{state: mix64(mix64(uint64(m.seed)^k.from) ^ k.to)}}
+		st = &linkState{rng: Rand{State: mix64(mix64(uint64(m.seed)^k.from) ^ k.to)}}
 		m.links[k] = st
 	}
 	return st
@@ -297,10 +294,10 @@ func (m *Model) state(from, to Endpoint) *linkState {
 func (st *linkState) judgeLoss(l LinkConfig) bool {
 	if l.BurstEnter > 0 {
 		if st.bad {
-			if st.rng.float() < l.BurstExit {
+			if st.rng.Float() < l.BurstExit {
 				st.bad = false
 			}
-		} else if st.rng.float() < l.BurstEnter {
+		} else if st.rng.Float() < l.BurstEnter {
 			st.bad = true
 		}
 	}
@@ -308,7 +305,7 @@ func (st *linkState) judgeLoss(l LinkConfig) bool {
 	if st.bad && l.BurstLoss > p {
 		p = l.BurstLoss
 	}
-	return p > 0 && st.rng.float() < p
+	return p > 0 && st.rng.Float() < p
 }
 
 // CrashedServers returns the currently fail-stopped servers, sorted.
@@ -360,7 +357,7 @@ func (m *Model) State() ModelState {
 	})
 	for _, k := range keys {
 		ls := m.links[k]
-		st.Links = append(st.Links, LinkState{From: k.from, To: k.to, RNG: ls.rng.state, Bad: ls.bad})
+		st.Links = append(st.Links, LinkState{From: k.from, To: k.to, RNG: ls.rng.State, Bad: ls.bad})
 	}
 	return st
 }
@@ -371,7 +368,7 @@ func (m *Model) State() ModelState {
 func NewModelFromState(st ModelState) *Model {
 	m := NewModel(Config{Seed: st.Seed, Link: st.Link})
 	for _, ls := range st.Links {
-		m.links[linkKey{ls.From, ls.To}] = &linkState{rng: rng64{state: ls.RNG}, bad: ls.Bad}
+		m.links[linkKey{ls.From, ls.To}] = &linkState{rng: Rand{State: ls.RNG}, bad: ls.Bad}
 	}
 	for _, s := range st.Crashed {
 		m.crashed[s] = true
@@ -393,17 +390,17 @@ func DataPlane(m protocol.Message) bool {
 	return false
 }
 
-// rng64 is a splitmix64 PRNG: tiny, seedable, and allocation-free, so
-// every link affords its own independent stream.
-type rng64 struct{ state uint64 }
+// Rand is a splitmix64 PRNG: tiny, seedable, and allocation-free, so every
+// link affords its own independent stream. It is the repo's one splitmix64:
+// the simulator draws its placement decisions from one too. State is the
+// whole generator, so a snapshot stores it and a restore resumes the stream.
+type Rand struct{ State uint64 }
 
-func (r *rng64) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	return mix64(r.state)
+// Float returns a uniform float64 in [0, 1).
+func (r *Rand) Float() float64 {
+	r.State += 0x9E3779B97F4A7C15
+	return float64(mix64(r.State)>>11) / float64(1<<53)
 }
-
-// float returns a uniform float64 in [0, 1).
-func (r *rng64) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
 
 // mix64 is the splitmix64 finalizer, also used to hash link identities
 // into seeds.

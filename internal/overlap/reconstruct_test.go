@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"matrix/internal/geom"
@@ -17,11 +18,11 @@ func TestReconstructMatchesOriginal(t *testing.T) {
 		}
 		rnd := rand.New(rand.NewSource(seed))
 		for _, orig := range tabs {
-			rebuilt, err := NewTableFromRegions(orig.Owner(), orig.Bounds(), orig.Radius(), orig.Version(), orig.Regions())
+			rebuilt, err := NewTableFromRegions(orig.owner, orig.Bounds(), orig.radius, orig.Version(), orig.Regions())
 			if err != nil {
-				t.Fatalf("reconstruct %v: %v", orig.Owner(), err)
+				t.Fatalf("reconstruct %v: %v", orig.owner, err)
 			}
-			if rebuilt.Owner() != orig.Owner() || rebuilt.Version() != orig.Version() {
+			if rebuilt.owner != orig.owner || rebuilt.Version() != orig.Version() {
 				t.Fatal("metadata mismatch")
 			}
 			if rebuilt.OverlapArea() != orig.OverlapArea() {
@@ -34,8 +35,8 @@ func TestReconstructMatchesOriginal(t *testing.T) {
 					b.MinX+rnd.Float64()*b.Width(),
 					b.MinY+rnd.Float64()*b.Height(),
 				)
-				if got, want := rebuilt.Lookup(p), orig.Lookup(p); !got.Equal(want) {
-					t.Fatalf("owner %v point %v: rebuilt %v, original %v", orig.Owner(), p, got, want)
+				if got, want := rebuilt.Lookup(p), orig.Lookup(p); !slices.Equal(got, want) {
+					t.Fatalf("owner %v point %v: rebuilt %v, original %v", orig.owner, p, got, want)
 				}
 			}
 		}
@@ -78,7 +79,7 @@ func TestReconstructDoesNotAliasInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	regions[0].Peers[0] = 99
-	if got := tab.Lookup(geom.Pt(1, 1)); !got.Equal(NewSet(2, 3)) {
+	if got := tab.Lookup(geom.Pt(1, 1)); !slices.Equal(got, NewSet(2, 3)) {
 		t.Errorf("table aliased caller's peer slice: %v", got)
 	}
 }

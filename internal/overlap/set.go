@@ -36,25 +36,6 @@ func NewSet(ids ...id.ServerID) Set {
 	return out[:w]
 }
 
-// Contains reports whether s includes v.
-func (s Set) Contains(v id.ServerID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-// Equal reports whether two sets hold the same IDs.
-func (s Set) Equal(o Set) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Union returns the union of s and o as a new Set.
 func (s Set) Union(o Set) Set {
 	out := make(Set, 0, len(s)+len(o))

@@ -217,14 +217,8 @@ func (t *Table) mergeRegions() []Region {
 	return out
 }
 
-// Owner returns the server this table belongs to.
-func (t *Table) Owner() id.ServerID { return t.owner }
-
 // Bounds returns the partition the table covers.
 func (t *Table) Bounds() geom.Rect { return t.bounds }
-
-// Radius returns the visibility radius the table was built for.
-func (t *Table) Radius() float64 { return t.radius }
 
 // Version returns the topology version the table was built from.
 func (t *Table) Version() uint64 { return t.version }
@@ -241,14 +235,6 @@ func (t *Table) OverlapArea() float64 {
 		a += r.Bounds.Area()
 	}
 	return a
-}
-
-// OverlapFraction returns OverlapArea divided by the partition area.
-func (t *Table) OverlapFraction() float64 {
-	if t.bounds.Area() == 0 {
-		return 0
-	}
-	return t.OverlapArea() / t.bounds.Area()
 }
 
 // Lookup returns the consistency set for a point in the owner's partition.

@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"matrix/internal/geom"
@@ -38,7 +39,7 @@ func TestConsistencySetTwoServers(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			got := ConsistencySet(tt.p, tt.owner, parts, r)
-			if !got.Equal(tt.want) {
+			if !slices.Equal(got, tt.want) {
 				t.Fatalf("C(%v) = %v, want %v", tt.p, got, tt.want)
 			}
 		})
@@ -49,7 +50,7 @@ func TestConsistencySetInfiniteRadiusIsGlobal(t *testing.T) {
 	// "If R is infinite, all updates must be globally propagated" (§3.1).
 	parts := twoPartitions()
 	got := ConsistencySet(geom.Pt(80, 50), 1, parts, 1e18)
-	if !got.Equal(NewSet(2)) {
+	if !slices.Equal(got, NewSet(2)) {
 		t.Fatalf("C = %v, want all other servers", got)
 	}
 }
@@ -61,16 +62,13 @@ func TestBuildTableTwoServersBand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildTable: %v", err)
 	}
-	if tab.Owner() != 1 || tab.Radius() != r || tab.Version() != 7 {
-		t.Errorf("metadata: owner=%v radius=%v version=%d", tab.Owner(), tab.Radius(), tab.Version())
+	if tab.owner != 1 || tab.radius != r || tab.Version() != 7 {
+		t.Errorf("metadata: owner=%v radius=%v version=%d", tab.owner, tab.radius, tab.Version())
 	}
 	// The overlap area must be exactly the r-wide band along the shared
 	// edge: r * world height.
 	if got, want := tab.OverlapArea(), r*100.0; got != want {
 		t.Errorf("OverlapArea = %v, want %v", got, want)
-	}
-	if got, want := tab.OverlapFraction(), r*100.0/(50*100); got != want {
-		t.Errorf("OverlapFraction = %v, want %v", got, want)
 	}
 	regions := tab.Regions()
 	if len(regions) != 1 {
@@ -79,7 +77,7 @@ func TestBuildTableTwoServersBand(t *testing.T) {
 	if !regions[0].Bounds.Eq(geom.R(50, 0, 55, 100)) {
 		t.Errorf("band = %v", regions[0].Bounds)
 	}
-	if !regions[0].Peers.Equal(NewSet(2)) {
+	if !slices.Equal(regions[0].Peers, NewSet(2)) {
 		t.Errorf("band peers = %v", regions[0].Peers)
 	}
 }
@@ -103,7 +101,7 @@ func TestTableLookupTwoServers(t *testing.T) {
 		{geom.Pt(-1, -1), nil}, // outside world
 	}
 	for _, tt := range tests {
-		if got := tab.Lookup(tt.p); !got.Equal(tt.want) {
+		if got := tab.Lookup(tt.p); !slices.Equal(got, tt.want) {
 			t.Errorf("Lookup(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
@@ -145,8 +143,8 @@ func TestBuildAll(t *testing.T) {
 		t.Fatalf("got %d tables", len(tabs))
 	}
 	for owner, tab := range tabs {
-		if tab.Owner() != owner {
-			t.Errorf("table keyed %v has owner %v", owner, tab.Owner())
+		if tab.owner != owner {
+			t.Errorf("table keyed %v has owner %v", owner, tab.owner)
 		}
 		if tab.Version() != 3 {
 			t.Errorf("version = %d", tab.Version())
@@ -168,15 +166,15 @@ func TestFourQuadrantsCornerSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Just inside NE's min corner: all three peers.
-	if got := tab.Lookup(geom.Pt(51, 51)); !got.Equal(NewSet(2, 3, 4)) {
+	if got := tab.Lookup(geom.Pt(51, 51)); !slices.Equal(got, NewSet(2, 3, 4)) {
 		t.Errorf("corner Lookup = %v, want {2,3,4}", got)
 	}
 	// On the west band but north of the corner zone: only NW.
-	if got := tab.Lookup(geom.Pt(51, 80)); !got.Equal(NewSet(2)) {
+	if got := tab.Lookup(geom.Pt(51, 80)); !slices.Equal(got, NewSet(2)) {
 		t.Errorf("west band Lookup = %v, want {2}", got)
 	}
 	// South band east of corner zone: only SE.
-	if got := tab.Lookup(geom.Pt(80, 51)); !got.Equal(NewSet(4)) {
+	if got := tab.Lookup(geom.Pt(80, 51)); !slices.Equal(got, NewSet(4)) {
 		t.Errorf("south band Lookup = %v, want {4}", got)
 	}
 	// Deep interior: empty.
@@ -201,19 +199,19 @@ func TestRegionsDisjointAndConsistentWithLookup(t *testing.T) {
 		regions := tab.Regions()
 		for i := range regions {
 			if regions[i].Bounds.Empty() {
-				t.Fatalf("empty region in table of %v", tab.Owner())
+				t.Fatalf("empty region in table of %v", tab.owner)
 			}
 			if len(regions[i].Peers) == 0 {
-				t.Fatalf("region with empty peer set in table of %v", tab.Owner())
+				t.Fatalf("region with empty peer set in table of %v", tab.owner)
 			}
 			for j := i + 1; j < len(regions); j++ {
 				if regions[i].Bounds.Intersects(regions[j].Bounds) {
-					t.Fatalf("regions %d and %d of %v overlap", i, j, tab.Owner())
+					t.Fatalf("regions %d and %d of %v overlap", i, j, tab.owner)
 				}
 			}
 			// A point inside the region must look up to the same set.
 			c := regions[i].Bounds.Center()
-			if got := tab.Lookup(c); !got.Equal(regions[i].Peers) {
+			if got := tab.Lookup(c); !slices.Equal(got, regions[i].Peers) {
 				t.Fatalf("Lookup(%v) = %v, region says %v", c, got, regions[i].Peers)
 			}
 		}
@@ -281,9 +279,9 @@ func TestTableIsConservativeSupersetOfExact(t *testing.T) {
 					continue
 				}
 				inExp := part.Bounds.Expand(r).Contains(p)
-				if inExp != table.Contains(part.Owner) {
+				if inExp != slices.Contains(table, part.Owner) {
 					t.Fatalf("seed %d point %v: AABB says %v for peer %v, table says %v",
-						seed, p, inExp, part.Owner, table.Contains(part.Owner))
+						seed, p, inExp, part.Owner, slices.Contains(table, part.Owner))
 				}
 			}
 		}

@@ -712,8 +712,8 @@ func Marshal(m Message) ([]byte, error) {
 // one message in a Batch buys nothing), so SendBatch of one message costs
 // exactly the same bytes as Send. frameEnds — appended to the ends
 // argument, which callers may reuse like dst — holds the end offset of
-// every produced frame within the returned slice, letting frame-oriented
-// transports (the in-memory queue) split the buffer without re-parsing.
+// every produced frame within the returned slice, so a caller can split
+// the buffer at frame boundaries without re-parsing.
 // An element whose batch wrapping would overflow MaxFrameSize is emitted
 // as a direct frame, so anything Send can deliver, a batch can too. On
 // error dst is returned truncated to its original length.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -326,7 +327,7 @@ func TestRegionsWireConversion(t *testing.T) {
 		if !back[i].Bounds.Eq(regions[i].Bounds) {
 			t.Errorf("region %d bounds %v != %v", i, back[i].Bounds, regions[i].Bounds)
 		}
-		if !back[i].Peers.Equal(regions[i].Peers) {
+		if !slices.Equal(back[i].Peers, regions[i].Peers) {
 			t.Errorf("region %d peers %v != %v", i, back[i].Peers, regions[i].Peers)
 		}
 	}

@@ -345,7 +345,7 @@ type Sim struct {
 	tick        int
 	ticks       int
 	script      game.Script
-	rng         *mulberryRand
+	rng         netem.Rand // per-sim decisions that must not disturb the movers' streams
 	reportEvery int
 	sampleEvery int
 
@@ -946,19 +946,6 @@ func (s *Sim) noteNetemEvent(kind string, servers []id.ServerID) {
 	}
 }
 
-// mulberryRand is a tiny deterministic PRNG for per-sim decisions that must
-// not disturb the movers' streams.
-type mulberryRand struct{ state uint64 }
-
-func (m *mulberryRand) next() float64 {
-	m.state += 0x9E3779B97F4A7C15
-	z := m.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
-}
-
 // Run executes the simulation to completion and returns the results:
 // Start, StepUntil the end, Finish. Callers that need finer control
 // (sweeps polling a context, snapshots mid-run, cluster co-simulation on
@@ -1007,7 +994,7 @@ func (s *Sim) Start() error {
 	}
 	s.started = true
 	s.initCadence()
-	s.rng = &mulberryRand{state: uint64(s.cfg.Seed)*2654435761 + 1}
+	s.rng = netem.Rand{State: uint64(s.cfg.Seed)*2654435761 + 1}
 
 	// Network emulation activates on a non-zero config or any scripted
 	// impairment event; otherwise every send below keeps the historical
@@ -1023,8 +1010,8 @@ func (s *Sim) Start() error {
 	// Base population scattered uniformly.
 	for i := 0; i < s.cfg.BasePopulation; i++ {
 		pos := geom.Pt(
-			s.cfg.World.MinX+s.rng.next()*s.cfg.World.Width(),
-			s.cfg.World.MinY+s.rng.next()*s.cfg.World.Height(),
+			s.cfg.World.MinX+s.rng.Float()*s.cfg.World.Width(),
+			s.cfg.World.MinY+s.rng.Float()*s.cfg.World.Height(),
 		)
 		s.addClient(pos, "base", nil, 0)
 	}
@@ -1109,8 +1096,8 @@ func (s *Sim) Step() error {
 		switch e.Kind {
 		case game.EventJoin:
 			for i := 0; i < e.Count; i++ {
-				ang := s.rng.next() * 2 * math.Pi
-				r := math.Sqrt(s.rng.next()) * e.Spread // area-uniform
+				ang := s.rng.Float() * 2 * math.Pi
+				r := math.Sqrt(s.rng.Float()) * e.Spread // area-uniform
 				pos := s.cfg.World.Clamp(geom.Pt(
 					e.Center.X+r*math.Cos(ang),
 					e.Center.Y+r*math.Sin(ang),

@@ -138,7 +138,7 @@ func (s *Sim) CaptureState() (*State, error) {
 	st := &State{
 		Config: s.cfg,
 		Tick:   s.tick,
-		RNG:    s.rng.state,
+		RNG:    s.rng.State,
 		Gen:    s.gen.State(),
 
 		Registry:      s.reg.State(),
@@ -324,7 +324,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 	s.tick = st.Tick
 	s.latWindowed = st.LatWindowed
 	s.initCadence()
-	s.rng = &mulberryRand{state: st.RNG}
+	s.rng = netem.Rand{State: st.RNG}
 	s.gen.SetState(st.Gen)
 	s.now = float64(st.Tick) * s.dt
 	// Advance the virtual clock tick by tick's worth in one jump: Time

@@ -66,23 +66,7 @@ func (SplitToLeft) Split(bounds geom.Rect) (keep, give geom.Rect) {
 // Name implements SplitPolicy.
 func (SplitToLeft) Name() string { return "split-to-left" }
 
-// SplitToRight is the mirror policy (right piece handed off); used by the
-// ablation benchmarks to show the paper's choice is not load-sensitive.
-type SplitToRight struct{}
-
-// Split implements SplitPolicy.
-func (SplitToRight) Split(bounds geom.Rect) (keep, give geom.Rect) {
-	lo, hi := bounds.SplitHalf()
-	return lo, hi
-}
-
-// Name implements SplitPolicy.
-func (SplitToRight) Name() string { return "split-to-right" }
-
-var (
-	_ SplitPolicy = SplitToLeft{}
-	_ SplitPolicy = SplitToRight{}
-)
+var _ SplitPolicy = SplitToLeft{}
 
 // MinSplitExtent is the smallest width/height a partition may have after a
 // split. It guards against unbounded recursion when a hotspot is denser than
@@ -161,20 +145,6 @@ func NewPresetMap(world geom.Rect, parts []Partition) (*Map, error) {
 	return m, nil
 }
 
-// World returns the full world rectangle.
-func (m *Map) World() geom.Rect {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.world
-}
-
-// Root returns the root server of the split tree.
-func (m *Map) Root() id.ServerID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.root
-}
-
 // Version returns a counter incremented by every topology change. Overlap
 // tables are tagged with it so stale tables can be detected.
 func (m *Map) Version() uint64 {
@@ -234,36 +204,6 @@ func (m *Map) Partitions() []Partition {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
 	return out
-}
-
-// Owner returns the server whose partition contains p. The world's half-open
-// rectangle semantics guarantee at most one owner; points outside the world
-// are clamped onto it first, so every query resolves to some server.
-func (m *Map) Owner(p geom.Point) id.ServerID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	p = m.clampLocked(p)
-	for s, b := range m.bounds {
-		if b.Contains(p) {
-			return s
-		}
-	}
-	// Unreachable if invariants hold; fall back to root for robustness.
-	return m.root
-}
-
-// clampLocked moves p to the interior of the world so boundary points on the
-// max edges (which no half-open partition contains) resolve to the adjacent
-// partition.
-func (m *Map) clampLocked(p geom.Point) geom.Point {
-	q := m.world.Clamp(p)
-	if q.X >= m.world.MaxX {
-		q.X = m.world.MaxX - MinSplitExtent/2
-	}
-	if q.Y >= m.world.MaxY {
-		q.Y = m.world.MaxY - MinSplitExtent/2
-	}
-	return q
 }
 
 // Split divides the partition of overloaded according to policy, assigning

@@ -3,6 +3,7 @@ package space
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"matrix/internal/geom"
@@ -26,8 +27,8 @@ func TestNewMapValidation(t *testing.T) {
 		t.Error("invalid root must be rejected")
 	}
 	m := mustMap(t, geom.R(0, 0, 10, 10), 1)
-	if m.Len() != 1 || m.Root() != 1 {
-		t.Errorf("fresh map: Len=%d Root=%v", m.Len(), m.Root())
+	if m.Len() != 1 || m.State().Root != 1 {
+		t.Errorf("fresh map: Len=%d Root=%v", m.Len(), m.State().Root)
 	}
 	if err := m.Validate(); err != nil {
 		t.Errorf("fresh map invalid: %v", err)
@@ -79,6 +80,18 @@ func TestSplitTooSmall(t *testing.T) {
 	}
 }
 
+// ownersOf lists every server whose partition contains p: the half-open
+// tiling must make that exactly one for any point of the world.
+func ownersOf(m *Map, p geom.Point) []id.ServerID {
+	var owners []id.ServerID
+	for _, part := range m.Partitions() {
+		if part.Bounds.Contains(p) {
+			owners = append(owners, part.Owner)
+		}
+	}
+	return owners
+}
+
 func TestOwnerLookup(t *testing.T) {
 	m := mustMap(t, geom.R(0, 0, 100, 100), 1)
 	if _, _, err := m.Split(1, 2, SplitToLeft{}); err != nil {
@@ -93,19 +106,17 @@ func TestOwnerLookup(t *testing.T) {
 		{geom.Pt(75, 10), 1},
 		{geom.Pt(50, 50), 1},    // boundary belongs to the right (half-open)
 		{geom.Pt(49.999, 0), 2}, // just left of the cut
-		{geom.Pt(-5, -5), 2},    // outside: clamped to (0,0)
-		{geom.Pt(100, 100), 1},  // outside max corner: clamped inward
 	}
 	for _, tt := range tests {
-		if got := m.Owner(tt.p); got != tt.want {
-			t.Errorf("Owner(%v) = %v, want %v", tt.p, got, tt.want)
+		if got := ownersOf(m, tt.p); !slices.Equal(got, []id.ServerID{tt.want}) {
+			t.Errorf("owners of %v = %v, want only %v", tt.p, got, tt.want)
 		}
 	}
 }
 
 func TestReclaimRestoresParent(t *testing.T) {
 	m := mustMap(t, geom.R(0, 0, 100, 100), 1)
-	world := m.World()
+	world := m.State().World
 	if _, _, err := m.Split(1, 2, SplitToLeft{}); err != nil {
 		t.Fatal(err)
 	}
@@ -195,17 +206,6 @@ func TestVersionAdvances(t *testing.T) {
 	}
 }
 
-func TestSplitToRightPolicy(t *testing.T) {
-	m := mustMap(t, geom.R(0, 0, 100, 50), 1)
-	keep, give, err := m.Split(1, 2, SplitToRight{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !give.Eq(geom.R(50, 0, 100, 50)) || !keep.Eq(geom.R(0, 0, 50, 50)) {
-		t.Errorf("split-to-right: keep=%v give=%v", keep, give)
-	}
-}
-
 type badPolicy struct{}
 
 func (badPolicy) Split(b geom.Rect) (geom.Rect, geom.Rect) { return b, b }
@@ -260,17 +260,11 @@ func TestRandomSplitReclaimFuzz(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("step %d: invariant broken: %v", step, err)
 		}
-		// Every sampled point must resolve to a live owner whose bounds
-		// contain it.
+		// Every sampled point must lie in exactly one partition.
 		for i := 0; i < 8; i++ {
 			p := geom.Pt(rnd.Float64()*1024, rnd.Float64()*1024)
-			owner := m.Owner(p)
-			b, err := m.Bounds(owner)
-			if err != nil {
-				t.Fatalf("step %d: owner %v unknown: %v", step, owner, err)
-			}
-			if !b.Contains(p) {
-				t.Fatalf("step %d: owner %v bounds %v does not contain %v", step, owner, b, p)
+			if owners := ownersOf(m, p); len(owners) != 1 {
+				t.Fatalf("step %d: %v is owned by %v, want exactly one server", step, p, owners)
 			}
 		}
 	}
@@ -305,11 +299,11 @@ func TestReplaceOwnerRoot(t *testing.T) {
 	if !bounds.Eq(geom.R(0, 0, 10, 10)) {
 		t.Errorf("transferred bounds = %v", bounds)
 	}
-	if m.Root() != 2 {
-		t.Errorf("Root = %v, want 2", m.Root())
+	if root := m.State().Root; root != 2 {
+		t.Errorf("Root = %v, want 2", root)
 	}
-	if got := m.Owner(geom.Pt(5, 5)); got != 2 {
-		t.Errorf("Owner = %v, want 2", got)
+	if got := ownersOf(m, geom.Pt(5, 5)); !slices.Equal(got, []id.ServerID{2}) {
+		t.Errorf("owners = %v, want only 2", got)
 	}
 	if _, err := m.Bounds(1); !errors.Is(err, ErrUnknownServer) {
 		t.Errorf("old owner still known: %v", err)

@@ -278,13 +278,3 @@ func (g *Grid[K]) QueryOutsideRect(r geom.Rect, dst []K) []K {
 	slices.Sort(dst[n:])
 	return dst
 }
-
-// Keys appends all entity keys to dst, in ascending order.
-func (g *Grid[K]) Keys(dst []K) []K {
-	n := len(dst)
-	for k := range g.pos {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst[n:])
-	return dst
-}

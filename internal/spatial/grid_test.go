@@ -111,16 +111,6 @@ func TestNegativeRadius(t *testing.T) {
 	}
 }
 
-func TestKeys(t *testing.T) {
-	g := NewGrid[int](10)
-	g.Insert(1, geom.Pt(0, 0))
-	g.Insert(2, geom.Pt(5, 5))
-	ks := g.Keys(nil)
-	if len(ks) != 2 || ks[0] != 1 || ks[1] != 2 {
-		t.Fatalf("Keys = %v", ks)
-	}
-}
-
 func TestDefaultCellSize(t *testing.T) {
 	g := NewGrid[int](0)
 	g.Insert(1, geom.Pt(0.5, 0.5))
@@ -377,13 +367,12 @@ func FuzzGridOps(f *testing.F) {
 				checkAgainst(t, g, m, p, b, 12)
 			}
 		}
-		keys := g.Keys(nil)
-		if len(keys) != len(m) || !slices.IsSorted(keys) {
-			t.Fatalf("Keys = %v for a model of %d", keys, len(m))
+		if len(g.pos) != len(m) {
+			t.Fatalf("grid holds %d keys for a model of %d", len(g.pos), len(m))
 		}
-		for _, k := range keys {
-			if p, ok := g.pos[k]; !ok || p != m[k] {
-				t.Fatalf("stored position of %d = %v,%v, model has %v", k, p, ok, m[k])
+		for k, want := range m {
+			if p, ok := g.pos[k]; !ok || p != want {
+				t.Fatalf("stored position of %d = %v,%v, model has %v", k, p, ok, want)
 			}
 		}
 	})

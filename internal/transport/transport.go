@@ -1,16 +1,19 @@
 // Package transport carries protocol messages between Matrix components.
 //
-// Two interchangeable implementations are provided behind the Network
-// interface: TCP (production mode, used by the cmd/ binaries) and an
-// in-memory network (used by integration tests and anywhere real sockets
-// are unnecessary). Both frame messages with the protocol codec, so byte
-// counts are identical across the two — which is what lets the simulation
-// harness report the paper's bandwidth microbenchmarks faithfully.
+// There is one connection type: a framing Conn (protocol codec, per-tick
+// batches, byte accounting) over an ordered byte stream. The two Networks
+// differ only in the stream they hand it: TCPNetwork (production, used by
+// the cmd/ binaries) a socket, MemNetwork (integration tests and anywhere
+// real sockets are unnecessary) one end of an in-memory pipe. Wire bytes and
+// their accounting are therefore identical by construction — which is what
+// lets the simulation harness report the paper's bandwidth microbenchmarks
+// faithfully.
 package transport
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -77,7 +80,133 @@ type TimeoutDialer interface {
 	DialTimeout(addr string, d time.Duration) (Conn, error)
 }
 
-// --- TCP implementation ---
+// --- the connection ---
+
+// framedConn is the one Conn: protocol framing, batch unpacking and byte
+// accounting over any ordered byte stream. TCP hands it a socket, MemNetwork
+// one end of an in-memory stream pair; nothing in it knows which.
+type framedConn struct {
+	rw       io.ReadWriteCloser
+	remote   fmt.Stringer
+	writeMu  sync.Mutex // frames must not interleave; also guards encBuf/endsBuf
+	encBuf   []byte     // reused encode buffer
+	endsBuf  []int      // reused frame-boundary buffer
+	readMu   sync.Mutex // guards readBuf and pending
+	readBuf  []byte     // reused frame buffer (decoded messages never alias it)
+	pending  []protocol.Message
+	countsMu sync.Mutex
+	sent     uint64
+	received uint64
+}
+
+// newConn sizes the encode buffer for a busy tick's batch up front; grown by
+// append it costs every fresh connection some eight doublings to get there.
+// The remote name is rendered only if RemoteAddr is ever asked for.
+func newConn(rw io.ReadWriteCloser, remote fmt.Stringer) *framedConn {
+	return &framedConn{rw: rw, remote: remote, encBuf: make([]byte, 0, 2048)}
+}
+
+// maxRetainedBuf caps the buffers a connection keeps between calls: one burst
+// tick (a mass migration, a huge state transfer) must not pin multi-MB
+// buffers on every peer connection forever.
+const maxRetainedBuf = 64 << 10
+
+// retain keeps buf for reuse unless it grew past maxRetainedBuf.
+func retain(buf []byte) []byte {
+	if cap(buf) > maxRetainedBuf {
+		return nil
+	}
+	return buf[:0]
+}
+
+func (c *framedConn) Send(m protocol.Message) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	frame, err := protocol.AppendEncode(c.encBuf[:0], m)
+	if err != nil {
+		return err
+	}
+	c.encBuf = retain(frame)
+	return c.write(frame)
+}
+
+func (c *framedConn) SendBatch(ms []protocol.Message) error {
+	if len(ms) == 0 {
+		return nil
+	}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	// All frames are contiguous in the buffer: one Write regardless of how
+	// many Batch frames MaxFrameSize forced, so a chunked batch is never
+	// partially delivered. Both scratch buffers are reused, so the
+	// steady-state batch send does not allocate.
+	out, ends, err := protocol.AppendBatches(c.encBuf[:0], c.endsBuf, ms)
+	c.endsBuf = ends[:0]
+	if err != nil {
+		return err
+	}
+	c.encBuf = retain(out)
+	return c.write(out)
+}
+
+// write sends raw pre-framed bytes and accounts them. Callers hold writeMu.
+func (c *framedConn) write(frames []byte) error {
+	if _, err := c.rw.Write(frames); err != nil {
+		return fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	c.countsMu.Lock()
+	c.sent += uint64(len(frames))
+	c.countsMu.Unlock()
+	return nil
+}
+
+func (c *framedConn) Recv() (protocol.Message, error) {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	// A Batch frame is handed out one message per call; an empty one yields
+	// nothing and the loop reads on.
+	for len(c.pending) == 0 {
+		frame, err := protocol.ReadFrame(c.rw, c.readBuf)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
+		}
+		c.readBuf = retain(frame)
+		c.countsMu.Lock()
+		c.received += uint64(len(frame))
+		c.countsMu.Unlock()
+		m, err := protocol.Unmarshal(frame)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
+		}
+		b, ok := m.(*protocol.Batch)
+		if !ok {
+			return m, nil
+		}
+		c.pending = b.Msgs
+	}
+	m := c.pending[0]
+	c.pending[0] = nil
+	c.pending = c.pending[1:]
+	return m, nil
+}
+
+func (c *framedConn) Close() error { return c.rw.Close() }
+
+func (c *framedConn) RemoteAddr() string { return c.remote.String() }
+
+func (c *framedConn) BytesSent() uint64 {
+	c.countsMu.Lock()
+	defer c.countsMu.Unlock()
+	return c.sent
+}
+
+func (c *framedConn) BytesReceived() uint64 {
+	c.countsMu.Lock()
+	defer c.countsMu.Unlock()
+	return c.received
+}
+
+// --- TCP network ---
 
 // TCPNetwork is the production transport over real sockets.
 type TCPNetwork struct{}
@@ -101,7 +230,7 @@ func (TCPNetwork) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return newTCPConn(c), nil
+	return newConn(c, c.RemoteAddr()), nil
 }
 
 // DialTimeout implements TimeoutDialer: a dial to a blackholed address
@@ -111,7 +240,7 @@ func (TCPNetwork) DialTimeout(addr string, d time.Duration) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return newTCPConn(c), nil
+	return newConn(c, c.RemoteAddr()), nil
 }
 
 type tcpListener struct {
@@ -123,158 +252,18 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrListnClosed, err)
 	}
-	return newTCPConn(c), nil
+	return newConn(c, c.RemoteAddr()), nil
 }
 
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
 
-// pendingMsgs drains received Batch frames one message at a time. Both
-// Conn implementations share it so the unpack semantics (consumed slots
-// cleared, empty batches yield nothing, pending drained before the next
-// frame) cannot diverge between the transports the byte-parity tests
-// hold equal. Callers synchronize access with their receive mutex.
-type pendingMsgs struct{ q []protocol.Message }
-
-// pop returns the next pending message, if any.
-func (p *pendingMsgs) pop() (protocol.Message, bool) {
-	if len(p.q) == 0 {
-		return nil, false
-	}
-	m := p.q[0]
-	p.q[0] = nil
-	p.q = p.q[1:]
-	return m, true
-}
-
-// absorb stashes a Batch's contents and reports whether m was one (the
-// caller then loops back to pop; an empty batch legitimately yields
-// nothing).
-func (p *pendingMsgs) absorb(m protocol.Message) bool {
-	b, ok := m.(*protocol.Batch)
-	if ok {
-		p.q = b.Msgs
-	}
-	return ok
-}
-
-type tcpConn struct {
-	c        net.Conn
-	writeMu  sync.Mutex // frames must not interleave; also guards encBuf/endsBuf
-	encBuf   []byte     // reused encode buffer
-	endsBuf  []int      // reused frame-boundary buffer
-	readMu   sync.Mutex // guards readBuf and pending
-	readBuf  []byte     // reused frame buffer (decoded messages never alias it)
-	pending  pendingMsgs
-	countsMu sync.Mutex
-	sent     uint64
-	received uint64
-}
-
-// newTCPConn sizes the encode buffer for a busy tick's batch up front; grown
-// by append it costs every fresh connection some eight doublings to get there.
-func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{c: c, encBuf: make([]byte, 0, 2048)} }
-
-// maxRetainedBuf caps the encode/read buffers a connection keeps between
-// calls: one burst tick (a mass migration, a huge state transfer) must not
-// pin multi-MB buffers on every peer connection forever.
-const maxRetainedBuf = 64 << 10
-
-// retain keeps buf for reuse unless it grew past maxRetainedBuf.
-func retain(buf []byte) []byte {
-	if cap(buf) > maxRetainedBuf {
-		return nil
-	}
-	return buf[:0]
-}
-
-func (t *tcpConn) Send(m protocol.Message) error {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	frame, err := protocol.AppendEncode(t.encBuf[:0], m)
-	if err != nil {
-		return err
-	}
-	t.encBuf = retain(frame)
-	return t.write(frame)
-}
-
-func (t *tcpConn) SendBatch(ms []protocol.Message) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	// All frames are contiguous in the buffer: one Write regardless of how
-	// many Batch frames MaxFrameSize forced. Both scratch buffers are
-	// reused, so the steady-state batch send does not allocate.
-	out, ends, err := protocol.AppendBatches(t.encBuf[:0], t.endsBuf, ms)
-	t.endsBuf = ends[:0]
-	if err != nil {
-		return err
-	}
-	t.encBuf = retain(out)
-	return t.write(out)
-}
-
-// write sends raw pre-framed bytes and accounts them. Callers hold writeMu.
-func (t *tcpConn) write(frames []byte) error {
-	if _, err := t.c.Write(frames); err != nil {
-		return fmt.Errorf("%w: %v", ErrClosed, err)
-	}
-	t.countsMu.Lock()
-	t.sent += uint64(len(frames))
-	t.countsMu.Unlock()
-	return nil
-}
-
-func (t *tcpConn) Recv() (protocol.Message, error) {
-	t.readMu.Lock()
-	defer t.readMu.Unlock()
-	for {
-		if m, ok := t.pending.pop(); ok {
-			return m, nil
-		}
-		frame, err := protocol.ReadFrame(t.c, t.readBuf)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
-		}
-		t.readBuf = retain(frame)
-		t.countsMu.Lock()
-		t.received += uint64(len(frame))
-		t.countsMu.Unlock()
-		m, err := protocol.Unmarshal(frame)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
-		}
-		if !t.pending.absorb(m) {
-			return m, nil
-		}
-	}
-}
-
-func (t *tcpConn) Close() error { return t.c.Close() }
-
-func (t *tcpConn) RemoteAddr() string { return t.c.RemoteAddr().String() }
-
-func (t *tcpConn) BytesSent() uint64 {
-	t.countsMu.Lock()
-	defer t.countsMu.Unlock()
-	return t.sent
-}
-
-func (t *tcpConn) BytesReceived() uint64 {
-	t.countsMu.Lock()
-	defer t.countsMu.Unlock()
-	return t.received
-}
-
-// --- in-memory implementation ---
+// --- in-memory network ---
 
 // MemNetwork is an in-process Network keyed by string addresses. It is the
-// transport used by integration tests: identical framing and byte counts to
-// TCP with no sockets.
+// transport used by integration tests: the same Conn as TCP over unbounded
+// in-memory byte streams instead of sockets.
 type MemNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
@@ -300,7 +289,7 @@ func (n *MemNetwork) Listen(addr string) (Listener, error) {
 	l := &memListener{
 		net:     n,
 		addr:    addr,
-		backlog: make(chan *memConn, 1),
+		backlog: make(chan Conn, 1),
 		closed:  make(chan struct{}),
 	}
 	n.listeners[addr] = l
@@ -315,10 +304,10 @@ func (n *MemNetwork) Dial(addr string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchAddr, addr)
 	}
-	client, server := newMemPair(addr, "dialer")
+	a2b, b2a := newMemStream(), newMemStream()
 	select {
-	case l.backlog <- server:
-		return client, nil
+	case l.backlog <- newConn(memEnd{in: a2b, out: b2a}, memAddr("dialer")):
+		return newConn(memEnd{in: b2a, out: a2b}, memAddr(addr)), nil
 	case <-l.closed:
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchAddr, addr)
 	}
@@ -333,7 +322,7 @@ func (n *MemNetwork) remove(addr string) {
 type memListener struct {
 	net     *MemNetwork
 	addr    string
-	backlog chan *memConn
+	backlog chan Conn
 	closed  chan struct{}
 	once    sync.Once
 }
@@ -357,162 +346,85 @@ func (l *memListener) Close() error {
 	return nil
 }
 
-// memQueue is an unbounded FIFO of frames with close semantics.
-type memQueue struct {
+// memStream is one direction of an in-memory connection: an unbounded byte
+// FIFO. A write never waits for the reader (the hosts' tick goroutines send
+// to peers that may be busy), and bytes written before close are still read.
+type memStream struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	frames [][]byte
+	cond   sync.Cond // signalled on write and close; L is &mu
+	buf    []byte
+	off    int // buf[:off] is already read
 	closed bool
 }
 
-func newMemQueue() *memQueue {
-	q := &memQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+func newMemStream() *memStream {
+	s := &memStream{}
+	s.cond.L = &s.mu
+	return s
 }
 
-// pushAll enqueues every frame or none (connection closed), mirroring the
-// TCP side's single contiguous Write: a chunked batch is never partially
-// delivered.
-func (q *memQueue) pushAll(frames [][]byte) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
+func (s *memStream) write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, io.ErrClosedPipe
 	}
-	q.frames = append(q.frames, frames...)
-	q.cond.Broadcast()
+	if s.off > 0 && len(s.buf)+len(p) > cap(s.buf) {
+		// Reclaim the read prefix before growing: a reader that never quite
+		// catches up must not make the buffer grow without bound.
+		s.buf, s.off = s.buf[:copy(s.buf, s.buf[s.off:])], 0
+	}
+	s.buf = append(s.buf, p...)
+	s.cond.Signal()
+	return len(p), nil
+}
+
+func (s *memStream) read(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.off == len(s.buf) && !s.closed {
+		s.cond.Wait()
+	}
+	if s.off == len(s.buf) {
+		return 0, io.EOF
+	}
+	n := copy(p, s.buf[s.off:])
+	if s.off += n; s.off == len(s.buf) {
+		s.buf, s.off = retain(s.buf), 0
+	}
+	return n, nil
+}
+
+func (s *memStream) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// memAddr names one side of an in-memory connection.
+type memAddr string
+
+func (a memAddr) String() string { return string(a) }
+
+// memEnd is one side of an in-memory connection: the io.ReadWriteCloser a
+// framedConn drives in place of a socket. Close shuts both directions, so
+// either side closing fails the other's next write and ends its reads.
+type memEnd struct{ in, out *memStream }
+
+func (e memEnd) Read(p []byte) (int, error)  { return e.in.read(p) }
+func (e memEnd) Write(p []byte) (int, error) { return e.out.write(p) }
+func (e memEnd) Close() error {
+	e.out.close()
+	e.in.close()
 	return nil
-}
-
-func (q *memQueue) pop() ([]byte, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.frames) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.frames) == 0 {
-		return nil, ErrClosed
-	}
-	f := q.frames[0]
-	q.frames = q.frames[1:]
-	return f, nil
-}
-
-func (q *memQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// memConn is one side of an in-memory connection pair.
-type memConn struct {
-	out      *memQueue
-	in       *memQueue
-	remote   string
-	peer     *memConn
-	recvMu   sync.Mutex // guards pending (queue pops are ordered under it)
-	pending  pendingMsgs
-	countsMu sync.Mutex
-	sent     uint64
-	received uint64
-}
-
-func newMemPair(listenerAddr, dialerName string) (client, server *memConn) {
-	a2b := newMemQueue()
-	b2a := newMemQueue()
-	client = &memConn{out: a2b, in: b2a, remote: listenerAddr}
-	server = &memConn{out: b2a, in: a2b, remote: dialerName}
-	client.peer = server
-	server.peer = client
-	return client, server
-}
-
-// Send is SendBatch of one message: AppendBatches frames a lone message
-// directly, so the bytes and their accounting are a plain frame's.
-func (c *memConn) Send(m protocol.Message) error {
-	return c.SendBatch([]protocol.Message{m})
-}
-
-func (c *memConn) SendBatch(ms []protocol.Message) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	// The queue retains pushed frames, so they are encoded into a fresh
-	// buffer (no reuse) and split at the frame boundaries AppendBatches
-	// reports — byte accounting stays identical to the TCP implementation:
-	// the total is the same contiguous encoding TCP writes, delivered
-	// all-or-nothing.
-	out, ends, err := protocol.AppendBatches(nil, nil, ms)
-	if err != nil {
-		return err
-	}
-	frames := make([][]byte, len(ends))
-	start := 0
-	for i, end := range ends {
-		frames[i] = out[start:end]
-		start = end
-	}
-	if err := c.out.pushAll(frames); err != nil {
-		return err
-	}
-	c.countsMu.Lock()
-	c.sent += uint64(len(out))
-	c.countsMu.Unlock()
-	return nil
-}
-
-func (c *memConn) Recv() (protocol.Message, error) {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	for {
-		if m, ok := c.pending.pop(); ok {
-			return m, nil
-		}
-		frame, err := c.in.pop()
-		if err != nil {
-			return nil, err
-		}
-		c.countsMu.Lock()
-		c.received += uint64(len(frame))
-		c.countsMu.Unlock()
-		m, err := protocol.Unmarshal(frame)
-		if err != nil {
-			return nil, err
-		}
-		if !c.pending.absorb(m) {
-			return m, nil
-		}
-	}
-}
-
-func (c *memConn) Close() error {
-	c.out.close()
-	c.in.close()
-	return nil
-}
-
-func (c *memConn) RemoteAddr() string { return c.remote }
-
-func (c *memConn) BytesSent() uint64 {
-	c.countsMu.Lock()
-	defer c.countsMu.Unlock()
-	return c.sent
-}
-
-func (c *memConn) BytesReceived() uint64 {
-	c.countsMu.Lock()
-	defer c.countsMu.Unlock()
-	return c.received
 }
 
 var (
 	_ Network       = TCPNetwork{}
 	_ TimeoutDialer = TCPNetwork{}
 	_ Network       = (*MemNetwork)(nil)
-	_ Conn          = (*tcpConn)(nil)
-	_ Conn          = (*memConn)(nil)
+	_ Conn          = (*framedConn)(nil)
 	_ Listener      = (*tcpListener)(nil)
 	_ Listener      = (*memListener)(nil)
 )

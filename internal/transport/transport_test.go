@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"sync"
@@ -287,62 +288,56 @@ func TestByteAccounting(t *testing.T) {
 	}
 }
 
+// TestMemConcurrentSenders: 8 goroutines share one connection, mixing Send
+// and SendBatch with payloads of different sizes. One Write per call under
+// writeMu means no frame is ever interleaved with another: every message
+// decodes, carries its sender's fill byte throughout, and each sender's
+// sequence numbers arrive in order.
 func TestMemConcurrentSenders(t *testing.T) {
-	mem := NewMemNetwork()
-	l, err := mem.Listen("")
-	if err != nil {
-		t.Fatal(err)
+	c, s := connPair(t, NewMemNetwork())
+	const senders, per = 8, 100
+	payload := func(sender, seq int) []byte {
+		return bytes.Repeat([]byte{byte(sender)}, 1+(seq*37+sender*11)%700)
 	}
-	defer l.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	c, err := mem.Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	s := <-accepted
-	defer s.Close()
-
-	const senders, per = 4, 100
 	var wg sync.WaitGroup
 	for i := 0; i < senders; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < per; j++ {
-				if err := c.Send(&protocol.Ack{Of: protocol.TypeLoadReport}); err != nil {
-					t.Errorf("Send: %v", err)
+			for j := 0; j < per; j += 2 {
+				mk := func(seq int) protocol.Message {
+					return &protocol.GameUpdate{Client: id.ClientID(i), Seq: id.PacketSeq(seq), Payload: payload(i, seq)}
+				}
+				var err error
+				if j%4 == 0 {
+					err = c.SendBatch([]protocol.Message{mk(j), mk(j + 1)})
+				} else if err = c.Send(mk(j)); err == nil {
+					err = c.Send(mk(j + 1))
+				}
+				if err != nil {
+					t.Errorf("sender %d: %v", i, err)
 					return
 				}
 			}
 		}()
 	}
-	recvDone := make(chan int, 1)
-	go func() {
-		n := 0
-		for n < senders*per {
-			if _, err := s.Recv(); err != nil {
-				break
-			}
-			n++
+	next := make([]int, senders)
+	for n := 0; n < senders*per; n++ {
+		m, err := s.Recv()
+		if err != nil {
+			t.Fatalf("Recv %d: %v", n, err)
 		}
-		recvDone <- n
-	}()
-	wg.Wait()
-	select {
-	case n := <-recvDone:
-		if n != senders*per {
-			t.Errorf("received %d, want %d", n, senders*per)
+		gu, ok := m.(*protocol.GameUpdate)
+		if !ok || int(gu.Client) >= senders {
+			t.Fatalf("Recv %d: garbled message %#v", n, m)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("receiver stalled")
+		i := int(gu.Client)
+		if int(gu.Seq) != next[i] || !bytes.Equal(gu.Payload, payload(i, next[i])) {
+			t.Fatalf("sender %d: got seq %d (%d payload bytes), want seq %d intact", i, gu.Seq, len(gu.Payload), next[i])
+		}
+		next[i]++
 	}
+	wg.Wait()
 }
 
 func TestProtocolSizeMatchesMarshal(t *testing.T) {
@@ -545,5 +540,160 @@ func TestMemSendIsSendBatchOfOne(t *testing.T) {
 			t.Fatalf("after message %d: Send side sent %d / received %d, SendBatch side %d / %d",
 				i, c1.BytesSent(), s1.BytesReceived(), c2.BytesSent(), s2.BytesReceived())
 		}
+	}
+}
+
+// TestFramesBeforeCloseAreReceived is the stream contract every Mem-based
+// suite leans on (a server's last frames before it hangs up still reach the
+// peer): what was sent before Close is received, in order, and only then
+// does Recv report ErrClosed.
+func TestFramesBeforeCloseAreReceived(t *testing.T) {
+	for name, nw := range networks() {
+		t.Run(name, func(t *testing.T) {
+			c, s := connPair(t, nw)
+			if err := c.Send(&protocol.Ack{Of: protocol.TypeForward}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SendBatch(batchSample()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 1+len(batchSample()); i++ {
+				if _, err := s.Recv(); err != nil {
+					t.Fatalf("Recv %d of what was sent before Close: %v", i, err)
+				}
+			}
+			if _, err := s.Recv(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Recv past the end = %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestMemSendAfterCloseFails: whichever end closed, both ends' next Send
+// reports ErrClosed and counts no bytes.
+func TestMemSendAfterCloseFails(t *testing.T) {
+	for _, closer := range []string{"own", "peer"} {
+		t.Run(closer, func(t *testing.T) {
+			c, s := connPair(t, NewMemNetwork())
+			if closer == "own" {
+				c.Close()
+			} else {
+				s.Close()
+			}
+			for _, end := range []Conn{c, s} {
+				if err := end.Send(&protocol.Ack{}); !errors.Is(err, ErrClosed) {
+					t.Errorf("Send = %v, want ErrClosed", err)
+				}
+				if err := end.SendBatch(batchSample()); !errors.Is(err, ErrClosed) {
+					t.Errorf("SendBatch = %v, want ErrClosed", err)
+				}
+				if end.BytesSent() != 0 {
+					t.Errorf("a failed send counted %d bytes", end.BytesSent())
+				}
+			}
+		})
+	}
+}
+
+// TestMemChunkedBatchWholeOrNothing: a batch MaxFrameSize splits into two
+// frames is still one Write, so a Close racing the sender can never deliver
+// one frame without the other: the reader sees exactly the messages of the
+// batches whose SendBatch returned nil.
+func TestMemChunkedBatchWholeOrNothing(t *testing.T) {
+	batch := make([]protocol.Message, 3)
+	for i := range batch {
+		batch[i] = &protocol.GameUpdate{Seq: id.PacketSeq(i), Payload: make([]byte, protocol.MaxFrameSize*3/8)}
+	}
+	if _, ends, err := protocol.AppendBatches(nil, nil, batch); err != nil || len(ends) < 2 {
+		t.Fatalf("the batch must need several frames: %d frames, %v", len(ends), err)
+	}
+	c, s := connPair(t, NewMemNetwork())
+	sent := make(chan int, 1)
+	go func() {
+		n := 0
+		for c.SendBatch(batch) == nil {
+			n++
+		}
+		sent <- n
+	}()
+	got := 0
+	for ; ; got++ {
+		m, err := s.Recv()
+		if err != nil {
+			break
+		}
+		if want := id.PacketSeq(got % len(batch)); m.(*protocol.GameUpdate).Seq != want {
+			t.Fatalf("message %d has seq %d, want %d", got, m.(*protocol.GameUpdate).Seq, want)
+		}
+		if got == 2*len(batch) {
+			s.Close() // mid-stream: the sender is somewhere inside a later batch
+		}
+	}
+	if n := <-sent; got != n*len(batch) {
+		t.Fatalf("received %d messages, want all %d of the %d batches that were sent", got, n*len(batch), n)
+	}
+}
+
+// TestLargeFrameRoundTrips: a frame far larger than any buffer the
+// connection or the streams keep arrives intact.
+func TestLargeFrameRoundTrips(t *testing.T) {
+	for name, nw := range networks() {
+		t.Run(name, func(t *testing.T) {
+			c, s := connPair(t, nw)
+			want := make([]byte, 16*maxRetainedBuf+13)
+			for i := range want {
+				want[i] = byte(i * 31)
+			}
+			errs := make(chan error, 1)
+			go func() { errs <- c.Send(&protocol.GameUpdate{Payload: want}) }()
+			m, err := s.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(m.(*protocol.GameUpdate).Payload, want) {
+				t.Fatal("payload corrupted in transit")
+			}
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMemSendNeverBlocksOnIdleReader: the hosts' tick goroutines send to
+// peers whose pumps may be busy, so an in-memory Send must not wait for the
+// reader however much is outstanding; everything is there when it does read.
+func TestMemSendNeverBlocksOnIdleReader(t *testing.T) {
+	c, s := connPair(t, NewMemNetwork())
+	const n = 2000
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := c.Send(&protocol.GameUpdate{Seq: id.PacketSeq(i), Payload: make([]byte, 1024)}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send blocked with nobody reading")
+	}
+	for i := 0; i < n; i++ {
+		m, err := s.Recv()
+		if err != nil || m.(*protocol.GameUpdate).Seq != id.PacketSeq(i) {
+			t.Fatalf("Recv %d: %v, %v", i, m, err)
+		}
+	}
+	if c.BytesSent() != s.BytesReceived() {
+		t.Errorf("sent %d bytes, received %d", c.BytesSent(), s.BytesReceived())
 	}
 }
