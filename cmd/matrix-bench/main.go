@@ -23,9 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -34,6 +31,7 @@ import (
 
 	"matrix/internal/experiments"
 	"matrix/internal/flight"
+	"matrix/internal/logging"
 	"matrix/internal/policy"
 	"matrix/internal/sim"
 	"matrix/internal/snapshot"
@@ -66,8 +64,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := servePprof(*pprofAddr); err != nil {
+	if bound, err := logging.ServePprof(*pprofAddr); err != nil {
 		return err
+	} else if bound != "" {
+		fmt.Fprintf(os.Stderr, "pprof at http://%s/debug/pprof/\n", bound)
 	}
 	// An unknown -policy fails at parse time with the valid names listed,
 	// netem.ParseSpec-style, before any simulation starts.
@@ -304,21 +304,6 @@ func (o singleRun) oneScenario() (experiments.Scenario, error) {
 		return experiments.Scenario{}, fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(experiments.ScenarioNames(), ","))
 	}
 	return sc, nil
-}
-
-// servePprof exposes net/http/pprof on addr (empty = off). The profile
-// handlers live on http.DefaultServeMux via the pprof import.
-func servePprof(addr string) error {
-	if addr == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("pprof listen: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "pprof at http://%s/debug/pprof/\n", ln.Addr())
-	go func() { _ = http.Serve(ln, nil) }()
-	return nil
 }
 
 // writeArtifact creates path and streams write into it through a buffer,

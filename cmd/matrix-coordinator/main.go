@@ -15,9 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -91,8 +88,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := servePprof(logger, *pprofAddr); err != nil {
+	if bound, err := logging.ServePprof(*pprofAddr); err != nil {
 		return err
+	} else if bound != "" {
+		logger.Info("pprof serving", "url", "http://"+bound+"/debug/pprof/")
 	}
 	opts := []matrix.Option{
 		matrix.WithAddr(*addr),
@@ -168,22 +167,6 @@ func run(args []string) error {
 			}
 		}
 	}
-}
-
-// servePprof exposes the net/http/pprof endpoints (registered on the
-// default mux by the blank import) on their own listener, kept off the
-// metrics address so profiling can be firewalled separately.
-func servePprof(logger *slog.Logger, addr string) error {
-	if addr == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("pprof: %w", err)
-	}
-	go func() { _ = http.Serve(ln, nil) }()
-	logger.Info("pprof serving", "url", "http://"+ln.Addr().String()+"/debug/pprof/")
-	return nil
 }
 
 // adminDrain dials a running coordinator, opens with a DrainRequest naming

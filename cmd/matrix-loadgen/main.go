@@ -15,9 +15,6 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"sort"
 	"time"
@@ -65,13 +62,10 @@ func run(args []string) error {
 	}
 	logger := logging.New(os.Stderr, level, *logJSON, slog.String("component", "loadgen"))
 
-	if *pprofAddr != "" {
-		ln, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof: %w", err)
-		}
-		go func() { _ = http.Serve(ln, nil) }()
-		logger.Info("pprof serving", "url", "http://"+ln.Addr().String()+"/debug/pprof/")
+	if bound, err := logging.ServePprof(*pprofAddr); err != nil {
+		return err
+	} else if bound != "" {
+		logger.Info("pprof serving", "url", "http://"+bound+"/debug/pprof/")
 	}
 
 	profile, ok := game.Profiles()[*profileName]

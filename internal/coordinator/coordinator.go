@@ -606,12 +606,11 @@ func (c *Coordinator) resyncLocked(sid id.ServerID) ([]Envelope, error) {
 	if c.m == nil {
 		return nil, nil
 	}
-	handoff := c.handoffTargetsLocked(sid)
 	bounds, err := c.m.Bounds(sid)
 	if err != nil {
 		// Not in the map: the server was reclaimed while down; it rejoins
 		// as a deactivated spare and hands every client away.
-		return []Envelope{{To: sid, Msg: &protocol.RangeUpdate{Server: sid, Handoff: handoff}}}, nil
+		return []Envelope{c.rangeEnvelopeLocked(sid, geom.Rect{}, 0)}, nil
 	}
 	// Only this server's tables are rebuilt (one per radius) — recoveries
 	// must not pay the whole-fleet recomputation a topology change does.
@@ -625,8 +624,13 @@ func (c *Coordinator) resyncLocked(sid id.ServerID) ([]Envelope, error) {
 		}
 		out = append(out, c.tableEnvelopeLocked(sid, tab, r))
 	}
-	out = append(out, Envelope{To: sid, Msg: &protocol.RangeUpdate{Server: sid, Bounds: bounds, Handoff: handoff}})
-	return out, nil
+	return append(out, c.rangeEnvelopeLocked(sid, bounds, 0)), nil
+}
+
+// rangeEnvelopeLocked tells sid its authoritative range (empty bounds
+// deactivate it) with every other active partition as a handoff target.
+func (c *Coordinator) rangeEnvelopeLocked(sid id.ServerID, bounds geom.Rect, corr uint64) Envelope {
+	return Envelope{To: sid, Msg: &protocol.RangeUpdate{Server: sid, Bounds: bounds, Handoff: c.handoffTargetsLocked(sid), Corr: corr}}
 }
 
 // handoffTargetsLocked lists every active partition except exclude's as a

@@ -15,9 +15,11 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"matrix/internal/geom"
 	"matrix/internal/id"
 	"matrix/internal/protocol"
 )
@@ -46,15 +48,6 @@ func (c *Coordinator) leaseLocked() time.Duration {
 	return time.Duration(misses) * c.cfg.HeartbeatEvery
 }
 
-func indexOf(s []id.ServerID, v id.ServerID) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // handleHeartbeat renews from's lease. A beat from a server previously
 // declared dead means it was paused or partitioned, not crashed: if its
 // region is still parked it is revived in place; if a spare already adopted
@@ -78,7 +71,7 @@ func (c *Coordinator) handleHeartbeat(from id.ServerID, hb *protocol.Heartbeat) 
 		return nil, nil
 	}
 	st.dead = false
-	if i := indexOf(c.parked, from); i >= 0 {
+	if i := slices.Index(c.parked, from); i >= 0 {
 		// Nobody adopted the region yet: the returning server still owns it.
 		c.parked = append(c.parked[:i], c.parked[i+1:]...)
 		st.active = true
@@ -87,7 +80,7 @@ func (c *Coordinator) handleHeartbeat(from id.ServerID, hb *protocol.Heartbeat) 
 	// Replaced while away: demote to the spare pool and hand clients over.
 	st.active = false
 	st.draining = false
-	if !st.retired && indexOf(c.spares, from) < 0 {
+	if !st.retired && slices.Index(c.spares, from) < 0 {
 		c.spares = append(c.spares, from)
 	}
 	return c.resyncLocked(from)
@@ -177,7 +170,7 @@ func (c *Coordinator) declareDeadLocked(sid id.ServerID) []Envelope {
 	st.dead = true
 	c.deaths++
 	delete(c.cpPartial, sid) // a half-shipped checkpoint is useless
-	if i := indexOf(c.spares, sid); i >= 0 {
+	if i := slices.Index(c.spares, sid); i >= 0 {
 		c.spares = append(c.spares[:i], c.spares[i+1:]...)
 		return nil
 	}
@@ -200,7 +193,7 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 		return nil // already adopted or reclaimed away
 	}
 	if len(c.spares) == 0 {
-		if indexOf(c.parked, victim) < 0 {
+		if slices.Index(c.parked, victim) < 0 {
 			c.parked = append(c.parked, victim)
 		}
 		return nil
@@ -239,20 +232,11 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 	if tables, err := c.tableEnvelopesLocked(); err == nil {
 		out = append(out, tables...)
 	}
-	out = append(out, Envelope{To: spareID, Msg: &protocol.RangeUpdate{
-		Server:  spareID,
-		Bounds:  bounds,
-		Handoff: c.handoffTargetsLocked(spareID),
-		Corr:    corr,
-	}})
 	// Best-effort demotion in case the victim is a zombie still draining
 	// its socket; for a truly dead process the envelope is simply dropped.
-	out = append(out, Envelope{To: victim, Msg: &protocol.RangeUpdate{
-		Server:  victim,
-		Handoff: c.handoffTargetsLocked(victim),
-		Corr:    corr,
-	}})
-	return out
+	return append(out,
+		c.rangeEnvelopeLocked(spareID, bounds, corr),
+		c.rangeEnvelopeLocked(victim, geom.Rect{}, corr))
 }
 
 // handleDrainRequest services a server-initiated drain (matrix-server
@@ -306,7 +290,7 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 		if !exit {
 			return nil, fmt.Errorf("%w: %v is already an idle spare", ErrNotActive, target)
 		}
-		if i := indexOf(c.spares, target); i >= 0 {
+		if i := slices.Index(c.spares, target); i >= 0 {
 			c.spares = append(c.spares[:i], c.spares[i+1:]...)
 		}
 		st.retired = true
@@ -334,12 +318,7 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 		}
 		c.activateSpareLocked(0)
 		successor = spareID
-		out = append(out, Envelope{To: spareID, Msg: &protocol.RangeUpdate{
-			Server:  spareID,
-			Bounds:  bounds,
-			Handoff: c.handoffTargetsLocked(spareID),
-			Corr:    corr,
-		}})
+		out = append(out, c.rangeEnvelopeLocked(spareID, bounds, corr))
 	} else if c.m.CanReclaim(target) {
 		// No spare capacity: fold the rectangle back into the parent, the
 		// same merge a reclamation performs.
@@ -370,13 +349,9 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 	}
 	// Deactivate the drainee last so its successors' tables are already
 	// out when it starts migrating clients away.
-	out = append(out, Envelope{To: target, Msg: &protocol.RangeUpdate{
-		Server:  target,
-		Handoff: c.handoffTargetsLocked(target),
-		Corr:    corr,
-	}})
-	out = append(out, Envelope{To: target, Msg: &protocol.DrainRequest{Server: target, Exit: exit, Corr: corr}})
-	return out, nil
+	return append(out,
+		c.rangeEnvelopeLocked(target, geom.Rect{}, corr),
+		Envelope{To: target, Msg: &protocol.DrainRequest{Server: target, Exit: exit, Corr: corr}}), nil
 }
 
 // b2f renders a flag as a decision input.

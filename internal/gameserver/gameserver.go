@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -495,7 +496,7 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 	}
 
 	// Group them by handoff target.
-	perTarget := make(map[id.ServerID][]*clientState)
+	perTarget := make(map[id.ServerID][]protocol.ObjectState)
 	addrOf := make(map[id.ServerID]string, len(r.Handoff))
 	for _, c := range s.scratch {
 		cs, ok := s.clients[c]
@@ -508,61 +509,30 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 			// is consistent); keep it rather than strand it.
 			continue
 		}
-		perTarget[target] = append(perTarget[target], cs)
+		perTarget[target] = append(perTarget[target], protocol.ObjectState{Client: cs.id, Pos: cs.pos})
 		addrOf[target] = addr
 	}
-
-	targets := make([]id.ServerID, 0, len(perTarget))
-	for target := range perTarget {
-		targets = append(targets, target)
-	}
-	slices.Sort(targets)
-	for _, target := range targets {
-		migrating := perTarget[target]
+	for _, target := range slices.Sorted(maps.Keys(perTarget)) {
 		// State first, then redirects: the receiving game server adopts
 		// the avatars before the clients reconnect.
-		chunk := make([]protocol.ObjectState, 0, s.cfg.TransferChunk)
-		flush := func(final bool) {
-			if len(chunk) == 0 && !final {
-				return
-			}
-			st := &protocol.StateTransfer{
-				From:    s.cfg.Server,
-				To:      target,
-				Objects: chunk,
-				Final:   final,
-			}
-			dst = append(dst, Envelope{Dest: DestMatrix, Msg: st})
-			chunk = make([]protocol.ObjectState, 0, s.cfg.TransferChunk)
-		}
-		for _, cs := range migrating {
-			chunk = append(chunk, protocol.ObjectState{
-				Client: cs.id,
-				Pos:    cs.pos,
-			})
-			s.stats.StateMoved++
-			if len(chunk) >= s.cfg.TransferChunk {
-				flush(false)
-			}
-		}
-		flush(true)
-		for _, cs := range migrating {
+		dst = s.appendTransfersLocked(dst, target, perTarget[target], true)
+		for _, o := range perTarget[target] {
 			// Range-change redirects inherit the decision's correlation ID
 			// so one split/reclaim can be followed coordinator→server→client.
-			dst = append(dst, Envelope{Dest: DestClient, Client: cs.id, Msg: &protocol.Redirect{
-				Client:   cs.id,
+			dst = append(dst, Envelope{Dest: DestClient, Client: o.Client, Msg: &protocol.Redirect{
+				Client:   o.Client,
 				NewOwner: target,
 				NewAddr:  addrOf[target],
 				Corr:     r.Corr,
 			}})
 			s.stats.Redirects++
-			delete(s.clients, cs.id)
-			s.grid.Remove(cs.id)
+			delete(s.clients, o.Client)
+			s.grid.Remove(o.Client)
 		}
 	}
 
 	// Map objects outside the range migrate too.
-	perObjTarget := make(map[id.ServerID][]protocol.ObjectState)
+	clear(perTarget)
 	for oid, o := range s.objects {
 		if r.Bounds.Contains(o.Pos) {
 			continue
@@ -571,32 +541,36 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 		if !target.Valid() {
 			continue
 		}
-		perObjTarget[target] = append(perObjTarget[target], o)
+		perTarget[target] = append(perTarget[target], o)
 		delete(s.objects, oid)
 	}
-	objTargets := make([]id.ServerID, 0, len(perObjTarget))
-	for target := range perObjTarget {
-		objTargets = append(objTargets, target)
-	}
-	slices.Sort(objTargets)
-	for _, target := range objTargets {
-		objs := perObjTarget[target]
+	for _, target := range slices.Sorted(maps.Keys(perTarget)) {
+		objs := perTarget[target]
 		slices.SortFunc(objs, func(a, b protocol.ObjectState) int { return cmp.Compare(a.Object, b.Object) })
-		for start := 0; start < len(objs); start += s.cfg.TransferChunk {
-			end := start + s.cfg.TransferChunk
-			if end > len(objs) {
-				end = len(objs)
-			}
-			dst = append(dst, Envelope{Dest: DestMatrix, Msg: &protocol.StateTransfer{
-				From:    s.cfg.Server,
-				To:      target,
-				Objects: objs[start:end],
-				Final:   end == len(objs),
-			}})
-			s.stats.StateMoved += uint64(end - start)
-		}
+		dst = s.appendTransfersLocked(dst, target, objs, false)
 	}
 	return dst, nil
+}
+
+// appendTransfersLocked cuts the state displaced to one handoff target into
+// TransferChunk-sized StateTransfers, the last one marked Final. closeEmpty
+// keeps the avatars' wire habit: a last chunk that fills up exactly does not
+// carry the flag itself, an empty Final transfer follows it.
+func (s *Server) appendTransfersLocked(dst []Envelope, target id.ServerID, objs []protocol.ObjectState, closeEmpty bool) []Envelope {
+	limit := len(objs)
+	if closeEmpty {
+		limit++
+	}
+	for start := 0; start < limit; start += s.cfg.TransferChunk {
+		dst = append(dst, Envelope{Dest: DestMatrix, Msg: &protocol.StateTransfer{
+			From:    s.cfg.Server,
+			To:      target,
+			Objects: objs[start:min(start+s.cfg.TransferChunk, len(objs))],
+			Final:   start+s.cfg.TransferChunk >= limit,
+		}})
+	}
+	s.stats.StateMoved += uint64(len(objs))
+	return dst
 }
 
 // resolveHandoff finds the handoff target whose bounds contain p.

@@ -10,6 +10,9 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"net"
+	"net/http"
+	_ "net/http/pprof" // registers the profile handlers ServePprof serves
 	"strings"
 )
 
@@ -55,4 +58,22 @@ func New(w io.Writer, level slog.Level, json bool, attrs ...slog.Attr) *slog.Log
 // lines.
 func Std(l *slog.Logger, level slog.Level) *log.Logger {
 	return slog.NewLogLogger(l.Handler(), level)
+}
+
+// ServePprof serves the net/http/pprof endpoints on their own listener — kept
+// off the metrics address so profiling can be firewalled separately — and
+// returns the address it bound. An empty addr means off: nothing is served
+// and bound is empty. The handlers sit on http.DefaultServeMux by the blank
+// import above; only the cmd mains import this package, so a program
+// embedding the matrix facade never finds them on its own default mux.
+func ServePprof(addr string) (bound string, err error) {
+	if addr == "" {
+		return "", nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("pprof: %w", err)
+	}
+	go func() { _ = http.Serve(ln, nil) }()
+	return ln.Addr().String(), nil
 }

@@ -347,16 +347,16 @@ func (r *Registry) State() RegistryState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var st RegistryState
-	for _, n := range sortedKeys(r.counters) {
+	for _, n := range slices.Sorted(maps.Keys(r.counters)) {
 		st.Counters = append(st.Counters, CounterState{Name: n, Value: r.counters[n].Value()})
 	}
-	for _, n := range sortedKeys(r.gauges) {
+	for _, n := range slices.Sorted(maps.Keys(r.gauges)) {
 		st.Gauges = append(st.Gauges, GaugeState{Name: n, Value: r.gauges[n].Value()})
 	}
-	for _, n := range sortedKeys(r.histograms) {
+	for _, n := range slices.Sorted(maps.Keys(r.histograms)) {
 		st.Histograms = append(st.Histograms, HistogramState{Name: n, Samples: r.histograms[n].Samples()})
 	}
-	for _, n := range sortedKeys(r.series) {
+	for _, n := range slices.Sorted(maps.Keys(r.series)) {
 		times, values := r.series[n].Points()
 		st.Series = append(st.Series, SeriesState{Name: n, Times: times, Values: values})
 	}
@@ -387,11 +387,6 @@ func NewRegistryFromState(st RegistryState) *Registry {
 		r.series[s.Name] = ns
 	}
 	return r
-}
-
-// sortedKeys returns a map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	return slices.Sorted(maps.Keys(m))
 }
 
 // SeriesByPrefix returns all series whose name starts with prefix, sorted.

@@ -310,11 +310,7 @@ func (st *linkState) judgeLoss(l LinkConfig) bool {
 
 // CrashedServers returns the currently fail-stopped servers, sorted.
 func (m *Model) CrashedServers() []id.ServerID {
-	return sortedIDs(m.crashed)
-}
-
-func sortedIDs(set map[id.ServerID]bool) []id.ServerID {
-	return slices.Sorted(maps.Keys(set))
+	return slices.Sorted(maps.Keys(m.crashed))
 }
 
 // LinkState is one directed link's snapshot inside ModelState: the opaque
@@ -342,8 +338,8 @@ func (m *Model) State() ModelState {
 	st := ModelState{
 		Seed:    m.seed,
 		Link:    m.link,
-		Crashed: sortedIDs(m.crashed),
-		Cut:     sortedIDs(m.cut),
+		Crashed: slices.Sorted(maps.Keys(m.crashed)),
+		Cut:     slices.Sorted(maps.Keys(m.cut)),
 	}
 	keys := make([]linkKey, 0, len(m.links))
 	for k := range m.links {

@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"matrix/internal/geom"
@@ -119,8 +120,10 @@ func BuildTable(owner id.ServerID, parts []space.Partition, radius float64, vers
 		xs = append(xs, c.rect.MinX, c.rect.MaxX)
 		ys = append(ys, c.rect.MinY, c.rect.MaxY)
 	}
-	t.xs = dedupSorted(xs)
-	t.ys = dedupSorted(ys)
+	// Cuts come from identical float arithmetic, so exact comparison dedups.
+	slices.Sort(xs)
+	slices.Sort(ys)
+	t.xs, t.ys = slices.Compact(xs), slices.Compact(ys)
 	nx, ny := len(t.xs)-1, len(t.ys)-1
 
 	// Assign each cell its consistency set (deduplicated via canonical key).
@@ -153,21 +156,6 @@ func BuildTable(owner id.ServerID, parts []space.Partition, radius float64, vers
 
 	t.regions = t.mergeRegions()
 	return t, nil
-}
-
-// dedupSorted sorts and removes duplicates (within a tolerance of exact
-// equality; cuts come from identical float arithmetic so exact comparison is
-// safe).
-func dedupSorted(v []float64) []float64 {
-	sort.Float64s(v)
-	w := 1
-	for r := 1; r < len(v); r++ {
-		if v[r] != v[r-1] {
-			v[w] = v[r]
-			w++
-		}
-	}
-	return v[:w]
 }
 
 // mergeRegions coalesces grid cells with identical sets into maximal
@@ -293,8 +281,10 @@ func NewTableFromRegions(owner id.ServerID, bounds geom.Rect, radius float64, ve
 		xs = append(xs, r.Bounds.MinX, r.Bounds.MaxX)
 		ys = append(ys, r.Bounds.MinY, r.Bounds.MaxY)
 	}
-	t.xs = dedupSorted(xs)
-	t.ys = dedupSorted(ys)
+	// Cuts come from identical float arithmetic, so exact comparison dedups.
+	slices.Sort(xs)
+	slices.Sort(ys)
+	t.xs, t.ys = slices.Compact(xs), slices.Compact(ys)
 	nx, ny := len(t.xs)-1, len(t.ys)-1
 	t.cells = make([]int32, nx*ny)
 	setIdx := make(map[string]int32)

@@ -25,21 +25,3 @@ func (b *Buf[T]) Done(used []T) {
 	}
 	clear(used)
 }
-
-// Pool is a set of independent Bufs indexed by worker. A loop that fans
-// its per-item work out to N workers gives each one its own buffer (Buf
-// is not safe for concurrent use), and each buffer keeps its grown
-// capacity across rounds exactly like a single-owner Buf. The zero value
-// is ready; Grow it to the pool width before handing buffers out.
-type Pool[T any] struct{ bufs []Buf[T] }
-
-// Grow ensures the pool holds at least n buffers, keeping the existing
-// ones (and their retained capacity) intact.
-func (p *Pool[T]) Grow(n int) {
-	if n > len(p.bufs) {
-		p.bufs = append(p.bufs, make([]Buf[T], n-len(p.bufs))...)
-	}
-}
-
-// Worker returns worker w's buffer. The pool must have been grown past w.
-func (p *Pool[T]) Worker(w int) *Buf[T] { return &p.bufs[w] }

@@ -40,32 +40,6 @@ func TestDoneKeepsLargerArray(t *testing.T) {
 	}
 }
 
-func TestPoolWorkersAreIndependent(t *testing.T) {
-	var p Pool[int]
-	p.Grow(3)
-	a, b := p.Worker(0), p.Worker(1)
-	if a == b {
-		t.Fatal("workers share a buffer")
-	}
-	sa := append(a.Take(), make([]int, 50)...)
-	a.Done(sa)
-	if got := cap(p.Worker(1).Take()); got != 0 {
-		t.Errorf("worker 1 inherited worker 0's capacity: %d", got)
-	}
-	if got := cap(p.Worker(0).Take()); got < 50 {
-		t.Errorf("worker 0 capacity lost: %d", got)
-	}
-	// Growing keeps existing buffers (and their retained arrays) intact.
-	p.Grow(8)
-	if got := cap(p.Worker(0).Take()); got < 50 {
-		t.Errorf("Grow dropped worker 0's retained array: %d", got)
-	}
-	p.Grow(2) // shrinking requests are no-ops
-	if got := cap(p.Worker(7).Take()); got != 0 {
-		t.Errorf("fresh worker has capacity %d", got)
-	}
-}
-
 func TestZeroAllocSteadyState(t *testing.T) {
 	var b Buf[int]
 	warm := append(b.Take(), make([]int, 64)...)

@@ -46,8 +46,8 @@ func TestMiddlewareCountsAndFingerprint(t *testing.T) {
 		t.Error("shed queue never fired under the join burst")
 	}
 	var limited, shed int64
-	for _, sid := range s.order {
-		st := s.nodes[sid].mw.Stats()
+	for _, n := range s.nodes {
+		st := n.mw.Stats()
 		limited += st.RateLimited.Value()
 		shed += st.Shed.Value()
 	}
@@ -85,7 +85,7 @@ func TestMiddlewareCountsAndFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := s.nodes[root]
+	n := s.node(root)
 	if len(n.mw.Limiter().State()) == 0 {
 		t.Fatal("root server judged no client before the crash; the check would be vacuous")
 	}

@@ -31,12 +31,16 @@ func (s *Sim) recordSample(tick int) {
 
 	active, depth := 0, 0
 	var total, maxClients float64
-	counts := make([]float64, 0, len(s.order))
-	for _, sid := range s.order {
-		n := s.nodes[sid]
+	var drops, delivered uint64
+	counts := make([]float64, 0, len(s.nodes))
+	for _, n := range s.nodes {
+		st := n.gs.Stats()
+		drops += st.Dropped
+		delivered += st.Delivered
 		if !n.core.Active() {
 			continue
 		}
+		sid := n.core.ID()
 		active++
 		c := float64(n.gs.ClientCount())
 		counts = append(counts, c)
@@ -56,12 +60,6 @@ func (s *Sim) recordSample(tick int) {
 	s.rec.Set("regions", float64(len(s.mc.Partitions())))
 	s.rec.Set("tree/depth", float64(depth))
 
-	var drops, delivered uint64
-	for _, sid := range s.order {
-		st := s.nodes[sid].gs.Stats()
-		drops += st.Dropped
-		delivered += st.Delivered
-	}
 	s.rec.Set("drops/total", float64(drops))
 	s.rec.Set("delivered/total", float64(delivered))
 	s.rec.Set("redirects/total", float64(s.res.Redirects))
@@ -105,11 +103,8 @@ func (s *Sim) recordSample(tick int) {
 func (s *Sim) treeDepth(sid id.ServerID) int {
 	d := 0
 	for at := sid; ; {
-		p := s.nodes[at].core.Parent()
-		if !p.Valid() {
-			return d
-		}
-		if _, ok := s.nodes[p]; !ok {
+		p := s.node(at).core.Parent()
+		if s.node(p) == nil {
 			return d
 		}
 		d++
@@ -129,7 +124,7 @@ func (s *Sim) auditSplit(req *protocol.SplitRequest, rep *protocol.SplitReply) {
 	if rep.Granted {
 		d.Child = int64(rep.Child)
 	}
-	if n, ok := s.nodes[req.Server]; ok {
+	if n := s.node(req.Server); n != nil {
 		tr := n.core.Tracker()
 		d.Policy = tr.Policy()
 		// Request and reply complete within one tick (request emitted in
@@ -167,7 +162,7 @@ func (s *Sim) auditReclaim(req *protocol.ReclaimRequest, rep *protocol.ReclaimRe
 		Granted: rep.Granted, Server: int64(req.Parent), Child: int64(req.Child),
 		Corr: corr, Reason: rep.Reason,
 	}
-	if n, ok := s.nodes[req.Parent]; ok {
+	if n := s.node(req.Parent); n != nil {
 		tr := n.core.Tracker()
 		d.Policy = tr.Policy()
 		// As with splits, the round trip completes within one tick and the
@@ -210,8 +205,8 @@ func (s *Sim) auditRestart(sid id.ServerID, n *node) {
 		return
 	}
 	age := -1.0
-	if chk := s.checkpoints[sid]; chk != nil {
-		age = s.now - chk.takenAt
+	if n.chk != nil {
+		age = s.now - n.chk.takenAt
 	}
 	s.rec.Record(flight.Decision{
 		Tick: int64(s.tick), Time: s.now, Kind: "restart",

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"matrix/internal/clock"
@@ -35,7 +34,6 @@ import (
 	"matrix/internal/netem"
 	"matrix/internal/policy"
 	"matrix/internal/protocol"
-	"matrix/internal/scratch"
 	"matrix/internal/trace"
 )
 
@@ -285,13 +283,18 @@ type Counters struct {
 // node is one server slot: a Matrix server, its co-located game server and
 // — when Config.Middleware enables a stage — the production admission chain
 // in front of the game server's queue (nil otherwise). The chain is judged on
-// the stepping goroutine only (generateTraffic, pumpNetem delivery, phase-B
-// routing), never inside phase A, and its per-client token buckets advance on
-// virtual time, so decisions are identical for any SimWorkers value.
+// the stepping goroutine only (see arrive), never inside phase A, and its
+// per-client token buckets advance on virtual time, so decisions are identical
+// for any SimWorkers value.
 type node struct {
 	core *core.Server
 	gs   *gameserver.Server
 	mw   *middleware.Chain
+
+	out        serverOut       // this tick's phase-A output (see engine.go)
+	activePrev bool            // active at the last sample
+	loseState  bool            // crashed by EventCrashLose: restarts on recovery
+	chk        *nodeCheckpoint // latest periodic checkpoint, nil before the first
 }
 
 // nodeCheckpoint is one server's periodic full-state capture, the restore
@@ -313,6 +316,14 @@ type simClient struct {
 	helloAt   float64 // last hello send time (for retry)
 	redirAt   float64 // redirect time, for switch-latency measurement
 	redirOpen bool
+
+	// Crash-recovery timers (only set when netem is active). A ghost is a
+	// client some server still holds but the sim knows is gone from it (lost
+	// despawn, or a rollback resurrection), timed from when it appeared; a
+	// rejoining client is reconnecting after its server restarted, timed for
+	// the recovery-gap histogram.
+	ghost, rejoining  bool
+	ghostAt, rejoinAt float64
 }
 
 // Sim is one in-flight simulation.
@@ -320,9 +331,8 @@ type Sim struct {
 	cfg     Config
 	clk     *clock.Virtual
 	mc      *coordinator.Coordinator
-	nodes   map[id.ServerID]*node
-	order   []id.ServerID // deterministic iteration order
-	clients []*simClient  // every client ever spawned, ascending by ID (see client)
+	nodes   []*node      // every server, in registration order = ascending by ID (see node)
+	clients []*simClient // every client ever spawned, ascending by ID (see client)
 	gen     id.Generator
 	reg     *metrics.Registry
 	lat     *metrics.Histogram
@@ -332,10 +342,10 @@ type Sim struct {
 	now     float64
 	rngSeed int64
 
-	activePrev map[id.ServerID]bool
-	// latSkip[c] = how many of client c's leading latency samples fall
-	// before the measurement window and must be dropped.
-	latSkip     map[id.ClientID]int
+	// latSkip[c-1] = how many of client c's leading latency samples fall
+	// before the measurement window and must be dropped; sized when the
+	// window opens, so it covers exactly the clients that existed then.
+	latSkip     []int
 	latWindowed bool
 
 	// Stepping state (owned by Start/Step; see Run for the canonical loop).
@@ -356,28 +366,14 @@ type Sim struct {
 	nm *netem.Model
 	nq map[int][]netemEntry
 
-	// Crash-recovery state (only populated when netem is active).
-	// ghosts records clients a server still holds but the sim knows are
-	// gone (lost despawn, or a rollback resurrection), keyed to the time
-	// the ghost appeared; loseState marks servers crashed by
-	// EventCrashLose; checkpoints holds each server's latest periodic
-	// state capture; rejoinSince tracks clients reconnecting after a
-	// restart, for the recovery-gap histogram.
-	ghosts      map[id.ClientID]float64
-	loseState   map[id.ServerID]bool
-	checkpoints map[id.ServerID]*nodeCheckpoint
-	rejoinSince map[id.ClientID]float64
-	recGap      *metrics.Histogram
-	chkEvery    int     // checkpoint period in ticks (0 = off)
-	ghostAfter  float64 // ghost idle timeout in seconds (<= 0 = off)
+	// Crash recovery (the per-server and per-client marks live on node and
+	// simClient).
+	recGap     *metrics.Histogram
+	chkEvery   int     // checkpoint period in ticks (0 = off)
+	ghostAfter float64 // ghost idle timeout in seconds (<= 0 = off)
 
-	// Tick-engine state (see engine.go): outs holds each server's buffered
-	// phase-A fallout (indexed by position in order), gsBufs the per-worker
-	// game-server envelope buffers, live the positions processing this
-	// tick.
-	outs   []serverOut
-	gsBufs scratch.Pool[gameserver.Envelope]
-	live   []int
+	// live is the servers processing this tick (see engine.go).
+	live []*node
 
 	// mwReq is the request context every admission judgment reuses (see
 	// admit), so judging allocates nothing.
@@ -431,20 +427,13 @@ func New(cfg Config) (*Sim, error) {
 // coordinator with no servers yet.
 func newSim(cfg Config) (*Sim, error) {
 	s := &Sim{
-		cfg:         cfg,
-		clk:         clock.NewVirtual(time.Unix(0, 0)),
-		nodes:       make(map[id.ServerID]*node),
-		reg:         metrics.NewRegistry(),
-		lat:         &metrics.Histogram{},
-		swLat:       &metrics.Histogram{},
-		recGap:      &metrics.Histogram{},
-		activePrev:  make(map[id.ServerID]bool),
-		latSkip:     make(map[id.ClientID]int),
-		ghosts:      make(map[id.ClientID]float64),
-		loseState:   make(map[id.ServerID]bool),
-		checkpoints: make(map[id.ServerID]*nodeCheckpoint),
-		rejoinSince: make(map[id.ClientID]float64),
-		rngSeed:     cfg.Seed,
+		cfg:     cfg,
+		clk:     clock.NewVirtual(time.Unix(0, 0)),
+		reg:     metrics.NewRegistry(),
+		lat:     &metrics.Histogram{},
+		swLat:   &metrics.Histogram{},
+		recGap:  &metrics.Histogram{},
+		rngSeed: cfg.Seed,
 	}
 	mcPol, err := policy.New(cfg.Policy)
 	if err != nil {
@@ -459,7 +448,7 @@ func newSim(cfg Config) (*Sim, error) {
 
 // registerServer creates one server slot and registers it with the MC.
 func (s *Sim) registerServer() error {
-	addr := fmt.Sprintf("sim:%d", len(s.order)+1)
+	addr := fmt.Sprintf("sim:%d", len(s.nodes)+1)
 	reply, envs, err := s.mc.Register(addr, s.cfg.Profile.Radius)
 	if err != nil {
 		return err
@@ -476,6 +465,11 @@ func (s *Sim) registerServer() error {
 // addNode builds the server slot a RegisterReply describes — Matrix server,
 // co-located game server, admission chain — and appends it to the fleet.
 func (s *Sim) addNode(reply *protocol.RegisterReply) (*node, error) {
+	// Server n sits at index n-1 (see Sim.node): the sim is its MC's only
+	// registrant, so IDs arrive 1, 2, 3, … — a snapshot must list them so.
+	if reply.Server != id.ServerID(len(s.nodes)+1) {
+		return nil, fmt.Errorf("sim: server %d is %v, want ascending IDs from 1", len(s.nodes), reply.Server)
+	}
 	pol, err := policy.New(s.cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -519,8 +513,7 @@ func (s *Sim) addNode(reply *protocol.RegisterReply) (*node, error) {
 			return nil, err
 		}
 	}
-	s.nodes[reply.Server] = n
-	s.order = append(s.order, reply.Server)
+	s.nodes = append(s.nodes, n)
 	return n, nil
 }
 
@@ -551,8 +544,8 @@ func (s *Sim) admit(n *node, src middleware.Source, client id.ClientID, m protoc
 // hot path does not come through here: the tick engine (engine.go) calls
 // core.AppendGameUpdate on a reused buffer for every local update.
 func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message) {
-	n, ok := s.nodes[to]
-	if !ok {
+	n := s.node(to)
+	if n == nil {
 		return
 	}
 	if s.tr != nil {
@@ -587,14 +580,11 @@ func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
 				s.deliverToCore(me.To, id.None, me.Msg)
 			}
 		case core.DestGameServer:
-			// Peer-forwarded data plane passes the local admission stage
-			// before it can land on an overloaded queue.
-			n := s.nodes[from]
-			if !s.admit(n, middleware.SourcePeer, 0, e.Msg) {
-				continue
-			}
-			// Overflow drops are counted by the game server itself.
-			_ = n.gs.Enqueue(e.Msg)
+			// No link to cross, but peer-forwarded data plane still passes
+			// the local admission stage before it can land on an overloaded
+			// queue.
+			self := netem.ServerEndpoint(from)
+			s.arrive(self, self, netemToGS, e.Msg)
 		case core.DestPeer:
 			if s.tr != nil {
 				// A forward crossing the server boundary: the cross-server
@@ -605,10 +595,7 @@ func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
 						"peer", int64(e.Peer))
 				}
 			}
-			if s.nm != nil && s.impair(netem.ServerEndpoint(from), netem.ServerEndpoint(e.Peer), netemToCore, e.Msg) {
-				continue
-			}
-			s.deliverToCore(e.Peer, from, e.Msg)
+			s.send(netem.ServerEndpoint(from), netem.ServerEndpoint(e.Peer), netemToCore, e.Msg)
 		}
 	}
 }
@@ -686,26 +673,21 @@ func (s *Sim) deliverToClient(cid id.ClientID, m protocol.Message) {
 			s.swLat.Observe((s.now - sc.redirAt) * 1000)
 			sc.redirOpen = false
 		}
-		if since, ok := s.rejoinSince[cid]; ok {
+		if sc.rejoining {
 			// Reconnected after a server restart: the recovery gap.
-			s.recGap.Observe((s.now - since) * 1000)
-			delete(s.rejoinSince, cid)
+			s.recGap.Observe((s.now - sc.rejoinAt) * 1000)
+			sc.rejoining = false
 		}
 	}
 }
 
 // sendHello (re)joins the client's assigned game server.
 func (s *Sim) sendHello(sc *simClient) {
-	n, ok := s.nodes[sc.assigned]
-	if !ok {
+	if s.node(sc.assigned) == nil {
 		return
 	}
 	sc.helloAt = s.now
-	m := sc.cl.Hello()
-	if s.nm != nil && s.impair(netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned), netemToGS, m) {
-		return
-	}
-	_ = n.gs.Enqueue(m) // overflow counted by the game server
+	s.send(netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned), netemToGS, sc.cl.Hello())
 }
 
 // ownerOf finds the active server owning a point (the "lobby" lookup a
@@ -719,8 +701,8 @@ func (s *Sim) ownerOf(p geom.Point) id.ServerID {
 	// Half-open boundary case: clamp slightly inward and retry.
 	eps := 1e-9
 	q := geom.Pt(
-		minf(p.X, s.cfg.World.MaxX-eps),
-		minf(p.Y, s.cfg.World.MaxY-eps),
+		min(p.X, s.cfg.World.MaxX-eps),
+		min(p.Y, s.cfg.World.MaxY-eps),
 	)
 	for _, part := range s.mc.Partitions() {
 		if part.Bounds.Contains(q) {
@@ -730,11 +712,14 @@ func (s *Sim) ownerOf(p geom.Point) id.ServerID {
 	return id.None
 }
 
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
+// node returns server sid's slot, nil when the sim never registered it: the
+// MC hands out 1, 2, 3, … and slots never leave s.nodes, so server n sits at
+// index n-1 and a plain range over the slice is registration order.
+func (s *Sim) node(sid id.ServerID) *node {
+	if i := int(sid) - 1; i >= 0 && i < len(s.nodes) {
+		return s.nodes[i]
 	}
-	return b
+	return nil
 }
 
 // client returns client cid's record, nil when the sim never spawned it.
@@ -780,21 +765,20 @@ func (s *Sim) removeClients(tag string, count int) {
 			continue
 		}
 		sc.alive = false
-		if n, ok := s.nodes[sc.assigned]; ok {
+		if s.node(sc.assigned) != nil {
 			leave := sc.cl.MakeAction(protocol.KindDespawn, sc.cl.Pos())
-			if s.nm == nil || !s.impair(netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned), netemToGS, leave) {
-				_ = n.gs.Enqueue(leave) // overflow counted by the game server
-			}
+			s.send(netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned), netemToGS, leave)
 		}
 		count--
 	}
 }
 
-// netemDest says how a delayed message re-enters the simulation.
+// netemDest says where a message lands when it arrives (see arrive).
 type netemDest uint8
 
 const (
-	// netemToGS enqueues on the destination server's game server.
+	// netemToGS enqueues on the destination server's game server, once its
+	// admission chain has judged the message.
 	netemToGS netemDest = iota + 1
 	// netemToClient delivers to the destination client.
 	netemToClient
@@ -810,9 +794,51 @@ type netemEntry struct {
 	msg      protocol.Message
 }
 
+// send puts m on the link from one endpoint to another. On a perfect network
+// it arrives at once; with emulation on, impair judges the link first.
+func (s *Sim) send(from, to netem.Endpoint, kind netemDest, m protocol.Message) {
+	if s.nm != nil && s.impair(from, to, kind, m) {
+		return
+	}
+	s.arrive(from, to, kind, m)
+}
+
+// arrive is where every message, instant or delayed, ends: a game server
+// judges it (admission chain: the network delivered it, the server's chain
+// decides) and queues it, a client handles it, a Matrix server handles it.
+func (s *Sim) arrive(from, to netem.Endpoint, kind netemDest, m protocol.Message) {
+	switch kind {
+	case netemToGS:
+		n := s.node(to.Server)
+		if n == nil {
+			return
+		}
+		src := middleware.SourcePeer
+		if from.Client != 0 {
+			src = middleware.SourceClient
+		}
+		if !s.admit(n, src, from.Client, m) {
+			return
+		}
+		if s.tr != nil && from.Client != 0 {
+			// The packet span opens as a client's update enters its server's
+			// inbox and ends when its echo reaches the client.
+			if u, isUpdate := m.(*protocol.GameUpdate); isUpdate && u.Kind != protocol.KindDespawn {
+				s.tr.AsyncBegin(tracePidServer(to.Server), "packet", "packet",
+					trace.PacketID(u.Client, u.Seq), s.tr.Now())
+			}
+		}
+		_ = n.gs.Enqueue(m) // overflow counted by the game server
+	case netemToClient:
+		s.deliverToClient(to.Client, m)
+	case netemToCore:
+		s.deliverToCore(to.Server, from.Server, m)
+	}
+}
+
 // impair runs one send through the netem model. It returns true when the
-// caller must NOT deliver instantly: the packet was lost, blackholed, or
-// scheduled for a later tick. Callers only invoke it when s.nm != nil.
+// message must NOT arrive now: the packet was lost, blackholed, or scheduled
+// for a later tick. Only send calls it, and only when s.nm != nil.
 func (s *Sim) impair(from, to netem.Endpoint, kind netemDest, m protocol.Message) bool {
 	v := s.nm.Judge(from, to, netem.DataPlane(m))
 	if v.Severed {
@@ -855,24 +881,7 @@ func (s *Sim) pumpNetem() {
 			s.noteLostDespawn(e.msg)
 			continue
 		}
-		switch e.kind {
-		case netemToGS:
-			if n, ok := s.nodes[e.to.Server]; ok {
-				// A delayed message is judged at arrival, like any other.
-				src := middleware.SourcePeer
-				if e.from.Client != 0 {
-					src = middleware.SourceClient
-				}
-				if !s.admit(n, src, e.from.Client, e.msg) {
-					continue
-				}
-				_ = n.gs.Enqueue(e.msg) // overflow counted by the game server
-			}
-		case netemToClient:
-			s.deliverToClient(e.to.Client, e.msg)
-		case netemToCore:
-			s.deliverToCore(e.to.Server, e.from.Server, e.msg)
-		}
+		s.arrive(e.from, e.to, e.kind, e.msg)
 	}
 }
 
@@ -880,11 +889,15 @@ func (s *Sim) pumpNetem() {
 // server never learns the client is gone, so the idle-expiry pass (see
 // expireGhosts) must cull it later.
 func (s *Sim) noteLostDespawn(m protocol.Message) {
-	if s.ghostAfter <= 0 {
-		return
-	}
 	if u, ok := m.(*protocol.GameUpdate); ok && u.Kind == protocol.KindDespawn {
-		s.ghosts[u.Client] = s.now
+		s.markGhost(u.Client)
+	}
+}
+
+// markGhost starts (or restarts) client cid's ghost timer, when expiry is on.
+func (s *Sim) markGhost(cid id.ClientID) {
+	if sc := s.client(cid); sc != nil && s.ghostAfter > 0 {
+		sc.ghost, sc.ghostAt = true, s.now
 	}
 }
 
@@ -896,41 +909,33 @@ func (s *Sim) noteLostDespawn(m protocol.Message) {
 // always skipped). Copies on crashed (frozen) servers wait for the
 // recovery; the record clears once no stale copy remains.
 func (s *Sim) expireGhosts() {
-	due := make([]id.ClientID, 0, len(s.ghosts))
-	for cid, t0 := range s.ghosts {
-		if s.now-t0 >= s.ghostAfter {
-			due = append(due, cid)
+	for _, sc := range s.clients {
+		if !sc.ghost || s.now-sc.ghostAt < s.ghostAfter {
+			continue
 		}
-	}
-	slices.Sort(due)
-	for _, cid := range due {
-		sc := s.client(cid)
-		live := sc != nil && sc.alive
+		cid := sc.cl.ID()
 		found, cleared := false, true
-		for _, sid := range s.order {
-			n := s.nodes[sid]
+		for _, n := range s.nodes {
+			sid := n.core.ID()
 			if _, ok := n.gs.ClientPos(cid); !ok {
 				continue
 			}
-			if live && sid == sc.assigned {
+			if sc.alive && sid == sc.assigned {
 				continue // the legitimate avatar, not a ghost copy
 			}
 			found = true
-			if s.nm != nil && s.nm.Crashed(sid) {
+			if s.nm.Crashed(sid) {
 				cleared = false // frozen: evict after recovery (or rollback)
 				continue
 			}
 			n.gs.Evict(cid)
 		}
-		if !found {
-			// Already gone everywhere (state transfer raced the expiry).
-			delete(s.ghosts, cid)
-			continue
-		}
-		if cleared {
+		if found && cleared {
 			s.res.GhostsExpired++
-			delete(s.ghosts, cid)
 		}
+		// Not found: already gone everywhere (state transfer raced the
+		// expiry). Only a copy frozen on a crashed server keeps the timer.
+		sc.ghost = found && !cleared
 	}
 }
 
@@ -1088,7 +1093,7 @@ func (s *Sim) Step() error {
 	// Tracing is pure observation: nothing below branches on it.
 	var tickStart int64
 	if s.tr != nil {
-		tickStart = s.traceTickStart(s.cfg.SimWorkers)
+		tickStart = s.traceTickStart()
 	}
 
 	// 1. Script events.
@@ -1131,7 +1136,9 @@ func (s *Sim) Step() error {
 			if s.nm != nil {
 				s.nm.Crash(e.Servers)
 				for _, sid := range e.Servers {
-					s.loseState[sid] = true
+					if n := s.node(sid); n != nil {
+						n.loseState = true
+					}
 				}
 				s.noteNetemEvent("crash-lose", e.Servers)
 			}
@@ -1144,8 +1151,8 @@ func (s *Sim) Step() error {
 				s.nm.Recover(e.Servers)
 				s.noteNetemEvent("recover", e.Servers)
 				for _, sid := range recovered {
-					if s.loseState[sid] {
-						s.restartNode(sid)
+					if n := s.node(sid); n != nil && n.loseState {
+						s.restartNode(n)
 					}
 				}
 			}
@@ -1158,7 +1165,7 @@ func (s *Sim) Step() error {
 	}
 
 	// 1c. Ghost expiry: cull clients whose departure their server never saw.
-	if s.nm != nil && s.ghostAfter > 0 && len(s.ghosts) > 0 {
+	if s.nm != nil && s.ghostAfter > 0 {
 		s.expireGhosts()
 	}
 
@@ -1166,24 +1173,19 @@ func (s *Sim) Step() error {
 	s.generateTraffic(dt)
 
 	// 3. Game servers process their queues — the two-phase tick engine
-	// (engine.go). Phase A fans the per-server work out to the worker pool
-	// (serially when SimWorkers <= 1): each live server drains its inbox
-	// and hands its updates to its co-located Matrix server, touching only
-	// its own state and buffering the fallout. Phase B merges the buffered
-	// envelopes in canonical server order and routes them, so delivery,
-	// netem judging and RNG consumption are byte-identical for any worker
-	// count. Crashed servers are frozen: their queues keep whatever
-	// arrived before the crash and resume draining on recovery.
-	workers := s.ensureEngine()
+	// (engine.go): phase A fans the per-server work out to the worker pool,
+	// phase B routes each server's output in canonical server order.
+	// Crashed servers are frozen: their queues keep whatever arrived before
+	// the crash and resume draining on recovery.
 	s.liveServers()
 	processNode := s.processNode
 	if s.tr != nil {
 		processNode = s.traceProcessNode
 	}
 	paStart := s.tr.Now()
-	s.runPhaseA(workers, processNode)
+	s.runPhaseA(processNode)
 	if s.tr != nil {
-		s.tracePhaseA(paStart, workers)
+		s.tracePhaseA(paStart)
 	}
 	pbStart := s.tr.Now()
 	s.routePhaseB()
@@ -1197,7 +1199,7 @@ func (s *Sim) Step() error {
 	// parents see a frozen last-known child load until recovery.
 	if tick%s.reportEvery == 0 {
 		lrStart := s.tr.Now()
-		s.runPhaseA(workers, func(_, idx int) { s.loadReportNode(idx) })
+		s.runPhaseA(s.loadReportNode)
 		s.routePhaseB()
 		if s.tr != nil {
 			s.traceLoadReport(lrStart)
@@ -1214,8 +1216,9 @@ func (s *Sim) Step() error {
 	// 6. Latency measurement window.
 	if !s.latWindowed && s.cfg.LatencyIgnoreBeforeSeconds > 0 && s.now >= s.cfg.LatencyIgnoreBeforeSeconds {
 		s.latWindowed = true
-		for _, sc := range s.clients {
-			s.latSkip[sc.cl.ID()] = len(sc.cl.Latencies())
+		s.latSkip = make([]int, len(s.clients))
+		for i, sc := range s.clients {
+			s.latSkip[i] = len(sc.cl.Latencies())
 		}
 	}
 
@@ -1245,11 +1248,10 @@ func (s *Sim) Step() error {
 
 // takeCheckpoints captures every live server's full state.
 func (s *Sim) takeCheckpoints() {
-	for _, sid := range s.order {
-		if s.nm != nil && s.nm.Crashed(sid) {
+	for _, n := range s.nodes {
+		if s.nm != nil && s.nm.Crashed(n.core.ID()) {
 			continue
 		}
-		n := s.nodes[sid]
 		cs, err := n.core.CaptureState()
 		if err != nil {
 			s.reg.Counter("errors/checkpoint").Inc()
@@ -1260,7 +1262,7 @@ func (s *Sim) takeCheckpoints() {
 			s.reg.Counter("errors/checkpoint").Inc()
 			continue
 		}
-		s.checkpoints[sid] = &nodeCheckpoint{takenAt: s.now, core: cs, game: gs}
+		n.chk = &nodeCheckpoint{takenAt: s.now, core: cs, game: gs}
 	}
 }
 
@@ -1268,20 +1270,17 @@ func (s *Sim) takeCheckpoints() {
 // and its replacement starts from the last periodic checkpoint (cold when
 // none exists), resyncs its topology from the MC, and every client it served
 // must reconnect — their connections died with the process.
-func (s *Sim) restartNode(sid id.ServerID) {
-	n, ok := s.nodes[sid]
-	if !ok {
-		return
-	}
-	delete(s.loseState, sid)
+func (s *Sim) restartNode(n *node) {
+	sid := n.core.ID()
+	n.loseState = false
 	// The process died: its in-memory token buckets died with it. A
 	// restarted server starts every client's budget fresh.
 	if n.mw != nil && n.mw.Limiter() != nil {
 		n.mw.Limiter().Reset()
 	}
 	chkCore, chkGame := s.blankNodeState(sid)
-	if chk := s.checkpoints[sid]; chk != nil {
-		chkCore, chkGame = chk.core, chk.game
+	if n.chk != nil {
+		chkCore, chkGame = n.chk.core, n.chk.game
 	}
 	if err := n.core.RestoreState(chkCore); err != nil {
 		s.reg.Counter("errors/restart").Inc()
@@ -1298,11 +1297,9 @@ func (s *Sim) restartNode(sid id.ServerID) {
 	// after the checkpoint (their live avatar is elsewhere; the copy here
 	// is a stale duplicate). Both register as ghosts; the idle expiry
 	// culls every copy except a live client's current one.
-	if s.ghostAfter > 0 {
-		for _, cid := range n.gs.ClientIDs() {
-			if sc := s.client(cid); sc == nil || !sc.alive || sc.assigned != sid {
-				s.ghosts[cid] = s.now
-			}
+	for _, cid := range n.gs.ClientIDs() {
+		if sc := s.client(cid); sc == nil || !sc.alive || sc.assigned != sid {
+			s.markGhost(cid)
 		}
 	}
 
@@ -1323,7 +1320,7 @@ func (s *Sim) restartNode(sid id.ServerID) {
 	for _, sc := range s.clients {
 		if sc.alive && sc.assigned == sid {
 			sc.cl.Disconnect()
-			s.rejoinSince[sc.cl.ID()] = s.now
+			sc.rejoining, sc.rejoinAt = true, s.now
 			s.res.RecoveryRejoins++
 		}
 	}
@@ -1353,10 +1350,10 @@ func (s *Sim) generateTraffic(dt float64) {
 		if !sc.alive || !sc.cl.Connected() {
 			continue
 		}
-		n, ok := s.nodes[sc.assigned]
-		if !ok {
+		if s.node(sc.assigned) == nil {
 			continue
 		}
+		from, to := netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned)
 		sc.acc += s.cfg.Profile.UpdatesPerSec * dt
 		for sc.acc >= 1 {
 			sc.acc--
@@ -1372,20 +1369,7 @@ func (s *Sim) generateTraffic(dt float64) {
 				u = sc.cl.MakeAction(protocol.KindChat, sc.cl.Pos())
 			}
 			u.Payload = make([]byte, s.cfg.Profile.PayloadBytes)
-			if s.nm != nil && s.impair(netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned), netemToGS, u) {
-				continue
-			}
-			// The network delivered it; the server's chain judges it.
-			if !s.admit(n, middleware.SourceClient, sc.cl.ID(), u) {
-				continue
-			}
-			if s.tr != nil {
-				// The packet span opens as the update enters its server's
-				// inbox and ends when its echo reaches the client.
-				s.tr.AsyncBegin(tracePidServer(sc.assigned), "packet", "packet",
-					trace.PacketID(u.Client, u.Seq), s.tr.Now())
-			}
-			_ = n.gs.Enqueue(u) // overflow counted by the game server
+			s.send(from, to, netemToGS, u)
 		}
 	}
 }
@@ -1393,25 +1377,23 @@ func (s *Sim) generateTraffic(dt float64) {
 // sample appends the per-server series points (Figure 2's panels).
 func (s *Sim) sample() {
 	active := 0
-	for _, sid := range s.order {
-		n := s.nodes[sid]
+	var drops uint64
+	for _, n := range s.nodes {
+		sid := n.core.ID()
 		if n.core.Active() {
 			active++
 			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, float64(n.gs.ClientCount()))
 			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, float64(n.gs.QueueLen()))
 			s.res.ClientSeconds += float64(n.gs.ClientCount()) * s.cfg.SampleEverySeconds
-		} else if s.activePrev[sid] {
+		} else if n.activePrev {
 			// One zero sample on deactivation closes the line.
 			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, 0)
 			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, 0)
 		}
-		s.activePrev[sid] = n.core.Active()
+		n.activePrev = n.core.Active()
+		drops += n.gs.Stats().Dropped
 	}
 	s.reg.Series("servers/active").Append(s.now, float64(active))
-	var drops uint64
-	for _, sid := range s.order {
-		drops += s.nodes[sid].gs.Stats().Dropped
-	}
 	s.reg.Series("drops/total").Append(s.now, float64(drops))
 	if active > s.res.PeakServers {
 		s.res.PeakServers = active
@@ -1426,8 +1408,7 @@ func (s *Sim) finish() *Result {
 	res.SwitchLatency = s.swLat
 	res.RecoveryGap = s.recGap
 	res.Events = s.events
-	for _, sid := range s.order {
-		n := s.nodes[sid]
+	for _, n := range s.nodes {
 		st := n.core.Stats()
 		res.ForwardedBytes += st.PeerBytesOut
 		res.ForwardedPackets += st.PeerPacketsOut
@@ -1440,13 +1421,10 @@ func (s *Sim) finish() *Result {
 		}
 	}
 	// Collect client latencies (ms), honouring the measurement window.
-	for _, sc := range s.clients {
+	for i, sc := range s.clients {
 		lats := sc.cl.Latencies()
-		if skip := s.latSkip[sc.cl.ID()]; skip > 0 {
-			if skip >= len(lats) {
-				continue
-			}
-			lats = lats[skip:]
+		if i < len(s.latSkip) {
+			lats = lats[min(s.latSkip[i], len(lats)):]
 		}
 		for _, d := range lats {
 			res.Latency.Observe(float64(d) / float64(time.Millisecond))
@@ -1460,8 +1438,8 @@ func (s *Sim) MC() *coordinator.Coordinator { return s.mc }
 
 // Node returns a server's components for inspection.
 func (s *Sim) Node(sid id.ServerID) (*core.Server, *gameserver.Server, bool) {
-	n, ok := s.nodes[sid]
-	if !ok {
+	n := s.node(sid)
+	if n == nil {
 		return nil, nil, false
 	}
 	return n.core, n.gs, true

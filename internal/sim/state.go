@@ -2,10 +2,11 @@
 // RestoreSim rebuilds a Sim that continues byte-identically to the captured
 // run (fingerprint-verified by internal/snapshot's tests).
 //
-// Every collection in State is a deterministically ordered slice — node
-// order is the registration order, clients and ghosts sort by ID, delayed
-// buckets sort by due tick — so encoding the same State twice produces
-// byte-identical output. Protocol messages held in queues serialize as wire
+// Every collection in State is a deterministically ordered slice — nodes
+// and the per-server lists in registration order (ascending server ID),
+// clients and the per-client lists by ascending client ID, delayed buckets
+// by due tick — so encoding the same State twice produces byte-identical
+// output. Protocol messages held in queues serialize as wire
 // frames (the codec the transports already pin with golden tests).
 //
 // The DTOs live here, next to the fields they mirror; internal/snapshot
@@ -15,7 +16,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -155,8 +155,11 @@ func (s *Sim) CaptureState() (*State, error) {
 	st.Config.SimWorkers = 0
 	st.Coordinator = s.mc.CaptureState()
 
-	for _, sid := range s.order {
-		n := s.nodes[sid]
+	// Crash-recovery bookkeeping (LoseState, Checkpoints, Ghosts, Rejoins) is
+	// captured whether or not emulation is active yet: a netem-free warmup
+	// accrues checkpoints that a branched tail's crash events will need.
+	for _, n := range s.nodes {
+		sid := n.core.ID()
 		cs, err := n.core.CaptureState()
 		if err != nil {
 			return nil, fmt.Errorf("sim: capture %v core: %w", sid, err)
@@ -170,9 +173,30 @@ func (s *Sim) CaptureState() (*State, error) {
 			ns.Limiter = n.mw.Limiter().State()
 		}
 		st.Nodes = append(st.Nodes, ns)
+		if n.activePrev {
+			st.ActivePrev = append(st.ActivePrev, sid)
+		}
+		if n.loseState {
+			st.LoseState = append(st.LoseState, sid)
+		}
+		if chk := n.chk; chk != nil {
+			st.Checkpoints = append(st.Checkpoints, CheckpointState{
+				Server: sid, TakenAt: chk.takenAt, Core: chk.core, Game: chk.game,
+			})
+		}
 	}
 
-	for _, sc := range s.clients {
+	for i, sc := range s.clients {
+		cid := sc.cl.ID()
+		if i < len(s.latSkip) {
+			st.LatSkip = append(st.LatSkip, SkipState{Client: cid, Skip: s.latSkip[i]})
+		}
+		if sc.ghost {
+			st.Ghosts = append(st.Ghosts, GhostState{Client: cid, DroppedAt: sc.ghostAt})
+		}
+		if sc.rejoining {
+			st.Rejoins = append(st.Rejoins, RejoinState{Client: cid, Since: sc.rejoinAt})
+		}
 		st.Clients = append(st.Clients, ClientState{
 			Client:    sc.cl.State(),
 			Mover:     sc.mover.State(),
@@ -184,15 +208,6 @@ func (s *Sim) CaptureState() (*State, error) {
 			RedirAt:   sc.redirAt,
 			RedirOpen: sc.redirOpen,
 		})
-	}
-
-	for _, sid := range s.order {
-		if s.activePrev[sid] {
-			st.ActivePrev = append(st.ActivePrev, sid)
-		}
-	}
-	for _, cid := range sortedClientIDs(s.latSkip) {
-		st.LatSkip = append(st.LatSkip, SkipState{Client: cid, Skip: s.latSkip[cid]})
 	}
 
 	if s.nm != nil {
@@ -222,25 +237,6 @@ func (s *Sim) CaptureState() (*State, error) {
 			}
 			st.Delayed = append(st.Delayed, bucket)
 		}
-
-	}
-
-	// Crash-recovery bookkeeping is independent of whether emulation is
-	// active yet: a netem-free warmup accrues checkpoints that a branched
-	// tail's crash events will need.
-	for _, cid := range sortedClientIDs(s.ghosts) {
-		st.Ghosts = append(st.Ghosts, GhostState{Client: cid, DroppedAt: s.ghosts[cid]})
-	}
-	st.LoseState = slices.Sorted(maps.Keys(s.loseState))
-	for _, sid := range s.order {
-		if chk := s.checkpoints[sid]; chk != nil {
-			st.Checkpoints = append(st.Checkpoints, CheckpointState{
-				Server: sid, TakenAt: chk.takenAt, Core: chk.core, Game: chk.game,
-			})
-		}
-	}
-	for _, cid := range sortedClientIDs(s.rejoinSince) {
-		st.Rejoins = append(st.Rejoins, RejoinState{Client: cid, Since: s.rejoinSince[cid]})
 	}
 	return st, nil
 }
@@ -398,11 +394,24 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 
 	s.events = append([]TopologyEvent(nil), st.Events...)
 	s.res.Counters = st.Counters
-	for _, sid := range st.ActivePrev {
-		s.activePrev[sid] = true
+	// The per-server and per-client lists land on the records they name; an
+	// ID the image never registered is a corrupt image, not a no-op.
+	unknown := func(list string, name any) error {
+		return fmt.Errorf("sim: state %s names unknown %v", list, name)
 	}
-	for _, sk := range st.LatSkip {
-		s.latSkip[sk.Client] = sk.Skip
+	for _, sid := range st.ActivePrev {
+		n := s.node(sid)
+		if n == nil {
+			return nil, unknown("ActivePrev", sid)
+		}
+		n.activePrev = true
+	}
+	// The window covered clients 1..k when it opened (see Sim.latSkip).
+	for i, sk := range st.LatSkip {
+		if sk.Client != id.ClientID(i+1) || i >= len(s.clients) {
+			return nil, fmt.Errorf("sim: state LatSkip entry %d is %v, want the first clients ascending from 1", i, sk.Client)
+		}
+		s.latSkip = append(s.latSkip, sk.Skip)
 	}
 
 	switch {
@@ -435,22 +444,38 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		s.enableNetem()
 	}
 	for _, g := range st.Ghosts {
-		s.ghosts[g.Client] = g.DroppedAt
+		sc := s.client(g.Client)
+		if sc == nil {
+			return nil, unknown("Ghosts", g.Client)
+		}
+		sc.ghost, sc.ghostAt = true, g.DroppedAt
 	}
 	for _, sid := range st.LoseState {
-		s.loseState[sid] = true
+		n := s.node(sid)
+		if n == nil {
+			return nil, unknown("LoseState", sid)
+		}
+		n.loseState = true
 	}
 	for _, chk := range st.Checkpoints {
+		n := s.node(chk.Server)
+		if n == nil {
+			return nil, unknown("Checkpoints", chk.Server)
+		}
 		coreChk := chk.Core
 		if dropPolicyState && coreChk != nil && len(coreChk.PolicyState) > 0 {
 			cp := *coreChk
 			cp.PolicyState = nil
 			coreChk = &cp
 		}
-		s.checkpoints[chk.Server] = &nodeCheckpoint{takenAt: chk.TakenAt, core: coreChk, game: chk.Game}
+		n.chk = &nodeCheckpoint{takenAt: chk.TakenAt, core: coreChk, game: chk.Game}
 	}
 	for _, r := range st.Rejoins {
-		s.rejoinSince[r.Client] = r.Since
+		sc := s.client(r.Client)
+		if sc == nil {
+			return nil, unknown("Rejoins", r.Client)
+		}
+		sc.rejoining, sc.rejoinAt = true, r.Since
 	}
 	return s, nil
 }
@@ -480,9 +505,4 @@ func eventsEqual(a, b game.Event) bool {
 		return false
 	}
 	return slices.Equal(a.Servers, b.Servers)
-}
-
-// sortedClientIDs returns a client-keyed map's keys, sorted.
-func sortedClientIDs[V any](m map[id.ClientID]V) []id.ClientID {
-	return slices.Sorted(maps.Keys(m))
 }

@@ -51,15 +51,11 @@ func (s *Sim) SetTracer(tr *trace.Tracer) {
 	tr.SetClock(s.traceNow)
 	tr.NameProcess(tracePidEngine, "engine")
 	tr.NameThread(tracePidEngine, 0, "step")
-	w := s.cfg.SimWorkers
-	if w < 1 {
-		w = 1
-	}
-	for k := 1; k <= w; k++ {
+	for k := 1; k <= max(1, s.cfg.SimWorkers); k++ {
 		tr.NameThread(tracePidEngine, int32(k), fmt.Sprintf("worker-%d", k))
 	}
-	for _, sid := range s.order {
-		tr.NameProcess(tracePidServer(sid), sid.String())
+	for _, n := range s.nodes {
+		tr.NameProcess(tracePidServer(n.core.ID()), n.core.ID().String())
 	}
 }
 
@@ -73,10 +69,8 @@ func (s *Sim) traceNow() int64 {
 
 // traceTickStart re-anchors the trace clock at the top of a tick and
 // returns the tick's start timestamp.
-func (s *Sim) traceTickStart(workers int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
+func (s *Sim) traceTickStart() int64 {
+	workers := max(1, s.cfg.SimWorkers)
 	s.trTickBase = int64(s.now * 1e6)
 	s.trAnchor = time.Now()
 	if len(s.trBusy) < workers {
@@ -91,11 +85,11 @@ func (s *Sim) traceTickStart(workers int) int64 {
 // traceProcessNode wraps processNode with a per-server phase-A slice on the
 // claiming worker's track and accumulates per-worker busy time for the
 // occupancy measure. Installed only while tracing.
-func (s *Sim) traceProcessNode(w, idx int) {
+func (s *Sim) traceProcessNode(w int, n *node) {
 	t0 := s.traceNow()
-	s.processNode(w, idx)
+	s.processNode(w, n)
 	d := s.traceNow() - t0
-	s.tr.SliceArg(tracePidEngine, int32(w+1), "server-process", t0, d, "server", int64(s.order[idx]))
+	s.tr.SliceArg(tracePidEngine, int32(w+1), "server-process", t0, d, "server", int64(n.core.ID()))
 	s.reg.Histogram("engine/server-process-us").Observe(float64(d))
 	s.trBusy[w] += d
 }
@@ -104,7 +98,8 @@ func (s *Sim) traceProcessNode(w, idx int) {
 // phase-A histogram, and worker occupancy (busy worker-µs over workers ×
 // phase wall-µs — the live counterpart of the paper-era 77.8% parallel
 // fraction). With one worker occupancy is 1 by construction.
-func (s *Sim) tracePhaseA(start int64, workers int) {
+func (s *Sim) tracePhaseA(start int64) {
+	workers := s.cfg.SimWorkers
 	end := s.traceNow()
 	dur := end - start
 	s.tr.Slice(tracePidEngine, 0, "phase-a", start, dur)

@@ -6,6 +6,7 @@ import (
 
 	"matrix/internal/game"
 	"matrix/internal/geom"
+	"matrix/internal/netem"
 	"matrix/internal/trace"
 )
 
@@ -142,5 +143,50 @@ func TestUntracedRegistryHasNoEngineHistograms(t *testing.T) {
 	}
 	for _, h := range res.Metrics.State().Histograms {
 		t.Errorf("untraced run registered histogram %q", h.Name)
+	}
+}
+
+// TestTraceSpansPairUnderDelay pins that packet spans open on a delayed link
+// too: an update that netem holds for a tick or more gets its begin when it
+// arrives, so no echo closes a span that never opened.
+func TestTraceSpansPairUnderDelay(t *testing.T) {
+	cfg := hotspotTraceConfig(1)
+	cfg.DurationSeconds = 10
+	cfg.BasePopulation = 30
+	cfg.Script = nil
+	cfg.Netem = netem.Config{Link: netem.LinkConfig{DelayMs: 150}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(1 << 16)
+	s.SetTracer(tr)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace ring dropped %d events; size it up", tr.Dropped())
+	}
+	begun := map[uint64]bool{}
+	ends, orphans := 0, 0
+	for _, e := range tr.Events() {
+		if e.Name != "packet" {
+			continue
+		}
+		switch e.Ph {
+		case trace.PhaseAsyncBegin:
+			begun[e.ID] = true
+		case trace.PhaseAsyncEnd:
+			ends++
+			if !begun[e.ID] {
+				orphans++
+			}
+		}
+	}
+	if ends == 0 {
+		t.Fatal("no packet span ended; the check would be vacuous")
+	}
+	if orphans > 0 {
+		t.Errorf("%d of %d packet span ends have no earlier begin (begins: %d)", orphans, ends, len(begun))
 	}
 }

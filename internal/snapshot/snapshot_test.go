@@ -61,7 +61,9 @@ func finishRun(t *testing.T, s *sim.Sim) string {
 
 // TestCaptureRestoreCaptureByteStable pins the determinism of the format
 // itself: capturing, restoring and capturing again must produce
-// byte-identical snapshots — across several seeds and capture points.
+// byte-identical snapshots — across several seeds and capture points, with
+// and without a latency window (opened at t=2, before the t=4 crowd joins, so
+// its skip list must cover exactly the base population).
 func TestCaptureRestoreCaptureByteStable(t *testing.T) {
 	t.Parallel()
 	seeds := []int64{1, 7, 23}
@@ -70,9 +72,17 @@ func TestCaptureRestoreCaptureByteStable(t *testing.T) {
 		seeds = seeds[:1]
 		ats = ats[1:]
 	}
+	type point struct{ at, window float64 }
+	var points []point
+	for _, at := range ats {
+		points = append(points, point{at, 0}, point{at, 2})
+	}
 	for _, seed := range seeds {
-		for _, at := range ats {
-			s, err := sim.New(tinyConfig(seed))
+		for _, p := range points {
+			at := p.at
+			cfg := tinyConfig(seed)
+			cfg.LatencyIgnoreBeforeSeconds = p.window
+			s, err := sim.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +116,24 @@ func TestCaptureRestoreCaptureByteStable(t *testing.T) {
 				t.Fatalf("remarshal: %v", err)
 			}
 			if !bytes.Equal(first, second) {
-				t.Errorf("seed %d t=%g: capture→restore→capture is not byte-stable (%d vs %d bytes)", seed, at, len(first), len(second))
+				t.Errorf("seed %d t=%g window=%g: capture→restore→capture is not byte-stable (%d vs %d bytes)", seed, at, p.window, len(first), len(second))
+			}
+
+			// The skip list names the clients that existed when the window
+			// opened — ascending, zero skips included — and nobody who joined
+			// later; with no window there is no list.
+			want := 0
+			if p.window > 0 {
+				want = cfg.BasePopulation
+			}
+			skips := again.Sim.LatSkip
+			if len(skips) != want {
+				t.Fatalf("seed %d t=%g window=%g: LatSkip has %d entries, want %d", seed, at, p.window, len(skips), want)
+			}
+			for i, sk := range skips {
+				if sk.Client != id.ClientID(i+1) {
+					t.Fatalf("seed %d t=%g: LatSkip[%d] is client %v, want %d", seed, at, i, sk.Client, i+1)
+				}
 			}
 		}
 	}
