@@ -157,13 +157,15 @@ func (s *Server) ServeMetrics(addr string) (string, io.Closer, error) {
 // exit the server is retired from the pool instead of becoming a spare.
 func (s *Server) Drain(exit bool, timeout time.Duration) error { return s.h.Drain(exit, timeout) }
 
-// Drained is closed once a requested drain has fully evacuated the server.
+// Drained is closed once a requested drain has fully evacuated the server,
+// and open again once the coordinator has handed it a partition back.
 func (s *Server) Drained() <-chan struct{} { return s.h.Drained() }
 
-// DrainExitRequested reports, once Drained has fired, whether the drain
-// retired this server from the fleet (the process should exit) rather than
-// returning it to the spare pool (it keeps serving as a spare).
-func (s *Server) DrainExitRequested() bool { return s.h.DrainExitRequested() }
+// DrainEvents receives each time a drain finishes, however many the process
+// lives through: true when the drain retired this server from the fleet (the
+// process should exit), false when it returned it to the spare pool (it
+// keeps serving as a spare).
+func (s *Server) DrainEvents() <-chan bool { return s.h.DrainEvents() }
 
 // Snapshot dumps the node's complete state (Matrix server + game server) as
 // a versioned blob. Any peer can also fetch it over the wire by sending a

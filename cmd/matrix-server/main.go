@@ -212,19 +212,17 @@ func run(args []string) error {
 		defer t.Stop()
 		snapC = t.C
 	}
-	drained := srv.Drained()
 	for {
 		select {
-		case <-drained:
+		case exit := <-srv.DrainEvents():
 			// A drain this process did not ask for (matrix-coordinator
 			// -drain). Retired from the fleet, nothing will ever reach this
 			// server again: exit. Returned to the spare pool, it stands by.
-			if srv.DrainExitRequested() {
+			if exit {
 				logger.Info("drained for exit by the coordinator, shutting down")
 				return nil
 			}
 			logger.Info("drained to the spare pool, standing by")
-			drained = nil
 		case <-stop:
 			if !*drain {
 				return nil

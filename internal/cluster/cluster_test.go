@@ -235,7 +235,10 @@ func TestCrashWithEmptyPoolParksThenHeals(t *testing.T) {
 // TestAdminDrainLiveMigration: an operator drains the active server over
 // the wire; its partition must migrate to the spare via live handoff (no
 // checkpoint), clients must follow, and the drainee must become an empty
-// spare that reports itself drained.
+// spare that reports itself drained. And a drain is a cycle, not a once-only
+// event: drained back the other way the first server is re-adopted, and its
+// second drain — through Drain, which used to return at once on the first
+// cycle's closed channel — signals only once it holds nothing again.
 func TestAdminDrainLiveMigration(t *testing.T) {
 	c, err := New(Config{Servers: 2})
 	if err != nil {
@@ -254,12 +257,33 @@ func TestAdminDrainLiveMigration(t *testing.T) {
 	}) {
 		t.Fatal("clients never joined the drainee")
 	}
+	// handedOff waits until from has said it is drained and every client
+	// plays against to.
+	handedOff := func(round string, from, to id.ServerID) {
+		t.Helper()
+		if !c.WaitUntil(convergeWithin, func() bool {
+			select {
+			case <-c.Server(from).Drained():
+			default:
+				return false
+			}
+			for _, owner := range c.ClientServers() {
+				if owner != to {
+					return false
+				}
+			}
+			return c.Server(to).Game().ClientCount() == 3
+		}) {
+			t.Fatalf("%s: %v holds %d clients, %v holds %d, owners %v", round, from,
+				c.Server(from).Game().ClientCount(), to, c.Server(to).Game().ClientCount(), c.ClientServers())
+		}
+		if got := c.Server(from).Game().ClientCount(); got != 0 || c.Server(from).Core().Active() {
+			t.Fatalf("%s: %v says drained while active=%v with %d clients", round, from, c.Server(from).Core().Active(), got)
+		}
+	}
 
 	if err := c.AdminDrain(drainee, false); err != nil {
 		t.Fatal(err)
-	}
-	if got := c.MC().Drains(); got != 1 {
-		t.Errorf("Drains = %d, want 1", got)
 	}
 	if got := c.MC().Deaths(); got != 0 {
 		t.Errorf("Deaths = %d, want 0 — drain is not a failure", got)
@@ -268,38 +292,44 @@ func TestAdminDrainLiveMigration(t *testing.T) {
 	if len(active) != 1 || active[0] == drainee {
 		t.Fatalf("ActiveServers = %v, want only the migration target", active)
 	}
-
-	// The drainee empties out and says so.
-	select {
-	case <-c.Server(drainee).Drained():
-	case <-time.After(convergeWithin):
-		t.Fatalf("drainee never finished evacuating: clients=%d active=%v",
-			c.Server(drainee).Game().ClientCount(), c.Server(drainee).Core().Active())
-	}
-	if got := c.Server(drainee).Game().ClientCount(); got != 0 {
-		t.Errorf("drainee still serves %d clients", got)
-	}
-
-	// Clients keep playing against the new owner.
-	heir := c.Server(active[0])
-	if !c.WaitUntil(convergeWithin, func() bool {
-		if heir.Game().ClientCount() != 3 {
-			return false
-		}
-		for _, owner := range c.ClientServers() {
-			if owner != active[0] {
-				return false
-			}
-		}
-		return true
-	}) {
-		t.Fatalf("clients never migrated: heir serves %d, owners=%v",
-			heir.Game().ClientCount(), c.ClientServers())
-	}
+	heir := active[0]
+	handedOff("first drain", drainee, heir)
 	// The drainee went back to the pool: it is eligible to adopt if the
 	// heir dies.
 	if got := c.MC().SpareCount(); got != 1 {
 		t.Errorf("SpareCount = %d, want the drainee re-pooled", got)
+	}
+
+	// Draining the heir re-adopts the first server, the only spare.
+	if err := c.AdminDrain(heir, false); err != nil {
+		t.Fatal(err)
+	}
+	handedOff("re-adoption", heir, drainee)
+	select {
+	case <-c.Server(drainee).Drained():
+		t.Fatal("re-adopted server still reports its first drain")
+	default:
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Server(drainee).Drain(false, convergeWithin) }()
+	for waiting := true; waiting; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("second drain: %v", err)
+			}
+			waiting = false
+		default:
+			c.Pulse() // keep client traffic flowing so the migration can complete
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := c.Server(drainee).Game().ClientCount(); got != 0 || c.Server(drainee).Core().Active() {
+		t.Fatalf("second Drain returned with active=%v and %d clients on the server", c.Server(drainee).Core().Active(), got)
+	}
+	handedOff("second drain", drainee, heir)
+	if got := c.MC().Drains(); got != 3 {
+		t.Errorf("Drains = %d, want 3", got)
 	}
 }
 

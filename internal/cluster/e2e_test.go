@@ -58,8 +58,9 @@ func TestE2EKillNineOverTCP(t *testing.T) {
 
 // TestE2EDrainExitEndsProcess drains the real binaries through the admin
 // path (matrix-coordinator -drain N): a drain back to the spare pool leaves
-// the process running as a spare, a drain-for-exit ends it with status 0,
-// and both times the world moves to the other server and the client follows.
+// the process running as a spare — twice, once each way — and a
+// drain-for-exit, the first server's second drain, ends it with status 0;
+// every time the world moves to the other server and the client follows.
 func TestE2EDrainExitEndsProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-level e2e in -short mode")
@@ -98,21 +99,35 @@ func TestE2EDrainExitEndsProcess(t *testing.T) {
 	case <-time.After(500 * time.Millisecond):
 	}
 
-	// For exit: the world moves back, and this time the process ends.
-	adminDrain(second, "-drain-exit")
+	// Back to the pool again, the other way: the old owner is re-adopted.
+	adminDrain(second)
+	waitFor(t, "client followed the world back", func() bool { return cl.Server() == first })
+	waitFor(t, "drained spare back in the spare pool", func() bool {
+		m := scrape(f.metricsAddr)
+		return m["matrix_mc_drains_total"] == 2 && m["matrix_mc_active_servers"] == 1 && m["matrix_mc_spare_servers"] == 1
+	})
+
+	// For exit, and the second drain of that one process (it used to watch
+	// for its first only): the world moves again, and this time it ends.
+	adminDrain(first, "-drain-exit")
 	select {
-	case err := <-spareExit:
+	case err := <-ownerExit:
 		if err != nil {
 			t.Fatalf("drain-exit: process ended with %v, want exit status 0", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain-exit: the retired process is still running after 5s")
 	}
+	select {
+	case err := <-spareExit:
+		t.Fatalf("a drain to the spare pool ended the process: %v", err)
+	default:
+	}
 	waitFor(t, "the remaining server owns the world", func() bool {
 		m := scrape(f.metricsAddr)
-		return m["matrix_mc_drains_total"] == 2 && m["matrix_mc_active_servers"] == 1 && m["matrix_mc_spare_servers"] == 0
+		return m["matrix_mc_drains_total"] == 3 && m["matrix_mc_active_servers"] == 1 && m["matrix_mc_spare_servers"] == 0
 	})
-	waitFor(t, "client followed the world back", func() bool { return cl.Server() == first })
+	waitFor(t, "client followed the world to the spare", func() bool { return cl.Server() == second })
 	got := cl.Stats().Received
 	waitFor(t, "client traffic flows again", func() bool {
 		_ = cl.Move(matrix.Pt(501, 500))

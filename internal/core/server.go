@@ -425,7 +425,7 @@ func (s *Server) handleOverlapTable(msg *protocol.OverlapTable) error {
 	if old, ok := s.tables[msg.Radius]; ok && old.Version() > msg.Version {
 		return nil
 	}
-	tab, err := overlap.NewTableFromRegions(s.id, msg.Bounds, msg.Radius, msg.Version, protocol.RegionsFromWire(msg.Regions))
+	tab, err := overlap.NewTableFromRegions(s.id, msg.Bounds, msg.Version, protocol.RegionsFromWire(msg.Regions))
 	if err != nil {
 		return fmt.Errorf("core: install table: %w", err)
 	}
@@ -710,7 +710,7 @@ func (s *Server) CaptureState() (*State, error) {
 func (s *Server) RestoreState(st *State) error {
 	tables := make(map[float64]*overlap.Table, len(st.Tables))
 	for _, ts := range st.Tables {
-		tab, err := overlap.NewTableFromRegions(st.ID, ts.Bounds, ts.Radius, ts.Version, protocol.RegionsFromWire(ts.Regions))
+		tab, err := overlap.NewTableFromRegions(st.ID, ts.Bounds, ts.Version, protocol.RegionsFromWire(ts.Regions))
 		if err != nil {
 			return fmt.Errorf("core: rebuild table (r=%v): %w", ts.Radius, err)
 		}

@@ -13,50 +13,6 @@ import (
 	"matrix/internal/sim"
 )
 
-// TestRunIndependentOfListComposition is the sweep engine's acceptance
-// gate: a job's result must not depend on which other jobs share its list.
-// For the whole scenario table, under the paper policy and a stateful
-// rival, every fingerprint from one Run of all the jobs (the surge family
-// shares one warmup there) equals the fingerprint of that job run alone
-// with its Family cleared — the cold start nothing can have influenced.
-func TestRunIndependentOfListComposition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full scenario table four times")
-	}
-	for _, pol := range []string{"", "costaware"} {
-		t.Run("policy="+pol, func(t *testing.T) {
-			t.Parallel()
-			ctx := context.Background()
-			r := Runner{Policy: pol}
-			var jobs []Job
-			for _, sc := range Scenarios() {
-				jobs = append(jobs, sc.job(5))
-			}
-			families, _, err := groupFamilies(jobs)
-			if err != nil || len(families) == 0 {
-				t.Fatalf("the table shares no warmup (families %v, err %v): the gate would compare cold runs with themselves", families, err)
-			}
-			together, err := r.Run(ctx, jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, j := range jobs {
-				j.Family = ""
-				alone, err := r.Run(ctx, []Job{j})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if together[i].Name != j.Name {
-					t.Fatalf("output %d is %q, want %q", i, together[i].Name, j.Name)
-				}
-				if together[i].Result.Fingerprint() != alone[0].Result.Fingerprint() {
-					t.Errorf("scenario %q: result in the full list differs from its cold run alone", j.Name)
-				}
-			}
-		})
-	}
-}
-
 // familyTestJobs is a fast three-member family over poolTestConfig: a
 // shared 150-client surge, then three different tails from t=10.
 func familyTestJobs() []Job {
@@ -72,60 +28,6 @@ func familyTestJobs() []Job {
 		jobs = append(jobs, Job{Name: fmt.Sprintf("member-%d", i), Config: cfg, Family: "pool", WarmupSeconds: 10})
 	}
 	return jobs
-}
-
-// TestFamilySharesWarmup is the fast version of the gate above (it runs
-// under -short and -race): the family is really grouped, a tail policy
-// really swaps in, and shared results equal cold ones.
-func TestFamilySharesWarmup(t *testing.T) {
-	t.Parallel()
-	jobs := familyTestJobs()
-	families, cold, err := groupFamilies(jobs)
-	if err != nil || len(families) != 1 || len(families[0]) != 3 || len(cold) != 0 {
-		t.Fatalf("groupFamilies = %v, %v, %v; want one family of three", families, cold, err)
-	}
-	// A lone member has nobody to share with; a warmup outside the run
-	// cannot be branched at. Both cold-start.
-	lone := jobs[:1]
-	outside := familyTestJobs()
-	outside[1].Config.DurationSeconds = 10
-	for _, list := range [][]Job{lone, outside[1:2]} {
-		if families, cold, err := groupFamilies(list); err != nil || len(families) != 0 || len(cold) != 1 {
-			t.Errorf("groupFamilies(%q) = %v, %v, %v; want a cold start", list[0].Name, families, cold, err)
-		}
-	}
-
-	ctx := context.Background()
-	shared, err := (Runner{Workers: 2}).Run(ctx, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range jobs {
-		j.Family = ""
-		alone, err := (Runner{}).Run(ctx, []Job{j})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shared[i].Result.Fingerprint() != alone[0].Result.Fingerprint() {
-			t.Errorf("%s: shared-warmup result differs from the cold run", j.Name)
-		}
-	}
-
-	// A tail policy applies even to a lone member (its result must not
-	// depend on company either) and changes the run from the branch point.
-	swapped := jobs[0]
-	swapped.TailPolicy = "static"
-	outs, err := (Runner{}).Run(ctx, []Job{swapped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outs[0].Result.Fingerprint() == shared[0].Result.Fingerprint() {
-		t.Error("tail policy static left the run unchanged")
-	}
-	swapped.Family = ""
-	if _, err := (Runner{}).Run(ctx, []Job{swapped}); err == nil {
-		t.Error("a tail policy with no branch point must be refused, not ignored")
-	}
 }
 
 // TestFamilyMemberFailure: one member whose tail cannot be restored (an
@@ -234,21 +136,15 @@ func TestFamilyValidation(t *testing.T) {
 	}
 }
 
-// TestRecoveryScenario drives the E7 workload once and checks the recovery
-// machinery actually fired: one restart, a rejoin storm, measured gaps.
+// TestRecoveryScenario reads the E7 workload's cold run (the one the
+// list-composition gate compares against) and checks the recovery machinery
+// actually fired: one restart, a rejoin storm, measured gaps.
 func TestRecoveryScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a 110s crash-recovery scenario")
 	}
 	t.Parallel()
-	s, err := sim.New(RecoveryConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coldScenario(t, "recovery")
 	if res.Restarts != 2 {
 		t.Errorf("restarts = %d, want 2 (both victims)", res.Restarts)
 	}

@@ -42,38 +42,6 @@ func poolTestConfig(seed int64) sim.Config {
 	}
 }
 
-// TestRunnerDeterminism is the sweep engine's core contract: a fixed seed
-// produces a byte-identical Result whether the run executes serially via
-// Run() or as one of many runs on the worker pool.
-func TestRunnerDeterminism(t *testing.T) {
-	t.Parallel()
-	serial, err := sim.New(poolTestConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := serial.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Fingerprint()
-
-	// Eight identical jobs race each other on an eight-worker pool; every
-	// result must still match the serial reference byte for byte.
-	cfgs := make([]sim.Config, 8)
-	for i := range cfgs {
-		cfgs[i] = poolTestConfig(7)
-	}
-	results, err := (Runner{Workers: 8}).RunConfigs(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if got := res.Fingerprint(); got != want {
-			t.Errorf("pooled run %d diverged from serial run:\n--- pooled\n%.400s\n--- serial\n%.400s", i, got, want)
-		}
-	}
-}
-
 // TestRunnerOrderPreserved submits jobs whose wall-clock ordering is the
 // reverse of their submission ordering (the first job is by far the
 // slowest) and checks the outputs still come back in submission order.
@@ -226,37 +194,35 @@ func TestScenarioTable(t *testing.T) {
 }
 
 // TestSheddingScenarioDeterministic runs the shedding scenario — the
-// admission chain under flash-crowd churn — serially and on an 8-worker
-// tick engine: the fingerprints must match byte for byte, and both the
-// rate limiter and the shed queue must actually have fired (a vacuously
-// identical run proves nothing). The fast version of this check lives in
-// internal/sim; this one exercises the real scenario-table entry.
+// admission chain under flash-crowd churn — on an 8-worker tick engine
+// against its cold serial run (the list-composition gate's reference): the
+// fingerprints must match byte for byte, and both the rate limiter and the
+// shed queue must actually have fired (a vacuously identical run proves
+// nothing). The fast version of this check lives in internal/sim; this one
+// exercises the real scenario-table entry.
 func TestSheddingScenarioDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full 110s shedding scenario twice")
 	}
 	t.Parallel()
-	run := func(workers int) *sim.Result {
-		cfg := SheddingConfig(1)
-		cfg.SimWorkers = workers
-		s, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
+	serial := coldScenario(t, "shedding")
 	if serial.RateLimited == 0 {
 		t.Error("shedding scenario never rate-limited (limiter mis-tuned?)")
 	}
 	if serial.AdmissionShed == 0 {
 		t.Error("shedding scenario never shed (queue threshold mis-tuned?)")
 	}
-	if got := run(8).Fingerprint(); got != serial.Fingerprint() {
+	cfg := SheddingConfig(tableSeed)
+	cfg.SimWorkers = 8
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pooled.Fingerprint(); got != serial.Fingerprint() {
 		t.Errorf("shedding fingerprint diverges between serial and SimWorkers=8:\n--- serial\n%.400s\n--- workers=8\n%.400s", serial.Fingerprint(), got)
 	}
 }

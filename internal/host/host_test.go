@@ -242,8 +242,11 @@ func TestSnapshotFrameDumpsNodeState(t *testing.T) {
 	if err := conn.Send(&protocol.SnapshotRequest{}); err != nil {
 		t.Fatal(err)
 	}
-	var blob []byte
-	for {
+	var (
+		stream protocol.Reassembler
+		blob   []byte
+	)
+	for done := false; !done; {
 		reply, err := conn.Recv()
 		if err != nil {
 			t.Fatalf("receive snapshot reply: %v", err)
@@ -252,9 +255,8 @@ func TestSnapshotFrameDumpsNodeState(t *testing.T) {
 		if !ok {
 			t.Fatalf("reply is %v, want snapshot-data", reply.MsgType())
 		}
-		blob = append(blob, data.Blob...)
-		if data.Final {
-			break
+		if blob, done, err = stream.Add(data.Blob, data.Final); err != nil {
+			t.Fatal(err)
 		}
 	}
 	node, err := snapshot.DecodeNode(blob)

@@ -156,11 +156,15 @@ type ServerHost struct {
 	// Health state. adoptBuf/ticks/cpTick are tick-goroutine owned (Adopt
 	// frames and the checkpoint ticker both run there).
 	beatsPaused atomic.Bool // test hook: simulate a zombie (alive, silent)
-	drainActive atomic.Bool // a drain grant arrived; drainWatch is running
-	drainExit   atomic.Bool // the grant asked for exit instead of re-pooling
-	drainReply  chan *protocol.DrainReply
-	drained     chan struct{} // closed when the evacuation completes
-	drainOnce   sync.Once
+	// A drain is one cycle, owned by the tick goroutine: a grant starts the
+	// evacuation, the settle check ending a tick closes the cycle's channel,
+	// and the RangeUpdate that re-activates the node opens the next cycle.
+	evacuating, drainDone bool
+	drainSince            time.Time                     // since when the node has been evacuated; zero while it is not
+	drained               atomic.Pointer[chan struct{}] // the current cycle's
+	drainEvent            chan bool                     // one send per finished cycle: did its grant ask for exit
+	drainExit             atomic.Bool                   // the grant asked for exit instead of re-pooling
+	drainReply            chan *protocol.DrainReply
 	// adoptBuf accumulates the chunked Adopt blob; adoptDrops counts streams
 	// dropped for outgrowing protocol.MaxBlobSize.
 	adoptBuf   protocol.Reassembler
@@ -261,9 +265,10 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		evict:      make(map[id.ClientID]uint64),
 		out:        newEgress(),
 		drainReply: make(chan *protocol.DrainReply, 1),
-		drained:    make(chan struct{}),
+		drainEvent: make(chan bool, 1),
 		done:       make(chan struct{}),
 	}
+	h.rearmDrain()
 	if h.tr != nil {
 		h.tr.NameProcess(hostTracePid, cs.ID().String())
 		h.tr.NameThread(hostTracePid, hostTraceTidTick, "tick")
@@ -485,6 +490,9 @@ func (h *ServerHost) drainIngress(eg *egress) {
 		if err != nil {
 			h.cfg.Logger.Printf("server %v: message %v: %v", h.core.ID(), im.msg.MsgType(), err)
 		}
+		if h.drainDone && h.core.Active() {
+			h.rearmDrain()
+		}
 		h.routeCore(envs, eg)
 	}
 	for i := range msgs {
@@ -685,7 +693,7 @@ func (h *ServerHost) tickLoop() {
 			}
 		case <-cpC:
 			h.shipCheckpoint()
-		case <-tick.C:
+		case now := <-tick.C:
 			h.ticks.Add(1)
 			t0 := h.tr.Now()
 			// Coordinator and peer fallout first: split/reclaim state
@@ -702,6 +710,7 @@ func (h *ServerHost) tickLoop() {
 			h.flush(h.out)
 			h.tickEnvs.Done(envs)
 			h.evictDropped()
+			h.settleDrain(now)
 			h.logDrops()
 			if h.tr != nil {
 				h.traceTick(t0, t1, t2, h.tr.Now())
@@ -1063,60 +1072,50 @@ func (h *ServerHost) CheckpointTick() uint64 { return h.cpTick.Load() }
 // but looks dead to the coordinator.
 func (h *ServerHost) PauseHeartbeats(paused bool) { h.beatsPaused.Store(paused) }
 
-// startDrain reacts to a drain grant from the MC: a background watcher
-// waits for the evacuation (deactivation plus live client handoff) to
-// finish, then marks the host drained.
+// startDrain reacts to a drain grant from the MC: from now on the end of
+// every tick checks whether the evacuation has finished.
 func (h *ServerHost) startDrain(exit bool) {
+	if h.drainDone {
+		h.rearmDrain() // a drained spare ordered to retire: a cycle of its own, so that is signalled too
+	}
+	h.evacuating = true
 	if exit {
 		h.drainExit.Store(true)
 	}
-	if !h.drainActive.CompareAndSwap(false, true) {
+}
+
+// settleDrain marks the host drained once the node holds no world
+// responsibility — deactivated, no avatars left, no peer dials in flight —
+// and has for a few tick lengths, so an in-flight state transfer cannot race
+// the verdict.
+func (h *ServerHost) settleDrain(now time.Time) {
+	if !h.evacuating {
 		return
-	}
-	h.wg.Add(1)
-	go h.drainWatch()
-}
-
-// drainWatch polls until the node has fully evacuated: deactivated, no
-// avatars left, no peer dials in flight — held for a few consecutive polls
-// so an in-flight state transfer cannot race the verdict.
-func (h *ServerHost) drainWatch() {
-	defer h.wg.Done()
-	poll := h.cfg.TickInterval * 2
-	if poll < 10*time.Millisecond {
-		poll = 10 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	settled := 0
-	for {
-		select {
-		case <-h.done:
-			return
-		case <-t.C:
-			if h.evacuated() {
-				settled++
-			} else {
-				settled = 0
-			}
-			if settled >= 3 {
-				h.drainOnce.Do(func() { close(h.drained) })
-				h.cfg.Logger.Printf("server %v: drained (exit=%v)", h.core.ID(), h.drainExit.Load())
-				return
-			}
-		}
-	}
-}
-
-// evacuated reports whether this node holds no world responsibility.
-func (h *ServerHost) evacuated() bool {
-	if h.core.Active() || h.gs.ClientCount() != 0 {
-		return false
 	}
 	h.mu.Lock()
 	pending := len(h.dialing)
 	h.mu.Unlock()
-	return pending == 0
+	switch {
+	case h.core.Active() || h.gs.ClientCount() != 0 || pending != 0:
+		h.drainSince = time.Time{}
+	case h.drainSince.IsZero():
+		h.drainSince = now
+	case now.Sub(h.drainSince) >= 3*max(2*h.cfg.TickInterval, 10*time.Millisecond):
+		h.evacuating, h.drainDone, h.drainSince = false, true, time.Time{}
+		close(*h.drained.Load())
+		select {
+		case h.drainEvent <- h.drainExit.Load():
+		default: // nobody reads them: the host is embedded, not a process
+		}
+		h.cfg.Logger.Printf("server %v: drained (exit=%v)", h.core.ID(), h.drainExit.Load())
+	}
+}
+
+// rearmDrain opens a drain cycle: at start, and when the MC re-adopts the node.
+func (h *ServerHost) rearmDrain() {
+	ch := make(chan struct{})
+	h.drained.Store(&ch)
+	h.drainDone = false
 }
 
 // Drain asks the MC to evacuate this server, then blocks until the
@@ -1140,7 +1139,7 @@ func (h *ServerHost) Drain(exit bool, timeout time.Duration) error {
 		return ErrClosed
 	}
 	select {
-	case <-h.drained:
+	case <-h.Drained():
 		return nil
 	case <-deadline.C:
 		return errors.New("host: drain did not complete before timeout")
@@ -1149,13 +1148,14 @@ func (h *ServerHost) Drain(exit bool, timeout time.Duration) error {
 	}
 }
 
-// Drained is closed once a granted drain has fully evacuated this node.
-func (h *ServerHost) Drained() <-chan struct{} { return h.drained }
+// Drained returns the current drain cycle's channel, closed once a granted
+// drain has fully evacuated this node; re-adoption starts a new cycle.
+func (h *ServerHost) Drained() <-chan struct{} { return *h.drained.Load() }
 
-// DrainExitRequested reports whether the drain grant asked this process to
-// exit rather than re-join the spare pool (matrix-server checks it when
-// Drained fires, and exits).
-func (h *ServerHost) DrainExitRequested() bool { return h.drainExit.Load() }
+// DrainEvents receives once per finished drain cycle, however many the
+// process lives through: true when the grant asked it to exit rather than
+// re-join the spare pool (Drained is the state, this is the event).
+func (h *ServerHost) DrainEvents() <-chan bool { return h.drainEvent }
 
 // dropClient forgets a client connection. When this was the client's live
 // connection it also forgets its rate-limit bucket (a reconnect starts

@@ -109,7 +109,7 @@ func (h *ServerHost) Ready() error {
 		return errors.New("host closed")
 	}
 	select {
-	case <-h.drained:
+	case <-h.Drained():
 		if h.drainExit.Load() {
 			return errors.New("drained for exit")
 		}

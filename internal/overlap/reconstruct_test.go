@@ -17,12 +17,12 @@ func TestReconstructMatchesOriginal(t *testing.T) {
 			t.Fatal(err)
 		}
 		rnd := rand.New(rand.NewSource(seed))
-		for _, orig := range tabs {
-			rebuilt, err := NewTableFromRegions(orig.owner, orig.Bounds(), orig.radius, orig.Version(), orig.Regions())
+		for owner, orig := range tabs {
+			rebuilt, err := NewTableFromRegions(owner, orig.Bounds(), orig.Version(), orig.Regions())
 			if err != nil {
-				t.Fatalf("reconstruct %v: %v", orig.owner, err)
+				t.Fatalf("reconstruct %v: %v", owner, err)
 			}
-			if rebuilt.owner != orig.owner || rebuilt.Version() != orig.Version() {
+			if rebuilt.Bounds() != orig.Bounds() || rebuilt.Version() != orig.Version() {
 				t.Fatal("metadata mismatch")
 			}
 			if rebuilt.OverlapArea() != orig.OverlapArea() {
@@ -36,7 +36,7 @@ func TestReconstructMatchesOriginal(t *testing.T) {
 					b.MinY+rnd.Float64()*b.Height(),
 				)
 				if got, want := rebuilt.Lookup(p), orig.Lookup(p); !slices.Equal(got, want) {
-					t.Fatalf("owner %v point %v: rebuilt %v, original %v", orig.owner, p, got, want)
+					t.Fatalf("owner %v point %v: rebuilt %v, original %v", owner, p, got, want)
 				}
 			}
 		}
@@ -44,23 +44,23 @@ func TestReconstructMatchesOriginal(t *testing.T) {
 }
 
 func TestReconstructValidation(t *testing.T) {
-	if _, err := NewTableFromRegions(1, geom.Rect{}, 5, 1, nil); err == nil {
+	if _, err := NewTableFromRegions(1, geom.Rect{}, 1, nil); err == nil {
 		t.Error("empty bounds must fail")
 	}
 	// Region escaping bounds.
 	regions := []Region{{Bounds: geom.R(0, 0, 20, 20), Peers: NewSet(2)}}
-	if _, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 5, 1, regions); err == nil {
+	if _, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 1, regions); err == nil {
 		t.Error("escaping region must fail")
 	}
 	// Empty region rect.
 	regions = []Region{{Bounds: geom.Rect{}, Peers: NewSet(2)}}
-	if _, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 5, 1, regions); err == nil {
+	if _, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 1, regions); err == nil {
 		t.Error("empty region must fail")
 	}
 }
 
 func TestReconstructEmptyRegionList(t *testing.T) {
-	tab, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 5, 1, nil)
+	tab, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReconstructEmptyRegionList(t *testing.T) {
 
 func TestReconstructDoesNotAliasInput(t *testing.T) {
 	regions := []Region{{Bounds: geom.R(0, 0, 5, 10), Peers: NewSet(2, 3)}}
-	tab, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 5, 1, regions)
+	tab, err := NewTableFromRegions(1, geom.R(0, 0, 10, 10), 1, regions)
 	if err != nil {
 		t.Fatal(err)
 	}

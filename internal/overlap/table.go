@@ -51,9 +51,7 @@ type Region struct {
 // include a peer whose true Euclidean distance is slightly beyond R. That
 // errs on the side of more consistency (a superset of C(σ)), never less.
 type Table struct {
-	owner   id.ServerID
 	bounds  geom.Rect
-	radius  float64
 	version uint64
 
 	// Cell grid: xs and ys are the sorted cut coordinates; cell (i,j) spans
@@ -87,7 +85,7 @@ func BuildTable(owner id.ServerID, parts []space.Partition, radius float64, vers
 		return nil, fmt.Errorf("overlap: negative radius %v", radius)
 	}
 
-	t := &Table{owner: owner, bounds: bounds, radius: radius, version: version}
+	t := &Table{bounds: bounds, version: version}
 
 	// Clip every neighbour's expanded rectangle against the owner's bounds.
 	type clip struct {
@@ -263,11 +261,11 @@ func searchCut(cuts []float64, v float64) int {
 // NewTableFromRegions reconstructs a lookup table from overlap regions
 // received over the wire. Matrix servers call this when the MC pushes a
 // fresh OverlapTable, rebuilding the same O(1) grid index the MC computed.
-func NewTableFromRegions(owner id.ServerID, bounds geom.Rect, radius float64, version uint64, regions []Region) (*Table, error) {
+func NewTableFromRegions(owner id.ServerID, bounds geom.Rect, version uint64, regions []Region) (*Table, error) {
 	if bounds.Empty() {
 		return nil, fmt.Errorf("overlap: empty bounds for %v", owner)
 	}
-	t := &Table{owner: owner, bounds: bounds, radius: radius, version: version}
+	t := &Table{bounds: bounds, version: version}
 	t.regions = make([]Region, len(regions))
 	for i, r := range regions {
 		if r.Bounds.Empty() || !bounds.ContainsRect(r.Bounds) {

@@ -62,8 +62,8 @@ func TestBuildTableTwoServersBand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildTable: %v", err)
 	}
-	if tab.owner != 1 || tab.radius != r || tab.Version() != 7 {
-		t.Errorf("metadata: owner=%v radius=%v version=%d", tab.owner, tab.radius, tab.Version())
+	if tab.Bounds() != parts[0].Bounds || tab.Version() != 7 {
+		t.Errorf("metadata: bounds=%v version=%d", tab.Bounds(), tab.Version())
 	}
 	// The overlap area must be exactly the r-wide band along the shared
 	// edge: r * world height.
@@ -143,8 +143,8 @@ func TestBuildAll(t *testing.T) {
 		t.Fatalf("got %d tables", len(tabs))
 	}
 	for owner, tab := range tabs {
-		if tab.owner != owner {
-			t.Errorf("table keyed %v has owner %v", owner, tab.owner)
+		if tab.Bounds() != parts[owner-1].Bounds {
+			t.Errorf("table keyed %v covers %v, want that server's partition %v", owner, tab.Bounds(), parts[owner-1].Bounds)
 		}
 		if tab.Version() != 3 {
 			t.Errorf("version = %d", tab.Version())
@@ -195,18 +195,18 @@ func TestRegionsDisjointAndConsistentWithLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tab := range tabs {
+	for owner, tab := range tabs {
 		regions := tab.Regions()
 		for i := range regions {
 			if regions[i].Bounds.Empty() {
-				t.Fatalf("empty region in table of %v", tab.owner)
+				t.Fatalf("empty region in table of %v", owner)
 			}
 			if len(regions[i].Peers) == 0 {
-				t.Fatalf("region with empty peer set in table of %v", tab.owner)
+				t.Fatalf("region with empty peer set in table of %v", owner)
 			}
 			for j := i + 1; j < len(regions); j++ {
 				if regions[i].Bounds.Intersects(regions[j].Bounds) {
-					t.Fatalf("regions %d and %d of %v overlap", i, j, tab.owner)
+					t.Fatalf("regions %d and %d of %v overlap", i, j, owner)
 				}
 			}
 			// A point inside the region must look up to the same set.

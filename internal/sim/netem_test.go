@@ -5,28 +5,17 @@ import (
 	"testing"
 
 	"matrix/internal/game"
-	"matrix/internal/geom"
 	"matrix/internal/id"
-	"matrix/internal/load"
 	"matrix/internal/netem"
 )
 
-// netemBaseConfig is a small, split-forcing workload for the netem tests.
-func netemBaseConfig(seed int64) Config {
-	world := geom.R(0, 0, 1000, 1000)
-	return Config{
-		Profile:            game.Bzflag(),
-		World:              world,
-		Seed:               seed,
-		DurationSeconds:    40,
-		MaxServers:         4,
-		ServiceRatePerTick: 250,
-		BasePopulation:     50,
-		LoadPolicy:         load.Config{OverloadQueue: 3000},
-		Script: game.Script{
-			{At: 5, Kind: game.EventJoin, Count: 400, Center: geom.Pt(750, 250), Spread: 80, Tag: "hot"},
-		},
-	}
+// netemTestConfig is the step-test workload without its leave wave: the
+// crowd splits the world by t=7 and the children stay, so scripted faults
+// have peers to hit.
+func netemTestConfig() Config {
+	cfg := stepTestConfig(3)
+	cfg.Script = cfg.Script[:1]
+	return cfg
 }
 
 func runNetem(t *testing.T, cfg Config) *Result {
@@ -42,50 +31,49 @@ func runNetem(t *testing.T, cfg Config) *Result {
 	return res
 }
 
+// TestNetemZeroConfigKeepsFingerprintShape: a run that asks for no
+// impairment keeps the historical instant path — no netem line — and a netem
+// seed alone asks for none.
 func TestNetemZeroConfigKeepsFingerprintShape(t *testing.T) {
-	res := runNetem(t, netemBaseConfig(3))
-	if res.NetemActive {
+	if clean.ref(t).res.NetemActive {
 		t.Fatal("zero netem config activated emulation")
 	}
-	if strings.Contains(res.Fingerprint(), "netem ") {
+	if strings.Contains(clean.want, "netem ") {
 		t.Fatal("netem line leaked into a netem-free fingerprint")
 	}
+	unchanged(t, func(t *testing.T, f *fixture) {
+		cfg := f.cfg
+		cfg.Netem.Seed = 99
+		f.same(t, "netem seed without a link config", mustNew(t, cfg))
+	}, clean)
 }
 
+// TestNetemImpairedRunDeterministicAndDistinct: a fixed (seed, netem config)
+// gives one run, that run is not the clean one, and the netem seed matters.
 func TestNetemImpairedRunDeterministicAndDistinct(t *testing.T) {
-	impaired := func() Config {
-		cfg := netemBaseConfig(3)
-		cfg.Netem = netem.Config{Link: netem.LinkConfig{Loss: 0.05, JitterMs: 250}}
-		return cfg
-	}
-	a := runNetem(t, impaired())
-	b := runNetem(t, impaired())
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("fixed (seed, netem config) produced differing fingerprints")
-	}
-	if !a.NetemActive || a.NetemLost == 0 || a.NetemDelayed == 0 {
+	a := impaired.ref(t)
+	underRun(t, a)
+	if !a.res.NetemActive || a.res.NetemLost == 0 || a.res.NetemDelayed == 0 {
 		t.Fatalf("impairment did not register: active=%v lost=%d delayed=%d",
-			a.NetemActive, a.NetemLost, a.NetemDelayed)
+			a.res.NetemActive, a.res.NetemLost, a.res.NetemDelayed)
 	}
-	if !strings.Contains(a.Fingerprint(), "netem lost=") {
+	if !strings.Contains(a.want, "netem lost=") {
 		t.Fatal("netem counters missing from the fingerprint")
 	}
-	clean := runNetem(t, netemBaseConfig(3))
-	if clean.Fingerprint() == a.Fingerprint() {
+	if clean.ref(t).want == a.want {
 		t.Fatal("impaired run byte-identical to clean run")
 	}
 	// A different netem seed under the same sim seed must change the
 	// impairment draws.
-	other := impaired()
+	other := a.cfg
 	other.Netem.Seed = 99
-	c := runNetem(t, other)
-	if c.Fingerprint() == a.Fingerprint() {
+	if runNetem(t, other).Fingerprint() == a.want {
 		t.Fatal("netem seed change did not change the run")
 	}
 }
 
 func TestNetemDelayOnlyPreservesTraffic(t *testing.T) {
-	cfg := netemBaseConfig(3)
+	cfg := netemTestConfig()
 	cfg.Netem = netem.Config{Link: netem.LinkConfig{DelayMs: 150}}
 	res := runNetem(t, cfg)
 	if res.NetemLost != 0 || res.NetemSevered != 0 {
@@ -100,11 +88,10 @@ func TestNetemDelayOnlyPreservesTraffic(t *testing.T) {
 }
 
 func TestNetemPartitionSeversPeerTraffic(t *testing.T) {
-	cfg := netemBaseConfig(3)
-	cfg.DurationSeconds = 60
+	cfg := netemTestConfig()
 	cfg.Script = append(cfg.Script,
-		game.Event{At: 20, Kind: game.EventPartition, Servers: []id.ServerID{2}},
-		game.Event{At: 45, Kind: game.EventHeal, Servers: []id.ServerID{2}},
+		game.Event{At: 12, Kind: game.EventPartition, Servers: []id.ServerID{2}},
+		game.Event{At: 22, Kind: game.EventHeal, Servers: []id.ServerID{2}},
 	)
 	res := runNetem(t, cfg)
 	if !res.NetemActive {
@@ -126,11 +113,10 @@ func TestNetemPartitionSeversPeerTraffic(t *testing.T) {
 }
 
 func TestNetemCrashFreezesAndRecovers(t *testing.T) {
-	cfg := netemBaseConfig(3)
-	cfg.DurationSeconds = 60
+	cfg := netemTestConfig()
 	cfg.Script = append(cfg.Script,
-		game.Event{At: 20, Kind: game.EventCrash, Servers: []id.ServerID{1}},
-		game.Event{At: 30, Kind: game.EventRecover, Servers: []id.ServerID{1}},
+		game.Event{At: 12, Kind: game.EventCrash, Servers: []id.ServerID{1}},
+		game.Event{At: 20, Kind: game.EventRecover, Servers: []id.ServerID{1}},
 	)
 
 	s, err := New(cfg)
@@ -150,12 +136,12 @@ func TestNetemCrashFreezesAndRecovers(t *testing.T) {
 			t.Fatal("server 1 missing")
 		}
 		// Script events quantize to tick windows, so the crash lands in the
-		// [19.9, 20.0) tick and the recover in [29.9, 30.0); observe well
+		// [11.9, 12.0) tick and the recover in [19.9, 20.0); observe well
 		// inside those bounds.
 		switch {
-		case s.Now() > 20 && s.Now() < 20.2:
+		case s.Now() > 12 && s.Now() < 12.2:
 			processedAtCrash = gs.Stats().Processed
-		case s.Now() > 20.5 && s.Now() < 29.5:
+		case s.Now() > 12.5 && s.Now() < 19.5:
 			processedDuring = gs.Stats().Processed
 			if processedDuring != processedAtCrash {
 				t.Fatalf("crashed server processed packets: %d -> %d", processedAtCrash, processedDuring)

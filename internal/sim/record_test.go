@@ -5,57 +5,20 @@ import (
 	"testing"
 
 	"matrix/internal/flight"
-	"matrix/internal/game"
-	"matrix/internal/geom"
 )
 
-// recordTestConfig is a hotspot surge-and-drain run: the crowd forces
-// splits, the drain forces reclaims, so the audit log sees grants and
-// denials of both kinds.
+// recordTestConfig is the step-test surge and drain: the crowd forces
+// splits, its departure reclaims, so the audit log sees grants and denials
+// of both kinds.
 func recordTestConfig(workers int) Config {
-	return Config{
-		Profile:         game.Bzflag(),
-		World:           geom.R(0, 0, 1000, 1000),
-		Seed:            3,
-		DurationSeconds: 45,
-		MaxServers:      4,
-		BasePopulation:  30,
-		Script: game.Script{
-			{At: 5, Kind: game.EventJoin, Count: 150, Center: geom.Pt(750, 250), Spread: 80, Tag: "hot"},
-			{At: 15, Kind: game.EventLeave, Count: 150, Tag: "hot"},
-		},
-		LoadPolicy: smallPolicy(),
-		SimWorkers: workers,
-	}
+	cfg := stepTestConfig(3)
+	cfg.SimWorkers = workers
+	return cfg
 }
 
-// TestRecordingPreservesFingerprint pins the acceptance criterion shared
-// with the tracer: attaching a flight recorder leaves Result.Fingerprint
-// byte-identical to the unrecorded run, serially and on a worker pool.
-func TestRecordingPreservesFingerprint(t *testing.T) {
-	run := func(workers int, rec *flight.Recorder) string {
-		s, err := New(recordTestConfig(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetRecorder(rec)
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Fingerprint()
-	}
-	base := run(1, nil)
-	if got := run(1, flight.New()); got != base {
-		t.Errorf("serial recorded fingerprint differs from unrecorded run")
-	}
-	if got := run(4, flight.New()); got != base {
-		t.Errorf("4-worker recorded fingerprint differs from unrecorded serial run")
-	}
-}
-
-// TestRecordingDeterministicAcrossWorkers pins the other acceptance
-// criterion: every export — CSV, JSON, timeline — is byte-identical between
+// TestRecordingDeterministicAcrossWorkers pins the recorder's own
+// determinism (that recording leaves the fingerprint alone is a row of
+// equivalence_test.go): every export — CSV, JSON, timeline — is byte-identical between
 // a serial run and an 8-worker run of the same seed.
 func TestRecordingDeterministicAcrossWorkers(t *testing.T) {
 	record := func(workers int) (csv, js, tl []byte) {

@@ -81,30 +81,11 @@ func TestQuietRunSingleServer(t *testing.T) {
 	}
 }
 
+// TestHotspotSplitsAndReclaims reads the clean fixture's run: the crowd
+// forces splits, its departure reclaims, and clients and packets crossed
+// the boundaries in between.
 func TestHotspotSplitsAndReclaims(t *testing.T) {
-	world := geom.R(0, 0, 1000, 1000)
-	script := game.Script{
-		{At: 5, Kind: game.EventJoin, Count: 120, Center: geom.Pt(800, 300), Spread: 60, Tag: "hot"},
-		{At: 40, Kind: game.EventLeave, Count: 60, Tag: "hot"},
-		{At: 50, Kind: game.EventLeave, Count: 60, Tag: "hot"},
-	}
-	s, err := New(Config{
-		Profile:         game.Bzflag(),
-		World:           world,
-		Seed:            2,
-		DurationSeconds: 90,
-		MaxServers:      6,
-		BasePopulation:  20,
-		Script:          script,
-		LoadPolicy:      smallPolicy(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := clean.ref(t).res
 	if res.PeakServers < 2 {
 		t.Fatalf("hotspot never split: peak=%d events=%+v", res.PeakServers, res.Events)
 	}
@@ -126,7 +107,7 @@ func TestHotspotSplitsAndReclaims(t *testing.T) {
 	if res.FinalServers >= res.PeakServers {
 		t.Errorf("servers not consolidated: final=%d peak=%d", res.FinalServers, res.PeakServers)
 	}
-	if err := s.MC().Validate(); err != nil {
+	if err := clean.sim.MC().Validate(); err != nil {
 		t.Errorf("MC invariants: %v", err)
 	}
 	// Inter-server traffic must have flowed (hotspot near no boundary at
@@ -267,51 +248,9 @@ func TestStaticBaselineFailsUnderHotspot(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	world := geom.R(0, 0, 1000, 1000)
-	script := game.Script{
-		{At: 5, Kind: game.EventJoin, Count: 80, Center: geom.Pt(800, 300), Spread: 50, Tag: "hot"},
-		{At: 30, Kind: game.EventLeave, Count: 80, Tag: "hot"},
-	}
-	run := func() *Result {
-		s, err := New(Config{
-			Profile:         game.Daimonin(),
-			World:           world,
-			Seed:            42,
-			DurationSeconds: 50,
-			MaxServers:      4,
-			BasePopulation:  25,
-			Script:          script,
-			LoadPolicy:      smallPolicy(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.PeakServers != b.PeakServers {
-		t.Errorf("peak differs: %d vs %d", a.PeakServers, b.PeakServers)
-	}
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Errorf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
-		}
-	}
-	if a.ForwardedPackets != b.ForwardedPackets {
-		t.Errorf("forwarded packets differ: %d vs %d", a.ForwardedPackets, b.ForwardedPackets)
-	}
-	if a.DeliveredUpdates != b.DeliveredUpdates {
-		t.Errorf("delivered updates differ: %d vs %d", a.DeliveredUpdates, b.DeliveredUpdates)
-	}
-}
+// TestDeterminism: the same seed gives the same run twice, under another
+// game profile than the other fixtures'.
+func TestDeterminism(t *testing.T) { unchanged(t, underRun, daimonin) }
 
 func TestSeriesRecorded(t *testing.T) {
 	s, err := New(Config{

@@ -4,53 +4,16 @@ import (
 	"bytes"
 	"testing"
 
-	"matrix/internal/game"
-	"matrix/internal/geom"
 	"matrix/internal/netem"
 	"matrix/internal/trace"
 )
 
-// hotspotTraceConfig is a small split-producing run: the hotspot forces a
-// split, so packets cross server boundaries and the trace gets peer hops.
+// hotspotTraceConfig is a crowd that splits the world and stays, so packets
+// cross server boundaries and the trace gets peer hops.
 func hotspotTraceConfig(workers int) Config {
-	return Config{
-		Profile:         game.Bzflag(),
-		World:           geom.R(0, 0, 1000, 1000),
-		Seed:            2,
-		DurationSeconds: 45,
-		MaxServers:      6,
-		BasePopulation:  20,
-		Script: game.Script{
-			{At: 5, Kind: game.EventJoin, Count: 120, Center: geom.Pt(800, 300), Spread: 60, Tag: "hot"},
-		},
-		LoadPolicy: smallPolicy(),
-		SimWorkers: workers,
-	}
-}
-
-// TestTracingPreservesFingerprint pins the acceptance criterion: attaching
-// a tracer leaves Result.Fingerprint byte-identical to the untraced run,
-// serially and on a worker pool.
-func TestTracingPreservesFingerprint(t *testing.T) {
-	run := func(workers int, tr *trace.Tracer) string {
-		s, err := New(hotspotTraceConfig(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetTracer(tr)
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Fingerprint()
-	}
-	base := run(1, nil)
-	if got := run(1, trace.New(1<<16)); got != base {
-		t.Errorf("serial traced fingerprint differs from untraced run")
-	}
-	if got := run(4, trace.New(1<<16)); got != base {
-		t.Errorf("4-worker traced fingerprint differs from untraced serial run")
-	}
+	cfg := netemTestConfig()
+	cfg.SimWorkers = workers
+	return cfg
 }
 
 // TestTraceContent checks the sim actually populates the ring: tick-phase

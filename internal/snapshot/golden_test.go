@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -54,7 +55,10 @@ func goldenBytes(t *testing.T) []byte {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	runTo(t, s, 26) // past the restart: ghosts, checkpoints and rejoins in flight
+	// Past the restart: ghosts, checkpoints and rejoins in flight.
+	if err := s.StepUntil(context.Background(), 26); err != nil {
+		t.Fatal(err)
+	}
 	snap, err := Capture(s)
 	if err != nil {
 		t.Fatal(err)
@@ -103,12 +107,7 @@ func TestGoldenV1(t *testing.T) {
 	}
 
 	// Restore: the old snapshot must still produce a runnable simulation.
-	restored, err := Restore(snap)
-	if err != nil {
-		t.Fatalf("restore v1 golden: %v", err)
-	}
-	fp := finishRun(t, restored)
-	if fp == "" {
+	if fp := finished(t, snap, sim.RestoreOptions{}); fp == "" {
 		t.Error("restored golden produced an empty fingerprint")
 	}
 }
