@@ -44,8 +44,8 @@ func run(args []string) error {
 	underload := fs.Int("underload", 150, "client count below which a child may be reclaimed")
 	overloadQ := fs.Int("overload-queue", 0, "queue length that also triggers a split (0 = off)")
 	decPolicy := fs.String("policy", "", "split/reclaim decision policy: "+strings.Join(matrix.PolicyNames(), ", ")+" (empty = paper)")
-	serviceRate := fs.Int("service-rate", 500, "packets processed per tick")
-	tick := fs.Duration("tick", 10*time.Millisecond, "game-server processing tick")
+	serviceRate := fs.Int("service-rate", 500, "packets served per -tick of wall time, at any tick cadence")
+	tick := fs.Duration("tick", 10*time.Millisecond, "longest gap between game ticks (the server ticks as packets arrive) and the unit of -service-rate")
 	statusEvery := fs.Duration("status", 10*time.Second, "status print interval (0 = silent)")
 	netemSpec := fs.String("netem", "", "emulate a degraded network on every connection, e.g. delay=40ms,jitter=25ms,loss=2% (empty = off)")
 	netemSeed := fs.Int64("netem-seed", 1, "seed for the netem impairment streams")

@@ -44,7 +44,7 @@ type Config struct {
 	// CheckpointEvery is the servers' checkpoint-shipping cadence
 	// (default 25ms).
 	CheckpointEvery time.Duration
-	// TickInterval is the game-server processing tick (default 2ms).
+	// TickInterval is the servers' longest gap between game ticks (default 2ms).
 	TickInterval time.Duration
 	// RedialEvery is the clients' crash-reconnect cadence (default 20ms,
 	// negative disables redialing — for tests that isolate the

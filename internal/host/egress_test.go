@@ -181,8 +181,9 @@ func seqs(msgs []protocol.Message) []id.PacketSeq {
 }
 
 // TestEgressOneFramePerClientPerTick: the host's own tick loop, fed a burst
-// of updates, writes each client at most one frame per flush — so far fewer
-// frames than messages — and every message still arrives, in emission order.
+// of updates far denser than minTickGap, writes each client at most one frame
+// per wake-up — so far fewer frames than messages — and every message still
+// arrives, in emission order.
 func TestEgressOneFramePerClientPerTick(t *testing.T) {
 	spy, h := startSpiedServer(t, transport.NewMemNetwork())
 	sender, err := DialClient(ClientConfig{Network: spy.Network, ServerAddr: h.Addr(),
@@ -223,6 +224,93 @@ func TestEgressOneFramePerClientPerTick(t *testing.T) {
 	}
 	if frames >= n {
 		t.Errorf("%d frames for %d deliveries: nothing was coalesced", frames, n)
+	}
+}
+
+// TestEgressStateBeforeRedirectEveryWakeup drives boundary crossings through
+// the live loops of two servers: one mover at a time (a wake-up each), then a
+// burst the loop coalesces. In every wake-up the mover's state is on the peer's
+// wire before its redirect is on the client's, and no connection gets more
+// than one frame.
+func TestEgressStateBeforeRedirectEveryWakeup(t *testing.T) {
+	mem := transport.NewMemNetwork()
+	spy := &spyNetwork{Network: mem}
+	left, right := startStaticPair(t, mem, spy, mem)
+	const serial, burst = 6, 10
+	conns := make([]transport.Conn, serial+burst+1)
+	for c := 1; c < len(conns); c++ {
+		conns[c] = joinRaw(t, mem, left, id.ClientID(c), geom.Pt(495, float64(20*c)))
+	}
+	cross := func(c int) {
+		t.Helper()
+		y := float64(20 * c)
+		m := &protocol.GameUpdate{Client: id.ClientID(c), Seq: 1, Kind: protocol.KindMove, Origin: geom.Pt(495, y), Dest: geom.Pt(505, y)}
+		if err := conns[c].Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	redirected := func(c int) {
+		t.Helper()
+		recvUntil(t, conns[c], "the redirect", func(m protocol.Message) bool { return m.MsgType() == protocol.TypeRedirect })
+	}
+	// The first crossing also dials the peer, and frames queued behind a dial
+	// are written by the dialer; the order under test is the established
+	// connection's.
+	cross(1)
+	redirected(1)
+	waitFor(t, "peer connection published", func() bool {
+		left.mu.Lock()
+		defer left.mu.Unlock()
+		return left.peers[right.Addr()] != nil
+	})
+	spy.mu.Lock()
+	spy.frames = nil
+	spy.mu.Unlock()
+	ticksBefore := left.ticks.Load()
+
+	for c := 2; c <= serial; c++ {
+		cross(c)
+		redirected(c)
+	}
+	for c := serial + 1; c < len(conns); c++ {
+		cross(c)
+	}
+	for c := serial + 1; c < len(conns); c++ {
+		redirected(c)
+	}
+	wakeups := int(left.ticks.Load() - ticksBefore)
+
+	spy.mu.Lock()
+	defer spy.mu.Unlock()
+	stateAt, redirectAt := map[id.ClientID]int{}, map[id.ClientID]int{}
+	perConn := map[*spyConn]int{}
+	for i, f := range spy.frames {
+		perConn[f.conn]++
+		for _, m := range f.msgs {
+			switch m := m.(type) {
+			case *protocol.StateTransfer:
+				for _, o := range m.Objects {
+					stateAt[o.Client] = i
+				}
+			case *protocol.Redirect:
+				redirectAt[m.Client] = i
+			}
+		}
+	}
+	for c := 2; c < len(conns); c++ {
+		s, okS := stateAt[id.ClientID(c)]
+		r, okR := redirectAt[id.ClientID(c)]
+		if !okS || !okR || s > r {
+			t.Errorf("client %d: state transfer is frame %d (%v), redirect frame %d (%v): want the state written first", c, s, okS, r, okR)
+		}
+	}
+	for conn, frames := range perConn {
+		if conn != left.mcConn && frames > wakeups { // load reports and heartbeats have tickers of their own
+			t.Errorf("%d frames on one connection (%s) across %d wake-ups: more than one frame per wake-up", frames, conn.RemoteAddr(), wakeups)
+		}
+	}
+	if wakeups < serial-1 {
+		t.Errorf("%d wake-ups for %d crossings made one at a time", wakeups, serial-1)
 	}
 }
 
@@ -484,6 +572,7 @@ func TestEgressFlushZeroAlloc(t *testing.T) {
 	h := startServerOn(t, transport.TCPNetwork{}, ServerConfig{
 		Network:      transport.TCPNetwork{},
 		TickInterval: time.Hour, ReportInterval: time.Hour, HeartbeatEvery: -1, CheckpointEvery: -1,
+		parked: true, // the hellos must not wake the loop either
 	})
 
 	const clients, perClient = 64, 6

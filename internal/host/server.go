@@ -40,9 +40,12 @@ type ServerConfig struct {
 	// Policy names the decision policy (internal/policy) that judges this
 	// server's splits and reclaims. Empty means the paper's rules.
 	Policy string
-	// TickInterval is the game-server processing cadence (default 10ms).
+	// TickInterval is the longest the server goes without a game tick, and
+	// the unit ServiceRate is quoted in (default 10ms). Ticks are driven by
+	// arrivals (see tickLoop), so a busy server ticks far more often.
 	TickInterval time.Duration
-	// ServiceRate is the packets processed per tick (default 500).
+	// ServiceRate is the packets served per TickInterval of wall time,
+	// however many ticks that takes (default 500).
 	ServiceRate int
 	// MaxQueue bounds the receive queue (0 = unbounded).
 	MaxQueue int
@@ -78,6 +81,9 @@ type ServerConfig struct {
 	// and turns on the tick-phase histograms in /metrics. Nil — the default
 	// — costs nothing on the frame path.
 	Tracer *trace.Tracer
+	// parked keeps arrivals from waking the tick loop, so an in-package test
+	// that sets TickInterval to an hour plays the tick goroutine itself.
+	parked bool
 }
 
 func (c ServerConfig) sanitized() ServerConfig {
@@ -181,6 +187,20 @@ type ServerHost struct {
 
 	wg   sync.WaitGroup
 	done chan struct{}
+	wake chan struct{} // 1 slot: something arrived since the tick loop last looked (nil when parked)
+}
+
+// minTickGap is the least time between two game ticks (W in docs/PERF.md):
+// what arrives inside it leaves as one frame per connection.
+const minTickGap = time.Millisecond
+
+// wakeTick tells the tick loop that something has arrived. It never blocks:
+// one pending signal covers every arrival before the tick that answers it.
+func (h *ServerHost) wakeTick() {
+	select {
+	case h.wake <- struct{}{}:
+	default:
+	}
 }
 
 // StartServer registers with the MC and brings the pumps up.
@@ -267,6 +287,9 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		drainReply: make(chan *protocol.DrainReply, 1),
 		drainEvent: make(chan bool, 1),
 		done:       make(chan struct{}),
+	}
+	if !cfg.parked {
+		h.wake = make(chan struct{}, 1)
 	}
 	h.rearmDrain()
 	if h.tr != nil {
@@ -380,6 +403,7 @@ func (h *ServerHost) writeMetrics(w io.Writer) {
 	h.mu.Unlock()
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_conns gauge\nmatrix_server_peer_conns %d\n", peers)
 	fmt.Fprintf(w, "# TYPE matrix_server_ticks counter\nmatrix_server_ticks %d\n", h.ticks.Load())
+	fmt.Fprintf(w, "# TYPE matrix_server_processed_total counter\nmatrix_server_processed_total %d\n", h.gs.Stats().Processed)
 	fmt.Fprintf(w, "# TYPE matrix_server_adopt_overflows_total counter\nmatrix_server_adopt_overflows_total %d\n", h.adoptDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_ingress_overflows_total counter\nmatrix_server_ingress_overflows_total %d\n", h.ingressDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_backlog_drops_total counter\nmatrix_server_peer_backlog_drops_total %d\n", h.backlogDrops.Load())
@@ -449,6 +473,7 @@ func (h *ServerHost) enqueueIngress(from id.ServerID, m protocol.Message) {
 	}
 	h.ingress = append(h.ingress, ingressMsg{from: from, msg: m})
 	h.ingressMu.Unlock()
+	h.wakeTick()
 }
 
 // drainIngress feeds everything the funnel holds through the Matrix
@@ -592,6 +617,7 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 	if err := h.gs.Enqueue(hello); err != nil {
 		h.cfg.Logger.Printf("server %v: join %v dropped: %v", h.core.ID(), hello.Client, err)
 	}
+	h.wakeTick()
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -612,6 +638,7 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 		if err := h.gs.Enqueue(m); err != nil && err != gameserver.ErrQueueOverflow {
 			h.cfg.Logger.Printf("server %v: client %v: %v", h.core.ID(), hello.Client, err)
 		}
+		h.wakeTick()
 	}
 }
 
@@ -656,11 +683,22 @@ func (h *ServerHost) servePeer(conn transport.Conn, first protocol.Message) {
 // tickLoop drives game-server processing, periodic load reports, lease
 // heartbeats and checkpoint shipping. Everything that writes the MC
 // connection runs here, keeping it single-writer.
+//
+// The game tick is arrival-driven: it runs once a pump has signalled wake and
+// minTickGap has passed since the last one (arrivals denser than that, or a
+// tick longer than it, coalesce by themselves), and after TickInterval with no
+// arrival, so eviction, drain settling and drop logging keep their cadence.
+// Service capacity is wall time, not ticks: the budget accrues ServiceRate per
+// TickInterval, holds one TickInterval's worth at most and is spent by what
+// the game server processed — the same packets per second at any cadence.
 func (h *ServerHost) tickLoop() {
 	defer h.wg.Done()
-	tick := time.NewTicker(h.cfg.TickInterval)
+	gap := min(minTickGap, h.cfg.TickInterval)
+	rate := float64(h.cfg.ServiceRate)
+	last, budget := time.Now(), rate
+	next := time.NewTimer(h.cfg.TickInterval)
 	report := time.NewTicker(h.cfg.ReportInterval)
-	defer tick.Stop()
+	defer next.Stop()
 	defer report.Stop()
 	var beatC, cpC <-chan time.Time
 	if h.cfg.HeartbeatEvery > 0 {
@@ -693,7 +731,14 @@ func (h *ServerHost) tickLoop() {
 			}
 		case <-cpC:
 			h.shipCheckpoint()
-		case now := <-tick.C:
+		case <-h.wake:
+			// A wait that is already over fires the timer at once.
+			next.Reset(gap - time.Since(last))
+		case <-next.C:
+			now := time.Now()
+			budget = min(budget+rate*float64(now.Sub(last))/float64(h.cfg.TickInterval), rate)
+			last = now
+			next.Reset(h.cfg.TickInterval)
 			h.ticks.Add(1)
 			t0 := h.tr.Now()
 			// Coordinator and peer fallout first: split/reclaim state
@@ -701,9 +746,17 @@ func (h *ServerHost) tickLoop() {
 			// ahead of whatever redirects the game server emits below.
 			h.drainIngress(h.out)
 			t1 := h.tr.Now()
-			envs, err := h.gs.ProcessAppend(h.tickEnvs.Take(), h.cfg.ServiceRate)
-			if err != nil {
-				h.cfg.Logger.Printf("server %v: process: %v", h.core.ID(), err)
+			served, envs := h.gs.Stats().Processed, h.tickEnvs.Take()
+			if n := int(budget); n > 0 { // ProcessAppend reads 0 as "no limit"
+				var err error
+				if envs, err = h.gs.ProcessAppend(envs, n); err != nil {
+					h.cfg.Logger.Printf("server %v: process: %v", h.core.ID(), err)
+				}
+			}
+			st := h.gs.Stats()
+			budget -= float64(st.Processed - served)
+			if st.QueueLen > 0 {
+				h.wakeTick() // what the budget left behind is served as it accrues
 			}
 			t2 := h.tr.Now()
 			h.routeGame(envs, h.out)
@@ -745,6 +798,7 @@ func (h *ServerHost) routeCore(envs []core.Envelope, eg *egress) {
 			if err := h.gs.Enqueue(e.Msg); err != nil && err != gameserver.ErrQueueOverflow {
 				h.cfg.Logger.Printf("server %v: enqueue: %v", h.core.ID(), err)
 			}
+			h.wakeTick()
 		case core.DestPeer:
 			if h.tr != nil {
 				h.tracePeerForward(e.Msg)

@@ -281,14 +281,16 @@ func TestIngressFunnelOverflowDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mc.Close() })
-	// A near-stopped tick loop so the funnel is not drained mid-test (and
-	// logDrops below is this goroutine's to call).
+	// A parked tick loop so the funnel is not drained mid-test — not even when
+	// a coordinator frame arrives while it holds the fake entries below — and
+	// logDrops is this goroutine's to call.
 	var logged syncBuffer
 	h, err := StartServer(ServerConfig{
 		Network:      nw,
 		Coordinator:  mc.Addr(),
 		Radius:       40,
 		TickInterval: time.Hour,
+		parked:       true,
 		Logger:       log.New(&logged, "", 0),
 	})
 	if err != nil {
@@ -644,9 +646,9 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mc.Close() })
-	// A near-stopped tick loop: the test plays the tick goroutine, which
-	// owns handleAdopt.
-	h, err := StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, TickInterval: time.Hour})
+	// A parked tick loop: the test plays the tick goroutine, which owns
+	// handleAdopt and the game server's inbox.
+	h, err := StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, TickInterval: time.Hour, parked: true})
 	if err != nil {
 		t.Fatal(err)
 	}

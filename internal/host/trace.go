@@ -29,9 +29,10 @@ const (
 )
 
 // maxPhaseSamples caps each tick-phase histogram's raw-sample store: one
-// that reaches it starts over. At the default 10 ms tick that is eleven
-// minutes between scrapes — far beyond any scrape interval, so only a traced
-// host that nobody scrapes ever gets there (4 × 512 KiB at most, for ever).
+// that reaches it starts over. A busy host ticks every minTickGap, so that is
+// a minute between scrapes at the least (eleven when idle) — beyond any scrape
+// interval, so only a traced host that nobody scrapes ever gets there (4 ×
+// 512 KiB at most, for ever).
 const maxPhaseSamples = 1 << 16
 
 // hostPhaseHistograms names the tick-phase histograms traceTick feeds, in

@@ -66,7 +66,9 @@ func (w *buffer) serverIDs(s []id.ServerID) {
 	}
 }
 
-// reader is a bounds-checked decoder over one frame.
+// reader is a bounds-checked decoder over one frame. decodeBody takes it by
+// value and returns where it stopped: a pointer handed through the Message
+// interface escapes, one allocation per frame and per batch element.
 type reader struct {
 	b   []byte
 	off int
@@ -169,7 +171,7 @@ func (m *GameUpdate) encodeBody(b *buffer) {
 	b.bytes(m.Payload)
 }
 
-func (m *GameUpdate) decodeBody(r *reader) error {
+func (m *GameUpdate) decodeBody(r reader) (int, error) {
 	m.Client = id.ClientID(r.u64())
 	m.Seq = id.PacketSeq(r.u64())
 	m.Kind = UpdateKind(r.u8())
@@ -177,7 +179,7 @@ func (m *GameUpdate) decodeBody(r *reader) error {
 	m.Dest = r.point()
 	m.SentUnix = r.i64()
 	m.Payload = r.bytes()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *Forward) encodeBody(b *buffer) {
@@ -185,7 +187,7 @@ func (m *Forward) encodeBody(b *buffer) {
 	m.Update.encodeBody(b)
 }
 
-func (m *Forward) decodeBody(r *reader) error {
+func (m *Forward) decodeBody(r reader) (int, error) {
 	m.From = r.serverID()
 	return m.Update.decodeBody(r)
 }
@@ -195,10 +197,10 @@ func (m *RegisterRequest) encodeBody(b *buffer) {
 	b.f64(m.Radius)
 }
 
-func (m *RegisterRequest) decodeBody(r *reader) error {
+func (m *RegisterRequest) decodeBody(r reader) (int, error) {
 	m.Addr = r.str()
 	m.Radius = r.f64()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *RegisterReply) encodeBody(b *buffer) {
@@ -207,11 +209,11 @@ func (m *RegisterReply) encodeBody(b *buffer) {
 	b.rect(m.World)
 }
 
-func (m *RegisterReply) decodeBody(r *reader) error {
+func (m *RegisterReply) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Bounds = r.rect()
 	m.World = r.rect()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *LoadReport) encodeBody(b *buffer) {
@@ -220,11 +222,11 @@ func (m *LoadReport) encodeBody(b *buffer) {
 	b.i32(m.QueueLen)
 }
 
-func (m *LoadReport) decodeBody(r *reader) error {
+func (m *LoadReport) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Clients = r.i32()
 	m.QueueLen = r.i32()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *OverlapTable) encodeBody(b *buffer) {
@@ -245,7 +247,7 @@ func (m *OverlapTable) encodeBody(b *buffer) {
 	}
 }
 
-func (m *OverlapTable) decodeBody(r *reader) error {
+func (m *OverlapTable) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Version = r.u64()
 	m.Bounds = r.rect()
@@ -253,30 +255,30 @@ func (m *OverlapTable) decodeBody(r *reader) error {
 	nRegions := int(r.u32())
 	if r.err != nil || nRegions < 0 || nRegions > len(r.b) {
 		r.fail()
-		return r.err
+		return r.off, r.err
 	}
 	m.Regions = make([]TableRegion, 0, nRegions)
 	for i := 0; i < nRegions; i++ {
 		reg := TableRegion{Bounds: r.rect(), Peers: r.serverIDs()}
 		if r.err != nil {
-			return r.err
+			return r.off, r.err
 		}
 		m.Regions = append(m.Regions, reg)
 	}
 	nPeers := int(r.u32())
 	if r.err != nil || nPeers < 0 || nPeers > len(r.b) {
 		r.fail()
-		return r.err
+		return r.off, r.err
 	}
 	m.Peers = make([]PeerAddr, 0, nPeers)
 	for i := 0; i < nPeers; i++ {
 		p := PeerAddr{Server: r.serverID(), Addr: r.str(), Bounds: r.rect()}
 		if r.err != nil {
-			return r.err
+			return r.off, r.err
 		}
 		m.Peers = append(m.Peers, p)
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *SplitRequest) encodeBody(b *buffer) {
@@ -284,10 +286,10 @@ func (m *SplitRequest) encodeBody(b *buffer) {
 	b.i32(m.Clients)
 }
 
-func (m *SplitRequest) decodeBody(r *reader) error {
+func (m *SplitRequest) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Clients = r.i32()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *SplitReply) encodeBody(b *buffer) {
@@ -304,7 +306,7 @@ func (m *SplitReply) encodeBody(b *buffer) {
 	}
 }
 
-func (m *SplitReply) decodeBody(r *reader) error {
+func (m *SplitReply) decodeBody(r reader) (int, error) {
 	m.Granted = r.boolean()
 	m.Child = r.serverID()
 	m.ChildAddr = r.str()
@@ -314,7 +316,7 @@ func (m *SplitReply) decodeBody(r *reader) error {
 	if r.err == nil && r.off < len(r.b) {
 		m.Corr = r.u64()
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *ReclaimRequest) encodeBody(b *buffer) {
@@ -322,10 +324,10 @@ func (m *ReclaimRequest) encodeBody(b *buffer) {
 	b.serverID(m.Child)
 }
 
-func (m *ReclaimRequest) decodeBody(r *reader) error {
+func (m *ReclaimRequest) decodeBody(r reader) (int, error) {
 	m.Parent = r.serverID()
 	m.Child = r.serverID()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *ReclaimReply) encodeBody(b *buffer) {
@@ -334,11 +336,11 @@ func (m *ReclaimReply) encodeBody(b *buffer) {
 	b.str(m.Reason)
 }
 
-func (m *ReclaimReply) decodeBody(r *reader) error {
+func (m *ReclaimReply) decodeBody(r reader) (int, error) {
 	m.Granted = r.boolean()
 	m.Merged = r.rect()
 	m.Reason = r.str()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *Redirect) encodeBody(b *buffer) {
@@ -350,14 +352,14 @@ func (m *Redirect) encodeBody(b *buffer) {
 	}
 }
 
-func (m *Redirect) decodeBody(r *reader) error {
+func (m *Redirect) decodeBody(r reader) (int, error) {
 	m.Client = id.ClientID(r.u64())
 	m.NewOwner = r.serverID()
 	m.NewAddr = r.str()
 	if r.err == nil && r.off < len(r.b) {
 		m.Corr = r.u64()
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *StateTransfer) encodeBody(b *buffer) {
@@ -373,14 +375,14 @@ func (m *StateTransfer) encodeBody(b *buffer) {
 	}
 }
 
-func (m *StateTransfer) decodeBody(r *reader) error {
+func (m *StateTransfer) decodeBody(r reader) (int, error) {
 	m.From = r.serverID()
 	m.To = r.serverID()
 	m.Final = r.boolean()
 	n := int(r.u32())
 	if r.err != nil || n < 0 || n > len(r.b) {
 		r.fail()
-		return r.err
+		return r.off, r.err
 	}
 	m.Objects = make([]ObjectState, 0, n)
 	for i := 0; i < n; i++ {
@@ -391,11 +393,11 @@ func (m *StateTransfer) decodeBody(r *reader) error {
 		}
 		o.Payload = r.bytes()
 		if r.err != nil {
-			return r.err
+			return r.off, r.err
 		}
 		m.Objects = append(m.Objects, o)
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *NonProximalQuery) encodeBody(b *buffer) {
@@ -404,11 +406,11 @@ func (m *NonProximalQuery) encodeBody(b *buffer) {
 	b.f64(m.Radius)
 }
 
-func (m *NonProximalQuery) decodeBody(r *reader) error {
+func (m *NonProximalQuery) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Point = r.point()
 	m.Radius = r.f64()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *NonProximalReply) encodeBody(b *buffer) {
@@ -421,22 +423,22 @@ func (m *NonProximalReply) encodeBody(b *buffer) {
 	}
 }
 
-func (m *NonProximalReply) decodeBody(r *reader) error {
+func (m *NonProximalReply) decodeBody(r reader) (int, error) {
 	m.Servers = r.serverIDs()
 	n := int(r.u32())
 	if r.err != nil || n < 0 || n > len(r.b) {
 		r.fail()
-		return r.err
+		return r.off, r.err
 	}
 	m.Peers = make([]PeerAddr, 0, n)
 	for i := 0; i < n; i++ {
 		p := PeerAddr{Server: r.serverID(), Addr: r.str(), Bounds: r.rect()}
 		if r.err != nil {
-			return r.err
+			return r.off, r.err
 		}
 		m.Peers = append(m.Peers, p)
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *ClientHello) encodeBody(b *buffer) {
@@ -452,13 +454,13 @@ func (m *ClientHello) encodeBody(b *buffer) {
 	}
 }
 
-func (m *ClientHello) decodeBody(r *reader) error {
+func (m *ClientHello) decodeBody(r reader) (int, error) {
 	m.Client = id.ClientID(r.u64())
 	m.Pos = r.point()
 	if r.err == nil && r.off < len(r.b) {
 		m.Token = r.str()
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *ClientWelcome) encodeBody(b *buffer) {
@@ -466,10 +468,10 @@ func (m *ClientWelcome) encodeBody(b *buffer) {
 	b.rect(m.Bounds)
 }
 
-func (m *ClientWelcome) decodeBody(r *reader) error {
+func (m *ClientWelcome) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Bounds = r.rect()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *RangeUpdate) encodeBody(b *buffer) {
@@ -486,19 +488,19 @@ func (m *RangeUpdate) encodeBody(b *buffer) {
 	}
 }
 
-func (m *RangeUpdate) decodeBody(r *reader) error {
+func (m *RangeUpdate) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Bounds = r.rect()
 	n := int(r.u32())
 	if r.err != nil || n < 0 || n > len(r.b) {
 		r.fail()
-		return r.err
+		return r.off, r.err
 	}
 	m.Handoff = make([]HandoffTarget, 0, n)
 	for i := 0; i < n; i++ {
 		h := HandoffTarget{Server: r.serverID(), Addr: r.str(), Bounds: r.rect()}
 		if r.err != nil {
-			return r.err
+			return r.off, r.err
 		}
 		m.Handoff = append(m.Handoff, h)
 	}
@@ -508,14 +510,14 @@ func (m *RangeUpdate) decodeBody(r *reader) error {
 	if r.err == nil && r.off < len(r.b) {
 		m.Corr = r.u64()
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *Ack) encodeBody(b *buffer) { b.u8(uint8(m.Of)) }
 
-func (m *Ack) decodeBody(r *reader) error {
+func (m *Ack) decodeBody(r reader) (int, error) {
 	m.Of = MsgType(r.u8())
-	return r.err
+	return r.off, r.err
 }
 
 func (m *ErrorMsg) encodeBody(b *buffer) {
@@ -523,10 +525,10 @@ func (m *ErrorMsg) encodeBody(b *buffer) {
 	b.str(m.Reason)
 }
 
-func (m *ErrorMsg) decodeBody(r *reader) error {
+func (m *ErrorMsg) decodeBody(r reader) (int, error) {
 	m.Of = MsgType(r.u8())
 	m.Reason = r.str()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *Batch) encodeBody(b *buffer) {
@@ -541,7 +543,7 @@ func (m *Batch) encodeBody(b *buffer) {
 	}
 }
 
-func (m *Batch) decodeBody(r *reader) error {
+func (m *Batch) decodeBody(r reader) (int, error) {
 	n := int(r.u32())
 	// Every element costs at least its 5-byte header, so a count claiming
 	// more than the remaining bytes allow is corrupt — rejecting it here
@@ -549,52 +551,52 @@ func (m *Batch) decodeBody(r *reader) error {
 	// beyond the frame's own size.
 	if r.err != nil || n < 0 || n > (len(r.b)-r.off)/frameHeaderSize {
 		r.fail()
-		return r.err
+		return r.off, r.err
 	}
 	m.Msgs = make([]Message, 0, n)
 	for i := 0; i < n; i++ {
 		ln := int(r.u32())
 		t := MsgType(r.u8())
 		if r.err != nil {
-			return r.err
+			return r.off, r.err
 		}
 		if ln < 0 || r.off+ln > len(r.b) {
 			r.fail()
-			return r.err
+			return r.off, r.err
 		}
 		if t == TypeBatch {
-			return errors.New("protocol: nested batch")
+			return 0, errors.New("protocol: nested batch")
 		}
 		sub, err := newMessage(t)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		sr := &reader{b: r.b[r.off : r.off+ln]}
-		if err := sub.decodeBody(sr); err != nil {
-			return err
+		end, err := sub.decodeBody(reader{b: r.b[r.off : r.off+ln]})
+		if err != nil {
+			return 0, err
 		}
-		if sr.off != len(sr.b) {
-			return fmt.Errorf("protocol: %d trailing bytes in batch element %v", len(sr.b)-sr.off, t)
+		if end != ln {
+			return 0, fmt.Errorf("protocol: %d trailing bytes in batch element %v", ln-end, t)
 		}
 		r.off += ln
 		m.Msgs = append(m.Msgs, sub)
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *SnapshotRequest) encodeBody(b *buffer) {}
 
-func (m *SnapshotRequest) decodeBody(r *reader) error { return r.err }
+func (m *SnapshotRequest) decodeBody(r reader) (int, error) { return r.off, r.err }
 
 func (m *SnapshotData) encodeBody(b *buffer) {
 	b.bytes(m.Blob)
 	b.boolean(m.Final)
 }
 
-func (m *SnapshotData) decodeBody(r *reader) error {
+func (m *SnapshotData) decodeBody(r reader) (int, error) {
 	m.Blob = r.bytes()
 	m.Final = r.boolean()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *Heartbeat) encodeBody(b *buffer) {
@@ -604,12 +606,12 @@ func (m *Heartbeat) encodeBody(b *buffer) {
 	b.u64(m.CheckpointTick)
 }
 
-func (m *Heartbeat) decodeBody(r *reader) error {
+func (m *Heartbeat) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Clients = r.i32()
 	m.QueueLen = r.i32()
 	m.CheckpointTick = r.u64()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *DrainRequest) encodeBody(b *buffer) {
@@ -620,13 +622,13 @@ func (m *DrainRequest) encodeBody(b *buffer) {
 	}
 }
 
-func (m *DrainRequest) decodeBody(r *reader) error {
+func (m *DrainRequest) decodeBody(r reader) (int, error) {
 	m.Server = r.serverID()
 	m.Exit = r.boolean()
 	if r.err == nil && r.off < len(r.b) {
 		m.Corr = r.u64()
 	}
-	return r.err
+	return r.off, r.err
 }
 
 func (m *DrainReply) encodeBody(b *buffer) {
@@ -634,10 +636,10 @@ func (m *DrainReply) encodeBody(b *buffer) {
 	b.str(m.Reason)
 }
 
-func (m *DrainReply) decodeBody(r *reader) error {
+func (m *DrainReply) decodeBody(r reader) (int, error) {
 	m.Granted = r.boolean()
 	m.Reason = r.str()
-	return r.err
+	return r.off, r.err
 }
 
 func (m *Adopt) encodeBody(b *buffer) {
@@ -650,7 +652,7 @@ func (m *Adopt) encodeBody(b *buffer) {
 	}
 }
 
-func (m *Adopt) decodeBody(r *reader) error {
+func (m *Adopt) decodeBody(r reader) (int, error) {
 	m.Victim = r.serverID()
 	m.Bounds = r.rect()
 	m.Blob = r.bytes()
@@ -658,7 +660,7 @@ func (m *Adopt) decodeBody(r *reader) error {
 	if r.err == nil && r.off < len(r.b) {
 		m.Corr = r.u64()
 	}
-	return r.err
+	return r.off, r.err
 }
 
 // frameHeaderSize is the per-frame envelope: u32 body length + u8 type.
@@ -812,12 +814,12 @@ func Unmarshal(frame []byte) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: frame[5:]}
-	if err := m.decodeBody(r); err != nil {
+	end, err := m.decodeBody(reader{b: frame[5:]})
+	if err != nil {
 		return nil, fmt.Errorf("decode %v: %w", m.MsgType(), err)
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", len(r.b)-r.off, m.MsgType())
+	if end != int(n) {
+		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", int(n)-end, m.MsgType())
 	}
 	return m, nil
 }
@@ -849,20 +851,21 @@ func Size(m Message) (int, error) {
 // (the decoder copies every byte/string field), so transports can recycle
 // one buffer per connection.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header goes into buf's own storage: a local array would escape
+	// through the io.Reader, one allocation per frame.
+	hdr := append(buf[:0], make([]byte, frameHeaderSize)...)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
 	total := int(n) + frameHeaderSize
-	if cap(buf) < total {
-		buf = make([]byte, total)
+	if cap(hdr) < total {
+		hdr = append(make([]byte, 0, total), hdr...)
 	}
-	frame := buf[:total]
-	copy(frame, hdr[:])
+	frame := hdr[:total]
 	if _, err := io.ReadFull(r, frame[frameHeaderSize:]); err != nil {
 		return nil, fmt.Errorf("protocol: body: %w", err)
 	}

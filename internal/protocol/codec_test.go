@@ -486,6 +486,51 @@ func TestSizeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs is the receive path's allocation budget: reading a frame
+// into a reused buffer allocates nothing, and decoding allocates the messages
+// and nothing per frame or per batch element — no header array, no reader.
+func TestDecodeAllocs(t *testing.T) {
+	u := &GameUpdate{Client: 42, Seq: 7, Kind: KindMove, Origin: geom.Pt(1, 2), Dest: geom.Pt(3, 4)}
+	single, err := Marshal(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 8
+	fwds := make([]Message, k)
+	for i := range fwds {
+		fwds[i] = &Forward{From: 3, Update: *u}
+	}
+	batch, _, err := AppendBatches(nil, nil, fwds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  float64
+	}{
+		{"update", single, 1},   // the message
+		{"batch", batch, k + 2}, // the Batch, its slice, k messages
+	} {
+		if got := testing.AllocsPerRun(200, func() {
+			if _, err := Unmarshal(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+		}); got != tc.want {
+			t.Errorf("Unmarshal(%s) allocates %.1f/op, budget is %.0f", tc.name, got, tc.want)
+		}
+	}
+	buf, src := make([]byte, 0, len(batch)), bytes.NewReader(nil)
+	if got := testing.AllocsPerRun(200, func() {
+		src.Reset(batch)
+		if _, err := ReadFrame(src, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("ReadFrame into a reused buffer allocates %.1f/op, budget is 0", got)
+	}
+}
+
 // TestBatchRoundTrip packs every message type into one Batch frame and
 // decodes it back.
 func TestBatchRoundTrip(t *testing.T) {

@@ -118,7 +118,7 @@ type Message interface {
 	// encodeBody appends the message body (without the envelope).
 	encodeBody(b *buffer)
 	// decodeBody parses the message body.
-	decodeBody(r *reader) error
+	decodeBody(r reader) (int, error)
 }
 
 // UpdateKind classifies a game update's role in the game, so workload models

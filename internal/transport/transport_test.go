@@ -288,6 +288,71 @@ func TestByteAccounting(t *testing.T) {
 	}
 }
 
+// TestSendRecvAllocs is the connection's steady-state allocation budget, the
+// same on both networks: a frame costs its decoded messages and nothing per
+// frame — Send encodes into the connection's buffer, Recv reads header and body
+// into the connection's buffer and decodes without a heap-allocated reader.
+func TestSendRecvAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	update := &protocol.GameUpdate{Client: 1, Seq: 2, Kind: protocol.KindMove, Origin: geom.Pt(1, 1), Dest: geom.Pt(2, 1)}
+	const k = 8
+	batch := make([]protocol.Message, k)
+	for i := range batch {
+		batch[i] = &protocol.Forward{From: 3, Update: *update}
+	}
+	for name, nw := range networks() {
+		t.Run(name, func(t *testing.T) {
+			l, err := nw.Listen("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			accepted := make(chan Conn, 1)
+			go func() {
+				if c, err := l.Accept(); err == nil {
+					accepted <- c
+				}
+			}()
+			c, err := nw.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			s := <-accepted
+			defer s.Close()
+			recv := func(n int) {
+				for i := 0; i < n; i++ {
+					if _, err := s.Recv(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			single := func() {
+				if err := c.Send(update); err != nil {
+					t.Fatal(err)
+				}
+				recv(1)
+			}
+			batched := func() {
+				if err := c.SendBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				recv(k)
+			}
+			single()
+			batched() // grow both connections' buffers to the batch
+			if got := testing.AllocsPerRun(200, single); got != 1 {
+				t.Errorf("Send + Recv of one update allocates %.1f/op, budget is 1 (the message)", got)
+			}
+			if got := testing.AllocsPerRun(200, batched); got != k+2 {
+				t.Errorf("SendBatch + Recv of %d forwards allocates %.1f/op, budget is %d (the batch, its slice, the messages)", k, got, k+2)
+			}
+		})
+	}
+}
+
 // TestMemConcurrentSenders: 8 goroutines share one connection, mixing Send
 // and SendBatch with payloads of different sizes. One Write per call under
 // writeMu means no frame is ever interleaved with another: every message

@@ -253,10 +253,10 @@ func WithExtraRadii(radii ...float64) Option {
 // WithLogger directs diagnostics (default: silent).
 func WithLogger(l *log.Logger) Option { return func(o *options) { o.logger = l } }
 
-// WithTickInterval sets the game-server processing cadence (servers).
+// WithTickInterval sets the longest gap between arrival-driven game ticks (servers).
 func WithTickInterval(d time.Duration) Option { return func(o *options) { o.tick = d } }
 
-// WithServiceRate sets packets processed per tick (servers).
+// WithServiceRate sets packets served per WithTickInterval of wall time (servers).
 func WithServiceRate(n int) Option { return func(o *options) { o.serviceRate = n } }
 
 // WithMaxQueue bounds the game server's receive queue (servers).
