@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"matrix/internal/clock"
 	"matrix/internal/coordinator"
 	"matrix/internal/gameclient"
 	"matrix/internal/geom"
@@ -41,6 +42,10 @@ type Config struct {
 	// heartbeat goroutine was merely starved. Only a test that zombifies a
 	// server (connection up, beats paused) needs a short lease, and sets it.
 	LeaseMisses int
+	// Clock, when non-nil, is the coordinator's lease clock: beats and lease
+	// checks keep their wall cadence, a lease runs out only when the test
+	// advances this clock past it.
+	Clock clock.Clock
 	// CheckpointEvery is the servers' checkpoint-shipping cadence
 	// (default 25ms).
 	CheckpointEvery time.Duration
@@ -109,6 +114,7 @@ func New(cfg Config) (*Cluster, error) {
 		World:          cfg.World,
 		HeartbeatEvery: cfg.HeartbeatEvery,
 		LeaseMisses:    cfg.LeaseMisses,
+		Clock:          cfg.Clock,
 	}, cfg.Logger)
 	if err != nil {
 		return nil, err

@@ -59,14 +59,14 @@ type Config struct {
 	Static []geom.Rect
 	// HeartbeatEvery is the interval servers are expected to beat at.
 	// Zero disables every health feature (leases, death detection,
-	// adoption, drain) — the pre-health behaviour, which the deterministic
-	// simulation relies on.
+	// adoption, drain) — the pre-health behaviour, and what a simulation
+	// that does not checkpoint runs with.
 	HeartbeatEvery time.Duration
 	// LeaseMisses is how many consecutive missed beats expire a lease.
 	// Defaults to 3 when zero.
 	LeaseMisses int
-	// Clock supplies lease time. Defaults to the wall clock; tests inject
-	// a virtual clock to expire leases deterministically.
+	// Clock supplies lease time. Defaults to the wall clock; the simulator
+	// and tests inject a virtual clock to expire leases deterministically.
 	Clock clock.Clock
 	// Policy decides spare selection and child placement on splits (nil =
 	// the default paper policy: FIFO spares, split-to-left). The instance
@@ -408,6 +408,10 @@ func (c *Coordinator) handleReclaim(from id.ServerID, req *protocol.ReclaimReque
 	if err != nil || parent != req.Parent {
 		return deny("not your child"), nil
 	}
+	if cs, ok := c.servers[req.Child]; ok && cs.dead {
+		// Granting would pool a dead server; its region waits for a live one.
+		return deny("child is dead"), nil
+	}
 	if !c.m.CanReclaim(req.Child) {
 		if kids := c.m.Children(req.Child); len(kids) > 0 {
 			return deny(fmt.Sprintf("child still has children %v", kids)), nil
@@ -586,19 +590,12 @@ func (c *Coordinator) peerAddrsLocked(set overlap.Set) []protocol.PeerAddr {
 	return out
 }
 
-// Resync rebuilds a restarted server's topology view: the overlap tables it
-// currently owes (when it still owns a partition) followed by a RangeUpdate
+// resyncLocked rebuilds the topology view of a zombie — declared dead, then
+// heard from again (handleHeartbeat's revive and demote branches): the overlap
+// tables it owes (when it still owns a partition) followed by a RangeUpdate
 // carrying its authoritative bounds and a handoff target for every active
-// partition, so a server restored from a stale checkpoint can immediately
-// redirect clients it no longer owns. A server that lost its partition while
-// down (reclaimed during the outage) receives only the deactivating
-// RangeUpdate.
-func (c *Coordinator) Resync(sid id.ServerID) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resyncLocked(sid)
-}
-
+// partition, so it can immediately redirect clients it no longer owns. One
+// that lost its partition while away gets only the deactivating RangeUpdate.
 func (c *Coordinator) resyncLocked(sid id.ServerID) ([]Envelope, error) {
 	if _, ok := c.servers[sid]; !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownServer, sid)
@@ -652,7 +649,8 @@ func (c *Coordinator) handoffTargetsLocked(exclude id.ServerID) []protocol.Hando
 
 // ServerSnap is one registered server inside a State snapshot. The health
 // fields are omitted when zero so snapshots from health-disabled deployments
-// (the deterministic sim) stay byte-identical to the pre-health format.
+// (a simulation that does not checkpoint) stay byte-identical to the
+// pre-health format.
 type ServerSnap struct {
 	ID      id.ServerID
 	Addr    string
@@ -660,11 +658,13 @@ type ServerSnap struct {
 	Active  bool
 	Clients int
 
-	Draining         bool   `json:",omitempty"`
-	Retired          bool   `json:",omitempty"`
-	Dead             bool   `json:",omitempty"`
-	Beats            uint64 `json:",omitempty"`
-	LastBeatUnixNano int64  `json:",omitempty"`
+	Draining bool   `json:",omitempty"`
+	Retired  bool   `json:",omitempty"`
+	Dead     bool   `json:",omitempty"`
+	Beats    uint64 `json:",omitempty"`
+	// LastBeatUnixNano is the lease's last renewal; nil = no lease yet. Zero
+	// is an instant: the simulator's virtual clock starts at the Unix epoch.
+	LastBeatUnixNano *int64 `json:",omitempty"`
 	CheckpointTick   uint64 `json:",omitempty"`
 }
 
@@ -731,7 +731,8 @@ func (c *Coordinator) CaptureState() *State {
 			snap.Beats = s.beats
 			snap.CheckpointTick = s.cpTick
 			if !s.lastBeat.IsZero() {
-				snap.LastBeatUnixNano = s.lastBeat.UnixNano()
+				ns := s.lastBeat.UnixNano()
+				snap.LastBeatUnixNano = &ns
 			}
 		}
 		st.Servers = append(st.Servers, snap)
@@ -789,8 +790,8 @@ func (c *Coordinator) RestoreState(st *State) error {
 			draining: s.Draining, retired: s.Retired, dead: s.Dead,
 			beats: s.Beats, cpTick: s.CheckpointTick,
 		}
-		if s.LastBeatUnixNano != 0 {
-			ss.lastBeat = time.Unix(0, s.LastBeatUnixNano)
+		if s.LastBeatUnixNano != nil {
+			ss.lastBeat = time.Unix(0, *s.LastBeatUnixNano)
 		} else if c.healthEnabled() {
 			// Pre-health snapshot restored into a health-enabled
 			// coordinator: grant a fresh lease instead of an instant expiry.

@@ -1,15 +1,15 @@
 // Fleet health: heartbeat leases, death detection, warm-spare adoption and
 // operator drain.
 //
-// The sim proved checkpoint recovery works when a whole run is restarted
-// from a snapshot; this file makes the *live* cluster survive the same
-// failures without restarting anything. Servers renew a lease with periodic
-// Heartbeat frames and ship checkpoint blobs between beats; the coordinator
-// expires leases on its clock, declares the holder dead, and hands the dead
-// server's partition to the first warm spare (restored from the victim's
-// last checkpoint). Everything here is inert while Config.HeartbeatEvery is
-// zero, so health-unaware deployments — in particular the deterministic
-// simulation — behave exactly as before.
+// This is the repo's one crash-recovery path, driven by wall-clock goroutines
+// in a live fleet (internal/host) and by the simulator's step on virtual time
+// (internal/sim, in any run that checkpoints). Servers renew a lease with
+// periodic Heartbeat frames and ship checkpoint blobs between beats; the
+// coordinator expires leases on its clock, declares the holder dead, and
+// hands the dead server's partition to the first warm spare (restored from
+// the victim's last checkpoint). Everything here is inert while
+// Config.HeartbeatEvery is zero, so health-unaware deployments — and
+// simulations that do not checkpoint — behave exactly as before.
 package coordinator
 
 import (
@@ -206,8 +206,13 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 	c.activateSpareLocked(0)
 	c.adoptions++
 
+	// On file under the adopter's ID until its own first upload replaces it:
+	// an adopter dying inside one checkpoint period is not re-adopted cold.
 	blob := c.checkpoints[victim]
 	delete(c.checkpoints, victim)
+	if len(blob) > 0 {
+		c.checkpoints[spareID] = blob
+	}
 	corr := c.nextCorrLocked()
 	c.recordLocked(Decision{Seq: corr, Kind: "adopt", Server: victim, Child: spareID, Granted: true,
 		Inputs: map[string]float64{

@@ -190,6 +190,111 @@ func TestAdoptionParksWhenPoolEmpty(t *testing.T) {
 	}
 }
 
+// TestAdopterDeathInsideCheckpointPeriodKeepsTheBlob is the double failure:
+// the victim dies, the adopter dies before its own first checkpoint upload,
+// and the second adopter must still get the world the first one was handed —
+// the coordinator used to drop the blob as it relayed it, so the region came
+// back empty. Once the adopter has shipped a checkpoint of its own, that one
+// is what a later adoption carries.
+func TestAdopterDeathInsideCheckpointPeriodKeepsTheBlob(t *testing.T) {
+	c, _ := newHealthMC(t)
+	r1, _ := register(t, c, "a:1", 5)
+	r2, _ := register(t, c, "b:2", 5)
+	r3, _ := register(t, c, "c:3", 5)
+	r4, _ := register(t, c, "d:4", 5)
+	blob := []byte(`{"world":"the victim's"}`)
+	shipCheckpoint(t, c, r1.Server, blob)
+
+	adoptBlob := func(envs []Envelope, to, victim id.ServerID) []byte {
+		t.Helper()
+		a, ok := msgsTo(envs, to)[0].(*protocol.Adopt)
+		if !ok || a.Victim != victim || !a.Final {
+			t.Fatalf("first message to %v is %#v, want the final Adopt chunk of %v's region", to, msgsTo(envs, to)[0], victim)
+		}
+		return a.Blob
+	}
+	if got := adoptBlob(c.HandleDisconnect(r1.Server), r2.Server, r1.Server); !bytes.Equal(got, blob) {
+		t.Fatalf("first adoption carried %q, want %q", got, blob)
+	}
+	// The adopter dies having shipped nothing.
+	if got := adoptBlob(c.HandleDisconnect(r2.Server), r3.Server, r2.Server); !bytes.Equal(got, blob) {
+		t.Errorf("second adoption carried %q, want the original checkpoint %q (world lost on a double failure)", got, blob)
+	}
+	// The second adopter ships its own checkpoint, then dies too.
+	own := []byte(`{"world":"moved on"}`)
+	shipCheckpoint(t, c, r3.Server, own)
+	if got := adoptBlob(c.HandleDisconnect(r3.Server), r4.Server, r3.Server); !bytes.Equal(got, own) {
+		t.Errorf("third adoption carried %q, want the adopter's own upload %q", got, own)
+	}
+	if c.CheckpointSize(r1.Server)+c.CheckpointSize(r2.Server)+c.CheckpointSize(r3.Server) != 0 || c.CheckpointSize(r4.Server) != len(own) {
+		t.Error("the blob must be on file under the current owner's ID only")
+	}
+}
+
+// TestReclaimOfDeadChildIsDenied: a parent keeps the last load its dead child
+// reported and may ask to fold it back in. Granting would pool a dead server
+// and drop the parked region's claim on the next spare.
+func TestReclaimOfDeadChildIsDenied(t *testing.T) {
+	c, _ := newHealthMC(t)
+	r1, _ := register(t, c, "a:1", 5)
+	r2, _ := register(t, c, "b:2", 5)
+	if _, err := c.HandleMessage(r1.Server, &protocol.SplitRequest{Server: r1.Server, Clients: 400}); err != nil {
+		t.Fatal(err)
+	}
+	c.HandleDisconnect(r2.Server) // the child dies; no spare: parked
+	envs, err := c.HandleMessage(r1.Server, &protocol.ReclaimRequest{Parent: r1.Server, Child: r2.Server})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, ok := msgsTo(envs, r1.Server)[0].(*protocol.ReclaimReply); !ok || rep.Granted {
+		t.Fatalf("reclaim of a dead child: %#v, want a denial", envs[0].Msg)
+	}
+	if c.SpareCount() != 0 || len(c.Parked()) != 1 {
+		t.Errorf("spares=%d parked=%v, want the dead child out of the pool and its region still parked", c.SpareCount(), c.Parked())
+	}
+	// A live server registering still gets it.
+	if _, envs := register(t, c, "c:3", 5); len(envs) == 0 || len(c.Parked()) != 0 {
+		t.Error("the parked region was not adopted by the next registrant")
+	}
+}
+
+// TestLeaseAtTheEpochSurvivesSnapshot: the simulator's virtual clock starts
+// at the Unix epoch, so a lease granted at t=0 has UnixNano 0 — which a
+// snapshot must not read back as "no lease yet" and renew at restore time.
+func TestLeaseAtTheEpochSurvivesSnapshot(t *testing.T) {
+	cfg := Config{World: geom.R(0, 0, 100, 100), HeartbeatEvery: time.Second, Clock: clock.NewVirtual(time.Unix(0, 0))}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, _ := register(t, c, "a:1", 5) // lease granted at the epoch, never renewed
+	st := c.CaptureState()
+	if got := st.Servers[0].LastBeatUnixNano; got == nil || *got != 0 {
+		t.Fatalf("captured LastBeatUnixNano = %v, want a pointer to 0", got)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back State
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	later := clock.NewVirtual(time.Unix(3, 500e6)) // restored 3.5 s in: the lease is already over
+	cfg.Clock = later
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.RestoreState(&back); err != nil {
+		t.Fatal(err)
+	}
+	c2.Tick()
+	if c2.Deaths() != 1 || len(c2.Parked()) != 1 || c2.Parked()[0] != r1.Server {
+		t.Errorf("after restore at t=3.5s: deaths=%d parked=%v; the lease from t=0 must have expired, not been renewed by the restore", c2.Deaths(), c2.Parked())
+	}
+}
+
 func TestZombieHeartbeatDemotedAfterReplacement(t *testing.T) {
 	c, _ := newHealthMC(t)
 	r1, _ := register(t, c, "a:1", 5)

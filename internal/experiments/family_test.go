@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -137,19 +138,30 @@ func TestFamilyValidation(t *testing.T) {
 }
 
 // TestRecoveryScenario reads the E7 workload's cold run (the one the
-// list-composition gate compares against) and checks the recovery machinery
-// actually fired: one restart, a rejoin storm, measured gaps.
+// list-composition gate compares against) and checks the heal machinery
+// actually fired, both branches of it: the coordinator finds the two victims
+// by lease expiry (three missed beats after the last one at t=54), hands the
+// first region to the one free spare on the spot and parks the second until
+// the script's recover at t=70 registers a fresh server — an ID the original
+// fleet of eight never had — which adopts it; a rejoin storm, measured gaps.
 func TestRecoveryScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a 110s crash-recovery scenario")
 	}
 	t.Parallel()
 	res := coldScenario(t, "recovery")
-	if res.Restarts != 2 {
-		t.Errorf("restarts = %d, want 2 (both victims)", res.Restarts)
+	var adopts []sim.TopologyEvent
+	for _, e := range res.Events {
+		if e.Kind == "adopt" {
+			adopts = append(adopts, e)
+		}
+	}
+	want := []sim.TopologyEvent{{Time: 58, Kind: "adopt", Server: 8}, {Time: 70, Kind: "adopt", Server: 9}}
+	if !slices.Equal(adopts, want) || res.Restarts != 2 {
+		t.Errorf("adoptions = %v (restarts=%d), want %v: the spare one lease after the crash, a fresh server at the recover", adopts, res.Restarts, want)
 	}
 	if res.RecoveryRejoins == 0 {
-		t.Error("no clients rejoined after the restart")
+		t.Error("no client's connection was reset by the crash")
 	}
 	if res.RecoveryGap.Count() == 0 {
 		t.Error("no recovery gaps measured")

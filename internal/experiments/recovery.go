@@ -7,27 +7,27 @@ import (
 
 // E7 — recovery gap and redirect storm vs checkpoint interval.
 //
-// The netem fail-stop model used to treat a crash as a pause: the process
-// froze with its state and resumed. Real crashes lose state, and the
-// classic middleware answer is periodic checkpointing — at the price of a
-// rollback: everything since the last checkpoint is gone, departed clients
-// resurrect as ghosts, and the restarted server must resync topology and
-// re-admit every client. This experiment sweeps the checkpoint interval
-// over the recovery scenario (hotspot splits the fleet, the loaded child
-// loses its state at t=55 and recovers at t=70) and measures what the
-// interval buys: the recovery gap each reconnecting client experienced,
-// the size of the rejoin/redirect storm, and the ghost cleanup the
-// rollback forced. "cold" restarts with no checkpoint at all — the server
-// comes back empty and every client state is rebuilt from reconnects.
+// A real crash loses state, and the middleware answer is periodic
+// checkpointing — at the price of a rollback: everything since the last
+// checkpoint is gone and departed clients resurrect as ghosts. This
+// experiment sweeps the checkpoint interval over the recovery scenario
+// (hotspot splits the fleet, two loaded children die at t=55, lease expiry
+// hands one region to the free spare and parks the other until fresh servers
+// register at t=70 — the production heal path on virtual time, sim/health.go)
+// and measures what the interval buys: the gap each reconnecting client
+// experienced, the size of the rejoin/redirect storm, and the ghost cleanup
+// the rollback forced. "cold" is a checkpoint period longer than the run:
+// leases on, nothing ever shipped, so the coordinator adopts cold — the
+// region starts empty and client state is rebuilt from reconnects.
 func RunRecovery(ctx context.Context, r Runner, seed int64) (*Report, error) {
 	intervals := []float64{0, 5, 10, 20, 40}
 	var jobs []Job
 	for _, iv := range intervals {
 		cfg := RecoveryConfig(seed)
 		cfg.CheckpointEverySeconds = iv
-		name := "cold"
-		if iv > 0 {
-			name = fmt.Sprintf("chk=%gs", iv)
+		name := fmt.Sprintf("chk=%gs", iv)
+		if iv == 0 {
+			name, cfg.CheckpointEverySeconds = "cold", 2*cfg.DurationSeconds
 		}
 		jobs = append(jobs, Job{Name: name, Config: cfg})
 	}

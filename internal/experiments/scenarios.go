@@ -85,7 +85,7 @@ var scenarioTable = []Scenario{
 	},
 	{
 		Name:   "recovery",
-		Title:  "crash recovery — server loses state at t=55, restarts from its last 10s checkpoint",
+		Title:  "crash recovery — two servers die at t=55: a spare adopts one region from its 10s checkpoint, the other parks until t=70",
 		Config: RecoveryConfig,
 	},
 	{
@@ -111,7 +111,7 @@ var scenarioTable = []Scenario{
 	},
 	{
 		Name:          "surge-crash",
-		Title:         "surge family — shared 70s split warmup, then server-2 loses state and recovers from checkpoint",
+		Title:         "surge family — shared 70s split warmup, then server-2 dies and a spare adopts its region from checkpoint",
 		Config:        SurgeCrashConfig,
 		Family:        "surge",
 		WarmupSeconds: SurgeWarmupSeconds,
@@ -261,19 +261,23 @@ func CrashStormConfig(seed int64) sim.Config {
 }
 
 // RecoveryConfig builds the crash-recovery scenario: the hotspot splits
-// the fleet out to seven servers, every server checkpoints its full state
-// every 10 seconds, and two of the crowd-carrying children (servers 3 and
-// 6 for these splits) crash at t=55 losing everything. On recovery at t=70
-// they restart from their last checkpoint, resync topology from the MC,
-// and their clients reconnect. A transient join/leave wave before the
-// crash makes checkpoint staleness observable: servers checkpointing
-// rarely roll back past the wave's departure and resurrect it as ghosts.
-// Experiment E7 sweeps the checkpoint interval over this scenario.
+// the fleet out to seven servers of eight, every server renews a lease each
+// second and ships a checkpoint every 10, and two of the crowd-carrying
+// children (servers 3 and 5 for these splits) die at t=55. The coordinator
+// finds out when the leases run out, three missed beats later: the first
+// region goes to the one free spare, restored from the victim's last
+// checkpoint, and the second parks until the script's recover at t=70 starts
+// two fresh servers — one adopts it on the spot, one joins the pool. (Server
+// 5, not 6: it is the parent whose reclaim of server 7 at t≈59 would free a
+// server for the parked region early and hide that branch.) A transient
+// join/leave wave before the crash makes checkpoint staleness observable: a
+// world adopted from a blob older than the wave's departure resurrects it as
+// ghosts. Experiment E7 sweeps the checkpoint interval over this scenario.
 func RecoveryConfig(seed int64) sim.Config {
 	cfg := scenarioBase(seed)
 	cfg.DurationSeconds = 110
 	cfg.CheckpointEverySeconds = 10
-	cfg.Script = game.RecoveryScript(World, 500, 55, 70, []id.ServerID{3, 6})
+	cfg.Script = game.RecoveryScript(World, 500, 55, 70, []id.ServerID{3, 5})
 	return cfg
 }
 
@@ -283,8 +287,8 @@ const SurgeWarmupSeconds = 70
 
 // surgeBase is the family's shared config: the warmup crowd forces the
 // fleet to split out and settle before any tail diverges. Checkpointing is
-// on family-wide (the crash tail needs it, and family members must share
-// everything except the script tail).
+// on family-wide, leases and lease checks with it (the crash tail needs
+// them, and family members must share everything except the script tail).
 func surgeBase(seed int64) sim.Config {
 	cfg := scenarioBase(seed)
 	cfg.DurationSeconds = 130
@@ -341,8 +345,8 @@ func SurgeJitterConfig(seed int64) sim.Config {
 	return cfg
 }
 
-// SurgeCrashConfig: the loaded child loses its state right after the
-// warmup and recovers from the family's 15s checkpoints.
+// SurgeCrashConfig: the loaded child dies right after the warmup and, its
+// lease run out, a spare adopts its region from the family's 15s checkpoints.
 func SurgeCrashConfig(seed int64) sim.Config {
 	cfg := surgeBase(seed)
 	cfg.Script = append(surgeWarmup(),

@@ -158,18 +158,18 @@ func CrashStormScript(world geom.Rect, count int, firstCrash, interval, downtime
 	return s.Sorted()
 }
 
-// RecoveryScript models a real, state-losing crash of a *loaded* server.
+// RecoveryScript models a real, state-losing crash of *loaded* servers.
 // The crowd joins in the left half of the world at x=0.375·W — the piece
 // the first split hands to server-2 (split-to-left) and the second split
 // leaves with it — so the first spare ends up carrying the hotspot. A
-// transient wave then joins and fully departs before `crashAt`: servers
-// that checkpoint rarely roll back past the departure and resurrect the
-// wave as ghosts, so checkpoint staleness becomes measurable. At `crashAt`
-// the victims crash losing their in-memory state; at `recoverAt` they
-// restart from their last checkpoint (cold when checkpointing is off),
-// resync topology from the coordinator, and every client they served
-// reconnects — the recovery gap and rejoin storm E7 measures. The crowd
-// half-drains afterwards so reclaim runs over the recovered fleet.
+// transient wave then joins and fully departs before `crashAt`: a region
+// adopted from a checkpoint older than the departure resurrects the wave as
+// ghosts, so checkpoint staleness becomes measurable. At `crashAt` the
+// victims die for good, their state and their clients' connections with
+// them; the coordinator's leases find that out and re-home their regions
+// (see sim.Config.CheckpointEverySeconds); at `recoverAt` one fresh server
+// per victim registers — the recovery gap and rejoin storm E7 measures. The
+// crowd half-drains afterwards so reclaim runs over the healed fleet.
 func RecoveryScript(world geom.Rect, count int, crashAt, recoverAt float64, victims []id.ServerID) Script {
 	center := geom.Pt(
 		world.MinX+0.375*world.Width(),

@@ -32,13 +32,14 @@ const (
 	// every link touching them blackholes until an EventRecover.
 	EventCrash
 	// EventRecover resumes the listed crashed servers (empty Servers
-	// recovers all).
+	// recovers all). One that an EventCrashLose killed does not resume: a
+	// fresh server registers in its place, under a new ID.
 	EventRecover
-	// EventCrashLose fail-stops the listed servers like EventCrash, but the
-	// crash also loses their in-memory state: on the matching EventRecover
-	// each one restarts from its last periodic checkpoint (or cold, when
-	// checkpointing is off), resyncs its topology from the coordinator, and
-	// every client it served must reconnect.
+	// EventCrashLose kills the listed servers for good, as kill -9 does:
+	// links blackholed, state lost, every client connection reset. The
+	// coordinator's lease runs out and it re-homes the region from the last
+	// checkpoint the victim shipped (cold when none was) or parks it. Needs a
+	// run that checkpoints (sim.Config.CheckpointEverySeconds > 0).
 	EventCrashLose
 )
 

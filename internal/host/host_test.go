@@ -10,8 +10,8 @@ import (
 	"matrix/internal/geom"
 	"matrix/internal/id"
 	"matrix/internal/load"
+	"matrix/internal/nodeblob"
 	"matrix/internal/protocol"
-	"matrix/internal/snapshot"
 	"matrix/internal/transport"
 )
 
@@ -259,7 +259,7 @@ func TestSnapshotFrameDumpsNodeState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	node, err := snapshot.DecodeNode(blob)
+	node, err := nodeblob.Decode(blob)
 	if err != nil {
 		t.Fatalf("decode blob: %v", err)
 	}
@@ -276,7 +276,7 @@ func TestSnapshotFrameDumpsNodeState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.RestoreNodeGame(blob, gs); err != nil {
+	if err := nodeblob.RestoreGame(blob, gs); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if gs.ClientCount() != 2 {

@@ -15,10 +15,10 @@ import (
 	"matrix/internal/load"
 	"matrix/internal/metrics"
 	"matrix/internal/middleware"
+	"matrix/internal/nodeblob"
 	"matrix/internal/policy"
 	"matrix/internal/protocol"
 	"matrix/internal/scratch"
-	"matrix/internal/snapshot"
 	"matrix/internal/trace"
 	"matrix/internal/transport"
 )
@@ -53,7 +53,7 @@ type ServerConfig struct {
 	ReportInterval time.Duration
 	// Logger receives diagnostics (nil = silent).
 	Logger *log.Logger
-	// Restore, when non-nil, is a snapshot blob (see snapshot.MarshalNode)
+	// Restore, when non-nil, is a snapshot blob (see nodeblob.Marshal)
 	// whose game-world state — client avatars and map objects — this node
 	// adopts before it starts serving, so no client can join into a window
 	// that a later restore would wipe. Topology is not restored: the node
@@ -184,6 +184,10 @@ type ServerHost struct {
 	// cpTick is the tick count when the last checkpoint shipped; atomic so
 	// harnesses can watch checkpoint progress from outside the tick loop.
 	cpTick atomic.Uint64
+	// cpOversize counts checkpoints refused here for outgrowing
+	// protocol.MaxBlobSize; cpTooBig says the latest one was (see Ready).
+	cpOversize atomic.Uint64
+	cpTooBig   atomic.Bool
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -263,7 +267,7 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	// Boot-time restore runs before any pump starts: no client can have
 	// joined yet, so the adopted world can never wipe a live session.
 	if cfg.Restore != nil {
-		if err := snapshot.RestoreNodeGame(cfg.Restore, gs); err != nil {
+		if err := nodeblob.RestoreGame(cfg.Restore, gs); err != nil {
 			return nil, fmt.Errorf("host: restore snapshot: %w", err)
 		}
 	}
@@ -320,7 +324,7 @@ func (h *ServerHost) Game() *gameserver.Server { return h.gs }
 // Snapshot dumps this node's complete state (Matrix server + game server)
 // as a versioned blob — the payload of a protocol SnapshotData stream.
 func (h *ServerHost) Snapshot() ([]byte, error) {
-	return snapshot.MarshalNode(h.core, h.gs)
+	return nodeblob.Marshal(h.core, h.gs)
 }
 
 // sendSnapshot streams a snapshot blob as SnapshotData frames, the last one
@@ -343,7 +347,7 @@ func sendSnapshot(conn transport.Conn, blob []byte) error {
 // world wholesale, dropping the avatar of any client that joined since
 // the blob was captured (it stays connected and must rejoin).
 func (h *ServerHost) RestoreSnapshot(blob []byte) error {
-	return snapshot.RestoreNodeGame(blob, h.gs)
+	return nodeblob.RestoreGame(blob, h.gs)
 }
 
 // Close stops the host and waits for its goroutines.
@@ -405,6 +409,7 @@ func (h *ServerHost) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE matrix_server_ticks counter\nmatrix_server_ticks %d\n", h.ticks.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_processed_total counter\nmatrix_server_processed_total %d\n", h.gs.Stats().Processed)
 	fmt.Fprintf(w, "# TYPE matrix_server_adopt_overflows_total counter\nmatrix_server_adopt_overflows_total %d\n", h.adoptDrops.Load())
+	fmt.Fprintf(w, "# TYPE matrix_server_checkpoint_oversize_total counter\nmatrix_server_checkpoint_oversize_total %d\n", h.cpOversize.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_ingress_overflows_total counter\nmatrix_server_ingress_overflows_total %d\n", h.ingressDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_backlog_drops_total counter\nmatrix_server_peer_backlog_drops_total %d\n", h.backlogDrops.Load())
 	if h.mw != nil {
@@ -553,7 +558,7 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		h.serveClient(conn, m)
 	case *protocol.SnapshotRequest:
 		// Operator dump: stream this node's full state and close.
-		blob, err := snapshot.MarshalNode(h.core, h.gs)
+		blob, err := nodeblob.Marshal(h.core, h.gs)
 		if err != nil {
 			h.cfg.Logger.Printf("server %v: snapshot: %v", h.core.ID(), err)
 		} else if err := sendSnapshot(conn, blob); err != nil {
@@ -1089,7 +1094,7 @@ func (h *ServerHost) handleAdopt(m *protocol.Adopt) {
 			h.core.ID(), m.Victim, m.Bounds)
 		return
 	}
-	if err := snapshot.RestoreNodeGame(blob, h.gs); err != nil {
+	if err := nodeblob.RestoreGame(blob, h.gs); err != nil {
 		h.cfg.Logger.Printf("server %v: adopt restore of %v's checkpoint: %v", h.core.ID(), m.Victim, err)
 		return
 	}
@@ -1099,14 +1104,20 @@ func (h *ServerHost) handleAdopt(m *protocol.Adopt) {
 
 // shipCheckpoint streams this node's full state to the MC as SnapshotData
 // chunks — the blob a warm spare restores if this node dies. Spares ship
-// nothing: they own no world. Runs on the tick goroutine.
+// nothing: they own no world. Nor does a blob over protocol.MaxBlobSize, which
+// the coordinator would drop: counted, and reported by /readyz. Tick goroutine.
 func (h *ServerHost) shipCheckpoint() {
 	if !h.core.Active() {
 		return
 	}
-	blob, err := snapshot.MarshalNode(h.core, h.gs)
+	blob, err := nodeblob.Checkpoint(h.core, h.gs)
+	oversize := errors.Is(err, nodeblob.ErrOversize)
+	h.cpTooBig.Store(oversize)
 	if err != nil {
-		h.cfg.Logger.Printf("server %v: checkpoint marshal: %v", h.core.ID(), err)
+		if oversize {
+			h.cpOversize.Add(1)
+		}
+		h.cfg.Logger.Printf("server %v: checkpoint: %v", h.core.ID(), err)
 		return
 	}
 	if err := sendSnapshot(h.mcConn, blob); err != nil {

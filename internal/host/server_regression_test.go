@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -19,6 +20,7 @@ import (
 	"matrix/internal/id"
 	"matrix/internal/load"
 	"matrix/internal/middleware"
+	"matrix/internal/nodeblob"
 	"matrix/internal/protocol"
 	"matrix/internal/transport"
 )
@@ -711,4 +713,64 @@ func TestFailedStartReleasesListener(t *testing.T) {
 		t.Fatalf("the failed start kept the listener address: %v", err)
 	}
 	h.Close()
+}
+
+// TestOversizeCheckpointIsRefusedAtTheSender: a node whose state no longer
+// fits protocol.MaxBlobSize ships nothing — the coordinator would drop the
+// upload, every interval, and go on holding a stale blob or none — counts the
+// refusal and says so on /readyz; when the world shrinks again the next
+// checkpoint ships and readiness returns.
+func TestOversizeCheckpointIsRefusedAtTheSender(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	// A parked tick loop: the test plays the tick goroutine, which owns
+	// shipCheckpoint and the coordinator connection's write side.
+	h, err := StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, TickInterval: time.Hour, CheckpointEvery: -1, parked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+
+	// A padded world: one map object whose payload alone, base64'd into the
+	// blob, is past the limit.
+	h.gs.AddObject(protocol.ObjectState{Object: 1, Pos: geom.Pt(10, 10), Payload: make([]byte, protocol.MaxBlobSize*3/4+1)})
+	h.shipCheckpoint()
+	if err := h.Ready(); !errors.Is(err, nodeblob.ErrOversize) || !strings.Contains(err.Error(), "checkpoint exceeds MaxBlobSize: region is not recoverable") {
+		t.Errorf("Ready() = %v after an oversize checkpoint, want the refusal by name", err)
+	}
+	if h.CheckpointTick() != 0 {
+		t.Error("an oversize checkpoint counted as shipped")
+	}
+	var out bytes.Buffer
+	h.writeMetrics(&out)
+	if !strings.Contains(out.String(), "matrix_server_checkpoint_oversize_total 1\n") {
+		t.Errorf("refusal not counted once in /metrics:\n%s", out.String())
+	}
+
+	// The world shrinks; the next checkpoint fits. Frames on the coordinator
+	// connection are ordered, so once this one has landed, anything the
+	// refused one had sent would have been seen — and dropped, and counted.
+	h.gs.AddObject(protocol.ObjectState{Object: 1, Pos: geom.Pt(10, 10)})
+	h.ticks.Add(1)
+	h.shipCheckpoint()
+	if err := h.Ready(); err != nil {
+		t.Errorf("Ready() = %v after a checkpoint that shipped", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for mc.MC().CheckpointSize(h.ID()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the small checkpoint never reached the coordinator")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := mc.MC().CheckpointOverflows(); n != 0 {
+		t.Errorf("the coordinator dropped %d uploads: the oversize blob was sent", n)
+	}
+	if h.CheckpointTick() == 0 {
+		t.Error("the checkpoint that shipped did not advance CheckpointTick")
+	}
 }

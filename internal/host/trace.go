@@ -15,6 +15,7 @@ import (
 	"errors"
 
 	"matrix/internal/id"
+	"matrix/internal/nodeblob"
 	"matrix/internal/protocol"
 	"matrix/internal/trace"
 )
@@ -97,11 +98,15 @@ func (h *ServerHost) tracePacketOut(c id.ClientID, m protocol.Message) {
 
 // Ready is the /readyz probe: nil while the host can serve traffic. It
 // reports an error once the coordinator connection is lost, the host is
-// closed, or a drain-for-exit has evacuated the node (a drain back to the
-// spare pool keeps the host ready — it is still serving).
+// closed, a drain-for-exit has evacuated the node (a drain back to the
+// spare pool keeps the host ready — it is still serving), or its latest
+// checkpoint was too big to ship: a crash would lose the region.
 func (h *ServerHost) Ready() error {
 	if h.mcDown.Load() {
 		return errors.New("coordinator connection lost")
+	}
+	if h.cpTooBig.Load() {
+		return nodeblob.ErrOversize
 	}
 	h.mu.Lock()
 	closed := h.closed

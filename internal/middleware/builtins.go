@@ -115,14 +115,6 @@ func (l *RateLimiter) Forget(c id.ClientID) {
 	l.mu.Unlock()
 }
 
-// Reset drops every bucket — what a process restart does to limiter state;
-// the simulation calls it when a state-losing crash restarts a node.
-func (l *RateLimiter) Reset() {
-	l.mu.Lock()
-	l.buckets = make(map[id.ClientID]*bucket)
-	l.mu.Unlock()
-}
-
 // BucketState is one client bucket's snapshot.
 type BucketState struct {
 	Client id.ClientID

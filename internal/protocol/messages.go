@@ -436,7 +436,7 @@ func (*SnapshotRequest) MsgType() MsgType { return TypeSnapshotRequest }
 // exceeds MaxFrameSize still dumps cleanly (like StateTransfer, for the
 // same reason): the sender streams consecutive Blob chunks and sets Final
 // on the last one; the receiver concatenates. The assembled blob's format
-// is owned by internal/snapshot (versioned; see snapshot.MarshalNode).
+// is owned by internal/nodeblob (versioned; see nodeblob.Marshal).
 type SnapshotData struct {
 	Blob  []byte
 	Final bool

@@ -68,12 +68,12 @@ func (o *serverOut) reset() {
 
 // liveServers rebuilds s.live: every server that processes this tick.
 // Crashed servers are frozen — their queues keep whatever arrived before the
-// crash and resume draining on recovery. Computed serially so phase A never
-// reads the netem model.
+// crash and resume draining on recovery — and dead ones are gone. Computed
+// serially so phase A never reads the netem model.
 func (s *Sim) liveServers() {
 	s.live = s.live[:0]
 	for _, n := range s.nodes {
-		if s.nm != nil && s.nm.Crashed(n.core.ID()) {
+		if n.dead || s.nm != nil && s.nm.Crashed(n.core.ID()) {
 			continue
 		}
 		s.live = append(s.live, n)

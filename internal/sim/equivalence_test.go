@@ -27,8 +27,9 @@ import (
 // fixture is one named reference run, computed at most once per test binary:
 // the cold serial run's result and the state captured on its way past `at`.
 // The configs are the smallest that still split and reclaim (clean), lose and
-// delay packets and leave ghosts (impaired), crash, restart from a checkpoint
-// and rejoin (recovery), and rate-limit and shed (middleware).
+// delay packets and leave ghosts (impaired), kill a server and heal through
+// lease expiry, adoption and a rejoin storm (recovery), and rate-limit and shed
+// (middleware).
 type fixture struct {
 	name string
 	cfg  Config
@@ -45,7 +46,7 @@ type fixture struct {
 var (
 	clean    = &fixture{name: "clean", cfg: stepTestConfig(17), at: 15}
 	impaired = &fixture{name: "impaired", cfg: impairedConfig(), at: 15}
-	recovery = &fixture{name: "recovery", cfg: recoveryConfig(), at: 25} // mid-crash: the victim is down, its checkpoint in flight
+	recovery = &fixture{name: "recovery", cfg: recoveryConfig(), at: 25} // mid-lease: the victim is dead, the coordinator has one more second to find out
 	chain    = &fixture{name: "middleware", cfg: mwTestConfig(17), at: 15}
 	daimonin = &fixture{name: "daimonin", cfg: daimoninConfig(), at: 15}
 
@@ -79,7 +80,8 @@ func impairedConfig() Config {
 }
 
 // recoveryConfig is the clean workload with a state-losing crash of a split
-// child: checkpoints, a restart from the last one, a rejoin storm.
+// child: leases and checkpoint uploads from t = 0, the lease running out, the
+// region re-homed from the last blob, a rejoin storm.
 func recoveryConfig() Config {
 	cfg := stepTestConfig(17)
 	cfg.DurationSeconds = 40
@@ -381,10 +383,17 @@ func TestFixturesBite(t *testing.T) {
 		t.Errorf("impaired: %d ghosts expired, %d delayed buckets in flight at the capture point; want both", r.GhostsExpired, len(impaired.mid.Delayed))
 	}
 	if r := recovery.ref(t).res; r.Restarts != 1 || r.RecoveryRejoins == 0 || r.RecoveryGap.Count() == 0 {
-		t.Errorf("recovery: restarts=%d rejoins=%d gaps=%d; want one restart and a rejoin storm", r.Restarts, r.RecoveryRejoins, r.RecoveryGap.Count())
+		t.Errorf("recovery: adoptions=%d rejoins=%d gaps=%d; want one region re-homed and a rejoin storm", r.Restarts, r.RecoveryRejoins, r.RecoveryGap.Count())
 	}
-	if st := recovery.mid; len(st.LoseState) != 1 || len(st.Checkpoints) == 0 {
-		t.Errorf("recovery: captured with %d crashed servers and %d checkpoints, want it mid-crash", len(st.LoseState), len(st.Checkpoints))
+	dead := 0
+	for _, n := range recovery.mid.Nodes {
+		if n.Dead {
+			dead++
+		}
+	}
+	if mc := recovery.mid.Coordinator; dead != 1 || len(mc.Checkpoints) == 0 || mc.Deaths != 0 {
+		t.Errorf("recovery: captured with %d dead servers, %d checkpoint blobs at the coordinator, %d deaths declared; want it mid-lease — the victim dead, the coordinator yet to find out",
+			dead, len(mc.Checkpoints), mc.Deaths)
 	}
 	buckets := 0
 	for _, n := range chain.ref(t).mid.Nodes {

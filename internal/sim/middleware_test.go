@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -59,40 +60,39 @@ func TestMiddlewareCountsAndFingerprint(t *testing.T) {
 	}
 
 	// A state-losing crash kills the server process, and its in-memory token
-	// buckets with it: the restart tick must leave the node's limiter empty
-	// (the restart disconnected its clients, so nothing refills it within the
-	// tick) while the chain's drop counters, which feed Result, carry on.
-	const root = id.ServerID(1)
+	// buckets with it: the spare that adopts the region has judged nobody, so
+	// every client that rejoins there starts on a fresh budget, while what the
+	// dead server's chain dropped stays in the result.
+	const root, spare = id.ServerID(1), id.ServerID(2)
 	cfg := mwTestConfig(17)
-	cfg.Script = append(game.Script{
-		{At: 3, Kind: game.EventCrashLose, Servers: []id.ServerID{root}},
-		{At: 4, Kind: game.EventRecover, Servers: []id.ServerID{root}},
-	}, cfg.Script...)
+	cfg.CheckpointEverySeconds = 1
+	cfg.Script = append(game.Script{{At: 3, Kind: game.EventCrashLose, Servers: []id.ServerID{root}}}, cfg.Script...)
 	s := mustNew(t, cfg)
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
+	must(t, s.Start())
+	for s.res.Restarts == 0 && s.NextTime() < 10 {
+		must(t, s.Step())
 	}
-	for s.NextTime() < 4 {
-		if err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
+	victim, adopter := s.node(root), s.node(spare)
+	if s.res.Restarts != 1 || !adopter.core.Active() {
+		t.Fatalf("by t=%g: %d adoptions, spare active=%v; want the spare to have adopted the root's region", s.Now(), s.res.Restarts, adopter.core.Active())
 	}
-	n := s.node(root)
-	if len(n.mw.Limiter().State()) == 0 {
+	if len(victim.mw.Limiter().State()) == 0 {
 		t.Fatal("root server judged no client before the crash; the check would be vacuous")
 	}
-	dropsBefore := n.mw.Stats().RateLimited.Value()
-	if err := s.Step(); err != nil { // the recover tick
-		t.Fatal(err)
+	if got := adopter.mw.Limiter().State(); len(got) != 0 {
+		t.Errorf("the adopter starts with %d token buckets; its chain has judged nobody", len(got))
 	}
-	if s.res.Restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", s.res.Restarts)
+	dropsBefore := victim.mw.Stats().RateLimited.Value()
+	must(t, s.StepUntil(context.Background(), s.Now()+3))
+	if len(adopter.mw.Limiter().State()) == 0 {
+		t.Error("no client rejoined the adopter within three seconds")
 	}
-	if got := n.mw.Limiter().State(); len(got) != 0 {
-		t.Errorf("restarted node still holds %d token buckets", len(got))
+	var all int64
+	for _, n := range s.nodes {
+		all += n.mw.Stats().RateLimited.Value()
 	}
-	if n.mw.Stats().RateLimited.Value() != dropsBefore {
-		t.Error("restart disturbed the chain's drop counters")
+	if got := victim.mw.Stats().RateLimited.Value(); got != dropsBefore || uint64(all) != s.res.RateLimited {
+		t.Errorf("dead chain dropped %d (was %d), all chains %d, result says %d", got, dropsBefore, all, s.res.RateLimited)
 	}
 }
 

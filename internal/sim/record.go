@@ -37,7 +37,7 @@ func (s *Sim) recordSample(tick int) {
 		st := n.gs.Stats()
 		drops += st.Dropped
 		delivered += st.Delivered
-		if !n.core.Active() {
+		if !n.core.Active() || n.dead {
 			continue
 		}
 		sid := n.core.ID()
@@ -137,8 +137,8 @@ func (s *Sim) auditSplit(req *protocol.SplitRequest, rep *protocol.SplitReply) {
 			}
 			d.Inputs = append(d.Inputs, flight.KV{Key: "spares-left", Val: float64(s.mc.SpareCount())})
 		} else {
-			// No cached verdict (e.g. a stray reply after a restart wiped
-			// the tracker): reconstruct from tracker state and thresholds.
+			// No cached verdict (a stray reply): reconstruct from tracker
+			// state and thresholds.
 			st, cfg := tr.State(), tr.Config()
 			d.Inputs = append(d.Inputs,
 				flight.KV{Key: "clients", Val: float64(req.Clients)},
@@ -195,27 +195,6 @@ func (s *Sim) auditReclaim(req *protocol.ReclaimRequest, rep *protocol.ReclaimRe
 		}
 	}
 	s.rec.Record(d)
-}
-
-// auditRestart records one state-losing crash recovery: the checkpoint age
-// it restored from (-1 for a cold restart) and the client count the rolled-
-// back state resurrected. Called after the restore, before resync.
-func (s *Sim) auditRestart(sid id.ServerID, n *node) {
-	if s.rec == nil {
-		return
-	}
-	age := -1.0
-	if n.chk != nil {
-		age = s.now - n.chk.takenAt
-	}
-	s.rec.Record(flight.Decision{
-		Tick: int64(s.tick), Time: s.now, Kind: "restart",
-		Granted: true, Server: int64(sid),
-		Inputs: []flight.KV{
-			{Key: "checkpoint-age-s", Val: age},
-			{Key: "clients", Val: float64(n.gs.ClientCount())},
-		},
-	})
 }
 
 func b01(b bool) float64 {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"matrix/internal/clock"
@@ -90,16 +91,17 @@ type Config struct {
 	// derives the impairment streams from Seed. Timed impairment script
 	// events activate the model even when this config is zero.
 	Netem netem.Config
-	// CheckpointEverySeconds, when positive, snapshots every server's full
-	// state (Matrix server + game server) on that period. Checkpoints feed
-	// state-losing crash recovery: a server fail-stopped by an
-	// EventCrashLose script event restarts from its last checkpoint when
-	// recovered (cold, when no checkpoint exists yet).
+	// CheckpointEverySeconds, when positive, turns the production health
+	// plane on (health.go): every server renews a lease with the coordinator
+	// each second and ships it its full state on this period, so a server an
+	// EventCrashLose kills is found by lease expiry and its region adopted
+	// from that blob (cold when none was shipped yet) or parked. A script
+	// with an EventCrashLose needs it.
 	CheckpointEverySeconds float64
 	// GhostExpirySeconds is the idle timeout after which a server expires a
 	// ghost client — one whose despawn was lost by network emulation, or
-	// one resurrected by a state-losing crash recovery rolling the server
-	// back past its departure. Zero means the 30-second default; negative
+	// one resurrected by an adoption from a checkpoint older than its
+	// departure. Zero means the 30-second default; negative
 	// disables expiry. Only runs with active network emulation can produce
 	// ghosts, so netem-free fingerprints are unaffected.
 	GhostExpirySeconds float64
@@ -182,6 +184,9 @@ func (c Config) sanitized() (Config, error) {
 	if c.CheckpointEverySeconds < 0 {
 		return c, errors.New("sim: negative checkpoint period")
 	}
+	if c.CheckpointEverySeconds == 0 && slices.ContainsFunc(c.Script, func(e game.Event) bool { return e.Kind == game.EventCrashLose }) {
+		return c, errors.New("sim: a script with a crash-lose event needs CheckpointEverySeconds > 0 (the health plane is what heals it)")
+	}
 	if c.GhostExpirySeconds == 0 {
 		c.GhostExpirySeconds = DefaultGhostExpirySeconds
 	}
@@ -232,8 +237,8 @@ type Result struct {
 	DeliveredUpdates uint64
 	// OverlapAreaLast is the summed overlap area at the end of the run.
 	OverlapAreaLast float64
-	// RecoveryGap is the distribution of recover→reconnected times in
-	// milliseconds for clients of restarted servers (the recovery gap).
+	// RecoveryGap is the distribution of crash→reconnected times in
+	// milliseconds for clients whose server died (the recovery gap).
 	RecoveryGap *metrics.Histogram
 	// Counters are the scalar accumulators that are live during a run.
 	Counters
@@ -262,11 +267,11 @@ type Counters struct {
 	// GhostsExpired counts ghost clients culled by the idle timeout (see
 	// Config.GhostExpirySeconds). Only possible when netem is active.
 	GhostsExpired uint64
-	// Restarts counts state-losing crash recoveries (EventCrashLose →
-	// EventRecover restorations from checkpoint or cold).
+	// Restarts counts regions re-homed after a process death: adoptions
+	// completed, from a checkpoint or cold (the name is CLI surface).
 	Restarts uint64
-	// RecoveryRejoins counts clients forced to reconnect because their
-	// server restarted (the redirect/rejoin storm a restart causes).
+	// RecoveryRejoins counts clients whose connection a process death reset
+	// (the rejoin storm a crash causes).
 	RecoveryRejoins uint64
 	// MiddlewareActive records whether the admission chain ran; its
 	// counters join the fingerprint only when it did, so middleware-free
@@ -291,18 +296,13 @@ type node struct {
 	gs   *gameserver.Server
 	mw   *middleware.Chain
 
-	out        serverOut       // this tick's phase-A output (see engine.go)
-	activePrev bool            // active at the last sample
-	loseState  bool            // crashed by EventCrashLose: restarts on recovery
-	chk        *nodeCheckpoint // latest periodic checkpoint, nil before the first
-}
+	out        serverOut // this tick's phase-A output (see engine.go)
+	activePrev bool      // active at the last sample
 
-// nodeCheckpoint is one server's periodic full-state capture, the restore
-// point for state-losing crash recovery.
-type nodeCheckpoint struct {
-	takenAt float64
-	core    *core.State
-	game    *gameserver.State
+	// Health plane (health.go); idle in a run that does not checkpoint.
+	dead   bool                 // killed by EventCrashLose: never stepped or delivered to again
+	cpTick uint64               // tick at which the last checkpoint shipped (0 = none yet)
+	adopt  protocol.Reassembler // the Adopt stream in flight; empty between ticks
 }
 
 // simClient is one synthetic player.
@@ -319,9 +319,9 @@ type simClient struct {
 
 	// Crash-recovery timers (only set when netem is active). A ghost is a
 	// client some server still holds but the sim knows is gone from it (lost
-	// despawn, or a rollback resurrection), timed from when it appeared; a
-	// rejoining client is reconnecting after its server restarted, timed for
-	// the recovery-gap histogram.
+	// despawn, or resurrected by an adoption from a stale checkpoint), timed
+	// from when it appeared; a rejoining client is reconnecting after its
+	// server died, timed for the recovery-gap histogram.
 	ghost, rejoining  bool
 	ghostAt, rejoinAt float64
 }
@@ -369,7 +369,8 @@ type Sim struct {
 	// Crash recovery (the per-server and per-client marks live on node and
 	// simClient).
 	recGap     *metrics.Histogram
-	chkEvery   int     // checkpoint period in ticks (0 = off)
+	chkEvery   int     // checkpoint period in ticks (0 = health plane off)
+	beatEvery  int     // heartbeat and lease-check period in ticks
 	ghostAfter float64 // ghost idle timeout in seconds (<= 0 = off)
 
 	// live is the servers processing this tick (see engine.go).
@@ -439,7 +440,12 @@ func newSim(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mc, err = coordinator.New(coordinator.Config{World: cfg.World, Static: cfg.Static, Policy: mcPol})
+	mcCfg := coordinator.Config{World: cfg.World, Static: cfg.Static, Policy: mcPol}
+	if cfg.CheckpointEverySeconds > 0 {
+		// The production health plane on virtual time (see health.go).
+		mcCfg.HeartbeatEvery, mcCfg.Clock = heartbeatEvery, s.clk
+	}
+	s.mc, err = coordinator.New(mcCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -456,9 +462,7 @@ func (s *Sim) registerServer() error {
 	if _, err := s.addNode(reply); err != nil {
 		return err
 	}
-	for _, e := range envs {
-		s.deliverToCore(e.To, id.None, e.Msg)
-	}
+	s.fromMC(envs)
 	return nil
 }
 
@@ -545,7 +549,13 @@ func (s *Sim) admit(n *node, src middleware.Source, client id.ClientID, m protoc
 // core.AppendGameUpdate on a reused buffer for every local update.
 func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message) {
 	n := s.node(to)
-	if n == nil {
+	if n == nil || n.dead {
+		return
+	}
+	// A host-level frame the core never sees, as in host.drainIngress: the
+	// restore lands before the tables and the activating RangeUpdate behind it.
+	if a, isAdopt := m.(*protocol.Adopt); isAdopt {
+		s.handleAdopt(n, a)
 		return
 	}
 	if s.tr != nil {
@@ -570,15 +580,7 @@ func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
 	for _, e := range envs {
 		switch e.Dest {
 		case core.DestCoordinator:
-			mcEnvs, err := s.mc.HandleMessage(from, e.Msg)
-			if err != nil {
-				s.reg.Counter("errors/mc").Inc()
-				continue
-			}
-			s.noteTopology(e.Msg, mcEnvs)
-			for _, me := range mcEnvs {
-				s.deliverToCore(me.To, id.None, me.Msg)
-			}
+			s.toMC(from, e.Msg)
 		case core.DestGameServer:
 			// No link to cross, but peer-forwarded data plane still passes
 			// the local admission stage before it can land on an overloaded
@@ -597,6 +599,25 @@ func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
 			}
 			s.send(netem.ServerEndpoint(from), netem.ServerEndpoint(e.Peer), netemToCore, e.Msg)
 		}
+	}
+}
+
+// toMC hands the coordinator one control message from server `from` and
+// delivers what it answers. The MC link is never impaired.
+func (s *Sim) toMC(from id.ServerID, m protocol.Message) {
+	envs, err := s.mc.HandleMessage(from, m)
+	if err != nil {
+		s.reg.Counter("errors/mc").Inc()
+		return
+	}
+	s.noteTopology(m, envs)
+	s.fromMC(envs)
+}
+
+// fromMC delivers the coordinator's envelopes to their Matrix servers.
+func (s *Sim) fromMC(envs []coordinator.Envelope) {
+	for _, e := range envs {
+		s.deliverToCore(e.To, id.None, e.Msg)
 	}
 }
 
@@ -674,7 +695,7 @@ func (s *Sim) deliverToClient(cid id.ClientID, m protocol.Message) {
 			sc.redirOpen = false
 		}
 		if sc.rejoining {
-			// Reconnected after a server restart: the recovery gap.
+			// Back in the game after its server died: the recovery gap.
 			s.recGap.Observe((s.now - sc.rejoinAt) * 1000)
 			sc.rejoining = false
 		}
@@ -810,7 +831,7 @@ func (s *Sim) arrive(from, to netem.Endpoint, kind netemDest, m protocol.Message
 	switch kind {
 	case netemToGS:
 		n := s.node(to.Server)
-		if n == nil {
+		if n == nil || n.dead {
 			return
 		}
 		src := middleware.SourcePeer
@@ -907,7 +928,8 @@ func (s *Sim) markGhost(cid id.ClientID) {
 // no despawn traffic, so evicting a rollback-resurrected duplicate can
 // never ripple to the client's live avatar on its current server (which is
 // always skipped). Copies on crashed (frozen) servers wait for the
-// recovery; the record clears once no stale copy remains.
+// recovery, a dead server holds nothing; the record clears once no stale
+// copy remains.
 func (s *Sim) expireGhosts() {
 	for _, sc := range s.clients {
 		if !sc.ghost || s.now-sc.ghostAt < s.ghostAfter {
@@ -917,7 +939,7 @@ func (s *Sim) expireGhosts() {
 		found, cleared := false, true
 		for _, n := range s.nodes {
 			sid := n.core.ID()
-			if _, ok := n.gs.ClientPos(cid); !ok {
+			if _, ok := n.gs.ClientPos(cid); !ok || n.dead {
 				continue
 			}
 			if sc.alive && sid == sc.assigned {
@@ -1044,20 +1066,12 @@ func (s *Sim) initCadence() {
 	s.dt = s.cfg.TickSeconds
 	s.ticks = int(s.cfg.DurationSeconds/s.dt + 0.5)
 	s.script = s.cfg.Script.Sorted()
-	s.reportEvery = int(s.cfg.LoadReportEverySeconds/s.dt + 0.5)
-	if s.reportEvery < 1 {
-		s.reportEvery = 1
-	}
-	s.sampleEvery = int(s.cfg.SampleEverySeconds/s.dt + 0.5)
-	if s.sampleEvery < 1 {
-		s.sampleEvery = 1
-	}
+	ticks := func(seconds float64) int { return max(int(seconds/s.dt+0.5), 1) }
+	s.reportEvery = ticks(s.cfg.LoadReportEverySeconds)
+	s.sampleEvery = ticks(s.cfg.SampleEverySeconds)
 	s.chkEvery = 0
 	if s.cfg.CheckpointEverySeconds > 0 {
-		s.chkEvery = int(s.cfg.CheckpointEverySeconds/s.dt + 0.5)
-		if s.chkEvery < 1 {
-			s.chkEvery = 1
-		}
+		s.chkEvery, s.beatEvery = ticks(s.cfg.CheckpointEverySeconds), ticks(heartbeatEvery.Seconds())
 	}
 	s.ghostAfter = s.cfg.GhostExpirySeconds
 }
@@ -1135,25 +1149,15 @@ func (s *Sim) Step() error {
 		case game.EventCrashLose:
 			if s.nm != nil {
 				s.nm.Crash(e.Servers)
-				for _, sid := range e.Servers {
-					if n := s.node(sid); n != nil {
-						n.loseState = true
-					}
-				}
 				s.noteNetemEvent("crash-lose", e.Servers)
+				for _, sid := range e.Servers {
+					s.kill(sid)
+				}
 			}
 		case game.EventRecover:
 			if s.nm != nil {
-				recovered := e.Servers
-				if len(recovered) == 0 {
-					recovered = s.nm.CrashedServers()
-				}
-				s.nm.Recover(e.Servers)
-				s.noteNetemEvent("recover", e.Servers)
-				for _, sid := range recovered {
-					if n := s.node(sid); n != nil && n.loseState {
-						s.restartNode(n)
-					}
+				if err := s.recoverServers(e.Servers); err != nil {
+					return err
 				}
 			}
 		}
@@ -1206,9 +1210,11 @@ func (s *Sim) Step() error {
 		}
 	}
 
-	// 5. Hello retries for clients stuck unconnected (dropped joins).
+	// 5. Hello retries for clients stuck unconnected (dropped joins; a
+	// client whose server died redials a survivor).
 	for _, sc := range s.clients {
 		if sc.alive && !sc.cl.Connected() && s.now-sc.helloAt >= 1.0 {
+			s.redial(sc)
 			s.sendHello(sc)
 		}
 	}
@@ -1230,11 +1236,10 @@ func (s *Sim) Step() error {
 		}
 	}
 
-	// 8. Periodic checkpoints (the restore points for state-losing crash
-	// recovery). Crashed servers keep their last pre-crash checkpoint: a
-	// dead process cannot checkpoint itself.
-	if s.chkEvery > 0 && tick%s.chkEvery == 0 {
-		s.takeCheckpoints()
+	// 8. The health plane, in a run that checkpoints: heartbeats, checkpoint
+	// uploads, the coordinator's lease check (health.go).
+	if s.chkEvery > 0 {
+		s.healthStage(tick)
 	}
 
 	if s.tr != nil {
@@ -1244,93 +1249,6 @@ func (s *Sim) Step() error {
 	s.clk.Advance(time.Duration(dt * float64(time.Second)))
 	s.tick++
 	return nil
-}
-
-// takeCheckpoints captures every live server's full state.
-func (s *Sim) takeCheckpoints() {
-	for _, n := range s.nodes {
-		if s.nm != nil && s.nm.Crashed(n.core.ID()) {
-			continue
-		}
-		cs, err := n.core.CaptureState()
-		if err != nil {
-			s.reg.Counter("errors/checkpoint").Inc()
-			continue
-		}
-		gs, err := n.gs.CaptureState()
-		if err != nil {
-			s.reg.Counter("errors/checkpoint").Inc()
-			continue
-		}
-		n.chk = &nodeCheckpoint{takenAt: s.now, core: cs, game: gs}
-	}
-}
-
-// restartNode models a state-losing crash recovery: the server process died
-// and its replacement starts from the last periodic checkpoint (cold when
-// none exists), resyncs its topology from the MC, and every client it served
-// must reconnect — their connections died with the process.
-func (s *Sim) restartNode(n *node) {
-	sid := n.core.ID()
-	n.loseState = false
-	// The process died: its in-memory token buckets died with it. A
-	// restarted server starts every client's budget fresh.
-	if n.mw != nil && n.mw.Limiter() != nil {
-		n.mw.Limiter().Reset()
-	}
-	chkCore, chkGame := s.blankNodeState(sid)
-	if n.chk != nil {
-		chkCore, chkGame = n.chk.core, n.chk.game
-	}
-	if err := n.core.RestoreState(chkCore); err != nil {
-		s.reg.Counter("errors/restart").Inc()
-	}
-	if err := n.gs.RestoreState(chkGame); err != nil {
-		s.reg.Counter("errors/restart").Inc()
-	}
-	s.res.Restarts++
-	s.events = append(s.events, TopologyEvent{Time: s.now, Kind: "restart", Server: sid})
-	s.auditRestart(sid, n)
-
-	// The checkpoint rollback resurrects avatars the server had since let
-	// go of — departed clients AND clients who migrated to another server
-	// after the checkpoint (their live avatar is elsewhere; the copy here
-	// is a stale duplicate). Both register as ghosts; the idle expiry
-	// culls every copy except a live client's current one.
-	for _, cid := range n.gs.ClientIDs() {
-		if sc := s.client(cid); sc == nil || !sc.alive || sc.assigned != sid {
-			s.markGhost(cid)
-		}
-	}
-
-	// Topology resync from the MC: fresh overlap tables (when the server
-	// still owns a partition) and the authoritative range, with handoff
-	// targets for every active partition so stale clients redirect out.
-	envs, err := s.mc.Resync(sid)
-	if err != nil {
-		s.reg.Counter("errors/mc").Inc()
-	}
-	for _, e := range envs {
-		s.deliverToCore(e.To, id.None, e.Msg)
-	}
-
-	// The restart reset every connection: clients of this server rejoin
-	// via the hello-retry path, and the recovery-gap histogram times the
-	// crash-recovery blackout each one experienced.
-	for _, sc := range s.clients {
-		if sc.alive && sc.assigned == sid {
-			sc.cl.Disconnect()
-			sc.rejoining, sc.rejoinAt = true, s.now
-			s.res.RecoveryRejoins++
-		}
-	}
-}
-
-// blankNodeState is the cold-restart image: a registered but inactive
-// server that has lost everything.
-func (s *Sim) blankNodeState(sid id.ServerID) (*core.State, *gameserver.State) {
-	return &core.State{ID: sid, World: s.cfg.World, Radius: s.cfg.Profile.Radius},
-		&gameserver.State{}
 }
 
 // Finish aggregates and returns the result. Call it after Done (a pooled
@@ -1379,8 +1297,8 @@ func (s *Sim) sample() {
 	active := 0
 	var drops uint64
 	for _, n := range s.nodes {
-		sid := n.core.ID()
-		if n.core.Active() {
+		sid, isActive := n.core.ID(), n.core.Active() && !n.dead
+		if isActive {
 			active++
 			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, float64(n.gs.ClientCount()))
 			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, float64(n.gs.QueueLen()))
@@ -1390,7 +1308,7 @@ func (s *Sim) sample() {
 			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, 0)
 			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, 0)
 		}
-		n.activePrev = n.core.Active()
+		n.activePrev = isActive
 		drops += n.gs.Stats().Dropped
 	}
 	s.reg.Series("servers/active").Append(s.now, float64(active))
@@ -1412,10 +1330,13 @@ func (s *Sim) finish() *Result {
 		st := n.core.Stats()
 		res.ForwardedBytes += st.PeerBytesOut
 		res.ForwardedPackets += st.PeerPacketsOut
-		res.OverlapAreaLast += n.core.OverlapArea()
 		gst := n.gs.Stats()
 		res.DeliveredUpdates += gst.Delivered
 		res.DroppedPackets += gst.Dropped
+		if n.dead {
+			continue // what it did counts; what it held died with it
+		}
+		res.OverlapAreaLast += n.core.OverlapArea()
 		if n.core.Active() {
 			res.FinalServers++
 		}

@@ -2,11 +2,11 @@
 // RestoreSim rebuilds a Sim that continues byte-identically to the captured
 // run (fingerprint-verified by internal/snapshot's tests).
 //
-// Every collection in State is a deterministically ordered slice — nodes
-// and the per-server lists in registration order (ascending server ID),
-// clients and the per-client lists by ascending client ID, delayed buckets
-// by due tick — so encoding the same State twice produces byte-identical
-// output. Protocol messages held in queues serialize as wire
+// Every collection in State is a deterministically ordered slice — nodes in
+// registration order (ascending server ID), clients and the latency-skip
+// list by ascending client ID, delayed buckets by due tick — so encoding the
+// same State twice produces byte-identical output. Per-server and per-client
+// facts are fields of the node and client records. Protocol messages held in queues serialize as wire
 // frames (the codec the transports already pin with golden tests).
 //
 // The DTOs live here, next to the fields they mirror; internal/snapshot
@@ -43,6 +43,12 @@ type ClientState struct {
 	HelloAt   float64
 	RedirAt   float64
 	RedirOpen bool
+	// The crash-recovery timers (see simClient): a ghost awaiting expiry
+	// since GhostAt, a client redialing since RejoinAt.
+	Ghost     bool    `json:",omitempty"`
+	GhostAt   float64 `json:",omitempty"`
+	Rejoining bool    `json:",omitempty"`
+	RejoinAt  float64 `json:",omitempty"`
 }
 
 // NodeState is one server slot inside a State.
@@ -54,6 +60,14 @@ type NodeState struct {
 	// token buckets, sorted by client). Omitted when empty so middleware-
 	// free snapshots re-encode byte-identically to their history.
 	Limiter []middleware.BucketState `json:",omitempty"`
+	// CheckpointTick is the tick at which the server last shipped a
+	// checkpoint to the coordinator (what its heartbeats report).
+	CheckpointTick uint64 `json:",omitempty"`
+	// ActivePrev: active at the last sample. Dead: killed by an
+	// EventCrashLose (its checkpoint, lease and parked region are the
+	// coordinator's state, not the sim's).
+	ActivePrev bool `json:",omitempty"`
+	Dead       bool `json:",omitempty"`
 }
 
 // DelayedEntry is one in-flight netem-delayed message.
@@ -70,26 +84,6 @@ type DelayedEntry struct {
 type DelayedBucket struct {
 	DueTick int
 	Entries []DelayedEntry
-}
-
-// GhostState is one pending ghost client (lost despawn awaiting expiry).
-type GhostState struct {
-	Client    id.ClientID
-	DroppedAt float64
-}
-
-// CheckpointState is one server's periodic checkpoint.
-type CheckpointState struct {
-	Server  id.ServerID
-	TakenAt float64
-	Core    *core.State
-	Game    *gameserver.State
-}
-
-// RejoinState is one client reconnecting after a server restart.
-type RejoinState struct {
-	Client id.ClientID
-	Since  float64
 }
 
 // SkipState is one client's latency-window skip count.
@@ -114,16 +108,11 @@ type State struct {
 	RecoveryGap   []float64
 	Events        []TopologyEvent
 	Counters      Counters
-	ActivePrev    []id.ServerID
 	LatSkip       []SkipState
 	LatWindowed   bool
 
-	Netem       *netem.ModelState
-	Delayed     []DelayedBucket
-	Ghosts      []GhostState
-	LoseState   []id.ServerID
-	Checkpoints []CheckpointState
-	Rejoins     []RejoinState
+	Netem   *netem.ModelState
+	Delayed []DelayedBucket
 }
 
 // CaptureState snapshots the simulation between two ticks. The returned
@@ -155,9 +144,6 @@ func (s *Sim) CaptureState() (*State, error) {
 	st.Config.SimWorkers = 0
 	st.Coordinator = s.mc.CaptureState()
 
-	// Crash-recovery bookkeeping (LoseState, Checkpoints, Ghosts, Rejoins) is
-	// captured whether or not emulation is active yet: a netem-free warmup
-	// accrues checkpoints that a branched tail's crash events will need.
 	for _, n := range s.nodes {
 		sid := n.core.ID()
 		cs, err := n.core.CaptureState()
@@ -168,34 +154,17 @@ func (s *Sim) CaptureState() (*State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: capture %v game server: %w", sid, err)
 		}
-		ns := NodeState{Server: sid, Core: cs, Game: gs}
+		ns := NodeState{Server: sid, Core: cs, Game: gs, CheckpointTick: n.cpTick, ActivePrev: n.activePrev, Dead: n.dead}
 		if n.mw != nil && n.mw.Limiter() != nil {
 			ns.Limiter = n.mw.Limiter().State()
 		}
 		st.Nodes = append(st.Nodes, ns)
-		if n.activePrev {
-			st.ActivePrev = append(st.ActivePrev, sid)
-		}
-		if n.loseState {
-			st.LoseState = append(st.LoseState, sid)
-		}
-		if chk := n.chk; chk != nil {
-			st.Checkpoints = append(st.Checkpoints, CheckpointState{
-				Server: sid, TakenAt: chk.takenAt, Core: chk.core, Game: chk.game,
-			})
-		}
 	}
 
 	for i, sc := range s.clients {
 		cid := sc.cl.ID()
 		if i < len(s.latSkip) {
 			st.LatSkip = append(st.LatSkip, SkipState{Client: cid, Skip: s.latSkip[i]})
-		}
-		if sc.ghost {
-			st.Ghosts = append(st.Ghosts, GhostState{Client: cid, DroppedAt: sc.ghostAt})
-		}
-		if sc.rejoining {
-			st.Rejoins = append(st.Rejoins, RejoinState{Client: cid, Since: sc.rejoinAt})
 		}
 		st.Clients = append(st.Clients, ClientState{
 			Client:    sc.cl.State(),
@@ -207,6 +176,10 @@ func (s *Sim) CaptureState() (*State, error) {
 			HelloAt:   sc.helloAt,
 			RedirAt:   sc.redirAt,
 			RedirOpen: sc.redirOpen,
+			Ghost:     sc.ghost,
+			GhostAt:   sc.ghostAt,
+			Rejoining: sc.rejoining,
+			RejoinAt:  sc.rejoinAt,
 		})
 	}
 
@@ -293,8 +266,10 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		cfg.SimWorkers = opts.SimWorkers
 	}
 	// A policy swap drops the captured policy state everywhere (coordinator,
-	// per-server trackers, checkpoints): the new policy starts fresh at the
-	// snapshot point, exactly as if it had observed nothing yet.
+	// per-server trackers): the new policy starts fresh at the snapshot point,
+	// exactly as if it had observed nothing yet. (The checkpoint blobs the
+	// coordinator holds carry policy state too, but an adoption restores only
+	// their game world.)
 	dropPolicyState := false
 	if opts.Policy != "" && policy.Normalize(opts.Policy) != policy.Normalize(cfg.Policy) {
 		cfg.Policy = opts.Policy
@@ -364,6 +339,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		if len(ns.Limiter) > 0 && n.mw != nil && n.mw.Limiter() != nil {
 			n.mw.Limiter().SetState(ns.Limiter)
 		}
+		n.cpTick, n.activePrev, n.dead = ns.CheckpointTick, ns.ActivePrev, ns.Dead
 	}
 
 	// Client c sits at index c-1 (see Sim.client), so the image must hold
@@ -389,23 +365,15 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 			helloAt:   cst.HelloAt,
 			redirAt:   cst.RedirAt,
 			redirOpen: cst.RedirOpen,
+			ghost:     cst.Ghost,
+			ghostAt:   cst.GhostAt,
+			rejoining: cst.Rejoining,
+			rejoinAt:  cst.RejoinAt,
 		})
 	}
 
 	s.events = append([]TopologyEvent(nil), st.Events...)
 	s.res.Counters = st.Counters
-	// The per-server and per-client lists land on the records they name; an
-	// ID the image never registered is a corrupt image, not a no-op.
-	unknown := func(list string, name any) error {
-		return fmt.Errorf("sim: state %s names unknown %v", list, name)
-	}
-	for _, sid := range st.ActivePrev {
-		n := s.node(sid)
-		if n == nil {
-			return nil, unknown("ActivePrev", sid)
-		}
-		n.activePrev = true
-	}
 	// The window covered clients 1..k when it opened (see Sim.latSkip).
 	for i, sk := range st.LatSkip {
 		if sk.Client != id.ClientID(i+1) || i >= len(s.clients) {
@@ -442,40 +410,6 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		// existed from t=0 but, with a zero link config and no events yet,
 		// would have made no draws and held no link state.
 		s.enableNetem()
-	}
-	for _, g := range st.Ghosts {
-		sc := s.client(g.Client)
-		if sc == nil {
-			return nil, unknown("Ghosts", g.Client)
-		}
-		sc.ghost, sc.ghostAt = true, g.DroppedAt
-	}
-	for _, sid := range st.LoseState {
-		n := s.node(sid)
-		if n == nil {
-			return nil, unknown("LoseState", sid)
-		}
-		n.loseState = true
-	}
-	for _, chk := range st.Checkpoints {
-		n := s.node(chk.Server)
-		if n == nil {
-			return nil, unknown("Checkpoints", chk.Server)
-		}
-		coreChk := chk.Core
-		if dropPolicyState && coreChk != nil && len(coreChk.PolicyState) > 0 {
-			cp := *coreChk
-			cp.PolicyState = nil
-			coreChk = &cp
-		}
-		n.chk = &nodeCheckpoint{takenAt: chk.TakenAt, core: coreChk, game: chk.Game}
-	}
-	for _, r := range st.Rejoins {
-		sc := s.client(r.Client)
-		if sc == nil {
-			return nil, unknown("Rejoins", r.Client)
-		}
-		sc.rejoining, sc.rejoinAt = true, r.Since
 	}
 	return s, nil
 }

@@ -42,9 +42,10 @@ type fixture struct {
 
 var (
 	// tiny is the fully featured run: netem (loss + reordering jitter), a
-	// crowd that forces splits, lost despawns (ghosts), periodic checkpoints,
-	// a latency window and a state-losing crash it is captured in the middle
-	// of — every snapshot section is populated in a few hundred ticks.
+	// crowd that forces splits, lost despawns (ghosts), leases and checkpoint
+	// uploads, a latency window and a state-losing crash it is captured in the
+	// middle of (the victim dead, its lease about to run out) — every snapshot
+	// section is populated in a few hundred ticks.
 	tiny = &fixture{name: "tiny", cfg: tinyConfig(7), at: 21}
 	// plain is the same crowd with nothing impaired: the warmup the script
 	// tails branch from.
@@ -322,13 +323,30 @@ func TestCaptureRestoreCaptureByteStable(t *testing.T) {
 	}, configs...)
 }
 
+// marked counts the servers a state marks dead and the clients it marks ghosts.
+func marked(st *sim.State) (dead, ghosts int) {
+	for _, n := range st.Nodes {
+		if n.Dead {
+			dead++
+		}
+	}
+	for _, c := range st.Clients {
+		if c.Ghost {
+			ghosts++
+		}
+	}
+	return dead, ghosts
+}
+
 // TestFixturesBite guards the table against vacuity: the snapshots the rows
 // restore must carry the state the rows are named for.
 func TestFixturesBite(t *testing.T) {
-	if st := tiny.ref(t).snap.Sim; len(st.Nodes) < 3 || st.Netem == nil || len(st.Delayed) == 0 || len(st.Ghosts) == 0 ||
-		len(st.LoseState) != 1 || len(st.Checkpoints) == 0 || len(st.LatSkip) == 0 || len(st.Events) == 0 {
-		t.Errorf("tiny: captured with %d nodes, %d delayed buckets, %d ghosts, %d crashed servers, %d checkpoints, %d latency skips, %d events; want every section populated, mid-crash",
-			len(st.Nodes), len(st.Delayed), len(st.Ghosts), len(st.LoseState), len(st.Checkpoints), len(st.LatSkip), len(st.Events))
+	st := tiny.ref(t).snap.Sim
+	dead, ghosts := marked(st)
+	if mc := st.Coordinator; len(st.Nodes) < 3 || st.Netem == nil || len(st.Delayed) == 0 || ghosts == 0 ||
+		dead != 1 || len(mc.Checkpoints) == 0 || mc.Deaths != 0 || len(st.LatSkip) == 0 || len(st.Events) == 0 {
+		t.Errorf("tiny: captured with %d nodes, %d delayed buckets, %d ghosts, %d dead servers, %d checkpoint blobs and %d deaths at the coordinator, %d latency skips, %d events; want every section populated, mid-lease (the victim dead, the coordinator yet to find out)",
+			len(st.Nodes), len(st.Delayed), ghosts, dead, len(mc.Checkpoints), mc.Deaths, len(st.LatSkip), len(st.Events))
 	}
 	buckets := 0
 	for _, n := range chain.ref(t).snap.Sim.Nodes {

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -19,8 +20,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden snapshot files")
 
 // goldenConfig is a miniature run that still populates every snapshot
-// section: netem link state and delayed messages, ghosts, checkpoints, a
-// state-losing crash, splits and live clients.
+// section: netem link state and delayed messages, ghosts, splits and live
+// clients, and the health plane's — leases, checkpoint blobs at the
+// coordinator, a dead server whose region is parked for want of a spare.
 func goldenConfig() sim.Config {
 	return sim.Config{
 		Profile:                game.Daimonin(), // low rate + short radius keep the golden small
@@ -43,7 +45,10 @@ func goldenConfig() sim.Config {
 	}
 }
 
-const goldenPath = "testdata/v1-tiny.snap.json"
+const (
+	goldenPath   = "testdata/v2-tiny.snap.json"
+	goldenV1Path = "testdata/v1-tiny.snap.json" // the last v1 image, kept to be refused
+)
 
 // goldenBytes regenerates the golden snapshot from the deterministic run.
 func goldenBytes(t *testing.T) []byte {
@@ -55,8 +60,9 @@ func goldenBytes(t *testing.T) []byte {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Past the restart: ghosts, checkpoints and rejoins in flight.
-	if err := s.StepUntil(context.Background(), 26); err != nil {
+	// The victim died at t=16 and its lease ran out at t=19; with both servers
+	// active its region stays parked until the script's recover at t=22.
+	if err := s.StepUntil(context.Background(), 21); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Capture(s)
@@ -70,12 +76,11 @@ func goldenBytes(t *testing.T) []byte {
 	return data
 }
 
-// TestGoldenV1 is the format gate (CI runs `-run Golden`): the checked-in
-// v1 snapshot must decode with the current code, restore into a runnable
+// TestGoldenV2 is the format gate (CI runs `-run Golden`): the checked-in
+// v2 snapshot must decode with the current code, restore into a runnable
 // simulation, and re-encode byte-identically. Any State change that breaks
-// this must come with a Version bump and a decoder shim — never a silent
-// format drift.
-func TestGoldenV1(t *testing.T) {
+// this must come with a Version bump — never a silent format drift.
+func TestGoldenV2(t *testing.T) {
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -91,10 +96,14 @@ func TestGoldenV1(t *testing.T) {
 
 	snap, err := Unmarshal(data)
 	if err != nil {
-		t.Fatalf("decode v1 golden with current code: %v", err)
+		t.Fatalf("decode v2 golden with current code: %v", err)
 	}
-	if snap.Version != 1 {
-		t.Fatalf("golden version = %d, want 1", snap.Version)
+	if snap.Version != 2 {
+		t.Fatalf("golden version = %d, want 2", snap.Version)
+	}
+	if dead, _ := marked(snap.Sim); dead != 1 || len(snap.Sim.Coordinator.Parked) != 1 || len(snap.Sim.Coordinator.Checkpoints) == 0 {
+		t.Errorf("golden holds %d dead servers, %d parked regions, %d checkpoint blobs; want the health plane's sections populated",
+			dead, len(snap.Sim.Coordinator.Parked), len(snap.Sim.Coordinator.Checkpoints))
 	}
 
 	// Re-encode: byte-identical, or the format drifted without a bump.
@@ -106,9 +115,35 @@ func TestGoldenV1(t *testing.T) {
 		t.Error("golden snapshot does not re-encode byte-identically: the format drifted — bump snapshot.Version and add a new golden")
 	}
 
-	// Restore: the old snapshot must still produce a runnable simulation.
+	// Restore: the snapshot must produce a runnable simulation.
 	if fp := finished(t, snap, sim.RestoreOptions{}); fp == "" {
 		t.Error("restored golden produced an empty fingerprint")
+	}
+}
+
+// TestGoldenV1: a v1 image is refused with ErrVersion, loudly — from bytes and
+// from a file, naming both versions. It is not shimmed: a v1 image carries the
+// simulator's private per-server checkpoints, which the coordinator never saw,
+// and from v2 on a dead server's region heals from the blobs the coordinator
+// holds (see the package comment).
+func TestGoldenV1(t *testing.T) {
+	data, err := os.ReadFile(goldenV1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Unmarshal(data)
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("decoding the v1 golden: err = %v, want ErrVersion", err)
+	}
+	if msg := err.Error(); !bytes.Contains([]byte(msg), []byte(": 1 (this build reads 2)")) {
+		t.Errorf("refusal %q does not name the image's version and the build's", msg)
+	}
+	if _, err := ReadFile(goldenV1Path); !errors.Is(err, ErrVersion) {
+		t.Errorf("ReadFile of the v1 golden: err = %v, want ErrVersion", err)
+	}
+	// A caller that builds the envelope by hand gets the same answer at Restore.
+	if _, err := Restore(&Snapshot{Version: 1, Sim: &sim.State{}}); !errors.Is(err, ErrVersion) {
+		t.Errorf("Restore of a v1 envelope: err = %v, want ErrVersion", err)
 	}
 }
 

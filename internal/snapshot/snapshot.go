@@ -8,18 +8,18 @@
 // version around sim.State, whose collections are all deterministically
 // ordered slices — encoding the same state twice is byte-identical, the
 // property the golden-file tests pin. Version bumps accompany any
-// incompatible State change; Decode rejects versions it does not know, and
-// the checked-in testdata goldens guarantee old snapshots keep decoding.
+// incompatible State change; Decode rejects versions it does not know
+// (ErrVersion) and the testdata golden pins the current one. Version 1 is
+// refused, not shimmed: its images hold the simulator's private per-server
+// checkpoints, which the coordinator never saw, and since version 2 a crash
+// heals from the blobs the coordinator holds (State.Coordinator.Checkpoints,
+// internal/nodeblob's) — there is nothing faithful to convert one into.
 //
-// Two consumers build on it (the simulator's own state-losing crash
-// recovery does not: it keeps per-server core/gameserver States in memory
-// and calls their RestoreState directly):
+// Two consumers build on it:
 //
 //   - branching sweeps (internal/experiments) run a shared warmup once,
 //     Capture, and fan scenario tails out via sim.RestoreWith;
-//   - the CLI surface: matrix-bench -snapshot/-restore files, and the
-//     protocol's SnapshotRequest/SnapshotData frames, which carry a live
-//     matrix-server's node state as a MarshalNode blob.
+//   - the CLI surface: matrix-bench -snapshot/-restore files.
 package snapshot
 
 import (
@@ -32,13 +32,15 @@ import (
 
 	"matrix/internal/core"
 	"matrix/internal/gameserver"
+	"matrix/internal/nodeblob"
 	"matrix/internal/sim"
 )
 
 // Version is the current snapshot format version. Bump it on any
 // incompatible change to sim.State or the component states it embeds, and
-// add a decoder shim plus a testdata golden for the old version.
-const Version = 1
+// regenerate the testdata golden (plus a decoder shim when the old version's
+// images can be converted faithfully).
+const Version = 2
 
 // ErrVersion reports a snapshot whose format version this build cannot read.
 var ErrVersion = errors.New("snapshot: unsupported format version")
@@ -143,85 +145,10 @@ func ReadFile(path string) (*Snapshot, error) {
 	return Unmarshal(data)
 }
 
-// Node is the wire envelope for one live server's state: what a
-// matrix-server returns for a protocol SnapshotRequest and accepts at boot
-// via -restore. It shares the simulation snapshot's versioning.
-type Node struct {
-	Version int
-	Core    *core.State
-	Game    *gameserver.State
-}
+// MarshalNode and RestoreNode are internal/nodeblob's Marshal and Restore
+// under the names the frozen benchmark/probes.go calls; nothing else does.
+func MarshalNode(c *core.Server, g *gameserver.Server) ([]byte, error) { return nodeblob.Marshal(c, g) }
 
-// MarshalNode captures one Matrix server + game server pair into a
-// deterministic blob. The two components are captured sequentially under
-// their own locks, so on a *live* node the Core and Game sections can
-// straddle an in-flight topology change or migration (the simulator's
-// checkpoints are immune — it captures between ticks). Each section is
-// internally consistent, and the live restore path (RestoreNodeGame)
-// consumes only the Game section, so the skew is observable only to
-// tooling that correlates the two sections of a busy node's dump.
-func MarshalNode(c *core.Server, g *gameserver.Server) ([]byte, error) {
-	cs, err := c.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	gs, err := g.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(Node{Version: Version, Core: cs, Game: gs}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeNode parses a MarshalNode blob, rejecting unknown versions.
-func DecodeNode(blob []byte) (*Node, error) {
-	var n Node
-	if err := json.Unmarshal(blob, &n); err != nil {
-		return nil, fmt.Errorf("snapshot: decode node: %w", err)
-	}
-	if n.Version != Version {
-		return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrVersion, n.Version, Version)
-	}
-	if n.Core == nil || n.Game == nil {
-		return nil, errors.New("snapshot: node blob incomplete")
-	}
-	return &n, nil
-}
-
-// RestoreNode loads a MarshalNode blob into a server pair wholesale — both
-// components, identity included. The components must carry the same
-// ServerID the blob was captured from. Its only caller is the benchmark's
-// snapshot.restore_node_us probe (benchmark/probes.go): a live host that
-// re-registered under a fresh ID uses RestoreNodeGame, and the simulator
-// restores its in-memory checkpoints with RestoreState.
 func RestoreNode(blob []byte, c *core.Server, g *gameserver.Server) error {
-	n, err := DecodeNode(blob)
-	if err != nil {
-		return err
-	}
-	if err := c.RestoreState(n.Core); err != nil {
-		return err
-	}
-	return g.RestoreState(n.Game)
-}
-
-// RestoreNodeGame loads only the game-world state (client avatars and map
-// objects) from a MarshalNode blob into a live game server, keeping the
-// server's current identity, bounds and receive queue. This is the live
-// crash-recovery semantic: a restarted matrix-server re-registers with the
-// MC (topology is always fresh) and re-adopts the world from its last
-// checkpoint; the old queue's packets belong to connections that died with
-// the old process.
-func RestoreNodeGame(blob []byte, g *gameserver.Server) error {
-	n, err := DecodeNode(blob)
-	if err != nil {
-		return err
-	}
-	st := *n.Game
-	st.Bounds = g.Bounds()
-	st.Inbox = nil
-	return g.RestoreState(&st)
+	return nodeblob.Restore(blob, c, g)
 }

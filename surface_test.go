@@ -33,7 +33,7 @@ var surfaceAllow = map[string]string{
 	// excuse nothing; the gate only says when one stops being true.
 	"coordinator.Coordinator.CheckpointSize": "benchmark/fleet.go reads the coordinator.checkpoint_bytes row through it",
 	"gameserver.Server.Process":              "benchmark/probes.go; the program calls ProcessAppend",
-	"snapshot.RestoreNode":                   "benchmark/probes.go; the sim calls RestoreState, live hosts RestoreNodeGame",
+	"snapshot.RestoreNode":                   "benchmark/probes.go's name for nodeblob.Restore, itself probe-only; whoever adopts a blob — live host or simulated server — calls nodeblob.RestoreGame",
 	"spatial.Grid.QueryCircle":               "benchmark/probes.go; the program calls QueryDiscs",
 }
 
