@@ -32,6 +32,10 @@ type Config struct {
 	// Servers is the initial fleet size; the first owns the whole world,
 	// the rest wait as warm spares (default 2).
 	Servers int
+	// Static, when non-empty, pins the i-th server to Static[i] (tiles that
+	// cover World exactly) and makes the fleet that size: several active
+	// servers from the start.
+	Static []geom.Rect
 	// HeartbeatEvery is both the servers' beat cadence and the
 	// coordinator's lease tick (default 10ms).
 	HeartbeatEvery time.Duration
@@ -66,6 +70,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if len(c.Static) > 0 {
+		c.Servers = len(c.Static)
+	}
 	if c.Servers == 0 {
 		c.Servers = 2
 	}
@@ -112,6 +119,7 @@ func New(cfg Config) (*Cluster, error) {
 	nw := transport.NewMemNetwork()
 	mc, err := host.ServeCoordinator(nw, "", coordinator.Config{
 		World:          cfg.World,
+		Static:         cfg.Static,
 		HeartbeatEvery: cfg.HeartbeatEvery,
 		LeaseMisses:    cfg.LeaseMisses,
 		Clock:          cfg.Clock,
@@ -255,6 +263,10 @@ func (c *Cluster) Kill(sid id.ServerID) error {
 	}
 	return h.Close()
 }
+
+// KillCoordinator takes the coordinator down the same way. Nothing restarts
+// it; MC() goes on answering with the state it died in.
+func (c *Cluster) KillCoordinator() error { return c.mc.Close() }
 
 // Zombie pauses (or resumes) a server's heartbeats while keeping its
 // connections alive — the partitioned-but-running failure mode. The

@@ -164,6 +164,15 @@ func deliver(c id.ClientID, msgs ...protocol.Message) []gameserver.Envelope {
 	return envs
 }
 
+// routeGame collects client deliveries into eg as the live tick's sink does
+// into the host's own egress (ServerHost.ToClient), so a test can fill an
+// egress the running tick loop does not share.
+func (h *ServerHost) routeGame(envs []gameserver.Envelope, eg *egress) {
+	for _, e := range envs {
+		h.collectClient(e.Client, e.Msg, eg)
+	}
+}
+
 // update is a game update from client `from` with a recognisable Seq.
 func update(from id.ClientID, seq id.PacketSeq) *protocol.GameUpdate {
 	return &protocol.GameUpdate{Client: from, Seq: seq, Kind: protocol.KindMove, Origin: geom.Pt(100, 100), Dest: geom.Pt(101, 100)}

@@ -15,10 +15,9 @@ import (
 	"matrix/internal/load"
 	"matrix/internal/metrics"
 	"matrix/internal/middleware"
+	"matrix/internal/node"
 	"matrix/internal/nodeblob"
-	"matrix/internal/policy"
 	"matrix/internal/protocol"
-	"matrix/internal/scratch"
 	"matrix/internal/trace"
 	"matrix/internal/transport"
 )
@@ -111,25 +110,28 @@ func (c ServerConfig) sanitized() ServerConfig {
 	return c
 }
 
-// ServerHost runs one Matrix server with its co-located game server over
-// real transports.
+// ServerHost runs one node (internal/node: a Matrix server, its co-located
+// game server, the admission chain) over real transports. What a server does
+// with a message is the node's; the host owns the sockets, when the node ticks
+// and where its envelopes go.
 type ServerHost struct {
 	cfg    ServerConfig
-	core   *core.Server
-	gs     *gameserver.Server
+	node   *node.Node
 	mcConn transport.Conn
 	ln     transport.Listener
 
-	mw      *middleware.Chain // nil when no chain is configured
-	started time.Time         // epoch of the middleware clock
+	started time.Time // epoch of the middleware clock
 
 	// Observability: tr mirrors cfg.Tracer (nil = off); treg holds the
 	// tick-phase histograms, populated only while tracing and reset on
 	// every /metrics scrape so the raw-sample store stays bounded; mcDown
-	// flips when the coordinator connection dies (readiness signal).
-	tr     *trace.Tracer
-	treg   *metrics.Registry
-	mcDown atomic.Bool
+	// flips when the coordinator connection dies (readiness signal) and
+	// mcUnsent counts what the tick goroutine has withheld from it since
+	// (see toMC).
+	tr       *trace.Tracer
+	treg     *metrics.Registry
+	mcDown   atomic.Bool
+	mcUnsent atomic.Uint64
 
 	mu      sync.Mutex
 	peers   map[string]transport.Conn // outbound, keyed by dial address
@@ -152,14 +154,13 @@ type ServerHost struct {
 	ingress      []ingressMsg
 	ingressSpare []ingressMsg
 
-	// tickLoop-owned scratch (no locking): the per-tick envelope buffers
-	// and the tick's outbound traffic, flushed as one frame per connection
-	// per tick.
-	tickEnvs     scratch.Buf[gameserver.Envelope]
-	tickCoreEnvs scratch.Buf[core.Envelope]
-	out          *egress
+	// tickLoop-owned (no locking): what the node's last step or load report
+	// emitted, and the tick's outbound traffic, flushed as one frame per
+	// connection per tick.
+	stepped node.Out
+	out     *egress
 
-	// Health state. adoptBuf/ticks/cpTick are tick-goroutine owned (Adopt
+	// Health state. ticks/cpTick are written by the tick goroutine (Adopt
 	// frames and the checkpoint ticker both run there).
 	beatsPaused atomic.Bool // test hook: simulate a zombie (alive, silent)
 	// A drain is one cycle, owned by the tick goroutine: a grant starts the
@@ -171,9 +172,8 @@ type ServerHost struct {
 	drainEvent            chan bool                     // one send per finished cycle: did its grant ask for exit
 	drainExit             atomic.Bool                   // the grant asked for exit instead of re-pooling
 	drainReply            chan *protocol.DrainReply
-	// adoptBuf accumulates the chunked Adopt blob; adoptDrops counts streams
-	// dropped for outgrowing protocol.MaxBlobSize.
-	adoptBuf   protocol.Reassembler
+	// adoptDrops counts Adopt streams dropped for outgrowing
+	// protocol.MaxBlobSize.
 	adoptDrops atomic.Uint64
 	ticks      atomic.Uint64 // game ticks processed (atomic: /metrics reads it)
 	// ingressDrops and backlogDrops count the messages the two bounded
@@ -210,13 +210,6 @@ func (h *ServerHost) wakeTick() {
 // StartServer registers with the MC and brings the pumps up.
 func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	cfg = cfg.sanitized()
-	var mw *middleware.Chain
-	if cfg.Middleware.Enabled() {
-		var err error
-		if mw, err = middleware.New(cfg.Middleware); err != nil {
-			return nil, err
-		}
-	}
 	ln, err := cfg.Network.Listen(cfg.ListenAddr)
 	if err != nil {
 		return nil, err
@@ -245,21 +238,14 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		return nil, fmt.Errorf("host: unexpected registration reply %v", first.MsgType())
 	}
 
-	pol, err := policy.New(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := core.NewServer(core.Config{Load: cfg.Load, Policy: pol}, reply, cfg.Radius)
-	if err != nil {
-		return nil, err
-	}
-	gs, err := gameserver.New(gameserver.Config{
-		Server:       reply.Server,
-		Bounds:       reply.Bounds,
-		Radius:       cfg.Radius,
-		MaxQueue:     cfg.MaxQueue,
-		ResolveOwner: cs.ResolveOwner,
-	})
+	// The policy clock stays the wall clock (nil).
+	nd, err := node.New(node.Config{
+		Load:       cfg.Load,
+		Policy:     cfg.Policy,
+		Radius:     cfg.Radius,
+		MaxQueue:   cfg.MaxQueue,
+		Middleware: cfg.Middleware,
+	}, reply)
 	if err != nil {
 		return nil, err
 	}
@@ -267,18 +253,16 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	// Boot-time restore runs before any pump starts: no client can have
 	// joined yet, so the adopted world can never wipe a live session.
 	if cfg.Restore != nil {
-		if err := nodeblob.RestoreGame(cfg.Restore, gs); err != nil {
+		if err := nodeblob.RestoreGame(cfg.Restore, nd.Game); err != nil {
 			return nil, fmt.Errorf("host: restore snapshot: %w", err)
 		}
 	}
 
 	h := &ServerHost{
 		cfg:        cfg,
-		core:       cs,
-		gs:         gs,
+		node:       nd,
 		mcConn:     mcConn,
 		ln:         ln,
-		mw:         mw,
 		tr:         cfg.Tracer,
 		treg:       metrics.NewRegistry(),
 		started:    time.Now(),
@@ -297,7 +281,7 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	}
 	h.rearmDrain()
 	if h.tr != nil {
-		h.tr.NameProcess(hostTracePid, cs.ID().String())
+		h.tr.NameProcess(hostTracePid, nd.Core.ID().String())
 		h.tr.NameThread(hostTracePid, hostTraceTidTick, "tick")
 		h.tr.NameThread(hostTracePid, hostTraceTidNet, "net")
 	}
@@ -305,26 +289,26 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	go h.mcLoop()
 	go h.acceptLoop()
 	go h.tickLoop()
-	cfg.Logger.Printf("server %v up at %s (bounds %v)", cs.ID(), ln.Addr(), cs.Bounds())
+	cfg.Logger.Printf("server %v up at %s (bounds %v)", nd.Core.ID(), ln.Addr(), nd.Core.Bounds())
 	return h, nil
 }
 
 // ID returns the Matrix server's identity.
-func (h *ServerHost) ID() id.ServerID { return h.core.ID() }
+func (h *ServerHost) ID() id.ServerID { return h.node.Core.ID() }
 
 // Addr returns the listener address.
 func (h *ServerHost) Addr() string { return h.ln.Addr() }
 
 // Core exposes the Matrix server (status tooling).
-func (h *ServerHost) Core() *core.Server { return h.core }
+func (h *ServerHost) Core() *core.Server { return h.node.Core }
 
 // Game exposes the game server (status tooling).
-func (h *ServerHost) Game() *gameserver.Server { return h.gs }
+func (h *ServerHost) Game() *gameserver.Server { return h.node.Game }
 
 // Snapshot dumps this node's complete state (Matrix server + game server)
 // as a versioned blob — the payload of a protocol SnapshotData stream.
 func (h *ServerHost) Snapshot() ([]byte, error) {
-	return nodeblob.Marshal(h.core, h.gs)
+	return nodeblob.Marshal(h.node.Core, h.node.Game)
 }
 
 // sendSnapshot streams a snapshot blob as SnapshotData frames, the last one
@@ -347,7 +331,7 @@ func sendSnapshot(conn transport.Conn, blob []byte) error {
 // world wholesale, dropping the avatar of any client that joined since
 // the blob was captured (it stays connected and must rejoin).
 func (h *ServerHost) RestoreSnapshot(blob []byte) error {
-	return nodeblob.RestoreGame(blob, h.gs)
+	return nodeblob.RestoreGame(blob, h.node.Game)
 }
 
 // Close stops the host and waits for its goroutines.
@@ -376,8 +360,8 @@ func (h *ServerHost) Close() error {
 		_ = c.Close()
 	}
 	h.wg.Wait()
-	if h.mw != nil {
-		h.mw.Close()
+	if h.node.MW != nil {
+		h.node.MW.Close()
 	}
 	return err
 }
@@ -399,7 +383,7 @@ func (h *ServerHost) ServeMetrics(addr string) (string, io.Closer, error) {
 // only while tracing) are reset after rendering, so a scrape reports the
 // ticks since the last one (traceTick bounds them when nobody scrapes).
 func (h *ServerHost) writeMetrics(w io.Writer) {
-	rep := h.gs.LoadReport()
+	rep := h.node.Game.LoadReport()
 	fmt.Fprintf(w, "# TYPE matrix_server_clients gauge\nmatrix_server_clients %d\n", rep.Clients)
 	fmt.Fprintf(w, "# TYPE matrix_server_queue_len gauge\nmatrix_server_queue_len %d\n", rep.QueueLen)
 	h.mu.Lock()
@@ -407,13 +391,14 @@ func (h *ServerHost) writeMetrics(w io.Writer) {
 	h.mu.Unlock()
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_conns gauge\nmatrix_server_peer_conns %d\n", peers)
 	fmt.Fprintf(w, "# TYPE matrix_server_ticks counter\nmatrix_server_ticks %d\n", h.ticks.Load())
-	fmt.Fprintf(w, "# TYPE matrix_server_processed_total counter\nmatrix_server_processed_total %d\n", h.gs.Stats().Processed)
+	fmt.Fprintf(w, "# TYPE matrix_server_processed_total counter\nmatrix_server_processed_total %d\n", h.node.Game.Stats().Processed)
 	fmt.Fprintf(w, "# TYPE matrix_server_adopt_overflows_total counter\nmatrix_server_adopt_overflows_total %d\n", h.adoptDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_checkpoint_oversize_total counter\nmatrix_server_checkpoint_oversize_total %d\n", h.cpOversize.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_ingress_overflows_total counter\nmatrix_server_ingress_overflows_total %d\n", h.ingressDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_backlog_drops_total counter\nmatrix_server_peer_backlog_drops_total %d\n", h.backlogDrops.Load())
-	if h.mw != nil {
-		h.mw.Stats().WritePrometheus(w)
+	fmt.Fprintf(w, "# TYPE matrix_server_mc_unsent_total counter\nmatrix_server_mc_unsent_total %d\n", h.mcUnsent.Load())
+	if h.node.MW != nil {
+		h.node.MW.Stats().WritePrometheus(w)
 	}
 	if h.tr != nil {
 		metrics.WritePrometheus(w, h.treg)
@@ -434,7 +419,7 @@ func (h *ServerHost) logDrops() {
 		return
 	}
 	h.dropsLogged = in + bl
-	h.cfg.Logger.Printf("server %v: bounded queues dropping: %d ingress message(s) (funnel full), %d peer message(s) (dial backlog full) in total", h.core.ID(), in, bl)
+	h.cfg.Logger.Printf("server %v: bounded queues dropping: %d ingress message(s) (funnel full), %d peer message(s) (dial backlog full) in total", h.node.Core.ID(), in, bl)
 }
 
 // mcLoop pumps coordinator messages into the ingress funnel; the tick
@@ -444,13 +429,41 @@ func (h *ServerHost) mcLoop() {
 	for {
 		m, err := h.mcConn.Recv()
 		if err != nil {
-			// Losing the MC link means no more range updates or drain
-			// grants can arrive: flag it so /readyz flips to 503.
-			h.mcDown.Store(true)
+			select {
+			case <-h.done: // our own Close
+			default:
+				h.mcLost(err)
+			}
 			return
 		}
 		h.enqueueIngress(id.None, m)
 	}
+}
+
+// mcLost flags the coordinator link as dead, once: no more range updates or
+// drain grants can arrive, so /readyz flips to 503, and toMC stops writing to
+// it. Nothing redials (ROADMAP item 2b).
+func (h *ServerHost) mcLost(err error) {
+	if h.mcDown.CompareAndSwap(false, true) {
+		h.cfg.Logger.Printf("server %v: coordinator connection lost: %v; still serving clients and peers, what is bound for the coordinator is withheld and counted from here on", h.node.Core.ID(), err)
+	}
+}
+
+// toMC is the tick goroutine's one way to the coordinator — lease renewals,
+// checkpoint chunks, everything the core addresses to it — and reports whether
+// m went out. A send error is the link's (nothing bound there can fail to
+// encode). Once the link is down it writes nothing and says nothing: the loss
+// was logged when it happened, what is withheld is counted (mcUnsent).
+func (h *ServerHost) toMC(m protocol.Message) bool {
+	if !h.mcDown.Load() {
+		err := h.mcConn.Send(m)
+		if err == nil {
+			return true
+		}
+		h.mcLost(err)
+	}
+	h.mcUnsent.Add(1)
+	return false
 }
 
 // ingressMsg is one coordinator- or peer-originated message awaiting the
@@ -495,14 +508,12 @@ func (h *ServerHost) drainIngress(eg *egress) {
 			// with the coordinator trace's departure instant (see corr.go).
 			traceCorr(h.tr, hostTracePid, hostTraceTidTick, im.msg)
 		}
-		// Health frames are host-level concerns the Matrix core never
-		// sees; intercepting them here (on the tick goroutine, in arrival
-		// order) guarantees an Adopt restore lands before the activating
-		// RangeUpdate that follows it on the MC connection.
+		// Drain frames are the host's own cycle; the node never sees them.
+		// Everything else is the node's, on the tick goroutine and in
+		// arrival order — which is what lets it restore an Adopt's world
+		// before the activating RangeUpdate that follows it on the MC
+		// connection.
 		switch m := im.msg.(type) {
-		case *protocol.Adopt:
-			h.handleAdopt(m)
-			continue
 		case *protocol.DrainReply:
 			select {
 			case h.drainReply <- m:
@@ -516,11 +527,13 @@ func (h *ServerHost) drainIngress(eg *egress) {
 		if h.tr != nil {
 			h.tracePeerHandle(im.msg)
 		}
-		envs, err := h.core.HandleMessage(im.from, im.msg)
-		if err != nil {
-			h.cfg.Logger.Printf("server %v: message %v: %v", h.core.ID(), im.msg.MsgType(), err)
+		envs, adoption, err := h.node.Handle(im.from, im.msg)
+		if a, isAdopt := im.msg.(*protocol.Adopt); isAdopt {
+			h.logAdopt(a, adoption, err)
+		} else if err != nil {
+			h.cfg.Logger.Printf("server %v: message %v: %v", h.node.Core.ID(), im.msg.MsgType(), err)
 		}
-		if h.drainDone && h.core.Active() {
+		if h.drainDone && h.node.Core.Active() {
 			h.rearmDrain()
 		}
 		h.routeCore(envs, eg)
@@ -558,11 +571,11 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		h.serveClient(conn, m)
 	case *protocol.SnapshotRequest:
 		// Operator dump: stream this node's full state and close.
-		blob, err := nodeblob.Marshal(h.core, h.gs)
+		blob, err := nodeblob.Marshal(h.node.Core, h.node.Game)
 		if err != nil {
-			h.cfg.Logger.Printf("server %v: snapshot: %v", h.core.ID(), err)
+			h.cfg.Logger.Printf("server %v: snapshot: %v", h.node.Core.ID(), err)
 		} else if err := sendSnapshot(conn, blob); err != nil {
-			h.cfg.Logger.Printf("server %v: snapshot send: %v", h.core.ID(), err)
+			h.cfg.Logger.Printf("server %v: snapshot send: %v", h.node.Core.ID(), err)
 		}
 		_ = conn.Close()
 	case *protocol.Forward, *protocol.StateTransfer:
@@ -579,7 +592,7 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		delete(h.inbound, conn)
 		h.mu.Unlock()
 	default:
-		h.cfg.Logger.Printf("server %v: unexpected first message %v", h.core.ID(), m.MsgType())
+		h.cfg.Logger.Printf("server %v: unexpected first message %v", h.node.Core.ID(), m.MsgType())
 		_ = conn.Close()
 	}
 }
@@ -589,21 +602,12 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 // before the connection is even registered, and per-frame judging reuses
 // one Request so the steady-state path does not allocate.
 func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHello) {
-	var req middleware.Request
-	if h.mw != nil {
-		req = middleware.Request{
-			Source:   middleware.SourceClient,
-			Client:   hello.Client,
-			Msg:      hello,
-			Now:      h.clockSeconds(),
-			QueueLen: h.gs.QueueLen(),
-		}
-		if v := h.mw.Handle(&req); !v.Admitted() {
-			h.cfg.Logger.Printf("server %v: client %v hello rejected: %v", h.core.ID(), hello.Client, v)
-			_ = conn.Send(&protocol.ErrorMsg{Of: protocol.TypeClientHello, Reason: "middleware: " + v.String()})
-			_ = conn.Close()
-			return
-		}
+	req := middleware.Request{Source: middleware.SourceClient, Client: hello.Client, Msg: hello, Now: h.clockSeconds()}
+	if v := h.node.Admit(&req); !v.Admitted() {
+		h.cfg.Logger.Printf("server %v: client %v hello rejected: %v", h.node.Core.ID(), hello.Client, v)
+		_ = conn.Send(&protocol.ErrorMsg{Of: protocol.TypeClientHello, Reason: "middleware: " + v.String()})
+		_ = conn.Close()
+		return
 	}
 
 	h.mu.Lock()
@@ -619,8 +623,8 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 	delete(h.evict, hello.Client)
 	h.mu.Unlock()
 
-	if err := h.gs.Enqueue(hello); err != nil {
-		h.cfg.Logger.Printf("server %v: join %v dropped: %v", h.core.ID(), hello.Client, err)
+	if err := h.node.Game.Enqueue(hello); err != nil {
+		h.cfg.Logger.Printf("server %v: join %v dropped: %v", h.node.Core.ID(), hello.Client, err)
 	}
 	h.wakeTick()
 	for {
@@ -629,19 +633,15 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 			h.dropClient(hello.Client, conn)
 			return
 		}
-		if h.mw != nil {
-			req.Msg = m
-			req.Now = h.clockSeconds()
-			req.QueueLen = h.gs.QueueLen()
-			if !h.mw.Handle(&req).Admitted() {
-				continue // judged and counted; the frame is simply not delivered
-			}
+		req.Msg, req.Now = m, h.clockSeconds()
+		if !h.node.Admit(&req).Admitted() {
+			continue // judged and counted; the frame is simply not delivered
 		}
 		if h.tr != nil {
 			h.tracePacketIn(m)
 		}
-		if err := h.gs.Enqueue(m); err != nil && err != gameserver.ErrQueueOverflow {
-			h.cfg.Logger.Printf("server %v: client %v: %v", h.core.ID(), hello.Client, err)
+		if err := h.node.Game.Enqueue(m); err != nil && err != gameserver.ErrQueueOverflow {
+			h.cfg.Logger.Printf("server %v: client %v: %v", h.node.Core.ID(), hello.Client, err)
 		}
 		h.wakeTick()
 	}
@@ -660,17 +660,9 @@ func (h *ServerHost) servePeer(conn transport.Conn, first protocol.Message) {
 		case *protocol.StateTransfer:
 			from = pm.From
 		}
-		if h.mw != nil {
-			req = middleware.Request{
-				Source:   middleware.SourcePeer,
-				Peer:     from,
-				Msg:      m,
-				Now:      h.clockSeconds(),
-				QueueLen: h.gs.QueueLen(),
-			}
-			if !h.mw.Handle(&req).Admitted() {
-				return
-			}
+		req = middleware.Request{Source: middleware.SourcePeer, Peer: from, Msg: m, Now: h.clockSeconds()}
+		if !h.node.Admit(&req).Admitted() {
+			return
 		}
 		h.enqueueIngress(from, m)
 	}
@@ -721,18 +713,8 @@ func (h *ServerHost) tickLoop() {
 		case <-h.done:
 			return
 		case <-beatC:
-			if h.beatsPaused.Load() {
-				continue
-			}
-			rep := h.gs.LoadReport()
-			hb := &protocol.Heartbeat{
-				Server:         h.core.ID(),
-				Clients:        rep.Clients,
-				QueueLen:       rep.QueueLen,
-				CheckpointTick: h.cpTick.Load(),
-			}
-			if err := h.mcConn.Send(hb); err != nil {
-				h.cfg.Logger.Printf("server %v: heartbeat: %v", h.core.ID(), err)
+			if !h.beatsPaused.Load() {
+				h.toMC(h.node.Heartbeat(h.cpTick.Load()))
 			}
 		case <-cpC:
 			h.shipCheckpoint()
@@ -751,22 +733,19 @@ func (h *ServerHost) tickLoop() {
 			// ahead of whatever redirects the game server emits below.
 			h.drainIngress(h.out)
 			t1 := h.tr.Now()
-			served, envs := h.gs.Stats().Processed, h.tickEnvs.Take()
-			if n := int(budget); n > 0 { // ProcessAppend reads 0 as "no limit"
-				var err error
-				if envs, err = h.gs.ProcessAppend(envs, n); err != nil {
-					h.cfg.Logger.Printf("server %v: process: %v", h.core.ID(), err)
-				}
+			served := h.node.Game.Stats().Processed
+			if n := int(budget); n > 0 { // Step reads 0 as "no limit"
+				h.node.Step(n, &h.stepped)
+				h.logStepErrs("game->matrix")
 			}
-			st := h.gs.Stats()
+			st := h.node.Game.Stats()
 			budget -= float64(st.Processed - served)
 			if st.QueueLen > 0 {
 				h.wakeTick() // what the budget left behind is served as it accrues
 			}
 			t2 := h.tr.Now()
-			h.routeGame(envs, h.out)
+			h.stepped.Route(h) // empty when nothing was stepped: Route leaves it so
 			h.flush(h.out)
-			h.tickEnvs.Done(envs)
 			h.evictDropped()
 			h.settleDrain(now)
 			h.logDrops()
@@ -774,19 +753,36 @@ func (h *ServerHost) tickLoop() {
 				h.traceTick(t0, t1, t2, h.tr.Now())
 			}
 		case <-report.C:
-			rep := h.gs.LoadReport()
-			envs, err := h.core.HandleLocalLoad(int(rep.Clients), int(rep.QueueLen))
-			if err != nil {
-				h.cfg.Logger.Printf("server %v: load report: %v", h.core.ID(), err)
-				continue
-			}
+			h.node.LoadReport(&h.stepped)
+			h.logStepErrs("load report")
 			// Batched and flushed like the game tick: a one-message batch
 			// frames byte-identically to a plain send.
-			h.routeCore(envs, h.out)
+			h.stepped.Route(h)
 			h.flush(h.out)
 		}
 	}
 }
+
+// logStepErrs reports what the node's last step or load report ran into: the
+// game server's first processing error, and (as what) every message the Matrix
+// server refused — an inactive one legitimately rejects packets in flight
+// across a topology change. Tick goroutine, before the Route.
+func (h *ServerHost) logStepErrs(what string) {
+	if err := h.stepped.GameErr; err != nil {
+		h.cfg.Logger.Printf("server %v: process: %v", h.node.Core.ID(), err)
+	}
+	for _, err := range h.stepped.CoreErrs {
+		h.cfg.Logger.Printf("server %v: %s: %v", h.node.Core.ID(), what, err)
+	}
+}
+
+// ToClient and FromCore are the node.Sink of the live tick: everything the
+// node emitted is collected into the tick's egress for the flush behind it.
+func (h *ServerHost) ToClient(_ *node.Node, c id.ClientID, m protocol.Message) {
+	h.collectClient(c, m, h.out)
+}
+
+func (h *ServerHost) FromCore(_ *node.Node, envs []core.Envelope) { h.routeCore(envs, h.out) }
 
 // routeCore delivers a Matrix server's envelopes. Peer-bound messages are
 // collected into eg (keyed by dial address) for a later flush instead of
@@ -796,12 +792,10 @@ func (h *ServerHost) routeCore(envs []core.Envelope, eg *egress) {
 	for _, e := range envs {
 		switch e.Dest {
 		case core.DestCoordinator:
-			if err := h.mcConn.Send(e.Msg); err != nil {
-				h.cfg.Logger.Printf("server %v: mc send: %v", h.core.ID(), err)
-			}
+			h.toMC(e.Msg)
 		case core.DestGameServer:
-			if err := h.gs.Enqueue(e.Msg); err != nil && err != gameserver.ErrQueueOverflow {
-				h.cfg.Logger.Printf("server %v: enqueue: %v", h.core.ID(), err)
+			if err := h.node.Game.Enqueue(e.Msg); err != nil && err != gameserver.ErrQueueOverflow {
+				h.cfg.Logger.Printf("server %v: enqueue: %v", h.node.Core.ID(), err)
 			}
 			h.wakeTick()
 		case core.DestPeer:
@@ -809,7 +803,7 @@ func (h *ServerHost) routeCore(envs []core.Envelope, eg *egress) {
 				h.tracePeerForward(e.Msg)
 			}
 			if e.Addr == "" {
-				h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.core.ID(), e.Msg.MsgType())
+				h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.node.Core.ID(), e.Msg.MsgType())
 				continue
 			}
 			eg.peers[e.Addr] = append(eg.peers[e.Addr], e.Msg)
@@ -817,57 +811,30 @@ func (h *ServerHost) routeCore(envs []core.Envelope, eg *egress) {
 	}
 }
 
-// routeGame delivers a game server's envelopes, collecting peer-bound
-// fallout (see routeCore) and client deliveries into eg for a later flush.
-func (h *ServerHost) routeGame(envs []gameserver.Envelope, eg *egress) {
-	for _, e := range envs {
-		switch e.Dest {
-		case gameserver.DestMatrix:
-			// Game updates — the dominant message — route through a
-			// tickLoop-owned reused buffer; routeCore consumes it fully
-			// (enqueue/collect, never re-entering this core) before the
-			// next envelope.
-			var out []core.Envelope
-			var err error
-			reused := false
-			if u, isUpdate := e.Msg.(*protocol.GameUpdate); isUpdate {
-				out, err = h.core.AppendGameUpdate(h.tickCoreEnvs.Take(), u)
-				reused = true
-			} else {
-				out, err = h.core.HandleMessage(id.None, e.Msg)
-			}
-			if err != nil {
-				h.cfg.Logger.Printf("server %v: game->matrix: %v", h.core.ID(), err)
-			} else {
-				h.routeCore(out, eg)
-			}
-			if reused {
-				h.tickCoreEnvs.Done(out)
-			}
-		case gameserver.DestClient:
-			h.mu.Lock()
-			conn, ok := h.clients[e.Client]
-			h.mu.Unlock()
-			if !ok {
-				continue // client disconnected; deliveries are best-effort
-			}
-			co := eg.clients[conn]
-			if co == nil {
-				if n := len(eg.free); n > 0 {
-					co, eg.free = eg.free[n-1], eg.free[:n-1]
-				} else {
-					co = &clientOut{msgs: make([]protocol.Message, 0, newOutboxCap)}
-				}
-				co.client = e.Client
-				eg.clients[conn] = co
-			}
-			co.msgs = append(co.msgs, e.Msg)
-		}
+// collectClient puts one client delivery into eg for a later flush, on the
+// connection the client holds now.
+func (h *ServerHost) collectClient(c id.ClientID, m protocol.Message, eg *egress) {
+	h.mu.Lock()
+	conn, ok := h.clients[c]
+	h.mu.Unlock()
+	if !ok {
+		return // client disconnected; deliveries are best-effort
 	}
+	co := eg.clients[conn]
+	if co == nil {
+		if n := len(eg.free); n > 0 {
+			co, eg.free = eg.free[n-1], eg.free[:n-1]
+		} else {
+			co = &clientOut{msgs: make([]protocol.Message, 0, newOutboxCap)}
+		}
+		co.client = c
+		eg.clients[conn] = co
+	}
+	co.msgs = append(co.msgs, m)
 }
 
 // egress is one tick's outbound traffic, collected per connection by
-// routeCore and routeGame and written by flush; entries and their slices are
+// routeCore and collectClient and written by flush; entries and their slices are
 // reused across ticks. Clients are keyed by connection, not ID: a reconnect
 // before the flush must not inherit the old socket's frames. An entry whose
 // pump has exited moves to free (see evictDropped) for the next connection to
@@ -986,7 +953,7 @@ func (h *ServerHost) dialPeer(addr string) {
 		n := len(h.dialing[addr])
 		delete(h.dialing, addr)
 		h.mu.Unlock()
-		h.cfg.Logger.Printf("server %v: dial peer %s: %v (dropped %d queued message(s))", h.core.ID(), addr, err, n)
+		h.cfg.Logger.Printf("server %v: dial peer %s: %v (dropped %d queued message(s))", h.node.Core.ID(), addr, err, n)
 		return
 	}
 	for {
@@ -1054,19 +1021,19 @@ func (h *ServerHost) sendPeerConn(addr string, conn transport.Conn, msgs []proto
 		// healthy, and batch encoding is all-or-nothing, so salvage the
 		// tick by sending individually — only the offending message is
 		// lost, matching the old per-message path's isolation.
-		h.cfg.Logger.Printf("server %v: batch to peer %s: %v; retrying individually", h.core.ID(), addr, err)
+		h.cfg.Logger.Printf("server %v: batch to peer %s: %v; retrying individually", h.node.Core.ID(), addr, err)
 		for _, m := range msgs {
 			if err = conn.Send(m); err != nil {
 				if errors.Is(err, transport.ErrClosed) {
 					break
 				}
-				h.cfg.Logger.Printf("server %v: dropping %v to peer %s: %v", h.core.ID(), m.MsgType(), addr, err)
+				h.cfg.Logger.Printf("server %v: dropping %v to peer %s: %v", h.node.Core.ID(), m.MsgType(), addr, err)
 				err = nil
 			}
 		}
 	}
 	if errors.Is(err, transport.ErrClosed) {
-		h.cfg.Logger.Printf("server %v: peer %s connection lost: %v", h.core.ID(), addr, err)
+		h.cfg.Logger.Printf("server %v: peer %s connection lost: %v", h.node.Core.ID(), addr, err)
 		h.mu.Lock()
 		if h.peers[addr] == conn {
 			delete(h.peers, addr)
@@ -1076,53 +1043,45 @@ func (h *ServerHost) sendPeerConn(addr string, conn transport.Conn, msgs []proto
 	}
 }
 
-// handleAdopt accumulates a chunked Adopt stream and, on the final chunk,
-// restores the victim's world into this node's game server. Runs on the
-// tick goroutine via drainIngress, so the restore strictly precedes the
-// activating RangeUpdate the MC sends next on the same connection.
-func (h *ServerHost) handleAdopt(m *protocol.Adopt) {
-	blob, done, err := h.adoptBuf.Add(m.Blob, m.Final)
-	if err != nil {
+// logAdopt reports what the node made of one Adopt frame: a stream dropped
+// for outgrowing protocol.MaxBlobSize (counted), a checkpoint that would not
+// restore, or — on the last chunk — the adoption itself.
+func (h *ServerHost) logAdopt(m *protocol.Adopt, adoption node.Adoption, err error) {
+	switch {
+	case errors.Is(err, protocol.ErrBlobTooLarge):
 		h.adoptDrops.Add(1)
-		h.cfg.Logger.Printf("server %v: adopt stream for %v's region dropped: %v", h.core.ID(), m.Victim, err)
-	}
-	if !done {
-		return
-	}
-	if len(blob) == 0 {
+		h.cfg.Logger.Printf("server %v: adopt stream for %v's region dropped: %v", h.node.Core.ID(), m.Victim, err)
+	case err != nil:
+		h.cfg.Logger.Printf("server %v: adopt restore of %v's checkpoint: %v", h.node.Core.ID(), m.Victim, err)
+	case adoption.Done && adoption.Bytes == 0:
 		h.cfg.Logger.Printf("server %v: cold-adopting %v's region %v (no checkpoint: world starts empty)",
-			h.core.ID(), m.Victim, m.Bounds)
-		return
+			h.node.Core.ID(), m.Victim, m.Bounds)
+	case adoption.Done:
+		h.cfg.Logger.Printf("server %v: adopted %v's region %v from checkpoint (%d bytes)",
+			h.node.Core.ID(), m.Victim, m.Bounds, adoption.Bytes)
 	}
-	if err := nodeblob.RestoreGame(blob, h.gs); err != nil {
-		h.cfg.Logger.Printf("server %v: adopt restore of %v's checkpoint: %v", h.core.ID(), m.Victim, err)
-		return
-	}
-	h.cfg.Logger.Printf("server %v: adopted %v's region %v from checkpoint (%d bytes)",
-		h.core.ID(), m.Victim, m.Bounds, len(blob))
 }
 
-// shipCheckpoint streams this node's full state to the MC as SnapshotData
-// chunks — the blob a warm spare restores if this node dies. Spares ship
-// nothing: they own no world. Nor does a blob over protocol.MaxBlobSize, which
-// the coordinator would drop: counted, and reported by /readyz. Tick goroutine.
+// shipCheckpoint streams the node's checkpoint to the MC as SnapshotData
+// chunks, when it has one to ship. A state over protocol.MaxBlobSize does not:
+// counted, and reported by /readyz. Tick goroutine.
 func (h *ServerHost) shipCheckpoint() {
-	if !h.core.Active() {
-		return
-	}
-	blob, err := nodeblob.Checkpoint(h.core, h.gs)
+	blob, err := h.node.Checkpoint()
 	oversize := errors.Is(err, nodeblob.ErrOversize)
 	h.cpTooBig.Store(oversize)
 	if err != nil {
 		if oversize {
 			h.cpOversize.Add(1)
 		}
-		h.cfg.Logger.Printf("server %v: checkpoint: %v", h.core.ID(), err)
-		return
+		h.cfg.Logger.Printf("server %v: checkpoint: %v", h.node.Core.ID(), err)
 	}
-	if err := sendSnapshot(h.mcConn, blob); err != nil {
-		h.cfg.Logger.Printf("server %v: checkpoint ship: %v", h.core.ID(), err)
-		return
+	if blob == nil {
+		return // a spare, or a state too big to ship
+	}
+	for chunk, final := range protocol.Chunks(blob) {
+		if !h.toMC(&protocol.SnapshotData{Blob: chunk, Final: final}) {
+			return
+		}
 	}
 	h.cpTick.Store(h.ticks.Load())
 }
@@ -1161,7 +1120,7 @@ func (h *ServerHost) settleDrain(now time.Time) {
 	pending := len(h.dialing)
 	h.mu.Unlock()
 	switch {
-	case h.core.Active() || h.gs.ClientCount() != 0 || pending != 0:
+	case h.node.Core.Active() || h.node.Game.ClientCount() != 0 || pending != 0:
 		h.drainSince = time.Time{}
 	case h.drainSince.IsZero():
 		h.drainSince = now
@@ -1172,7 +1131,7 @@ func (h *ServerHost) settleDrain(now time.Time) {
 		case h.drainEvent <- h.drainExit.Load():
 		default: // nobody reads them: the host is embedded, not a process
 		}
-		h.cfg.Logger.Printf("server %v: drained (exit=%v)", h.core.ID(), h.drainExit.Load())
+		h.cfg.Logger.Printf("server %v: drained (exit=%v)", h.node.Core.ID(), h.drainExit.Load())
 	}
 }
 
@@ -1188,7 +1147,7 @@ func (h *ServerHost) rearmDrain() {
 // good — the caller should Close it once Drain returns — otherwise it
 // re-joins the MC's spare pool and keeps serving.
 func (h *ServerHost) Drain(exit bool, timeout time.Duration) error {
-	if err := h.mcConn.Send(&protocol.DrainRequest{Server: h.core.ID(), Exit: exit}); err != nil {
+	if err := h.mcConn.Send(&protocol.DrainRequest{Server: h.node.Core.ID(), Exit: exit}); err != nil {
 		return fmt.Errorf("host: drain request: %w", err)
 	}
 	deadline := time.NewTimer(timeout)
@@ -1229,7 +1188,7 @@ func (h *ServerHost) DrainEvents() <-chan bool { return h.drainEvent }
 // every frame the client sent.
 func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 	_ = conn.Close()
-	st := h.gs.Stats()
+	st := h.node.Game.Stats()
 	h.mu.Lock()
 	h.gone = append(h.gone, conn)
 	current := h.clients[c] == conn
@@ -1238,8 +1197,8 @@ func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 		h.evict[c] = st.Processed + uint64(st.QueueLen)
 	}
 	h.mu.Unlock()
-	if current && h.mw != nil {
-		if l := h.mw.Limiter(); l != nil {
+	if current && h.node.MW != nil {
+		if l := h.node.MW.Limiter(); l != nil {
 			l.Forget(c)
 		}
 	}
@@ -1269,11 +1228,11 @@ func (h *ServerHost) evictDropped() {
 	if len(h.evict) == 0 {
 		return
 	}
-	st := h.gs.Stats()
+	st := h.node.Game.Stats()
 	for c, after := range h.evict {
 		if st.Processed >= after || st.QueueLen == 0 {
 			delete(h.evict, c)
-			h.gs.Evict(c)
+			h.node.Game.Evict(c)
 		}
 	}
 }

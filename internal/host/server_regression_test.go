@@ -432,7 +432,7 @@ func TestMiddlewareAuthAndRateLimitOverWire(t *testing.T) {
 	}); err != ErrNotWelcomed {
 		t.Fatalf("bad-token dial error = %v, want ErrNotWelcomed", err)
 	}
-	if got := h.mw.Stats().AuthFailed.Value(); got != 1 {
+	if got := h.node.MW.Stats().AuthFailed.Value(); got != 1 {
 		t.Fatalf("AuthFailed = %d, want 1", got)
 	}
 
@@ -455,7 +455,7 @@ func TestMiddlewareAuthAndRateLimitOverWire(t *testing.T) {
 		}
 	}
 	waitFor(t, "rate limiting", func() bool {
-		return h.mw.Stats().RateLimited.Value() >= 8
+		return h.node.MW.Stats().RateLimited.Value() >= 8
 	})
 	waitFor(t, "burst echoed", func() bool {
 		return ch.Client().Stats().EchoCount >= 2
@@ -638,9 +638,10 @@ func TestDroppedConnectionEvictsAvatar(t *testing.T) {
 }
 
 // TestAdoptStreamIsBounded: an Adopt stream that never sets Final used to
-// grow adoptBuf without limit. It is now dropped at protocol.MaxBlobSize and
-// counted in /metrics, and the complete stream after it still restores the
-// victim's world.
+// grow the reassembly buffer without limit. It is now dropped at
+// protocol.MaxBlobSize (internal/node's TestHandleAdopt watches the buffer)
+// and counted in /metrics, and the complete stream after it still restores
+// the victim's world.
 func TestAdoptStreamIsBounded(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
@@ -648,8 +649,8 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mc.Close() })
-	// A parked tick loop: the test plays the tick goroutine, which owns
-	// handleAdopt and the game server's inbox.
+	// A parked tick loop: the test plays the tick goroutine, which owns the
+	// ingress funnel and the game server's inbox.
 	h, err := StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, TickInterval: time.Hour, parked: true})
 	if err != nil {
 		t.Fatal(err)
@@ -657,27 +658,25 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 	t.Cleanup(func() { h.Close() })
 
 	// The victim's checkpoint: one avatar.
-	if err := h.gs.Enqueue(&protocol.ClientHello{Client: 7, Pos: geom.Pt(10, 10)}); err != nil {
+	if err := h.node.Game.Enqueue(&protocol.ClientHello{Client: 7, Pos: geom.Pt(10, 10)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.gs.Process(0); err != nil {
+	if _, err := h.node.Game.Process(0); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := h.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.gs.Evict(7)
+	h.node.Game.Evict(7)
 
+	adopt := func(a *protocol.Adopt) {
+		h.enqueueIngress(id.None, a)
+		h.drainIngress(h.out)
+	}
 	chunk := make([]byte, protocol.MaxFrameSize)
 	for sent := 0; sent < 2*protocol.MaxBlobSize; sent += len(chunk) {
-		h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: chunk})
-		if n := h.adoptBuf.Len(); n > protocol.MaxBlobSize {
-			t.Fatalf("adopt buffer grew to %d bytes", n)
-		}
-	}
-	if n := h.adoptBuf.Len(); n != 0 {
-		t.Errorf("dropped stream still holds %d bytes", n)
+		adopt(&protocol.Adopt{Victim: 9, Blob: chunk})
 	}
 	var out bytes.Buffer
 	h.writeMetrics(&out)
@@ -685,9 +684,9 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 		t.Errorf("overflow not counted once in /metrics:\n%s", out.String())
 	}
 
-	h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}) // ends the dropped stream
-	h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]})
-	h.handleAdopt(&protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true})
+	adopt(&protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}) // ends the dropped stream
+	adopt(&protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]})
+	adopt(&protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true})
 	if p, ok := h.Game().ClientPos(7); !ok || p != geom.Pt(10, 10) {
 		t.Fatalf("checkpoint after the overflow not restored: avatar 7 at %v, %v", p, ok)
 	}
@@ -737,7 +736,7 @@ func TestOversizeCheckpointIsRefusedAtTheSender(t *testing.T) {
 
 	// A padded world: one map object whose payload alone, base64'd into the
 	// blob, is past the limit.
-	h.gs.AddObject(protocol.ObjectState{Object: 1, Pos: geom.Pt(10, 10), Payload: make([]byte, protocol.MaxBlobSize*3/4+1)})
+	h.node.Game.AddObject(protocol.ObjectState{Object: 1, Pos: geom.Pt(10, 10), Payload: make([]byte, protocol.MaxBlobSize*3/4+1)})
 	h.shipCheckpoint()
 	if err := h.Ready(); !errors.Is(err, nodeblob.ErrOversize) || !strings.Contains(err.Error(), "checkpoint exceeds MaxBlobSize: region is not recoverable") {
 		t.Errorf("Ready() = %v after an oversize checkpoint, want the refusal by name", err)
@@ -754,7 +753,7 @@ func TestOversizeCheckpointIsRefusedAtTheSender(t *testing.T) {
 	// The world shrinks; the next checkpoint fits. Frames on the coordinator
 	// connection are ordered, so once this one has landed, anything the
 	// refused one had sent would have been seen — and dropped, and counted.
-	h.gs.AddObject(protocol.ObjectState{Object: 1, Pos: geom.Pt(10, 10)})
+	h.node.Game.AddObject(protocol.ObjectState{Object: 1, Pos: geom.Pt(10, 10)})
 	h.ticks.Add(1)
 	h.shipCheckpoint()
 	if err := h.Ready(); err != nil {
@@ -772,5 +771,76 @@ func TestOversizeCheckpointIsRefusedAtTheSender(t *testing.T) {
 	}
 	if h.CheckpointTick() == 0 {
 		t.Error("the checkpoint that shipped did not advance CheckpointTick")
+	}
+}
+
+// TestDeadCoordinatorLinkIsCountedNotLogged: once the coordinator connection
+// is lost, what the tick goroutine has for the coordinator — lease renewals,
+// load reports, checkpoint chunks — is withheld and counted, and the loss is
+// one log line, not one per send for as long as the server lives on (it does:
+// clients and peers need no coordinator). /readyz keeps saying why.
+func TestDeadCoordinatorLinkIsCountedNotLogged(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	// A parked tick loop with every ticker off: the test plays the tick
+	// goroutine, which owns the coordinator connection's write side.
+	var logged syncBuffer
+	h, err := StartServer(ServerConfig{
+		Network: nw, Coordinator: mc.Addr(), Radius: 40,
+		TickInterval: time.Hour, ReportInterval: time.Hour, HeartbeatEvery: -1, CheckpointEvery: -1, parked: true,
+		Logger: log.New(&logged, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	// One round of what the beat, report and checkpoint arms of tickLoop send:
+	// a heartbeat, the root's load report, a one-chunk checkpoint.
+	const perRound = 3
+	round := func() {
+		h.toMC(h.node.Heartbeat(h.cpTick.Load()))
+		h.node.LoadReport(&h.stepped)
+		h.stepped.Route(h)
+		h.flush(h.out)
+		h.shipCheckpoint()
+	}
+	unsent := func() string {
+		var scrape bytes.Buffer
+		h.writeMetrics(&scrape)
+		_, row, _ := strings.Cut(scrape.String(), "\nmatrix_server_mc_unsent_total ")
+		row, _, _ = strings.Cut(row, "\n")
+		return row
+	}
+
+	round()
+	if err := h.Ready(); err != nil || unsent() != "0" {
+		t.Fatalf("with the coordinator up: Ready() = %v, %s unsent", err, unsent())
+	}
+	waitFor(t, "the round to reach the coordinator", func() bool { return mc.MC().CheckpointSize(h.ID()) > 0 })
+
+	mc.Close()
+	waitFor(t, "the host to notice, and say so", func() bool {
+		return h.Ready() != nil && strings.Contains(logged.String(), "coordinator connection lost")
+	})
+	startup := logged.String()
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	if got, want := unsent(), fmt.Sprint(rounds*perRound); got != want {
+		t.Errorf("matrix_server_mc_unsent_total = %s after %d rounds of %d messages, want %s", got, rounds, perRound, want)
+	}
+	if err := h.Ready(); err == nil || !strings.Contains(err.Error(), "coordinator connection lost") {
+		t.Errorf("Ready() = %v, want the lost coordinator connection by name", err)
+	}
+	if n := strings.Count(startup, "coordinator connection lost"); n != 1 {
+		t.Errorf("the loss was logged %d times, want once:\n%s", n, startup)
+	}
+	if after := strings.TrimPrefix(logged.String(), startup); after != "" {
+		t.Errorf("withheld sends were logged:\n%s", after)
 	}
 }

@@ -47,8 +47,9 @@ var hostPhaseHistograms = [...]string{
 }
 
 // traceTick closes the tick's phase slices and feeds the phase histograms.
-// t0..t3 bracket drainIngress, ProcessAppend, and routeGame+flush: the route
-// phase is collecting the tick's deliveries plus writing them.
+// t0..t3 bracket drainIngress, node.Step — the game server's queue and, since
+// the node does both before anything is routed, the co-located core's overlap
+// lookups — and Route+flush: collecting the tick's deliveries plus writing them.
 // Called from the tick goroutine only, and only while tracing.
 func (h *ServerHost) traceTick(t0, t1, t2, t3 int64) {
 	h.tr.Slice(hostTracePid, hostTraceTidTick, "drain-ingress", t0, t1-t0)

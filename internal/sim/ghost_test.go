@@ -49,7 +49,7 @@ func TestGhostClientsExpire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gs := s.nodes[0].gs
+	gs := s.nodes[0].Game
 	if got := gs.ClientCount(); got != 25 {
 		t.Fatalf("before expiry: server holds %d clients, want 25 (10 base + 15 ghosts)", got)
 	}
@@ -87,7 +87,7 @@ func TestGhostExpiryDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := s.nodes[0].gs
+	gs := s.nodes[0].Game
 	if got := gs.ClientCount(); got != 25 {
 		t.Errorf("with expiry disabled: server holds %d clients, want 25 (ghosts retained)", got)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"matrix/internal/flight"
 	"matrix/internal/id"
-	"matrix/internal/nodeblob"
 	"matrix/internal/protocol"
 )
 
@@ -30,12 +29,11 @@ func (s *Sim) healthStage(tick int) {
 		return
 	}
 	for _, n := range s.live {
-		if ship && n.core.Active() {
+		if ship {
 			s.shipCheckpoint(n)
 		}
 		if beat {
-			rep := n.gs.LoadReport()
-			s.toMC(n.core.ID(), &protocol.Heartbeat{Server: n.core.ID(), Clients: rep.Clients, QueueLen: rep.QueueLen, CheckpointTick: n.cpTick})
+			s.toMC(n.Core.ID(), n.Heartbeat(n.cpTick))
 		}
 	}
 	if beat {
@@ -43,38 +41,29 @@ func (s *Sim) healthStage(tick int) {
 	}
 }
 
-// shipCheckpoint streams n's full state to the MC as SnapshotData chunks, as
-// host.shipCheckpoint does, the sender-side size refusal included.
-func (s *Sim) shipCheckpoint(n *node) {
-	blob, err := nodeblob.Checkpoint(n.core, n.gs)
+// shipCheckpoint streams n's checkpoint, when it has one to ship, to the MC as
+// SnapshotData chunks.
+func (s *Sim) shipCheckpoint(n *simNode) {
+	blob, err := n.Checkpoint()
 	if err != nil {
 		s.reg.Counter("errors/checkpoint").Inc()
-		return
+	}
+	if blob == nil {
+		return // a spare, or a state too big to ship
 	}
 	for chunk, final := range protocol.Chunks(blob) {
-		s.toMC(n.core.ID(), &protocol.SnapshotData{Blob: chunk, Final: final})
+		s.toMC(n.Core.ID(), &protocol.SnapshotData{Blob: chunk, Final: final})
 	}
 	n.cpTick = uint64(s.tick)
 }
 
-// handleAdopt accumulates a chunked Adopt stream and, on the final chunk,
-// restores the victim's world into n's game server, as host.handleAdopt does
-// (an empty blob is a cold adoption). The rest is the observer's bookkeeping:
-// counter, event, audit record, and a ghost timer for every restored avatar
-// whose client is gone or is (still) elsewhere — the idle expiry spares a
-// client's copy on the server it has rejoined by then.
-func (s *Sim) handleAdopt(n *node, m *protocol.Adopt) {
-	blob, done, err := n.adopt.Add(m.Blob, m.Final)
-	if err == nil && done && len(blob) > 0 {
-		err = nodeblob.RestoreGame(blob, n.gs)
-	}
-	if err != nil {
-		s.reg.Counter("errors/adopt").Inc()
-	}
-	if !done {
-		return
-	}
-	sid := n.core.ID()
+// noteAdoption is the observer's bookkeeping once node.Handle has taken the
+// last chunk of an Adopt stream (bytes of checkpoint restored; none is a cold
+// adoption): counter, event, audit record, and a ghost timer for every
+// restored avatar whose client is gone or is (still) elsewhere — the idle
+// expiry spares a client's copy on the server it has rejoined by then.
+func (s *Sim) noteAdoption(n *simNode, m *protocol.Adopt, bytes int) {
+	sid := n.Core.ID()
 	s.res.Restarts++
 	s.events = append(s.events, TopologyEvent{Time: s.now, Kind: "adopt", Server: sid})
 	if s.rec != nil {
@@ -82,12 +71,12 @@ func (s *Sim) handleAdopt(n *node, m *protocol.Adopt) {
 			Tick: int64(s.tick), Time: s.now, Kind: "adopt",
 			Granted: true, Server: int64(m.Victim), Child: int64(sid), Corr: m.Corr,
 			Inputs: []flight.KV{
-				{Key: "checkpoint-bytes", Val: float64(len(blob))},
-				{Key: "clients", Val: float64(n.gs.ClientCount())},
+				{Key: "checkpoint-bytes", Val: float64(bytes)},
+				{Key: "clients", Val: float64(n.Game.ClientCount())},
 			},
 		})
 	}
-	for _, cid := range n.gs.ClientIDs() {
+	for _, cid := range n.Game.ClientIDs() {
 		if sc := s.client(cid); sc == nil || !sc.alive || sc.assigned != sid {
 			s.markGhost(cid)
 		}
@@ -143,12 +132,12 @@ func (s *Sim) redial(sc *simClient) {
 	if n := s.node(sc.assigned); n == nil || !n.dead {
 		return
 	}
-	up := func(n *node) bool { return n != nil && !n.dead && n.core.Active() && !s.nm.Crashed(n.core.ID()) }
+	up := func(n *simNode) bool { return n != nil && !n.dead && n.Core.Active() && !s.nm.Crashed(n.Core.ID()) }
 	to := s.node(s.ownerOf(sc.cl.Pos()))
 	for i := 0; !up(to) && i < len(s.nodes); i++ {
 		to = s.nodes[i]
 	}
 	if up(to) {
-		sc.assigned = to.core.ID()
+		sc.assigned = to.Core.ID()
 	}
 }

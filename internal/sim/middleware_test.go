@@ -44,7 +44,7 @@ func TestMiddlewareCountsAndFingerprint(t *testing.T) {
 	}
 	var limited, shed int64
 	for _, n := range chain.sim.nodes {
-		st := n.mw.Stats()
+		st := n.MW.Stats()
 		limited += st.RateLimited.Value()
 		shed += st.Shed.Value()
 	}
@@ -73,25 +73,25 @@ func TestMiddlewareCountsAndFingerprint(t *testing.T) {
 		must(t, s.Step())
 	}
 	victim, adopter := s.node(root), s.node(spare)
-	if s.res.Restarts != 1 || !adopter.core.Active() {
-		t.Fatalf("by t=%g: %d adoptions, spare active=%v; want the spare to have adopted the root's region", s.Now(), s.res.Restarts, adopter.core.Active())
+	if s.res.Restarts != 1 || !adopter.Core.Active() {
+		t.Fatalf("by t=%g: %d adoptions, spare active=%v; want the spare to have adopted the root's region", s.Now(), s.res.Restarts, adopter.Core.Active())
 	}
-	if len(victim.mw.Limiter().State()) == 0 {
+	if len(victim.MW.Limiter().State()) == 0 {
 		t.Fatal("root server judged no client before the crash; the check would be vacuous")
 	}
-	if got := adopter.mw.Limiter().State(); len(got) != 0 {
+	if got := adopter.MW.Limiter().State(); len(got) != 0 {
 		t.Errorf("the adopter starts with %d token buckets; its chain has judged nobody", len(got))
 	}
-	dropsBefore := victim.mw.Stats().RateLimited.Value()
+	dropsBefore := victim.MW.Stats().RateLimited.Value()
 	must(t, s.StepUntil(context.Background(), s.Now()+3))
-	if len(adopter.mw.Limiter().State()) == 0 {
+	if len(adopter.MW.Limiter().State()) == 0 {
 		t.Error("no client rejoined the adopter within three seconds")
 	}
 	var all int64
 	for _, n := range s.nodes {
-		all += n.mw.Stats().RateLimited.Value()
+		all += n.MW.Stats().RateLimited.Value()
 	}
-	if got := victim.mw.Stats().RateLimited.Value(); got != dropsBefore || uint64(all) != s.res.RateLimited {
+	if got := victim.MW.Stats().RateLimited.Value(); got != dropsBefore || uint64(all) != s.res.RateLimited {
 		t.Errorf("dead chain dropped %d (was %d), all chains %d, result says %d", got, dropsBefore, all, s.res.RateLimited)
 	}
 }

@@ -34,15 +34,15 @@ func (s *Sim) recordSample(tick int) {
 	var drops, delivered uint64
 	counts := make([]float64, 0, len(s.nodes))
 	for _, n := range s.nodes {
-		st := n.gs.Stats()
+		st := n.Game.Stats()
 		drops += st.Dropped
 		delivered += st.Delivered
-		if !n.core.Active() || n.dead {
+		if !n.Core.Active() || n.dead {
 			continue
 		}
-		sid := n.core.ID()
+		sid := n.Core.ID()
 		active++
-		c := float64(n.gs.ClientCount())
+		c := float64(n.Game.ClientCount())
 		counts = append(counts, c)
 		total += c
 		if c > maxClients {
@@ -52,8 +52,8 @@ func (s *Sim) recordSample(tick int) {
 			depth = d
 		}
 		s.rec.Set(fmt.Sprintf("clients/%v", sid), c)
-		s.rec.Set(fmt.Sprintf("queue/%v", sid), float64(n.gs.QueueLen()))
-		s.rec.Set(fmt.Sprintf("objects/%v", sid), float64(n.gs.ObjectCount()))
+		s.rec.Set(fmt.Sprintf("queue/%v", sid), float64(n.Game.QueueLen()))
+		s.rec.Set(fmt.Sprintf("objects/%v", sid), float64(n.Game.ObjectCount()))
 	}
 	s.rec.Set("servers/active", float64(active))
 	s.rec.Set("servers/spare", float64(s.mc.SpareCount()))
@@ -103,7 +103,7 @@ func (s *Sim) recordSample(tick int) {
 func (s *Sim) treeDepth(sid id.ServerID) int {
 	d := 0
 	for at := sid; ; {
-		p := s.node(at).core.Parent()
+		p := s.node(at).Core.Parent()
 		if s.node(p) == nil {
 			return d
 		}
@@ -125,7 +125,7 @@ func (s *Sim) auditSplit(req *protocol.SplitRequest, rep *protocol.SplitReply) {
 		d.Child = int64(rep.Child)
 	}
 	if n := s.node(req.Server); n != nil {
-		tr := n.core.Tracker()
+		tr := n.Core.Tracker()
 		d.Policy = tr.Policy()
 		// Request and reply complete within one tick (request emitted in
 		// phase A, reply routed in the same phase B), so the verdict the
@@ -163,7 +163,7 @@ func (s *Sim) auditReclaim(req *protocol.ReclaimRequest, rep *protocol.ReclaimRe
 		Corr: corr, Reason: rep.Reason,
 	}
 	if n := s.node(req.Parent); n != nil {
-		tr := n.core.Tracker()
+		tr := n.Core.Tracker()
 		d.Policy = tr.Policy()
 		// As with splits, the round trip completes within one tick and the
 		// parent forgets the child only when the reply lands, so the cached

@@ -33,6 +33,7 @@ import (
 	"matrix/internal/metrics"
 	"matrix/internal/middleware"
 	"matrix/internal/netem"
+	"matrix/internal/node"
 	"matrix/internal/policy"
 	"matrix/internal/protocol"
 	"matrix/internal/trace"
@@ -141,8 +142,27 @@ type MiddlewareConfig struct {
 }
 
 // Enabled reports whether any middleware stage is active.
-func (m *MiddlewareConfig) Enabled() bool {
-	return m != nil && (m.RateLimitPerSec > 0 || m.ShedQueue > 0)
+func (m *MiddlewareConfig) Enabled() bool { return m.chain().Enabled() }
+
+// chain spells m as the host's own chain config (internal/middleware): only
+// the stages m enables, in the host's order — the per-client token bucket
+// first, then overload admission.
+func (m *MiddlewareConfig) chain() middleware.Config {
+	if m == nil {
+		return middleware.Config{}
+	}
+	mc := middleware.Config{
+		RateLimitPerSec: m.RateLimitPerSec,
+		RateLimitBurst:  m.RateLimitBurst,
+		ShedQueue:       m.ShedQueue,
+	}
+	if m.RateLimitPerSec > 0 {
+		mc.Stages = append(mc.Stages, middleware.StageRateLimit)
+	}
+	if m.ShedQueue > 0 {
+		mc.Stages = append(mc.Stages, middleware.StageAdmission)
+	}
+	return mc
 }
 
 // DefaultGhostExpirySeconds is the ghost-client idle timeout applied when
@@ -285,24 +305,22 @@ type Counters struct {
 	AdmissionShed uint64 `json:",omitempty"`
 }
 
-// node is one server slot: a Matrix server, its co-located game server and
-// — when Config.Middleware enables a stage — the production admission chain
-// in front of the game server's queue (nil otherwise). The chain is judged on
-// the stepping goroutine only (see arrive), never inside phase A, and its
+// simNode is one server slot: the node every driver runs (internal/node: a
+// Matrix server, its co-located game server and — when Config.Middleware
+// enables a stage — the production admission chain in front of the game
+// server's queue) and what the simulator keeps about it. The chain is judged
+// on the stepping goroutine only (see arrive), never inside phase A, and its
 // per-client token buckets advance on virtual time, so decisions are identical
 // for any SimWorkers value.
-type node struct {
-	core *core.Server
-	gs   *gameserver.Server
-	mw   *middleware.Chain
+type simNode struct {
+	*node.Node
 
-	out        serverOut // this tick's phase-A output (see engine.go)
-	activePrev bool      // active at the last sample
+	out        node.Out // this tick's phase-A output (see engine.go)
+	activePrev bool     // active at the last sample
 
 	// Health plane (health.go); idle in a run that does not checkpoint.
-	dead   bool                 // killed by EventCrashLose: never stepped or delivered to again
-	cpTick uint64               // tick at which the last checkpoint shipped (0 = none yet)
-	adopt  protocol.Reassembler // the Adopt stream in flight; empty between ticks
+	dead   bool   // killed by EventCrashLose: never stepped or delivered to again
+	cpTick uint64 // tick at which the last checkpoint shipped (0 = none yet)
 }
 
 // simClient is one synthetic player.
@@ -331,7 +349,7 @@ type Sim struct {
 	cfg     Config
 	clk     *clock.Virtual
 	mc      *coordinator.Coordinator
-	nodes   []*node      // every server, in registration order = ascending by ID (see node)
+	nodes   []*simNode   // every server, in registration order = ascending by ID (see node)
 	clients []*simClient // every client ever spawned, ascending by ID (see client)
 	gen     id.Generator
 	reg     *metrics.Registry
@@ -374,7 +392,7 @@ type Sim struct {
 	ghostAfter float64 // ghost idle timeout in seconds (<= 0 = off)
 
 	// live is the servers processing this tick (see engine.go).
-	live []*node
+	live []*simNode
 
 	// mwReq is the request context every admission judgment reuses (see
 	// admit), so judging allocates nothing.
@@ -466,72 +484,38 @@ func (s *Sim) registerServer() error {
 	return nil
 }
 
-// addNode builds the server slot a RegisterReply describes — Matrix server,
-// co-located game server, admission chain — and appends it to the fleet.
-func (s *Sim) addNode(reply *protocol.RegisterReply) (*node, error) {
+// addNode builds the server a RegisterReply describes and appends its slot to
+// the fleet.
+func (s *Sim) addNode(reply *protocol.RegisterReply) (*simNode, error) {
 	// Server n sits at index n-1 (see Sim.node): the sim is its MC's only
 	// registrant, so IDs arrive 1, 2, 3, … — a snapshot must list them so.
 	if reply.Server != id.ServerID(len(s.nodes)+1) {
 		return nil, fmt.Errorf("sim: server %d is %v, want ascending IDs from 1", len(s.nodes), reply.Server)
 	}
-	pol, err := policy.New(s.cfg.Policy)
+	nd, err := node.New(node.Config{
+		Load:       s.cfg.LoadPolicy,
+		Policy:     s.cfg.Policy,
+		Radius:     s.cfg.Profile.Radius,
+		MaxQueue:   s.cfg.MaxQueue,
+		Middleware: s.cfg.Middleware.chain(),
+		Clock:      s.clk,
+	}, reply)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := core.NewServer(core.Config{
-		Load:   s.cfg.LoadPolicy,
-		Clock:  s.clk,
-		Policy: pol,
-	}, reply, s.cfg.Profile.Radius)
-	if err != nil {
-		return nil, err
-	}
-	gs, err := gameserver.New(gameserver.Config{
-		Server:   reply.Server,
-		Bounds:   reply.Bounds,
-		Radius:   s.cfg.Profile.Radius,
-		MaxQueue: s.cfg.MaxQueue,
-		// Boundary handoffs resolve against the co-located Matrix server.
-		ResolveOwner: cs.ResolveOwner,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := &node{core: cs, gs: gs}
-	// The admission chain is the host's own (internal/middleware), built
-	// with only the stages the config enables, in the host's order: the
-	// per-client token bucket first, then overload admission.
-	if mw := s.cfg.Middleware; mw.Enabled() {
-		mc := middleware.Config{
-			RateLimitPerSec: mw.RateLimitPerSec,
-			RateLimitBurst:  mw.RateLimitBurst,
-			ShedQueue:       mw.ShedQueue,
-		}
-		if mw.RateLimitPerSec > 0 {
-			mc.Stages = append(mc.Stages, middleware.StageRateLimit)
-		}
-		if mw.ShedQueue > 0 {
-			mc.Stages = append(mc.Stages, middleware.StageAdmission)
-		}
-		if n.mw, err = middleware.New(mc); err != nil {
-			return nil, err
-		}
-	}
+	n := &simNode{Node: nd}
 	s.nodes = append(s.nodes, n)
 	return n, nil
 }
 
 // admit runs one message arriving at n's game server through the node's
-// admission chain, exactly as the wire host judges an inbound frame: the
-// clock is virtual time and the load signal is the receiving queue. It
-// returns false when the message is shed, counting the verdict into the
-// result (and thus the fingerprint). Runs on the stepping goroutine only.
-func (s *Sim) admit(n *node, src middleware.Source, client id.ClientID, m protocol.Message) bool {
-	if n.mw == nil {
-		return true
-	}
-	s.mwReq = middleware.Request{Source: src, Client: client, Msg: m, Now: s.now, QueueLen: n.gs.QueueLen()}
-	switch n.mw.Handle(&s.mwReq) {
+// admission chain, exactly as the wire host judges an inbound frame, on
+// virtual time. It returns false when the message is shed, counting the
+// verdict into the result (and thus the fingerprint). Runs on the stepping
+// goroutine only.
+func (s *Sim) admit(n *simNode, src middleware.Source, client id.ClientID, m protocol.Message) bool {
+	s.mwReq = middleware.Request{Source: src, Client: client, Msg: m, Now: s.now}
+	switch n.Admit(&s.mwReq) {
 	case middleware.DropRateLimited:
 		s.res.RateLimited++
 		return false
@@ -542,20 +526,14 @@ func (s *Sim) admit(n *node, src middleware.Source, client id.ClientID, m protoc
 	return true
 }
 
-// deliverToCore hands a message to a Matrix server and routes the fallout.
+// deliverToCore hands a message to a server's node and routes the fallout.
 // This is the general path: handlers build fresh envelope slices, which
 // re-entrant deliveries (MC fallout, peer chains) require. The per-tick
-// hot path does not come through here: the tick engine (engine.go) calls
-// core.AppendGameUpdate on a reused buffer for every local update.
+// hot path does not come through here: node.Step hands every local update to
+// the core on a reused buffer.
 func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message) {
 	n := s.node(to)
 	if n == nil || n.dead {
-		return
-	}
-	// A host-level frame the core never sees, as in host.drainIngress: the
-	// restore lands before the tables and the activating RangeUpdate behind it.
-	if a, isAdopt := m.(*protocol.Adopt); isAdopt {
-		s.handleAdopt(n, a)
 		return
 	}
 	if s.tr != nil {
@@ -564,19 +542,30 @@ func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message
 				trace.PacketID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now())
 		}
 	}
-	envs, err := n.core.HandleMessage(from, m)
+	envs, adoption, err := n.Handle(from, m)
+	a, isAdopt := m.(*protocol.Adopt)
 	if err != nil {
 		// Inactive servers legitimately reject packets that were in
 		// flight across a topology change; everything else is counted
 		// but must not stop the run.
-		s.reg.Counter("errors/core").Inc()
-		return
+		kind := "errors/core"
+		if isAdopt {
+			kind = "errors/adopt"
+		}
+		s.reg.Counter(kind).Inc()
 	}
-	s.routeCoreEnvelopes(to, envs)
+	if adoption.Done {
+		s.noteAdoption(n, a, adoption.Bytes)
+	}
+	if err == nil {
+		s.FromCore(n.Node, envs)
+	}
 }
 
-// routeCoreEnvelopes dispatches a Matrix server's outbox.
-func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
+// FromCore dispatches the outbox of n's Matrix server (the other half, with
+// ToClient, of the node.Sink phase B routes through).
+func (s *Sim) FromCore(n *node.Node, envs []core.Envelope) {
+	from := n.Core.ID()
 	for _, e := range envs {
 		switch e.Dest {
 		case core.DestCoordinator:
@@ -736,7 +725,7 @@ func (s *Sim) ownerOf(p geom.Point) id.ServerID {
 // node returns server sid's slot, nil when the sim never registered it: the
 // MC hands out 1, 2, 3, … and slots never leave s.nodes, so server n sits at
 // index n-1 and a plain range over the slice is registration order.
-func (s *Sim) node(sid id.ServerID) *node {
+func (s *Sim) node(sid id.ServerID) *simNode {
 	if i := int(sid) - 1; i >= 0 && i < len(s.nodes) {
 		return s.nodes[i]
 	}
@@ -849,7 +838,7 @@ func (s *Sim) arrive(from, to netem.Endpoint, kind netemDest, m protocol.Message
 					trace.PacketID(u.Client, u.Seq), s.tr.Now())
 			}
 		}
-		_ = n.gs.Enqueue(m) // overflow counted by the game server
+		_ = n.Game.Enqueue(m) // overflow counted by the game server
 	case netemToClient:
 		s.deliverToClient(to.Client, m)
 	case netemToCore:
@@ -938,8 +927,8 @@ func (s *Sim) expireGhosts() {
 		cid := sc.cl.ID()
 		found, cleared := false, true
 		for _, n := range s.nodes {
-			sid := n.core.ID()
-			if _, ok := n.gs.ClientPos(cid); !ok || n.dead {
+			sid := n.Core.ID()
+			if _, ok := n.Game.ClientPos(cid); !ok || n.dead {
 				continue
 			}
 			if sc.alive && sid == sc.assigned {
@@ -950,7 +939,7 @@ func (s *Sim) expireGhosts() {
 				cleared = false // frozen: evict after recovery (or rollback)
 				continue
 			}
-			n.gs.Evict(cid)
+			n.Game.Evict(cid)
 		}
 		if found && cleared {
 			s.res.GhostsExpired++
@@ -1030,7 +1019,7 @@ func (s *Sim) Start() error {
 		s.enableNetem()
 	}
 
-	// The admission chain (see addNode) runs on an enabled middleware
+	// The admission chain (node.Admit) runs on an enabled middleware
 	// config; runs without one keep the historical judge-free fingerprint.
 	s.res.MiddlewareActive = s.cfg.Middleware.Enabled()
 
@@ -1182,12 +1171,12 @@ func (s *Sim) Step() error {
 	// Crashed servers are frozen: their queues keep whatever arrived before
 	// the crash and resume draining on recovery.
 	s.liveServers()
-	processNode := s.processNode
+	stepNode := s.stepNode
 	if s.tr != nil {
-		processNode = s.traceProcessNode
+		stepNode = s.traceProcessNode
 	}
 	paStart := s.tr.Now()
-	s.runPhaseA(processNode)
+	s.runPhaseA(stepNode)
 	if s.tr != nil {
 		s.tracePhaseA(paStart)
 	}
@@ -1203,7 +1192,7 @@ func (s *Sim) Step() error {
 	// parents see a frozen last-known child load until recovery.
 	if tick%s.reportEvery == 0 {
 		lrStart := s.tr.Now()
-		s.runPhaseA(s.loadReportNode)
+		s.runPhaseA(s.reportNode)
 		s.routePhaseB()
 		if s.tr != nil {
 			s.traceLoadReport(lrStart)
@@ -1297,19 +1286,19 @@ func (s *Sim) sample() {
 	active := 0
 	var drops uint64
 	for _, n := range s.nodes {
-		sid, isActive := n.core.ID(), n.core.Active() && !n.dead
+		sid, isActive := n.Core.ID(), n.Core.Active() && !n.dead
 		if isActive {
 			active++
-			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, float64(n.gs.ClientCount()))
-			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, float64(n.gs.QueueLen()))
-			s.res.ClientSeconds += float64(n.gs.ClientCount()) * s.cfg.SampleEverySeconds
+			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, float64(n.Game.ClientCount()))
+			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, float64(n.Game.QueueLen()))
+			s.res.ClientSeconds += float64(n.Game.ClientCount()) * s.cfg.SampleEverySeconds
 		} else if n.activePrev {
 			// One zero sample on deactivation closes the line.
 			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, 0)
 			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, 0)
 		}
 		n.activePrev = isActive
-		drops += n.gs.Stats().Dropped
+		drops += n.Game.Stats().Dropped
 	}
 	s.reg.Series("servers/active").Append(s.now, float64(active))
 	s.reg.Series("drops/total").Append(s.now, float64(drops))
@@ -1327,17 +1316,17 @@ func (s *Sim) finish() *Result {
 	res.RecoveryGap = s.recGap
 	res.Events = s.events
 	for _, n := range s.nodes {
-		st := n.core.Stats()
+		st := n.Core.Stats()
 		res.ForwardedBytes += st.PeerBytesOut
 		res.ForwardedPackets += st.PeerPacketsOut
-		gst := n.gs.Stats()
+		gst := n.Game.Stats()
 		res.DeliveredUpdates += gst.Delivered
 		res.DroppedPackets += gst.Dropped
 		if n.dead {
 			continue // what it did counts; what it held died with it
 		}
-		res.OverlapAreaLast += n.core.OverlapArea()
-		if n.core.Active() {
+		res.OverlapAreaLast += n.Core.OverlapArea()
+		if n.Core.Active() {
 			res.FinalServers++
 		}
 	}
@@ -1363,5 +1352,5 @@ func (s *Sim) Node(sid id.ServerID) (*core.Server, *gameserver.Server, bool) {
 	if n == nil {
 		return nil, nil, false
 	}
-	return n.core, n.gs, true
+	return n.Core, n.Game, true
 }

@@ -145,18 +145,18 @@ func (s *Sim) CaptureState() (*State, error) {
 	st.Coordinator = s.mc.CaptureState()
 
 	for _, n := range s.nodes {
-		sid := n.core.ID()
-		cs, err := n.core.CaptureState()
+		sid := n.Core.ID()
+		cs, err := n.Core.CaptureState()
 		if err != nil {
 			return nil, fmt.Errorf("sim: capture %v core: %w", sid, err)
 		}
-		gs, err := n.gs.CaptureState()
+		gs, err := n.Game.CaptureState()
 		if err != nil {
 			return nil, fmt.Errorf("sim: capture %v game server: %w", sid, err)
 		}
 		ns := NodeState{Server: sid, Core: cs, Game: gs, CheckpointTick: n.cpTick, ActivePrev: n.activePrev, Dead: n.dead}
-		if n.mw != nil && n.mw.Limiter() != nil {
-			ns.Limiter = n.mw.Limiter().State()
+		if n.MW != nil && n.MW.Limiter() != nil {
+			ns.Limiter = n.MW.Limiter().State()
 		}
 		st.Nodes = append(st.Nodes, ns)
 	}
@@ -330,14 +330,14 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 			cp.PolicyState = nil
 			coreState = &cp
 		}
-		if err := n.core.RestoreState(coreState); err != nil {
+		if err := n.Core.RestoreState(coreState); err != nil {
 			return nil, fmt.Errorf("sim: restore %v core: %w", ns.Server, err)
 		}
-		if err := n.gs.RestoreState(ns.Game); err != nil {
+		if err := n.Game.RestoreState(ns.Game); err != nil {
 			return nil, fmt.Errorf("sim: restore %v game server: %w", ns.Server, err)
 		}
-		if len(ns.Limiter) > 0 && n.mw != nil && n.mw.Limiter() != nil {
-			n.mw.Limiter().SetState(ns.Limiter)
+		if len(ns.Limiter) > 0 && n.MW != nil && n.MW.Limiter() != nil {
+			n.MW.Limiter().SetState(ns.Limiter)
 		}
 		n.cpTick, n.activePrev, n.dead = ns.CheckpointTick, ns.ActivePrev, ns.Dead
 	}

@@ -24,7 +24,9 @@ import (
 	"fmt"
 	"time"
 
+	"matrix/internal/gameserver"
 	"matrix/internal/id"
+	"matrix/internal/protocol"
 	"matrix/internal/trace"
 )
 
@@ -55,7 +57,7 @@ func (s *Sim) SetTracer(tr *trace.Tracer) {
 		tr.NameThread(tracePidEngine, int32(k), fmt.Sprintf("worker-%d", k))
 	}
 	for _, n := range s.nodes {
-		tr.NameProcess(tracePidServer(n.core.ID()), n.core.ID().String())
+		tr.NameProcess(tracePidServer(n.Core.ID()), n.Core.ID().String())
 	}
 }
 
@@ -82,14 +84,23 @@ func (s *Sim) traceTickStart() int64 {
 	return s.trTickBase
 }
 
-// traceProcessNode wraps processNode with a per-server phase-A slice on the
+// traceProcessNode wraps stepNode with a per-server phase-A slice on the
 // claiming worker's track and accumulates per-worker busy time for the
-// occupancy measure. Installed only while tracing.
-func (s *Sim) traceProcessNode(w int, n *node) {
+// occupancy measure. Every update the step handed to the co-located Matrix
+// server gets the core-handle step of its packet span, stamped once the step
+// is over: internal/node holds no tracer. Safe in phase A — the tracer is
+// lock-free and feeds nothing back into the tick. Installed only while tracing.
+func (s *Sim) traceProcessNode(w int, n *simNode) {
 	t0 := s.traceNow()
-	s.processNode(w, n)
-	d := s.traceNow() - t0
-	s.tr.SliceArg(tracePidEngine, int32(w+1), "server-process", t0, d, "server", int64(n.core.ID()))
+	s.stepNode(w, n)
+	t1 := s.traceNow()
+	for _, e := range n.out.Game() {
+		if u, isUpdate := e.Msg.(*protocol.GameUpdate); isUpdate && e.Dest == gameserver.DestMatrix {
+			s.tr.AsyncStep(tracePidServer(n.Core.ID()), "packet", "core-handle", trace.PacketID(u.Client, u.Seq), t1)
+		}
+	}
+	d := t1 - t0
+	s.tr.SliceArg(tracePidEngine, int32(w+1), "server-process", t0, d, "server", int64(n.Core.ID()))
 	s.reg.Histogram("engine/server-process-us").Observe(float64(d))
 	s.trBusy[w] += d
 }

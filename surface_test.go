@@ -171,8 +171,9 @@ var reflective = map[string][]string{
 // declaration is live when live code refers to it; a method is also live when
 // its receiver type is live and its name belongs to an interface live code
 // uses (written in it, or in the signature of something it refers to — which
-// is how container/heap reaches Less and Swap). The name match errs towards
-// live: nothing a program can reach is accused.
+// is how container/heap reaches Less and Swap, and node.Out.Route reaches the
+// two drivers' ToClient and FromCore through node.Sink). The name match errs
+// towards live: nothing a program can reach is accused.
 //
 // dead is every declaration under internal/ that no root leads to (the
 // methods of a dead type are not listed one by one); stale is every allowlist
