@@ -11,11 +11,12 @@ import (
 
 // TestCoordinatorDeathCostsAdaptivityNotGameplay pins what the paper's
 // central-coordinator argument promises and this repo already delivers
-// (ROADMAP item 2a): the coordinator is off the packet path, so when it dies
-// under border traffic — four static servers, two clients facing each other
-// across every border — deliveries and cross-server forwards keep flowing,
-// nobody is dropped or redirected, nothing about the topology moves, and every
-// server's readiness probe says why it is degraded.
+// (ROADMAP item 2, which still lacks a restart): the coordinator is off the
+// packet path, so when it dies under border traffic — four static servers,
+// two clients facing each other across every border — deliveries and
+// cross-server forwards keep flowing, nobody is dropped or redirected,
+// nothing about the topology moves, and every server's readiness probe says
+// why it is degraded.
 func TestCoordinatorDeathCostsAdaptivityNotGameplay(t *testing.T) {
 	tiles := []geom.Rect{geom.R(0, 0, 500, 500), geom.R(500, 0, 1000, 500), geom.R(0, 500, 500, 1000), geom.R(500, 500, 1000, 1000)}
 	c, err := New(Config{Static: tiles, RedialEvery: -1})

@@ -147,6 +147,7 @@ type Server struct {
 	// (not yet mergeable, or they have children of their own).
 	reclaimDeniedUntil map[id.ServerID]time.Time
 	pendingNonProx     []*protocol.GameUpdate
+	union              overlap.Set // AppendGameUpdate's scratch for a move's two lookups
 
 	stats Stats
 }
@@ -220,41 +221,49 @@ func (s *Server) Stats() Stats {
 // status).
 func (s *Server) Tracker() *load.Tracker { return s.tracker }
 
-// HandleMessage dispatches any message arriving at this Matrix server and
-// returns the envelopes to deliver.
+// HandleMessage is AppendMessage into a fresh slice.
+func (s *Server) HandleMessage(from id.ServerID, m protocol.Message) ([]Envelope, error) {
+	return s.AppendMessage(nil, from, m)
+}
+
+// AppendMessage dispatches any message arriving at this Matrix server,
+// appending the envelopes to deliver to dst; on error it appends nothing.
 //
 // The from argument identifies peer Matrix servers for Forward and
 // StateTransfer messages; messages from the MC or the local game server
 // pass id.None.
-func (s *Server) HandleMessage(from id.ServerID, m protocol.Message) ([]Envelope, error) {
-	if m == nil {
-		return nil, ErrNilMessage
-	}
+func (s *Server) AppendMessage(dst []Envelope, from id.ServerID, m protocol.Message) ([]Envelope, error) {
+	var envs []Envelope
+	var err error
 	switch msg := m.(type) {
+	case nil:
+		return dst, ErrNilMessage
 	case *protocol.GameUpdate:
-		return s.AppendGameUpdate(nil, msg)
+		return s.AppendGameUpdate(dst, msg)
 	case *protocol.Forward:
-		return s.handlePeerForward(msg)
+		return s.appendPeerForward(dst, msg)
 	case *protocol.LoadReport:
 		if msg.Server == s.id || !msg.Server.Valid() {
-			return s.HandleLocalLoad(int(msg.Clients), int(msg.QueueLen))
+			envs, err = s.HandleLocalLoad(int(msg.Clients), int(msg.QueueLen))
+		} else {
+			envs, err = s.handleChildLoad(msg)
 		}
-		return s.handleChildLoad(msg)
 	case *protocol.OverlapTable:
-		return nil, s.handleOverlapTable(msg)
+		err = s.handleOverlapTable(msg)
 	case *protocol.SplitReply:
-		return s.handleSplitReply(msg)
+		envs, err = s.handleSplitReply(msg)
 	case *protocol.ReclaimReply:
-		return s.handleReclaimReply(msg)
+		envs, err = s.handleReclaimReply(msg)
 	case *protocol.RangeUpdate:
-		return s.handleRangeUpdate(msg)
+		envs, err = s.handleRangeUpdate(msg)
 	case *protocol.StateTransfer:
-		return s.handleStateTransfer(from, msg)
+		envs, err = s.handleStateTransfer(from, msg)
 	case *protocol.NonProximalReply:
-		return s.handleNonProximalReply(msg)
+		envs, err = s.handleNonProximalReply(msg)
 	default:
-		return nil, fmt.Errorf("core: unexpected message %v", m.MsgType())
+		err = fmt.Errorf("core: unexpected message %v", m.MsgType())
 	}
+	return append(dst, envs...), err
 }
 
 // AppendGameUpdate routes one spatially-tagged packet from the local game
@@ -264,7 +273,7 @@ func (s *Server) HandleMessage(from id.ServerID, m protocol.Message) ([]Envelope
 // non-proximal. A caller that fully consumes the returned slice before the
 // next call can pass the same buffer back (`buf = AppendGameUpdate(buf[:0],
 // u)`) and forward at one allocation per packet (the shared Forward) in
-// steady state.
+// steady state; a move's origin and dest lookups merge into a scratch set.
 func (s *Server) AppendGameUpdate(dst []Envelope, u *protocol.GameUpdate) ([]Envelope, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -293,7 +302,8 @@ func (s *Server) AppendGameUpdate(dst []Envelope, u *protocol.GameUpdate) ([]Env
 
 	peers := tab.Lookup(u.Origin)
 	if u.Dest != u.Origin {
-		peers = peers.Union(tab.Lookup(u.Dest))
+		s.union = peers.AppendUnion(s.union[:0], tab.Lookup(u.Dest))
+		peers = s.union
 	}
 	return s.forwardLocked(dst, u, peers)
 }
@@ -325,25 +335,25 @@ func (s *Server) forwardLocked(dst []Envelope, u *protocol.GameUpdate, peers ove
 	return dst, nil
 }
 
-// handlePeerForward verifies a peer-forwarded packet's range and, when
+// appendPeerForward verifies a peer-forwarded packet's range and, when
 // valid, hands it to the local game server ("which then forward the packet,
-// after verifying the packet's range, to their own game servers").
-func (s *Server) handlePeerForward(f *protocol.Forward) ([]Envelope, error) {
+// after verifying the packet's range, to their own game servers") — the
+// Forward's own Update, not a copy: a decoded message is read-only.
+func (s *Server) appendPeerForward(dst []Envelope, f *protocol.Forward) ([]Envelope, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.active {
-		return nil, ErrInactive
+		return dst, ErrInactive
 	}
 	s.stats.PeerPacketsIn++
 	radius := s.radiusForLocked(f.Update.Kind)
 	reach := s.bounds.Expand(radius)
 	if !reach.ContainsClosed(f.Update.Origin) && !reach.ContainsClosed(f.Update.Dest) {
 		s.stats.RangeRejected++
-		return nil, nil
+		return dst, nil
 	}
 	s.stats.DeliveredToGame++
-	u := f.Update
-	return []Envelope{{Dest: DestGameServer, Msg: &u}}, nil
+	return append(dst, Envelope{Dest: DestGameServer, Msg: &f.Update}), nil
 }
 
 // HandleLocalLoad ingests the local game server's load report and applies
@@ -704,7 +714,7 @@ func (s *Server) CaptureState() (*State, error) {
 
 // RestoreState overwrites the server's mutable state from a snapshot,
 // keeping its config and clock. Overlap tables are rebuilt from their wire
-// regions — the same reconstruction HandleMessage performs on an MC push —
+// regions — the same reconstruction AppendMessage performs on an MC push —
 // so routing behavior is identical to the captured run. The snapshot is not
 // retained; restoring the same state twice is safe.
 func (s *Server) RestoreState(st *State) error {

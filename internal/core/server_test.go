@@ -620,26 +620,39 @@ func TestAppendGameUpdateMatchesHandle(t *testing.T) {
 }
 
 // TestAppendGameUpdateAllocBudget pins the fast path: an interior update
-// (no forwarding) must not allocate; a boundary update costs exactly the
-// one shared Forward message.
+// (no forwarding) must not allocate; a boundary update — standing, or moving
+// so that its origin and dest lookups differ and are merged — costs exactly
+// the one shared Forward message; and a peer's Forward reaches the game
+// server as its own Update, at no allocation at all.
 func TestAppendGameUpdateAllocBudget(t *testing.T) {
 	s := newActiveServer(t, 1, twoParts(), nil)
 	buf := make([]Envelope, 0, 8)
 	interior := &protocol.GameUpdate{Client: 1, Kind: protocol.KindMove, Origin: geom.Pt(75, 50), Dest: geom.Pt(75, 50)}
 	boundary := &protocol.GameUpdate{Client: 2, Kind: protocol.KindMove, Origin: geom.Pt(51, 50), Dest: geom.Pt(51, 50)}
-	run := func(u *protocol.GameUpdate) float64 {
+	moving := &protocol.GameUpdate{Client: 3, Kind: protocol.KindMove, Origin: geom.Pt(51, 50), Dest: geom.Pt(60, 50)}
+	fwd := &protocol.Forward{From: 2, Update: protocol.GameUpdate{Client: 4, Kind: protocol.KindMove, Origin: geom.Pt(49, 50), Dest: geom.Pt(49, 50)}}
+	run := func(from id.ServerID, m protocol.Message) float64 {
 		return testing.AllocsPerRun(100, func() {
-			out, err := s.AppendGameUpdate(buf[:0], u)
+			out, err := s.AppendMessage(buf[:0], from, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			buf = out[:0]
 		})
 	}
-	if got := run(interior); got != 0 {
+	if got := run(id.None, interior); got != 0 {
 		t.Errorf("interior update allocates %.1f/op, budget is 0", got)
 	}
-	if got := run(boundary); got > 1 {
-		t.Errorf("boundary update allocates %.1f/op, budget is 1 (the shared Forward)", got)
+	for _, u := range []*protocol.GameUpdate{boundary, moving} {
+		if got := run(id.None, u); got > 1 {
+			t.Errorf("boundary update %v → %v allocates %.1f/op, budget is 1 (the shared Forward)", u.Origin, u.Dest, got)
+		}
+	}
+	if got := run(2, fwd); got != 0 {
+		t.Errorf("peer Forward allocates %.1f/op, budget is 0", got)
+	}
+	out, err := s.AppendMessage(buf[:0], 2, fwd)
+	if err != nil || len(out) != 1 || out[0].Dest != DestGameServer || out[0].Msg != protocol.Message(&fwd.Update) {
+		t.Errorf("peer Forward: %+v, %v; want one game-server envelope carrying the Forward's own Update", out, err)
 	}
 }

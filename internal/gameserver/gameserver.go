@@ -111,7 +111,7 @@ type Server struct {
 	grid    *spatial.Grid[id.ClientID]
 	objects map[id.ObjectID]protocol.ObjectState
 	// inbox[inboxHead:] is the receive queue. The consumed prefix is
-	// compacted away lazily (see ProcessAppend), so the array is reused
+	// compacted away lazily (see Serve), so the array is reused
 	// across ticks without per-tick backlog copies.
 	inbox     []protocol.Message
 	inboxHead int
@@ -321,23 +321,25 @@ func (s *Server) Enqueue(m protocol.Message) error {
 
 // Process consumes up to budget queued messages (all of them when budget
 // <= 0) and returns the resulting envelopes in a fresh slice. Hot loops
-// that tick every few milliseconds should use ProcessAppend with a reused
+// that tick every few milliseconds should use Serve with a reused
 // buffer instead.
 func (s *Server) Process(budget int) ([]Envelope, error) {
 	return s.ProcessAppend(nil, budget)
 }
 
-// ProcessAppend consumes up to budget queued messages (all of them when
-// budget <= 0), appending the resulting envelopes to dst, and returns the
-// extended slice. The budget models the server's finite service rate:
-// under overload the queue grows, which is what the paper's Figure 2(b)
-// plots.
-//
-// Passing the same buffer back every tick (`buf = ProcessAppend(buf[:0],
-// n)` after fully consuming it) makes the per-tick envelope path
-// allocation-free in steady state; the appended envelopes are owned by the
-// caller.
+// ProcessAppend is Serve without the count.
 func (s *Server) ProcessAppend(dst []Envelope, budget int) ([]Envelope, error) {
+	dst, _, err := s.Serve(dst, budget)
+	return dst, err
+}
+
+// Serve consumes up to budget queued messages (all of them when budget <= 0),
+// appends the resulting envelopes to dst and returns them with how many
+// messages it consumed. The budget models the server's finite service rate:
+// under overload the queue grows, which is what the paper's Figure 2(b)
+// plots. Passing the same buffer back every tick, after fully consuming it,
+// makes the envelope path allocation-free in steady state.
+func (s *Server) Serve(dst []Envelope, budget int) ([]Envelope, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.inbox) - s.inboxHead
@@ -371,7 +373,7 @@ func (s *Server) ProcessAppend(dst []Envelope, budget int) ([]Envelope, error) {
 		s.inbox = s.inbox[:rest]
 		s.inboxHead = 0
 	}
-	return dst, firstErr
+	return dst, n, firstErr
 }
 
 // LoadReport builds the periodic load report for the Matrix server.

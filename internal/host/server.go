@@ -155,9 +155,10 @@ type ServerHost struct {
 	ingressSpare []ingressMsg
 
 	// tickLoop-owned (no locking): what the node's last step or load report
-	// emitted, and the tick's outbound traffic, flushed as one frame per
-	// connection per tick.
+	// emitted, the fallout of the ingress message being handled, and the
+	// tick's outbound traffic, flushed as one frame per connection per tick.
 	stepped node.Out
+	handled []core.Envelope
 	out     *egress
 
 	// Health state. ticks/cpTick are written by the tick goroutine (Adopt
@@ -496,7 +497,7 @@ func (h *ServerHost) enqueueIngress(from id.ServerID, m protocol.Message) {
 
 // drainIngress feeds everything the funnel holds through the Matrix
 // server, collecting peer-bound fallout into eg. Runs on the tick
-// goroutine only; both backing slices are reused tick over tick.
+// goroutine only; every backing slice is reused tick over tick.
 func (h *ServerHost) drainIngress(eg *egress) {
 	h.ingressMu.Lock()
 	msgs := h.ingress
@@ -527,7 +528,7 @@ func (h *ServerHost) drainIngress(eg *egress) {
 		if h.tr != nil {
 			h.tracePeerHandle(im.msg)
 		}
-		envs, adoption, err := h.node.Handle(im.from, im.msg)
+		envs, adoption, err := h.node.Handle(h.handled, im.from, im.msg)
 		if a, isAdopt := im.msg.(*protocol.Adopt); isAdopt {
 			h.logAdopt(a, adoption, err)
 		} else if err != nil {
@@ -537,6 +538,8 @@ func (h *ServerHost) drainIngress(eg *egress) {
 			h.rearmDrain()
 		}
 		h.routeCore(envs, eg)
+		clear(envs)
+		h.handled = envs[:0]
 	}
 	for i := range msgs {
 		msgs[i] = ingressMsg{}
@@ -733,14 +736,11 @@ func (h *ServerHost) tickLoop() {
 			// ahead of whatever redirects the game server emits below.
 			h.drainIngress(h.out)
 			t1 := h.tr.Now()
-			served := h.node.Game.Stats().Processed
 			if n := int(budget); n > 0 { // Step reads 0 as "no limit"
-				h.node.Step(n, &h.stepped)
+				budget -= float64(h.node.Step(n, &h.stepped))
 				h.logStepErrs("game->matrix")
 			}
-			st := h.node.Game.Stats()
-			budget -= float64(st.Processed - served)
-			if st.QueueLen > 0 {
+			if h.node.Game.QueueLen() > 0 {
 				h.wakeTick() // what the budget left behind is served as it accrues
 			}
 			t2 := h.tr.Now()

@@ -101,24 +101,25 @@ type Adoption struct {
 }
 
 // Handle takes one message from the coordinator or a peer (from names the
-// peer, id.None otherwise) and returns the envelopes to deliver. An Adopt is
+// peer, id.None otherwise) and appends the envelopes to deliver to dst (nil
+// from a driver whose deliveries re-enter it). An Adopt is
 // the one frame the core never sees: its chunks are reassembled here and the
 // victim's world restored into the game server on the last one, so the restore
 // lands before the overlap tables and the activating RangeUpdate the
 // coordinator sends behind it. A stream over protocol.MaxBlobSize is dropped
 // (protocol.ErrBlobTooLarge, once) and never reports Done; a blob that does
 // not restore reports both Done and the error.
-func (n *Node) Handle(from id.ServerID, m protocol.Message) ([]core.Envelope, Adoption, error) {
+func (n *Node) Handle(dst []core.Envelope, from id.ServerID, m protocol.Message) ([]core.Envelope, Adoption, error) {
 	a, isAdopt := m.(*protocol.Adopt)
 	if !isAdopt {
-		envs, err := n.Core.HandleMessage(from, m)
+		envs, err := n.Core.AppendMessage(dst, from, m)
 		return envs, Adoption{}, err
 	}
 	blob, done, err := n.adopt.Add(a.Blob, a.Final)
 	if err == nil && len(blob) > 0 {
 		err = nodeblob.RestoreGame(blob, n.Game)
 	}
-	return nil, Adoption{Done: done, Bytes: len(blob)}, err
+	return dst, Adoption{Done: done, Bytes: len(blob)}, err
 }
 
 // Checkpoint returns the blob this node ships to the coordinator — what a
@@ -172,33 +173,25 @@ func (o *Out) Game() []gameserver.Envelope { return o.game }
 // Step is one tick of the node: drain up to budget messages from the game
 // server's queue (all of them when budget <= 0) and hand every DestMatrix
 // envelope that produces to the co-located Matrix server, keeping its fallout
-// and where it ends. Whatever out held is discarded.
-func (n *Node) Step(budget int, out *Out) {
+// and where it ends. Whatever out held is discarded. It returns how many
+// queued messages it served.
+func (n *Node) Step(budget int, out *Out) (served int) {
 	out.reset(n)
-	out.game, out.GameErr = n.Game.ProcessAppend(out.game, budget)
+	out.game, served, out.GameErr = n.Game.Serve(out.game, budget)
 	for i := range out.game {
 		e := &out.game[i]
 		if e.Dest != gameserver.DestMatrix {
 			continue
 		}
-		lo := len(out.core)
 		var err error
-		if u, isUpdate := e.Msg.(*protocol.GameUpdate); isUpdate {
-			// The dominant message appends to the reused buffer.
-			out.core, err = n.Core.AppendGameUpdate(out.core, u)
-		} else {
-			var envs []core.Envelope
-			envs, err = n.Core.HandleMessage(id.None, e.Msg)
-			out.core = append(out.core, envs...)
-		}
-		if err != nil {
+		if out.core, err = n.Core.AppendMessage(out.core, id.None, e.Msg); err != nil {
 			// Inactive servers legitimately reject packets in flight across
 			// a topology change; keep the reason, route nothing.
-			out.core = out.core[:lo]
 			out.CoreErrs = append(out.CoreErrs, err)
 		}
 		out.coreEnds = append(out.coreEnds, len(out.core))
 	}
+	return served
 }
 
 // LoadReport is the periodic load report: the game server's client count and

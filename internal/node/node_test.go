@@ -26,7 +26,7 @@ var testWorld = geom.R(0, 0, 100, 100)
 func deliver(t *testing.T, nodes []*Node, envs []coordinator.Envelope) {
 	t.Helper()
 	for _, e := range envs {
-		if _, _, err := nodes[e.To-1].Handle(id.None, e.Msg); err != nil {
+		if _, _, err := nodes[e.To-1].Handle(nil, id.None, e.Msg); err != nil {
 			t.Fatalf("%v to %v: %v", e.Msg.MsgType(), e.To, err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestHandleAdopt(t *testing.T) {
 		if e.To != 2 {
 			continue
 		}
-		envs, adoption, err := spare.Handle(id.None, e.Msg)
+		envs, adoption, err := spare.Handle(nil, id.None, e.Msg)
 		if err != nil {
 			t.Fatalf("%v: %v", e.Msg.MsgType(), err)
 		}
@@ -331,7 +331,7 @@ func TestHandleAdopt(t *testing.T) {
 
 	t.Run("cold", func(t *testing.T) {
 		n := staticFleet(t, testWorld)[0]
-		_, adoption, err := n.Handle(id.None, &protocol.Adopt{Victim: 9, Final: true})
+		_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Final: true})
 		if err != nil || adoption != (Adoption{Done: true}) || n.Game.ClientCount() != 0 {
 			t.Errorf("cold adoption = %+v, %v, %d avatars; want done, no bytes, an empty world", adoption, err, n.Game.ClientCount())
 		}
@@ -341,7 +341,7 @@ func TestHandleAdopt(t *testing.T) {
 		chunk := make([]byte, protocol.MaxFrameSize)
 		tooLarge := 0
 		for sent := 0; sent < 2*protocol.MaxBlobSize; sent += len(chunk) {
-			_, adoption, err := n.Handle(id.None, &protocol.Adopt{Victim: 9, Blob: chunk})
+			_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: chunk})
 			if errors.Is(err, protocol.ErrBlobTooLarge) {
 				tooLarge++
 			} else if err != nil {
@@ -358,17 +358,17 @@ func TestHandleAdopt(t *testing.T) {
 			t.Errorf("%d overflow errors, %d bytes still held; want one and none", tooLarge, n.adopt.Len())
 		}
 		// The dropped stream's tail ends it in silence; the next one restores.
-		if _, adoption, err := n.Handle(id.None, &protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}); err != nil || adoption.Done {
+		if _, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}); err != nil || adoption.Done {
 			t.Errorf("tail of the dropped stream: %+v, %v", adoption, err)
 		}
-		_, _, _ = n.Handle(id.None, &protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]})
-		if _, adoption, err := n.Handle(id.None, &protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true}); err != nil || !adoption.Done || n.Game.ClientCount() != 3 {
+		_, _, _ = n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]})
+		if _, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true}); err != nil || !adoption.Done || n.Game.ClientCount() != 3 {
 			t.Errorf("stream after the overflow: %+v, %v, %d avatars", adoption, err, n.Game.ClientCount())
 		}
 	})
 	t.Run("garbage", func(t *testing.T) {
 		n := staticFleet(t, testWorld)[0]
-		_, adoption, err := n.Handle(id.None, &protocol.Adopt{Victim: 9, Blob: []byte("not a blob"), Final: true})
+		_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: []byte("not a blob"), Final: true})
 		if err == nil || !adoption.Done || adoption.Bytes != 10 {
 			t.Errorf("undecodable checkpoint: %+v, %v; want the adoption done and the error", adoption, err)
 		}

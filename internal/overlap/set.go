@@ -6,6 +6,7 @@
 package overlap
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,30 +37,30 @@ func NewSet(ids ...id.ServerID) Set {
 	return out[:w]
 }
 
-// Union returns the union of s and o as a new Set.
-func (s Set) Union(o Set) Set {
-	out := make(Set, 0, len(s)+len(o))
+// Union returns the union of s and o as a new Set (nil when both are empty).
+func (s Set) Union(o Set) Set { return s.AppendUnion(nil, o) }
+
+// AppendUnion appends the union of s and o to dst, which must share no storage
+// with either; reusing dst (`buf = s.AppendUnion(buf[:0], o)`) avoids allocating.
+func (s Set) AppendUnion(dst, o Set) Set {
+	dst = slices.Grow(dst, len(s)+len(o))
 	i, j := 0, 0
 	for i < len(s) && j < len(o) {
 		switch {
 		case s[i] < o[j]:
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 			i++
 		case s[i] > o[j]:
-			out = append(out, o[j])
+			dst = append(dst, o[j])
 			j++
 		default:
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, s[i:]...)
-	out = append(out, o[j:]...)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	dst = append(dst, s[i:]...)
+	return append(dst, o[j:]...)
 }
 
 // Clone returns a copy of s.

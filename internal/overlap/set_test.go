@@ -41,10 +41,18 @@ func TestSetUnion(t *testing.T) {
 		{nil, nil, nil},
 		{NewSet(5, 7), NewSet(1, 9), NewSet(1, 5, 7, 9)},
 	}
+	buf := Set{99} // AppendUnion keeps what dst held and reuses its storage
 	for _, tt := range tests {
-		if got := tt.a.Union(tt.b); !slices.Equal(got, tt.want) {
-			t.Errorf("%v.Union(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
+		got := tt.a.Union(tt.b)
+		if !slices.Equal(got, tt.want) || (got == nil) != (tt.want == nil) {
+			t.Errorf("%v.Union(%v) = %#v, want %#v", tt.a, tt.b, got, tt.want)
 		}
+		if buf = tt.a.AppendUnion(buf[:1], tt.b); !slices.Equal(buf[1:], tt.want) || buf[0] != 99 {
+			t.Errorf("%v.AppendUnion(%v) = %v, want {99} then %v", tt.a, tt.b, buf, tt.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = tests[0].a.AppendUnion(buf[:0], tests[0].b) }); allocs != 0 {
+		t.Errorf("AppendUnion into a reused slice allocates %.1f/op, budget is 0", allocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"matrix/internal/geom"
@@ -543,6 +544,7 @@ func (m *Batch) encodeBody(b *buffer) {
 	}
 }
 
+// decodeBody appends to m.Msgs: AppendUnmarshal decodes into its caller's slice.
 func (m *Batch) decodeBody(r reader) (int, error) {
 	n := int(r.u32())
 	// Every element costs at least its 5-byte header, so a count claiming
@@ -553,35 +555,29 @@ func (m *Batch) decodeBody(r reader) (int, error) {
 		r.fail()
 		return r.off, r.err
 	}
-	m.Msgs = make([]Message, 0, n)
+	m.Msgs = slices.Grow(m.Msgs, n)
 	for i := 0; i < n; i++ {
+		// Each element is a complete nested frame: [u32 length][u8 type][body].
+		start := r.off
 		ln := int(r.u32())
-		t := MsgType(r.u8())
-		if r.err != nil {
-			return r.off, r.err
-		}
-		if ln < 0 || r.off+ln > len(r.b) {
+		if r.err != nil || ln < 0 || ln > len(r.b)-r.off-1 {
 			r.fail()
 			return r.off, r.err
 		}
-		if t == TypeBatch {
+		r.off += 1 + ln
+		if MsgType(r.b[start+4]) == TypeBatch {
 			return 0, errors.New("protocol: nested batch")
 		}
-		sub, err := newMessage(t)
+		sub, err := Unmarshal(r.b[start:r.off])
 		if err != nil {
 			return 0, err
 		}
-		end, err := sub.decodeBody(reader{b: r.b[r.off : r.off+ln]})
-		if err != nil {
-			return 0, err
-		}
-		if end != ln {
-			return 0, fmt.Errorf("protocol: %d trailing bytes in batch element %v", ln-end, t)
-		}
-		r.off += ln
 		m.Msgs = append(m.Msgs, sub)
 	}
-	return r.off, r.err
+	if r.off != len(r.b) {
+		return 0, fmt.Errorf("protocol: %d trailing bytes after %d batch elements", len(r.b)-r.off, n)
+	}
+	return r.off, nil
 }
 
 func (m *SnapshotRequest) encodeBody(b *buffer) {}
@@ -800,28 +796,59 @@ func AppendBatches(dst []byte, ends []int, ms []Message) (out []byte, frameEnds 
 
 // Unmarshal decodes one frame previously produced by Marshal.
 func Unmarshal(frame []byte) (Message, error) {
-	if len(frame) < 5 {
-		return nil, ErrTruncated
-	}
-	n := binary.BigEndian.Uint32(frame)
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	if len(frame) != int(n)+5 {
-		return nil, fmt.Errorf("%w: frame says %d body bytes, have %d", ErrTruncated, n, len(frame)-5)
+	body, err := frameBody(frame)
+	if err != nil {
+		return nil, err
 	}
 	m, err := newMessage(MsgType(frame[4]))
 	if err != nil {
 		return nil, err
 	}
-	end, err := m.decodeBody(reader{b: frame[5:]})
+	end, err := m.decodeBody(reader{b: body})
 	if err != nil {
 		return nil, fmt.Errorf("decode %v: %w", m.MsgType(), err)
 	}
-	if end != int(n) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", int(n)-end, m.MsgType())
+	if end != len(body) {
+		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", len(body)-end, m.MsgType())
 	}
 	return m, nil
+}
+
+// AppendUnmarshal decodes one frame and appends what it carries to dst: a
+// Batch frame's elements, in order, or any other frame's one message. A
+// caller that reuses dst decodes a batch at one allocation per element and
+// none per frame. On error dst is returned as it was.
+func AppendUnmarshal(dst []Message, frame []byte) ([]Message, error) {
+	if len(frame) < frameHeaderSize || MsgType(frame[4]) != TypeBatch {
+		m, err := Unmarshal(frame)
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, m), nil
+	}
+	body, err := frameBody(frame)
+	if err != nil {
+		return dst, err
+	}
+	b := Batch{Msgs: dst}
+	if _, err := b.decodeBody(reader{b: body}); err != nil {
+		return dst, fmt.Errorf("decode %v: %w", TypeBatch, err)
+	}
+	return b.Msgs, nil
+}
+
+// frameBody checks a frame's envelope and returns its body.
+func frameBody(frame []byte) ([]byte, error) {
+	if len(frame) < frameHeaderSize {
+		return nil, ErrTruncated
+	}
+	switch n := binary.BigEndian.Uint32(frame); {
+	case n > MaxFrameSize:
+		return nil, ErrFrameTooLarge
+	case len(frame) != int(n)+frameHeaderSize:
+		return nil, fmt.Errorf("%w: frame says %d body bytes, have %d", ErrTruncated, n, len(frame)-frameHeaderSize)
+	}
+	return frame[frameHeaderSize:], nil
 }
 
 // sizePool recycles scratch encode buffers so Size is allocation-free in
@@ -849,7 +876,7 @@ func Size(m Message) (int, error) {
 // storage when it is large enough. The returned slice is only valid until
 // the next ReadFrame with the same buf; decoded messages never alias it
 // (the decoder copies every byte/string field), so transports can recycle
-// one buffer per connection.
+// one buffer per connection, and with AppendUnmarshal one message slice too.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	// The header goes into buf's own storage: a local array would escape
 	// through the io.Reader, one allocation per frame.

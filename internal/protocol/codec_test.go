@@ -488,8 +488,12 @@ func TestSizeZeroAlloc(t *testing.T) {
 
 // TestDecodeAllocs is the receive path's allocation budget: reading a frame
 // into a reused buffer allocates nothing, and decoding allocates the messages
-// and nothing per frame or per batch element — no header array, no reader.
+// and nothing per batch element — no header array, no reader — nor, decoded
+// into a reused slice, per frame.
 func TestDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	u := &GameUpdate{Client: 42, Seq: 7, Kind: KindMove, Origin: geom.Pt(1, 2), Dest: geom.Pt(3, 4)}
 	single, err := Marshal(u)
 	if err != nil {
@@ -519,6 +523,15 @@ func TestDecodeAllocs(t *testing.T) {
 		}); got != tc.want {
 			t.Errorf("Unmarshal(%s) allocates %.1f/op, budget is %.0f", tc.name, got, tc.want)
 		}
+	}
+	dst := make([]Message, 0, k)
+	if got := testing.AllocsPerRun(200, func() {
+		out, err := AppendUnmarshal(dst[:0], batch)
+		if err != nil || len(out) != k {
+			t.Fatalf("AppendUnmarshal: %d messages, %v", len(out), err)
+		}
+	}); got != k {
+		t.Errorf("AppendUnmarshal(batch) into a reused slice allocates %.1f/op, budget is %d (the messages)", got, k)
 	}
 	buf, src := make([]byte, 0, len(batch)), bytes.NewReader(nil)
 	if got := testing.AllocsPerRun(200, func() {

@@ -542,7 +542,7 @@ func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message
 				trace.PacketID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now())
 		}
 	}
-	envs, adoption, err := n.Handle(from, m)
+	envs, adoption, err := n.Handle(nil, from, m)
 	a, isAdopt := m.(*protocol.Adopt)
 	if err != nil {
 		// Inactive servers legitimately reject packets that were in

@@ -39,8 +39,11 @@ type Grid[K cmp.Ordered] struct {
 	keys, tmp []K
 	runs      []span
 	// visited counts the cells queries have looked up — the work bound the
-	// tests pin for hostile coordinates.
+	// tests pin for hostile coordinates and radii.
 	visited uint64
+	// occupied bounds every cell ever inserted into (it never shrinks): a
+	// query looks nowhere else, so a huge radius costs the populated area.
+	occupied cellRange
 }
 
 // NewGrid creates a grid with the given cell size. Radius queries are most
@@ -51,9 +54,10 @@ func NewGrid[K cmp.Ordered](cell float64) *Grid[K] {
 		cell = 1
 	}
 	return &Grid[K]{
-		cell:  cell,
-		cells: make(map[[2]int32][]entry[K]),
-		pos:   make(map[K]geom.Point),
+		cell:     cell,
+		cells:    make(map[[2]int32][]entry[K]),
+		pos:      make(map[K]geom.Point),
+		occupied: cellRange{maxCoord, maxCoord, -maxCoord, -maxCoord},
 	}
 }
 
@@ -91,9 +95,10 @@ func (r cellRange) contains(cx, cy int32) bool {
 	return r.x0 <= cx && cx <= r.x1 && r.y0 <= cy && cy <= r.y1
 }
 
-// cellsOver returns the cells overlapping the box [minX,maxX]×[minY,maxY].
+// cellsOver returns the occupied cells overlapping [minX,maxX]×[minY,maxY].
 func (g *Grid[K]) cellsOver(minX, minY, maxX, maxY float64) cellRange {
-	return cellRange{g.coord(minX), g.coord(minY), g.coord(maxX), g.coord(maxY)}
+	o := g.occupied
+	return cellRange{max(g.coord(minX), o.x0), max(g.coord(minY), o.y0), min(g.coord(maxX), o.x1), min(g.coord(maxY), o.y1)}
 }
 
 // Len returns the number of entities in the grid.
@@ -121,6 +126,8 @@ func (g *Grid[K]) Insert(k K, p geom.Point) {
 	run := g.cells[nc]
 	i, _ := searchCell(run, k)
 	g.cells[nc] = slices.Insert(run, i, entry[K]{k, p})
+	o := &g.occupied
+	o.x0, o.y0, o.x1, o.y1 = min(o.x0, nc[0]), min(o.y0, nc[1]), max(o.x1, nc[0]), max(o.y1, nc[1])
 }
 
 // Remove deletes an entity; unknown keys are a no-op.

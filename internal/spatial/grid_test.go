@@ -269,7 +269,8 @@ func TestQueryDiscsMatchesBruteForce(t *testing.T) {
 // TestQueryWorkBoundedByDiscs pins the bound a hostile update must not
 // break: Origin and Dest come off the wire, and however far apart they are
 // the query looks at the cells under the two discs, never the cells between
-// them. NaN and infinite centres neither panic nor loop, and match nothing.
+// them. NaN and infinite centres neither panic nor loop, and match nothing;
+// a huge radius looks at no more than the cells ever occupied.
 func TestQueryWorkBoundedByDiscs(t *testing.T) {
 	g := NewGrid[int](10)
 	g.Insert(1, geom.Pt(5, 5))
@@ -296,6 +297,22 @@ func TestQueryWorkBoundedByDiscs(t *testing.T) {
 		}
 		if n := g.visited - before; n > 2*perDisc {
 			t.Errorf("%s: visited %d cells, bound is %d", tc.name, n, 2*perDisc)
+		}
+	}
+	// A hostile radius costs the occupied cells, not the radius: the query
+	// is clamped to the box of cells anything was ever inserted into.
+	h := NewGrid[int](10)
+	for k, p := range []geom.Point{geom.Pt(5, 5), geom.Pt(95, 15), geom.Pt(45, 85)} {
+		h.Insert(k, p)
+	}
+	const occupied = 10 * 9 // cells 0..9 × 0..8
+	for _, dist := range []float64{1e6, 1e12} {
+		before := h.visited
+		if got := h.QueryDiscs(geom.Pt(5, 5), geom.Pt(-1e9, 1e9), dist, nil); !slices.Equal(got, []int{0, 1, 2}) {
+			t.Errorf("radius %g: got %v, want every entity", dist, got)
+		}
+		if n := h.visited - before; n > occupied {
+			t.Errorf("radius %g: visited %d cells, bound is the %d occupied", dist, n, occupied)
 		}
 	}
 	// A stored NaN position is never a hit, and removing it still works.
@@ -335,9 +352,12 @@ func TestQueryZeroAllocSteadyState(t *testing.T) {
 
 // FuzzGridOps replays an op stream against the grid and a plain map. Each op
 // is 4 bytes: kind, key, x, y. Coordinates are small signed integers scaled
-// so that neighbouring values share cells and the extremes do not.
+// so that neighbouring values share cells and the extremes do not. A query's
+// radius is picked by the kind byte's top two bits, two of the four hostile.
 func FuzzGridOps(f *testing.F) {
 	f.Add([]byte{}) // the op streams worth keeping are in testdata/fuzz/FuzzGridOps
+	// Hostile radii over a spread-out population, then after a removal.
+	f.Add([]byte{0, 1, 0x80, 0x80, 0, 2, 0x7f, 0x7f, 0, 3, 4, 0xf0, 0x83, 5, 1, 1, 0xc3, 0x21, 0x7f, 0x80, 1, 2, 0, 0, 0xc3, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		g, m := NewGrid[int](8), model{}
 		for ; len(ops) >= 4; ops = ops[4:] {
@@ -364,7 +384,7 @@ func FuzzGridOps(f *testing.F) {
 				}
 			case 3:
 				b := geom.Pt(p.X+float64(ops[1]%16), p.Y-float64(ops[1]/16))
-				checkAgainst(t, g, m, p, b, 12)
+				checkAgainst(t, g, m, p, b, [4]float64{12, 0, 1e6, 1e12}[ops[0]>>6])
 			}
 		}
 		if len(g.pos) != len(m) {

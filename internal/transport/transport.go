@@ -41,7 +41,8 @@ type Conn interface {
 	SendBatch(ms []protocol.Message) error
 	// Recv blocks until a message arrives or the connection closes.
 	// Batch frames are unpacked transparently: the contained messages are
-	// returned one at a time, in order.
+	// returned one at a time, in order. A returned message is the caller's,
+	// and read-only (a core hands a received Forward's Update on as it is).
 	Recv() (protocol.Message, error)
 	// Close shuts the connection down; pending Recv calls return ErrClosed.
 	Close() error
@@ -88,12 +89,13 @@ type TimeoutDialer interface {
 type framedConn struct {
 	rw       io.ReadWriteCloser
 	remote   fmt.Stringer
-	writeMu  sync.Mutex // frames must not interleave; also guards encBuf/endsBuf
-	encBuf   []byte     // reused encode buffer
-	endsBuf  []int      // reused frame-boundary buffer
-	readMu   sync.Mutex // guards readBuf and pending
-	readBuf  []byte     // reused frame buffer (decoded messages never alias it)
-	pending  []protocol.Message
+	writeMu  sync.Mutex         // frames must not interleave; also guards encBuf/endsBuf
+	encBuf   []byte             // reused encode buffer
+	endsBuf  []int              // reused frame-boundary buffer
+	readMu   sync.Mutex         // guards readBuf, pending and next
+	readBuf  []byte             // reused frame buffer (decoded messages never alias it)
+	pending  []protocol.Message // the last frame's messages, decoded in place; pending[next:] not yet returned
+	next     int
 	countsMu sync.Mutex
 	sent     uint64
 	received uint64
@@ -106,14 +108,15 @@ func newConn(rw io.ReadWriteCloser, remote fmt.Stringer) *framedConn {
 	return &framedConn{rw: rw, remote: remote, encBuf: make([]byte, 0, 2048)}
 }
 
-// maxRetainedBuf caps the buffers a connection keeps between calls: one burst
-// tick (a mass migration, a huge state transfer) must not pin multi-MB
-// buffers on every peer connection forever.
-const maxRetainedBuf = 64 << 10
+// maxRetainedBuf caps the bytes a connection keeps between calls, and
+// maxRetainedPending its decoded-message slots: one burst tick (a mass
+// migration, a huge state transfer) must not pin multi-MB buffers on every
+// peer connection forever.
+const maxRetainedBuf, maxRetainedPending = 64 << 10, 1024
 
-// retain keeps buf for reuse unless it grew past maxRetainedBuf.
-func retain(buf []byte) []byte {
-	if cap(buf) > maxRetainedBuf {
+// retain keeps buf for reuse unless it grew past limit.
+func retain[E any](buf []E, limit int) []E {
+	if cap(buf) > limit {
 		return nil
 	}
 	return buf[:0]
@@ -126,7 +129,7 @@ func (c *framedConn) Send(m protocol.Message) error {
 	if err != nil {
 		return err
 	}
-	c.encBuf = retain(frame)
+	c.encBuf = retain(frame, maxRetainedBuf)
 	return c.write(frame)
 }
 
@@ -145,7 +148,7 @@ func (c *framedConn) SendBatch(ms []protocol.Message) error {
 	if err != nil {
 		return err
 	}
-	c.encBuf = retain(out)
+	c.encBuf = retain(out, maxRetainedBuf)
 	return c.write(out)
 }
 
@@ -160,33 +163,29 @@ func (c *framedConn) write(frames []byte) error {
 	return nil
 }
 
+// Recv decodes each frame into pending, which only Recv touches, and hands the
+// messages out one per call, clearing each slot: a returned one is the caller's.
 func (c *framedConn) Recv() (protocol.Message, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	// A Batch frame is handed out one message per call; an empty one yields
-	// nothing and the loop reads on.
-	for len(c.pending) == 0 {
+	// An empty Batch frame yields nothing and the loop reads on.
+	for c.next == len(c.pending) {
+		c.pending, c.next = retain(c.pending, maxRetainedPending), 0
 		frame, err := protocol.ReadFrame(c.rw, c.readBuf)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 		}
-		c.readBuf = retain(frame)
+		c.readBuf = retain(frame, maxRetainedBuf)
 		c.countsMu.Lock()
 		c.received += uint64(len(frame))
 		c.countsMu.Unlock()
-		m, err := protocol.Unmarshal(frame)
-		if err != nil {
+		if c.pending, err = protocol.AppendUnmarshal(c.pending, frame); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 		}
-		b, ok := m.(*protocol.Batch)
-		if !ok {
-			return m, nil
-		}
-		c.pending = b.Msgs
 	}
-	m := c.pending[0]
-	c.pending[0] = nil
-	c.pending = c.pending[1:]
+	m := c.pending[c.next]
+	c.pending[c.next] = nil
+	c.next++
 	return m, nil
 }
 
@@ -390,7 +389,7 @@ func (s *memStream) read(p []byte) (int, error) {
 	}
 	n := copy(p, s.buf[s.off:])
 	if s.off += n; s.off == len(s.buf) {
-		s.buf, s.off = retain(s.buf), 0
+		s.buf, s.off = retain(s.buf, maxRetainedBuf), 0
 	}
 	return n, nil
 }

@@ -28,11 +28,11 @@ var surfaceAllow = map[string]string{
 	"host.ServerHost.CheckpointTick": "the heal suites wait for a fresh checkpoint to land before they kill a server",
 	"cluster.*":                      "internal/cluster is the in-process fleet harness the heal/drain suites drive; all of it exists for tests",
 	// Only benchmark/ calls these, and each has a sibling the program uses
-	// (ROADMAP item 9: a benchmark-only PR moves it onto the sibling, the PR
+	// (ROADMAP item 1: a benchmark-only PR moves it onto the sibling, the PR
 	// after deletes them). benchmark/ is walked as a caller, so these entries
 	// excuse nothing; the gate only says when one stops being true.
 	"coordinator.Coordinator.CheckpointSize": "benchmark/fleet.go reads the coordinator.checkpoint_bytes row through it",
-	"gameserver.Server.Process":              "benchmark/probes.go; the program calls ProcessAppend",
+	"gameserver.Server.Process":              "benchmark/probes.go; the program calls Serve",
 	"snapshot.RestoreNode":                   "benchmark/probes.go's name for nodeblob.Restore, itself probe-only; whoever adopts a blob — live host or simulated server — calls nodeblob.RestoreGame",
 	"spatial.Grid.QueryCircle":               "benchmark/probes.go; the program calls QueryDiscs",
 }
