@@ -34,7 +34,7 @@ import (
 var (
 	ErrPoolExhausted = errors.New("coordinator: no spare servers available")
 	ErrUnknownServer = errors.New("coordinator: unknown server")
-	ErrBadRadius     = errors.New("coordinator: radius must be positive")
+	ErrBadRadius     = errors.New("coordinator: bad radius")
 	ErrNotActive     = errors.New("coordinator: server owns no partition")
 )
 
@@ -197,12 +197,16 @@ func New(cfg Config) (*Coordinator, error) {
 // Register adds a server. The first registration becomes the active root
 // server owning the whole world; later registrations join the spare pool
 // (the paper's "non-Matrix external entity" that supplies available
-// servers). The returned envelopes carry the initial overlap tables.
+// servers). The returned envelopes carry the initial overlap tables. The
+// first registrant's radius is the fleet's; one that differs is refused.
 func (c *Coordinator) Register(addr string, radius float64) (*protocol.RegisterReply, []Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if radius < 0 {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadRadius, radius)
+		return nil, nil, fmt.Errorf("%w: %v is negative", ErrBadRadius, radius)
+	}
+	if (c.m != nil || len(c.staticAssigned) > 0) && radius != c.radius {
+		return nil, nil, fmt.Errorf("%w: %v, but the fleet runs at %v", ErrBadRadius, radius, c.radius)
 	}
 	sid := c.gen.NextServer()
 	st := &serverState{id: sid, addr: addr, radius: radius, lastBeat: c.now()}

@@ -1,7 +1,10 @@
 package coordinator
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"matrix/internal/geom"
@@ -407,6 +410,37 @@ func TestRegisterNegativeRadius(t *testing.T) {
 	c := newTestMC(t)
 	if _, _, err := c.Register("a:1", -5); !errors.Is(err, ErrBadRadius) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestRegisterRefusesAMismatchedRadius: the first registrant's radius is the
+// fleet's, on the dynamic and the static path alike; a later registrant at
+// another radius is refused with both values named and leaves the fleet as it
+// was, while one at the fleet's radius still joins.
+func TestRegisterRefusesAMismatchedRadius(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"dynamic": {World: geom.R(0, 0, 100, 100)},
+		"static":  {World: geom.R(0, 0, 100, 100), Static: []geom.Rect{geom.R(0, 0, 50, 100), geom.R(50, 0, 100, 100)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			register(t, c, "a:1", 40)
+			before, err := json.Marshal(c.CaptureState())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = c.Register("b:1", 80)
+			if !errors.Is(err, ErrBadRadius) || !strings.Contains(err.Error(), "80") || !strings.Contains(err.Error(), "40") {
+				t.Fatalf("Register at 80 against a fleet at 40: err = %v, want ErrBadRadius naming both", err)
+			}
+			if after, _ := json.Marshal(c.CaptureState()); !bytes.Equal(before, after) {
+				t.Errorf("the refused registration changed the fleet:\n%s\n%s", before, after)
+			}
+			register(t, c, "b:1", 40)
+		})
 	}
 }
 

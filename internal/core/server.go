@@ -163,11 +163,10 @@ func NewServer(cfg Config, reply *protocol.RegisterReply, radius float64) (*Serv
 	if radius < 0 {
 		return nil, fmt.Errorf("core: negative radius %v", radius)
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Wall{}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall{}
 	}
-	tracker, err := load.NewTracker(cfg.Load, clk, cfg.Policy)
+	tracker, err := load.NewTracker(cfg.Load, cfg.Clock, cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +383,7 @@ func (s *Server) HandleLocalLoad(clients, queueLen int) ([]Envelope, error) {
 	if s.pendingReclaim == id.None {
 		// Try children newest-first: only the most recently split-off
 		// piece is guaranteed to merge back into our current rectangle.
-		now := s.clockNow()
+		now := s.cfg.Clock.Now()
 		for i := len(s.childOrder) - 1; i >= 0; i-- {
 			child := s.childOrder[i]
 			if until, denied := s.reclaimDeniedUntil[child]; denied && now.Before(until) {
@@ -402,14 +401,6 @@ func (s *Server) HandleLocalLoad(clients, queueLen int) ([]Envelope, error) {
 		}
 	}
 	return out, nil
-}
-
-// clockNow reads the policy clock.
-func (s *Server) clockNow() time.Time {
-	if s.cfg.Clock != nil {
-		return s.cfg.Clock.Now()
-	}
-	return time.Now()
 }
 
 // handleChildLoad ingests a child's load report relayed by the MC.
@@ -511,7 +502,7 @@ func (s *Server) handleReclaimReply(r *protocol.ReclaimReply) ([]Envelope, error
 		// Back the denied child off for one dwell period so other
 		// children get a turn on the next load report.
 		if child.Valid() {
-			s.reclaimDeniedUntil[child] = s.clockNow().Add(s.tracker.Config().ReclaimDwell)
+			s.reclaimDeniedUntil[child] = s.cfg.Clock.Now().Add(s.tracker.Config().ReclaimDwell)
 		}
 		return nil, nil
 	}

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"matrix/internal/gameclient"
-	"matrix/internal/gameserver"
 	"matrix/internal/geom"
 	"matrix/internal/id"
-	"matrix/internal/load"
 	"matrix/internal/netem"
 	"matrix/internal/protocol"
 	"matrix/internal/transport"
@@ -131,18 +129,55 @@ func (n *spyNetwork) clientConn(h *ServerHost, c id.ClientID) *spyConn {
 // (its Coordinator and Radius filled in), both closed with the test.
 func startServerOn(t *testing.T, mcNet transport.Network, cfg ServerConfig) *ServerHost {
 	t.Helper()
+	return bootOn(t, mcNet, cfg, StartServer)
+}
+
+// newServerOn is startServerOn without the tick loop: the test is the tick
+// goroutine, and runs tick, report, beat and shipCheckpoint at times it picks.
+func newServerOn(t *testing.T, mcNet transport.Network, cfg ServerConfig) *ServerHost {
+	t.Helper()
+	return bootOn(t, mcNet, cfg, newServer)
+}
+
+func bootOn(t *testing.T, mcNet transport.Network, cfg ServerConfig, boot func(ServerConfig) (*ServerHost, error)) *ServerHost {
+	t.Helper()
 	mc, err := ServeCoordinator(mcNet, "", coordinatorConfigForTest(), nil)
 	if err != nil {
 		t.Fatalf("ServeCoordinator: %v", err)
 	}
 	t.Cleanup(func() { mc.Close() })
 	cfg.Coordinator, cfg.Radius = mc.Addr(), 40
-	h, err := StartServer(cfg)
+	h, err := boot(cfg)
 	if err != nil {
-		t.Fatalf("StartServer: %v", err)
+		t.Fatalf("start server: %v", err)
 	}
 	t.Cleanup(func() { h.Close() })
 	return h
+}
+
+// sendHello dials h as client c and sends its hello. A host without a tick
+// loop answers it on the test's next tick.
+func sendHello(t *testing.T, nw transport.Network, h *ServerHost, c id.ClientID, pos geom.Point) transport.Conn {
+	t.Helper()
+	conn, err := nw.Dial(h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(&protocol.ClientHello{Client: c, Pos: pos}); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// tickUntil plays the tick goroutine of a host without a tick loop until
+// cond holds.
+func tickUntil(t *testing.T, h *ServerHost, what string, cond func() bool) {
+	t.Helper()
+	waitFor(t, what, func() bool {
+		h.tick(time.Now())
+		return cond()
+	})
 }
 
 // startSpiedServer boots a coordinator on inner and one server host whose
@@ -155,21 +190,25 @@ func startSpiedServer(t *testing.T, inner transport.Network) (*spyNetwork, *Serv
 	})
 }
 
-// deliver builds the envelopes that hand msgs to client c, in order.
-func deliver(c id.ClientID, msgs ...protocol.Message) []gameserver.Envelope {
-	envs := make([]gameserver.Envelope, len(msgs))
-	for i, m := range msgs {
-		envs[i] = gameserver.Envelope{Dest: gameserver.DestClient, Client: c, Msg: m}
+// newSpiedServer is startSpiedServer without the tick loop, with clients
+// 1..n joined at (100+c, 100) by the test's ticks.
+func newSpiedServer(t *testing.T, n int) (*spyNetwork, *ServerHost, []transport.Conn) {
+	t.Helper()
+	spy := &spyNetwork{Network: transport.NewMemNetwork()}
+	h := newServerOn(t, spy.Network, ServerConfig{Network: spy})
+	conns := make([]transport.Conn, n)
+	for i := range conns {
+		conns[i] = sendHello(t, spy.Network, h, id.ClientID(i+1), geom.Pt(101+float64(i), 100))
 	}
-	return envs
+	tickUntil(t, h, "clients joined", func() bool { return h.Game().ClientCount() == n })
+	return spy, h, conns
 }
 
-// routeGame collects client deliveries into eg as the live tick's sink does
-// into the host's own egress (ServerHost.ToClient), so a test can fill an
-// egress the running tick loop does not share.
-func (h *ServerHost) routeGame(envs []gameserver.Envelope, eg *egress) {
-	for _, e := range envs {
-		h.collectClient(e.Client, e.Msg, eg)
+// deliver hands msgs to client c through the node sink, in order, into the
+// tick's egress.
+func deliver(h *ServerHost, c id.ClientID, msgs ...protocol.Message) {
+	for _, m := range msgs {
+		h.ToClient(h.node, c, m)
 	}
 }
 
@@ -328,8 +367,7 @@ func TestEgressStateBeforeRedirectEveryWakeup(t *testing.T) {
 // emission order with the redirect last, and a one-delivery tick is a plain
 // frame, byte-identical to what Send would have written.
 func TestEgressOneFrameOnTheSocket(t *testing.T) {
-	_, hosts := startCluster(t, transport.TCPNetwork{}, 1, load.Config{})
-	h := hosts[0]
+	h := newServerOn(t, transport.TCPNetwork{}, ServerConfig{Network: transport.TCPNetwork{}})
 	sock, err := net.Dial("tcp", h.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -361,18 +399,18 @@ func TestEgressOneFrameOnTheSocket(t *testing.T) {
 		}
 		return []protocol.Message{m}
 	}
+	tickUntil(t, h, "client joined", func() bool { return h.Game().ClientCount() == 1 })
 	for welcomed := false; !welcomed; {
 		for _, m := range nextFrame() {
 			welcomed = welcomed || m.MsgType() == protocol.TypeClientWelcome
 		}
 	}
 
-	eg := newEgress()
 	redirect := &protocol.Redirect{Client: 7, NewOwner: 99, NewAddr: "elsewhere"}
-	h.routeGame(deliver(7, update(1, 1), update(2, 2), update(3, 3), update(4, 4), redirect), eg)
-	h.flush(eg)
-	h.routeGame(deliver(7, update(1, 5)), eg)
-	h.flush(eg)
+	deliver(h, 7, update(1, 1), update(2, 2), update(3, 3), update(4, 4), redirect)
+	h.flush()
+	deliver(h, 7, update(1, 5))
+	h.flush()
 
 	first := nextFrame()
 	if got := seqs(first); len(first) != 5 || len(got) != 4 || got[0] != 1 || got[3] != 4 {
@@ -390,19 +428,15 @@ func TestEgressOneFrameOnTheSocket(t *testing.T) {
 // middle of a flush is closed — its pump then forgets it and its avatar is
 // evicted — and every other client in the same flush still gets its frame.
 func TestEgressFlushSurvivesAFailedClient(t *testing.T) {
-	spy, h := startSpiedServer(t, transport.NewMemNetwork())
 	const clients = 8
-	for c := id.ClientID(1); c <= clients; c++ {
-		joinRaw(t, spy.Network, h, c, geom.Pt(100+float64(c), 100))
-	}
+	spy, h, _ := newSpiedServer(t, clients)
 	broken := spy.clientConn(h, 3)
 	broken.fail.Store(true)
 
-	eg := newEgress()
 	for c := id.ClientID(1); c <= clients; c++ {
-		h.routeGame(deliver(c, update(c, 1000), update(c, 1001)), eg)
+		deliver(h, c, update(c, 1000), update(c, 1001))
 	}
-	h.flush(eg)
+	h.flush()
 
 	for c := id.ClientID(1); c <= clients; c++ {
 		if c == 3 {
@@ -414,32 +448,26 @@ func TestEgressFlushSurvivesAFailedClient(t *testing.T) {
 		}
 	}
 	waitFor(t, "failed client forgotten", func() bool { return spy.clientConn(h, 3) == nil })
-	waitFor(t, "failed client's avatar evicted", func() bool { return h.Game().ClientCount() == clients-1 })
-	waitFor(t, "failed client's outbox reaped from the host's egress", func() bool {
-		h.mu.Lock() // evictDropped reaps under h.mu
-		defer h.mu.Unlock()
-		return len(h.gone) == 0
-	})
+	tickUntil(t, h, "failed client's avatar evicted", func() bool { return h.Game().ClientCount() == clients-1 })
+	if co := h.out.clients[broken]; co != nil {
+		t.Errorf("failed client's outbox (%d messages) not reaped from the host's egress", len(co.msgs))
+	}
 }
 
 // TestEgressReconnectDoesNotInheritFrames: deliveries are collected for the
 // connection, not the client. A client that reconnects between collect and
 // flush gets nothing that was addressed to its old socket.
 func TestEgressReconnectDoesNotInheritFrames(t *testing.T) {
-	spy, h := startSpiedServer(t, transport.NewMemNetwork())
-	joinRaw(t, spy.Network, h, 5, geom.Pt(100, 100))
-	oldConn := spy.clientConn(h, 5)
+	spy, h, _ := newSpiedServer(t, 1)
+	oldConn := spy.clientConn(h, 1)
 
-	eg := newEgress()
-	h.routeGame(deliver(5, update(9, 1000)), eg)
-	fresh := joinRaw(t, spy.Network, h, 5, geom.Pt(100, 100)) // the host closes the old socket
-	newConn := spy.clientConn(h, 5)
-	if newConn == oldConn {
-		t.Fatal("reconnect did not replace the registered connection")
-	}
-	h.flush(eg)
-	h.routeGame(deliver(5, update(9, 1001)), eg)
-	h.flush(eg)
+	deliver(h, 1, update(9, 1000))
+	fresh := sendHello(t, spy.Network, h, 1, geom.Pt(101, 100)) // the host closes the old socket
+	waitFor(t, "reconnect registered", func() bool { return spy.clientConn(h, 1) != oldConn })
+	newConn := spy.clientConn(h, 1)
+	h.flush()
+	deliver(h, 1, update(9, 1001))
+	h.flush()
 
 	for {
 		m, err := fresh.Recv()
@@ -465,26 +493,26 @@ func TestEgressReconnectDoesNotInheritFrames(t *testing.T) {
 // TestEgressIdleTickWritesNothing: ticks that route no client delivery put
 // no frame on any client socket, and leave nothing behind in the egress.
 func TestEgressIdleTickWritesNothing(t *testing.T) {
-	spy, h := startSpiedServer(t, transport.NewMemNetwork())
-	joinRaw(t, spy.Network, h, 1, geom.Pt(100, 100))
-	joinRaw(t, spy.Network, h, 2, geom.Pt(110, 100))
+	spy, h, _ := newSpiedServer(t, 2)
 	conns := []*spyConn{spy.clientConn(h, 1), spy.clientConn(h, 2)}
+	written := func() int { return len(spy.framesOn(conns[0])) + len(spy.framesOn(conns[1])) }
 	// Let the joins' own fallout (welcomes, spawn announcements) drain.
-	ticks := h.ticks.Load()
-	waitFor(t, "joins settled", func() bool { return h.ticks.Load() >= ticks+5 })
-	before := len(spy.framesOn(conns[0])) + len(spy.framesOn(conns[1]))
-	ticks = h.ticks.Load()
-	waitFor(t, "idle ticks", func() bool { return h.ticks.Load() >= ticks+20 })
-	if after := len(spy.framesOn(conns[0])) + len(spy.framesOn(conns[1])); after != before {
+	for i := 0; i < 5; i++ {
+		h.tick(time.Now())
+	}
+	before := written()
+	for i := 0; i < 20; i++ {
+		h.tick(time.Now())
+	}
+	if after := written(); after != before {
 		t.Fatalf("%d frames written to idle clients across 20 ticks", after-before)
 	}
 	// The same through the seam: flushing collected-then-flushed outboxes
 	// writes nothing more.
-	eg := newEgress()
-	h.routeGame(deliver(1, update(2, 1)), eg)
-	h.flush(eg)
+	deliver(h, 1, update(2, 1))
+	h.flush()
 	before = len(spy.framesOn(conns[0]))
-	h.flush(eg)
+	h.flush()
 	if after := len(spy.framesOn(conns[0])); after != before {
 		t.Fatalf("flushing an empty egress wrote %d frames", after-before)
 	}
@@ -494,22 +522,17 @@ func TestEgressIdleTickWritesNothing(t *testing.T) {
 // array past its flush, and the host's outbox table follows the connections
 // it serves — churn does not grow it.
 func TestEgressIsBounded(t *testing.T) {
-	spy, h := startSpiedServer(t, transport.NewMemNetwork())
 	const clients, stay = 40, 5
-	conns := make([]transport.Conn, clients)
-	for i := range conns {
-		conns[i] = joinRaw(t, spy.Network, h, id.ClientID(i+1), geom.Pt(100+float64(i), 100))
-	}
+	spy, h, conns := newSpiedServer(t, clients)
 
-	eg := newEgress()
 	burst := make([]protocol.Message, maxRetainedOutbox+1)
 	for i := range burst {
 		burst[i] = update(2, id.PacketSeq(i))
 	}
-	h.routeGame(deliver(1, update(2, 0)), eg)
-	h.routeGame(deliver(2, burst...), eg)
-	h.flush(eg)
-	small, big := eg.clients[spy.clientConn(h, 1)].msgs, eg.clients[spy.clientConn(h, 2)].msgs
+	deliver(h, 1, update(2, 0))
+	deliver(h, 2, burst...)
+	h.flush()
+	small, big := h.out.clients[spy.clientConn(h, 1)].msgs, h.out.clients[spy.clientConn(h, 2)].msgs
 	if len(small) != 0 || cap(small) == 0 {
 		t.Fatalf("ordinary outbox after flush: len %d cap %d; want empty with its capacity kept", len(small), cap(small))
 	}
@@ -523,13 +546,7 @@ func TestEgressIsBounded(t *testing.T) {
 	for _, c := range conns[stay:] {
 		c.Close()
 	}
-	waitFor(t, "dropped clients evicted", func() bool { return h.Game().ClientCount() == stay })
-	waitFor(t, "their outboxes reaped", func() bool {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return len(h.gone) == 0
-	})
-	h.Close() // the tick goroutine has exited: its egress is safe to read
+	tickUntil(t, h, "dropped clients evicted", func() bool { return h.Game().ClientCount() == stay })
 	if n := len(h.out.clients); n > stay {
 		t.Errorf("%d outboxes left for %d live connections", n, stay)
 	}
@@ -540,20 +557,17 @@ func TestEgressIsBounded(t *testing.T) {
 // kept as a whole.
 func TestEgressNetemDropsPerMessage(t *testing.T) {
 	mem := transport.NewMemNetwork()
-	h := startServerOn(t, mem, ServerConfig{
-		Network:      netem.WrapNetwork(mem, netem.LinkConfig{Loss: 0.5}, 1),
-		TickInterval: 2 * time.Millisecond,
-	})
-	joinRaw(t, mem, h, 1, geom.Pt(100, 100)) // hellos and welcomes are control plane: never lost
+	h := newServerOn(t, mem, ServerConfig{Network: netem.WrapNetwork(mem, netem.LinkConfig{Loss: 0.5}, 1)})
+	sendHello(t, mem, h, 1, geom.Pt(100, 100))
+	tickUntil(t, h, "client joined", func() bool { return h.Game().ClientCount() == 1 }) // hellos and welcomes are control plane: never lost
 
 	const k = 400
 	msgs := make([]protocol.Message, k)
 	for i := range msgs {
 		msgs[i] = update(2, id.PacketSeq(i))
 	}
-	eg := newEgress()
-	h.routeGame(deliver(1, msgs...), eg)
-	h.flush(eg)
+	deliver(h, 1, msgs...)
+	h.flush()
 
 	h.mu.Lock()
 	link := h.clients[1].(*netem.Conn)
@@ -576,13 +590,9 @@ func TestEgressFlushZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// A host that never ticks, reports or beats on its own: the test's
-	// egress is the only writer, and nothing else allocates meanwhile.
-	h := startServerOn(t, transport.TCPNetwork{}, ServerConfig{
-		Network:      transport.TCPNetwork{},
-		TickInterval: time.Hour, ReportInterval: time.Hour, HeartbeatEvery: -1, CheckpointEvery: -1,
-		parked: true, // the hellos must not wake the loop either
-	})
+	// A host without a tick loop: the test's collect and flush are the only
+	// writers, and nothing else allocates meanwhile.
+	h := newServerOn(t, transport.TCPNetwork{}, ServerConfig{Network: transport.TCPNetwork{}})
 
 	const clients, perClient = 64, 6
 	for c := id.ClientID(1); c <= clients; c++ {
@@ -606,17 +616,17 @@ func TestEgressFlushZeroAlloc(t *testing.T) {
 		return len(h.clients) == clients
 	})
 
-	var envs []gameserver.Envelope
-	for i := 0; i < perClient; i++ {
-		u := update(id.ClientID(i+1), id.PacketSeq(i))
-		for c := id.ClientID(1); c <= clients; c++ { // one update's fan-out at a time, as the game server emits it
-			envs = append(envs, deliver(c, u)...)
-		}
+	updates := make([]protocol.Message, perClient)
+	for i := range updates {
+		updates[i] = update(id.ClientID(i+1), id.PacketSeq(i))
 	}
-	eg := newEgress()
 	step := func() {
-		h.routeGame(envs, eg)
-		h.flush(eg)
+		for _, u := range updates {
+			for c := id.ClientID(1); c <= clients; c++ { // one update's fan-out at a time, as the game server emits it
+				h.ToClient(h.node, c, u)
+			}
+		}
+		h.flush()
 	}
 	for i := 0; i < 3; i++ {
 		step() // create the outboxes and grow the encode buffers
@@ -624,7 +634,7 @@ func TestEgressFlushZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Errorf("collect + flush allocates %.1f/op, budget is 0", allocs)
 	}
-	if len(eg.clients) != clients {
-		t.Errorf("%d outboxes for %d connections", len(eg.clients), clients)
+	if len(h.out.clients) != clients {
+		t.Errorf("%d outboxes for %d connections", len(h.out.clients), clients)
 	}
 }

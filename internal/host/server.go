@@ -80,9 +80,6 @@ type ServerConfig struct {
 	// and turns on the tick-phase histograms in /metrics. Nil — the default
 	// — costs nothing on the frame path.
 	Tracer *trace.Tracer
-	// parked keeps arrivals from waking the tick loop, so an in-package test
-	// that sets TickInterval to an hour plays the tick goroutine itself.
-	parked bool
 }
 
 func (c ServerConfig) sanitized() ServerConfig {
@@ -154,12 +151,15 @@ type ServerHost struct {
 	ingress      []ingressMsg
 	ingressSpare []ingressMsg
 
-	// tickLoop-owned (no locking): what the node's last step or load report
-	// emitted, the fallout of the ingress message being handled, and the
-	// tick's outbound traffic, flushed as one frame per connection per tick.
+	// Tick goroutine's (no locking): what the node's last step or load report
+	// emitted, the fallout of the ingress message being handled, the tick's
+	// outbound traffic, flushed as one frame per connection per tick, and the
+	// service budget with the time of the tick that last topped it up.
 	stepped node.Out
 	handled []core.Envelope
 	out     *egress
+	budget  float64
+	last    time.Time
 
 	// Health state. ticks/cpTick are written by the tick goroutine (Adopt
 	// frames and the checkpoint ticker both run there).
@@ -192,7 +192,7 @@ type ServerHost struct {
 
 	wg   sync.WaitGroup
 	done chan struct{}
-	wake chan struct{} // 1 slot: something arrived since the tick loop last looked (nil when parked)
+	wake chan struct{} // 1 slot: something arrived since the tick loop last looked
 }
 
 // minTickGap is the least time between two game ticks (W in docs/PERF.md):
@@ -208,8 +208,19 @@ func (h *ServerHost) wakeTick() {
 	}
 }
 
-// StartServer registers with the MC and brings the pumps up.
-func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
+// StartServer registers with the MC and brings the pumps and the tick loop up.
+func StartServer(cfg ServerConfig) (*ServerHost, error) {
+	h, err := newServer(cfg)
+	if err == nil {
+		h.wg.Add(1)
+		go h.tickLoop()
+	}
+	return h, err
+}
+
+// newServer is StartServer without the tick loop: its caller is the tick
+// goroutine, and runs tick, report, beat and shipCheckpoint itself.
+func newServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	cfg = cfg.sanitized()
 	ln, err := cfg.Network.Listen(cfg.ListenAddr)
 	if err != nil {
@@ -235,7 +246,9 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		return nil, fmt.Errorf("host: registration reply: %w", err)
 	}
 	reply, ok := first.(*protocol.RegisterReply)
-	if !ok {
+	if e, refused := first.(*protocol.ErrorMsg); refused {
+		return nil, fmt.Errorf("host: registration refused: %s", e.Reason)
+	} else if !ok {
 		return nil, fmt.Errorf("host: unexpected registration reply %v", first.MsgType())
 	}
 
@@ -273,12 +286,12 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		clients:    make(map[id.ClientID]transport.Conn),
 		evict:      make(map[id.ClientID]uint64),
 		out:        newEgress(),
+		budget:     float64(cfg.ServiceRate),
+		last:       time.Now(),
 		drainReply: make(chan *protocol.DrainReply, 1),
 		drainEvent: make(chan bool, 1),
 		done:       make(chan struct{}),
-	}
-	if !cfg.parked {
-		h.wake = make(chan struct{}, 1)
+		wake:       make(chan struct{}, 1),
 	}
 	h.rearmDrain()
 	if h.tr != nil {
@@ -286,10 +299,9 @@ func StartServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		h.tr.NameThread(hostTracePid, hostTraceTidTick, "tick")
 		h.tr.NameThread(hostTracePid, hostTraceTidNet, "net")
 	}
-	h.wg.Add(3)
+	h.wg.Add(2)
 	go h.mcLoop()
 	go h.acceptLoop()
-	go h.tickLoop()
 	cfg.Logger.Printf("server %v up at %s (bounds %v)", nd.Core.ID(), ln.Addr(), nd.Core.Bounds())
 	return h, nil
 }
@@ -496,9 +508,9 @@ func (h *ServerHost) enqueueIngress(from id.ServerID, m protocol.Message) {
 }
 
 // drainIngress feeds everything the funnel holds through the Matrix
-// server, collecting peer-bound fallout into eg. Runs on the tick
-// goroutine only; every backing slice is reused tick over tick.
-func (h *ServerHost) drainIngress(eg *egress) {
+// server, collecting peer-bound fallout into the tick's egress. Runs on the
+// tick goroutine only; every backing slice is reused tick over tick.
+func (h *ServerHost) drainIngress() {
 	h.ingressMu.Lock()
 	msgs := h.ingress
 	h.ingress = h.ingressSpare[:0]
@@ -537,7 +549,7 @@ func (h *ServerHost) drainIngress(eg *egress) {
 		if h.drainDone && h.node.Core.Active() {
 			h.rearmDrain()
 		}
-		h.routeCore(envs, eg)
+		h.routeCore(envs)
 		clear(envs)
 		h.handled = envs[:0]
 	}
@@ -652,7 +664,7 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 
 // servePeer pumps a peer Matrix server's connection. Frames are judged by
 // the middleware chain (admission control sheds forwarded data plane under
-// overload) and parked in the ingress funnel for the tick goroutine.
+// overload) and queued in the ingress funnel for the tick goroutine.
 func (h *ServerHost) servePeer(conn transport.Conn, first protocol.Message) {
 	var req middleware.Request
 	handle := func(m protocol.Message) {
@@ -680,22 +692,17 @@ func (h *ServerHost) servePeer(conn transport.Conn, first protocol.Message) {
 	}
 }
 
-// tickLoop drives game-server processing, periodic load reports, lease
-// heartbeats and checkpoint shipping. Everything that writes the MC
-// connection runs here, keeping it single-writer.
+// tickLoop drives the tick goroutine's duties on the wall clock: tick, report,
+// beat and shipCheckpoint. Everything that writes the MC connection runs here,
+// keeping it single-writer.
 //
 // The game tick is arrival-driven: it runs once a pump has signalled wake and
 // minTickGap has passed since the last one (arrivals denser than that, or a
 // tick longer than it, coalesce by themselves), and after TickInterval with no
 // arrival, so eviction, drain settling and drop logging keep their cadence.
-// Service capacity is wall time, not ticks: the budget accrues ServiceRate per
-// TickInterval, holds one TickInterval's worth at most and is spent by what
-// the game server processed — the same packets per second at any cadence.
 func (h *ServerHost) tickLoop() {
 	defer h.wg.Done()
 	gap := min(minTickGap, h.cfg.TickInterval)
-	rate := float64(h.cfg.ServiceRate)
-	last, budget := time.Now(), rate
 	next := time.NewTimer(h.cfg.TickInterval)
 	report := time.NewTicker(h.cfg.ReportInterval)
 	defer next.Stop()
@@ -716,50 +723,67 @@ func (h *ServerHost) tickLoop() {
 		case <-h.done:
 			return
 		case <-beatC:
-			if !h.beatsPaused.Load() {
-				h.toMC(h.node.Heartbeat(h.cpTick.Load()))
-			}
+			h.beat()
 		case <-cpC:
 			h.shipCheckpoint()
 		case <-h.wake:
 			// A wait that is already over fires the timer at once.
-			next.Reset(gap - time.Since(last))
+			next.Reset(gap - time.Since(h.last))
 		case <-next.C:
-			now := time.Now()
-			budget = min(budget+rate*float64(now.Sub(last))/float64(h.cfg.TickInterval), rate)
-			last = now
 			next.Reset(h.cfg.TickInterval)
-			h.ticks.Add(1)
-			t0 := h.tr.Now()
-			// Coordinator and peer fallout first: split/reclaim state
-			// transfers join this tick's egress, whose flush writes them
-			// ahead of whatever redirects the game server emits below.
-			h.drainIngress(h.out)
-			t1 := h.tr.Now()
-			if n := int(budget); n > 0 { // Step reads 0 as "no limit"
-				budget -= float64(h.node.Step(n, &h.stepped))
-				h.logStepErrs("game->matrix")
-			}
-			if h.node.Game.QueueLen() > 0 {
-				h.wakeTick() // what the budget left behind is served as it accrues
-			}
-			t2 := h.tr.Now()
-			h.stepped.Route(h) // empty when nothing was stepped: Route leaves it so
-			h.flush(h.out)
-			h.evictDropped()
-			h.settleDrain(now)
-			h.logDrops()
-			if h.tr != nil {
-				h.traceTick(t0, t1, t2, h.tr.Now())
-			}
+			h.tick(time.Now())
 		case <-report.C:
-			h.node.LoadReport(&h.stepped)
-			h.logStepErrs("load report")
-			// Batched and flushed like the game tick: a one-message batch
-			// frames byte-identically to a plain send.
-			h.stepped.Route(h)
-			h.flush(h.out)
+			h.report()
 		}
+	}
+}
+
+// tick runs one game tick at now. Service capacity is wall time, not ticks:
+// the budget accrues ServiceRate per TickInterval up to now, holds one
+// TickInterval's worth at most and is spent by what the game server
+// processed — the same packets per second at any cadence.
+func (h *ServerHost) tick(now time.Time) {
+	rate := float64(h.cfg.ServiceRate)
+	h.budget = min(h.budget+rate*float64(now.Sub(h.last))/float64(h.cfg.TickInterval), rate)
+	h.last = now
+	h.ticks.Add(1)
+	t0 := h.tr.Now()
+	// Coordinator and peer fallout first: split/reclaim state transfers join
+	// this tick's egress, whose flush writes them ahead of whatever redirects
+	// the game server emits below.
+	h.drainIngress()
+	t1 := h.tr.Now()
+	if n := int(h.budget); n > 0 { // Step reads 0 as "no limit"
+		h.budget -= float64(h.node.Step(n, &h.stepped))
+		h.logStepErrs("game->matrix")
+	}
+	if h.node.Game.QueueLen() > 0 {
+		h.wakeTick() // what the budget left behind is served as it accrues
+	}
+	t2 := h.tr.Now()
+	h.stepped.Route(h) // empty when nothing was stepped: Route leaves it so
+	h.flush()
+	h.evictDropped()
+	h.settleDrain(now)
+	h.logDrops()
+	if h.tr != nil {
+		h.traceTick(t0, t1, t2, h.tr.Now())
+	}
+}
+
+// report sends the node's load report, batched and flushed like the game
+// tick: a one-message batch frames byte-identically to a plain send.
+func (h *ServerHost) report() {
+	h.node.LoadReport(&h.stepped)
+	h.logStepErrs("load report")
+	h.stepped.Route(h)
+	h.flush()
+}
+
+// beat renews the node's lease, unless PauseHeartbeats holds it back.
+func (h *ServerHost) beat() {
+	if !h.beatsPaused.Load() {
+		h.toMC(h.node.Heartbeat(h.cpTick.Load()))
 	}
 }
 
@@ -779,16 +803,16 @@ func (h *ServerHost) logStepErrs(what string) {
 // ToClient and FromCore are the node.Sink of the live tick: everything the
 // node emitted is collected into the tick's egress for the flush behind it.
 func (h *ServerHost) ToClient(_ *node.Node, c id.ClientID, m protocol.Message) {
-	h.collectClient(c, m, h.out)
+	h.collectClient(c, m)
 }
 
-func (h *ServerHost) FromCore(_ *node.Node, envs []core.Envelope) { h.routeCore(envs, h.out) }
+func (h *ServerHost) FromCore(_ *node.Node, envs []core.Envelope) { h.routeCore(envs) }
 
 // routeCore delivers a Matrix server's envelopes. Peer-bound messages are
-// collected into eg (keyed by dial address) for a later flush instead of
-// being sent immediately; coordinator and game-server deliveries are never
-// deferred.
-func (h *ServerHost) routeCore(envs []core.Envelope, eg *egress) {
+// collected into the tick's egress (keyed by dial address) for a later flush
+// instead of being sent immediately; coordinator and game-server deliveries
+// are never deferred.
+func (h *ServerHost) routeCore(envs []core.Envelope) {
 	for _, e := range envs {
 		switch e.Dest {
 		case core.DestCoordinator:
@@ -806,29 +830,29 @@ func (h *ServerHost) routeCore(envs []core.Envelope, eg *egress) {
 				h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.node.Core.ID(), e.Msg.MsgType())
 				continue
 			}
-			eg.peers[e.Addr] = append(eg.peers[e.Addr], e.Msg)
+			h.out.peers[e.Addr] = append(h.out.peers[e.Addr], e.Msg)
 		}
 	}
 }
 
-// collectClient puts one client delivery into eg for a later flush, on the
-// connection the client holds now.
-func (h *ServerHost) collectClient(c id.ClientID, m protocol.Message, eg *egress) {
+// collectClient puts one client delivery into the tick's egress for a later
+// flush, on the connection the client holds now.
+func (h *ServerHost) collectClient(c id.ClientID, m protocol.Message) {
 	h.mu.Lock()
 	conn, ok := h.clients[c]
 	h.mu.Unlock()
 	if !ok {
 		return // client disconnected; deliveries are best-effort
 	}
-	co := eg.clients[conn]
+	co := h.out.clients[conn]
 	if co == nil {
-		if n := len(eg.free); n > 0 {
-			co, eg.free = eg.free[n-1], eg.free[:n-1]
+		if n := len(h.out.free); n > 0 {
+			co, h.out.free = h.out.free[n-1], h.out.free[:n-1]
 		} else {
 			co = &clientOut{msgs: make([]protocol.Message, 0, newOutboxCap)}
 		}
 		co.client = c
-		eg.clients[conn] = co
+		h.out.clients[conn] = co
 	}
 	co.msgs = append(co.msgs, m)
 }
@@ -873,19 +897,19 @@ func recycle(msgs []protocol.Message) []protocol.Message {
 	return msgs[:0]
 }
 
-// flush writes everything eg collected, one frame (and one write) per
-// connection, the per-message cost amortized across the tick: peers first,
-// then clients. That order is what makes a migration safe — the game server
-// emits a client's state transfer before its redirect, so the state is on the
-// peer's wire before the redirect can make the client rejoin there.
-func (h *ServerHost) flush(eg *egress) {
-	for addr, msgs := range eg.peers {
+// flush writes the tick's egress, one frame (and one write) per connection,
+// the per-message cost amortized across the tick: peers first, then clients.
+// That order is what makes a migration safe — the game server emits a client's
+// state transfer before its redirect, so the state is on the peer's wire
+// before the redirect can make the client rejoin there.
+func (h *ServerHost) flush() {
+	for addr, msgs := range h.out.peers {
 		if len(msgs) > 0 {
 			h.sendPeerMsgs(addr, msgs...)
 		}
-		eg.peers[addr] = recycle(msgs)
+		h.out.peers[addr] = recycle(msgs)
 	}
-	for conn, co := range eg.clients {
+	for conn, co := range h.out.clients {
 		if len(co.msgs) == 0 {
 			continue
 		}

@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +16,6 @@ import (
 	"matrix/internal/coordinator"
 	"matrix/internal/core"
 	"matrix/internal/gameclient"
-	"matrix/internal/gameserver"
 	"matrix/internal/geom"
 	"matrix/internal/id"
 	"matrix/internal/load"
@@ -221,10 +221,10 @@ func TestPeerDialBacklogFlushedInOrder(t *testing.T) {
 // deferred into the tick's egress (nothing is written while routing), and
 // one flush writes every peer frame before any client frame — the migrating
 // state is committed to the peer connection ahead of the redirect that makes
-// the client rejoin there. The test fills and flushes an egress of its own,
-// so it shares no outbox with the host's running tick loop.
+// the client rejoin there. The host has no tick loop: the test is its tick
+// goroutine.
 func TestStateBeforeRedirectWireOrder(t *testing.T) {
-	spy, h := startSpiedServer(t, transport.NewMemNetwork())
+	spy, h, _ := newSpiedServer(t, 0)
 
 	// A fake peer that swallows what the host sends it.
 	ln, err := spy.Network.Listen("peer:x")
@@ -239,7 +239,8 @@ func TestStateBeforeRedirectWireOrder(t *testing.T) {
 			}
 		}
 	}()
-	joinRaw(t, spy.Network, h, 42, geom.Pt(100, 100))
+	sendHello(t, spy.Network, h, 42, geom.Pt(100, 100))
+	tickUntil(t, h, "client joined", func() bool { return h.Game().ClientCount() == 1 })
 
 	// Establish the peer connection first (warm-up frame), so the flush
 	// below writes synchronously on the established connection.
@@ -248,22 +249,18 @@ func TestStateBeforeRedirectWireOrder(t *testing.T) {
 
 	// What the tick goroutine does during a migration: the game server
 	// emits the state transfer, then the redirect. Both must be DEFERRED.
-	eg := newEgress()
 	st := &protocol.StateTransfer{From: h.ID(), To: 99, Final: true}
-	h.routeCore([]core.Envelope{{Dest: core.DestPeer, Peer: 99, Addr: "peer:x", Msg: st}}, eg)
-	h.routeGame([]gameserver.Envelope{{
-		Dest:   gameserver.DestClient,
-		Client: 42,
-		Msg:    &protocol.Redirect{Client: 42, NewOwner: 99, NewAddr: "peer:x"},
-	}}, eg)
-	if len(eg.peers["peer:x"]) != 1 || len(eg.clients) != 1 {
-		t.Fatalf("not deferred into the egress: peers %v, %d client outboxes", eg.peers, len(eg.clients))
+	h.FromCore(h.node, []core.Envelope{{Dest: core.DestPeer, Peer: 99, Addr: "peer:x", Msg: st}})
+	h.ToClient(h.node, 42, &protocol.Redirect{Client: 42, NewOwner: 99, NewAddr: "peer:x"})
+	eg := h.out
+	if len(eg.peers["peer:x"]) != 1 || len(eg.clients[spy.clientConn(h, 42)].msgs) != 1 {
+		t.Fatalf("not deferred into the egress: peers %v, client outboxes %v", eg.peers, eg.clients)
 	}
 	if s, r := spy.frameWith(protocol.TypeStateTransfer), spy.frameWith(protocol.TypeRedirect); s >= 0 || r >= 0 {
 		t.Fatalf("written before the flush: state transfer at frame %d, redirect at frame %d", s, r)
 	}
 
-	h.flush(eg)
+	h.flush()
 
 	s, r := spy.frameWith(protocol.TypeStateTransfer), spy.frameWith(protocol.TypeRedirect)
 	if s < 0 || r < 0 || s > r {
@@ -275,7 +272,7 @@ func TestStateBeforeRedirectWireOrder(t *testing.T) {
 }
 
 // TestIngressFunnelOverflowDrops pins the funnel's bound: beyond maxIngress
-// parked messages, enqueueIngress drops rather than growing without limit.
+// queued messages, enqueueIngress drops rather than growing without limit.
 func TestIngressFunnelOverflowDrops(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
@@ -283,17 +280,15 @@ func TestIngressFunnelOverflowDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mc.Close() })
-	// A parked tick loop so the funnel is not drained mid-test — not even when
-	// a coordinator frame arrives while it holds the fake entries below — and
+	// No tick loop, so the funnel is not drained mid-test — not even when a
+	// coordinator frame arrives while it holds the fake entries below — and
 	// logDrops is this goroutine's to call.
 	var logged syncBuffer
-	h, err := StartServer(ServerConfig{
-		Network:      nw,
-		Coordinator:  mc.Addr(),
-		Radius:       40,
-		TickInterval: time.Hour,
-		parked:       true,
-		Logger:       log.New(&logged, "", 0),
+	h, err := newServer(ServerConfig{
+		Network:     nw,
+		Coordinator: mc.Addr(),
+		Radius:      40,
+		Logger:      log.New(&logged, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -649,9 +644,9 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mc.Close() })
-	// A parked tick loop: the test plays the tick goroutine, which owns the
-	// ingress funnel and the game server's inbox.
-	h, err := StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, TickInterval: time.Hour, parked: true})
+	// No tick loop: the test plays the tick goroutine, which owns the ingress
+	// funnel and the game server's inbox.
+	h, err := newServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +667,7 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 
 	adopt := func(a *protocol.Adopt) {
 		h.enqueueIngress(id.None, a)
-		h.drainIngress(h.out)
+		h.drainIngress()
 	}
 	chunk := make([]byte, protocol.MaxFrameSize)
 	for sent := 0; sent < 2*protocol.MaxBlobSize; sent += len(chunk) {
@@ -714,6 +709,40 @@ func TestFailedStartReleasesListener(t *testing.T) {
 	h.Close()
 }
 
+// TestStartServerRefusesAnotherRadius: a server whose visibility radius
+// differs from the fleet's is refused at registration with the
+// coordinator's reason, naming both radii, and leaves the fleet as it was.
+func TestStartServerRefusesAnotherRadius(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	// No tick loop: no load report or heartbeat moves the fleet meanwhile.
+	h, err := newServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	fleet := func() string {
+		b, err := json.Marshal(mc.MC().CaptureState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	before := fleet()
+
+	_, err = StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 80})
+	if err == nil || !strings.Contains(err.Error(), "80") || !strings.Contains(err.Error(), "40") {
+		t.Fatalf("StartServer at radius 80 against a fleet at 40: err = %v, want a refusal naming both", err)
+	}
+	if after := fleet(); after != before {
+		t.Errorf("the refused registration changed the fleet:\n%s\n%s", before, after)
+	}
+}
+
 // TestOversizeCheckpointIsRefusedAtTheSender: a node whose state no longer
 // fits protocol.MaxBlobSize ships nothing — the coordinator would drop the
 // upload, every interval, and go on holding a stale blob or none — counts the
@@ -726,9 +755,9 @@ func TestOversizeCheckpointIsRefusedAtTheSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mc.Close() })
-	// A parked tick loop: the test plays the tick goroutine, which owns
+	// No tick loop: the test plays the tick goroutine, which owns
 	// shipCheckpoint and the coordinator connection's write side.
-	h, err := StartServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, TickInterval: time.Hour, CheckpointEvery: -1, parked: true})
+	h, err := newServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -786,28 +815,17 @@ func TestDeadCoordinatorLinkIsCountedNotLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mc.Close() })
-	// A parked tick loop with every ticker off: the test plays the tick
-	// goroutine, which owns the coordinator connection's write side.
+	// No tick loop: the test plays the tick goroutine, which owns the
+	// coordinator connection's write side.
 	var logged syncBuffer
-	h, err := StartServer(ServerConfig{
-		Network: nw, Coordinator: mc.Addr(), Radius: 40,
-		TickInterval: time.Hour, ReportInterval: time.Hour, HeartbeatEvery: -1, CheckpointEvery: -1, parked: true,
-		Logger: log.New(&logged, "", 0),
-	})
+	h, err := newServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40, Logger: log.New(&logged, "", 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { h.Close() })
-	// One round of what the beat, report and checkpoint arms of tickLoop send:
-	// a heartbeat, the root's load report, a one-chunk checkpoint.
+	// One round of tickLoop's beat, report and checkpoint arms sends a
+	// heartbeat, the root's load report and a one-chunk checkpoint.
 	const perRound = 3
-	round := func() {
-		h.toMC(h.node.Heartbeat(h.cpTick.Load()))
-		h.node.LoadReport(&h.stepped)
-		h.stepped.Route(h)
-		h.flush(h.out)
-		h.shipCheckpoint()
-	}
 	unsent := func() string {
 		var scrape bytes.Buffer
 		h.writeMetrics(&scrape)
@@ -816,7 +834,9 @@ func TestDeadCoordinatorLinkIsCountedNotLogged(t *testing.T) {
 		return row
 	}
 
-	round()
+	h.beat()
+	h.report()
+	h.shipCheckpoint()
 	if err := h.Ready(); err != nil || unsent() != "0" {
 		t.Fatalf("with the coordinator up: Ready() = %v, %s unsent", err, unsent())
 	}
@@ -829,7 +849,9 @@ func TestDeadCoordinatorLinkIsCountedNotLogged(t *testing.T) {
 	startup := logged.String()
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		round()
+		h.beat()
+		h.report()
+		h.shipCheckpoint()
 	}
 	if got, want := unsent(), fmt.Sprint(rounds*perRound); got != want {
 		t.Errorf("matrix_server_mc_unsent_total = %s after %d rounds of %d messages, want %s", got, rounds, perRound, want)

@@ -234,3 +234,72 @@ func TestCrossingMoveEchoIsNotGuaranteed(t *testing.T) {
 	// Whether `rejoined` now receives update 77 is a race between the re-hello
 	// and the forwarded copy; neither outcome is asserted.
 }
+
+// TestTickBudgetAccruesWithNow: the service budget is wall time read from the
+// tick's now. A full budget serves ServiceRate, 4 ms later 4/10 of it has
+// accrued, and an hour later it holds one TickInterval's worth, no more.
+func TestTickBudgetAccruesWithNow(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	h := newServerOn(t, nw, ServerConfig{Network: nw, ServiceRate: 5, TickInterval: 10 * time.Millisecond})
+	conn := sendHello(t, nw, h, 1, geom.Pt(100, 100))
+	for seq := id.PacketSeq(1); seq < 20; seq++ {
+		if err := conn.Send(update(1, seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the hello and 19 updates queued", func() bool { return h.Game().QueueLen() == 20 })
+
+	last := h.last
+	for _, step := range []struct {
+		after time.Duration
+		serve uint64
+	}{{0, 5}, {4 * time.Millisecond, 2}, {time.Hour, 5}} {
+		before := h.Game().Stats().Processed
+		h.tick(last.Add(step.after))
+		if got := h.Game().Stats().Processed - before; got != step.serve {
+			t.Errorf("tick at last+%v served %d, want %d", step.after, got, step.serve)
+		}
+	}
+}
+
+// TestTickSettlesADrainAfterItsWindow: a granted drain of a spare closes its
+// cycle at the first tick a full settle window — 3 × max(2 × TickInterval,
+// 10 ms) — after the tick that found it evacuated, not a tick earlier, and
+// signals the cycle once.
+func TestTickSettlesADrainAfterItsWindow(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	owner := newServerOn(t, nw, ServerConfig{Network: nw})
+	spare, err := newServer(ServerConfig{Network: nw, Coordinator: owner.cfg.Coordinator, Radius: 40, TickInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { spare.Close() })
+	if spare.Core().Active() {
+		t.Fatal("the second registrant owns a region; want a spare")
+	}
+
+	spare.enqueueIngress(id.None, &protocol.DrainRequest{Server: spare.ID(), Exit: true})
+	drained := func() bool {
+		select {
+		case <-spare.Drained():
+			return true
+		default:
+			return false
+		}
+	}
+	t0 := time.Now()
+	spare.tick(t0)
+	if spare.tick(t0.Add(59 * time.Millisecond)); drained() {
+		t.Fatal("drained 59 ms after the spare was found evacuated, inside the 60 ms window")
+	}
+	if spare.tick(t0.Add(60 * time.Millisecond)); !drained() {
+		t.Fatal("not drained 60 ms after the spare was found evacuated")
+	}
+	spare.tick(t0.Add(120 * time.Millisecond))
+	if n := len(spare.DrainEvents()); n != 1 {
+		t.Fatalf("%d drain events for one cycle, want 1", n)
+	}
+	if exit := <-spare.DrainEvents(); !exit {
+		t.Error("the drain event lost the grant's exit flag")
+	}
+}
