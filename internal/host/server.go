@@ -58,9 +58,9 @@ type ServerConfig struct {
 	// that a later restore would wipe. Topology is not restored: the node
 	// registers freshly and owns whatever the MC assigns.
 	Restore []byte
-	// Middleware configures the wire-path interceptor chain judging every
-	// client and peer frame before it reaches the game server (zero value
-	// = no chain).
+	// Middleware configures the interceptor chain judging what enters the
+	// game server's queue (zero value = no chain). Without an AuditSink of
+	// the caller's, the audit stage writes one line per verdict to Logger.
 	Middleware middleware.Config
 	// PeerDialTimeout bounds the background dial of a peer connection
 	// (default 3s). On failure the queued frames are dropped with a log
@@ -252,6 +252,16 @@ func newServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		return nil, fmt.Errorf("host: unexpected registration reply %v", first.MsgType())
 	}
 
+	// The audit stage writes to the server log unless the caller took its feed.
+	if cfg.Middleware.AuditSink == nil {
+		cfg.Middleware.AuditSink = func(e middleware.Event) {
+			from := e.Client.String()
+			if e.Source == middleware.SourcePeer {
+				from = "a peer"
+			}
+			cfg.Logger.Printf("server %v: audit: %v %v from %s at %.3fs", reply.Server, e.Verdict, e.Type, from, e.Time)
+		}
+	}
 	// The policy clock stays the wall clock (nil).
 	nd, err := node.New(node.Config{
 		Load:       cfg.Load,
@@ -540,9 +550,9 @@ func (h *ServerHost) drainIngress() {
 		if h.tr != nil {
 			h.tracePeerHandle(im.msg)
 		}
-		envs, adoption, err := h.node.Handle(h.handled, im.from, im.msg)
+		envs, handled, err := h.node.Handle(h.handled, im.from, im.msg, h.clockSeconds())
 		if a, isAdopt := im.msg.(*protocol.Adopt); isAdopt {
-			h.logAdopt(a, adoption, err)
+			h.logAdopt(a, handled, err)
 		} else if err != nil {
 			h.cfg.Logger.Printf("server %v: message %v: %v", h.node.Core.ID(), im.msg.MsgType(), err)
 		}
@@ -612,10 +622,10 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 	}
 }
 
-// serveClient pumps one game client's connection. Every frame passes the
-// middleware chain first (when configured): the hello must clear auth
-// before the connection is even registered, and per-frame judging reuses
-// one Request so the steady-state path does not allocate.
+// serveClient pumps one game client's connection into node.Enqueue, reusing
+// one Request so the steady state does not allocate. The hello is admitted
+// before its connection is registered, lest it displace a live session, and
+// queued after, lest the welcome race past it.
 func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHello) {
 	req := middleware.Request{Source: middleware.SourceClient, Client: hello.Client, Msg: hello, Now: h.clockSeconds()}
 	if v := h.node.Admit(&req); !v.Admitted() {
@@ -649,25 +659,21 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 			return
 		}
 		req.Msg, req.Now = m, h.clockSeconds()
-		if !h.node.Admit(&req).Admitted() {
+		at := h.tr.Now() // the span opens before the tick can close it
+		if !h.node.Enqueue(&req).Admitted() {
 			continue // judged and counted; the frame is simply not delivered
 		}
 		if h.tr != nil {
-			h.tracePacketIn(m)
-		}
-		if err := h.node.Game.Enqueue(m); err != nil && err != gameserver.ErrQueueOverflow {
-			h.cfg.Logger.Printf("server %v: client %v: %v", h.node.Core.ID(), hello.Client, err)
+			h.tracePacketIn(m, at)
 		}
 		h.wakeTick()
 	}
 }
 
-// servePeer pumps a peer Matrix server's connection. Frames are judged by
-// the middleware chain (admission control sheds forwarded data plane under
-// overload) and queued in the ingress funnel for the tick goroutine.
-func (h *ServerHost) servePeer(conn transport.Conn, first protocol.Message) {
-	var req middleware.Request
-	handle := func(m protocol.Message) {
+// servePeer pumps a peer Matrix server's connection into the ingress funnel;
+// on the tick goroutine, node.Handle judges what the core makes of each frame.
+func (h *ServerHost) servePeer(conn transport.Conn, m protocol.Message) {
+	for {
 		from := id.None
 		switch pm := m.(type) {
 		case *protocol.Forward:
@@ -675,20 +681,12 @@ func (h *ServerHost) servePeer(conn transport.Conn, first protocol.Message) {
 		case *protocol.StateTransfer:
 			from = pm.From
 		}
-		req = middleware.Request{Source: middleware.SourcePeer, Peer: from, Msg: m, Now: h.clockSeconds()}
-		if !h.node.Admit(&req).Admitted() {
-			return
-		}
 		h.enqueueIngress(from, m)
-	}
-	handle(first)
-	for {
-		m, err := conn.Recv()
-		if err != nil {
+		var err error
+		if m, err = conn.Recv(); err != nil {
 			_ = conn.Close()
 			return
 		}
-		handle(m)
 	}
 }
 
@@ -810,18 +808,12 @@ func (h *ServerHost) FromCore(_ *node.Node, envs []core.Envelope) { h.routeCore(
 
 // routeCore delivers a Matrix server's envelopes. Peer-bound messages are
 // collected into the tick's egress (keyed by dial address) for a later flush
-// instead of being sent immediately; coordinator and game-server deliveries
-// are never deferred.
+// instead of being sent immediately; coordinator deliveries are not deferred.
 func (h *ServerHost) routeCore(envs []core.Envelope) {
 	for _, e := range envs {
 		switch e.Dest {
 		case core.DestCoordinator:
 			h.toMC(e.Msg)
-		case core.DestGameServer:
-			if err := h.node.Game.Enqueue(e.Msg); err != nil && err != gameserver.ErrQueueOverflow {
-				h.cfg.Logger.Printf("server %v: enqueue: %v", h.node.Core.ID(), err)
-			}
-			h.wakeTick()
 		case core.DestPeer:
 			if h.tr != nil {
 				h.tracePeerForward(e.Msg)
@@ -1070,7 +1062,7 @@ func (h *ServerHost) sendPeerConn(addr string, conn transport.Conn, msgs []proto
 // logAdopt reports what the node made of one Adopt frame: a stream dropped
 // for outgrowing protocol.MaxBlobSize (counted), a checkpoint that would not
 // restore, or — on the last chunk — the adoption itself.
-func (h *ServerHost) logAdopt(m *protocol.Adopt, adoption node.Adoption, err error) {
+func (h *ServerHost) logAdopt(m *protocol.Adopt, adoption node.Handled, err error) {
 	switch {
 	case errors.Is(err, protocol.ErrBlobTooLarge):
 		h.adoptDrops.Add(1)

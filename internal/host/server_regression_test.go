@@ -460,6 +460,34 @@ func TestMiddlewareAuthAndRateLimitOverWire(t *testing.T) {
 	}
 }
 
+// TestMiddlewareAuditWritesTheServerLog: `-middleware …,audit` with no sink of
+// the caller's audits into the server log, one line per verdict, naming the
+// client it judged.
+func TestMiddlewareAuditWritesTheServerLog(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	var logBuf bytes.Buffer
+	h := startServerOn(t, nw, ServerConfig{
+		Network: nw,
+		Logger:  log.New(&logBuf, "", 0),
+		Middleware: middleware.Config{
+			Stages:          []string{middleware.StageRateLimit, middleware.StageAudit},
+			RateLimitPerSec: 1,
+			RateLimitBurst:  1,
+		},
+	})
+	conn := joinRaw(t, nw, h, 7, geom.Pt(100, 100))
+	for seq := id.PacketSeq(1); seq <= 3; seq++ {
+		if err := conn.Send(update(7, seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "rate limiting", func() bool { return h.node.MW.Stats().RateLimited.Value() >= 2 })
+	h.Close() // flushes the audit feed
+	if log := logBuf.String(); !strings.Contains(log, "audit: rate-limited game-update from client-7") {
+		t.Errorf("the server log holds no audited verdict for client-7:\n%s", log)
+	}
+}
+
 // TestServeMetricsEndpoint scrapes the /metrics endpoints of a server (with
 // a middleware chain) and the coordinator once, and checks the core series
 // are present.

@@ -3,6 +3,7 @@ package host
 import (
 	"bytes"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"matrix/internal/coordinator"
 	"matrix/internal/geom"
 	"matrix/internal/id"
+	"matrix/internal/middleware"
 	"matrix/internal/protocol"
 	"matrix/internal/transport"
 )
@@ -301,5 +303,55 @@ func TestTickSettlesADrainAfterItsWindow(t *testing.T) {
 	}
 	if exit := <-spare.DrainEvents(); !exit {
 		t.Error("the drain event lost the grant's exit flag")
+	}
+}
+
+// TestTickShedsAPeerForwardAfterTheCore: a peer's forward reaching a host whose
+// queue stands at the shed threshold is judged where the simulator judges it —
+// at the tick, on the update the core hands its game server — so the core
+// counts it in and range-checks it before the admission stage sheds it.
+func TestTickShedsAPeerForwardAfterTheCore(t *testing.T) {
+	const shedAt = 4
+	nw := transport.NewMemNetwork()
+	// One packet of service per hour: the first tick serves one filler, and
+	// no later tick at the same instant serves anything.
+	h := newServerOn(t, nw, ServerConfig{
+		Network: nw, ServiceRate: 1, TickInterval: time.Hour,
+		Middleware: middleware.Config{Stages: []string{middleware.StageAdmission}, ShedQueue: shedAt},
+	})
+	for c := id.ClientID(1); c <= shedAt+1; c++ {
+		_ = h.node.Game.Enqueue(&protocol.ClientHello{Client: c, Pos: geom.Pt(900, 900)})
+	}
+	at := h.last
+	h.tick(at)
+
+	peer, err := nw.Dial(h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	if err := peer.Send(&protocol.Forward{From: 2, Update: *update(9, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	shed := &h.node.MW.Stats().Shed
+	waitFor(t, "the peer pump passed the forward on", func() bool {
+		h.ingressMu.Lock()
+		defer h.ingressMu.Unlock()
+		return shed.Value() > 0 || slices.ContainsFunc(h.ingress, func(im ingressMsg) bool {
+			_, isFwd := im.msg.(*protocol.Forward)
+			return isFwd
+		})
+	})
+
+	queued := h.Game().QueueLen()
+	h.tick(at)
+	if st := h.Core().Stats(); st.PeerPacketsIn != 1 || st.DeliveredToGame != 1 {
+		t.Errorf("core counted %d in, %d to the game server; want the shed forward in both", st.PeerPacketsIn, st.DeliveredToGame)
+	}
+	if got := h.Game().QueueLen(); queued != shedAt || got != queued {
+		t.Errorf("queue %d before the tick, %d after; want %d both times", queued, got, shedAt)
+	}
+	if got := shed.Value(); got != 1 {
+		t.Errorf("chain shed %d, want 1", got)
 	}
 }

@@ -65,12 +65,12 @@ func (h *ServerHost) traceTick(t0, t1, t2, t3 int64) {
 	}
 }
 
-// tracePacketIn opens a packet span when a client game update clears the
-// middleware chain and enters the inbox. Runs on the client's connection
-// goroutine; the tracer is lock-free, so this is safe alongside the tick.
-func (h *ServerHost) tracePacketIn(m protocol.Message) {
+// tracePacketIn opens a packet span at time at, once a client game update has
+// entered the inbox. Runs on the client's connection goroutine; the tracer is
+// lock-free, so this is safe alongside the tick.
+func (h *ServerHost) tracePacketIn(m protocol.Message, at int64) {
 	if u, ok := m.(*protocol.GameUpdate); ok {
-		h.tr.AsyncBegin(hostTracePid, "packet", "packet", trace.PacketID(u.Client, u.Seq), h.tr.Now())
+		h.tr.AsyncBegin(hostTracePid, "packet", "packet", trace.PacketID(u.Client, u.Seq), at)
 	}
 }
 

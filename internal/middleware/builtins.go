@@ -245,7 +245,6 @@ type Event struct {
 	Time    float64
 	Source  Source
 	Client  id.ClientID
-	Peer    id.ServerID
 	Type    protocol.MsgType
 	Verdict Verdict
 }
@@ -288,7 +287,7 @@ func (a *Auditor) Middleware() Middleware {
 			v := next(req)
 			if v != Admit {
 				select {
-				case a.ch <- Event{Time: req.Now, Source: req.Source, Client: req.Client, Peer: req.Peer, Type: req.Msg.MsgType(), Verdict: v}:
+				case a.ch <- Event{Time: req.Now, Source: req.Source, Client: req.Client, Type: req.Msg.MsgType(), Verdict: v}:
 				default:
 					if a.lost != nil {
 						a.lost.Inc()

@@ -1,5 +1,5 @@
-// Package middleware implements the wire-path interceptor chain the hosts
-// run on every inbound frame before it reaches the game server: per-client
+// Package middleware implements the interceptor chain that judges what
+// enters a game server's queue (see node.Enqueue and node.Handle): per-client
 // rate limiting, overload admission control, session auth and async audit
 // — the protocol-level guard rails the paper's adaptive middleware assumes
 // but never specifies.
@@ -25,6 +25,7 @@ package middleware
 
 import (
 	"fmt"
+	"slices"
 
 	"matrix/internal/id"
 	"matrix/internal/protocol"
@@ -100,8 +101,6 @@ type Request struct {
 	Source Source
 	// Client is the acting client (SourceClient frames).
 	Client id.ClientID
-	// Peer is the sending Matrix server (SourcePeer frames).
-	Peer id.ServerID
 	// Msg is the decoded frame under judgment.
 	Msg protocol.Message
 	// Now is the host clock in seconds. Live hosts pass monotonic wall
@@ -147,8 +146,9 @@ type Chain struct {
 }
 
 // New assembles the standard chain cfg describes. The observe stage is
-// always installed outermost so Stats sees the final verdict of every
-// frame regardless of which stage produced it.
+// always installed outermost, and the audit stage right inside it wherever it
+// is listed, so Stats and the audit feed see the final verdict of every frame
+// regardless of which stage produced it.
 func New(cfg Config) (*Chain, error) {
 	if err := validateStages(cfg.Stages); err != nil {
 		return nil, err
@@ -177,7 +177,7 @@ func New(cfg Config) (*Chain, error) {
 			mws = append(mws, Admission(cfg.ShedQueue))
 		case StageAudit:
 			c.auditor = NewAuditor(cfg.AuditBuffer, &c.stats.AuditLost, cfg.AuditSink)
-			mws = append(mws, c.auditor.Middleware())
+			mws = slices.Insert(mws, 1, c.auditor.Middleware())
 		}
 	}
 	c.handler = Compose(mws...)

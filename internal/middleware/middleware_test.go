@@ -102,7 +102,7 @@ func TestAuth(t *testing.T) {
 		t.Fatalf("update: verdict = %v, want admit", v)
 	}
 	// Peer-sourced hellos (state replay) are not authenticated either.
-	if v := h(&Request{Source: SourcePeer, Peer: 2, Msg: &protocol.ClientHello{Client: 7}}); v != Admit {
+	if v := h(&Request{Source: SourcePeer, Msg: &protocol.ClientHello{Client: 7}}); v != Admit {
 		t.Fatalf("peer hello: verdict = %v, want admit", v)
 	}
 }
@@ -139,7 +139,7 @@ func TestRateLimit(t *testing.T) {
 	}
 	// Peer forwards are not client-limited.
 	fwd := &protocol.Forward{From: 2, Update: *update(7, protocol.KindMove)}
-	if v := h(&Request{Source: SourcePeer, Peer: 2, Msg: fwd}); v != Admit {
+	if v := h(&Request{Source: SourcePeer, Msg: fwd}); v != Admit {
 		t.Fatalf("peer forward: verdict = %v, want admit", v)
 	}
 	// Another client has its own bucket.
@@ -215,7 +215,7 @@ func TestAdmission(t *testing.T) {
 func TestObserveAndAudit(t *testing.T) {
 	var events []Event
 	ch, err := New(Config{
-		Stages:          []string{StageAudit, StageRateLimit, StageAdmission},
+		Stages:          []string{StageRateLimit, StageAdmission, StageAudit}, // audited wherever it is listed
 		RateLimitPerSec: 10,
 		RateLimitBurst:  1,
 		ShedQueue:       100,

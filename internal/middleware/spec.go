@@ -35,7 +35,7 @@ type Config struct {
 	// AuditBuffer bounds the async audit queue (<=0 = 1024).
 	AuditBuffer int
 	// AuditSink receives audited events on the auditor's goroutine
-	// (nil = overflow-counted only).
+	// (nil = overflow-counted only; a live host logs them).
 	AuditSink func(Event)
 }
 

@@ -5,6 +5,8 @@
 // Matrix server → peer / client / coordinator fallout — plus the load report,
 // the heartbeat, the checkpoint and the adoption of a dead server's world.
 //
+// It is the one judge of what enters the game server's queue (Enqueue, Handle).
+//
 // Two drivers run it: the simulator (internal/sim) steps many nodes on a
 // virtual clock, the live host (internal/host) one on the wall clock between
 // its sockets. A driver owns when a node advances and where its envelopes go —
@@ -47,6 +49,7 @@ type Node struct {
 	MW   *middleware.Chain // nil when Config.Middleware has no stage; the driver closes it
 
 	adopt protocol.Reassembler // the Adopt stream in flight
+	req   middleware.Request   // Handle's, reused message over message
 }
 
 // New builds the server a registration reply describes: its own policy
@@ -92,34 +95,51 @@ func (n *Node) Admit(req *middleware.Request) middleware.Verdict {
 	return n.MW.Handle(req)
 }
 
-// Adoption is what Handle reports about an Adopt frame: whether it closed its
-// stream, and the size of the checkpoint that came (none is a cold adoption:
-// the victim had shipped nothing and the world starts empty).
-type Adoption struct {
-	Done  bool
-	Bytes int
+// Enqueue judges req.Msg (Admit) and queues it on the game server when it is
+// admitted; a full queue drops it there, counted by the game server.
+func (n *Node) Enqueue(req *middleware.Request) middleware.Verdict {
+	v := n.Admit(req)
+	if v.Admitted() {
+		_ = n.Game.Enqueue(req.Msg)
+	}
+	return v
+}
+
+// Handled is what Handle reports: the verdict on what the core answered for
+// the game server (Admit when nothing), and whether an Adopt frame closed its
+// stream, with the checkpoint's size (0 is a cold adoption: an empty world).
+type Handled struct {
+	Verdict middleware.Verdict
+	Done    bool
+	Bytes   int
 }
 
 // Handle takes one message from the coordinator or a peer (from names the
-// peer, id.None otherwise) and appends the envelopes to deliver to dst (nil
-// from a driver whose deliveries re-enter it). An Adopt is
-// the one frame the core never sees: its chunks are reassembled here and the
-// victim's world restored into the game server on the last one, so the restore
-// lands before the overlap tables and the activating RangeUpdate the
-// coordinator sends behind it. A stream over protocol.MaxBlobSize is dropped
+// peer, id.None otherwise) at middleware clock now, and appends the envelopes
+// to deliver to dst. What the core answers for its own game server — always
+// that one envelope: a forward past its range check, a state transfer, a range
+// change — is judged here as SourcePeer traffic and queued, never returned. An
+// Adopt is the one frame the core never sees: its chunks are reassembled here
+// and the victim's world restored into the game server on the last one, ahead
+// of the overlap tables and the activating RangeUpdate the coordinator sends
+// behind it. A stream over protocol.MaxBlobSize is dropped
 // (protocol.ErrBlobTooLarge, once) and never reports Done; a blob that does
 // not restore reports both Done and the error.
-func (n *Node) Handle(dst []core.Envelope, from id.ServerID, m protocol.Message) ([]core.Envelope, Adoption, error) {
-	a, isAdopt := m.(*protocol.Adopt)
-	if !isAdopt {
-		envs, err := n.Core.AppendMessage(dst, from, m)
-		return envs, Adoption{}, err
+func (n *Node) Handle(dst []core.Envelope, from id.ServerID, m protocol.Message, now float64) (envs []core.Envelope, h Handled, err error) {
+	if a, isAdopt := m.(*protocol.Adopt); isAdopt {
+		blob, done, err := n.adopt.Add(a.Blob, a.Final)
+		if err == nil && len(blob) > 0 {
+			err = nodeblob.RestoreGame(blob, n.Game)
+		}
+		return dst, Handled{Done: done, Bytes: len(blob)}, err
 	}
-	blob, done, err := n.adopt.Add(a.Blob, a.Final)
-	if err == nil && len(blob) > 0 {
-		err = nodeblob.RestoreGame(blob, n.Game)
+	envs, err = n.Core.AppendMessage(dst, from, m)
+	if last := len(envs) - 1; last == len(dst) && envs[last].Dest == core.DestGameServer {
+		n.req = middleware.Request{Source: middleware.SourcePeer, Msg: envs[last].Msg, Now: now}
+		h.Verdict = n.Enqueue(&n.req)
+		envs[last], envs = core.Envelope{}, envs[:last]
 	}
-	return dst, Adoption{Done: done, Bytes: len(blob)}, err
+	return envs, h, err
 }
 
 // Checkpoint returns the blob this node ships to the coordinator — what a
@@ -216,8 +236,9 @@ func (n *Node) LoadReport(out *Out) {
 type Sink interface {
 	// ToClient delivers one message to a game client of n.
 	ToClient(n *Node, c id.ClientID, m protocol.Message)
-	// FromCore routes envelopes n's Matrix server emitted: to the coordinator,
-	// to peers, or back onto n's own queue. envs is valid during the call only.
+	// FromCore routes envelopes n's Matrix server emitted: to the coordinator
+	// or to peers (what it answers for its own game server Handle queued).
+	// envs is valid during the call only.
 	FromCore(n *Node, envs []core.Envelope)
 }
 

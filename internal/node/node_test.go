@@ -13,6 +13,7 @@ import (
 	"matrix/internal/core"
 	"matrix/internal/geom"
 	"matrix/internal/id"
+	"matrix/internal/middleware"
 	"matrix/internal/nodeblob"
 	"matrix/internal/protocol"
 )
@@ -26,7 +27,7 @@ var testWorld = geom.R(0, 0, 100, 100)
 func deliver(t *testing.T, nodes []*Node, envs []coordinator.Envelope) {
 	t.Helper()
 	for _, e := range envs {
-		if _, _, err := nodes[e.To-1].Handle(nil, id.None, e.Msg); err != nil {
+		if _, _, err := nodes[e.To-1].Handle(nil, id.None, e.Msg, 0); err != nil {
 			t.Fatalf("%v to %v: %v", e.Msg.MsgType(), e.To, err)
 		}
 	}
@@ -248,6 +249,113 @@ func TestStepRouteZeroAlloc(t *testing.T) {
 	}
 }
 
+// gameServerBound returns the envelopes in envs addressed to the co-located
+// game server: none may be, since neither driver routes one.
+func gameServerBound(envs []core.Envelope) []core.Envelope {
+	var out []core.Envelope
+	for _, e := range envs {
+		if e.Dest == core.DestGameServer {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestHandleQueuesTheGameServersShare: whatever the core answers for its own
+// game server — a peer's forward that passed the range check, an inbound
+// state transfer, the range change a split reply, a reclaim reply or a
+// coordinator's range update makes — Handle judges as peer traffic and queues
+// itself. No envelope Handle, Step or LoadReport returns is the game server's.
+// Under overload the forward is shed after the core counted it in, while a
+// control-plane range update is still admitted.
+func TestHandleQueuesTheGameServersShare(t *testing.T) {
+	n := staticFleet(t, halves()...)[0]
+	var err error
+	if n.MW, err = middleware.New(middleware.Config{Stages: []string{middleware.StageAdmission}, ShedQueue: 1}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.MW.Close)
+	left := halves()[0]
+	forward := &protocol.Forward{From: 2, Update: *move(9, 1, geom.Pt(52, 50), geom.Pt(52, 50))}
+	rangeUpdate := &protocol.RangeUpdate{Server: 1, Bounds: left}
+	var out Out
+	for _, m := range []protocol.Message{
+		forward,
+		&protocol.StateTransfer{From: 2, To: 1, Final: true},
+		&protocol.SplitReply{Granted: true, Child: 3, ChildAddr: "node:3", Keep: geom.R(0, 0, 25, 100), Give: geom.R(25, 0, 50, 100)},
+		&protocol.ReclaimReply{Granted: true, Merged: left},
+		rangeUpdate,
+	} {
+		envs, handled, err := n.Handle(nil, 2, m, 0)
+		if err != nil || handled.Verdict != middleware.Admit || len(envs) != 0 || n.Game.QueueLen() != 1 {
+			t.Errorf("%v: %v, %v, answered %v, %d queued; want it admitted and queued, nothing answered", m.MsgType(), err, handled.Verdict, envs, n.Game.QueueLen())
+		}
+		n.Step(0, &out)
+		if bound := gameServerBound(out.core); len(bound) > 0 {
+			t.Errorf("stepping the queued %v answers the game server %v", m.MsgType(), bound)
+		}
+		out.Route(&discard{})
+		n.LoadReport(&out)
+		if bound := gameServerBound(out.core); len(bound) > 0 {
+			t.Errorf("the load report answers the game server %v", bound)
+		}
+		out.Route(&discard{})
+	}
+
+	_ = n.Game.Enqueue(&protocol.ClientHello{Client: 1, Pos: geom.Pt(10, 10)}) // the queue is at ShedQueue
+	before := n.Core.Stats()
+	if _, handled, err := n.Handle(nil, 2, forward, 0); err != nil || handled.Verdict != middleware.DropOverload || n.Game.QueueLen() != 1 {
+		t.Errorf("forward at a full queue: %v, %v, %d queued; want it shed", err, handled.Verdict, n.Game.QueueLen())
+	}
+	if st := n.Core.Stats(); st.PeerPacketsIn != before.PeerPacketsIn+1 || st.DeliveredToGame != before.DeliveredToGame+1 {
+		t.Errorf("the shed forward is not counted by the core: %+v", st)
+	}
+	if _, handled, err := n.Handle(nil, id.None, rangeUpdate, 0); err != nil || handled.Verdict != middleware.Admit || n.Game.QueueLen() != 2 {
+		t.Errorf("range update at a full queue: %v, %v, %d queued; want it admitted", err, handled.Verdict, n.Game.QueueLen())
+	}
+}
+
+// TestEnqueueAndHandleZeroAlloc is the judge point's allocation budget: a
+// client frame through Enqueue and a peer's forward through Handle, each
+// judged by a chain and queued, then served, allocate nothing in steady state.
+func TestEnqueueAndHandleZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := staticFleet(t, halves()...)[0]
+	var err error
+	if n.MW, err = middleware.New(middleware.Config{Stages: []string{middleware.StageRateLimit, middleware.StageAdmission}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.MW.Close)
+	at := geom.Pt(20, 50)
+	_ = n.Game.Enqueue(&protocol.ClientHello{Client: 1, Pos: at})
+	forward := &protocol.Forward{From: 2, Update: *move(9, 1, geom.Pt(52, 50), geom.Pt(52, 50))}
+	req := middleware.Request{Source: middleware.SourceClient, Client: 1, Msg: move(1, 1, at, at)}
+	var out Out
+	var sink discard
+	var envs []core.Envelope
+	now := 0.0
+	step := func() {
+		now++
+		req.Now = now
+		if v := n.Enqueue(&req); v != middleware.Admit {
+			t.Fatalf("client update: %v", v)
+		}
+		var handled Handled
+		if envs, handled, err = n.Handle(envs[:0], 2, forward, now); err != nil || handled.Verdict != middleware.Admit || len(envs) != 0 {
+			t.Fatalf("forward: %v, %v, answered %v", err, handled.Verdict, envs)
+		}
+		n.Step(0, &out)
+		out.Route(&sink)
+	}
+	step() // the hello, and the buffers grow
+	step()
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Errorf("Enqueue + Handle + Step allocate %.1f/op, budget is 0", got)
+	}
+}
+
 // TestHandleAdopt drives a spare through what a coordinator sends it when a
 // server dies — Adopt chunks, overlap tables, the activating RangeUpdate, in
 // that order on one connection — and through the streams that are not a
@@ -301,7 +409,8 @@ func TestHandleAdopt(t *testing.T) {
 		if e.To != 2 {
 			continue
 		}
-		envs, adoption, err := spare.Handle(nil, id.None, e.Msg)
+		queued := spare.Game.QueueLen()
+		envs, adoption, err := spare.Handle(nil, id.None, e.Msg, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", e.Msg.MsgType(), err)
 		}
@@ -320,8 +429,8 @@ func TestHandleAdopt(t *testing.T) {
 			if !sawAdopt {
 				t.Fatal("the coordinator sent the RangeUpdate ahead of the Adopt")
 			}
-			if len(envs) != 1 || envs[0].Dest != core.DestGameServer {
-				t.Errorf("a RangeUpdate answers %v, want the game server's copy", envs)
+			if len(envs) != 0 || spare.Game.QueueLen() != queued+1 {
+				t.Errorf("a RangeUpdate answers %v and queues %d, want nothing and the game server's copy queued", envs, spare.Game.QueueLen()-queued)
 			}
 		}
 	}
@@ -331,8 +440,8 @@ func TestHandleAdopt(t *testing.T) {
 
 	t.Run("cold", func(t *testing.T) {
 		n := staticFleet(t, testWorld)[0]
-		_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Final: true})
-		if err != nil || adoption != (Adoption{Done: true}) || n.Game.ClientCount() != 0 {
+		_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Final: true}, 0)
+		if err != nil || adoption != (Handled{Done: true}) || n.Game.ClientCount() != 0 {
 			t.Errorf("cold adoption = %+v, %v, %d avatars; want done, no bytes, an empty world", adoption, err, n.Game.ClientCount())
 		}
 	})
@@ -341,7 +450,7 @@ func TestHandleAdopt(t *testing.T) {
 		chunk := make([]byte, protocol.MaxFrameSize)
 		tooLarge := 0
 		for sent := 0; sent < 2*protocol.MaxBlobSize; sent += len(chunk) {
-			_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: chunk})
+			_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: chunk}, 0)
 			if errors.Is(err, protocol.ErrBlobTooLarge) {
 				tooLarge++
 			} else if err != nil {
@@ -358,17 +467,17 @@ func TestHandleAdopt(t *testing.T) {
 			t.Errorf("%d overflow errors, %d bytes still held; want one and none", tooLarge, n.adopt.Len())
 		}
 		// The dropped stream's tail ends it in silence; the next one restores.
-		if _, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}); err != nil || adoption.Done {
+		if _, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}, 0); err != nil || adoption.Done {
 			t.Errorf("tail of the dropped stream: %+v, %v", adoption, err)
 		}
-		_, _, _ = n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]})
-		if _, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true}); err != nil || !adoption.Done || n.Game.ClientCount() != 3 {
+		_, _, _ = n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]}, 0)
+		if _, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true}, 0); err != nil || !adoption.Done || n.Game.ClientCount() != 3 {
 			t.Errorf("stream after the overflow: %+v, %v, %d avatars", adoption, err, n.Game.ClientCount())
 		}
 	})
 	t.Run("garbage", func(t *testing.T) {
 		n := staticFleet(t, testWorld)[0]
-		_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: []byte("not a blob"), Final: true})
+		_, adoption, err := n.Handle(nil, id.None, &protocol.Adopt{Victim: 9, Blob: []byte("not a blob"), Final: true}, 0)
 		if err == nil || !adoption.Done || adoption.Bytes != 10 {
 			t.Errorf("undecodable checkpoint: %+v, %v; want the adoption done and the error", adoption, err)
 		}

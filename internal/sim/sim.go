@@ -394,8 +394,8 @@ type Sim struct {
 	// live is the servers processing this tick (see engine.go).
 	live []*simNode
 
-	// mwReq is the request context every admission judgment reuses (see
-	// admit), so judging allocates nothing.
+	// mwReq is the request context every client frame's judgment reuses (see
+	// arrive), so judging allocates nothing.
 	mwReq middleware.Request
 
 	// Tracing state (see trace.go; nil tr = tracing off, the default).
@@ -508,25 +508,20 @@ func (s *Sim) addNode(reply *protocol.RegisterReply) (*simNode, error) {
 	return n, nil
 }
 
-// admit runs one message arriving at n's game server through the node's
-// admission chain, exactly as the wire host judges an inbound frame, on
-// virtual time. It returns false when the message is shed, counting the
-// verdict into the result (and thus the fingerprint). Runs on the stepping
-// goroutine only.
-func (s *Sim) admit(n *simNode, src middleware.Source, client id.ClientID, m protocol.Message) bool {
-	s.mwReq = middleware.Request{Source: src, Client: client, Msg: m, Now: s.now}
-	switch n.Admit(&s.mwReq) {
+// count folds one admission verdict of the node's chain into the result (and
+// thus the fingerprint), reporting whether the message was admitted.
+func (s *Sim) count(v middleware.Verdict) bool {
+	switch v {
 	case middleware.DropRateLimited:
 		s.res.RateLimited++
-		return false
 	case middleware.DropOverload:
 		s.res.AdmissionShed++
-		return false
 	}
-	return true
+	return v.Admitted()
 }
 
-// deliverToCore hands a message to a server's node and routes the fallout.
+// deliverToCore hands a message to a server's node, which judges and queues
+// what its core answers for the game server, and routes the rest.
 // This is the general path: handlers build fresh envelope slices, which
 // re-entrant deliveries (MC fallout, peer chains) require. The per-tick
 // hot path does not come through here: node.Step hands every local update to
@@ -542,7 +537,8 @@ func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message
 				trace.PacketID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now())
 		}
 	}
-	envs, adoption, err := n.Handle(nil, from, m)
+	envs, handled, err := n.Handle(nil, from, m, s.now)
+	s.count(handled.Verdict)
 	a, isAdopt := m.(*protocol.Adopt)
 	if err != nil {
 		// Inactive servers legitimately reject packets that were in
@@ -554,8 +550,8 @@ func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message
 		}
 		s.reg.Counter(kind).Inc()
 	}
-	if adoption.Done {
-		s.noteAdoption(n, a, adoption.Bytes)
+	if handled.Done {
+		s.noteAdoption(n, a, handled.Bytes)
 	}
 	if err == nil {
 		s.FromCore(n.Node, envs)
@@ -570,12 +566,6 @@ func (s *Sim) FromCore(n *node.Node, envs []core.Envelope) {
 		switch e.Dest {
 		case core.DestCoordinator:
 			s.toMC(from, e.Msg)
-		case core.DestGameServer:
-			// No link to cross, but peer-forwarded data plane still passes
-			// the local admission stage before it can land on an overloaded
-			// queue.
-			self := netem.ServerEndpoint(from)
-			s.arrive(self, self, netemToGS, e.Msg)
 		case core.DestPeer:
 			if s.tr != nil {
 				// A forward crossing the server boundary: the cross-server
@@ -823,14 +813,11 @@ func (s *Sim) arrive(from, to netem.Endpoint, kind netemDest, m protocol.Message
 		if n == nil || n.dead {
 			return
 		}
-		src := middleware.SourcePeer
-		if from.Client != 0 {
-			src = middleware.SourceClient
-		}
-		if !s.admit(n, src, from.Client, m) {
+		s.mwReq = middleware.Request{Source: middleware.SourceClient, Client: from.Client, Msg: m, Now: s.now}
+		if !s.count(n.Enqueue(&s.mwReq)) {
 			return
 		}
-		if s.tr != nil && from.Client != 0 {
+		if s.tr != nil {
 			// The packet span opens as a client's update enters its server's
 			// inbox and ends when its echo reaches the client.
 			if u, isUpdate := m.(*protocol.GameUpdate); isUpdate && u.Kind != protocol.KindDespawn {
@@ -838,7 +825,6 @@ func (s *Sim) arrive(from, to netem.Endpoint, kind netemDest, m protocol.Message
 					trace.PacketID(u.Client, u.Seq), s.tr.Now())
 			}
 		}
-		_ = n.Game.Enqueue(m) // overflow counted by the game server
 	case netemToClient:
 		s.deliverToClient(to.Client, m)
 	case netemToCore:
@@ -1019,8 +1005,8 @@ func (s *Sim) Start() error {
 		s.enableNetem()
 	}
 
-	// The admission chain (node.Admit) runs on an enabled middleware
-	// config; runs without one keep the historical judge-free fingerprint.
+	// The admission chain (node.Enqueue, node.Handle) runs on an enabled
+	// middleware config; runs without one keep the judge-free fingerprint.
 	s.res.MiddlewareActive = s.cfg.Middleware.Enabled()
 
 	// Base population scattered uniformly.

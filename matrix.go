@@ -80,9 +80,9 @@ type (
 	// NetemLink is one link's impairment: delay, jitter, i.i.d. and burst
 	// loss.
 	NetemLink = netem.LinkConfig
-	// HostMiddleware configures the wire-path interceptor chain a server
-	// runs on every inbound frame (see WithMiddleware). The zero value
-	// installs nothing.
+	// HostMiddleware configures the interceptor chain a server runs on
+	// what enters its game server's queue (see WithMiddleware). The zero
+	// value installs nothing.
 	HostMiddleware = middleware.Config
 	// SimMiddleware configures the simulation's deterministic admission
 	// chain (SimulationConfig.Middleware).
@@ -265,10 +265,10 @@ func WithMaxQueue(n int) Option { return func(o *options) { o.maxQueue = n } }
 // WithReportInterval sets the load-report cadence (servers).
 func WithReportInterval(d time.Duration) Option { return func(o *options) { o.report = d } }
 
-// WithMiddleware installs the wire-path interceptor chain on a server:
-// every inbound client and peer frame is judged by the configured stages
-// (auth, ratelimit, admission, audit) before it reaches the game server
-// (servers only).
+// WithMiddleware installs the interceptor chain on a server: a client's
+// frames, and what the Matrix server hands its game server (a peer's forward
+// once range-checked, a state transfer, a range change), are judged by the
+// configured stages: auth, ratelimit, admission, audit (servers only).
 func WithMiddleware(cfg HostMiddleware) Option { return func(o *options) { o.mw = cfg } }
 
 // WithAuthToken stamps the session token on the client's ClientHello —

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -41,10 +42,11 @@ var surfaceAllow = map[string]string{
 // declared in a non-test file under internal/ is reachable from no program:
 // it is surface kept alive by its own tests only, or by nothing.
 func TestNoTestOnlySurface(t *testing.T) {
-	dead, stale, err := unreachable(".", "matrix", surfaceAllow)
+	ld, err := thisModule()
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead, stale := unreachable(ld, surfaceAllow)
 	for _, d := range dead {
 		t.Errorf("%s: %s is reachable from no main, init, benchmark/ or facade API: delete it (and the tests that were its only callers) or add it to surfaceAllow with the reason", d.pos, d)
 	}
@@ -130,10 +132,11 @@ func BenchOnly()      {}
 		}
 	}
 	allow := map[string]string{"p.Live.Seam": "a seam", "p.BenchOnly": "benchmark/ is a caller, not a program", "p.Live.Called": "stale", "p.Gone": "stale"}
-	dead, stale, err := unreachable(dir, "planted", allow)
+	ld, err := loadModule(dir, "planted")
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead, stale := unreachable(ld, allow)
 	var got []string
 	for _, d := range dead {
 		got = append(got, d.String())
@@ -164,22 +167,11 @@ var reflective = map[string][]string{
 	"encoding/json": {"MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText"},
 }
 
-// unreachable type-checks every non-test package of the module rooted at dir
-// and walks what its programs can reach. Roots are every main and init, the
-// exported API of the root (facade) package and, as callers in their own
-// right, everything under benchmark/ and every allowlisted declaration. A
-// declaration is live when live code refers to it; a method is also live when
-// its receiver type is live and its name belongs to an interface live code
-// uses (written in it, or in the signature of something it refers to — which
-// is how container/heap reaches Less and Swap, and node.Out.Route reaches the
-// two drivers' ToClient and FromCore through node.Sink). The name match errs
-// towards live: nothing a program can reach is accused.
-//
-// dead is every declaration under internal/ that no root leads to (the
-// methods of a dead type are not listed one by one); stale is every allowlist
-// key that names nothing, or something the programs reach with benchmark/
-// and the allowlist left out.
-func unreachable(dir, module string, allow map[string]string) (dead []decl, stale []string, err error) {
+// thisModule is this module's load, shared by the tests that read it.
+var thisModule = sync.OnceValues(func() (*surfaceLoader, error) { return loadModule(".", "matrix") })
+
+// loadModule type-checks every non-test package of the module rooted at dir.
+func loadModule(dir, module string) (*surfaceLoader, error) {
 	ld := &surfaceLoader{
 		dir: dir, module: module, fset: token.NewFileSet(),
 		pkgs:  map[string]*types.Package{},
@@ -187,7 +179,7 @@ func unreachable(dir, module string, allow map[string]string) (dead []decl, stal
 		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
 	}
 	ld.std = importer.ForCompiler(ld.fset, "source", nil)
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	return ld, filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -201,10 +193,25 @@ func unreachable(dir, module string, allow map[string]string) (dead []decl, stal
 		_, err = ld.Import(strings.TrimSuffix(module+"/"+filepath.ToSlash(rel), "/."))
 		return err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
+}
 
+// unreachable walks what the programs of ld's module can reach. Roots are
+// every main and init, the exported API of the root (facade) package and, as
+// callers in their own right, everything under benchmark/ and every
+// allowlisted declaration. A declaration is live when live code refers to it;
+// a method is also live when its receiver type is live and its name belongs
+// to an interface live code uses (written in it, or in the signature of
+// something it refers to — which is how container/heap reaches Less and Swap,
+// and node.Out.Route reaches the two drivers' ToClient and FromCore through
+// node.Sink). The name match errs towards live: nothing a program can reach
+// is accused.
+//
+// dead is every declaration under internal/ that no root leads to (the
+// methods of a dead type are not listed one by one); stale is every allowlist
+// key that names nothing, or something the programs reach with benchmark/
+// and the allowlist left out.
+func unreachable(ld *surfaceLoader, allow map[string]string) (dead []decl, stale []string) {
+	module := ld.module
 	// One graph node per package-level spec: the objects its source refers
 	// to and the interface types written out in it.
 	g := surfaceGraph{nodes: map[types.Object]*surfaceNode{}}
@@ -306,7 +313,7 @@ func unreachable(dir, module string, allow map[string]string) (dead []decl, stal
 	}
 	slices.SortFunc(dead, func(a, b decl) int { return strings.Compare(a.pos, b.pos) })
 	slices.Sort(stale)
-	return dead, stale, nil
+	return dead, stale
 }
 
 // surfaceGraph is the module's declaration graph.
