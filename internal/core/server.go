@@ -147,7 +147,8 @@ type Server struct {
 	// (not yet mergeable, or they have children of their own).
 	reclaimDeniedUntil map[id.ServerID]time.Time
 	pendingNonProx     []*protocol.GameUpdate
-	union              overlap.Set // AppendGameUpdate's scratch for a move's two lookups
+	union              overlap.Set   // AppendGameUpdate's scratch for a move's two lookups
+	fwds               protocol.Slab // forwardLocked's shared Forwards: scratch, not state
 
 	stats Stats
 }
@@ -216,8 +217,8 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// Tracker exposes the load tracker (read-mostly; used by hosts to render
-// status).
+// Tracker exposes the load tracker. It has no lock of its own: read it only
+// while nothing calls the server (the simulator's recorder, between steps).
 func (s *Server) Tracker() *load.Tracker { return s.tracker }
 
 // HandleMessage is AppendMessage into a fresh slice.
@@ -271,8 +272,9 @@ func (s *Server) AppendMessage(dst []Envelope, from id.ServerID, m protocol.Mess
 // Forward per peer, no MC involvement unless the destination is
 // non-proximal. A caller that fully consumes the returned slice before the
 // next call can pass the same buffer back (`buf = AppendGameUpdate(buf[:0],
-// u)`) and forward at one allocation per packet (the shared Forward) in
-// steady state; a move's origin and dest lookups merge into a scratch set.
+// u)`) and forward without allocating in steady state, bar one chunk of
+// Forwards per 32 packets; a move's origin and dest lookups merge into a
+// scratch set.
 func (s *Server) AppendGameUpdate(dst []Envelope, u *protocol.GameUpdate) ([]Envelope, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,14 +316,15 @@ func tabCovers(tab *overlap.Table, p geom.Point, radius float64) bool {
 }
 
 // forwardLocked appends Forward envelopes for every peer in set to dst.
-// One Forward message is shared by every envelope (receivers never mutate
-// it), so the fan-out costs a single allocation however wide the
-// consistency set is.
+// One Forward message, carved from the server's slab, is shared by every
+// envelope (receivers never mutate it), so the fan-out costs one slot
+// however wide the consistency set is.
 func (s *Server) forwardLocked(dst []Envelope, u *protocol.GameUpdate, peers overlap.Set) ([]Envelope, error) {
 	if len(peers) == 0 {
 		return dst, nil
 	}
-	fwd := &protocol.Forward{From: s.id, Update: *u}
+	fwd := s.fwds.Forward()
+	*fwd = protocol.Forward{From: s.id, Update: *u}
 	size, err := protocol.Size(fwd)
 	if err != nil {
 		return dst, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -621,9 +622,10 @@ func TestAppendGameUpdateMatchesHandle(t *testing.T) {
 
 // TestAppendGameUpdateAllocBudget pins the fast path: an interior update
 // (no forwarding) must not allocate; a boundary update — standing, or moving
-// so that its origin and dest lookups differ and are merged — costs exactly
-// the one shared Forward message; and a peer's Forward reaches the game
-// server as its own Update, at no allocation at all.
+// so that its origin and dest lookups differ and are merged — costs the slot
+// of one shared Forward in the server's slab, a chunk per 32 updates; and a
+// peer's Forward reaches the game server as its own Update, at no allocation
+// at all.
 func TestAppendGameUpdateAllocBudget(t *testing.T) {
 	s := newActiveServer(t, 1, twoParts(), nil)
 	buf := make([]Envelope, 0, 8)
@@ -631,8 +633,10 @@ func TestAppendGameUpdateAllocBudget(t *testing.T) {
 	boundary := &protocol.GameUpdate{Client: 2, Kind: protocol.KindMove, Origin: geom.Pt(51, 50), Dest: geom.Pt(51, 50)}
 	moving := &protocol.GameUpdate{Client: 3, Kind: protocol.KindMove, Origin: geom.Pt(51, 50), Dest: geom.Pt(60, 50)}
 	fwd := &protocol.Forward{From: 2, Update: protocol.GameUpdate{Client: 4, Kind: protocol.KindMove, Origin: geom.Pt(49, 50), Dest: geom.Pt(49, 50)}}
+	// Enough runs to start many chunks: testing.AllocsPerRun would truncate
+	// the fraction of a chunk each update pays.
 	run := func(from id.ServerID, m protocol.Message) float64 {
-		return testing.AllocsPerRun(100, func() {
+		return allocsPerOp(256, func() {
 			out, err := s.AppendMessage(buf[:0], from, m)
 			if err != nil {
 				t.Fatal(err)
@@ -640,19 +644,36 @@ func TestAppendGameUpdateAllocBudget(t *testing.T) {
 			buf = out[:0]
 		})
 	}
-	if got := run(id.None, interior); got != 0 {
-		t.Errorf("interior update allocates %.1f/op, budget is 0", got)
-	}
-	for _, u := range []*protocol.GameUpdate{boundary, moving} {
-		if got := run(id.None, u); got > 1 {
-			t.Errorf("boundary update %v → %v allocates %.1f/op, budget is 1 (the shared Forward)", u.Origin, u.Dest, got)
-		}
-	}
-	if got := run(2, fwd); got != 0 {
-		t.Errorf("peer Forward allocates %.1f/op, budget is 0", got)
-	}
 	out, err := s.AppendMessage(buf[:0], 2, fwd)
 	if err != nil || len(out) != 1 || out[0].Dest != DestGameServer || out[0].Msg != protocol.Message(&fwd.Update) {
 		t.Errorf("peer Forward: %+v, %v; want one game-server envelope carrying the Forward's own Update", out, err)
 	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	if got := run(id.None, interior); got != 0 {
+		t.Errorf("interior update allocates %.3f/op, budget is 0", got)
+	}
+	for _, u := range []*protocol.GameUpdate{boundary, moving} {
+		if got := run(id.None, u); got > 1.0/16 {
+			t.Errorf("boundary update %v → %v allocates %.3f/op, budget is 1/16 (a slot of a chunk of 32 Forwards)", u.Origin, u.Dest, got)
+		}
+	}
+	if got := run(2, fwd); got != 0 {
+		t.Errorf("peer Forward allocates %.3f/op, budget is 0", got)
+	}
+}
+
+// allocsPerOp is testing.AllocsPerRun without its truncation to a whole
+// number: the mean heap allocations of runs calls of f, after one warm-up.
+func allocsPerOp(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

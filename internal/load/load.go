@@ -11,7 +11,6 @@ package load
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"matrix/internal/clock"
@@ -25,10 +24,9 @@ type Config = policy.Thresholds
 
 // Tracker holds one Matrix server's view of its own and its children's load
 // and routes the two topology questions — ShouldSplit and ReclaimCandidate
-// — through its policy. It is safe for concurrent use; the policy instance
-// is called only under the tracker's mutex.
+// — through its policy. It is not safe for concurrent use: its one owner, a
+// core.Server, calls it under its own lock.
 type Tracker struct {
-	mu         sync.Mutex
 	cfg        Config
 	clk        clock.Clock
 	pol        policy.Policy
@@ -75,8 +73,6 @@ func NewTracker(cfg Config, clk clock.Clock, pol policy.Policy) (*Tracker, error
 
 // Config returns the sanitized policy in effect.
 func (t *Tracker) Config() Config {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.cfg
 }
 
@@ -85,19 +81,17 @@ func (t *Tracker) Config() Config {
 // condition depends on the *combined* parent+child load, the dwell timers of
 // all children are re-evaluated here too.
 func (t *Tracker) SetLoad(clients, queueLen int) {
-	t.mu.Lock()
 	t.clients = clients
 	t.queueLen = queueLen
 	for child := range t.childLoad {
-		t.refreshDwellLocked(child)
+		t.refreshDwell(child)
 	}
-	t.mu.Unlock()
 }
 
-// refreshDwellLocked starts or resets child's dwell timer according to the
+// refreshDwell starts or resets child's dwell timer according to the
 // current combined-load condition.
-func (t *Tracker) refreshDwellLocked(child id.ServerID) {
-	if t.combinedUnderLocked(child) {
+func (t *Tracker) refreshDwell(child id.ServerID) {
+	if t.combinedUnder(child) {
 		if _, ok := t.belowSince[child]; !ok {
 			t.belowSince[child] = t.clk.Now()
 		}
@@ -110,19 +104,15 @@ func (t *Tracker) refreshDwellLocked(child id.ServerID) {
 // (the coordinator relays children's load reports to parents so reclaim
 // decisions stay local).
 func (t *Tracker) SetChildLoad(child id.ServerID, clients, queueLen int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.childLoad[child] = clients
 	t.childQueue[child] = queueLen
 	// Maintain the dwell timer: reset it whenever the combined load pops
 	// back over the reclaim ceiling.
-	t.refreshDwellLocked(child)
+	t.refreshDwell(child)
 }
 
 // ForgetChild drops all state about child (after a reclaim or child death).
 func (t *Tracker) ForgetChild(child id.ServerID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	delete(t.childLoad, child)
 	delete(t.childQueue, child)
 	delete(t.belowSince, child)
@@ -133,8 +123,6 @@ func (t *Tracker) ForgetChild(child id.ServerID) {
 // now, given the latest load report and the split history. The verdict
 // (with the inputs the policy read) is cached for the decision audit.
 func (t *Tracker) ShouldSplit() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	v := t.pol.ShouldSplit(policy.LoadView{
 		Now:       t.clk.Now(),
 		Clients:   t.clients,
@@ -150,35 +138,29 @@ func (t *Tracker) ShouldSplit() bool {
 // SplitVerdict returns the policy's verdict from the most recent
 // ShouldSplit call (for the decision audit).
 func (t *Tracker) SplitVerdict() policy.Verdict {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.splitVerdict
 }
 
 // NoteSplit records that a split happened, starting the cooldown and
 // feeding the churn event back to the policy.
 func (t *Tracker) NoteSplit() {
-	t.mu.Lock()
 	t.lastSplit = t.clk.Now()
 	t.haveSplit = true
 	t.pol.NoteEvent(policy.Event{Now: t.lastSplit, Kind: "split"})
-	t.mu.Unlock()
 }
 
 // NoteReclaim records that child was reclaimed (churn feedback for
 // cost-aware policies).
 func (t *Tracker) NoteReclaim(child id.ServerID) {
-	t.mu.Lock()
 	t.pol.NoteEvent(policy.Event{Now: t.clk.Now(), Kind: "reclaim", Child: child})
-	t.mu.Unlock()
 }
 
-// combinedUnderLocked reports whether parent+child load is under the
+// combinedUnder reports whether parent+child load is under the
 // reclaim ceiling and the child is individually underloaded. When the
 // queue-based overload trigger is enabled, both queues must also be well
 // under it: a merge that reassembles an overloaded queue would immediately
 // re-split (oscillation).
-func (t *Tracker) combinedUnderLocked(child id.ServerID) bool {
+func (t *Tracker) combinedUnder(child id.ServerID) bool {
 	cl, ok := t.childLoad[child]
 	if !ok {
 		return false
@@ -200,9 +182,7 @@ func (t *Tracker) combinedUnderLocked(child id.ServerID) bool {
 // The tracker supplies the mechanism's combined-under condition and the
 // child's quiet-streak anchor; the verdict is cached for the audit.
 func (t *Tracker) ReclaimCandidate(child id.ServerID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cv := policy.ChildView{ID: child, Below: t.combinedUnderLocked(child)}
+	cv := policy.ChildView{ID: child, Below: t.combinedUnder(child)}
 	if cl, ok := t.childLoad[child]; ok {
 		cv.Known = true
 		cv.Clients = cl
@@ -225,31 +205,23 @@ func (t *Tracker) ReclaimCandidate(child id.ServerID) bool {
 // ReclaimVerdict returns the policy's verdict from the most recent
 // ReclaimCandidate call for child (for the decision audit).
 func (t *Tracker) ReclaimVerdict(child id.ServerID) policy.Verdict {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.reclaimVerdicts[child]
 }
 
 // Policy returns the tracker's policy name.
 func (t *Tracker) Policy() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.pol.Name()
 }
 
 // PolicyState snapshots the policy's internal state (nil for stateless
 // policies such as paper).
 func (t *Tracker) PolicyState() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.pol.State()
 }
 
 // RestorePolicyState rebuilds the policy's internal state from a
 // PolicyState snapshot.
 func (t *Tracker) RestorePolicyState(b []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.pol.RestoreState(b)
 }
 
@@ -276,8 +248,6 @@ type TrackerState struct {
 
 // State snapshots the tracker's mutable state.
 func (t *Tracker) State() TrackerState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	st := TrackerState{
 		Clients:   t.clients,
 		QueueLen:  t.queueLen,
@@ -306,8 +276,6 @@ func (t *Tracker) State() TrackerState {
 // keeping its policy config and clock. Dwell timers resume exactly where
 // they were.
 func (t *Tracker) RestoreState(st TrackerState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.clients = st.Clients
 	t.queueLen = st.QueueLen
 	t.haveSplit = st.HaveSplit

@@ -12,7 +12,7 @@
 // spare pool, the space map) and drive the protocol; a Policy only reads
 // immutable views of those measurements and answers. Implementations
 // need no internal locking — every instance is owned by exactly one
-// tracker or one coordinator and is called under the owner's mutex.
+// tracker or one coordinator, and its owner serialises the calls.
 //
 // Determinism contract for stateful policies: a policy may keep internal
 // state (dwell anchors, load history, churn windows) but it must evolve

@@ -69,11 +69,14 @@ func (w *buffer) serverIDs(s []id.ServerID) {
 
 // reader is a bounds-checked decoder over one frame. decodeBody takes it by
 // value and returns where it stopped: a pointer handed through the Message
-// interface escapes, one allocation per frame and per batch element.
+// interface escapes, one allocation per frame and per batch element. The
+// GameUpdates and Forwards it decodes, batch elements included, and their
+// payloads are carved from slab.
 type reader struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	slab *Slab
 }
 
 func (r *reader) fail() {
@@ -117,7 +120,8 @@ func (r *reader) i64() int64    { return int64(r.u64()) }
 func (r *reader) f64() float64  { return math.Float64frombits(r.u64()) }
 func (r *reader) boolean() bool { return r.u8() != 0 }
 
-func (r *reader) bytes() []byte {
+// span returns the next length-prefixed field, aliasing the frame.
+func (r *reader) span() []byte {
 	n := int(r.u32())
 	if r.err != nil {
 		return nil
@@ -126,13 +130,20 @@ func (r *reader) bytes() []byte {
 		r.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+n])
 	r.off += n
-	return out
+	return r.b[r.off-n : r.off]
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+// bytes copies the next length-prefixed field, carved from s (nil: its own
+// allocation).
+func (r *reader) bytes(s *Slab) []byte {
+	if b := r.span(); r.err == nil {
+		return s.clone(b)
+	}
+	return nil
+}
+
+func (r *reader) str() string { return string(r.span()) }
 
 func (r *reader) point() geom.Point {
 	return geom.Point{X: r.f64(), Y: r.f64()}
@@ -179,7 +190,7 @@ func (m *GameUpdate) decodeBody(r reader) (int, error) {
 	m.Origin = r.point()
 	m.Dest = r.point()
 	m.SentUnix = r.i64()
-	m.Payload = r.bytes()
+	m.Payload = r.bytes(r.slab)
 	return r.off, r.err
 }
 
@@ -392,7 +403,7 @@ func (m *StateTransfer) decodeBody(r reader) (int, error) {
 			Client: id.ClientID(r.u64()),
 			Pos:    r.point(),
 		}
-		o.Payload = r.bytes()
+		o.Payload = r.bytes(nil)
 		if r.err != nil {
 			return r.off, r.err
 		}
@@ -568,7 +579,7 @@ func (m *Batch) decodeBody(r reader) (int, error) {
 		if MsgType(r.b[start+4]) == TypeBatch {
 			return 0, errors.New("protocol: nested batch")
 		}
-		sub, err := Unmarshal(r.b[start:r.off])
+		sub, err := decode(r.b[start:r.off], r.slab)
 		if err != nil {
 			return 0, err
 		}
@@ -590,7 +601,7 @@ func (m *SnapshotData) encodeBody(b *buffer) {
 }
 
 func (m *SnapshotData) decodeBody(r reader) (int, error) {
-	m.Blob = r.bytes()
+	m.Blob = r.bytes(nil)
 	m.Final = r.boolean()
 	return r.off, r.err
 }
@@ -651,7 +662,7 @@ func (m *Adopt) encodeBody(b *buffer) {
 func (m *Adopt) decodeBody(r reader) (int, error) {
 	m.Victim = r.serverID()
 	m.Bounds = r.rect()
-	m.Blob = r.bytes()
+	m.Blob = r.bytes(nil)
 	m.Final = r.boolean()
 	if r.err == nil && r.off < len(r.b) {
 		m.Corr = r.u64()
@@ -794,17 +805,21 @@ func AppendBatches(dst []byte, ends []int, ms []Message) (out []byte, frameEnds 
 	return out, frameEnds, nil
 }
 
-// Unmarshal decodes one frame previously produced by Marshal.
-func Unmarshal(frame []byte) (Message, error) {
+// Unmarshal decodes one frame previously produced by Marshal, a Batch frame
+// into a *Batch. It is AppendUnmarshal's one-message form without a Slab.
+func Unmarshal(frame []byte) (Message, error) { return decode(frame, nil) }
+
+// decode decodes one frame, carving from slab.
+func decode(frame []byte, slab *Slab) (Message, error) {
 	body, err := frameBody(frame)
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMessage(MsgType(frame[4]))
+	m, err := slab.newMessage(MsgType(frame[4]))
 	if err != nil {
 		return nil, err
 	}
-	end, err := m.decodeBody(reader{b: body})
+	end, err := m.decodeBody(reader{b: body, slab: slab})
 	if err != nil {
 		return nil, fmt.Errorf("decode %v: %w", m.MsgType(), err)
 	}
@@ -815,12 +830,14 @@ func Unmarshal(frame []byte) (Message, error) {
 }
 
 // AppendUnmarshal decodes one frame and appends what it carries to dst: a
-// Batch frame's elements, in order, or any other frame's one message. A
-// caller that reuses dst decodes a batch at one allocation per element and
-// none per frame. On error dst is returned as it was.
-func AppendUnmarshal(dst []Message, frame []byte) ([]Message, error) {
+// Batch frame's elements, in order, or any other frame's one message.
+// GameUpdates, Forwards and update payloads are carved from slab (nil: each
+// gets its own allocation). A caller that reuses dst and slab decodes a
+// batch of updates or forwards at a fraction of an allocation per element
+// and none per frame. On error dst is returned as it was.
+func AppendUnmarshal(dst []Message, frame []byte, slab *Slab) ([]Message, error) {
 	if len(frame) < frameHeaderSize || MsgType(frame[4]) != TypeBatch {
-		m, err := Unmarshal(frame)
+		m, err := decode(frame, slab)
 		if err != nil {
 			return dst, err
 		}
@@ -831,7 +848,7 @@ func AppendUnmarshal(dst []Message, frame []byte) ([]Message, error) {
 		return dst, err
 	}
 	b := Batch{Msgs: dst}
-	if _, err := b.decodeBody(reader{b: body}); err != nil {
+	if _, err := b.decodeBody(reader{b: body, slab: slab}); err != nil {
 		return dst, fmt.Errorf("decode %v: %w", TypeBatch, err)
 	}
 	return b.Msgs, nil
@@ -875,8 +892,9 @@ func Size(m Message) (int, error) {
 // ReadFrame reads exactly one length-prefixed frame from r, reusing buf's
 // storage when it is large enough. The returned slice is only valid until
 // the next ReadFrame with the same buf; decoded messages never alias it
-// (the decoder copies every byte/string field), so transports can recycle
-// one buffer per connection, and with AppendUnmarshal one message slice too.
+// (the decoder copies every byte and string field, update payloads into its
+// Slab), so transports can recycle one buffer per connection, and with
+// AppendUnmarshal one message slice too.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	// The header goes into buf's own storage: a local array would escape
 	// through the io.Reader, one allocation per frame.

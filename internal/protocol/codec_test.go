@@ -488,8 +488,9 @@ func TestSizeZeroAlloc(t *testing.T) {
 
 // TestDecodeAllocs is the receive path's allocation budget: reading a frame
 // into a reused buffer allocates nothing, and decoding allocates the messages
-// and nothing per batch element — no header array, no reader — nor, decoded
-// into a reused slice, per frame.
+// and their strings and nothing per batch element — no header array, no
+// reader — nor, decoded into a reused slice, per frame. Through a Slab the
+// updates, forwards and their payloads cost one chunk each per slabMsgs.
 func TestDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -499,22 +500,33 @@ func TestDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 8
-	fwds := make([]Message, k)
-	for i := range fwds {
-		fwds[i] = &Forward{From: 3, Update: *u}
-	}
-	batch, _, err := AppendBatches(nil, nil, fwds)
+	redirect, err := Marshal(&Redirect{Client: 42, NewOwner: 2, NewAddr: "127.0.0.1:7001"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const k = 8
+	batchOf := func(payload []byte) []byte {
+		fwds := make([]Message, k)
+		for i := range fwds {
+			f := &Forward{From: 3, Update: *u}
+			f.Update.Payload = payload
+			fwds[i] = f
+		}
+		batch, _, err := AppendBatches(nil, nil, fwds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batch
+	}
+	batch := batchOf(nil)
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 		want  float64
 	}{
-		{"update", single, 1},   // the message
-		{"batch", batch, k + 2}, // the Batch, its slice, k messages
+		{"update", single, 1},     // the message
+		{"redirect", redirect, 2}, // the message, its address
+		{"batch", batch, k + 2},   // the Batch, its slice, k messages
 	} {
 		if got := testing.AllocsPerRun(200, func() {
 			if _, err := Unmarshal(tc.frame); err != nil {
@@ -525,13 +537,26 @@ func TestDecodeAllocs(t *testing.T) {
 		}
 	}
 	dst := make([]Message, 0, k)
-	if got := testing.AllocsPerRun(200, func() {
-		out, err := AppendUnmarshal(dst[:0], batch)
+	decode := func(frame []byte, slab *Slab) {
+		out, err := AppendUnmarshal(dst[:0], frame, slab)
 		if err != nil || len(out) != k {
 			t.Fatalf("AppendUnmarshal: %d messages, %v", len(out), err)
 		}
-	}); got != k {
+	}
+	if got := testing.AllocsPerRun(200, func() { decode(batch, nil) }); got != k {
 		t.Errorf("AppendUnmarshal(batch) into a reused slice allocates %.1f/op, budget is %d (the messages)", got, k)
+	}
+	// One run is one chunk of Forwards, and with live-border's 128-byte
+	// payloads one chunk of payload bytes too: two allocations for slabMsgs
+	// forwards.
+	carved := batchOf(make([]byte, slabBytes/slabMsgs))
+	var slab Slab
+	if got := testing.AllocsPerRun(200, func() {
+		for range slabMsgs / k {
+			decode(carved, &slab)
+		}
+	}); got != 2 {
+		t.Errorf("AppendUnmarshal of %d forwards through a Slab allocates %.1f/op, budget is 2 (the chunks)", slabMsgs, got)
 	}
 	buf, src := make([]byte, 0, len(batch)), bytes.NewReader(nil)
 	if got := testing.AllocsPerRun(200, func() {
@@ -541,6 +566,34 @@ func TestDecodeAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("ReadFrame into a reused buffer allocates %.1f/op, budget is 0", got)
+	}
+}
+
+// TestSlabMessagesAreIndependent: what a Slab carves is never handed out
+// twice. Three chunks' worth of updates and forwards with distinct payloads,
+// all kept, are still what was sent after one payload is appended to.
+func TestSlabMessagesAreIndependent(t *testing.T) {
+	var slab Slab
+	var sent, got []Message
+	for i := range 3 * slabMsgs {
+		u := GameUpdate{Client: id.ClientID(i), Seq: id.PacketSeq(i), Kind: KindMove, Payload: bytes.Repeat([]byte{byte(i)}, 1+i%97)}
+		for _, m := range []Message{&u, &Forward{From: id.ServerID(i), Update: u}} {
+			frame, err := Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err = AppendUnmarshal(got, frame, &slab); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, m)
+		}
+	}
+	victim := got[len(got)/2].(*GameUpdate)
+	victim.Payload = append(victim.Payload, bytes.Repeat([]byte{0xee}, 64)...)
+	for i, m := range got {
+		if m != Message(victim) && !reflect.DeepEqual(m, sent[i]) {
+			t.Fatalf("message %d is %+v after another's payload grew, was sent as %+v", i, m, sent[i])
+		}
 	}
 }
 

@@ -25,18 +25,20 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})                // header one byte short
 	f.Add([]byte{0, 0, 0, 0, byte(typeMax)}) // unknown type
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // absurd length claim
+	// One Slab carves across inputs, as a connection's does across frames.
+	var slab Slab
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		m, err := Unmarshal(frame)
-		// AppendUnmarshal is the same decoder: it accepts exactly what
-		// Unmarshal does, appends a batch as its elements and leaves what dst
-		// held alone.
+		// AppendUnmarshal through a Slab is the same decoder: it accepts
+		// exactly what Unmarshal does, appends a batch as its elements and
+		// leaves what dst held alone.
 		want := []Message{&Ack{Of: TypeAck}}
 		if b, isBatch := m.(*Batch); isBatch {
 			want = append(want, b.Msgs...)
 		} else if err == nil {
 			want = append(want, m)
 		}
-		got, aerr := AppendUnmarshal([]Message{want[0]}, frame)
+		got, aerr := AppendUnmarshal([]Message{want[0]}, frame, &slab)
 		gotFrame, _ := Marshal(&Batch{Msgs: got}) // bytes, not DeepEqual: NaN != NaN
 		wantFrame, _ := Marshal(&Batch{Msgs: want})
 		if (err == nil) != (aerr == nil) || !bytes.Equal(gotFrame, wantFrame) {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"matrix/internal/geom"
 	"matrix/internal/id"
@@ -74,9 +73,9 @@ var _ SplitPolicy = SplitToLeft{}
 const MinSplitExtent = 1e-6
 
 // Map is the authoritative picture of which server owns which part of the
-// world. It is safe for concurrent use.
+// world. It is not safe for concurrent use: its one owner, the coordinator,
+// calls it under its own lock.
 type Map struct {
-	mu       sync.RWMutex
 	world    geom.Rect
 	bounds   map[id.ServerID]geom.Rect
 	parent   map[id.ServerID]id.ServerID
@@ -148,22 +147,16 @@ func NewPresetMap(world geom.Rect, parts []Partition) (*Map, error) {
 // Version returns a counter incremented by every topology change. Overlap
 // tables are tagged with it so stale tables can be detected.
 func (m *Map) Version() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return m.version
 }
 
 // Len returns the number of partitions (= active servers).
 func (m *Map) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return len(m.bounds)
 }
 
 // Bounds returns the partition owned by s.
 func (m *Map) Bounds(s id.ServerID) (geom.Rect, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	b, ok := m.bounds[s]
 	if !ok {
 		return geom.Rect{}, fmt.Errorf("%w: %v", ErrUnknownServer, s)
@@ -173,8 +166,6 @@ func (m *Map) Bounds(s id.ServerID) (geom.Rect, error) {
 
 // Parent returns the split-tree parent of s (id.None for the root).
 func (m *Map) Parent(s id.ServerID) (id.ServerID, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if _, ok := m.bounds[s]; !ok {
 		return id.None, fmt.Errorf("%w: %v", ErrUnknownServer, s)
 	}
@@ -183,8 +174,6 @@ func (m *Map) Parent(s id.ServerID) (id.ServerID, error) {
 
 // Children returns the split-tree children of s, sorted by ID.
 func (m *Map) Children(s id.ServerID) []id.ServerID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	kids := m.children[s]
 	out := make([]id.ServerID, 0, len(kids))
 	for k := range kids {
@@ -196,8 +185,6 @@ func (m *Map) Children(s id.ServerID) []id.ServerID {
 
 // Partitions returns a snapshot of all partitions, sorted by owner ID.
 func (m *Map) Partitions() []Partition {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]Partition, 0, len(m.bounds))
 	for s, b := range m.bounds {
 		out = append(out, Partition{Owner: s, Bounds: b})
@@ -213,8 +200,6 @@ func (m *Map) Split(overloaded, child id.ServerID, policy SplitPolicy) (keep, gi
 	if policy == nil {
 		policy = SplitToLeft{}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	bounds, ok := m.bounds[overloaded]
 	if !ok {
 		return geom.Rect{}, geom.Rect{}, fmt.Errorf("%w: %v", ErrUnknownServer, overloaded)
@@ -253,8 +238,6 @@ func (m *Map) Split(overloaded, child id.ServerID, policy SplitPolicy) (keep, gi
 // rectangle, so the tiling and the split tree are unchanged apart from the
 // renamed node. It returns the transferred bounds.
 func (m *Map) ReplaceOwner(old, next id.ServerID) (geom.Rect, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	bounds, ok := m.bounds[old]
 	if !ok {
 		return geom.Rect{}, fmt.Errorf("%w: %v", ErrUnknownServer, old)
@@ -297,8 +280,6 @@ func (m *Map) ReplaceOwner(old, next id.ServerID) (geom.Rect, error) {
 // parent (the paper's parent/child reclamation rule). It returns the
 // parent's new bounds.
 func (m *Map) Reclaim(child id.ServerID) (parent id.ServerID, merged geom.Rect, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	childBounds, ok := m.bounds[child]
 	if !ok {
 		return id.None, geom.Rect{}, fmt.Errorf("%w: %v", ErrUnknownServer, child)
@@ -332,8 +313,6 @@ func (m *Map) Reclaim(child id.ServerID) (parent id.ServerID, merged geom.Rect, 
 // reclamation is valid in last-split-first order — the same order the
 // paper's parent/child protocol produces.
 func (m *Map) CanReclaim(child id.ServerID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	childBounds, ok := m.bounds[child]
 	if !ok || child == m.root || len(m.children[child]) > 0 {
 		return false
@@ -362,8 +341,6 @@ type MapState struct {
 
 // State snapshots the map: partitions, tree edges and the topology version.
 func (m *Map) State() MapState {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	st := MapState{World: m.world, Root: m.root, Version: m.version}
 	for s, b := range m.bounds {
 		st.Nodes = append(st.Nodes, PartitionNode{Owner: s, Bounds: b, Parent: m.parent[s]})
@@ -422,8 +399,6 @@ func NewMapFromState(st MapState) (*Map, error) {
 // exactly tiling the world, and a parent map that forms a tree rooted at
 // Root. It is used by tests and by the coordinator's self-checks.
 func (m *Map) Validate() error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	parts := make([]Partition, 0, len(m.bounds))
 	var area float64
 	for s, b := range m.bounds {

@@ -42,7 +42,9 @@ type Conn interface {
 	// Recv blocks until a message arrives or the connection closes.
 	// Batch frames are unpacked transparently: the contained messages are
 	// returned one at a time, in order. A returned message is the caller's,
-	// and read-only (a core hands a received Forward's Update on as it is).
+	// and read-only (a core hands a received Forward's Update on as it is);
+	// a GameUpdate or Forward may share its chunk of memory with the ones
+	// received before and after it, and keeping it alive keeps that chunk.
 	Recv() (protocol.Message, error)
 	// Close shuts the connection down; pending Recv calls return ErrClosed.
 	Close() error
@@ -92,10 +94,11 @@ type framedConn struct {
 	writeMu  sync.Mutex         // frames must not interleave; also guards encBuf/endsBuf
 	encBuf   []byte             // reused encode buffer
 	endsBuf  []int              // reused frame-boundary buffer
-	readMu   sync.Mutex         // guards readBuf, pending and next
+	readMu   sync.Mutex         // guards readBuf, pending, next and slab
 	readBuf  []byte             // reused frame buffer (decoded messages never alias it)
 	pending  []protocol.Message // the last frame's messages, decoded in place; pending[next:] not yet returned
 	next     int
+	slab     protocol.Slab // what the hot messages are carved from; never reused, so nothing to release
 	countsMu sync.Mutex
 	sent     uint64
 	received uint64
@@ -179,7 +182,7 @@ func (c *framedConn) Recv() (protocol.Message, error) {
 		c.countsMu.Lock()
 		c.received += uint64(len(frame))
 		c.countsMu.Unlock()
-		if c.pending, err = protocol.AppendUnmarshal(c.pending, frame); err != nil {
+		if c.pending, err = protocol.AppendUnmarshal(c.pending, frame, &c.slab); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 		}
 	}
