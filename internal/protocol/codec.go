@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 
 	"matrix/internal/geom"
 	"matrix/internal/id"
@@ -24,654 +23,480 @@ var (
 	ErrTruncated     = errors.New("protocol: truncated message body")
 )
 
-// buffer is an append-only encoder.
-type buffer struct {
-	b []byte
+// mode is what a coder does with each field it is handed.
+type mode uint8
+
+const (
+	appending mode = iota // encode the field onto b
+	reading               // decode the field from b at n, bounds-checked
+	counting              // add the field's wire size to n
+)
+
+// coder walks a message body field by field. Each message states its wire
+// layout once, in its fields method, and the coder's mode makes that walk
+// encode, decode or size the body. The Message interface passes the coder by
+// value and returns it, because a pointer handed through an interface
+// escapes: one allocation per frame and per batch element. Everything below
+// the interface takes *coder.
+type coder struct {
+	mode mode
+	b    []byte // appending: the output; reading: the body
+	n    int    // reading: where the next field starts; counting: the size so far
+	err  error  // reading: the first failure
+	slab *Slab  // reading: where GameUpdates, Forwards and their payloads are carved
 }
 
-func (w *buffer) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *buffer) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *buffer) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *buffer) i32(v int32)  { w.u32(uint32(v)) }
-func (w *buffer) i64(v int64)  { w.u64(uint64(v)) }
-func (w *buffer) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *buffer) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *buffer) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
-}
-func (w *buffer) str(v string) { w.bytes([]byte(v)) }
-func (w *buffer) point(p geom.Point) {
-	w.f64(p.X)
-	w.f64(p.Y)
-}
-func (w *buffer) rect(r geom.Rect) {
-	w.f64(r.MinX)
-	w.f64(r.MinY)
-	w.f64(r.MaxX)
-	w.f64(r.MaxY)
-}
-func (w *buffer) serverID(s id.ServerID) { w.u32(uint32(s)) }
-func (w *buffer) serverIDs(s []id.ServerID) {
-	w.u32(uint32(len(s)))
-	for _, v := range s {
-		w.serverID(v)
+func (c *coder) fail() {
+	if c.err == nil {
+		c.err = ErrTruncated
 	}
 }
 
-// reader is a bounds-checked decoder over one frame. decodeBody takes it by
-// value and returns where it stopped: a pointer handed through the Message
-// interface escapes, one allocation per frame and per batch element. The
-// GameUpdates and Forwards it decodes, batch elements included, and their
-// payloads are carved from slab.
-type reader struct {
-	b    []byte
-	off  int
-	err  error
-	slab *Slab
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = ErrTruncated
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i32() int32    { return int32(r.u32()) }
-func (r *reader) i64() int64    { return int64(r.u64()) }
-func (r *reader) f64() float64  { return math.Float64frombits(r.u64()) }
-func (r *reader) boolean() bool { return r.u8() != 0 }
-
-// span returns the next length-prefixed field, aliasing the frame.
-func (r *reader) span() []byte {
-	n := int(r.u32())
-	if r.err != nil {
+// take consumes the next n bytes of the body, or fails the read.
+func (c *coder) take(n int) []byte {
+	if c.err != nil || n > len(c.b)-c.n {
+		c.fail()
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	r.off += n
-	return r.b[r.off-n : r.off]
+	c.n += n
+	return c.b[c.n-n : c.n]
 }
 
-// bytes copies the next length-prefixed field, carved from s (nil: its own
-// allocation).
-func (r *reader) bytes(s *Slab) []byte {
-	if b := r.span(); r.err == nil {
-		return s.clone(b)
+func u8[T ~uint8](c *coder, v *T) {
+	switch c.mode {
+	case appending:
+		c.b = append(c.b, uint8(*v))
+	case reading:
+		if b := c.take(1); b != nil {
+			*v = T(b[0])
+		}
+	default:
+		c.n++
+	}
+}
+
+func u32[T ~uint32 | ~int32](c *coder, v *T) {
+	switch c.mode {
+	case appending:
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(*v))
+	case reading:
+		if b := c.take(4); b != nil {
+			*v = T(binary.BigEndian.Uint32(b))
+		}
+	default:
+		c.n += 4
+	}
+}
+
+func u64[T ~uint64 | ~int64](c *coder, v *T) {
+	switch c.mode {
+	case appending:
+		c.b = binary.BigEndian.AppendUint64(c.b, uint64(*v))
+	case reading:
+		if b := c.take(8); b != nil {
+			*v = T(binary.BigEndian.Uint64(b))
+		}
+	default:
+		c.n += 8
+	}
+}
+
+func (c *coder) f64(v *float64) {
+	switch c.mode {
+	case appending:
+		c.b = binary.BigEndian.AppendUint64(c.b, math.Float64bits(*v))
+	case reading:
+		if b := c.take(8); b != nil {
+			*v = math.Float64frombits(binary.BigEndian.Uint64(b))
+		}
+	default:
+		c.n += 8
+	}
+}
+
+func (c *coder) boolean(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	u8(c, &b)
+	if c.mode == reading {
+		*v = b != 0
+	}
+}
+
+func (c *coder) point(p *geom.Point) {
+	c.f64(&p.X)
+	c.f64(&p.Y)
+}
+
+func (c *coder) rect(r *geom.Rect) {
+	c.f64(&r.MinX)
+	c.f64(&r.MinY)
+	c.f64(&r.MaxX)
+	c.f64(&r.MaxY)
+}
+
+// str is a u32 length and the string's bytes; a read string is a copy.
+func (c *coder) str(v *string) {
+	n := uint32(len(*v))
+	u32(c, &n)
+	switch c.mode {
+	case appending:
+		c.b = append(c.b, *v...)
+	case reading:
+		*v = string(c.take(int(n)))
+	default:
+		c.n += len(*v)
+	}
+}
+
+// bytes is a u32 length and the bytes; read bytes are copied out of the
+// frame, carved from s (nil: their own allocation).
+func (c *coder) bytes(v *[]byte, s *Slab) {
+	n := uint32(len(*v))
+	u32(c, &n)
+	switch c.mode {
+	case appending:
+		c.b = append(c.b, *v...)
+	case reading:
+		if b := c.take(int(n)); c.err == nil {
+			*v = s.clone(b)
+		}
+	default:
+		c.n += len(*v)
+	}
+}
+
+// trailing reports whether an optional trailing field is on the wire: when
+// it is set, or, reading, when bytes remain. A frame without it is the
+// encoding from before the field existed, and decodes to the zero field.
+func (c *coder) trailing(set bool) bool {
+	if c.mode == reading {
+		return c.err == nil && c.n < len(c.b)
+	}
+	return set
+}
+
+// seq is a list's u32 count. It returns the list, whose elements the caller
+// walks next; reading, it allocates the list first. Every element takes at
+// least least bytes on the wire, so a count that claims more elements than
+// the bytes left can hold fails here, and a hostile count cannot make the
+// list much larger in memory than the frame it came in.
+func seq[T any](c *coder, s *[]T, least int) []T {
+	n := uint32(len(*s))
+	u32(c, &n)
+	if c.mode == reading {
+		if c.err != nil || int(n) > (len(c.b)-c.n)/least {
+			c.fail()
+			return nil
+		}
+		*s = make([]T, n)
+	}
+	return *s
+}
+
+// The least wire size of each list element: its fixed fields, and a u32
+// for each length or count (seq).
+const (
+	leastServerID = 4
+	leastRegion   = 32 + 4         // bounds, peer count
+	leastPeer     = 4 + 4 + 32     // server, address length, bounds
+	leastObject   = 8 + 8 + 16 + 4 // object, client, position, payload length
+)
+
+func serverIDs(c *coder, s *[]id.ServerID) {
+	for i := range seq(c, s, leastServerID) {
+		u32(c, &(*s)[i])
+	}
+}
+
+// done is a finished read's verdict: its first failure, or the bytes it
+// left over.
+func (c *coder) done(t MsgType) error {
+	switch {
+	case c.err != nil:
+		return fmt.Errorf("decode %v: %w", t, c.err)
+	case c.n != len(c.b):
+		return fmt.Errorf("protocol: %d trailing bytes after %v", len(c.b)-c.n, t)
 	}
 	return nil
 }
 
-func (r *reader) str() string { return string(r.span()) }
+// --- the wire layout of every message ---
 
-func (r *reader) point() geom.Point {
-	return geom.Point{X: r.f64(), Y: r.f64()}
+func (m *GameUpdate) fields(c coder) coder {
+	u64(&c, &m.Client)
+	u64(&c, &m.Seq)
+	u8(&c, &m.Kind)
+	c.point(&m.Origin)
+	c.point(&m.Dest)
+	u64(&c, &m.SentUnix)
+	c.bytes(&m.Payload, c.slab)
+	return c
 }
 
-func (r *reader) rect() geom.Rect {
-	return geom.Rect{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
+func (m *Forward) fields(c coder) coder {
+	u32(&c, &m.From)
+	return m.Update.fields(c)
 }
 
-func (r *reader) serverID() id.ServerID { return id.ServerID(r.u32()) }
+func (m *RegisterRequest) fields(c coder) coder {
+	c.str(&m.Addr)
+	c.f64(&m.Radius)
+	return c
+}
 
-func (r *reader) serverIDs() []id.ServerID {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		r.fail()
-		return nil
+func (m *RegisterReply) fields(c coder) coder {
+	u32(&c, &m.Server)
+	c.rect(&m.Bounds)
+	c.rect(&m.World)
+	return c
+}
+
+func (m *LoadReport) fields(c coder) coder {
+	u32(&c, &m.Server)
+	u32(&c, &m.Clients)
+	u32(&c, &m.QueueLen)
+	return c
+}
+
+func (m *OverlapTable) fields(c coder) coder {
+	u32(&c, &m.Server)
+	u64(&c, &m.Version)
+	c.rect(&m.Bounds)
+	c.f64(&m.Radius)
+	for i := range seq(&c, &m.Regions, leastRegion) {
+		r := &m.Regions[i]
+		c.rect(&r.Bounds)
+		serverIDs(&c, &r.Peers)
 	}
-	out := make([]id.ServerID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.serverID())
+	for i := range seq(&c, &m.Peers, leastPeer) {
+		m.Peers[i].fields(&c)
 	}
-	if r.err != nil {
-		return nil
+	return c
+}
+
+func (p *PeerAddr) fields(c *coder) {
+	u32(c, &p.Server)
+	c.str(&p.Addr)
+	c.rect(&p.Bounds)
+}
+
+func (m *SplitRequest) fields(c coder) coder {
+	u32(&c, &m.Server)
+	u32(&c, &m.Clients)
+	return c
+}
+
+func (m *SplitReply) fields(c coder) coder {
+	c.boolean(&m.Granted)
+	u32(&c, &m.Child)
+	c.str(&m.ChildAddr)
+	c.rect(&m.Keep)
+	c.rect(&m.Give)
+	c.str(&m.Reason)
+	if c.trailing(m.Corr != 0) {
+		u64(&c, &m.Corr)
 	}
-	return out
+	return c
 }
 
-// --- per-message bodies ---
-
-func (m *GameUpdate) encodeBody(b *buffer) {
-	b.u64(uint64(m.Client))
-	b.u64(uint64(m.Seq))
-	b.u8(uint8(m.Kind))
-	b.point(m.Origin)
-	b.point(m.Dest)
-	b.i64(m.SentUnix)
-	b.bytes(m.Payload)
+func (m *ReclaimRequest) fields(c coder) coder {
+	u32(&c, &m.Parent)
+	u32(&c, &m.Child)
+	return c
 }
 
-func (m *GameUpdate) decodeBody(r reader) (int, error) {
-	m.Client = id.ClientID(r.u64())
-	m.Seq = id.PacketSeq(r.u64())
-	m.Kind = UpdateKind(r.u8())
-	m.Origin = r.point()
-	m.Dest = r.point()
-	m.SentUnix = r.i64()
-	m.Payload = r.bytes(r.slab)
-	return r.off, r.err
+func (m *ReclaimReply) fields(c coder) coder {
+	c.boolean(&m.Granted)
+	c.rect(&m.Merged)
+	c.str(&m.Reason)
+	return c
 }
 
-func (m *Forward) encodeBody(b *buffer) {
-	b.serverID(m.From)
-	m.Update.encodeBody(b)
-}
-
-func (m *Forward) decodeBody(r reader) (int, error) {
-	m.From = r.serverID()
-	return m.Update.decodeBody(r)
-}
-
-func (m *RegisterRequest) encodeBody(b *buffer) {
-	b.str(m.Addr)
-	b.f64(m.Radius)
-}
-
-func (m *RegisterRequest) decodeBody(r reader) (int, error) {
-	m.Addr = r.str()
-	m.Radius = r.f64()
-	return r.off, r.err
-}
-
-func (m *RegisterReply) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.rect(m.Bounds)
-	b.rect(m.World)
-}
-
-func (m *RegisterReply) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Bounds = r.rect()
-	m.World = r.rect()
-	return r.off, r.err
-}
-
-func (m *LoadReport) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.i32(m.Clients)
-	b.i32(m.QueueLen)
-}
-
-func (m *LoadReport) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Clients = r.i32()
-	m.QueueLen = r.i32()
-	return r.off, r.err
-}
-
-func (m *OverlapTable) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.u64(m.Version)
-	b.rect(m.Bounds)
-	b.f64(m.Radius)
-	b.u32(uint32(len(m.Regions)))
-	for _, reg := range m.Regions {
-		b.rect(reg.Bounds)
-		b.serverIDs(reg.Peers)
+func (m *Redirect) fields(c coder) coder {
+	u64(&c, &m.Client)
+	u32(&c, &m.NewOwner)
+	c.str(&m.NewAddr)
+	if c.trailing(m.Corr != 0) {
+		u64(&c, &m.Corr)
 	}
-	b.u32(uint32(len(m.Peers)))
-	for _, p := range m.Peers {
-		b.serverID(p.Server)
-		b.str(p.Addr)
-		b.rect(p.Bounds)
+	return c
+}
+
+func (m *StateTransfer) fields(c coder) coder {
+	u32(&c, &m.From)
+	u32(&c, &m.To)
+	c.boolean(&m.Final)
+	for i := range seq(&c, &m.Objects, leastObject) {
+		o := &m.Objects[i]
+		u64(&c, &o.Object)
+		u64(&c, &o.Client)
+		c.point(&o.Pos)
+		c.bytes(&o.Payload, nil)
 	}
+	return c
 }
 
-func (m *OverlapTable) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Version = r.u64()
-	m.Bounds = r.rect()
-	m.Radius = r.f64()
-	nRegions := int(r.u32())
-	if r.err != nil || nRegions < 0 || nRegions > len(r.b) {
-		r.fail()
-		return r.off, r.err
+func (m *NonProximalQuery) fields(c coder) coder {
+	u32(&c, &m.Server)
+	c.point(&m.Point)
+	c.f64(&m.Radius)
+	return c
+}
+
+func (m *NonProximalReply) fields(c coder) coder {
+	serverIDs(&c, &m.Servers)
+	for i := range seq(&c, &m.Peers, leastPeer) {
+		m.Peers[i].fields(&c)
 	}
-	m.Regions = make([]TableRegion, 0, nRegions)
-	for i := 0; i < nRegions; i++ {
-		reg := TableRegion{Bounds: r.rect(), Peers: r.serverIDs()}
-		if r.err != nil {
-			return r.off, r.err
-		}
-		m.Regions = append(m.Regions, reg)
+	return c
+}
+
+func (m *ClientHello) fields(c coder) coder {
+	u64(&c, &m.Client)
+	c.point(&m.Pos)
+	if c.trailing(m.Token != "") {
+		c.str(&m.Token)
 	}
-	nPeers := int(r.u32())
-	if r.err != nil || nPeers < 0 || nPeers > len(r.b) {
-		r.fail()
-		return r.off, r.err
+	return c
+}
+
+func (m *ClientWelcome) fields(c coder) coder {
+	u32(&c, &m.Server)
+	c.rect(&m.Bounds)
+	return c
+}
+
+func (m *RangeUpdate) fields(c coder) coder {
+	u32(&c, &m.Server)
+	c.rect(&m.Bounds)
+	for i := range seq(&c, &m.Handoff, leastPeer) {
+		(*PeerAddr)(&m.Handoff[i]).fields(&c) // a handoff target is on the wire as a peer address
 	}
-	m.Peers = make([]PeerAddr, 0, nPeers)
-	for i := 0; i < nPeers; i++ {
-		p := PeerAddr{Server: r.serverID(), Addr: r.str(), Bounds: r.rect()}
-		if r.err != nil {
-			return r.off, r.err
-		}
-		m.Peers = append(m.Peers, p)
-	}
-	return r.off, r.err
-}
-
-func (m *SplitRequest) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.i32(m.Clients)
-}
-
-func (m *SplitRequest) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Clients = r.i32()
-	return r.off, r.err
-}
-
-func (m *SplitReply) encodeBody(b *buffer) {
-	b.boolean(m.Granted)
-	b.serverID(m.Child)
-	b.str(m.ChildAddr)
-	b.rect(m.Keep)
-	b.rect(m.Give)
-	b.str(m.Reason)
-	// Corr is an optional trailing field (the ClientHello.Token pattern):
-	// omitted when zero so unstamped frames keep the historical encoding.
-	if m.Corr != 0 {
-		b.u64(m.Corr)
-	}
-}
-
-func (m *SplitReply) decodeBody(r reader) (int, error) {
-	m.Granted = r.boolean()
-	m.Child = r.serverID()
-	m.ChildAddr = r.str()
-	m.Keep = r.rect()
-	m.Give = r.rect()
-	m.Reason = r.str()
-	if r.err == nil && r.off < len(r.b) {
-		m.Corr = r.u64()
-	}
-	return r.off, r.err
-}
-
-func (m *ReclaimRequest) encodeBody(b *buffer) {
-	b.serverID(m.Parent)
-	b.serverID(m.Child)
-}
-
-func (m *ReclaimRequest) decodeBody(r reader) (int, error) {
-	m.Parent = r.serverID()
-	m.Child = r.serverID()
-	return r.off, r.err
-}
-
-func (m *ReclaimReply) encodeBody(b *buffer) {
-	b.boolean(m.Granted)
-	b.rect(m.Merged)
-	b.str(m.Reason)
-}
-
-func (m *ReclaimReply) decodeBody(r reader) (int, error) {
-	m.Granted = r.boolean()
-	m.Merged = r.rect()
-	m.Reason = r.str()
-	return r.off, r.err
-}
-
-func (m *Redirect) encodeBody(b *buffer) {
-	b.u64(uint64(m.Client))
-	b.serverID(m.NewOwner)
-	b.str(m.NewAddr)
-	if m.Corr != 0 { // optional trailing field, see SplitReply
-		b.u64(m.Corr)
-	}
-}
-
-func (m *Redirect) decodeBody(r reader) (int, error) {
-	m.Client = id.ClientID(r.u64())
-	m.NewOwner = r.serverID()
-	m.NewAddr = r.str()
-	if r.err == nil && r.off < len(r.b) {
-		m.Corr = r.u64()
-	}
-	return r.off, r.err
-}
-
-func (m *StateTransfer) encodeBody(b *buffer) {
-	b.serverID(m.From)
-	b.serverID(m.To)
-	b.boolean(m.Final)
-	b.u32(uint32(len(m.Objects)))
-	for _, o := range m.Objects {
-		b.u64(uint64(o.Object))
-		b.u64(uint64(o.Client))
-		b.point(o.Pos)
-		b.bytes(o.Payload)
-	}
-}
-
-func (m *StateTransfer) decodeBody(r reader) (int, error) {
-	m.From = r.serverID()
-	m.To = r.serverID()
-	m.Final = r.boolean()
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		r.fail()
-		return r.off, r.err
-	}
-	m.Objects = make([]ObjectState, 0, n)
-	for i := 0; i < n; i++ {
-		o := ObjectState{
-			Object: id.ObjectID(r.u64()),
-			Client: id.ClientID(r.u64()),
-			Pos:    r.point(),
-		}
-		o.Payload = r.bytes(nil)
-		if r.err != nil {
-			return r.off, r.err
-		}
-		m.Objects = append(m.Objects, o)
-	}
-	return r.off, r.err
-}
-
-func (m *NonProximalQuery) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.point(m.Point)
-	b.f64(m.Radius)
-}
-
-func (m *NonProximalQuery) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Point = r.point()
-	m.Radius = r.f64()
-	return r.off, r.err
-}
-
-func (m *NonProximalReply) encodeBody(b *buffer) {
-	b.serverIDs(m.Servers)
-	b.u32(uint32(len(m.Peers)))
-	for _, p := range m.Peers {
-		b.serverID(p.Server)
-		b.str(p.Addr)
-		b.rect(p.Bounds)
-	}
-}
-
-func (m *NonProximalReply) decodeBody(r reader) (int, error) {
-	m.Servers = r.serverIDs()
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		r.fail()
-		return r.off, r.err
-	}
-	m.Peers = make([]PeerAddr, 0, n)
-	for i := 0; i < n; i++ {
-		p := PeerAddr{Server: r.serverID(), Addr: r.str(), Bounds: r.rect()}
-		if r.err != nil {
-			return r.off, r.err
-		}
-		m.Peers = append(m.Peers, p)
-	}
-	return r.off, r.err
-}
-
-func (m *ClientHello) encodeBody(b *buffer) {
-	b.u64(uint64(m.Client))
-	b.point(m.Pos)
-	// The token is an optional trailing field: omitted entirely when empty
-	// so token-free hellos keep the historical encoding (golden frames,
-	// byte-parity and fingerprints unchanged), present as a length-prefixed
-	// string otherwise. Unmarshal rejects trailing garbage, so the decoder
-	// reads it exactly when bytes remain.
-	if m.Token != "" {
-		b.str(m.Token)
-	}
-}
-
-func (m *ClientHello) decodeBody(r reader) (int, error) {
-	m.Client = id.ClientID(r.u64())
-	m.Pos = r.point()
-	if r.err == nil && r.off < len(r.b) {
-		m.Token = r.str()
-	}
-	return r.off, r.err
-}
-
-func (m *ClientWelcome) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.rect(m.Bounds)
-}
-
-func (m *ClientWelcome) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Bounds = r.rect()
-	return r.off, r.err
-}
-
-func (m *RangeUpdate) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.rect(m.Bounds)
-	b.u32(uint32(len(m.Handoff)))
-	for _, h := range m.Handoff {
-		b.serverID(h.Server)
-		b.str(h.Addr)
-		b.rect(h.Bounds)
-	}
-	if m.Corr != 0 { // optional trailing field, see SplitReply
-		b.u64(m.Corr)
-	}
-}
-
-func (m *RangeUpdate) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Bounds = r.rect()
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		r.fail()
-		return r.off, r.err
-	}
-	m.Handoff = make([]HandoffTarget, 0, n)
-	for i := 0; i < n; i++ {
-		h := HandoffTarget{Server: r.serverID(), Addr: r.str(), Bounds: r.rect()}
-		if r.err != nil {
-			return r.off, r.err
-		}
-		m.Handoff = append(m.Handoff, h)
-	}
-	if len(m.Handoff) == 0 {
+	if c.mode == reading && len(m.Handoff) == 0 {
 		m.Handoff = nil
 	}
-	if r.err == nil && r.off < len(r.b) {
-		m.Corr = r.u64()
+	if c.trailing(m.Corr != 0) {
+		u64(&c, &m.Corr)
 	}
-	return r.off, r.err
+	return c
 }
 
-func (m *Ack) encodeBody(b *buffer) { b.u8(uint8(m.Of)) }
-
-func (m *Ack) decodeBody(r reader) (int, error) {
-	m.Of = MsgType(r.u8())
-	return r.off, r.err
+func (m *Ack) fields(c coder) coder {
+	u8(&c, &m.Of)
+	return c
 }
 
-func (m *ErrorMsg) encodeBody(b *buffer) {
-	b.u8(uint8(m.Of))
-	b.str(m.Reason)
+func (m *ErrorMsg) fields(c coder) coder {
+	u8(&c, &m.Of)
+	c.str(&m.Reason)
+	return c
 }
 
-func (m *ErrorMsg) decodeBody(r reader) (int, error) {
-	m.Of = MsgType(r.u8())
-	m.Reason = r.str()
-	return r.off, r.err
-}
-
-func (m *Batch) encodeBody(b *buffer) {
-	b.u32(uint32(len(m.Msgs)))
-	for _, sub := range m.Msgs {
-		// Each element is a complete nested frame so the decoder can slice
-		// without understanding the element's body.
-		start := len(b.b)
-		b.b = append(b.b, 0, 0, 0, 0, uint8(sub.MsgType()))
-		sub.encodeBody(b)
-		binary.BigEndian.PutUint32(b.b[start:], uint32(len(b.b)-start-frameHeaderSize))
+// fields of a Batch is a u32 count, then each element as a complete nested
+// frame, so a reader can slice an element without understanding its body.
+// Reading appends to m.Msgs: AppendUnmarshal decodes into its caller's slice.
+func (m *Batch) fields(c coder) coder {
+	n := uint32(len(m.Msgs))
+	u32(&c, &n)
+	switch c.mode {
+	case appending:
+		for _, sub := range m.Msgs {
+			c.b = appendFrame(c.b, sub)
+		}
+		return c
+	case counting:
+		for _, sub := range m.Msgs {
+			c.n += frameHeaderSize + sub.fields(coder{mode: counting}).n
+		}
+		return c
 	}
-}
-
-// decodeBody appends to m.Msgs: AppendUnmarshal decodes into its caller's slice.
-func (m *Batch) decodeBody(r reader) (int, error) {
-	n := int(r.u32())
 	// Every element costs at least its 5-byte header, so a count claiming
 	// more than the remaining bytes allow is corrupt — rejecting it here
 	// also stops a hostile count from amplifying the preallocation below
 	// beyond the frame's own size.
-	if r.err != nil || n < 0 || n > (len(r.b)-r.off)/frameHeaderSize {
-		r.fail()
-		return r.off, r.err
+	if c.err != nil || int(n) > (len(c.b)-c.n)/frameHeaderSize {
+		c.fail()
+		return c
 	}
-	m.Msgs = slices.Grow(m.Msgs, n)
-	for i := 0; i < n; i++ {
-		// Each element is a complete nested frame: [u32 length][u8 type][body].
-		start := r.off
-		ln := int(r.u32())
-		if r.err != nil || ln < 0 || ln > len(r.b)-r.off-1 {
-			r.fail()
-			return r.off, r.err
+	m.Msgs = slices.Grow(m.Msgs, int(n))
+	for range n {
+		start := c.n
+		var ln uint32
+		u32(&c, &ln)
+		c.take(1 + int(ln))
+		if c.err != nil {
+			return c
 		}
-		r.off += 1 + ln
-		if MsgType(r.b[start+4]) == TypeBatch {
-			return 0, errors.New("protocol: nested batch")
+		if MsgType(c.b[start+4]) == TypeBatch {
+			c.err = errors.New("protocol: nested batch")
+			return c
 		}
-		sub, err := decode(r.b[start:r.off], r.slab)
+		sub, err := decode(c.b[start:c.n], c.slab)
 		if err != nil {
-			return 0, err
+			c.err = err
+			return c
 		}
 		m.Msgs = append(m.Msgs, sub)
 	}
-	if r.off != len(r.b) {
-		return 0, fmt.Errorf("protocol: %d trailing bytes after %d batch elements", len(r.b)-r.off, n)
+	return c
+}
+
+func (m *SnapshotRequest) fields(c coder) coder { return c }
+
+func (m *SnapshotData) fields(c coder) coder {
+	c.bytes(&m.Blob, nil)
+	c.boolean(&m.Final)
+	return c
+}
+
+func (m *Heartbeat) fields(c coder) coder {
+	u32(&c, &m.Server)
+	u32(&c, &m.Clients)
+	u32(&c, &m.QueueLen)
+	u64(&c, &m.CheckpointTick)
+	return c
+}
+
+func (m *DrainRequest) fields(c coder) coder {
+	u32(&c, &m.Server)
+	c.boolean(&m.Exit)
+	if c.trailing(m.Corr != 0) {
+		u64(&c, &m.Corr)
 	}
-	return r.off, nil
+	return c
 }
 
-func (m *SnapshotRequest) encodeBody(b *buffer) {}
-
-func (m *SnapshotRequest) decodeBody(r reader) (int, error) { return r.off, r.err }
-
-func (m *SnapshotData) encodeBody(b *buffer) {
-	b.bytes(m.Blob)
-	b.boolean(m.Final)
+func (m *DrainReply) fields(c coder) coder {
+	c.boolean(&m.Granted)
+	c.str(&m.Reason)
+	return c
 }
 
-func (m *SnapshotData) decodeBody(r reader) (int, error) {
-	m.Blob = r.bytes(nil)
-	m.Final = r.boolean()
-	return r.off, r.err
-}
-
-func (m *Heartbeat) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.i32(m.Clients)
-	b.i32(m.QueueLen)
-	b.u64(m.CheckpointTick)
-}
-
-func (m *Heartbeat) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Clients = r.i32()
-	m.QueueLen = r.i32()
-	m.CheckpointTick = r.u64()
-	return r.off, r.err
-}
-
-func (m *DrainRequest) encodeBody(b *buffer) {
-	b.serverID(m.Server)
-	b.boolean(m.Exit)
-	if m.Corr != 0 { // optional trailing field, see SplitReply
-		b.u64(m.Corr)
+func (m *Adopt) fields(c coder) coder {
+	u32(&c, &m.Victim)
+	c.rect(&m.Bounds)
+	c.bytes(&m.Blob, nil)
+	c.boolean(&m.Final)
+	if c.trailing(m.Corr != 0) {
+		u64(&c, &m.Corr)
 	}
+	return c
 }
 
-func (m *DrainRequest) decodeBody(r reader) (int, error) {
-	m.Server = r.serverID()
-	m.Exit = r.boolean()
-	if r.err == nil && r.off < len(r.b) {
-		m.Corr = r.u64()
-	}
-	return r.off, r.err
-}
-
-func (m *DrainReply) encodeBody(b *buffer) {
-	b.boolean(m.Granted)
-	b.str(m.Reason)
-}
-
-func (m *DrainReply) decodeBody(r reader) (int, error) {
-	m.Granted = r.boolean()
-	m.Reason = r.str()
-	return r.off, r.err
-}
-
-func (m *Adopt) encodeBody(b *buffer) {
-	b.serverID(m.Victim)
-	b.rect(m.Bounds)
-	b.bytes(m.Blob)
-	b.boolean(m.Final)
-	if m.Corr != 0 { // optional trailing field, see SplitReply
-		b.u64(m.Corr)
-	}
-}
-
-func (m *Adopt) decodeBody(r reader) (int, error) {
-	m.Victim = r.serverID()
-	m.Bounds = r.rect()
-	m.Blob = r.bytes(nil)
-	m.Final = r.boolean()
-	if r.err == nil && r.off < len(r.b) {
-		m.Corr = r.u64()
-	}
-	return r.off, r.err
-}
+// --- framing ---
 
 // frameHeaderSize is the per-frame envelope: u32 body length + u8 type.
 const frameHeaderSize = 5
+
+// appendFrame appends m's frame, [u32 body length][u8 type][body], to dst.
+func appendFrame(dst []byte, m Message) []byte {
+	c := m.fields(coder{mode: appending, b: append(dst, 0, 0, 0, 0, uint8(m.MsgType()))})
+	binary.BigEndian.PutUint32(c.b[len(dst):], uint32(len(c.b)-len(dst)-frameHeaderSize))
+	return c.b
+}
 
 // AppendEncode encodes m into a self-describing frame
 // ([u32 body length][u8 type][body]) appended to dst, and returns the
@@ -680,33 +505,11 @@ const frameHeaderSize = 5
 // encodes at zero allocations per message in steady state. On error dst is
 // returned truncated to its original length.
 func AppendEncode(dst []byte, m Message) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, uint8(m.MsgType()))
-	dst = appendBody(dst, m)
-	bodyLen := len(dst) - start - frameHeaderSize
-	if bodyLen > MaxFrameSize {
-		return dst[:start], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, bodyLen)
+	out := appendFrame(dst, m)
+	if bodyLen := len(out) - len(dst) - frameHeaderSize; bodyLen > MaxFrameSize {
+		return out[:len(dst)], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, bodyLen)
 	}
-	binary.BigEndian.PutUint32(dst[start:], uint32(bodyLen))
-	return dst, nil
-}
-
-// bufPool recycles buffer headers. encodeBody takes *buffer through an
-// interface, so a stack-local buffer would escape and cost one allocation
-// per encode; cycling the 3-word header through a pool keeps append-style
-// encoding at zero steady-state allocations. The byte storage itself
-// always belongs to the caller.
-var bufPool = sync.Pool{New: func() any { return new(buffer) }}
-
-// appendBody appends m's encoded body (no envelope) to dst.
-func appendBody(dst []byte, m Message) []byte {
-	w := bufPool.Get().(*buffer)
-	w.b = dst
-	m.encodeBody(w)
-	dst = w.b
-	w.b = nil // never retain the caller's storage
-	bufPool.Put(w)
-	return dst
+	return out, nil
 }
 
 // Marshal encodes m into a freshly allocated self-describing frame:
@@ -767,10 +570,7 @@ func AppendBatches(dst []byte, ends []int, ms []Message) (out []byte, frameEnds 
 				count = 0
 			}
 			mark := len(out)
-			out = append(out, 0, 0, 0, 0, uint8(m.MsgType()))
-			out = appendBody(out, m)
-			subBody := len(out) - mark - frameHeaderSize
-			binary.BigEndian.PutUint32(out[mark:], uint32(subBody))
+			out = appendFrame(out, m)
 			if len(out)-frameStart-frameHeaderSize <= MaxFrameSize {
 				count++
 				break
@@ -819,12 +619,9 @@ func decode(frame []byte, slab *Slab) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	end, err := m.decodeBody(reader{b: body, slab: slab})
-	if err != nil {
-		return nil, fmt.Errorf("decode %v: %w", m.MsgType(), err)
-	}
-	if end != len(body) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", len(body)-end, m.MsgType())
+	c := m.fields(coder{mode: reading, b: body, slab: slab})
+	if err := c.done(m.MsgType()); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -848,8 +645,9 @@ func AppendUnmarshal(dst []Message, frame []byte, slab *Slab) ([]Message, error)
 		return dst, err
 	}
 	b := Batch{Msgs: dst}
-	if _, err := b.decodeBody(reader{b: body, slab: slab}); err != nil {
-		return dst, fmt.Errorf("decode %v: %w", TypeBatch, err)
+	c := b.fields(coder{mode: reading, b: body, slab: slab})
+	if err := c.done(TypeBatch); err != nil {
+		return dst, err
 	}
 	return b.Msgs, nil
 }
@@ -868,21 +666,11 @@ func frameBody(frame []byte) ([]byte, error) {
 	return frame[frameHeaderSize:], nil
 }
 
-// sizePool recycles scratch encode buffers so Size is allocation-free in
-// steady state: the fast path calls it once per forwarded packet.
-var sizePool = sync.Pool{New: func() any { return &buffer{b: make([]byte, 0, 512)} }}
-
 // Size returns the number of bytes m occupies on the wire (envelope
-// included) without allocating the frame twice. Bandwidth accounting in the
-// evaluation harness uses it.
+// included). It counts and writes nothing; bandwidth accounting calls it
+// once per forwarded packet.
 func Size(m Message) (int, error) {
-	w := sizePool.Get().(*buffer)
-	w.b = w.b[:0]
-	m.encodeBody(w)
-	n := len(w.b)
-	if cap(w.b) <= 64<<10 { // don't let one huge state transfer pin memory
-		sizePool.Put(w)
-	}
+	n := m.fields(coder{mode: counting}).n
 	if n > MaxFrameSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}

@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -620,7 +622,7 @@ func TestBatchRoundTrip(t *testing.T) {
 // TestBatchRejectsNesting: batches must not nest, on encode or decode.
 func TestBatchRejectsNesting(t *testing.T) {
 	nested := &Batch{Msgs: []Message{&Batch{Msgs: []Message{&Ack{Of: TypeAck}}}}}
-	frame, err := Marshal(nested) // encodeBody cannot fail; decode must
+	frame, err := Marshal(nested) // encoding cannot fail; decoding must
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,5 +811,70 @@ func TestBatchDecodeRejectsInflatedCount(t *testing.T) {
 	frame := []byte{0, 0, 0, 4, uint8(TypeBatch), 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := Unmarshal(frame); !errors.Is(err, ErrTruncated) {
 		t.Errorf("inflated count: %v", err)
+	}
+}
+
+// TestHostileListCount: a list count that claims more elements than the
+// bytes left in the frame can hold fails before the list is allocated.
+// Decoding a 1 MiB frame whose count claims one element per byte allocates
+// at most twice the frame, for every list on the wire (each element is 56
+// bytes in memory, so allocating first would cost 56 MiB).
+func TestHostileListCount(t *testing.T) {
+	const size = 1 << 20
+	for _, tc := range []struct {
+		list    string
+		m       Message // encodes the fields before the count
+		countAt int     // the body offset of the count
+	}{
+		{"OverlapTable.Regions", &OverlapTable{}, 52},
+		{"OverlapTable.Peers", &OverlapTable{}, 56},
+		{"TableRegion.Peers", &OverlapTable{Regions: []TableRegion{{}}}, 88},
+		{"StateTransfer.Objects", &StateTransfer{}, 9},
+		{"NonProximalReply.Servers", &NonProximalReply{}, 0},
+		{"NonProximalReply.Peers", &NonProximalReply{}, 4},
+		{"RangeUpdate.Handoff", &RangeUpdate{}, 36},
+	} {
+		head, err := Marshal(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := make([]byte, frameHeaderSize+size)
+		copy(frame, head[:frameHeaderSize+tc.countAt])
+		binary.BigEndian.PutUint32(frame, size)
+		binary.BigEndian.PutUint32(frame[frameHeaderSize+tc.countAt:], size)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Unmarshal(frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: a count of %d in a %d-byte body decodes with %v", tc.list, size, size, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(frame)) {
+			t.Errorf("%s: a hostile count in a %d-byte frame allocates %d bytes", tc.list, len(frame), got)
+		}
+	}
+}
+
+// TestLeastElementSizes: the least wire size the decoder bounds each list's
+// count by is exactly what a zero element takes, so no valid frame is
+// refused for its count.
+func TestLeastElementSizes(t *testing.T) {
+	for _, tc := range []struct {
+		list        string
+		empty, once Message
+		least       int
+	}{
+		{"OverlapTable.Regions", &OverlapTable{}, &OverlapTable{Regions: []TableRegion{{}}}, leastRegion},
+		{"OverlapTable.Peers", &OverlapTable{}, &OverlapTable{Peers: []PeerAddr{{}}}, leastPeer},
+		{"TableRegion.Peers", &OverlapTable{Regions: []TableRegion{{}}}, &OverlapTable{Regions: []TableRegion{{Peers: []id.ServerID{0}}}}, leastServerID},
+		{"StateTransfer.Objects", &StateTransfer{}, &StateTransfer{Objects: []ObjectState{{}}}, leastObject},
+		{"NonProximalReply.Servers", &NonProximalReply{}, &NonProximalReply{Servers: []id.ServerID{0}}, leastServerID},
+		{"RangeUpdate.Handoff", &RangeUpdate{}, &RangeUpdate{Handoff: []HandoffTarget{{}}}, leastPeer},
+	} {
+		empty, _ := Size(tc.empty)
+		once, _ := Size(tc.once)
+		if once-empty != tc.least {
+			t.Errorf("%s: a zero element takes %d bytes, the decoder assumes at least %d", tc.list, once-empty, tc.least)
+		}
 	}
 }

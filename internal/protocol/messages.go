@@ -115,10 +115,10 @@ func newMessage(t MsgType) (Message, error) {
 type Message interface {
 	// MsgType returns the wire discriminator for the message.
 	MsgType() MsgType
-	// encodeBody appends the message body (without the envelope).
-	encodeBody(b *buffer)
-	// decodeBody parses the message body.
-	decodeBody(r reader) (int, error)
+	// fields walks the message body (without the envelope) through c, which
+	// encodes, decodes or sizes it: the message's one statement of its wire
+	// layout.
+	fields(c coder) coder
 }
 
 // UpdateKind classifies a game update's role in the game, so workload models
