@@ -179,10 +179,10 @@ func (c *coder) trailing(set bool) bool {
 }
 
 // seq is a list's u32 count. It returns the list, whose elements the caller
-// walks next; reading, it allocates the list first. Every element takes at
-// least least bytes on the wire, so a count that claims more elements than
-// the bytes left can hold fails here, and a hostile count cannot make the
-// list much larger in memory than the frame it came in.
+// walks next; reading, it allocates the list first. least is the fewest
+// bytes an element takes on the wire, so a count that claims more elements
+// than the bytes left can hold fails here, and a hostile count cannot make
+// the list much larger in memory than the frame it came in.
 func seq[T any](c *coder, s *[]T, least int) []T {
 	n := uint32(len(*s))
 	u32(c, &n)

@@ -491,7 +491,7 @@ func TestSizeZeroAlloc(t *testing.T) {
 // TestDecodeAllocs is the receive path's allocation budget: reading a frame
 // into a reused buffer allocates nothing, and decoding allocates the messages
 // and their strings and nothing per batch element — no header array, no
-// reader — nor, decoded into a reused slice, per frame. Through a Slab the
+// coder — nor, decoded into a reused slice, per frame. Through a Slab the
 // updates, forwards and their payloads cost one chunk each per slabMsgs.
 func TestDecodeAllocs(t *testing.T) {
 	if raceEnabled {

@@ -44,6 +44,10 @@ type Grid[K cmp.Ordered] struct {
 	// occupied bounds every cell ever inserted into (it never shrinks): a
 	// query looks nowhere else, so a huge radius costs the populated area.
 	occupied cellRange
+	// spare is the run of the last cell that emptied, kept for the next
+	// insert into an empty cell: an entity moving alone between cells
+	// allocates no run.
+	spare []entry[K]
 }
 
 // NewGrid creates a grid with the given cell size. Radius queries are most
@@ -124,6 +128,9 @@ func (g *Grid[K]) Insert(k K, p geom.Point) {
 	}
 	g.pos[k] = p
 	run := g.cells[nc]
+	if run == nil {
+		run, g.spare = g.spare, nil
+	}
 	i, _ := searchCell(run, k)
 	g.cells[nc] = slices.Insert(run, i, entry[K]{k, p})
 	o := &g.occupied
@@ -140,12 +147,14 @@ func (g *Grid[K]) Remove(k K) {
 	g.removeFromCell(k, g.cellOf(p))
 }
 
-// removeFromCell drops k from cell c. Empty cells leave the index, so the
-// index stays bounded by the population however far entities wander.
+// removeFromCell drops k from cell c. Empty cells leave the index, their
+// run becoming the spare, so the index stays bounded by the population plus
+// one however far entities wander.
 func (g *Grid[K]) removeFromCell(k K, c [2]int32) {
 	run := g.cells[c]
 	if len(run) == 1 {
 		delete(g.cells, c)
+		g.spare = run[:0]
 		return
 	}
 	i, _ := searchCell(run, k)

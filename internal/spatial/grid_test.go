@@ -344,6 +344,10 @@ func TestQueryZeroAllocSteadyState(t *testing.T) {
 		// A same-cell move and a move across cells and back reuse cell capacity.
 		g.Insert(7, geom.Pt(25, 25))
 		g.Insert(7, geom.Pt(45, 45))
+		// A lone entity moving between two empty cells and back empties
+		// each cell it leaves and enters an empty one: it reuses the spare.
+		g.Insert(1000, geom.Pt(500, 500))
+		g.Insert(1000, geom.Pt(520, 520))
 	})
 	if allocs != 0 {
 		t.Errorf("query + move allocates %.1f/op, budget is 0", allocs)
