@@ -7,13 +7,19 @@ package spatial
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"matrix/internal/geom"
 )
 
+// Key is what a grid can index: any integer type (callsigns, in practice).
+type Key interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
+}
+
 // entry is one entity inside a cell.
-type entry[K cmp.Ordered] struct {
+type entry[K Key] struct {
 	key K
 	pt  geom.Point
 }
@@ -23,21 +29,23 @@ type span struct{ lo, hi int }
 
 // Grid is a uniform spatial hash from cells to entity keys. Every cell
 // keeps its entries in ascending key order, so every query returns
-// ascending keys by merging the cells it visits: callers that need a
-// deterministic order get it from the structure, not from a sort. The zero
-// value is not usable; call NewGrid. Grid is not safe for concurrent use
-// (each game server owns one and serializes access through its inbox);
-// queries reuse grid-owned scratch.
-type Grid[K cmp.Ordered] struct {
+// ascending keys by ordering the runs of the cells it visits (QueryDiscs):
+// callers that need a deterministic order get it from the structure, not
+// from a sort. The zero value is not usable; call NewGrid. Grid is not
+// safe for concurrent use (each game server owns one and serializes access
+// through its inbox); queries reuse grid-owned scratch.
+type Grid[K Key] struct {
 	cell  float64
 	cells map[[2]int32][]entry[K]
 	pos   map[K]geom.Point
 
 	// Query scratch: keys holds the keys that passed the filter, one
 	// ascending run per visited cell (runs says where each one is); tmp is
-	// the buffer the merge passes alternate with.
+	// the buffer the merge passes alternate with, bitmap the dense ordering's
+	// (all zero between queries).
 	keys, tmp []K
 	runs      []span
+	bitmap    []uint64
 	// visited counts the cells queries have looked up — the work bound the
 	// tests pin for hostile coordinates and radii.
 	visited uint64
@@ -53,7 +61,7 @@ type Grid[K cmp.Ordered] struct {
 // NewGrid creates a grid with the given cell size. Radius queries are most
 // efficient when cell is close to the typical query radius. A non-positive
 // cell defaults to 1.
-func NewGrid[K cmp.Ordered](cell float64) *Grid[K] {
+func NewGrid[K Key](cell float64) *Grid[K] {
 	if cell <= 0 {
 		cell = 1
 	}
@@ -108,7 +116,7 @@ func (g *Grid[K]) cellsOver(minX, minY, maxX, maxY float64) cellRange {
 // Len returns the number of entities in the grid.
 func (g *Grid[K]) Len() int { return len(g.pos) }
 
-func searchCell[K cmp.Ordered](run []entry[K], k K) (int, bool) {
+func searchCell[K Key](run []entry[K], k K) (int, bool) {
 	return slices.BinarySearchFunc(run, k, func(e entry[K], k K) int { return cmp.Compare(e.key, k) })
 }
 
@@ -173,6 +181,12 @@ func (g *Grid[K]) QueryCircle(center geom.Point, dist float64, dst []K) []K {
 // visits each cell overlapping either disc once, never the cells between
 // two far-apart discs, so the work is bounded by the discs however far
 // apart a and b are. A NaN or infinite centre matches nothing.
+//
+// How the per-cell runs of hits are ordered is picked from the keys, as a
+// sort's small-input cutoff is: dense keys, spanning no more 64-bit words
+// than there are hits ((hi−lo)/64+1 ≤ hits, as callsigns 1, 2, 3, … do), set
+// a bit each in a bitmap read back in word order, O(hits); sparse keys are
+// merged pairwise (merge), so a far-off callsign never costs its span.
 func (g *Grid[K]) QueryDiscs(a, b geom.Point, dist float64, dst []K) []K {
 	if !(dist >= 0) {
 		return dst
@@ -218,7 +232,36 @@ func (g *Grid[K]) QueryDiscs(a, b geom.Point, dist float64, dst []K) []K {
 			}
 		}
 	}
+	if len(g.runs) > 1 {
+		lo, hi := g.keys[g.runs[0].lo], g.keys[g.runs[0].hi-1]
+		for _, r := range g.runs[1:] {
+			lo, hi = min(lo, g.keys[r.lo]), max(hi, g.keys[r.hi-1])
+		}
+		if words := (uint64(hi)-uint64(lo))/64 + 1; words <= uint64(len(g.keys)) {
+			return g.emitBitmap(dst, uint64(lo), int(words))
+		}
+	}
 	return g.merge(dst)
+}
+
+// emitBitmap appends g.keys to dst, ascending, through the bitmap: bit k−lo
+// stands for key k, in uint64 (as the span is) so a signed K cannot overflow.
+func (g *Grid[K]) emitBitmap(dst []K, lo uint64, words int) []K {
+	if len(g.bitmap) < words {
+		g.bitmap = make([]uint64, words)
+	}
+	for _, k := range g.keys {
+		off := uint64(k) - lo
+		g.bitmap[off/64] |= 1 << (off % 64)
+	}
+	dst = slices.Grow(dst, len(g.keys))
+	for w, word := range g.bitmap[:words] {
+		g.bitmap[w] = 0 // all zero again for the next query
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, K(lo+uint64(w)*64+uint64(bits.TrailingZeros64(word))))
+		}
+	}
+	return dst
 }
 
 // merge appends the runs collected in g.keys to dst as one ascending
@@ -258,7 +301,7 @@ func (g *Grid[K]) merge(dst []K) []K {
 // merge2 appends the merge of two ascending runs to dst. Which run the next
 // key comes from is a coin toss to the branch predictor, so the loop selects
 // with conditional moves instead of branching on the comparison.
-func merge2[K cmp.Ordered](dst, a, b []K) []K {
+func merge2[K Key](dst, a, b []K) []K {
 	n := len(dst)
 	dst = slices.Grow(dst, len(a)+len(b))[:n+len(a)+len(b)]
 	out := dst[n:]

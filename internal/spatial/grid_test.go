@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"matrix/internal/geom"
+	"matrix/internal/id"
 )
 
 func TestInsertQueryBasics(t *testing.T) {
@@ -191,15 +192,15 @@ func TestQueryReusesDst(t *testing.T) {
 
 // model is the plain-map reference the property test and the fuzzer compare
 // the grid against.
-type model map[int]geom.Point
+type model[K Key] map[K]geom.Point
 
 func within(p, c geom.Point, dist float64) bool {
 	dx, dy := p.X-c.X, p.Y-c.Y
 	return dx*dx+dy*dy <= dist*dist
 }
 
-func (m model) discs(a, b geom.Point, dist float64) []int {
-	var out []int
+func (m model[K]) discs(a, b geom.Point, dist float64) []K {
+	var out []K
 	for k, p := range m {
 		if within(p, a, dist) || within(p, b, dist) {
 			out = append(out, k)
@@ -211,7 +212,7 @@ func (m model) discs(a, b geom.Point, dist float64) []int {
 
 // checkAgainst holds the grid to the model: same population, and the
 // two-disc query returns exactly the union, ascending, each key once.
-func checkAgainst(t *testing.T, g *Grid[int], m model, a, b geom.Point, dist float64) {
+func checkAgainst[K Key](t *testing.T, g *Grid[K], m model[K], a, b geom.Point, dist float64) {
 	t.Helper()
 	if g.Len() != len(m) {
 		t.Fatalf("Len = %d, model has %d", g.Len(), len(m))
@@ -225,18 +226,50 @@ func checkAgainst(t *testing.T, g *Grid[int], m model, a, b geom.Point, dist flo
 	}
 }
 
+// stride spreads keys further apart than the bitmap rule allows: h ≥ 2 hits
+// k·stride span at least 2(h−1)+1 > h words, so they are merged.
+const stride = 131
+
 // TestQueryDiscsMatchesBruteForce drives random insert / move-across-cells /
 // move-within-cell / remove traffic over negative and positive coordinates
 // and checks the two-disc query against a linear scan for coincident,
-// overlapping and far-apart discs.
+// overlapping and far-apart discs. The same traffic runs over dense keys
+// (ordered by the bitmap), keys spread by a stride, negative keys and
+// int64 extremes and callsigns near 2⁶⁴−1, so both orderings stay
+// exercised; bitmap says whether any grid must have used the dense path.
 func TestQueryDiscsMatchesBruteForce(t *testing.T) {
+	t.Run("dense", func(t *testing.T) { bruteForce(t, func(k int) int { return k }, true) })
+	t.Run("negative", func(t *testing.T) { bruteForce(t, func(k int) int { return k - 75 }, true) })
+	t.Run("stride", func(t *testing.T) { bruteForce(t, func(k int) int { return k * stride }, false) })
+	t.Run("negative-stride", func(t *testing.T) { bruteForce(t, func(k int) int { return -k * stride }, false) })
+	t.Run("int64-extremes", func(t *testing.T) {
+		// Hits at both ends span every word; hits at one end are dense.
+		bruteForce(t, func(k int) int { return [2]int{math.MinInt64 + k, math.MaxInt64 - k}[k%2] }, true)
+	})
+	t.Run("callsigns-near-max", func(t *testing.T) {
+		bruteForce(t, func(k int) id.ClientID { return math.MaxUint64 - id.ClientID(k) }, true)
+	})
+	t.Run("callsigns-mixed", func(t *testing.T) {
+		// A few far-off callsigns among dense ones: a query takes the
+		// bitmap or the merge depending on whether one of them is a hit.
+		bruteForce(t, func(k int) id.ClientID {
+			if k%16 == 0 {
+				return math.MaxUint64 - id.ClientID(k)
+			}
+			return id.ClientID(k + 1)
+		}, true)
+	})
+}
+
+func bruteForce[K Key](t *testing.T, key func(int) K, bitmap bool) {
 	rnd := rand.New(rand.NewSource(13))
 	pt := func() geom.Point { return geom.Pt(rnd.Float64()*200-100, rnd.Float64()*200-100) }
+	used := false
 	for trial := 0; trial < 40; trial++ {
 		cell := []float64{1, 5, 10, 33}[rnd.Intn(4)]
-		g, m := NewGrid[int](cell), model{}
+		g, m := NewGrid[K](cell), model[K]{}
 		for op := 0; op < 600; op++ {
-			k := rnd.Intn(150)
+			k := key(rnd.Intn(150))
 			switch old, ok := m[k]; {
 			case rnd.Intn(5) == 0:
 				g.Remove(k)
@@ -263,6 +296,35 @@ func TestQueryDiscsMatchesBruteForce(t *testing.T) {
 			}
 			checkAgainst(t, g, m, a, b, dist)
 		}
+		used = used || g.bitmap != nil
+	}
+	if used != bitmap {
+		t.Fatalf("bitmap ordering used = %v, want %v", used, bitmap)
+	}
+}
+
+// TestQueryOrdersSignedKeysByOffset fills a grid with every int8 key in one
+// cell: the dense rule holds, and the offsets k−lo reach 255, which only
+// uint64 arithmetic holds (in int8, 127−(−128) wraps to −1).
+func TestQueryOrdersSignedKeysByOffset(t *testing.T) {
+	g := NewGrid[int8](10)
+	var want []int8
+	for k := math.MaxInt8; k >= math.MinInt8; k-- {
+		g.Insert(int8(k), geom.Pt(float64(k&7), 5)) // eight cells' worth of runs
+		want = append(want, int8(k))
+	}
+	slices.Sort(want)
+	g2 := NewGrid[int8](1)
+	for _, k := range want {
+		g2.Insert(k, geom.Pt(float64(k&7), 5))
+	}
+	for _, g := range []*Grid[int8]{g, g2} {
+		if got := g.QueryCircle(geom.Pt(4, 5), 10, nil); !slices.Equal(got, want) {
+			t.Fatalf("cell %v: got %v, want every int8 ascending", g.cell, got)
+		}
+	}
+	if g2.bitmap == nil {
+		t.Fatal("256 dense hits over eight runs were not ordered by the bitmap")
 	}
 }
 
@@ -326,31 +388,40 @@ func TestQueryWorkBoundedByDiscs(t *testing.T) {
 	}
 }
 
-// TestQueryZeroAllocSteadyState: the query merges through grid-owned scratch,
-// so with a warm dst a multi-cell two-disc query does not allocate.
+// TestQueryZeroAllocSteadyState: the query orders through grid-owned
+// scratch, so with a warm dst a multi-cell two-disc query does not allocate,
+// whether its keys are dense (the bitmap) or spread out (the merge).
 func TestQueryZeroAllocSteadyState(t *testing.T) {
-	g := NewGrid[int](10)
-	rnd := rand.New(rand.NewSource(3))
-	for k := 0; k < 400; k++ {
-		g.Insert(k, geom.Pt(rnd.Float64()*60, rnd.Float64()*60))
-	}
-	a, b := geom.Pt(25, 25), geom.Pt(33, 31)
-	dst := g.QueryDiscs(a, b, 10, nil)
-	if len(dst) < 20 {
-		t.Fatalf("only %d hits: the merge is not exercised", len(dst))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = g.QueryDiscs(a, b, 10, dst[:0])
-		// A same-cell move and a move across cells and back reuse cell capacity.
-		g.Insert(7, geom.Pt(25, 25))
-		g.Insert(7, geom.Pt(45, 45))
-		// A lone entity moving between two empty cells and back empties
-		// each cell it leaves and enters an empty one: it reuses the spare.
-		g.Insert(1000, geom.Pt(500, 500))
-		g.Insert(1000, geom.Pt(520, 520))
-	})
-	if allocs != 0 {
-		t.Errorf("query + move allocates %.1f/op, budget is 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		stride int
+	}{{"bitmap", 1}, {"merge", stride}} {
+		g := NewGrid[int](10)
+		rnd := rand.New(rand.NewSource(3))
+		for k := 0; k < 400; k++ {
+			g.Insert(k*tc.stride, geom.Pt(rnd.Float64()*60, rnd.Float64()*60))
+		}
+		a, b := geom.Pt(25, 25), geom.Pt(33, 31)
+		dst := g.QueryDiscs(a, b, 10, nil)
+		if len(dst) < 20 {
+			t.Fatalf("%s: only %d hits: the ordering is not exercised", tc.name, len(dst))
+		}
+		if used := g.bitmap != nil; used != (tc.stride == 1) {
+			t.Fatalf("%s: bitmap ordering used = %v", tc.name, used)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			dst = g.QueryDiscs(a, b, 10, dst[:0])
+			// A same-cell move and a move across cells and back reuse cell capacity.
+			g.Insert(7*tc.stride, geom.Pt(25, 25))
+			g.Insert(7*tc.stride, geom.Pt(45, 45))
+			// A lone entity moving between two empty cells and back empties
+			// each cell it leaves and enters an empty one: it reuses the spare.
+			g.Insert(1000*tc.stride, geom.Pt(500, 500))
+			g.Insert(1000*tc.stride, geom.Pt(520, 520))
+		})
+		if allocs != 0 {
+			t.Errorf("%s: query + move allocates %.1f/op, budget is 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -358,46 +429,57 @@ func TestQueryZeroAllocSteadyState(t *testing.T) {
 // is 4 bytes: kind, key, x, y. Coordinates are small signed integers scaled
 // so that neighbouring values share cells and the extremes do not. A query's
 // radius is picked by the kind byte's top two bits, two of the four hostile.
+// Each stream is replayed under three key spreads, so both orderings are
+// fuzzed: dense keys (the bitmap), negative keys a stride apart (the merge),
+// and callsigns near 2⁶⁴−1 of which the key byte's bit 5 makes some far-off
+// (either, as the hits fall).
 func FuzzGridOps(f *testing.F) {
 	f.Add([]byte{}) // the op streams worth keeping are in testdata/fuzz/FuzzGridOps
 	// Hostile radii over a spread-out population, then after a removal.
 	f.Add([]byte{0, 1, 0x80, 0x80, 0, 2, 0x7f, 0x7f, 0, 3, 4, 0xf0, 0x83, 5, 1, 1, 0xc3, 0x21, 0x7f, 0x80, 1, 2, 0, 0, 0xc3, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		g, m := NewGrid[int](8), model{}
-		for ; len(ops) >= 4; ops = ops[4:] {
-			k := int(ops[1] % 32)
-			p := geom.Pt(float64(int8(ops[2]))*1.5, float64(int8(ops[3]))*1.5)
-			switch ops[0] % 4 {
-			case 0:
-				g.Insert(k, p)
-				m[k] = p
-			case 1:
-				g.Remove(k)
-				delete(m, k)
-			case 2:
-				r := geom.R(p.X, p.Y, p.X+float64(ops[1]), p.Y+float64(ops[1]))
-				var want []int
-				for mk, mp := range m {
-					if !r.Contains(mp) {
-						want = append(want, mk)
-					}
-				}
-				slices.Sort(want)
-				if got := g.QueryOutsideRect(r, nil); !slices.Equal(got, want) {
-					t.Fatalf("QueryOutsideRect(%v) = %v, want %v", r, got, want)
-				}
-			case 3:
-				b := geom.Pt(p.X+float64(ops[1]%16), p.Y-float64(ops[1]/16))
-				checkAgainst(t, g, m, p, b, [4]float64{12, 0, 1e6, 1e12}[ops[0]>>6])
-			}
-		}
-		if len(g.pos) != len(m) {
-			t.Fatalf("grid holds %d keys for a model of %d", len(g.pos), len(m))
-		}
-		for k, want := range m {
-			if p, ok := g.pos[k]; !ok || p != want {
-				t.Fatalf("stored position of %d = %v,%v, model has %v", k, p, ok, want)
-			}
-		}
+		replay(t, ops, func(b byte) int { return int(b % 32) })
+		replay(t, ops, func(b byte) int { return (16 - int(b%32)) * stride })
+		replay(t, ops, func(b byte) id.ClientID { return math.MaxUint64 - id.ClientID(b%32)<<(b&32) })
 	})
+}
+
+// replay runs one FuzzGridOps stream, key mapping the key byte to a key.
+func replay[K Key](t *testing.T, ops []byte, key func(byte) K) {
+	g, m := NewGrid[K](8), model[K]{}
+	for ; len(ops) >= 4; ops = ops[4:] {
+		k := key(ops[1])
+		p := geom.Pt(float64(int8(ops[2]))*1.5, float64(int8(ops[3]))*1.5)
+		switch ops[0] % 4 {
+		case 0:
+			g.Insert(k, p)
+			m[k] = p
+		case 1:
+			g.Remove(k)
+			delete(m, k)
+		case 2:
+			r := geom.R(p.X, p.Y, p.X+float64(ops[1]), p.Y+float64(ops[1]))
+			var want []K
+			for mk, mp := range m {
+				if !r.Contains(mp) {
+					want = append(want, mk)
+				}
+			}
+			slices.Sort(want)
+			if got := g.QueryOutsideRect(r, nil); !slices.Equal(got, want) {
+				t.Fatalf("QueryOutsideRect(%v) = %v, want %v", r, got, want)
+			}
+		case 3:
+			b := geom.Pt(p.X+float64(ops[1]%16), p.Y-float64(ops[1]/16))
+			checkAgainst(t, g, m, p, b, [4]float64{12, 0, 1e6, 1e12}[ops[0]>>6])
+		}
+	}
+	if len(g.pos) != len(m) {
+		t.Fatalf("grid holds %d keys for a model of %d", len(g.pos), len(m))
+	}
+	for k, want := range m {
+		if p, ok := g.pos[k]; !ok || p != want {
+			t.Fatalf("stored position of %v = %v,%v, model has %v", k, p, ok, want)
+		}
+	}
 }
