@@ -3,12 +3,14 @@
 // when redirected (the client "is informed of these switches by its current
 // game server and is unaware of Matrix"), and measures the response latency
 // the paper's user-study proxy evaluates.
+//
+// A Client has one owning goroutine and takes no lock; the live host, whose
+// receive pump and player share one, locks around it (host.Client).
 package gameclient
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"matrix/internal/clock"
@@ -71,9 +73,8 @@ type Stats struct {
 	Welcomes  uint64
 }
 
-// Client is one game client. Safe for concurrent use.
+// Client is one game client; one goroutine owns it (see the package doc).
 type Client struct {
-	mu         sync.Mutex
 	id         id.ClientID
 	pos        geom.Point
 	clk        clock.Clock
@@ -101,60 +102,30 @@ func New(cfg Config) (*Client, error) {
 func (c *Client) ID() id.ClientID { return c.id }
 
 // Pos returns the client's current position.
-func (c *Client) Pos() geom.Point {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pos
-}
+func (c *Client) Pos() geom.Point { return c.pos }
 
 // Connected reports whether a welcome has been received from the current
 // server.
-func (c *Client) Connected() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.connected
-}
+func (c *Client) Connected() bool { return c.connected }
 
 // Server returns the current game server's identity.
-func (c *Client) Server() id.ServerID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.server
-}
+func (c *Client) Server() id.ServerID { return c.server }
 
 // ServerAddr returns the address of the server the client should be
 // connected to (set by redirects).
-func (c *Client) ServerAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serverAddr
-}
+func (c *Client) ServerAddr() string { return c.serverAddr }
 
 // Stats returns a snapshot of the counters.
-func (c *Client) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Client) Stats() Stats { return c.stats }
 
 // Latencies returns a copy of all measured action→echo response latencies
 // (the paper's player-experience metric).
-func (c *Client) Latencies() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]time.Duration, len(c.latencies))
-	copy(out, c.latencies)
-	return out
-}
+func (c *Client) Latencies() []time.Duration { return append([]time.Duration{}, c.latencies...) }
 
 // Disconnect marks the client as not connected (its transport died — e.g.
 // the server restarted and reset every connection). The host is expected to
 // re-send Hello to rejoin; server identity and address are kept.
-func (c *Client) Disconnect() {
-	c.mu.Lock()
-	c.connected = false
-	c.mu.Unlock()
-}
+func (c *Client) Disconnect() { c.connected = false }
 
 // State is a Client's serializable snapshot.
 type State struct {
@@ -170,8 +141,6 @@ type State struct {
 
 // State snapshots the client.
 func (c *Client) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := State{
 		ID:         c.id,
 		Pos:        c.pos,
@@ -195,11 +164,7 @@ func NewFromState(st State, clk clock.Clock) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.seq = st.Seq
-	c.connected = st.Connected
-	c.server = st.Server
-	c.serverAddr = st.ServerAddr
-	c.stats = st.Stats
+	c.seq, c.connected, c.server, c.serverAddr, c.stats = st.Seq, st.Connected, st.Server, st.ServerAddr, st.Stats
 	c.latencies = make([]time.Duration, len(st.LatenciesNs))
 	for i, ns := range st.LatenciesNs {
 		c.latencies[i] = time.Duration(ns)
@@ -209,17 +174,13 @@ func NewFromState(st State, clk clock.Clock) (*Client, error) {
 
 // Hello builds the join message for the current position.
 func (c *Client) Hello() *protocol.ClientHello {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return &protocol.ClientHello{Client: c.id, Pos: c.pos}
 }
 
 // MakeMove builds a movement update to dest, locally adopting the new
 // position (the game server remains authoritative on its side).
 func (c *Client) MakeMove(dest geom.Point) *protocol.GameUpdate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	u := c.makeLocked(protocol.KindMove, c.pos, dest)
+	u := c.newUpdate(protocol.KindMove, dest)
 	c.pos = dest
 	return u
 }
@@ -227,19 +188,18 @@ func (c *Client) MakeMove(dest geom.Point) *protocol.GameUpdate {
 // MakeAction builds a non-movement update (shot, interaction) targeted at
 // dest.
 func (c *Client) MakeAction(kind protocol.UpdateKind, dest geom.Point) *protocol.GameUpdate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.makeLocked(kind, c.pos, dest)
+	return c.newUpdate(kind, dest)
 }
 
-func (c *Client) makeLocked(kind protocol.UpdateKind, origin, dest geom.Point) *protocol.GameUpdate {
+// newUpdate stamps the next update from the current position to dest.
+func (c *Client) newUpdate(kind protocol.UpdateKind, dest geom.Point) *protocol.GameUpdate {
 	c.seq++
 	c.stats.Sent++
 	return &protocol.GameUpdate{
 		Client:   c.id,
 		Seq:      c.seq,
 		Kind:     kind,
-		Origin:   origin,
+		Origin:   c.pos,
 		Dest:     dest,
 		SentUnix: c.clk.Now().UnixNano(),
 	}
@@ -250,8 +210,6 @@ func (c *Client) Handle(m protocol.Message) (Event, error) {
 	if m == nil {
 		return EventNone, ErrNilMessage
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch msg := m.(type) {
 	case *protocol.ClientWelcome:
 		c.connected = true

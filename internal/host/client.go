@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"matrix/internal/gameclient"
+	"matrix/internal/geom"
+	"matrix/internal/id"
 	"matrix/internal/protocol"
 	"matrix/internal/transport"
 )
@@ -43,7 +45,7 @@ type ClientConfig struct {
 // reconnecting on redirects (the player never notices Matrix).
 type ClientHost struct {
 	cfg ClientConfig
-	cl  *gameclient.Client
+	cl  Client
 
 	mu        sync.Mutex
 	conn      transport.Conn
@@ -71,7 +73,7 @@ func DialClient(cfg ClientConfig) (*ClientHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &ClientHost{cfg: cfg, cl: cl, welcomed: make(chan struct{})}
+	h := &ClientHost{cfg: cfg, cl: Client{cl: *cl}, welcomed: make(chan struct{})}
 	if err := h.connect(cfg.ServerAddr); err != nil {
 		return nil, err
 	}
@@ -91,7 +93,7 @@ func (h *ClientHost) connect(addr string) error {
 	if err != nil {
 		return fmt.Errorf("host: client dial %s: %w", addr, err)
 	}
-	hello := h.cl.Hello()
+	hello := h.cl.hello()
 	hello.Token = h.cfg.AuthToken
 	if err := conn.Send(hello); err != nil {
 		_ = conn.Close()
@@ -125,7 +127,9 @@ func (h *ClientHost) recvLoop(conn transport.Conn) {
 			h.maybeRedial(conn)
 			return
 		}
-		ev, err := h.cl.Handle(m)
+		h.cl.mu.Lock()
+		ev, err := h.cl.cl.Handle(m)
+		h.cl.mu.Unlock()
 		if err != nil {
 			h.cfg.Logger.Printf("client %v: %v", h.cl.ID(), err)
 			continue
@@ -136,7 +140,7 @@ func (h *ClientHost) recvLoop(conn transport.Conn) {
 		case gameclient.EventSwitchServer:
 			// Transparent server switch: reconnect in the background so
 			// this loop can drain and exit.
-			addr := h.cl.ServerAddr()
+			addr := h.cl.serverAddr()
 			h.wg.Add(1)
 			go func() {
 				defer h.wg.Done()
@@ -184,7 +188,7 @@ func (h *ClientHost) startRedial() {
 	}
 	h.redialing = true
 	h.mu.Unlock()
-	h.cl.Disconnect()
+	h.cl.disconnect()
 	h.wg.Add(1)
 	go h.redialLoop()
 }
@@ -209,7 +213,7 @@ func (h *ClientHost) redialLoop() {
 			return
 		}
 		var cands []string
-		if a := h.cl.ServerAddr(); a != "" {
+		if a := h.cl.serverAddr(); a != "" {
 			cands = append(cands, a)
 		}
 		if h.cfg.ServerAddr != "" {
@@ -245,7 +249,42 @@ func (h *ClientHost) Send(u *protocol.GameUpdate) error {
 }
 
 // Client exposes the client state machine (positions, latencies, stats).
-func (h *ClientHost) Client() *gameclient.Client { return h.cl }
+func (h *ClientHost) Client() *Client { return &h.cl }
+
+// Client is the game client a ClientHost's receive pump (recvLoop) and its
+// player (every exported method) share, so the lock a gameclient.Client does
+// not take lives here: each method is its gameclient namesake under the lock.
+type Client struct {
+	mu sync.Mutex
+	cl gameclient.Client
+}
+
+func (c *Client) ID() id.ClientID              { return c.cl.ID() } // fixed at creation: no lock
+func (c *Client) Pos() geom.Point              { c.mu.Lock(); defer c.mu.Unlock(); return c.cl.Pos() }
+func (c *Client) Server() id.ServerID          { c.mu.Lock(); defer c.mu.Unlock(); return c.cl.Server() }
+func (c *Client) Connected() bool              { c.mu.Lock(); defer c.mu.Unlock(); return c.cl.Connected() }
+func (c *Client) Stats() gameclient.Stats      { c.mu.Lock(); defer c.mu.Unlock(); return c.cl.Stats() }
+func (c *Client) hello() *protocol.ClientHello { c.mu.Lock(); defer c.mu.Unlock(); return c.cl.Hello() }
+func (c *Client) serverAddr() string           { c.mu.Lock(); defer c.mu.Unlock(); return c.cl.ServerAddr() }
+func (c *Client) disconnect()                  { c.mu.Lock(); defer c.mu.Unlock(); c.cl.Disconnect() }
+
+func (c *Client) Latencies() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cl.Latencies()
+}
+
+func (c *Client) MakeMove(dest geom.Point) *protocol.GameUpdate {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cl.MakeMove(dest)
+}
+
+func (c *Client) MakeAction(kind protocol.UpdateKind, dest geom.Point) *protocol.GameUpdate {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cl.MakeAction(kind, dest)
+}
 
 // Close disconnects and waits for the pumps.
 func (h *ClientHost) Close() error {

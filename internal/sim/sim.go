@@ -325,7 +325,7 @@ type simNode struct {
 
 // simClient is one synthetic player.
 type simClient struct {
-	cl        *gameclient.Client
+	cl        gameclient.Client // by value: a delivery touches one record
 	mover     *game.Mover
 	tag       string
 	assigned  id.ServerID // game server currently responsible
@@ -745,7 +745,7 @@ func (s *Sim) addClient(pos geom.Point, tag string, attract *geom.Point, spread 
 		mover.Attract(*attract, spread)
 	}
 	sc := &simClient{
-		cl:       cl,
+		cl:       *cl,
 		mover:    mover,
 		tag:      tag,
 		assigned: s.ownerOf(pos),

@@ -356,7 +356,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 			return nil, fmt.Errorf("sim: restore client %v: %w", cst.Client.ID, err)
 		}
 		s.clients = append(s.clients, &simClient{
-			cl:        cl,
+			cl:        *cl,
 			mover:     game.NewMoverFromState(cfg.Profile, cfg.World, cst.Mover),
 			tag:       cst.Tag,
 			assigned:  cst.Assigned,
