@@ -6,6 +6,7 @@ import (
 
 	"matrix/internal/geom"
 	"matrix/internal/id"
+	"matrix/internal/nodeblob"
 )
 
 const convergeWithin = 5 * time.Second
@@ -78,8 +79,22 @@ func TestKillNineHealsFromCheckpoint(t *testing.T) {
 		t.Fatalf("heir serves %d avatars, want %d (checkpoint restore failed)",
 			heir.Game().ClientCount(), len(positions))
 	}
+	// The positions are read from a dump, which the heir takes on its tick
+	// goroutine.
+	blob, err := heir.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump, err := nodeblob.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := make(map[id.ClientID]geom.Point)
+	for _, cs := range dump.Game.Clients {
+		restored[cs.Client] = cs.Pos
+	}
 	for cid, want := range positions {
-		got, ok := heir.Game().ClientPos(cid)
+		got, ok := restored[cid]
 		if !ok {
 			t.Errorf("client %v missing from the restored world", cid)
 			continue

@@ -13,7 +13,9 @@
 //
 // The server is a synchronous state machine: handlers return envelopes (the
 // messages to deliver) instead of doing I/O, so production transports and
-// the deterministic simulation harness drive identical code.
+// the deterministic simulation harness drive identical code. One goroutine
+// owns a server and makes every call, so it takes no lock: the simulator's
+// stepping goroutine, or a live host's tick goroutine.
 package core
 
 import (
@@ -21,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"matrix/internal/clock"
@@ -116,9 +117,8 @@ type Stats struct {
 	ReclaimGranted   uint64
 }
 
-// Server is one Matrix server. Safe for concurrent use.
+// Server is one Matrix server. One goroutine owns it (see the package doc).
 type Server struct {
-	mu     sync.Mutex
 	cfg    Config
 	id     id.ServerID
 	world  geom.Rect
@@ -148,7 +148,7 @@ type Server struct {
 	reclaimDeniedUntil map[id.ServerID]time.Time
 	pendingNonProx     []*protocol.GameUpdate
 	union              overlap.Set   // AppendGameUpdate's scratch for a move's two lookups
-	fwds               protocol.Slab // forwardLocked's shared Forwards: scratch, not state
+	fwds               protocol.Slab // forward's shared Forwards: scratch, not state
 
 	stats Stats
 }
@@ -190,35 +190,19 @@ func NewServer(cfg Config, reply *protocol.RegisterReply, radius float64) (*Serv
 func (s *Server) ID() id.ServerID { return s.id }
 
 // Bounds returns the currently owned partition (empty when spare).
-func (s *Server) Bounds() geom.Rect {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bounds
-}
+func (s *Server) Bounds() geom.Rect { return s.bounds }
 
 // Active reports whether the server currently owns a partition.
-func (s *Server) Active() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.active
-}
+func (s *Server) Active() bool { return s.active }
 
 // Parent returns the split-tree parent (id.None for root or spares).
-func (s *Server) Parent() id.ServerID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parent
-}
+func (s *Server) Parent() id.ServerID { return s.parent }
 
 // Stats returns a copy of the traffic counters.
-func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Server) Stats() Stats { return s.stats }
 
-// Tracker exposes the load tracker. It has no lock of its own: read it only
-// while nothing calls the server (the simulator's recorder, between steps).
+// Tracker exposes the load tracker, for the server's owner (the simulator's
+// recorder reads it between steps).
 func (s *Server) Tracker() *load.Tracker { return s.tracker }
 
 // HandleMessage is AppendMessage into a fresh slice.
@@ -276,14 +260,12 @@ func (s *Server) AppendMessage(dst []Envelope, from id.ServerID, m protocol.Mess
 // Forwards per 32 packets; a move's origin and dest lookups merge into a
 // scratch set.
 func (s *Server) AppendGameUpdate(dst []Envelope, u *protocol.GameUpdate) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.active {
 		return dst, ErrInactive
 	}
 	s.stats.GamePacketsIn++
 
-	radius := s.radiusForLocked(u.Kind)
+	radius := s.radiusFor(u.Kind)
 	tab, ok := s.tables[radius]
 	if !ok {
 		return dst, fmt.Errorf("%w: radius %v", ErrNoTable, radius)
@@ -306,7 +288,7 @@ func (s *Server) AppendGameUpdate(dst []Envelope, u *protocol.GameUpdate) ([]Env
 		s.union = peers.AppendUnion(s.union[:0], tab.Lookup(u.Dest))
 		peers = s.union
 	}
-	return s.forwardLocked(dst, u, peers)
+	return s.forward(dst, u, peers)
 }
 
 // tabCovers reports whether p is close enough to our partition that the
@@ -315,11 +297,11 @@ func tabCovers(tab *overlap.Table, p geom.Point, radius float64) bool {
 	return tab.Bounds().Expand(radius).ContainsClosed(p)
 }
 
-// forwardLocked appends Forward envelopes for every peer in set to dst.
+// forward appends Forward envelopes for every peer in set to dst.
 // One Forward message, carved from the server's slab, is shared by every
 // envelope (receivers never mutate it), so the fan-out costs one slot
 // however wide the consistency set is.
-func (s *Server) forwardLocked(dst []Envelope, u *protocol.GameUpdate, peers overlap.Set) ([]Envelope, error) {
+func (s *Server) forward(dst []Envelope, u *protocol.GameUpdate, peers overlap.Set) ([]Envelope, error) {
 	if len(peers) == 0 {
 		return dst, nil
 	}
@@ -342,13 +324,11 @@ func (s *Server) forwardLocked(dst []Envelope, u *protocol.GameUpdate, peers ove
 // after verifying the packet's range, to their own game servers") — the
 // Forward's own Update, not a copy: a decoded message is read-only.
 func (s *Server) appendPeerForward(dst []Envelope, f *protocol.Forward) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.active {
 		return dst, ErrInactive
 	}
 	s.stats.PeerPacketsIn++
-	radius := s.radiusForLocked(f.Update.Kind)
+	radius := s.radiusFor(f.Update.Kind)
 	reach := s.bounds.Expand(radius)
 	if !reach.ContainsClosed(f.Update.Origin) && !reach.ContainsClosed(f.Update.Dest) {
 		s.stats.RangeRejected++
@@ -362,8 +342,6 @@ func (s *Server) appendPeerForward(dst []Envelope, f *protocol.Forward) ([]Envel
 // the split/reclaim policy. Splits are purely local decisions: the server
 // asks the MC for a spare the moment its own tracker says so.
 func (s *Server) HandleLocalLoad(clients, queueLen int) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.tracker.SetLoad(clients, queueLen)
 	if !s.active {
 		return nil, nil
@@ -408,8 +386,6 @@ func (s *Server) HandleLocalLoad(clients, queueLen int) ([]Envelope, error) {
 
 // handleChildLoad ingests a child's load report relayed by the MC.
 func (s *Server) handleChildLoad(rep *protocol.LoadReport) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.child[rep.Server] {
 		// A report for a server we no longer parent; ignore.
 		return nil, nil
@@ -420,8 +396,6 @@ func (s *Server) handleChildLoad(rep *protocol.LoadReport) ([]Envelope, error) {
 
 // handleOverlapTable installs a freshly pushed routing table.
 func (s *Server) handleOverlapTable(msg *protocol.OverlapTable) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if msg.Server != s.id {
 		return fmt.Errorf("core: table for %v delivered to %v", msg.Server, s.id)
 	}
@@ -445,13 +419,13 @@ func (s *Server) handleOverlapTable(msg *protocol.OverlapTable) error {
 		s.peersVersion = msg.Version
 	}
 	for _, p := range msg.Peers {
-		s.setPeerLocked(p.Server, peerInfo{addr: p.Addr, bounds: p.Bounds})
+		s.setPeer(p.Server, peerInfo{addr: p.Addr, bounds: p.Bounds})
 	}
 	return nil
 }
 
-// setPeerLocked records/updates a peer, keeping peerOrder sorted.
-func (s *Server) setPeerLocked(sid id.ServerID, info peerInfo) {
+// setPeer records/updates a peer, keeping peerOrder sorted.
+func (s *Server) setPeer(sid id.ServerID, info peerInfo) {
 	if _, ok := s.peers[sid]; !ok {
 		i := sort.Search(len(s.peerOrder), func(i int) bool { return s.peerOrder[i] >= sid })
 		s.peerOrder = append(s.peerOrder, 0)
@@ -465,8 +439,6 @@ func (s *Server) setPeerLocked(sid id.ServerID, info peerInfo) {
 // child, and tell the game server to shrink its range (which triggers the
 // client redirects and state transfer).
 func (s *Server) handleSplitReply(r *protocol.SplitReply) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.pendingSplit = false
 	if !r.Granted {
 		return nil, nil
@@ -478,7 +450,7 @@ func (s *Server) handleSplitReply(r *protocol.SplitReply) ([]Envelope, error) {
 		s.childOrder = append(s.childOrder, r.Child)
 	}
 	s.child[r.Child] = true
-	s.setPeerLocked(r.Child, peerInfo{addr: r.ChildAddr, bounds: r.Give})
+	s.setPeer(r.Child, peerInfo{addr: r.ChildAddr, bounds: r.Give})
 	return []Envelope{{Dest: DestGameServer, Msg: &protocol.RangeUpdate{
 		Server: s.id,
 		Bounds: r.Keep,
@@ -497,8 +469,6 @@ func (s *Server) handleSplitReply(r *protocol.SplitReply) ([]Envelope, error) {
 // widen the game server's range. The reclaimed child's clients are
 // transferred by the child's own game server reacting to its empty range.
 func (s *Server) handleReclaimReply(r *protocol.ReclaimReply) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	child := s.pendingReclaim
 	s.pendingReclaim = id.None
 	if !r.Granted {
@@ -532,8 +502,6 @@ func (s *Server) handleReclaimReply(r *protocol.ReclaimReply) ([]Envelope, error
 // handleRangeUpdate applies an MC-pushed range change: activation of a
 // spare (split gave it a partition) or deactivation (it was reclaimed).
 func (s *Server) handleRangeUpdate(r *protocol.RangeUpdate) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if r.Server != s.id {
 		return nil, fmt.Errorf("core: range update for %v delivered to %v", r.Server, s.id)
 	}
@@ -542,7 +510,7 @@ func (s *Server) handleRangeUpdate(r *protocol.RangeUpdate) ([]Envelope, error) 
 	s.active = !r.Bounds.Empty()
 	// Handoff targets are peers we are about to ship state to.
 	for _, h := range r.Handoff {
-		s.setPeerLocked(h.Server, peerInfo{addr: h.Addr, bounds: h.Bounds})
+		s.setPeer(h.Server, peerInfo{addr: h.Addr, bounds: h.Bounds})
 	}
 	if !s.active && wasActive {
 		// Deactivated: clear topology state; we are a spare again.
@@ -569,8 +537,6 @@ func (s *Server) handleRangeUpdate(r *protocol.RangeUpdate) ([]Envelope, error) 
 // local game server go to the destination's Matrix server; inbound chunks
 // are delivered to the local game server.
 func (s *Server) handleStateTransfer(from id.ServerID, st *protocol.StateTransfer) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if st.To == s.id {
 		return []Envelope{{Dest: DestGameServer, Msg: st}}, nil
 	}
@@ -587,17 +553,15 @@ func (s *Server) handleStateTransfer(from id.ServerID, st *protocol.StateTransfe
 // with the MC's consistency set. Replies arrive in request order because
 // both the MC and the transports preserve ordering.
 func (s *Server) handleNonProximalReply(r *protocol.NonProximalReply) ([]Envelope, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.pendingNonProx) == 0 {
 		return nil, ErrNoPending
 	}
 	u := s.pendingNonProx[0]
 	s.pendingNonProx = s.pendingNonProx[1:]
 	for _, p := range r.Peers {
-		s.setPeerLocked(p.Server, peerInfo{addr: p.Addr, bounds: p.Bounds})
+		s.setPeer(p.Server, peerInfo{addr: p.Addr, bounds: p.Bounds})
 	}
-	return s.forwardLocked(nil, u, overlap.NewSet(r.Servers...))
+	return s.forward(nil, u, overlap.NewSet(r.Servers...))
 }
 
 // TableState is one installed overlap table inside a State snapshot,
@@ -651,8 +615,6 @@ type State struct {
 
 // CaptureState snapshots the server.
 func (s *Server) CaptureState() (*State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := &State{
 		ID:             s.id,
 		World:          s.world,
@@ -732,8 +694,6 @@ func (s *Server) RestoreState(st *State) error {
 		}
 		pending = append(pending, u)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if st.ID != s.id {
 		return fmt.Errorf("core: state for %v restored into %v", st.ID, s.id)
 	}
@@ -745,7 +705,7 @@ func (s *Server) RestoreState(st *State) error {
 	s.peers = make(map[id.ServerID]peerInfo, len(st.Peers))
 	s.peerOrder = s.peerOrder[:0]
 	for _, p := range st.Peers {
-		s.setPeerLocked(p.Server, peerInfo{addr: p.Addr, bounds: p.Bounds})
+		s.setPeer(p.Server, peerInfo{addr: p.Addr, bounds: p.Bounds})
 	}
 	s.peersVersion = st.PeersVersion
 	s.parent = st.Parent
@@ -769,8 +729,8 @@ func (s *Server) RestoreState(st *State) error {
 	return nil
 }
 
-// radiusForLocked resolves the visibility radius for an update kind.
-func (s *Server) radiusForLocked(k protocol.UpdateKind) float64 {
+// radiusFor resolves the visibility radius for an update kind.
+func (s *Server) radiusFor(k protocol.UpdateKind) float64 {
 	if r, ok := s.cfg.KindRadius[k]; ok {
 		return r
 	}
@@ -784,8 +744,6 @@ func (s *Server) radiusForLocked(k protocol.UpdateKind) float64 {
 // continuous, so the new owner is always an adjacent partition, which the
 // overlap tables already name as a peer.
 func (s *Server) ResolveOwner(p geom.Point) (id.ServerID, string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.bounds.Contains(p) {
 		return s.id, "", false // still ours: no handoff
 	}
@@ -803,8 +761,6 @@ func (s *Server) ResolveOwner(p geom.Point) (id.ServerID, string, bool) {
 // TableVersion returns the installed table version for the default radius
 // (0 when none).
 func (s *Server) TableVersion() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if tab, ok := s.tables[s.radius]; ok {
 		return tab.Version()
 	}
@@ -814,8 +770,6 @@ func (s *Server) TableVersion() uint64 {
 // OverlapArea returns the total overlap-region area of the default-radius
 // table (the paper's traffic-predicting metric).
 func (s *Server) OverlapArea() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if tab, ok := s.tables[s.radius]; ok {
 		return tab.OverlapArea()
 	}

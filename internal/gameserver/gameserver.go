@@ -16,7 +16,9 @@
 //     transferring their state through Matrix.
 //
 // Like the Matrix server, it is a synchronous state machine returning
-// envelopes; hosts (TCP pumps or the simulator) deliver them.
+// envelopes; hosts (TCP pumps or the simulator) deliver them. One goroutine
+// owns a server and makes every call; the receive queue (queue.go) is the one
+// part other goroutines may reach, through Enqueue and QueueLen.
 package gameserver
 
 import (
@@ -26,7 +28,6 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
 
 	"matrix/internal/geom"
 	"matrix/internal/id"
@@ -102,21 +103,18 @@ type clientState struct {
 	pos geom.Point
 }
 
-// Server is one game server. Safe for concurrent use.
+// Server is one game server. One goroutine owns it and makes every call but
+// two: Enqueue and QueueLen are safe from any goroutine.
 type Server struct {
-	mu      sync.Mutex
 	cfg     Config
 	bounds  geom.Rect
 	clients map[id.ClientID]*clientState
 	grid    *spatial.Grid[id.ClientID]
 	objects map[id.ObjectID]protocol.ObjectState
-	// inbox[inboxHead:] is the receive queue. The consumed prefix is
-	// compacted away lazily (see Serve), so the array is reused
-	// across ticks without per-tick backlog copies.
-	inbox     []protocol.Message
-	inboxHead int
-	stats     Stats
-	scratch   []id.ClientID // reused query buffer
+	inbox   queue
+	taken   []protocol.Message // Serve's reused batch from the queue
+	stats   Stats              // bar the fields Stats derives
+	scratch []id.ClientID      // reused query buffer
 }
 
 // New creates a game server.
@@ -136,46 +134,43 @@ func New(cfg Config) (*Server, error) {
 		clients: make(map[id.ClientID]*clientState),
 		grid:    spatial.NewGrid[id.ClientID](cfg.Radius),
 		objects: make(map[id.ObjectID]protocol.ObjectState),
+		inbox:   queue{max: cfg.MaxQueue},
 	}, nil
 }
 
 // Bounds returns the current map range.
-func (s *Server) Bounds() geom.Rect {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bounds
-}
+func (s *Server) Bounds() geom.Rect { return s.bounds }
 
 // ClientCount returns the number of connected clients — the paper's load
 // metric.
-func (s *Server) ClientCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.clients)
-}
+func (s *Server) ClientCount() int { return len(s.clients) }
 
 // QueueLen returns the current receive-queue length — the paper's Figure
-// 2(b) metric.
+// 2(b) metric. Safe from any goroutine.
 func (s *Server) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inbox) - s.inboxHead
+	n, _, _, _ := s.inbox.counts()
+	return n
+}
+
+// Queued returns how many messages the receive queue has accepted and how
+// many of those Serve has taken, since the server was made: the message
+// accepted as the n-th has been served once taken reaches n. A restore counts
+// the messages it discards as taken. Safe from any goroutine.
+func (s *Server) Queued() (accepted, taken uint64) {
+	_, accepted, taken, _ = s.inbox.counts()
+	return accepted, taken
 }
 
 // Stats returns a snapshot of the counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.stats
 	st.ClientsCurrent = len(s.clients)
-	st.QueueLen = len(s.inbox) - s.inboxHead
+	st.QueueLen, _, _, st.Dropped = s.inbox.counts()
 	return st
 }
 
 // ClientPos returns a connected client's position.
 func (s *Server) ClientPos(c id.ClientID) (geom.Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cs, ok := s.clients[c]
 	if !ok {
 		return geom.Point{}, false
@@ -184,26 +179,16 @@ func (s *Server) ClientPos(c id.ClientID) (geom.Point, bool) {
 }
 
 // ObjectCount returns the number of non-player objects held.
-func (s *Server) ObjectCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.objects)
-}
+func (s *Server) ObjectCount() int { return len(s.objects) }
 
 // AddObject installs a non-player map object (trees, buildings, NPC state).
-func (s *Server) AddObject(o protocol.ObjectState) {
-	s.mu.Lock()
-	s.objects[o.Object] = o
-	s.mu.Unlock()
-}
+func (s *Server) AddObject(o protocol.ObjectState) { s.objects[o.Object] = o }
 
 // Evict removes a client record without emitting any traffic — the
 // server-side idle reaper. Unlike a despawn update it is not forwarded
 // anywhere, so evicting a stale duplicate can never affect the client's
 // live avatar on another server. Reports whether the client was present.
 func (s *Server) Evict(c id.ClientID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.clients[c]; !ok {
 		return false
 	}
@@ -214,8 +199,6 @@ func (s *Server) Evict(c id.ClientID) bool {
 
 // ClientIDs returns the connected clients' IDs, sorted.
 func (s *Server) ClientIDs() []id.ClientID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]id.ClientID, 0, len(s.clients))
 	for c := range s.clients {
 		out = append(out, c)
@@ -244,11 +227,8 @@ type State struct {
 
 // CaptureState snapshots the server.
 func (s *Server) CaptureState() (*State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := &State{Bounds: s.bounds, Stats: s.stats}
-	st.Stats.ClientsCurrent = 0 // derived fields stay out of the snapshot
-	st.Stats.QueueLen = 0
+	st := &State{Bounds: s.bounds, Stats: s.Stats()}
+	st.Stats.ClientsCurrent, st.Stats.QueueLen = 0, 0 // derived fields stay out of the snapshot
 	for c, cs := range s.clients {
 		st.Clients = append(st.Clients, ClientSnap{Client: c, Pos: cs.pos})
 	}
@@ -258,7 +238,7 @@ func (s *Server) CaptureState() (*State, error) {
 		st.Objects = append(st.Objects, o)
 	}
 	sort.Slice(st.Objects, func(i, j int) bool { return st.Objects[i].Object < st.Objects[j].Object })
-	for _, m := range s.inbox[s.inboxHead:] {
+	for _, m := range s.inbox.pending() {
 		frame, err := protocol.Marshal(m)
 		if err != nil {
 			return nil, fmt.Errorf("gameserver: encode queued %v: %w", m.MsgType(), err)
@@ -280,8 +260,6 @@ func (s *Server) RestoreState(st *State) error {
 		}
 		inbox = append(inbox, m)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.bounds = st.Bounds
 	s.clients = make(map[id.ClientID]*clientState, len(st.Clients))
 	s.grid = spatial.NewGrid[id.ClientID](s.cfg.Radius)
@@ -294,29 +272,19 @@ func (s *Server) RestoreState(st *State) error {
 		o.Payload = append([]byte(nil), o.Payload...)
 		s.objects[o.Object] = o
 	}
-	s.inbox = inbox
-	s.inboxHead = 0
-	s.stats = st.Stats
-	s.stats.ClientsCurrent = 0
-	s.stats.QueueLen = 0
+	s.inbox.reset(inbox, st.Stats.Dropped)
+	s.stats = st.Stats // Stats derives ClientsCurrent, QueueLen and Dropped
 	return nil
 }
 
 // Enqueue places an inbound message on the receive queue. It returns
 // ErrQueueOverflow when the bounded queue is full (the packet is dropped
-// and counted).
+// and counted). Safe from any goroutine.
 func (s *Server) Enqueue(m protocol.Message) error {
 	if m == nil {
 		return ErrNilMessage
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cfg.MaxQueue > 0 && len(s.inbox)-s.inboxHead >= s.cfg.MaxQueue {
-		s.stats.Dropped++
-		return ErrQueueOverflow
-	}
-	s.inbox = append(s.inbox, m)
-	return nil
+	return s.inbox.add(m)
 }
 
 // Process consumes up to budget queued messages (all of them when budget
@@ -338,73 +306,53 @@ func (s *Server) ProcessAppend(dst []Envelope, budget int) ([]Envelope, error) {
 // messages it consumed. The budget models the server's finite service rate:
 // under overload the queue grows, which is what the paper's Figure 2(b)
 // plots. Passing the same buffer back every tick, after fully consuming it,
-// makes the envelope path allocation-free in steady state.
+// makes the envelope path allocation-free in steady state. The messages are
+// taken from the queue at once and processed outside its lock, so what is
+// enqueued meanwhile waits for the next Serve.
 func (s *Server) Serve(dst []Envelope, budget int) ([]Envelope, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.inbox) - s.inboxHead
-	if budget > 0 && budget < n {
-		n = budget
-	}
+	s.taken = s.inbox.take(s.taken, budget)
 	var firstErr error
-	for i := 0; i < n; i++ {
-		m := s.inbox[s.inboxHead+i]
-		s.inbox[s.inboxHead+i] = nil
+	for _, m := range s.taken {
 		var err error
-		dst, err = s.handleLocked(dst, m)
+		dst, err = s.handle(dst, m)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		s.stats.Processed++
 	}
-	s.inboxHead += n
-	// Lazy compaction keeps the array reusable without making sustained
-	// overload quadratic: a drained queue resets in O(1), and survivors
-	// only slide to the front once the consumed prefix outweighs them
-	// (amortized O(1) per message).
-	if s.inboxHead == len(s.inbox) {
-		s.inbox = s.inbox[:0]
-		s.inboxHead = 0
-	} else if s.inboxHead > len(s.inbox)/2 {
-		rest := copy(s.inbox, s.inbox[s.inboxHead:])
-		for i := rest; i < len(s.inbox); i++ {
-			s.inbox[i] = nil
-		}
-		s.inbox = s.inbox[:rest]
-		s.inboxHead = 0
-	}
+	n := len(s.taken)
+	clear(s.taken)
+	s.taken = s.taken[:0]
 	return dst, n, firstErr
 }
 
 // LoadReport builds the periodic load report for the Matrix server.
 func (s *Server) LoadReport() *protocol.LoadReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return &protocol.LoadReport{
 		Server:   s.cfg.Server,
 		Clients:  int32(len(s.clients)),
-		QueueLen: int32(len(s.inbox) - s.inboxHead),
+		QueueLen: int32(s.QueueLen()),
 	}
 }
 
-// handleLocked dispatches one queued message, appending envelopes to dst.
-func (s *Server) handleLocked(dst []Envelope, m protocol.Message) ([]Envelope, error) {
+// handle dispatches one queued message, appending envelopes to dst.
+func (s *Server) handle(dst []Envelope, m protocol.Message) ([]Envelope, error) {
 	switch msg := m.(type) {
 	case *protocol.ClientHello:
-		return s.handleHelloLocked(dst, msg)
+		return s.handleHello(dst, msg)
 	case *protocol.GameUpdate:
-		return s.handleUpdateLocked(dst, msg)
+		return s.handleUpdate(dst, msg)
 	case *protocol.RangeUpdate:
-		return s.handleRangeLocked(dst, msg)
+		return s.handleRange(dst, msg)
 	case *protocol.StateTransfer:
-		return s.handleStateLocked(dst, msg)
+		return s.handleState(dst, msg)
 	default:
 		return dst, fmt.Errorf("gameserver: unexpected message %v", m.MsgType())
 	}
 }
 
-// handleHelloLocked admits a client (or re-admits one migrating in).
-func (s *Server) handleHelloLocked(dst []Envelope, h *protocol.ClientHello) ([]Envelope, error) {
+// handleHello admits a client (or re-admits one migrating in).
+func (s *Server) handleHello(dst []Envelope, h *protocol.ClientHello) ([]Envelope, error) {
 	cs, ok := s.clients[h.Client]
 	if !ok {
 		cs = &clientState{id: h.Client}
@@ -419,11 +367,11 @@ func (s *Server) handleHelloLocked(dst []Envelope, h *protocol.ClientHello) ([]E
 	}}), nil
 }
 
-// handleUpdateLocked processes one game packet. Packets from local clients
+// handleUpdate processes one game packet. Packets from local clients
 // are applied, delivered to visible local clients, and forwarded to Matrix;
 // packets forwarded in from peers are delivered to visible local clients
 // only.
-func (s *Server) handleUpdateLocked(dst []Envelope, u *protocol.GameUpdate) ([]Envelope, error) {
+func (s *Server) handleUpdate(dst []Envelope, u *protocol.GameUpdate) ([]Envelope, error) {
 	cs, local := s.clients[u.Client]
 	if local {
 		// The game server owns the authoritative position: apply movement
@@ -442,7 +390,7 @@ func (s *Server) handleUpdateLocked(dst []Envelope, u *protocol.GameUpdate) ([]E
 		// the client off to the partition's owner.
 		if u.Kind == protocol.KindMove && !s.bounds.Contains(cs.pos) && s.cfg.ResolveOwner != nil {
 			if target, addr, ok := s.cfg.ResolveOwner(cs.pos); ok && target != s.cfg.Server {
-				dst = s.migrateClientLocked(dst, cs, target, addr)
+				dst = s.migrateClient(dst, cs, target, addr)
 			}
 		}
 	}
@@ -460,9 +408,9 @@ func (s *Server) handleUpdateLocked(dst []Envelope, u *protocol.GameUpdate) ([]E
 	return dst, nil
 }
 
-// migrateClientLocked hands one client to target: state first, then the
+// migrateClient hands one client to target: state first, then the
 // redirect, mirroring the bulk path taken on range changes.
-func (s *Server) migrateClientLocked(dst []Envelope, cs *clientState, target id.ServerID, addr string) []Envelope {
+func (s *Server) migrateClient(dst []Envelope, cs *clientState, target id.ServerID, addr string) []Envelope {
 	dst = append(dst,
 		Envelope{Dest: DestMatrix, Msg: &protocol.StateTransfer{
 			From:    s.cfg.Server,
@@ -483,10 +431,10 @@ func (s *Server) migrateClientLocked(dst []Envelope, cs *clientState, target id.
 	return dst
 }
 
-// handleRangeLocked applies a new map range: displaced clients are
+// handleRange applies a new map range: displaced clients are
 // redirected to the handoff targets and their state is transferred through
 // Matrix in chunks.
-func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]Envelope, error) {
+func (s *Server) handleRange(dst []Envelope, r *protocol.RangeUpdate) ([]Envelope, error) {
 	s.bounds = r.Bounds
 
 	// Find clients now outside our range.
@@ -517,7 +465,7 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 	for _, target := range slices.Sorted(maps.Keys(perTarget)) {
 		// State first, then redirects: the receiving game server adopts
 		// the avatars before the clients reconnect.
-		dst = s.appendTransfersLocked(dst, target, perTarget[target], true)
+		dst = s.appendTransfers(dst, target, perTarget[target], true)
 		for _, o := range perTarget[target] {
 			// Range-change redirects inherit the decision's correlation ID
 			// so one split/reclaim can be followed coordinator→server→client.
@@ -549,16 +497,16 @@ func (s *Server) handleRangeLocked(dst []Envelope, r *protocol.RangeUpdate) ([]E
 	for _, target := range slices.Sorted(maps.Keys(perTarget)) {
 		objs := perTarget[target]
 		slices.SortFunc(objs, func(a, b protocol.ObjectState) int { return cmp.Compare(a.Object, b.Object) })
-		dst = s.appendTransfersLocked(dst, target, objs, false)
+		dst = s.appendTransfers(dst, target, objs, false)
 	}
 	return dst, nil
 }
 
-// appendTransfersLocked cuts the state displaced to one handoff target into
+// appendTransfers cuts the state displaced to one handoff target into
 // TransferChunk-sized StateTransfers, the last one marked Final. closeEmpty
 // keeps the avatars' wire habit: a last chunk that fills up exactly does not
 // carry the flag itself, an empty Final transfer follows it.
-func (s *Server) appendTransfersLocked(dst []Envelope, target id.ServerID, objs []protocol.ObjectState, closeEmpty bool) []Envelope {
+func (s *Server) appendTransfers(dst []Envelope, target id.ServerID, objs []protocol.ObjectState, closeEmpty bool) []Envelope {
 	limit := len(objs)
 	if closeEmpty {
 		limit++
@@ -585,8 +533,8 @@ func resolveHandoff(handoff []protocol.HandoffTarget, p geom.Point) (id.ServerID
 	return id.None, ""
 }
 
-// handleStateLocked adopts migrating state from another game server.
-func (s *Server) handleStateLocked(dst []Envelope, st *protocol.StateTransfer) ([]Envelope, error) {
+// handleState adopts migrating state from another game server.
+func (s *Server) handleState(dst []Envelope, st *protocol.StateTransfer) ([]Envelope, error) {
 	for _, o := range st.Objects {
 		if o.Client != 0 {
 			cs, ok := s.clients[o.Client]

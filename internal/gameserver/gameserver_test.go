@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"matrix/internal/geom"
 	"matrix/internal/id"
@@ -218,6 +219,49 @@ func TestQueueBudgetAndOverflow(t *testing.T) {
 	}
 	if got := s.Stats().Processed; got != 2 {
 		t.Errorf("Processed = %d", got)
+	}
+}
+
+// TestQueueKeepsOrderAndCounts: partial takes in any rhythm serve the queue
+// in arrival order, Queued's counts track every accepted and taken message,
+// and a restore counts the messages it discards as taken.
+func TestQueueKeepsOrderAndCounts(t *testing.T) {
+	s := newTestGS(t, Config{})
+	join(t, s, 1, geom.Pt(50, 50))
+	var want []id.PacketSeq
+	seq := id.PacketSeq(0)
+	for round, budget := range []int{1, 3, 2, 0, 5, 1, 1, 4} {
+		for i := 0; i < round%4+1; i++ {
+			seq++
+			if err := s.Enqueue(&protocol.GameUpdate{Client: 1, Seq: seq, Origin: geom.Pt(50, 50), Dest: geom.Pt(50, 50)}); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, seq)
+		}
+		envs, served, err := s.Serve(nil, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []id.PacketSeq
+		for _, e := range envs {
+			if e.Dest == DestMatrix {
+				got = append(got, e.Msg.(*protocol.GameUpdate).Seq)
+			}
+		}
+		if !slices.Equal(got, want[:served]) {
+			t.Fatalf("round %d served %v, want %v", round, got, want[:served])
+		}
+		want = want[served:]
+		if accepted, taken := s.Queued(); accepted-taken != uint64(len(want)) || s.QueueLen() != len(want) {
+			t.Fatalf("round %d: accepted %d, taken %d, QueueLen %d; want %d pending", round, accepted, taken, s.QueueLen(), len(want))
+		}
+	}
+	accepted, _ := s.Queued()
+	if err := s.RestoreState(&State{}); err != nil {
+		t.Fatal(err)
+	}
+	if a, taken := s.Queued(); a != accepted || taken != accepted || s.QueueLen() != 0 {
+		t.Errorf("after a restore to an empty queue: accepted %d, taken %d, QueueLen %d; want %d, %d, 0", a, taken, s.QueueLen(), accepted, accepted)
 	}
 }
 
@@ -552,5 +596,51 @@ func TestOverlappingMoveDeliversOncePerClientAscending(t *testing.T) {
 	}
 	if d := s.Stats().Delivered; d != 5 {
 		t.Errorf("Delivered = %d, want 5", d)
+	}
+}
+
+// TestEnqueueDoesNotWaitForServe: the receive queue is the one part of a
+// server other goroutines reach, and Serve holds its lock only to take
+// messages. While a boundary-crossing move's ResolveOwner blocks Serve on
+// another goroutine, Enqueue and QueueLen still return.
+func TestEnqueueDoesNotWaitForServe(t *testing.T) {
+	resolving, release := make(chan struct{}), make(chan struct{})
+	s := newTestGS(t, Config{ResolveOwner: func(geom.Point) (id.ServerID, string, bool) {
+		close(resolving)
+		<-release
+		return 2, "peer", true
+	}})
+	join(t, s, 1, geom.Pt(99, 50))
+	if err := s.Enqueue(&protocol.GameUpdate{Client: 1, Kind: protocol.KindMove, Origin: geom.Pt(99, 50), Dest: geom.Pt(101, 50)}); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Serve(nil, 0)
+	}()
+	<-resolving
+
+	returned := make(chan int)
+	go func() {
+		_ = s.Enqueue(&protocol.GameUpdate{Client: 1, Kind: protocol.KindMove, Origin: geom.Pt(50, 50), Dest: geom.Pt(50, 50)})
+		returned <- s.QueueLen()
+	}()
+	select {
+	case n := <-returned:
+		if n != 1 {
+			t.Errorf("QueueLen = %d while the move is being served, want the one message enqueued meanwhile", n)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Enqueue and QueueLen waited for Serve to finish processing")
+		close(release) // let Serve finish, so the pending calls return
+		<-returned
+		<-served
+		return
+	}
+	close(release)
+	<-served
+	if n := s.QueueLen(); n != 1 {
+		t.Errorf("QueueLen = %d after Serve, want the message enqueued meanwhile still queued", n)
 	}
 }

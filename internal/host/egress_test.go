@@ -139,6 +139,10 @@ func newServerOn(t *testing.T, mcNet transport.Network, cfg ServerConfig) *Serve
 	return bootOn(t, mcNet, cfg, newServer)
 }
 
+// newServer is StartServer without the tick loop: its caller is the tick
+// goroutine, and runs tick, report, beat and shipCheckpoint itself.
+func newServer(cfg ServerConfig) (*ServerHost, error) { return boot(cfg, false) }
+
 func bootOn(t *testing.T, mcNet transport.Network, cfg ServerConfig, boot func(ServerConfig) (*ServerHost, error)) *ServerHost {
 	t.Helper()
 	mc, err := ServeCoordinator(mcNet, "", coordinatorConfigForTest(), nil)

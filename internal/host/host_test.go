@@ -28,6 +28,15 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// clientPos reads client c's position on h's tick goroutine.
+func clientPos(t *testing.T, h *ServerHost, c id.ClientID) (p geom.Point, ok bool) {
+	t.Helper()
+	if err := h.onTick(func() error { p, ok = h.node.Game.ClientPos(c); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return p, ok
+}
+
 func startCluster(t *testing.T, nw transport.Network, servers int, policy load.Config) (*CoordinatorHost, []*ServerHost) {
 	t.Helper()
 	mc, err := ServeCoordinator(nw, "", coordinator.Config{World: geom.R(0, 0, 1000, 1000)}, nil)

@@ -11,6 +11,7 @@ import (
 
 	"matrix/internal/core"
 	"matrix/internal/gameserver"
+	"matrix/internal/geom"
 	"matrix/internal/id"
 	"matrix/internal/load"
 	"matrix/internal/metrics"
@@ -110,12 +111,21 @@ func (c ServerConfig) sanitized() ServerConfig {
 // ServerHost runs one node (internal/node: a Matrix server, its co-located
 // game server, the admission chain) over real transports. What a server does
 // with a message is the node's; the host owns the sockets, when the node ticks
-// and where its envelopes go.
+// and where its envelopes go. The tick goroutine alone calls the node, bar the
+// receive queue the client pumps fill: dumps and restores run there as funnel
+// calls (onTick), and getters read the status it publishes (Core, Game).
 type ServerHost struct {
-	cfg    ServerConfig
-	node   *node.Node
-	mcConn transport.Conn
-	ln     transport.Listener
+	cfg     ServerConfig
+	node    *node.Node
+	mcConn  transport.Conn
+	ln      transport.Listener
+	ticking bool // a tick loop owns the node; without one boot's caller does
+
+	// The node as published at the end of every tick, report and funnel
+	// call: copied in under statusMu, so that publishing allocates nothing.
+	statusMu sync.Mutex
+	core     CoreView
+	game     GameView
 
 	started time.Time // epoch of the middleware clock
 
@@ -136,8 +146,9 @@ type ServerHost struct {
 	inbound map[transport.Conn]bool // accepted peer connections
 	clients map[id.ClientID]transport.Conn
 	// evict holds clients whose live connection dropped, keyed to the
-	// game server's Processed count at which every frame they had queued
-	// has run; a new connection for the client cancels its entry.
+	// game server's count of taken messages (gameserver.Server.Queued) at
+	// which every frame they had queued has run; a new connection for the
+	// client cancels its entry.
 	evict  map[id.ClientID]uint64
 	gone   []transport.Conn // client pumps exited since the last tick (see evictDropped)
 	closed bool
@@ -209,18 +220,11 @@ func (h *ServerHost) wakeTick() {
 }
 
 // StartServer registers with the MC and brings the pumps and the tick loop up.
-func StartServer(cfg ServerConfig) (*ServerHost, error) {
-	h, err := newServer(cfg)
-	if err == nil {
-		h.wg.Add(1)
-		go h.tickLoop()
-	}
-	return h, err
-}
+func StartServer(cfg ServerConfig) (*ServerHost, error) { return boot(cfg, true) }
 
-// newServer is StartServer without the tick loop: its caller is the tick
-// goroutine, and runs tick, report, beat and shipCheckpoint itself.
-func newServer(cfg ServerConfig) (_ *ServerHost, err error) {
+// boot registers with the MC and brings the pumps up, and the tick loop when
+// ticking. Without one, boot's caller is the tick goroutine.
+func boot(cfg ServerConfig, ticking bool) (_ *ServerHost, err error) {
 	cfg = cfg.sanitized()
 	ln, err := cfg.Network.Listen(cfg.ListenAddr)
 	if err != nil {
@@ -285,6 +289,7 @@ func newServer(cfg ServerConfig) (_ *ServerHost, err error) {
 	h := &ServerHost{
 		cfg:        cfg,
 		node:       nd,
+		ticking:    ticking,
 		mcConn:     mcConn,
 		ln:         ln,
 		tr:         cfg.Tracer,
@@ -309,10 +314,15 @@ func newServer(cfg ServerConfig) (_ *ServerHost, err error) {
 		h.tr.NameThread(hostTracePid, hostTraceTidTick, "tick")
 		h.tr.NameThread(hostTracePid, hostTraceTidNet, "net")
 	}
+	h.publish()
+	cfg.Logger.Printf("server %v up at %s (bounds %v)", nd.Core.ID(), ln.Addr(), nd.Core.Bounds())
 	h.wg.Add(2)
 	go h.mcLoop()
 	go h.acceptLoop()
-	cfg.Logger.Printf("server %v up at %s (bounds %v)", nd.Core.ID(), ln.Addr(), nd.Core.Bounds())
+	if ticking {
+		h.wg.Add(1)
+		go h.tickLoop()
+	}
 	return h, nil
 }
 
@@ -322,16 +332,83 @@ func (h *ServerHost) ID() id.ServerID { return h.node.Core.ID() }
 // Addr returns the listener address.
 func (h *ServerHost) Addr() string { return h.ln.Addr() }
 
-// Core exposes the Matrix server (status tooling).
-func (h *ServerHost) Core() *core.Server { return h.node.Core }
+// CoreView is a host's Matrix server as the tick goroutine last published it.
+type CoreView struct {
+	stats  core.Stats
+	bounds geom.Rect
+	active bool
+}
 
-// Game exposes the game server (status tooling).
-func (h *ServerHost) Game() *gameserver.Server { return h.node.Game }
+// Stats, Bounds and Active return the traffic counters, the owned partition
+// (empty when spare) and whether the server owns one.
+func (v CoreView) Stats() core.Stats { return v.stats }
+func (v CoreView) Bounds() geom.Rect { return v.bounds }
+func (v CoreView) Active() bool      { return v.active }
+
+// GameView is a host's game server as the tick goroutine last published it,
+// bar the receive queue's length, which is read live.
+type GameView struct {
+	stats gameserver.Stats
+	queue *gameserver.Server
+}
+
+// Stats, ClientCount and QueueLen return the counters, the number of
+// connected clients and the receive queue's length now.
+func (v GameView) Stats() gameserver.Stats { return v.stats }
+func (v GameView) ClientCount() int        { return v.stats.ClientsCurrent }
+func (v GameView) QueueLen() int           { return v.queue.QueueLen() }
+
+// Core and Game return views of the node's components that any goroutine may
+// read (status tooling).
+func (h *ServerHost) Core() CoreView { c, _ := h.published(); return c }
+func (h *ServerHost) Game() GameView { _, g := h.published(); return g }
+
+func (h *ServerHost) published() (CoreView, GameView) {
+	h.statusMu.Lock()
+	defer h.statusMu.Unlock()
+	return h.core, h.game
+}
+
+// publish copies the node's status out for other goroutines. Tick goroutine.
+func (h *ServerHost) publish() {
+	c, g := h.node.Core, h.node.Game
+	cv, gv := CoreView{c.Stats(), c.Bounds(), c.Active()}, GameView{g.Stats(), g}
+	h.statusMu.Lock()
+	h.core, h.game = cv, gv
+	h.statusMu.Unlock()
+}
+
+// onTick runs fn on the tick goroutine between two funnel messages, then
+// publishes, and returns fn's error once both are done; a host without a tick
+// loop is called from its tick goroutine, and runs fn at once. A closed host
+// or a full funnel refuses the call.
+func (h *ServerHost) onTick(fn func() error) error {
+	if !h.ticking {
+		defer h.publish()
+		return fn()
+	}
+	var err error
+	ran := make(chan struct{})
+	if !h.enqueueIngress(ingressMsg{fn: func() { err = fn(); h.publish(); close(ran) }}) {
+		return errors.New("host: ingress funnel full")
+	}
+	select {
+	case <-ran:
+		return err
+	case <-h.done:
+		return ErrClosed
+	}
+}
 
 // Snapshot dumps this node's complete state (Matrix server + game server)
-// as a versioned blob — the payload of a protocol SnapshotData stream.
+// as a versioned blob — the payload of a protocol SnapshotData stream. It is
+// taken on the tick goroutine, between two ticks.
 func (h *ServerHost) Snapshot() ([]byte, error) {
-	return nodeblob.Marshal(h.node.Core, h.node.Game)
+	var blob []byte
+	if err := h.onTick(func() (err error) { blob, err = nodeblob.Marshal(h.node.Core, h.node.Game); return err }); err != nil {
+		return nil, err
+	}
+	return blob, nil
 }
 
 // sendSnapshot streams a snapshot blob as SnapshotData frames, the last one
@@ -352,9 +429,10 @@ func sendSnapshot(conn transport.Conn, blob []byte) error {
 // Boot-time restores should use ServerConfig.Restore instead, which
 // applies before the host serves: a live RestoreSnapshot replaces the
 // world wholesale, dropping the avatar of any client that joined since
-// the blob was captured (it stays connected and must rejoin).
+// the blob was captured (it stays connected and must rejoin). It runs on the
+// tick goroutine, between two ticks.
 func (h *ServerHost) RestoreSnapshot(blob []byte) error {
-	return nodeblob.RestoreGame(blob, h.node.Game)
+	return h.onTick(func() error { return nodeblob.RestoreGame(blob, h.node.Game) })
 }
 
 // Close stops the host and waits for its goroutines.
@@ -397,7 +475,8 @@ func (h *ServerHost) clockSeconds() float64 { return time.Since(h.started).Secon
 // addr — /metrics plus /healthz (liveness) and /readyz (readiness, see
 // Ready) — returning the bound address and a closer that stops the
 // endpoint. Gauges are sampled at scrape time; the middleware chain's
-// counters are included when a chain is configured.
+// counters are included when a chain is configured. The queue length is the
+// live one; every other node gauge reads as of the last tick.
 func (h *ServerHost) ServeMetrics(addr string) (string, io.Closer, error) {
 	return metrics.Serve(addr, h.writeMetrics, h.Ready, nil)
 }
@@ -406,15 +485,15 @@ func (h *ServerHost) ServeMetrics(addr string) (string, io.Closer, error) {
 // only while tracing) are reset after rendering, so a scrape reports the
 // ticks since the last one (traceTick bounds them when nobody scrapes).
 func (h *ServerHost) writeMetrics(w io.Writer) {
-	rep := h.node.Game.LoadReport()
-	fmt.Fprintf(w, "# TYPE matrix_server_clients gauge\nmatrix_server_clients %d\n", rep.Clients)
-	fmt.Fprintf(w, "# TYPE matrix_server_queue_len gauge\nmatrix_server_queue_len %d\n", rep.QueueLen)
+	game := h.Game()
+	fmt.Fprintf(w, "# TYPE matrix_server_clients gauge\nmatrix_server_clients %d\n", game.ClientCount())
+	fmt.Fprintf(w, "# TYPE matrix_server_queue_len gauge\nmatrix_server_queue_len %d\n", game.QueueLen())
 	h.mu.Lock()
 	peers := len(h.peers)
 	h.mu.Unlock()
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_conns gauge\nmatrix_server_peer_conns %d\n", peers)
 	fmt.Fprintf(w, "# TYPE matrix_server_ticks counter\nmatrix_server_ticks %d\n", h.ticks.Load())
-	fmt.Fprintf(w, "# TYPE matrix_server_processed_total counter\nmatrix_server_processed_total %d\n", h.node.Game.Stats().Processed)
+	fmt.Fprintf(w, "# TYPE matrix_server_processed_total counter\nmatrix_server_processed_total %d\n", game.stats.Processed)
 	fmt.Fprintf(w, "# TYPE matrix_server_adopt_overflows_total counter\nmatrix_server_adopt_overflows_total %d\n", h.adoptDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_checkpoint_oversize_total counter\nmatrix_server_checkpoint_oversize_total %d\n", h.cpOversize.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_ingress_overflows_total counter\nmatrix_server_ingress_overflows_total %d\n", h.ingressDrops.Load())
@@ -459,7 +538,7 @@ func (h *ServerHost) mcLoop() {
 			}
 			return
 		}
-		h.enqueueIngress(id.None, m)
+		h.enqueueIngress(ingressMsg{msg: m})
 	}
 }
 
@@ -490,10 +569,11 @@ func (h *ServerHost) toMC(m protocol.Message) bool {
 }
 
 // ingressMsg is one coordinator- or peer-originated message awaiting the
-// tick goroutine.
+// tick goroutine, or a funnel call (fn; see onTick).
 type ingressMsg struct {
 	from id.ServerID
 	msg  protocol.Message
+	fn   func()
 }
 
 // maxIngress bounds the funnel between ticks; beyond it frames are dropped
@@ -501,20 +581,22 @@ type ingressMsg struct {
 // tick goroutine is busy.
 const maxIngress = 1 << 16
 
-// enqueueIngress parks one coordinator- or peer-originated message for the
-// tick goroutine. Routing core envelopes only there keeps every peer
-// connection single-writer, so the state-before-redirect wire order cannot
-// be broken by an mcLoop or peer-pump send racing the tick flush.
-func (h *ServerHost) enqueueIngress(from id.ServerID, m protocol.Message) {
+// enqueueIngress parks one coordinator- or peer-originated message, or a
+// funnel call, for the tick goroutine and reports whether it fit. Routing
+// core envelopes only there keeps every peer connection single-writer, so the
+// state-before-redirect wire order cannot be broken by an mcLoop or peer-pump
+// send racing the tick flush.
+func (h *ServerHost) enqueueIngress(im ingressMsg) bool {
 	h.ingressMu.Lock()
 	if len(h.ingress) >= maxIngress {
 		h.ingressMu.Unlock()
 		h.ingressDrops.Add(1)
-		return
+		return false
 	}
-	h.ingress = append(h.ingress, ingressMsg{from: from, msg: m})
+	h.ingress = append(h.ingress, im)
 	h.ingressMu.Unlock()
 	h.wakeTick()
+	return true
 }
 
 // drainIngress feeds everything the funnel holds through the Matrix
@@ -526,6 +608,10 @@ func (h *ServerHost) drainIngress() {
 	h.ingress = h.ingressSpare[:0]
 	h.ingressMu.Unlock()
 	for _, im := range msgs {
+		if im.fn != nil {
+			im.fn()
+			continue
+		}
 		if h.tr != nil {
 			// Correlation-stamped control frames mark their arrival, pairing
 			// with the coordinator trace's departure instant (see corr.go).
@@ -596,7 +682,7 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		h.serveClient(conn, m)
 	case *protocol.SnapshotRequest:
 		// Operator dump: stream this node's full state and close.
-		blob, err := nodeblob.Marshal(h.node.Core, h.node.Game)
+		blob, err := h.Snapshot()
 		if err != nil {
 			h.cfg.Logger.Printf("server %v: snapshot: %v", h.node.Core.ID(), err)
 		} else if err := sendSnapshot(conn, blob); err != nil {
@@ -681,7 +767,7 @@ func (h *ServerHost) servePeer(conn transport.Conn, m protocol.Message) {
 		case *protocol.StateTransfer:
 			from = pm.From
 		}
-		h.enqueueIngress(from, m)
+		h.enqueueIngress(ingressMsg{from: from, msg: m})
 		var err error
 		if m, err = conn.Recv(); err != nil {
 			_ = conn.Close()
@@ -762,6 +848,7 @@ func (h *ServerHost) tick(now time.Time) {
 	h.stepped.Route(h) // empty when nothing was stepped: Route leaves it so
 	h.flush()
 	h.evictDropped()
+	h.publish() // before settleDrain: a finished drain's waiter reads this tick
 	h.settleDrain(now)
 	h.logDrops()
 	if h.tr != nil {
@@ -776,6 +863,7 @@ func (h *ServerHost) report() {
 	h.logStepErrs("load report")
 	h.stepped.Route(h)
 	h.flush()
+	h.publish()
 }
 
 // beat renews the node's lease, unless PauseHeartbeats holds it back.
@@ -1200,17 +1288,17 @@ func (h *ServerHost) DrainEvents() <-chan bool { return h.drainEvent }
 // dropClient forgets a client connection. When this was the client's live
 // connection it also forgets its rate-limit bucket (a reconnect starts
 // fresh) and schedules the avatar's eviction. Called by the client's pump
-// once it will enqueue nothing more, so the queue position read here is past
-// every frame the client sent.
+// once it will enqueue nothing more, so the queue's count of accepted
+// messages read here is past every frame the client sent.
 func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 	_ = conn.Close()
-	st := h.node.Game.Stats()
+	accepted, _ := h.node.Game.Queued()
 	h.mu.Lock()
 	h.gone = append(h.gone, conn)
 	current := h.clients[c] == conn
 	if current {
 		delete(h.clients, c)
-		h.evict[c] = st.Processed + uint64(st.QueueLen)
+		h.evict[c] = accepted
 	}
 	h.mu.Unlock()
 	if current && h.node.MW != nil {
@@ -1226,8 +1314,8 @@ func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 // queued have been processed — a queued despawn still runs as a local
 // despawn and reaches the peers — and never when the client has reconnected
 // (serveClient cancels the entry); one that already migrated away is a
-// no-op. An empty queue also counts as drained, so an adopt restore that
-// rewinds Processed cannot park an entry. A connection whose pump has exited
+// no-op. A restore counts the queued frames it discards as taken, so it
+// cannot park an entry. A connection whose pump has exited
 // is never routed to again, so its (flushed, empty) outbox is retired here
 // too. Runs on the tick goroutine, after the flush.
 func (h *ServerHost) evictDropped() {
@@ -1244,9 +1332,9 @@ func (h *ServerHost) evictDropped() {
 	if len(h.evict) == 0 {
 		return
 	}
-	st := h.node.Game.Stats()
+	_, taken := h.node.Game.Queued()
 	for c, after := range h.evict {
-		if st.Processed >= after || st.QueueLen == 0 {
+		if taken >= after {
 			delete(h.evict, c)
 			h.node.Game.Evict(c)
 		}

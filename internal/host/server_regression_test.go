@@ -300,7 +300,7 @@ func TestIngressFunnelOverflowDrops(t *testing.T) {
 	h.ingressMu.Unlock()
 	startup := logged.String()
 	for i := 1; i <= 3; i++ {
-		h.enqueueIngress(id.None, fwd(i))
+		h.enqueueIngress(ingressMsg{msg: fwd(i)})
 	}
 	h.ingressMu.Lock()
 	n := len(h.ingress)
@@ -371,7 +371,7 @@ func TestIngressFunnelConcurrentEnqueue(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				// Inbound transfer addressed to us: core routes it to the
 				// game server — a benign, countable path.
-				h.enqueueIngress(99, &protocol.StateTransfer{From: 99, To: h.ID(), Final: true})
+				h.enqueueIngress(ingressMsg{from: 99, msg: &protocol.StateTransfer{From: 99, To: h.ID(), Final: true}})
 			}
 		}()
 	}
@@ -616,7 +616,7 @@ func TestDroppedConnectionEvictsAvatar(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor(t, "move applied", func() bool {
-			p, _ := h.Game().ClientPos(1)
+			p, _ := clientPos(t, h, 1)
 			return p == geom.Pt(101, 100)
 		})
 		conn.Close()
@@ -694,7 +694,7 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 	h.node.Game.Evict(7)
 
 	adopt := func(a *protocol.Adopt) {
-		h.enqueueIngress(id.None, a)
+		h.enqueueIngress(ingressMsg{msg: a})
 		h.drainIngress()
 	}
 	chunk := make([]byte, protocol.MaxFrameSize)
@@ -710,7 +710,7 @@ func TestAdoptStreamIsBounded(t *testing.T) {
 	adopt(&protocol.Adopt{Victim: 9, Blob: []byte("tail"), Final: true}) // ends the dropped stream
 	adopt(&protocol.Adopt{Victim: 9, Blob: blob[:len(blob)/2]})
 	adopt(&protocol.Adopt{Victim: 9, Blob: blob[len(blob)/2:], Final: true})
-	if p, ok := h.Game().ClientPos(7); !ok || p != geom.Pt(10, 10) {
+	if p, ok := h.node.Game.ClientPos(7); !ok || p != geom.Pt(10, 10) {
 		t.Fatalf("checkpoint after the overflow not restored: avatar 7 at %v, %v", p, ok)
 	}
 }

@@ -2,9 +2,13 @@ package host
 
 import (
 	"bytes"
+	"io"
+	"net"
+	"net/http"
 	"regexp"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,7 +83,11 @@ func startStaticPair(t *testing.T, inner, nwLeft, nwRight transport.Network) (le
 	}
 	left, right = start(nwLeft), start(nwRight)
 	waitFor(t, "left server knows its neighbour", func() bool {
-		_, addr, ok := left.Core().ResolveOwner(geom.Pt(510, 500))
+		var addr string
+		var ok bool
+		if err := left.onTick(func() error { _, addr, ok = left.node.Core.ResolveOwner(geom.Pt(510, 500)); return nil }); err != nil {
+			t.Fatal(err)
+		}
 		return ok && addr == right.Addr()
 	})
 	return left, right
@@ -227,10 +235,10 @@ func TestCrossingMoveEchoIsNotGuaranteed(t *testing.T) {
 	// The new owner welcomes the mover where the move put it.
 	rejoined := joinRaw(t, nw, right, 1, cross.Dest)
 	defer rejoined.Close()
-	if p, ok := right.Game().ClientPos(1); !ok || p != cross.Dest {
+	if p, ok := clientPos(t, right, 1); !ok || p != cross.Dest {
 		t.Errorf("new owner holds the mover at %v (%v), want %v", p, ok, cross.Dest)
 	}
-	if _, ok := left.Game().ClientPos(1); ok {
+	if _, ok := clientPos(t, left, 1); ok {
 		t.Error("old owner still holds the mover")
 	}
 	// Whether `rejoined` now receives update 77 is a race between the re-hello
@@ -280,7 +288,7 @@ func TestTickSettlesADrainAfterItsWindow(t *testing.T) {
 		t.Fatal("the second registrant owns a region; want a spare")
 	}
 
-	spare.enqueueIngress(id.None, &protocol.DrainRequest{Server: spare.ID(), Exit: true})
+	spare.enqueueIngress(ingressMsg{msg: &protocol.DrainRequest{Server: spare.ID(), Exit: true}})
 	drained := func() bool {
 		select {
 		case <-spare.Drained():
@@ -353,5 +361,163 @@ func TestTickShedsAPeerForwardAfterTheCore(t *testing.T) {
 	}
 	if got := shed.Value(); got != 1 {
 		t.Errorf("chain shed %d, want 1", got)
+	}
+}
+
+// TestNodeHasOneOwner: the tick goroutine is the node's one owner. Clients
+// stream to a running host while other goroutines read the Core and Game
+// views, scrape /metrics and dump and restore the node; under -race that
+// shows none of them touches the node but through the queue, the published
+// status or a funnel call. Once the host is closed, a dump or a restore
+// returns an error at once.
+func TestNodeHasOneOwner(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	h := startServerOn(t, nw, ServerConfig{Network: nw, TickInterval: 2 * time.Millisecond, ReportInterval: 5 * time.Millisecond})
+	addr, closer, err := h.ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// run calls f until stop, failing the test if f errs or never ran.
+	run := func(what string, f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					if n == 0 {
+						t.Errorf("%s never ran", what)
+					}
+					return
+				default:
+				}
+				if err := f(); err != nil {
+					t.Errorf("%s: %v", what, err)
+					return
+				}
+			}
+		}()
+	}
+	for c := id.ClientID(1); c <= 4; c++ {
+		conn := joinRaw(t, nw, h, c, geom.Pt(100+float64(c), 100))
+		go func() { // the host's deliveries, read and dropped
+			for {
+				if _, err := conn.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+		seq := id.PacketSeq(0)
+		run("client stream", func() error {
+			seq++
+			time.Sleep(100 * time.Microsecond)
+			return conn.Send(update(c, seq))
+		})
+	}
+	run("views", func() error {
+		_, _, _ = h.Core().Stats(), h.Core().Bounds(), h.Core().Active()
+		_, _, _ = h.Game().Stats(), h.Game().ClientCount(), h.Game().QueueLen()
+		time.Sleep(50 * time.Microsecond)
+		return nil
+	})
+	run("scrape", func() error {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			return err
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return err
+	})
+	var blob []byte
+	run("dump and restore", func() error {
+		b, err := h.Snapshot()
+		if err != nil {
+			return err
+		}
+		blob = b
+		return h.RestoreSnapshot(b)
+	})
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if h.Game().Stats().Processed == 0 {
+		t.Error("the host processed nothing while the readers ran")
+	}
+
+	h.Close()
+	for what, call := range map[string]func() error{
+		"Snapshot":        func() error { _, err := h.Snapshot(); return err },
+		"RestoreSnapshot": func() error { return h.RestoreSnapshot(blob) },
+	} {
+		res := make(chan error, 1)
+		go func() { res <- call() }()
+		select {
+		case err := <-res:
+			if err == nil {
+				t.Errorf("%s on a closed host succeeded", what)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s on a closed host still waits after a second", what)
+		}
+	}
+}
+
+// TestTickZeroAlloc is the whole tick's allocation budget: once warm, a tick
+// that drains the funnel, steps the node through a queue of client updates,
+// routes and flushes the fan-out to every client, runs the eviction and
+// publishes the status allocates nothing. (Counts are only meaningful without
+// the race detector's instrumentation.)
+func TestTickZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// A host without a tick loop: the test is the tick goroutine, and the
+	// clients send nothing after their hello, so nothing else allocates.
+	h := newServerOn(t, transport.TCPNetwork{}, ServerConfig{Network: transport.TCPNetwork{}})
+	const clients = 8
+	for c := id.ClientID(1); c <= clients; c++ {
+		sock, err := net.Dial("tcp", h.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sock.Close()
+		hello, err := protocol.Marshal(&protocol.ClientHello{Client: c, Pos: geom.Pt(100, 100)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sock.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		go io.Copy(io.Discard, sock) // keep the socket buffer from filling
+	}
+	tickUntil(t, h, "clients joined", func() bool { return h.Game().ClientCount() == clients })
+
+	updates := make([]*protocol.GameUpdate, clients)
+	for i := range updates {
+		updates[i] = update(id.ClientID(i+1), id.PacketSeq(i))
+	}
+	now := h.last
+	step := func() {
+		for _, u := range updates {
+			_ = h.node.Game.Enqueue(u)
+		}
+		now = now.Add(h.cfg.TickInterval) // a full service budget
+		h.tick(now)
+	}
+	for i := 0; i < 3; i++ {
+		step() // grow the buffers
+	}
+	before := h.Game().Stats()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("a tick allocates %.1f/op, budget is 0", allocs)
+	}
+	after := h.Game().Stats()
+	if served, delivered := after.Processed-before.Processed, after.Delivered-before.Delivered; served != 101*clients || delivered != 101*clients*clients {
+		t.Errorf("the measured ticks served %d updates and delivered %d; want %d and %d", served, delivered, 101*clients, 101*clients*clients)
 	}
 }

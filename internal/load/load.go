@@ -25,7 +25,7 @@ type Config = policy.Thresholds
 // Tracker holds one Matrix server's view of its own and its children's load
 // and routes the two topology questions — ShouldSplit and ReclaimCandidate
 // — through its policy. It is not safe for concurrent use: its one owner, a
-// core.Server, calls it under its own lock.
+// core.Server, is called from one goroutine.
 type Tracker struct {
 	cfg        Config
 	clk        clock.Clock

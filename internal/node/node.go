@@ -12,11 +12,15 @@
 // its sockets. A driver owns when a node advances and where its envelopes go —
 // links, connections, the coordinator — never what the node does with a message.
 //
-// The concurrency contract the simulator's parallel phase stands on lives
-// here: Step and LoadReport read and write only the node's own state (the game
-// server, its interest grid, the core and the ResolveOwner binding between the
-// two) and the Out they are handed. Distinct nodes may step on distinct
-// goroutines at once; one node is stepped by one goroutine at a time.
+// A node has one owner, the goroutine that drives it (the live host's tick
+// goroutine, the simulator's stepping goroutine); neither the core nor the
+// game server takes a lock. Only Admit and Enqueue, which reach the game
+// server's receive queue, are safe from any goroutine. The concurrency
+// contract the simulator's parallel phase stands on lives here too: Step and
+// LoadReport read and write only the node's own state (the game server, its
+// interest grid, the core and the ResolveOwner binding between the two) and
+// the Out they are handed. Distinct nodes may step on distinct goroutines at
+// once; one node is stepped by one goroutine at a time.
 package node
 
 import (
@@ -41,8 +45,8 @@ type Config struct {
 	Clock      clock.Clock       // drives the policy timers (nil = wall clock)
 }
 
-// Node is one server. The components are the drivers' too: status, snapshots,
-// metrics and eviction read them directly.
+// Node is one server. The components are the driver's too, on the goroutine
+// that owns the node: status, snapshots and eviction read them directly.
 type Node struct {
 	Core *core.Server
 	Game *gameserver.Server

@@ -36,13 +36,8 @@ type Blob struct {
 }
 
 // Marshal captures one Matrix server + game server pair into a
-// deterministic blob. The two components are captured sequentially under
-// their own locks, so on a *live* node the Core and Game sections can
-// straddle an in-flight topology change or migration (the simulator is
-// immune — it captures between ticks). Each section is internally
-// consistent, and the adopt path (RestoreGame) consumes only the Game
-// section, so the skew is observable only to tooling that correlates the two
-// sections of a busy node's dump.
+// deterministic blob. Its caller is the pair's owner, live or simulated, and
+// calls it between ticks, so the two sections are one consistent cut.
 func Marshal(c *core.Server, g *gameserver.Server) ([]byte, error) {
 	cs, err := c.CaptureState()
 	if err != nil {

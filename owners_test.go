@@ -3,7 +3,9 @@ package matrix_test
 import (
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -11,13 +13,25 @@ import (
 // singleOwner lists the state-machine packages one goroutine owns (ROADMAP
 // item 20): their drivers serialize every call, so none of them takes a
 // lock. A driver that shares one across goroutines locks around it, as
-// host.Client does for the game client. core, gameserver and coordinator
-// join the list once their drivers own them alone.
-var singleOwner = []string{"internal/gameclient", "internal/load", "internal/space"}
+// host.Client does for the game client. A live host's core and game server
+// belong to its tick goroutine; the game server's receive queue, which the
+// host's connection pumps fill, is the one shared structure, and its file
+// is the one exception. coordinator joins the list once its driver owns it
+// alone.
+var singleOwner = []string{"internal/core", "internal/gameclient", "internal/gameserver", "internal/load", "internal/space"}
+
+// sharedFiles are the program files of single-owner packages that may lock.
+var sharedFiles = []string{"internal/gameserver/queue.go"}
 
 // TestSingleOwnerPackagesTakeNoLock fails when a program file of a
-// single-owner package imports sync.
+// single-owner package imports sync, bar the shared files, each of which
+// must still exist.
 func TestSingleOwnerPackagesTakeNoLock(t *testing.T) {
+	for _, file := range sharedFiles {
+		if _, err := os.Stat(file); err != nil {
+			t.Errorf("shared file %s: %v: the exception is stale", file, err)
+		}
+	}
 	for _, dir := range singleOwner {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
@@ -25,7 +39,7 @@ func TestSingleOwnerPackagesTakeNoLock(t *testing.T) {
 		}
 		parsed := 0
 		for _, file := range files {
-			if !isProgramFile(file) {
+			if !isProgramFile(file) || slices.Contains(sharedFiles, filepath.ToSlash(file)) {
 				continue
 			}
 			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
