@@ -221,8 +221,8 @@ func (c *Cluster) ownerAddr(pos geom.Point) string {
 	return ""
 }
 
-// MC exposes the coordinator state machine for assertions.
-func (c *Cluster) MC() *coordinator.Coordinator { return c.mc.MC() }
+// MC returns a locked view of the coordinator for assertions.
+func (c *Cluster) MC() host.CoordinatorView { return c.mc.MC() }
 
 // Server returns a server host by ID (nil after Kill).
 func (c *Cluster) Server(sid id.ServerID) *host.ServerHost {

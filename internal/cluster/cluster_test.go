@@ -186,10 +186,10 @@ func TestZombieLeaseExpiresAndDemotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !c.WaitUntil(convergeWithin, func() bool {
-		return c.MC().SpareCount() == 1 && !c.Server(zombie).Core().Active()
+		return len(c.MC().Fleet().Spares) == 1 && !c.Server(zombie).Core().Active()
 	}) {
 		t.Fatalf("zombie not demoted to spare: spares=%d active=%v",
-			c.MC().SpareCount(), c.Server(zombie).Core().Active())
+			len(c.MC().Fleet().Spares), c.Server(zombie).Core().Active())
 	}
 	active := c.MC().ActiveServers()
 	if len(active) != 1 || active[0] == zombie {
@@ -311,7 +311,7 @@ func TestAdminDrainLiveMigration(t *testing.T) {
 	handedOff("first drain", drainee, heir)
 	// The drainee went back to the pool: it is eligible to adopt if the
 	// heir dies.
-	if got := c.MC().SpareCount(); got != 1 {
+	if got := len(c.MC().Fleet().Spares); got != 1 {
 		t.Errorf("SpareCount = %d, want the drainee re-pooled", got)
 	}
 
@@ -383,8 +383,8 @@ func TestServerInitiatedDrain(t *testing.T) {
 	if len(active) != 1 || active[0] == drainee {
 		t.Errorf("ActiveServers = %v, want only the migration target", active)
 	}
-	if !c.Server(drainee).Core().Active() && c.MC().SpareCount() != 1 {
-		t.Errorf("drainee not re-pooled: spares=%d", c.MC().SpareCount())
+	if !c.Server(drainee).Core().Active() && len(c.MC().Fleet().Spares) != 1 {
+		t.Errorf("drainee not re-pooled: spares=%d", len(c.MC().Fleet().Spares))
 	}
 }
 

@@ -25,7 +25,17 @@ type healSeen struct {
 	Parked            []id.ServerID
 }
 
-func seen(mc *coordinator.Coordinator) healSeen {
+// mcReader is what both legs read of their coordinator: the simulator's
+// *coordinator.Coordinator, or the live host's view of one.
+type mcReader interface {
+	Deaths() int
+	Adoptions() int
+	Parked() []id.ServerID
+	Partitions() []space.Partition
+	Fleet() coordinator.FleetSnapshot
+}
+
+func seen(mc mcReader) healSeen {
 	return healSeen{Deaths: mc.Deaths(), Adoptions: mc.Adoptions(), Parked: mc.Parked()}
 }
 
@@ -36,7 +46,7 @@ type healOutcome struct {
 	Owners []space.Partition // the final owner of every rectangle
 }
 
-func outcome(mc *coordinator.Coordinator, steps []healSeen) healOutcome {
+func outcome(mc mcReader, steps []healSeen) healOutcome {
 	out := healOutcome{Steps: steps, Owners: mc.Partitions()}
 	for _, d := range mc.Fleet().Decisions {
 		out.Kinds = append(out.Kinds, d.Kind)

@@ -9,8 +9,8 @@
 //
 // The Coordinator is a synchronous state machine: every handler returns the
 // messages to deliver ("envelopes") instead of performing I/O, so the same
-// code is driven by the TCP message pumps in production and by the
-// deterministic simulation harness in the evaluation.
+// code is driven by the TCP host in production, one call at a time, and by
+// the deterministic simulation harness in the evaluation.
 package coordinator
 
 import (
@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"matrix/internal/clock"
@@ -91,11 +90,12 @@ type serverState struct {
 	cpTick   uint64    // checkpoint tick reported by the last heartbeat
 }
 
-// Coordinator is the MC. Safe for concurrent use.
+// Coordinator is the MC. It takes no lock: its driver calls it one call at a
+// time (the simulator's stepping goroutine, or host.CoordinatorHost under
+// its lock).
 type Coordinator struct {
-	mu      sync.Mutex
 	cfg     Config
-	pol     policy.Policy // never nil; called only under mu
+	pol     policy.Policy // never nil; called only by the coordinator's driver
 	gen     id.Generator
 	m       *space.Map // nil until the first active server registers
 	servers map[id.ServerID]*serverState
@@ -147,14 +147,14 @@ type Decision struct {
 	Policy  string             `json:"policy,omitempty"` // policy that decided (split/reclaim only)
 }
 
-// nextCorrLocked numbers one granted decision.
-func (c *Coordinator) nextCorrLocked() uint64 {
+// nextCorr numbers one granted decision.
+func (c *Coordinator) nextCorr() uint64 {
 	c.corr++
 	return c.corr
 }
 
-// recordLocked appends d to the bounded recent-decisions ring.
-func (c *Coordinator) recordLocked(d Decision) {
+// record appends d to the bounded recent-decisions ring.
+func (c *Coordinator) record(d Decision) {
 	if len(c.decisions) >= maxRecentDecisions {
 		copy(c.decisions, c.decisions[1:])
 		c.decisions = c.decisions[:len(c.decisions)-1]
@@ -200,8 +200,6 @@ func New(cfg Config) (*Coordinator, error) {
 // servers). The returned envelopes carry the initial overlap tables. The
 // first registrant's radius is the fleet's; one that differs is refused.
 func (c *Coordinator) Register(addr string, radius float64) (*protocol.RegisterReply, []Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if radius < 0 {
 		return nil, nil, fmt.Errorf("%w: %v is negative", ErrBadRadius, radius)
 	}
@@ -213,7 +211,7 @@ func (c *Coordinator) Register(addr string, radius float64) (*protocol.RegisterR
 	c.servers[sid] = st
 
 	if len(c.cfg.Static) > 0 {
-		return c.registerStaticLocked(st)
+		return c.registerStatic(st)
 	}
 
 	if c.m == nil {
@@ -226,7 +224,7 @@ func (c *Coordinator) Register(addr string, radius float64) (*protocol.RegisterR
 		c.radius = radius
 		st.active = true
 		reply := &protocol.RegisterReply{Server: sid, Bounds: c.cfg.World, World: c.cfg.World}
-		envs, err := c.tableEnvelopesLocked()
+		envs, err := c.tableEnvelopes()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -241,15 +239,15 @@ func (c *Coordinator) Register(addr string, radius float64) (*protocol.RegisterR
 		// immediately rather than waiting for the next lease tick.
 		victim := c.parked[0]
 		c.parked = c.parked[1:]
-		return reply, c.adoptLocked(victim), nil
+		return reply, c.adopt(victim), nil
 	}
 	return reply, nil, nil
 }
 
-// registerStaticLocked pins registrations to the preset static partitions.
+// registerStatic pins registrations to the preset static partitions.
 // Once every partition has an owner, the preset map is built and the
 // overlap tables go out to everyone.
-func (c *Coordinator) registerStaticLocked(st *serverState) (*protocol.RegisterReply, []Envelope, error) {
+func (c *Coordinator) registerStatic(st *serverState) (*protocol.RegisterReply, []Envelope, error) {
 	idx := len(c.staticAssigned)
 	if idx >= len(c.cfg.Static) {
 		// Extra servers beyond the static layout idle as spares forever.
@@ -271,7 +269,7 @@ func (c *Coordinator) registerStaticLocked(st *serverState) (*protocol.RegisterR
 		return nil, nil, fmt.Errorf("coordinator: static layout: %w", err)
 	}
 	c.m = m
-	envs, err := c.tableEnvelopesLocked()
+	envs, err := c.tableEnvelopes()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -321,10 +319,8 @@ func (p placementPolicy) Name() string { return p.name }
 // and the placement, split the requester's partition, and broadcast
 // fresh overlap tables.
 func (c *Coordinator) handleSplit(from id.ServerID, req *protocol.SplitRequest) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	deny := func(reason string) []Envelope {
-		c.recordLocked(Decision{Kind: "split", Server: from, Reason: reason, Policy: c.pol.Name(),
+		c.record(Decision{Kind: "split", Server: from, Reason: reason, Policy: c.pol.Name(),
 			Inputs: map[string]float64{"clients": float64(req.Clients), "spares": float64(len(c.spares))}})
 		return []Envelope{{To: from, Msg: &protocol.SplitReply{Granted: false, Reason: reason}}}
 	}
@@ -366,10 +362,10 @@ func (c *Coordinator) handleSplit(from id.ServerID, req *protocol.SplitRequest) 
 	if err != nil {
 		return deny(err.Error()), nil
 	}
-	child := c.activateSpareLocked(idx)
+	child := c.activateSpare(idx)
 	c.splits++
-	corr := c.nextCorrLocked()
-	c.recordLocked(Decision{Seq: corr, Kind: "split", Server: from, Child: childID, Granted: true,
+	corr := c.nextCorr()
+	c.record(Decision{Seq: corr, Kind: "split", Server: from, Child: childID, Granted: true,
 		Policy: c.pol.Name(),
 		Inputs: map[string]float64{"clients": float64(req.Clients), "spares": float64(len(c.spares))}})
 
@@ -384,7 +380,7 @@ func (c *Coordinator) handleSplit(from id.ServerID, req *protocol.SplitRequest) 
 		}},
 		{To: childID, Msg: &protocol.RangeUpdate{Server: childID, Bounds: give, Corr: corr}},
 	}
-	tables, err := c.tableEnvelopesLocked()
+	tables, err := c.tableEnvelopes()
 	if err != nil {
 		return out, err
 	}
@@ -393,10 +389,8 @@ func (c *Coordinator) handleSplit(from id.ServerID, req *protocol.SplitRequest) 
 
 // handleReclaim folds child back into parent and rebroadcasts tables.
 func (c *Coordinator) handleReclaim(from id.ServerID, req *protocol.ReclaimRequest) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	deny := func(reason string) []Envelope {
-		c.recordLocked(Decision{Kind: "reclaim", Server: req.Parent, Child: req.Child, Reason: reason, Policy: c.pol.Name()})
+		c.record(Decision{Kind: "reclaim", Server: req.Parent, Child: req.Child, Reason: reason, Policy: c.pol.Name()})
 		return []Envelope{{To: from, Msg: &protocol.ReclaimReply{Granted: false, Reason: reason}}}
 	}
 	if c.m == nil {
@@ -432,8 +426,8 @@ func (c *Coordinator) handleReclaim(from id.ServerID, req *protocol.ReclaimReque
 	child.clients = 0
 	c.spares = append(c.spares, req.Child)
 	c.reclaim++
-	corr := c.nextCorrLocked()
-	c.recordLocked(Decision{Seq: corr, Kind: "reclaim", Server: req.Parent, Child: req.Child, Granted: true,
+	corr := c.nextCorr()
+	c.record(Decision{Seq: corr, Kind: "reclaim", Server: req.Parent, Child: req.Child, Granted: true,
 		Policy: c.pol.Name(),
 		Inputs: map[string]float64{"child_clients": float64(childClients), "spares": float64(len(c.spares))}})
 
@@ -456,7 +450,7 @@ func (c *Coordinator) handleReclaim(from id.ServerID, req *protocol.ReclaimReque
 			Corr: corr,
 		}},
 	}
-	tables, err := c.tableEnvelopesLocked()
+	tables, err := c.tableEnvelopes()
 	if err != nil {
 		return out, err
 	}
@@ -466,8 +460,6 @@ func (c *Coordinator) handleReclaim(from id.ServerID, req *protocol.ReclaimReque
 // handleLoadReport records a server's load and relays it to the server's
 // split-tree parent so reclaim decisions stay local to the parent.
 func (c *Coordinator) handleLoadReport(from id.ServerID, rep *protocol.LoadReport) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st, ok := c.servers[from]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownServer, from)
@@ -491,8 +483,6 @@ func (c *Coordinator) handleLoadReport(from id.ServerID, rep *protocol.LoadRepor
 // the paper's fallback for "uncommon cases involving non-proximal
 // interactions".
 func (c *Coordinator) handleNonProximal(from id.ServerID, q *protocol.NonProximalQuery) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.m == nil {
 		return nil, errors.New("coordinator: no active map")
 	}
@@ -503,17 +493,17 @@ func (c *Coordinator) handleNonProximal(from id.ServerID, q *protocol.NonProxima
 	set := overlap.ConsistencySet(q.Point, from, c.m.Partitions(), radius)
 	reply := &protocol.NonProximalReply{
 		Servers: set,
-		Peers:   c.peerAddrsLocked(set),
+		Peers:   c.peerAddrs(set),
 	}
 	return []Envelope{{To: from, Msg: reply}}, nil
 }
 
-// tableEnvelopesLocked recomputes and packages overlap tables for every
+// tableEnvelopes recomputes and packages overlap tables for every
 // active server, one per distinct radius in use.
-func (c *Coordinator) tableEnvelopesLocked() ([]Envelope, error) {
+func (c *Coordinator) tableEnvelopes() ([]Envelope, error) {
 	parts := c.m.Partitions()
 	version := c.m.Version()
-	radii := c.radiiLocked()
+	radii := c.radii()
 	var out []Envelope
 	for _, r := range radii {
 		tables, err := overlap.BuildAll(parts, r, version)
@@ -521,7 +511,7 @@ func (c *Coordinator) tableEnvelopesLocked() ([]Envelope, error) {
 			return nil, fmt.Errorf("coordinator: build tables (r=%v): %w", r, err)
 		}
 		for _, part := range parts {
-			out = append(out, c.tableEnvelopeLocked(part.Owner, tables[part.Owner], r))
+			out = append(out, c.tableEnvelope(part.Owner, tables[part.Owner], r))
 		}
 	}
 	// Deterministic delivery order helps tests and debugging.
@@ -529,9 +519,9 @@ func (c *Coordinator) tableEnvelopesLocked() ([]Envelope, error) {
 	return out, nil
 }
 
-// tableEnvelopeLocked packages owner's overlap table for radius r with the
+// tableEnvelope packages owner's overlap table for radius r with the
 // addresses of every peer it can route to.
-func (c *Coordinator) tableEnvelopeLocked(owner id.ServerID, tab *overlap.Table, r float64) Envelope {
+func (c *Coordinator) tableEnvelope(owner id.ServerID, tab *overlap.Table, r float64) Envelope {
 	regions := tab.Regions()
 	var peerSet overlap.Set
 	for _, reg := range regions {
@@ -543,21 +533,21 @@ func (c *Coordinator) tableEnvelopeLocked(owner id.ServerID, tab *overlap.Table,
 		Bounds:  tab.Bounds(),
 		Radius:  r,
 		Regions: protocol.RegionsToWire(regions),
-		Peers:   c.peerAddrsLocked(peerSet),
+		Peers:   c.peerAddrs(peerSet),
 	}}
 }
 
-// activateSpareLocked takes spares[i] out of the pool to own a partition
+// activateSpare takes spares[i] out of the pool to own a partition
 // (the caller has put it in the map); any drain it was finishing is over.
-func (c *Coordinator) activateSpareLocked(i int) *serverState {
+func (c *Coordinator) activateSpare(i int) *serverState {
 	st := c.servers[c.spares[i]]
 	c.spares = append(c.spares[:i], c.spares[i+1:]...)
 	st.active, st.draining = true, false
 	return st
 }
 
-// radiiLocked returns the default radius plus configured extras, deduped.
-func (c *Coordinator) radiiLocked() []float64 {
+// radii returns the default radius plus configured extras, deduped.
+func (c *Coordinator) radii() []float64 {
 	radii := []float64{c.radius}
 	for _, r := range c.cfg.ExtraRadii {
 		dup := false
@@ -574,9 +564,9 @@ func (c *Coordinator) radiiLocked() []float64 {
 	return radii
 }
 
-// peerAddrsLocked resolves addresses and current bounds for a set of
+// peerAddrs resolves addresses and current bounds for a set of
 // servers.
-func (c *Coordinator) peerAddrsLocked(set overlap.Set) []protocol.PeerAddr {
+func (c *Coordinator) peerAddrs(set overlap.Set) []protocol.PeerAddr {
 	out := make([]protocol.PeerAddr, 0, len(set))
 	for _, sid := range set {
 		st, ok := c.servers[sid]
@@ -594,13 +584,13 @@ func (c *Coordinator) peerAddrsLocked(set overlap.Set) []protocol.PeerAddr {
 	return out
 }
 
-// resyncLocked rebuilds the topology view of a zombie — declared dead, then
+// resync rebuilds the topology view of a zombie — declared dead, then
 // heard from again (handleHeartbeat's revive and demote branches): the overlap
 // tables it owes (when it still owns a partition) followed by a RangeUpdate
 // carrying its authoritative bounds and a handoff target for every active
 // partition, so it can immediately redirect clients it no longer owns. One
 // that lost its partition while away gets only the deactivating RangeUpdate.
-func (c *Coordinator) resyncLocked(sid id.ServerID) ([]Envelope, error) {
+func (c *Coordinator) resync(sid id.ServerID) ([]Envelope, error) {
 	if _, ok := c.servers[sid]; !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownServer, sid)
 	}
@@ -611,32 +601,32 @@ func (c *Coordinator) resyncLocked(sid id.ServerID) ([]Envelope, error) {
 	if err != nil {
 		// Not in the map: the server was reclaimed while down; it rejoins
 		// as a deactivated spare and hands every client away.
-		return []Envelope{c.rangeEnvelopeLocked(sid, geom.Rect{}, 0)}, nil
+		return []Envelope{c.rangeEnvelope(sid, geom.Rect{}, 0)}, nil
 	}
 	// Only this server's tables are rebuilt (one per radius) — recoveries
 	// must not pay the whole-fleet recomputation a topology change does.
 	parts := c.m.Partitions()
 	version := c.m.Version()
 	var out []Envelope
-	for _, r := range c.radiiLocked() {
+	for _, r := range c.radii() {
 		tab, err := overlap.BuildTable(sid, parts, r, version)
 		if err != nil {
 			return nil, fmt.Errorf("coordinator: resync table (r=%v): %w", r, err)
 		}
-		out = append(out, c.tableEnvelopeLocked(sid, tab, r))
+		out = append(out, c.tableEnvelope(sid, tab, r))
 	}
-	return append(out, c.rangeEnvelopeLocked(sid, bounds, 0)), nil
+	return append(out, c.rangeEnvelope(sid, bounds, 0)), nil
 }
 
-// rangeEnvelopeLocked tells sid its authoritative range (empty bounds
+// rangeEnvelope tells sid its authoritative range (empty bounds
 // deactivate it) with every other active partition as a handoff target.
-func (c *Coordinator) rangeEnvelopeLocked(sid id.ServerID, bounds geom.Rect, corr uint64) Envelope {
-	return Envelope{To: sid, Msg: &protocol.RangeUpdate{Server: sid, Bounds: bounds, Handoff: c.handoffTargetsLocked(sid), Corr: corr}}
+func (c *Coordinator) rangeEnvelope(sid id.ServerID, bounds geom.Rect, corr uint64) Envelope {
+	return Envelope{To: sid, Msg: &protocol.RangeUpdate{Server: sid, Bounds: bounds, Handoff: c.handoffTargets(sid), Corr: corr}}
 }
 
-// handoffTargetsLocked lists every active partition except exclude's as a
+// handoffTargets lists every active partition except exclude's as a
 // handoff target, so the receiver can redirect any client it does not own.
-func (c *Coordinator) handoffTargetsLocked(exclude id.ServerID) []protocol.HandoffTarget {
+func (c *Coordinator) handoffTargets(exclude id.ServerID) []protocol.HandoffTarget {
 	var out []protocol.HandoffTarget
 	for _, part := range c.m.Partitions() {
 		if part.Owner == exclude {
@@ -706,8 +696,6 @@ type State struct {
 
 // CaptureState snapshots the coordinator.
 func (c *Coordinator) CaptureState() *State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := &State{
 		Gen:       c.gen.State(),
 		Radius:    c.radius,
@@ -770,8 +758,6 @@ func (c *Coordinator) RestoreState(st *State) error {
 			return fmt.Errorf("coordinator: restore map: %w", err)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.gen.SetState(st.Gen)
 	c.radius = st.Radius
 	c.splits = st.Splits
@@ -815,8 +801,6 @@ func (c *Coordinator) RestoreState(st *State) error {
 // ActiveServers returns the IDs of servers that currently own partitions,
 // sorted.
 func (c *Coordinator) ActiveServers() []id.ServerID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []id.ServerID
 	for sid, st := range c.servers {
 		if st.active {
@@ -829,16 +813,12 @@ func (c *Coordinator) ActiveServers() []id.ServerID {
 
 // SpareCount returns the number of servers waiting in the pool.
 func (c *Coordinator) SpareCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.spares)
 }
 
 // Partitions snapshots the current partitioning (empty before the first
 // registration).
 func (c *Coordinator) Partitions() []space.Partition {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.m == nil {
 		return nil
 	}
@@ -847,23 +827,17 @@ func (c *Coordinator) Partitions() []space.Partition {
 
 // Splits returns the number of granted splits.
 func (c *Coordinator) Splits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.splits
 }
 
 // Reclaims returns the number of granted reclamations.
 func (c *Coordinator) Reclaims() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.reclaim
 }
 
 // Validate checks the internal space invariants (used by tests and
 // long-running soak tooling).
 func (c *Coordinator) Validate() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.m == nil {
 		return nil
 	}

@@ -58,8 +58,6 @@ type FleetSnapshot struct {
 
 // Fleet snapshots the coordinator for /fleetz.
 func (c *Coordinator) Fleet() FleetSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	snap := FleetSnapshot{
 		World:     c.cfg.World,
 		Static:    len(c.cfg.Static) > 0,

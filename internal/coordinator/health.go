@@ -38,9 +38,9 @@ func (c *Coordinator) now() time.Time {
 	return time.Now()
 }
 
-// leaseLocked is how long a server may go without beating before it is
+// lease is how long a server may go without beating before it is
 // declared dead.
-func (c *Coordinator) leaseLocked() time.Duration {
+func (c *Coordinator) lease() time.Duration {
 	misses := c.cfg.LeaseMisses
 	if misses <= 0 {
 		misses = defaultLeaseMisses
@@ -54,8 +54,6 @@ func (c *Coordinator) leaseLocked() time.Duration {
 // the region the zombie is demoted back into the pool and resynced so it
 // redirects any clients it still holds.
 func (c *Coordinator) handleHeartbeat(from id.ServerID, hb *protocol.Heartbeat) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st, ok := c.servers[from]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownServer, from)
@@ -75,7 +73,7 @@ func (c *Coordinator) handleHeartbeat(from id.ServerID, hb *protocol.Heartbeat) 
 		// Nobody adopted the region yet: the returning server still owns it.
 		c.parked = append(c.parked[:i], c.parked[i+1:]...)
 		st.active = true
-		return c.resyncLocked(from)
+		return c.resync(from)
 	}
 	// Replaced while away: demote to the spare pool and hand clients over.
 	st.active = false
@@ -83,7 +81,7 @@ func (c *Coordinator) handleHeartbeat(from id.ServerID, hb *protocol.Heartbeat) 
 	if !st.retired && slices.Index(c.spares, from) < 0 {
 		c.spares = append(c.spares, from)
 	}
-	return c.resyncLocked(from)
+	return c.resync(from)
 }
 
 // handleCheckpoint accumulates a server's chunked checkpoint upload and
@@ -91,8 +89,6 @@ func (c *Coordinator) handleHeartbeat(from id.ServerID, hb *protocol.Heartbeat) 
 // upload that outgrows protocol.MaxBlobSize is dropped and counted (the
 // returned error is the one log line); the last complete checkpoint stays.
 func (c *Coordinator) handleCheckpoint(from id.ServerID, msg *protocol.SnapshotData) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.servers[from]; !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownServer, from)
 	}
@@ -113,10 +109,11 @@ func (c *Coordinator) handleCheckpoint(from id.ServerID, msg *protocol.SnapshotD
 // health enabled a dropped connection is an immediate lease expiry — a TCP
 // reset is a faster death signal than waiting out N missed beats. With
 // health disabled it is a no-op, preserving the pre-health contract that a
-// reconnecting server resyncs explicitly.
+// reconnecting server resyncs explicitly. Tick declares an expired lease
+// dead through it too. A dead spare (including a server that crashed
+// mid-drain, which re-pooled when its drain was granted) simply leaves the
+// pool; a dead partition owner triggers adoption.
 func (c *Coordinator) HandleDisconnect(sid id.ServerID) []Envelope {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.healthEnabled() {
 		return nil
 	}
@@ -124,7 +121,18 @@ func (c *Coordinator) HandleDisconnect(sid id.ServerID) []Envelope {
 	if !ok || st.dead || st.retired {
 		return nil
 	}
-	return c.declareDeadLocked(sid)
+	st.dead = true
+	c.deaths++
+	delete(c.cpPartial, sid) // a half-shipped checkpoint is useless
+	if i := slices.Index(c.spares, sid); i >= 0 {
+		c.spares = append(c.spares[:i], c.spares[i+1:]...)
+		return nil
+	}
+	if !st.active || c.m == nil {
+		return nil
+	}
+	st.active = false
+	return c.adopt(sid)
 }
 
 // Tick advances failure detection: leases older than HeartbeatEvery ×
@@ -132,12 +140,10 @@ func (c *Coordinator) HandleDisconnect(sid id.ServerID) []Envelope {
 // that have appeared. The coordinator host calls it once per heartbeat
 // interval; tests call it after advancing a virtual clock.
 func (c *Coordinator) Tick() []Envelope {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.healthEnabled() {
 		return nil
 	}
-	lease := c.leaseLocked()
+	lease := c.lease()
 	now := c.now()
 	var expired []id.ServerID
 	for sid, st := range c.servers {
@@ -151,41 +157,21 @@ func (c *Coordinator) Tick() []Envelope {
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	var out []Envelope
 	for _, sid := range expired {
-		out = append(out, c.declareDeadLocked(sid)...)
+		out = append(out, c.HandleDisconnect(sid)...)
 	}
 	for len(c.parked) > 0 && len(c.spares) > 0 {
 		victim := c.parked[0]
 		c.parked = c.parked[1:]
-		out = append(out, c.adoptLocked(victim)...)
+		out = append(out, c.adopt(victim)...)
 	}
 	return out
 }
 
-// declareDeadLocked marks sid dead and starts remediation. A dead spare
-// (including a server that crashed mid-drain, which re-pooled when its drain
-// was granted) simply leaves the pool; a dead partition owner triggers
-// adoption.
-func (c *Coordinator) declareDeadLocked(sid id.ServerID) []Envelope {
-	st := c.servers[sid]
-	st.dead = true
-	c.deaths++
-	delete(c.cpPartial, sid) // a half-shipped checkpoint is useless
-	if i := slices.Index(c.spares, sid); i >= 0 {
-		c.spares = append(c.spares[:i], c.spares[i+1:]...)
-		return nil
-	}
-	if !st.active || c.m == nil {
-		return nil
-	}
-	st.active = false
-	return c.adoptLocked(sid)
-}
-
-// adoptLocked hands victim's partition to the first spare in the pool,
+// adopt hands victim's partition to the first spare in the pool,
 // restored from the victim's last shipped checkpoint. With no spare
 // available the victim parks for a later Tick or registration to retry —
 // regions are never silently dropped.
-func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
+func (c *Coordinator) adopt(victim id.ServerID) []Envelope {
 	if c.m == nil {
 		return nil
 	}
@@ -203,7 +189,7 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 	if err != nil {
 		return nil
 	}
-	c.activateSpareLocked(0)
+	c.activateSpare(0)
 	c.adoptions++
 
 	// On file under the adopter's ID until its own first upload replaces it:
@@ -213,8 +199,8 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 	if len(blob) > 0 {
 		c.checkpoints[spareID] = blob
 	}
-	corr := c.nextCorrLocked()
-	c.recordLocked(Decision{Seq: corr, Kind: "adopt", Server: victim, Child: spareID, Granted: true,
+	corr := c.nextCorr()
+	c.record(Decision{Seq: corr, Kind: "adopt", Server: victim, Child: spareID, Granted: true,
 		Inputs: map[string]float64{
 			"checkpoint_bytes": float64(len(blob)),
 			"checkpoint_tick":  float64(c.servers[victim].cpTick),
@@ -234,27 +220,25 @@ func (c *Coordinator) adoptLocked(victim id.ServerID) []Envelope {
 	for chunk, final := range protocol.Chunks(blob) {
 		out = append(out, Envelope{To: spareID, Msg: &protocol.Adopt{Victim: victim, Bounds: bounds, Blob: chunk, Final: final, Corr: corr}})
 	}
-	if tables, err := c.tableEnvelopesLocked(); err == nil {
+	if tables, err := c.tableEnvelopes(); err == nil {
 		out = append(out, tables...)
 	}
 	// Best-effort demotion in case the victim is a zombie still draining
 	// its socket; for a truly dead process the envelope is simply dropped.
 	return append(out,
-		c.rangeEnvelopeLocked(spareID, bounds, corr),
-		c.rangeEnvelopeLocked(victim, geom.Rect{}, corr))
+		c.rangeEnvelope(spareID, bounds, corr),
+		c.rangeEnvelope(victim, geom.Rect{}, corr))
 }
 
 // handleDrainRequest services a server-initiated drain (matrix-server
 // -drain): the requester gets a DrainReply verdict, then the usual drain
 // envelopes.
 func (c *Coordinator) handleDrainRequest(from id.ServerID, req *protocol.DrainRequest) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	target := req.Server
 	if !target.Valid() {
 		target = from
 	}
-	envs, err := c.drainLocked(target, req.Exit)
+	envs, err := c.Drain(target, req.Exit)
 	if err != nil {
 		return []Envelope{{To: from, Msg: &protocol.DrainReply{Granted: false, Reason: err.Error()}}}, nil
 	}
@@ -268,12 +252,6 @@ func (c *Coordinator) handleDrainRequest(from id.ServerID, req *protocol.DrainRe
 // exit is set. Operator tooling (the coordinator admin port) calls this
 // directly; servers request it over the wire via DrainRequest.
 func (c *Coordinator) Drain(target id.ServerID, exit bool) ([]Envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.drainLocked(target, exit)
-}
-
-func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, error) {
 	if !c.healthEnabled() {
 		return nil, errors.New("coordinator: health tracking disabled (set -heartbeat-every)")
 	}
@@ -300,8 +278,8 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 		}
 		st.retired = true
 		c.drains++
-		corr := c.nextCorrLocked()
-		c.recordLocked(Decision{Seq: corr, Kind: "drain", Server: target, Granted: true,
+		corr := c.nextCorr()
+		c.record(Decision{Seq: corr, Kind: "drain", Server: target, Granted: true,
 			Inputs: map[string]float64{"exit": 1, "spares": float64(len(c.spares))}})
 		return []Envelope{{To: target, Msg: &protocol.DrainRequest{Server: target, Exit: true, Corr: corr}}}, nil
 	}
@@ -309,7 +287,7 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 		return nil, errors.New("coordinator: no active map")
 	}
 	drainClients := st.clients
-	corr := c.nextCorrLocked()
+	corr := c.nextCorr()
 	var out []Envelope
 	var successor id.ServerID
 	if len(c.spares) > 0 {
@@ -321,9 +299,9 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 		if err != nil {
 			return nil, err
 		}
-		c.activateSpareLocked(0)
+		c.activateSpare(0)
 		successor = spareID
-		out = append(out, c.rangeEnvelopeLocked(spareID, bounds, corr))
+		out = append(out, c.rangeEnvelope(spareID, bounds, corr))
 	} else if c.m.CanReclaim(target) {
 		// No spare capacity: fold the rectangle back into the parent, the
 		// same merge a reclamation performs.
@@ -340,7 +318,7 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 	st.clients = 0
 	st.draining = true
 	c.drains++
-	c.recordLocked(Decision{Seq: corr, Kind: "drain", Server: target, Child: successor, Granted: true,
+	c.record(Decision{Seq: corr, Kind: "drain", Server: target, Child: successor, Granted: true,
 		Inputs: map[string]float64{"clients": float64(drainClients), "exit": b2f(exit), "spares": float64(len(c.spares))}})
 	if exit {
 		st.retired = true
@@ -349,13 +327,13 @@ func (c *Coordinator) drainLocked(target id.ServerID, exit bool) ([]Envelope, er
 		// spare (regions are already elsewhere), not a lost partition.
 		c.spares = append(c.spares, target)
 	}
-	if tables, err := c.tableEnvelopesLocked(); err == nil {
+	if tables, err := c.tableEnvelopes(); err == nil {
 		out = append(out, tables...)
 	}
 	// Deactivate the drainee last so its successors' tables are already
 	// out when it starts migrating clients away.
 	return append(out,
-		c.rangeEnvelopeLocked(target, geom.Rect{}, corr),
+		c.rangeEnvelope(target, geom.Rect{}, corr),
 		Envelope{To: target, Msg: &protocol.DrainRequest{Server: target, Exit: exit, Corr: corr}}), nil
 }
 
@@ -371,45 +349,33 @@ func b2f(b bool) float64 {
 
 // Deaths returns the number of servers declared dead so far.
 func (c *Coordinator) Deaths() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.deaths
 }
 
 // CheckpointOverflows returns the number of checkpoint uploads dropped for
 // outgrowing protocol.MaxBlobSize.
 func (c *Coordinator) CheckpointOverflows() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.cpOverflows
 }
 
 // Adoptions returns the number of partitions adopted by spares.
 func (c *Coordinator) Adoptions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.adoptions
 }
 
 // Drains returns the number of granted drains.
 func (c *Coordinator) Drains() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.drains
 }
 
 // Parked returns the dead owners whose regions still await a spare, in
 // retry (FIFO) order.
 func (c *Coordinator) Parked() []id.ServerID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]id.ServerID(nil), c.parked...)
 }
 
 // CheckpointSize returns the byte length of sid's last complete checkpoint
 // (zero when none was shipped).
 func (c *Coordinator) CheckpointSize(sid id.ServerID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.checkpoints[sid])
 }

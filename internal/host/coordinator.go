@@ -9,6 +9,7 @@
 package host
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"matrix/internal/id"
 	"matrix/internal/metrics"
 	"matrix/internal/protocol"
+	"matrix/internal/space"
 	"matrix/internal/trace"
 	"matrix/internal/transport"
 )
@@ -37,16 +39,19 @@ var (
 // connect, register, and then exchange control messages over the same
 // connection.
 type CoordinatorHost struct {
-	mc     *coordinator.Coordinator
 	ln     transport.Listener
 	logger *log.Logger
 
+	// mu owns the coordinator and guards everything below it. Each call into
+	// mc runs under it together with the delivery of the envelopes it
+	// returns (decide), so the MC handles one message at a time and a
+	// decision's frames are on the wire before the next message is read.
 	mu     sync.Mutex
+	mc     *coordinator.Coordinator
 	conns  map[id.ServerID]transport.Conn
 	closed bool
 	// tr, when non-nil, gets one instant event per correlation-stamped
-	// control frame the host sends (see corr.go). Guarded by mu: SetTracer
-	// may run while the lease loop is delivering.
+	// control frame the host sends (see corr.go).
 	tr *trace.Tracer
 
 	wg   sync.WaitGroup
@@ -96,7 +101,7 @@ func (h *CoordinatorHost) leaseLoop(every time.Duration) {
 		case <-h.done:
 			return
 		case <-t.C:
-			h.deliver(h.mc.Tick())
+			_ = h.decide(func() ([]coordinator.Envelope, error) { return h.mc.Tick(), nil })
 		}
 	}
 }
@@ -134,7 +139,7 @@ func (h *CoordinatorHost) serveFleetz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(h.mc.Fleet()); err != nil {
+	if err := enc.Encode(h.MC().Fleet()); err != nil {
 		h.logger.Printf("coordinator: /fleetz encode: %v", err)
 	}
 }
@@ -152,21 +157,23 @@ func (h *CoordinatorHost) Ready() error {
 	return nil
 }
 
-// writeMetrics renders one scrape.
+// writeMetrics renders one scrape. The coordinator's rows are read in one
+// critical section, between two decisions, and written out after it.
 func (h *CoordinatorHost) writeMetrics(w io.Writer) {
+	var b bytes.Buffer
 	h.mu.Lock()
-	conns := len(h.conns)
+	fmt.Fprintf(&b, "# TYPE matrix_mc_server_conns gauge\nmatrix_mc_server_conns %d\n", len(h.conns))
+	fmt.Fprintf(&b, "# TYPE matrix_mc_active_servers gauge\nmatrix_mc_active_servers %d\n", len(h.mc.ActiveServers()))
+	fmt.Fprintf(&b, "# TYPE matrix_mc_spare_servers gauge\nmatrix_mc_spare_servers %d\n", h.mc.SpareCount())
+	fmt.Fprintf(&b, "# TYPE matrix_mc_splits_total counter\nmatrix_mc_splits_total %d\n", h.mc.Splits())
+	fmt.Fprintf(&b, "# TYPE matrix_mc_reclaims_total counter\nmatrix_mc_reclaims_total %d\n", h.mc.Reclaims())
+	fmt.Fprintf(&b, "# TYPE matrix_mc_deaths_total counter\nmatrix_mc_deaths_total %d\n", h.mc.Deaths())
+	fmt.Fprintf(&b, "# TYPE matrix_mc_adoptions_total counter\nmatrix_mc_adoptions_total %d\n", h.mc.Adoptions())
+	fmt.Fprintf(&b, "# TYPE matrix_mc_drains_total counter\nmatrix_mc_drains_total %d\n", h.mc.Drains())
+	fmt.Fprintf(&b, "# TYPE matrix_mc_checkpoint_overflows_total counter\nmatrix_mc_checkpoint_overflows_total %d\n", h.mc.CheckpointOverflows())
+	fmt.Fprintf(&b, "# TYPE matrix_mc_parked_regions gauge\nmatrix_mc_parked_regions %d\n", len(h.mc.Parked()))
 	h.mu.Unlock()
-	fmt.Fprintf(w, "# TYPE matrix_mc_server_conns gauge\nmatrix_mc_server_conns %d\n", conns)
-	fmt.Fprintf(w, "# TYPE matrix_mc_active_servers gauge\nmatrix_mc_active_servers %d\n", len(h.mc.ActiveServers()))
-	fmt.Fprintf(w, "# TYPE matrix_mc_spare_servers gauge\nmatrix_mc_spare_servers %d\n", h.mc.SpareCount())
-	fmt.Fprintf(w, "# TYPE matrix_mc_splits_total counter\nmatrix_mc_splits_total %d\n", h.mc.Splits())
-	fmt.Fprintf(w, "# TYPE matrix_mc_reclaims_total counter\nmatrix_mc_reclaims_total %d\n", h.mc.Reclaims())
-	fmt.Fprintf(w, "# TYPE matrix_mc_deaths_total counter\nmatrix_mc_deaths_total %d\n", h.mc.Deaths())
-	fmt.Fprintf(w, "# TYPE matrix_mc_adoptions_total counter\nmatrix_mc_adoptions_total %d\n", h.mc.Adoptions())
-	fmt.Fprintf(w, "# TYPE matrix_mc_drains_total counter\nmatrix_mc_drains_total %d\n", h.mc.Drains())
-	fmt.Fprintf(w, "# TYPE matrix_mc_checkpoint_overflows_total counter\nmatrix_mc_checkpoint_overflows_total %d\n", h.mc.CheckpointOverflows())
-	fmt.Fprintf(w, "# TYPE matrix_mc_parked_regions gauge\nmatrix_mc_parked_regions %d\n", len(h.mc.Parked()))
+	_, _ = w.Write(b.Bytes())
 	metrics.WriteRuntime(w)
 }
 
@@ -176,17 +183,51 @@ func (h *CoordinatorHost) writeMetrics(w io.Writer) {
 // returned to the spare pool. An admin connection that opens with a
 // DrainRequest frame lands here too.
 func (h *CoordinatorHost) AdminDrain(target id.ServerID, exit bool) error {
-	envs, err := h.mc.Drain(target, exit)
-	if err != nil {
-		return err
-	}
-	h.logger.Printf("coordinator: admin drain of %v (exit=%v)", target, exit)
-	h.deliver(envs)
-	return nil
+	return h.decide(func() ([]coordinator.Envelope, error) {
+		envs, err := h.mc.Drain(target, exit)
+		if err == nil {
+			h.logger.Printf("coordinator: admin drain of %v (exit=%v)", target, exit)
+		}
+		return envs, err
+	})
 }
 
-// MC exposes the underlying coordinator (status tooling).
-func (h *CoordinatorHost) MC() *coordinator.Coordinator { return h.mc }
+// MC returns a read-only view of the coordinator (status tooling).
+func (h *CoordinatorHost) MC() CoordinatorView { return CoordinatorView{h} }
+
+// CoordinatorView reads a running host's coordinator, each call under the
+// host's lock: between two decisions, never inside one.
+type CoordinatorView struct{ h *CoordinatorHost }
+
+// read calls f on the coordinator under the host's lock.
+func read[T any](v CoordinatorView, f func(*coordinator.Coordinator) T) T {
+	v.h.mu.Lock()
+	defer v.h.mu.Unlock()
+	return f(v.h.mc)
+}
+
+// ActiveServers, Partitions, Splits, Reclaims, Deaths, Adoptions, Drains,
+// Parked, Validate, Fleet and CheckpointSize are the coordinator.Coordinator
+// methods of those names.
+func (v CoordinatorView) ActiveServers() []id.ServerID {
+	return read(v, (*coordinator.Coordinator).ActiveServers)
+}
+func (v CoordinatorView) Partitions() []space.Partition {
+	return read(v, (*coordinator.Coordinator).Partitions)
+}
+func (v CoordinatorView) Splits() int           { return read(v, (*coordinator.Coordinator).Splits) }
+func (v CoordinatorView) Reclaims() int         { return read(v, (*coordinator.Coordinator).Reclaims) }
+func (v CoordinatorView) Deaths() int           { return read(v, (*coordinator.Coordinator).Deaths) }
+func (v CoordinatorView) Adoptions() int        { return read(v, (*coordinator.Coordinator).Adoptions) }
+func (v CoordinatorView) Drains() int           { return read(v, (*coordinator.Coordinator).Drains) }
+func (v CoordinatorView) Parked() []id.ServerID { return read(v, (*coordinator.Coordinator).Parked) }
+func (v CoordinatorView) Validate() error       { return read(v, (*coordinator.Coordinator).Validate) }
+func (v CoordinatorView) Fleet() coordinator.FleetSnapshot {
+	return read(v, (*coordinator.Coordinator).Fleet)
+}
+func (v CoordinatorView) CheckpointSize(sid id.ServerID) int {
+	return read(v, func(mc *coordinator.Coordinator) int { return mc.CheckpointSize(sid) })
+}
 
 // Close shuts the host down and waits for its goroutines.
 func (h *CoordinatorHost) Close() error {
@@ -251,78 +292,85 @@ func (h *CoordinatorHost) serveConn(conn transport.Conn) {
 		_ = conn.Close()
 		return
 	}
-	reply, envs, err := h.mc.Register(req.Addr, req.Radius)
+	// The conn is published and the reply sent inside the registration's
+	// critical section, so the reply is the first frame the server reads.
+	var sid id.ServerID
+	err = h.decide(func() ([]coordinator.Envelope, error) {
+		if h.closed {
+			return nil, ErrClosed
+		}
+		reply, envs, err := h.mc.Register(req.Addr, req.Radius)
+		if err != nil {
+			_ = conn.Send(&protocol.ErrorMsg{Of: protocol.TypeRegisterRequest, Reason: err.Error()})
+			return nil, err
+		}
+		sid = reply.Server
+		h.conns[sid] = conn
+		if err := conn.Send(reply); err != nil {
+			return h.drop(sid, conn), err
+		}
+		h.logger.Printf("coordinator: registered %v at %s", sid, req.Addr)
+		return envs, nil
+	})
 	if err != nil {
-		_ = conn.Send(&protocol.ErrorMsg{Of: protocol.TypeRegisterRequest, Reason: err.Error()})
 		_ = conn.Close()
 		return
 	}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	h.conns[reply.Server] = conn
-	h.mu.Unlock()
-	if err := conn.Send(reply); err != nil {
-		h.drop(reply.Server, conn)
-		return
-	}
-	h.logger.Printf("coordinator: registered %v at %s", reply.Server, req.Addr)
-	h.deliver(envs)
-
 	for {
 		m, err := conn.Recv()
 		if err != nil {
-			h.drop(reply.Server, conn)
+			_ = h.decide(func() ([]coordinator.Envelope, error) { return h.drop(sid, conn), nil })
 			return
 		}
-		out, err := h.mc.HandleMessage(reply.Server, m)
-		if err != nil {
-			h.logger.Printf("coordinator: %v: %v", reply.Server, err)
+		if err := h.decide(func() ([]coordinator.Envelope, error) { return h.mc.HandleMessage(sid, m) }); err != nil {
+			h.logger.Printf("coordinator: %v: %v", sid, err)
 		}
-		h.deliver(out)
 	}
 }
 
-// deliver sends envelopes to their registered connections.
+// decide runs one coordinator call and delivers the envelopes it returns in
+// one critical section, and returns the call's error.
+func (h *CoordinatorHost) decide(call func() ([]coordinator.Envelope, error)) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	envs, err := call()
+	h.deliver(envs)
+	return err
+}
+
+// deliver sends envelopes to their registered connections. Caller holds mu.
 func (h *CoordinatorHost) deliver(envs []coordinator.Envelope) {
 	for _, e := range envs {
-		h.mu.Lock()
-		conn, ok := h.conns[e.To]
-		tr := h.tr
-		h.mu.Unlock()
-		if tr != nil {
+		if h.tr != nil {
 			// The decision's correlation ID leaves the coordinator here;
 			// emitted even when the target connection is gone, so the trace
 			// shows decisions whose fan-out never reached the fleet.
-			traceCorr(tr, coordTracePid, coordTraceTidCtrl, e.Msg)
+			traceCorr(h.tr, coordTracePid, coordTraceTidCtrl, e.Msg)
 		}
+		conn, ok := h.conns[e.To]
 		if !ok {
 			h.logger.Printf("coordinator: no connection for %v (dropping %v)", e.To, e.Msg.MsgType())
 			continue
 		}
 		if err := conn.Send(e.Msg); err != nil {
-			h.drop(e.To, conn)
+			h.deliver(h.drop(e.To, conn))
 		}
 	}
 }
 
 // drop forgets a dead server connection and, when health tracking is on,
 // tells the coordinator so the lease expires immediately instead of after N
-// missed beats. Remediation envelopes go straight back out to the fleet.
-func (h *CoordinatorHost) drop(sid id.ServerID, conn transport.Conn) {
+// missed beats; it returns the remediation envelopes for the fleet. Caller
+// holds mu.
+func (h *CoordinatorHost) drop(sid id.ServerID, conn transport.Conn) []coordinator.Envelope {
 	_ = conn.Close()
-	h.mu.Lock()
-	current := h.conns[sid] == conn
-	if current {
-		delete(h.conns, sid)
+	if h.conns[sid] != conn {
+		return nil
 	}
-	closed := h.closed
-	h.mu.Unlock()
-	if current && !closed {
-		h.logger.Printf("coordinator: connection to %v lost", sid)
-		h.deliver(h.mc.HandleDisconnect(sid))
+	delete(h.conns, sid)
+	if h.closed {
+		return nil
 	}
+	h.logger.Printf("coordinator: connection to %v lost", sid)
+	return h.mc.HandleDisconnect(sid)
 }

@@ -1249,10 +1249,16 @@ func (h *ServerHost) rearmDrain() {
 // Drain asks the MC to evacuate this server, then blocks until the
 // evacuation completes (or timeout). With exit set the server retires for
 // good — the caller should Close it once Drain returns — otherwise it
-// re-joins the MC's spare pool and keeps serving.
+// re-joins the MC's spare pool and keeps serving. The request leaves from the
+// tick goroutine (toMC); on a lost coordinator link Drain fails at once.
 func (h *ServerHost) Drain(exit bool, timeout time.Duration) error {
-	if err := h.mcConn.Send(&protocol.DrainRequest{Server: h.node.Core.ID(), Exit: exit}); err != nil {
-		return fmt.Errorf("host: drain request: %w", err)
+	if err := h.onTick(func() error {
+		if !h.toMC(&protocol.DrainRequest{Server: h.node.Core.ID(), Exit: exit}) {
+			return errors.New("host: drain request: coordinator connection lost")
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()

@@ -754,7 +754,7 @@ func TestStartServerRefusesAnotherRadius(t *testing.T) {
 	}
 	t.Cleanup(func() { h.Close() })
 	fleet := func() string {
-		b, err := json.Marshal(mc.MC().CaptureState())
+		b, err := json.Marshal(mc.MC().Fleet())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -823,7 +823,7 @@ func TestOversizeCheckpointIsRefusedAtTheSender(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := mc.MC().CheckpointOverflows(); n != 0 {
+	if n := mc.MC().Fleet().CheckpointOverflows; n != 0 {
 		t.Errorf("the coordinator dropped %d uploads: the oversize blob was sent", n)
 	}
 	if h.CheckpointTick() == 0 {
@@ -854,13 +854,7 @@ func TestDeadCoordinatorLinkIsCountedNotLogged(t *testing.T) {
 	// One round of tickLoop's beat, report and checkpoint arms sends a
 	// heartbeat, the root's load report and a one-chunk checkpoint.
 	const perRound = 3
-	unsent := func() string {
-		var scrape bytes.Buffer
-		h.writeMetrics(&scrape)
-		_, row, _ := strings.Cut(scrape.String(), "\nmatrix_server_mc_unsent_total ")
-		row, _, _ = strings.Cut(row, "\n")
-		return row
-	}
+	unsent := func() string { return mcUnsentRow(h) }
 
 	h.beat()
 	h.report()
@@ -892,5 +886,52 @@ func TestDeadCoordinatorLinkIsCountedNotLogged(t *testing.T) {
 	}
 	if after := strings.TrimPrefix(logged.String(), startup); after != "" {
 		t.Errorf("withheld sends were logged:\n%s", after)
+	}
+}
+
+// mcUnsentRow reads matrix_server_mc_unsent_total off one scrape of h.
+func mcUnsentRow(h *ServerHost) string {
+	var scrape bytes.Buffer
+	h.writeMetrics(&scrape)
+	_, row, _ := strings.Cut(scrape.String(), "\nmatrix_server_mc_unsent_total ")
+	row, _, _ = strings.Cut(row, "\n")
+	return row
+}
+
+// TestDrainOnALostCoordinatorLinkFailsAtOnce: a drain request is bound for
+// the coordinator like anything else the node sends there, so it leaves
+// through toMC. Once the link is lost Drain writes nothing, counts the
+// request as withheld and fails at once instead of waiting out its timeout.
+func TestDrainOnALostCoordinatorLinkFailsAtOnce(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	mc, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	// No tick loop: nothing else is sent to the coordinator meanwhile, and
+	// Drain's funnel call runs on the caller, the tick goroutine here.
+	h, err := newServer(ServerConfig{Network: nw, Coordinator: mc.Addr(), Radius: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	mc.Close()
+	waitFor(t, "the host to notice the lost link", func() bool { return h.Ready() != nil })
+	if got := mcUnsentRow(h); got != "0" {
+		t.Fatalf("matrix_server_mc_unsent_total = %s before the drain, want 0", got)
+	}
+
+	const timeout = 10 * time.Second
+	start := time.Now()
+	err = h.Drain(false, timeout)
+	if took := time.Since(start); took > timeout/10 {
+		t.Errorf("Drain took %v on a lost link, want well under its %v timeout", took, timeout)
+	}
+	if err == nil || !strings.Contains(err.Error(), "coordinator connection lost") {
+		t.Errorf("Drain = %v, want the lost coordinator connection by name", err)
+	}
+	if got := mcUnsentRow(h); got != "1" {
+		t.Errorf("matrix_server_mc_unsent_total = %s after the drain, want 1: the request did not leave through toMC", got)
 	}
 }

@@ -13,12 +13,12 @@ import (
 // singleOwner lists the state-machine packages one goroutine owns (ROADMAP
 // item 20): their drivers serialize every call, so none of them takes a
 // lock. A driver that shares one across goroutines locks around it, as
-// host.Client does for the game client. A live host's core and game server
-// belong to its tick goroutine; the game server's receive queue, which the
-// host's connection pumps fill, is the one shared structure, and its file
-// is the one exception. coordinator joins the list once its driver owns it
-// alone.
-var singleOwner = []string{"internal/core", "internal/gameclient", "internal/gameserver", "internal/load", "internal/space"}
+// host.Client does for the game client and host.CoordinatorHost for the
+// coordinator (its lock covers each decision's fan-out too). A live host's
+// core and game server belong to its tick goroutine; the game server's
+// receive queue, which the host's connection pumps fill, is the one shared
+// structure, and its file is the one exception.
+var singleOwner = []string{"internal/coordinator", "internal/core", "internal/gameclient", "internal/gameserver", "internal/load", "internal/space"}
 
 // sharedFiles are the program files of single-owner packages that may lock.
 var sharedFiles = []string{"internal/gameserver/queue.go"}
