@@ -42,17 +42,24 @@ type CoordinatorHost struct {
 	ln     transport.Listener
 	logger *log.Logger
 
-	// mu owns the coordinator and guards everything below it. Each call into
-	// mc runs under it together with the delivery of the envelopes it
-	// returns (decide), so the MC handles one message at a time and a
-	// decision's frames are on the wire before the next message is read.
-	mu     sync.Mutex
-	mc     *coordinator.Coordinator
-	conns  map[id.ServerID]transport.Conn
-	closed bool
+	// mu owns the coordinator and tr. Each call into mc runs under it
+	// together with the delivery of the envelopes it returns (decide), so
+	// the MC handles one message at a time and a decision's frames are on
+	// the wire before the next message is read.
+	mu sync.Mutex
+	mc *coordinator.Coordinator
 	// tr, when non-nil, gets one instant event per correlation-stamped
 	// control frame the host sends (see corr.go).
 	tr *trace.Tracer
+
+	// connMu guards closed, and conns together with mu: a write to conns
+	// holds both, so a decision reads it under mu alone. connMu is never
+	// held across a write, so Close and Ready do not wait on a decision:
+	// Close shuts every conn, which fails a write stuck on a server that
+	// stopped reading.
+	connMu sync.Mutex
+	conns  map[id.ServerID]transport.Conn
+	closed bool
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -148,10 +155,9 @@ func (h *CoordinatorHost) serveFleetz(w http.ResponseWriter, r *http.Request) {
 // accepting is the coordinator's only liveness dependency — it has no
 // upstream of its own.
 func (h *CoordinatorHost) Ready() error {
-	h.mu.Lock()
-	closed := h.closed
-	h.mu.Unlock()
-	if closed {
+	h.connMu.Lock()
+	defer h.connMu.Unlock()
+	if h.closed {
 		return errors.New("host closed")
 	}
 	return nil
@@ -231,22 +237,18 @@ func (v CoordinatorView) CheckpointSize(sid id.ServerID) int {
 
 // Close shuts the host down and waits for its goroutines.
 func (h *CoordinatorHost) Close() error {
-	h.mu.Lock()
+	h.connMu.Lock()
 	if h.closed {
-		h.mu.Unlock()
+		h.connMu.Unlock()
 		return nil
 	}
 	h.closed = true
 	close(h.done)
-	conns := make([]transport.Conn, 0, len(h.conns))
 	for _, c := range h.conns {
-		conns = append(conns, c)
-	}
-	h.mu.Unlock()
-	err := h.ln.Close()
-	for _, c := range conns {
 		_ = c.Close()
 	}
+	h.connMu.Unlock()
+	err := h.ln.Close()
 	h.wg.Wait()
 	return err
 }
@@ -296,16 +298,19 @@ func (h *CoordinatorHost) serveConn(conn transport.Conn) {
 	// critical section, so the reply is the first frame the server reads.
 	var sid id.ServerID
 	err = h.decide(func() ([]coordinator.Envelope, error) {
-		if h.closed {
-			return nil, ErrClosed
-		}
 		reply, envs, err := h.mc.Register(req.Addr, req.Radius)
 		if err != nil {
 			_ = conn.Send(&protocol.ErrorMsg{Of: protocol.TypeRegisterRequest, Reason: err.Error()})
 			return nil, err
 		}
 		sid = reply.Server
+		h.connMu.Lock()
+		if h.closed { // Close ran meanwhile and did not see conn
+			h.connMu.Unlock()
+			return nil, ErrClosed
+		}
 		h.conns[sid] = conn
+		h.connMu.Unlock()
 		if err := conn.Send(reply); err != nil {
 			return h.drop(sid, conn), err
 		}
@@ -364,11 +369,13 @@ func (h *CoordinatorHost) deliver(envs []coordinator.Envelope) {
 // holds mu.
 func (h *CoordinatorHost) drop(sid id.ServerID, conn transport.Conn) []coordinator.Envelope {
 	_ = conn.Close()
-	if h.conns[sid] != conn {
-		return nil
+	h.connMu.Lock()
+	mine, closed := h.conns[sid] == conn, h.closed
+	if mine {
+		delete(h.conns, sid)
 	}
-	delete(h.conns, sid)
-	if h.closed {
+	h.connMu.Unlock()
+	if !mine || closed {
 		return nil
 	}
 	h.logger.Printf("coordinator: connection to %v lost", sid)

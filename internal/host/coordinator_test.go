@@ -157,3 +157,102 @@ func TestCoordinatorHasOneOwner(t *testing.T) {
 		t.Errorf("active = %v, deaths = %d: want the four rectangles owned and nobody dead", active, v.Deaths())
 	}
 }
+
+// TestCoordinatorCloseDoesNotWaitOnAStuckWrite: a decision holds the host's
+// lock until its frames are written, so a server that stops reading stalls
+// the next decision — but not /readyz or shutdown. Close shuts the stuck
+// server's conn, which fails the write and frees the lock.
+func TestCoordinatorCloseDoesNotWaitOnAStuckWrite(t *testing.T) {
+	inner := transport.NewMemNetwork()
+	nw := &stuckNetwork{Network: inner, writing: make(chan struct{}, 1)}
+	h, err := ServeCoordinator(nw, "", coordinatorConfigForTest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := inner.Dial(h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(&protocol.RegisterRequest{Addr: "server-1", Radius: 40}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-nw.writing: // the RegisterReply, inside the registration's decision
+	case <-time.After(5 * time.Second):
+		t.Fatal("the host never wrote the RegisterReply")
+	}
+
+	// within fails the test unless f returns promptly.
+	within := func(what string, f func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s waited on the stuck write", what)
+		}
+	}
+	within("Ready", func() {
+		if err := h.Ready(); err != nil {
+			t.Errorf("Ready = %v before Close, want nil", err)
+		}
+	})
+	within("Close", func() { h.Close() })
+	if h.Ready() == nil {
+		t.Error("Ready = nil after Close")
+	}
+}
+
+// stuckNetwork hands a listening host conns whose writes block until the
+// conn is closed: servers that stopped reading, their socket buffers full.
+// Each write that blocks is signalled on writing, when it has room.
+type stuckNetwork struct {
+	transport.Network
+	writing chan struct{}
+}
+
+func (n *stuckNetwork) Listen(addr string) (transport.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return stuckListener{l, n.writing}, nil
+}
+
+type stuckListener struct {
+	transport.Listener
+	writing chan struct{}
+}
+
+func (l stuckListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &stuckConn{Conn: c, writing: l.writing, closed: make(chan struct{})}, nil
+}
+
+type stuckConn struct {
+	transport.Conn
+	writing chan struct{}
+	once    sync.Once
+	closed  chan struct{}
+}
+
+func (c *stuckConn) Send(protocol.Message) error {
+	select {
+	case c.writing <- struct{}{}:
+	default:
+	}
+	<-c.closed
+	return transport.ErrClosed
+}
+
+func (c *stuckConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}

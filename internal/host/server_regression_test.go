@@ -754,7 +754,7 @@ func TestStartServerRefusesAnotherRadius(t *testing.T) {
 	}
 	t.Cleanup(func() { h.Close() })
 	fleet := func() string {
-		b, err := json.Marshal(mc.MC().Fleet())
+		b, err := json.Marshal(read(mc.MC(), (*coordinator.Coordinator).CaptureState))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -823,7 +823,7 @@ func TestOversizeCheckpointIsRefusedAtTheSender(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := mc.MC().Fleet().CheckpointOverflows; n != 0 {
+	if n := read(mc.MC(), (*coordinator.Coordinator).CheckpointOverflows); n != 0 {
 		t.Errorf("the coordinator dropped %d uploads: the oversize blob was sent", n)
 	}
 	if h.CheckpointTick() == 0 {

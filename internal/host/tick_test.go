@@ -120,6 +120,9 @@ func TestTickIdleCadence(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	h := startServerOn(t, nw, ServerConfig{Network: nw, TickInterval: interval, HeartbeatEvery: -1, CheckpointEvery: -1})
 	joinRaw(t, nw, h, 1, geom.Pt(100, 100)) // the last arrival: from here the host is idle
+	// The counter is as of the last published tick, and the welcome is
+	// flushed before that tick publishes.
+	waitFor(t, "the hello's tick to publish", func() bool { return scrapeCounter(t, h, "matrix_server_processed_total") > 0 })
 	if got := scrapeCounter(t, h, "matrix_server_processed_total"); got != 1 {
 		t.Errorf("matrix_server_processed_total = %d after one hello, want 1", got)
 	}
