@@ -3,6 +3,7 @@ package host
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -16,8 +17,7 @@ var hostContainers = map[string]string{
 	"ServerHost.inbound":      "one entry per accepted peer connection, removed when its pump exits",
 	"ServerHost.clients":      "one connection per connected client",
 	"ServerHost.evict":        "one entry per dropped client whose queued frames have not run; the tick drains it",
-	"ServerHost.gone":         "client pumps exited since the last tick; emptied every tick",
-	"ServerHost.ingress":      "maxIngress messages; beyond that dropped and counted",
+	"ServerHost.ingress":      "maxIngress frames, beyond that dropped and counted; funnel calls, each a waiting caller's or a connection event (two per connection at most: its registration and its exit)",
 	"ServerHost.ingressSpare": "the ingress funnel's other buffer, swapped every tick",
 	"ServerHost.handled":      "one ingress message's fallout: one envelope per peer of a consistency set",
 	"ServerHost.drainEvent":   "1 slot; a send that does not fit is skipped",
@@ -26,7 +26,7 @@ var hostContainers = map[string]string{
 	"ServerHost.wake":         "1 slot; one pending signal covers every arrival",
 	"ServerConfig.Restore":    "the caller's boot snapshot, fixed at start",
 	"egress.peers":            "one batch per peer address, one tick's messages each",
-	"egress.clients":          "one outbox per client connection, retired by evictDropped",
+	"egress.clients":          "one outbox per client connection, retired by its pump's exit (dropClient)",
 	"egress.free":             "retired outboxes, at most one per connection open at once",
 	"clientOut.msgs":          "one tick's deliveries; at most maxRetainedOutbox slots kept between ticks",
 	"CoordinatorHost.conns":   "one connection per registered server",
@@ -47,6 +47,22 @@ func TestEveryHostContainerIsBounded(t *testing.T) {
 		if !slices.Contains(found, f) {
 			t.Errorf("hostContainers lists %s, which no host holds: drop the entry", f)
 		}
+	}
+}
+
+// TestServerHostLocksOnlyItsStatusAndFunnel pins the locks a ServerHost
+// holds: the status it publishes and the ingress funnel. Everything else is
+// the tick goroutine's, or atomic.
+func TestServerHostLocksOnlyItsStatusAndFunnel(t *testing.T) {
+	var locks []string
+	typ := reflect.TypeFor[ServerHost]()
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Type == reflect.TypeFor[sync.Mutex]() || f.Type == reflect.TypeFor[sync.RWMutex]() {
+			locks = append(locks, f.Name)
+		}
+	}
+	if want := []string{"statusMu", "ingressMu"}; !slices.Equal(locks, want) {
+		t.Errorf("ServerHost locks %q, want exactly %q", locks, want)
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 // own writes are logged.
 type spyNetwork struct {
 	transport.Network
-	mu     sync.Mutex
-	frames []spyFrame
+	mu       sync.Mutex
+	frames   []spyFrame
+	accepted []*spyConn
 }
 
 // spyFrame is one Send or SendBatch call: one frame on the wire.
@@ -35,8 +36,14 @@ type spyFrame struct {
 
 type spyConn struct {
 	transport.Conn
-	nw   *spyNetwork
-	fail atomic.Bool // writes report ErrClosed without reaching the wire
+	nw     *spyNetwork
+	fail   atomic.Bool // writes report ErrClosed without reaching the wire
+	closed atomic.Bool // the host closed it
+}
+
+func (c *spyConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
 }
 
 func (c *spyConn) Send(m protocol.Message) error {
@@ -85,7 +92,11 @@ func (l *spyListener) Accept() (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &spyConn{Conn: c, nw: l.nw}, nil
+	conn := &spyConn{Conn: c, nw: l.nw}
+	l.nw.mu.Lock()
+	l.nw.accepted = append(l.nw.accepted, conn)
+	l.nw.mu.Unlock()
+	return conn, nil
 }
 
 // frameWith returns the log index of the first frame holding a message of
@@ -117,11 +128,9 @@ func (n *spyNetwork) framesOn(conn transport.Conn) [][]protocol.Message {
 }
 
 // clientConn returns the host's registered connection for client c (nil
-// when it has none).
-func (n *spyNetwork) clientConn(h *ServerHost, c id.ClientID) *spyConn {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	conn, _ := h.clients[c].(*spyConn)
+// when it has none), read on the tick goroutine.
+func (n *spyNetwork) clientConn(h *ServerHost, c id.ClientID) (conn *spyConn) {
+	_ = h.onTick(func() error { conn, _ = h.clients[c].(*spyConn); return nil })
 	return conn
 }
 
@@ -180,6 +189,17 @@ func tickUntil(t *testing.T, h *ServerHost, what string, cond func() bool) {
 	t.Helper()
 	waitFor(t, what, func() bool {
 		h.tick(time.Now())
+		return cond()
+	})
+}
+
+// drainUntil runs the funnel of a host without a tick loop — connection
+// events such as a client's registration included — until cond holds,
+// without stepping the node or flushing.
+func drainUntil(t *testing.T, h *ServerHost, what string, cond func() bool) {
+	t.Helper()
+	waitFor(t, what, func() bool {
+		h.drainIngress()
 		return cond()
 	})
 }
@@ -287,7 +307,7 @@ func TestEgressOneFramePerClientPerTick(t *testing.T) {
 func TestEgressStateBeforeRedirectEveryWakeup(t *testing.T) {
 	mem := transport.NewMemNetwork()
 	spy := &spyNetwork{Network: mem}
-	left, right := startStaticPair(t, mem, spy, mem)
+	left, _ := startStaticPair(t, mem, spy, mem)
 	const serial, burst = 6, 10
 	conns := make([]transport.Conn, serial+burst+1)
 	for c := 1; c < len(conns); c++ {
@@ -305,16 +325,12 @@ func TestEgressStateBeforeRedirectEveryWakeup(t *testing.T) {
 		t.Helper()
 		recvUntil(t, conns[c], "the redirect", func(m protocol.Message) bool { return m.MsgType() == protocol.TypeRedirect })
 	}
-	// The first crossing also dials the peer, and frames queued behind a dial
-	// are written by the dialer; the order under test is the established
-	// connection's.
+	// The first crossing also dials the peer, and the frames queued behind the
+	// dial leave in the flush of the tick that publishes the connection; the
+	// order under test is the established connection's, from the next tick.
 	cross(1)
 	redirected(1)
-	waitFor(t, "peer connection published", func() bool {
-		left.mu.Lock()
-		defer left.mu.Unlock()
-		return left.peers[right.Addr()] != nil
-	})
+	waitFor(t, "the dial backlog written", func() bool { return spy.frameWith(protocol.TypeStateTransfer) >= 0 })
 	spy.mu.Lock()
 	spy.frames = nil
 	spy.mu.Unlock()
@@ -451,7 +467,7 @@ func TestEgressFlushSurvivesAFailedClient(t *testing.T) {
 			t.Errorf("client %v: last frame holds updates %v, want [1000 1001]", c, got)
 		}
 	}
-	waitFor(t, "failed client forgotten", func() bool { return spy.clientConn(h, 3) == nil })
+	drainUntil(t, h, "failed client forgotten", func() bool { return spy.clientConn(h, 3) == nil })
 	tickUntil(t, h, "failed client's avatar evicted", func() bool { return h.Game().ClientCount() == clients-1 })
 	if co := h.out.clients[broken]; co != nil {
 		t.Errorf("failed client's outbox (%d messages) not reaped from the host's egress", len(co.msgs))
@@ -467,7 +483,7 @@ func TestEgressReconnectDoesNotInheritFrames(t *testing.T) {
 
 	deliver(h, 1, update(9, 1000))
 	fresh := sendHello(t, spy.Network, h, 1, geom.Pt(101, 100)) // the host closes the old socket
-	waitFor(t, "reconnect registered", func() bool { return spy.clientConn(h, 1) != oldConn })
+	drainUntil(t, h, "reconnect registered", func() bool { return spy.clientConn(h, 1) != oldConn })
 	newConn := spy.clientConn(h, 1)
 	h.flush()
 	deliver(h, 1, update(9, 1001))
@@ -573,9 +589,8 @@ func TestEgressNetemDropsPerMessage(t *testing.T) {
 	deliver(h, 1, msgs...)
 	h.flush()
 
-	h.mu.Lock()
-	link := h.clients[1].(*netem.Conn)
-	h.mu.Unlock()
+	var link *netem.Conn
+	_ = h.onTick(func() error { link = h.clients[1].(*netem.Conn); return nil })
 	st := link.Stats()
 	if st.Lost == 0 || st.Lost >= k {
 		t.Fatalf("%d of %d deliveries lost at 50%% loss: the frame was judged as a whole", st.Lost, k)
@@ -614,10 +629,9 @@ func TestEgressFlushZeroAlloc(t *testing.T) {
 		}
 		go io.Copy(io.Discard, sock) // keep the socket buffer from filling
 	}
-	waitFor(t, "clients registered", func() bool {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return len(h.clients) == clients
+	drainUntil(t, h, "clients registered", func() (ok bool) {
+		_ = h.onTick(func() error { ok = len(h.clients) == clients; return nil })
+		return ok
 	})
 
 	updates := make([]protocol.Message, perClient)

@@ -64,8 +64,8 @@ type ServerConfig struct {
 	// the caller's, the audit stage writes one line per verdict to Logger.
 	Middleware middleware.Config
 	// PeerDialTimeout bounds the background dial of a peer connection
-	// (default 3s). On failure the queued frames are dropped with a log
-	// line; the tick loop never waits on connection establishment.
+	// (default 3s). On failure the queued frames are dropped, counted and
+	// logged; the tick loop never waits on connection establishment.
 	PeerDialTimeout time.Duration
 	// HeartbeatEvery is the lease-renewal cadence towards the MC (default
 	// 1s, negative disables). A coordinator with health tracking off
@@ -112,8 +112,9 @@ func (c ServerConfig) sanitized() ServerConfig {
 // game server, the admission chain) over real transports. What a server does
 // with a message is the node's; the host owns the sockets, when the node ticks
 // and where its envelopes go. The tick goroutine alone calls the node, bar the
-// receive queue the client pumps fill: dumps and restores run there as funnel
-// calls (onTick), and getters read the status it publishes (Core, Game).
+// receive queue the client pumps fill, and alone holds the connection tables:
+// dumps, restores and connection events run there as funnel calls (onTick,
+// await), and getters read the status it publishes (Core, Game).
 type ServerHost struct {
 	cfg     ServerConfig
 	node    *node.Node
@@ -121,11 +122,12 @@ type ServerHost struct {
 	ln      transport.Listener
 	ticking bool // a tick loop owns the node; without one boot's caller does
 
-	// The node as published at the end of every tick, report and funnel
+	// The node (and len(peers)) as published in every tick, report and funnel
 	// call: copied in under statusMu, so that publishing allocates nothing.
-	statusMu sync.Mutex
-	core     CoreView
-	game     GameView
+	statusMu  sync.Mutex
+	core      CoreView
+	game      GameView
+	peerConns int
 
 	started time.Time // epoch of the middleware clock
 
@@ -140,19 +142,6 @@ type ServerHost struct {
 	mcDown   atomic.Bool
 	mcUnsent atomic.Uint64
 
-	mu      sync.Mutex
-	peers   map[string]transport.Conn // outbound, keyed by dial address
-	dialing map[string][]protocol.Message
-	inbound map[transport.Conn]bool // accepted peer connections
-	clients map[id.ClientID]transport.Conn
-	// evict holds clients whose live connection dropped, keyed to the
-	// game server's count of taken messages (gameserver.Server.Queued) at
-	// which every frame they had queued has run; a new connection for the
-	// client cancels its entry.
-	evict  map[id.ClientID]uint64
-	gone   []transport.Conn // client pumps exited since the last tick (see evictDropped)
-	closed bool
-
 	// ingress is the single-writer funnel: mcLoop and the peer pumps park
 	// core-bound messages here and tickLoop alone routes them, so every
 	// frame to a peer connection leaves from the tick goroutine in batch
@@ -162,10 +151,21 @@ type ServerHost struct {
 	ingress      []ingressMsg
 	ingressSpare []ingressMsg
 
-	// Tick goroutine's (no locking): what the node's last step or load report
-	// emitted, the fallout of the ingress message being handled, the tick's
-	// outbound traffic, flushed as one frame per connection per tick, and the
-	// service budget with the time of the tick that last topped it up.
+	// Tick goroutine's (no locking): the connection tables, which connection
+	// events change (funnel calls) and closeConns closes; what the node's last
+	// step or load report emitted, the fallout of the ingress message being
+	// handled, the tick's outbound traffic, flushed as one frame per
+	// connection per tick, and the service budget with the time of the tick
+	// that last topped it up.
+	peers   map[string]transport.Conn // outbound, keyed by dial address
+	dialing map[string][]protocol.Message
+	inbound map[transport.Conn]bool // accepted peer connections
+	clients map[id.ClientID]transport.Conn
+	// evict holds clients whose live connection dropped, keyed to the
+	// game server's count of taken messages (gameserver.Server.Queued) at
+	// which every frame they had queued has run; a new connection for the
+	// client cancels its entry.
+	evict   map[id.ClientID]uint64
 	stepped node.Out
 	handled []core.Envelope
 	out     *egress
@@ -188,11 +188,13 @@ type ServerHost struct {
 	// protocol.MaxBlobSize.
 	adoptDrops atomic.Uint64
 	ticks      atomic.Uint64 // game ticks processed (atomic: /metrics reads it)
-	// ingressDrops and backlogDrops count the messages the two bounded
-	// queues of the live path refused (the ingress funnel, a peer's dial
-	// backlog); dropsLogged is the sum the tick loop has already reported.
+	// ingressDrops and backlogDrops count the messages the ingress funnel and
+	// the peer dial backlogs refused or lost; dropsLogged is the sum the tick
+	// loop has already reported. foreign counts client frames for another
+	// session (serveClient).
 	ingressDrops, backlogDrops atomic.Uint64
 	dropsLogged                uint64
+	foreign                    atomic.Uint64
 	// cpTick is the tick count when the last checkpoint shipped; atomic so
 	// harnesses can watch checkpoint progress from outside the tick loop.
 	cpTick atomic.Uint64
@@ -360,13 +362,13 @@ func (v GameView) QueueLen() int           { return v.queue.QueueLen() }
 
 // Core and Game return views of the node's components that any goroutine may
 // read (status tooling).
-func (h *ServerHost) Core() CoreView { c, _ := h.published(); return c }
-func (h *ServerHost) Game() GameView { _, g := h.published(); return g }
+func (h *ServerHost) Core() CoreView { c, _, _ := h.published(); return c }
+func (h *ServerHost) Game() GameView { _, g, _ := h.published(); return g }
 
-func (h *ServerHost) published() (CoreView, GameView) {
+func (h *ServerHost) published() (CoreView, GameView, int) {
 	h.statusMu.Lock()
 	defer h.statusMu.Unlock()
-	return h.core, h.game
+	return h.core, h.game, h.peerConns
 }
 
 // publish copies the node's status out for other goroutines. Tick goroutine.
@@ -374,29 +376,39 @@ func (h *ServerHost) publish() {
 	c, g := h.node.Core, h.node.Game
 	cv, gv := CoreView{c.Stats(), c.Bounds(), c.Active()}, GameView{g.Stats(), g}
 	h.statusMu.Lock()
-	h.core, h.game = cv, gv
+	h.core, h.game, h.peerConns = cv, gv, len(h.peers)
 	h.statusMu.Unlock()
 }
 
 // onTick runs fn on the tick goroutine between two funnel messages, then
 // publishes, and returns fn's error once both are done; a host without a tick
 // loop is called from its tick goroutine, and runs fn at once. A closed host
-// or a full funnel refuses the call.
+// refuses the call.
 func (h *ServerHost) onTick(fn func() error) error {
 	if !h.ticking {
 		defer h.publish()
 		return fn()
 	}
 	var err error
+	if !h.await(func() { err = fn(); h.publish() }) {
+		return ErrClosed
+	}
+	return err
+}
+
+// await posts fn to the funnel and waits until the tick goroutine has run
+// it — on a host without a tick loop, until its caller next ticks. It reports
+// false when the host closed first; fn may then never run.
+func (h *ServerHost) await(fn func()) bool {
 	ran := make(chan struct{})
-	if !h.enqueueIngress(ingressMsg{fn: func() { err = fn(); h.publish(); close(ran) }}) {
-		return errors.New("host: ingress funnel full")
+	if !h.enqueueIngress(ingressMsg{fn: func() { fn(); close(ran) }}) {
+		return false
 	}
 	select {
 	case <-ran:
-		return err
+		return true
 	case <-h.done:
-		return ErrClosed
+		return false
 	}
 }
 
@@ -435,36 +447,49 @@ func (h *ServerHost) RestoreSnapshot(blob []byte) error {
 	return h.onTick(func() error { return nodeblob.RestoreGame(blob, h.node.Game) })
 }
 
-// Close stops the host and waits for its goroutines.
+// Close stops the host and waits for its goroutines. The tick goroutine closes
+// the registered connections as it exits; one registering after the funnel
+// shut is refused, and closed by its own goroutine.
 func (h *ServerHost) Close() error {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	h.ingressMu.Lock()
+	if h.isClosed() {
+		h.ingressMu.Unlock()
 		return nil
 	}
-	h.closed = true
 	close(h.done)
-	conns := make([]transport.Conn, 0, len(h.peers)+len(h.inbound)+len(h.clients)+1)
-	conns = append(conns, h.mcConn)
-	for _, c := range h.peers {
-		conns = append(conns, c)
-	}
-	for c := range h.inbound {
-		conns = append(conns, c)
-	}
-	for _, c := range h.clients {
-		conns = append(conns, c)
-	}
-	h.mu.Unlock()
+	h.ingressMu.Unlock()
 	err := h.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
+	_ = h.mcConn.Close()
+	if !h.ticking {
+		h.closeConns() // the caller is the tick goroutine
 	}
 	h.wg.Wait()
 	if h.node.MW != nil {
 		h.node.MW.Close()
 	}
 	return err
+}
+
+func (h *ServerHost) isClosed() bool {
+	select {
+	case <-h.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// closeConns closes the tables' connections: the tick goroutine's last act.
+func (h *ServerHost) closeConns() {
+	for _, c := range h.peers {
+		_ = c.Close()
+	}
+	for c := range h.inbound {
+		_ = c.Close()
+	}
+	for _, c := range h.clients {
+		_ = c.Close()
+	}
 }
 
 // clockSeconds is the middleware clock: monotonic seconds since the host
@@ -485,12 +510,9 @@ func (h *ServerHost) ServeMetrics(addr string) (string, io.Closer, error) {
 // only while tracing) are reset after rendering, so a scrape reports the
 // ticks since the last one (traceTick bounds them when nobody scrapes).
 func (h *ServerHost) writeMetrics(w io.Writer) {
-	game := h.Game()
+	_, game, peers := h.published()
 	fmt.Fprintf(w, "# TYPE matrix_server_clients gauge\nmatrix_server_clients %d\n", game.ClientCount())
 	fmt.Fprintf(w, "# TYPE matrix_server_queue_len gauge\nmatrix_server_queue_len %d\n", game.QueueLen())
-	h.mu.Lock()
-	peers := len(h.peers)
-	h.mu.Unlock()
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_conns gauge\nmatrix_server_peer_conns %d\n", peers)
 	fmt.Fprintf(w, "# TYPE matrix_server_ticks counter\nmatrix_server_ticks %d\n", h.ticks.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_processed_total counter\nmatrix_server_processed_total %d\n", game.stats.Processed)
@@ -499,6 +521,7 @@ func (h *ServerHost) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE matrix_server_ingress_overflows_total counter\nmatrix_server_ingress_overflows_total %d\n", h.ingressDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_peer_backlog_drops_total counter\nmatrix_server_peer_backlog_drops_total %d\n", h.backlogDrops.Load())
 	fmt.Fprintf(w, "# TYPE matrix_server_mc_unsent_total counter\nmatrix_server_mc_unsent_total %d\n", h.mcUnsent.Load())
+	fmt.Fprintf(w, "# TYPE matrix_server_client_foreign_total counter\nmatrix_server_client_foreign_total %d\n", h.foreign.Load())
 	if h.node.MW != nil {
 		h.node.MW.Stats().WritePrometheus(w)
 	}
@@ -576,19 +599,26 @@ type ingressMsg struct {
 	fn   func()
 }
 
-// maxIngress bounds the funnel between ticks; beyond it frames are dropped
-// and counted (ingressDrops) rather than growing without bound while the
-// tick goroutine is busy.
+// maxIngress bounds the frames in the funnel between ticks; beyond it frames
+// are dropped and counted (ingressDrops) rather than growing without bound
+// while the tick goroutine is busy. A funnel call is never refused for room (a
+// lost client exit would leak its avatar): each is a waiting caller's or a
+// connection event, two per connection at most (registration and exit).
 const maxIngress = 1 << 16
 
 // enqueueIngress parks one coordinator- or peer-originated message, or a
-// funnel call, for the tick goroutine and reports whether it fit. Routing
+// funnel call, for the tick goroutine and reports whether it did: a closed
+// host takes nothing, and a frame beyond maxIngress does not fit. Routing
 // core envelopes only there keeps every peer connection single-writer, so the
 // state-before-redirect wire order cannot be broken by an mcLoop or peer-pump
 // send racing the tick flush.
 func (h *ServerHost) enqueueIngress(im ingressMsg) bool {
 	h.ingressMu.Lock()
-	if len(h.ingress) >= maxIngress {
+	if h.isClosed() {
+		h.ingressMu.Unlock()
+		return false
+	}
+	if im.fn == nil && len(h.ingress) >= maxIngress {
 		h.ingressMu.Unlock()
 		h.ingressDrops.Add(1)
 		return false
@@ -690,18 +720,12 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		}
 		_ = conn.Close()
 	case *protocol.Forward, *protocol.StateTransfer:
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
+		if !h.await(func() { h.inbound[conn] = true }) {
 			_ = conn.Close()
 			return
 		}
-		h.inbound[conn] = true
-		h.mu.Unlock()
 		h.servePeer(conn, first)
-		h.mu.Lock()
-		delete(h.inbound, conn)
-		h.mu.Unlock()
+		h.enqueueIngress(ingressMsg{fn: func() { delete(h.inbound, conn) }})
 	default:
 		h.cfg.Logger.Printf("server %v: unexpected first message %v", h.node.Core.ID(), m.MsgType())
 		_ = conn.Close()
@@ -710,8 +734,9 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 
 // serveClient pumps one game client's connection into node.Enqueue, reusing
 // one Request so the steady state does not allocate. The hello is admitted
-// before its connection is registered, lest it displace a live session, and
-// queued after, lest the welcome race past it.
+// before its connection is registered, lest it displace a live session. After
+// it the connection speaks for its session only: any frame but a GameUpdate of
+// the hello's client is dropped and counted before it can spend a token.
 func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHello) {
 	req := middleware.Request{Source: middleware.SourceClient, Client: hello.Client, Msg: hello, Now: h.clockSeconds()}
 	if v := h.node.Admit(&req); !v.Admitted() {
@@ -720,29 +745,18 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 		_ = conn.Close()
 		return
 	}
-
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	if !h.await(func() { h.register(hello, conn) }) {
 		_ = conn.Close()
 		return
 	}
-	if old, ok := h.clients[hello.Client]; ok && old != conn {
-		_ = old.Close()
-	}
-	h.clients[hello.Client] = conn
-	delete(h.evict, hello.Client)
-	h.mu.Unlock()
-
-	if err := h.node.Game.Enqueue(hello); err != nil {
-		h.cfg.Logger.Printf("server %v: join %v dropped: %v", h.node.Core.ID(), hello.Client, err)
-	}
-	h.wakeTick()
 	for {
 		m, err := conn.Recv()
 		if err != nil {
-			h.dropClient(hello.Client, conn)
-			return
+			break
+		}
+		if u, ok := m.(*protocol.GameUpdate); !ok || u.Client != hello.Client {
+			h.foreign.Add(1)
+			continue
 		}
 		req.Msg, req.Now = m, h.clockSeconds()
 		at := h.tr.Now() // the span opens before the tick can close it
@@ -753,6 +767,25 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 			h.tracePacketIn(m, at)
 		}
 		h.wakeTick()
+	}
+	// The pump enqueues nothing more, so the count read now is past every
+	// frame this client sent.
+	_ = conn.Close()
+	accepted, _ := h.node.Game.Queued()
+	h.enqueueIngress(ingressMsg{fn: func() { h.dropClient(hello.Client, conn, accepted) }})
+}
+
+// register makes conn the connection of the hello's client, closing any it
+// held before, and queues the admitted hello: on the tick goroutine, ahead of
+// the Step that serves it, so the welcome finds its connection.
+func (h *ServerHost) register(hello *protocol.ClientHello, conn transport.Conn) {
+	if old, ok := h.clients[hello.Client]; ok {
+		_ = old.Close()
+	}
+	h.clients[hello.Client] = conn
+	delete(h.evict, hello.Client)
+	if err := h.node.Game.Enqueue(hello); err != nil {
+		h.cfg.Logger.Printf("server %v: join %v dropped: %v", h.node.Core.ID(), hello.Client, err)
 	}
 }
 
@@ -805,6 +838,7 @@ func (h *ServerHost) tickLoop() {
 	for {
 		select {
 		case <-h.done:
+			h.closeConns()
 			return
 		case <-beatC:
 			h.beat()
@@ -846,9 +880,12 @@ func (h *ServerHost) tick(now time.Time) {
 	}
 	t2 := h.tr.Now()
 	h.stepped.Route(h) // empty when nothing was stepped: Route leaves it so
-	h.flush()
 	h.evictDropped()
-	h.publish() // before settleDrain: a finished drain's waiter reads this tick
+	// Before the flush, so a client never sees a frame the status does not
+	// show yet, and before settleDrain: a finished drain's waiter reads this
+	// tick.
+	h.publish()
+	h.flush()
 	h.settleDrain(now)
 	h.logDrops()
 	if h.tr != nil {
@@ -918,9 +955,7 @@ func (h *ServerHost) routeCore(envs []core.Envelope) {
 // collectClient puts one client delivery into the tick's egress for a later
 // flush, on the connection the client holds now.
 func (h *ServerHost) collectClient(c id.ClientID, m protocol.Message) {
-	h.mu.Lock()
 	conn, ok := h.clients[c]
-	h.mu.Unlock()
 	if !ok {
 		return // client disconnected; deliveries are best-effort
 	}
@@ -941,7 +976,7 @@ func (h *ServerHost) collectClient(c id.ClientID, m protocol.Message) {
 // routeCore and collectClient and written by flush; entries and their slices are
 // reused across ticks. Clients are keyed by connection, not ID: a reconnect
 // before the flush must not inherit the old socket's frames. An entry whose
-// pump has exited moves to free (see evictDropped) for the next connection to
+// pump has exited moves to free (see dropClient) for the next connection to
 // pick up, so churn neither grows the table nor allocates.
 type egress struct {
 	peers   map[string][]protocol.Message // by dial address; small, stable set
@@ -1002,8 +1037,9 @@ func (h *ServerHost) flush() {
 			}
 		}
 		if err := conn.SendBatch(co.msgs); err != nil {
-			// Only close: the client's pump sees it and runs dropClient —
-			// only the pump knows when the client's last frame is queued.
+			// Only close: the client's pump sees it and posts its exit
+			// (dropClient) — only the pump knows when the client's last
+			// frame is queued.
 			_ = conn.Close()
 		}
 		co.msgs = recycle(co.msgs)
@@ -1018,68 +1054,49 @@ const maxDialBacklog = 4096
 // send to an unconnected address starts a background bounded-timeout dial
 // and queues the messages behind it — the tick loop never blocks on a
 // dead peer's dial — and sends issued while the dial is in flight join
-// the queue, which dialPeer flushes in order before publishing the
-// connection, so nothing sent later can overtake the backlog.
+// the queue, which dialed puts ahead of the tick's batch as it publishes the
+// connection, so nothing sent later can overtake the backlog. Tick goroutine.
 func (h *ServerHost) sendPeerMsgs(addr string, msgs ...protocol.Message) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	if conn, ok := h.peers[addr]; ok {
+		h.sendPeerConn(addr, conn, msgs)
 		return
 	}
-	conn, ok := h.peers[addr]
-	if !ok {
-		pending, inFlight := h.dialing[addr]
-		if len(pending)+len(msgs) > maxDialBacklog {
-			h.mu.Unlock()
-			h.backlogDrops.Add(uint64(len(msgs)))
-			return
-		}
-		// Copied, not aliased: the caller reuses its batch slices.
-		h.dialing[addr] = append(pending, msgs...)
-		if !inFlight {
-			h.wg.Add(1)
-			go h.dialPeer(addr)
-		}
-		h.mu.Unlock()
+	pending, inFlight := h.dialing[addr]
+	if len(pending)+len(msgs) > maxDialBacklog {
+		h.backlogDrops.Add(uint64(len(msgs)))
 		return
 	}
-	h.mu.Unlock()
-	h.sendPeerConn(addr, conn, msgs)
+	// Copied, not aliased: the caller reuses its batch slices.
+	h.dialing[addr] = append(pending, msgs...)
+	if !inFlight {
+		h.wg.Add(1)
+		go h.dialPeer(addr)
+	}
 }
 
-// dialPeer performs the background bounded dial for addr, then flushes the
-// queued messages in order before publishing the connection to h.peers.
+// dialPeer performs the background bounded dial for addr and hands its
+// outcome to the tick goroutine (dialed); a host closed meanwhile refuses it.
 func (h *ServerHost) dialPeer(addr string) {
 	defer h.wg.Done()
 	conn, err := h.dialTimeout(addr)
+	if !h.await(func() { h.dialed(addr, conn, err) }) && conn != nil {
+		_ = conn.Close()
+	}
+}
+
+// dialed ends addr's dial: on failure the backlog is dropped and counted
+// (backlogDrops), otherwise the connection is published and the backlog leads
+// the tick's batch to addr, ahead of anything sent later. Tick goroutine.
+func (h *ServerHost) dialed(addr string, conn transport.Conn, err error) {
+	pending := h.dialing[addr]
+	delete(h.dialing, addr)
 	if err != nil {
-		h.mu.Lock()
-		n := len(h.dialing[addr])
-		delete(h.dialing, addr)
-		h.mu.Unlock()
-		h.cfg.Logger.Printf("server %v: dial peer %s: %v (dropped %d queued message(s))", h.node.Core.ID(), addr, err, n)
+		h.backlogDrops.Add(uint64(len(pending)))
+		h.cfg.Logger.Printf("server %v: dial peer %s: %v (dropped %d queued message(s))", h.node.Core.ID(), addr, err, len(pending))
 		return
 	}
-	for {
-		h.mu.Lock()
-		if h.closed {
-			delete(h.dialing, addr)
-			h.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		pending := h.dialing[addr]
-		if len(pending) == 0 {
-			// Backlog drained: publish. From here sends go direct.
-			h.peers[addr] = conn
-			delete(h.dialing, addr)
-			h.mu.Unlock()
-			return
-		}
-		h.dialing[addr] = nil
-		h.mu.Unlock()
-		h.sendPeerConn(addr, conn, pending)
-	}
+	h.peers[addr] = conn
+	h.out.peers[addr] = append(pending, h.out.peers[addr]...)
 }
 
 // dialTimeout dials addr within the configured bound: natively when the
@@ -1138,11 +1155,9 @@ func (h *ServerHost) sendPeerConn(addr string, conn transport.Conn, msgs []proto
 	}
 	if errors.Is(err, transport.ErrClosed) {
 		h.cfg.Logger.Printf("server %v: peer %s connection lost: %v", h.node.Core.ID(), addr, err)
-		h.mu.Lock()
 		if h.peers[addr] == conn {
 			delete(h.peers, addr)
 		}
-		h.mu.Unlock()
 		_ = conn.Close()
 	}
 }
@@ -1220,11 +1235,8 @@ func (h *ServerHost) settleDrain(now time.Time) {
 	if !h.evacuating {
 		return
 	}
-	h.mu.Lock()
-	pending := len(h.dialing)
-	h.mu.Unlock()
 	switch {
-	case h.node.Core.Active() || h.node.Game.ClientCount() != 0 || pending != 0:
+	case h.node.Core.Active() || h.node.Game.ClientCount() != 0 || len(h.dialing) != 0:
 		h.drainSince = time.Time{}
 	case h.drainSince.IsZero():
 		h.drainSince = now
@@ -1291,23 +1303,23 @@ func (h *ServerHost) Drained() <-chan struct{} { return *h.drained.Load() }
 // re-join the spare pool (Drained is the state, this is the event).
 func (h *ServerHost) DrainEvents() <-chan bool { return h.drainEvent }
 
-// dropClient forgets a client connection. When this was the client's live
-// connection it also forgets its rate-limit bucket (a reconnect starts
-// fresh) and schedules the avatar's eviction. Called by the client's pump
-// once it will enqueue nothing more, so the queue's count of accepted
-// messages read here is past every frame the client sent.
-func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
-	_ = conn.Close()
-	accepted, _ := h.node.Game.Queued()
-	h.mu.Lock()
-	h.gone = append(h.gone, conn)
-	current := h.clients[c] == conn
-	if current {
-		delete(h.clients, c)
-		h.evict[c] = accepted
+// dropClient is a client pump's exit: conn is never routed to again, so its
+// outbox is retired, emptied. When conn was the client's live connection, the
+// client's rate-limit bucket goes too (a reconnect starts fresh) and its
+// avatar is evicted once the queue has taken the accepted frames, counted by
+// the pump after its last enqueue. Tick goroutine.
+func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn, accepted uint64) {
+	if co := h.out.clients[conn]; co != nil {
+		delete(h.out.clients, conn)
+		co.msgs = recycle(co.msgs)
+		h.out.free = append(h.out.free, co)
 	}
-	h.mu.Unlock()
-	if current && h.node.MW != nil {
+	if h.clients[c] != conn {
+		return
+	}
+	delete(h.clients, c)
+	h.evict[c] = accepted
+	if h.node.MW != nil {
 		if l := h.node.MW.Limiter(); l != nil {
 			l.Forget(c)
 		}
@@ -1319,22 +1331,10 @@ func (h *ServerHost) dropClient(c id.ClientID, conn transport.Conn) {
 // every later reclaim. An avatar goes only once the frames its client had
 // queued have been processed — a queued despawn still runs as a local
 // despawn and reaches the peers — and never when the client has reconnected
-// (serveClient cancels the entry); one that already migrated away is a
+// (register cancels the entry); one that already migrated away is a
 // no-op. A restore counts the queued frames it discards as taken, so it
-// cannot park an entry. A connection whose pump has exited
-// is never routed to again, so its (flushed, empty) outbox is retired here
-// too. Runs on the tick goroutine, after the flush.
+// cannot park an entry. Tick goroutine.
 func (h *ServerHost) evictDropped() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, conn := range h.gone {
-		if co := h.out.clients[conn]; co != nil {
-			delete(h.out.clients, conn)
-			h.out.free = append(h.out.free, co)
-		}
-	}
-	clear(h.gone)
-	h.gone = h.gone[:0]
 	if len(h.evict) == 0 {
 		return
 	}

@@ -108,7 +108,7 @@ func TestDeadPeerDoesNotStallTicks(t *testing.T) {
 	// in production).
 	for i := 1; i <= 3; i++ {
 		start := time.Now()
-		h.sendPeerMsgs("blackhole:1", fwd(i))
+		sendPeerMsgs(t, h, "blackhole:1", fwd(i))
 		if d := time.Since(start); d > time.Second {
 			t.Fatalf("sendPeerMsgs blocked %v on a dead peer", d)
 		}
@@ -124,13 +124,23 @@ func TestDeadPeerDoesNotStallTicks(t *testing.T) {
 	})
 
 	// The bounded dial times out and the queued frames are dropped: the
-	// pending entry must disappear rather than accumulate forever.
-	waitFor(t, "dial backlog cleanup", func() bool {
-		h.mu.Lock()
-		_, inFlight := h.dialing["blackhole:1"]
-		h.mu.Unlock()
-		return !inFlight
+	// pending entry must disappear rather than accumulate forever, and the
+	// three frames are counted.
+	waitFor(t, "dial backlog cleanup", func() (gone bool) {
+		_ = h.onTick(func() error { _, inFlight := h.dialing["blackhole:1"]; gone = !inFlight; return nil })
+		return gone
 	})
+	if got := h.backlogDrops.Load(); got != 3 {
+		t.Errorf("backlogDrops = %d after a failed dial behind 3 queued frames, want 3", got)
+	}
+}
+
+// sendPeerMsgs sends msgs to the peer at addr on h's tick goroutine.
+func sendPeerMsgs(t *testing.T, h *ServerHost, addr string, msgs ...protocol.Message) {
+	t.Helper()
+	if err := h.onTick(func() error { h.sendPeerMsgs(addr, msgs...); return nil }); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPeerDialBacklogFlushedInOrder pins the ordering half of the S1 fix:
@@ -175,7 +185,7 @@ func TestPeerDialBacklogFlushedInOrder(t *testing.T) {
 	for i := range flood {
 		flood[i] = fwd(99)
 	}
-	h.sendPeerMsgs("peer:slow", flood...)
+	sendPeerMsgs(t, h, "peer:slow", flood...)
 	if got := h.backlogDrops.Load(); got != maxDialBacklog+1 {
 		t.Fatalf("backlogDrops = %d after an oversized batch, want %d", got, maxDialBacklog+1)
 	}
@@ -186,8 +196,8 @@ func TestPeerDialBacklogFlushedInOrder(t *testing.T) {
 	}
 
 	// Three sends while the dial is gated: all queue behind it.
-	h.sendPeerMsgs("peer:slow", fwd(1))
-	h.sendPeerMsgs("peer:slow", fwd(2), fwd(3))
+	sendPeerMsgs(t, h, "peer:slow", fwd(1))
+	sendPeerMsgs(t, h, "peer:slow", fwd(2), fwd(3))
 	close(open)
 
 	waitFor(t, "backlog flushed", func() bool {
@@ -196,12 +206,11 @@ func TestPeerDialBacklogFlushedInOrder(t *testing.T) {
 		return len(got) == 3
 	})
 	// Once published, later sends go direct over the same connection.
-	waitFor(t, "connection published", func() bool {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return h.peers["peer:slow"] != nil
+	waitFor(t, "connection published", func() (ok bool) {
+		_ = h.onTick(func() error { ok = h.peers["peer:slow"] != nil; return nil })
+		return ok
 	})
-	h.sendPeerMsgs("peer:slow", fwd(4))
+	sendPeerMsgs(t, h, "peer:slow", fwd(4))
 	waitFor(t, "direct send", func() bool {
 		seqMu.Lock()
 		defer seqMu.Unlock()
@@ -245,7 +254,7 @@ func TestStateBeforeRedirectWireOrder(t *testing.T) {
 	// Establish the peer connection first (warm-up frame), so the flush
 	// below writes synchronously on the established connection.
 	h.sendPeerMsgs("peer:x", fwd(0))
-	waitFor(t, "warm-up frame written", func() bool { return spy.frameWith(protocol.TypeForward) >= 0 })
+	tickUntil(t, h, "warm-up frame written", func() bool { return spy.frameWith(protocol.TypeForward) >= 0 })
 
 	// What the tick goroutine does during a migration: the game server
 	// emits the state transfer, then the redirect. Both must be DEFERRED.

@@ -260,7 +260,7 @@ func TestTickBudgetAccruesWithNow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "the hello and 19 updates queued", func() bool { return h.Game().QueueLen() == 20 })
+	drainUntil(t, h, "the hello and 19 updates queued", func() bool { return h.Game().QueueLen() == 20 })
 
 	last := h.last
 	for _, step := range []struct {
@@ -345,7 +345,7 @@ func TestTickShedsAPeerForwardAfterTheCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	shed := &h.node.MW.Stats().Shed
-	waitFor(t, "the peer pump passed the forward on", func() bool {
+	drainUntil(t, h, "the peer pump passed the forward on", func() bool {
 		h.ingressMu.Lock()
 		defer h.ingressMu.Unlock()
 		return shed.Value() > 0 || slices.ContainsFunc(h.ingress, func(im ingressMsg) bool {

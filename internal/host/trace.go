@@ -109,10 +109,7 @@ func (h *ServerHost) Ready() error {
 	if h.cpTooBig.Load() {
 		return nodeblob.ErrOversize
 	}
-	h.mu.Lock()
-	closed := h.closed
-	h.mu.Unlock()
-	if closed {
+	if h.isClosed() {
 		return errors.New("host closed")
 	}
 	select {

@@ -15,8 +15,10 @@ import (
 // lock. A driver that shares one across goroutines locks around it, as
 // host.Client does for the game client and host.CoordinatorHost for the
 // coordinator (its lock covers each decision's fan-out too). A live host's
-// core and game server belong to its tick goroutine; the game server's
-// receive queue, which the host's connection pumps fill, is the one shared
+// core, game server and connection tables belong to its tick goroutine,
+// which connection events reach as funnel calls; the host locks only the
+// status it publishes and its ingress funnel. The game server's receive
+// queue, which the host's connection pumps fill, is the one shared
 // structure, and its file is the one exception.
 var singleOwner = []string{"internal/coordinator", "internal/core", "internal/gameclient", "internal/gameserver", "internal/load", "internal/space"}
 
