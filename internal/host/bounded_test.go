@@ -14,17 +14,18 @@ import (
 var hostContainers = map[string]string{
 	"ServerHost.peers":        "one connection per peer address the node sends to: the fleet",
 	"ServerHost.dialing":      "one backlog per dial in flight, maxDialBacklog messages each",
-	"ServerHost.inbound":      "one entry per accepted peer connection, removed when its pump exits",
 	"ServerHost.clients":      "one connection per connected client",
 	"ServerHost.evict":        "one entry per dropped client whose queued frames have not run; the tick drains it",
 	"ServerHost.ingress":      "maxIngress frames, beyond that dropped and counted; funnel calls, each a waiting caller's or a connection event (two per connection at most: its registration and its exit)",
 	"ServerHost.ingressSpare": "the ingress funnel's other buffer, swapped every tick",
+	"ServerHost.open":         "one entry per connection accepted or dialed and not yet closed by its owner",
 	"ServerHost.handled":      "one ingress message's fallout: one envelope per peer of a consistency set",
 	"ServerHost.drainEvent":   "1 slot; a send that does not fit is skipped",
 	"ServerHost.drainReply":   "1 slot; a reply that does not fit is skipped",
 	"ServerHost.done":         "closed once, never sent on",
 	"ServerHost.wake":         "1 slot; one pending signal covers every arrival",
 	"ServerConfig.Restore":    "the caller's boot snapshot, fixed at start",
+	"ingressMsg.ran":          "closed once, never sent on",
 	"egress.peers":            "one batch per peer address, one tick's messages each",
 	"egress.clients":          "one outbox per client connection, retired by its pump's exit (dropClient)",
 	"egress.free":             "retired outboxes, at most one per connection open at once",

@@ -53,8 +53,7 @@ func TestWelcomeFindsItsConnection(t *testing.T) {
 
 // TestCloseWhileClientsRegister: Close returns promptly while clients are
 // connecting, some of them mid-registration, and every connection the host
-// accepted is closed — by the tick goroutine on its way out when it was
-// registered, by its own goroutine when the closed funnel refused it.
+// accepted is closed.
 func TestCloseWhileClientsRegister(t *testing.T) {
 	mem := transport.NewMemNetwork()
 	spy := &spyNetwork{Network: mem}
@@ -104,6 +103,46 @@ func TestCloseWhileClientsRegister(t *testing.T) {
 	}
 	if open != 0 {
 		t.Errorf("%d of %d accepted connections left open by Close", open, len(conns))
+	}
+}
+
+// TestServerCloseDoesNotWaitOnAStuckConnection: Close shuts every open
+// connection from its own goroutine, so neither a client that stopped reading,
+// whose welcome holds the tick goroutine in its flush, nor a connection that
+// never sent its first frame, which holds its goroutine in Recv, keeps it
+// waiting.
+func TestServerCloseDoesNotWaitOnAStuckConnection(t *testing.T) {
+	for _, stuck := range []string{"write", "first frame"} {
+		t.Run(stuck, func(t *testing.T) {
+			mem := transport.NewMemNetwork()
+			nw := &stuckNetwork{Network: mem, writing: make(chan struct{}, 1)}
+			h := startServerOn(t, mem, ServerConfig{Network: nw})
+			conn, err := mem.Dial(h.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			if stuck == "write" {
+				if err := conn.Send(&protocol.ClientHello{Client: 1, Pos: geom.Pt(100, 100)}); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-nw.writing: // the welcome, in the tick's flush
+				case <-time.After(5 * time.Second):
+					t.Fatal("the host never wrote the welcome")
+				}
+			}
+			closed := make(chan struct{})
+			go func() {
+				h.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("Close still waits after 2 s")
+			}
+		})
 	}
 }
 

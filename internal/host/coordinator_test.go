@@ -252,6 +252,8 @@ func (c *stuckConn) Send(protocol.Message) error {
 	return transport.ErrClosed
 }
 
+func (c *stuckConn) SendBatch([]protocol.Message) error { return c.Send(nil) }
+
 func (c *stuckConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return c.Conn.Close()

@@ -146,20 +146,21 @@ type ServerHost struct {
 	// core-bound messages here and tickLoop alone routes them, so every
 	// frame to a peer connection leaves from the tick goroutine in batch
 	// order — an MC-triggered state transfer can no longer interleave with
-	// (or overtake flushing of) the tick's batched traffic.
+	// (or overtake flushing of) the tick's batched traffic. ingressMu also
+	// guards open, the connections accepted or dialed and not yet forgotten:
+	// Close closes them, whatever a goroutine is blocked in (nil once closed).
 	ingressMu    sync.Mutex
 	ingress      []ingressMsg
 	ingressSpare []ingressMsg
+	open         map[transport.Conn]bool
 
 	// Tick goroutine's (no locking): the connection tables, which connection
-	// events change (funnel calls) and closeConns closes; what the node's last
-	// step or load report emitted, the fallout of the ingress message being
-	// handled, the tick's outbound traffic, flushed as one frame per
-	// connection per tick, and the service budget with the time of the tick
-	// that last topped it up.
+	// events change (funnel calls); what the node's last step or load report
+	// emitted, the fallout of the ingress message being handled, the tick's
+	// outbound traffic, flushed as one frame per connection per tick, and the
+	// service budget with the time of the tick that last topped it up.
 	peers   map[string]transport.Conn // outbound, keyed by dial address
 	dialing map[string][]protocol.Message
-	inbound map[transport.Conn]bool // accepted peer connections
 	clients map[id.ClientID]transport.Conn
 	// evict holds clients whose live connection dropped, keyed to the
 	// game server's count of taken messages (gameserver.Server.Queued) at
@@ -297,9 +298,9 @@ func boot(cfg ServerConfig, ticking bool) (_ *ServerHost, err error) {
 		tr:         cfg.Tracer,
 		treg:       metrics.NewRegistry(),
 		started:    time.Now(),
+		open:       make(map[transport.Conn]bool),
 		peers:      make(map[string]transport.Conn),
 		dialing:    make(map[string][]protocol.Message),
-		inbound:    make(map[transport.Conn]bool),
 		clients:    make(map[id.ClientID]transport.Conn),
 		evict:      make(map[id.ClientID]uint64),
 		out:        newEgress(),
@@ -401,7 +402,7 @@ func (h *ServerHost) onTick(fn func() error) error {
 // false when the host closed first; fn may then never run.
 func (h *ServerHost) await(fn func()) bool {
 	ran := make(chan struct{})
-	if !h.enqueueIngress(ingressMsg{fn: func() { fn(); close(ran) }}) {
+	if !h.enqueueIngress(ingressMsg{fn: fn, ran: ran}) {
 		return false
 	}
 	select {
@@ -447,9 +448,9 @@ func (h *ServerHost) RestoreSnapshot(blob []byte) error {
 	return h.onTick(func() error { return nodeblob.RestoreGame(blob, h.node.Game) })
 }
 
-// Close stops the host and waits for its goroutines. The tick goroutine closes
-// the registered connections as it exits; one registering after the funnel
-// shut is refused, and closed by its own goroutine.
+// Close stops the host and waits for its goroutines. It closes every open
+// connection itself, failing any write or read stuck on one; a connection
+// accepted or dialed after the funnel shut is closed by track.
 func (h *ServerHost) Close() error {
 	h.ingressMu.Lock()
 	if h.isClosed() {
@@ -457,11 +458,13 @@ func (h *ServerHost) Close() error {
 		return nil
 	}
 	close(h.done)
+	open := h.open
+	h.open = nil
 	h.ingressMu.Unlock()
 	err := h.ln.Close()
 	_ = h.mcConn.Close()
-	if !h.ticking {
-		h.closeConns() // the caller is the tick goroutine
+	for c := range open {
+		_ = c.Close()
 	}
 	h.wg.Wait()
 	if h.node.MW != nil {
@@ -479,17 +482,25 @@ func (h *ServerHost) isClosed() bool {
 	}
 }
 
-// closeConns closes the tables' connections: the tick goroutine's last act.
-func (h *ServerHost) closeConns() {
-	for _, c := range h.peers {
-		_ = c.Close()
+// track adds conn to the open set and reports whether it did: a closed host
+// closes it instead.
+func (h *ServerHost) track(conn transport.Conn) bool {
+	h.ingressMu.Lock()
+	defer h.ingressMu.Unlock()
+	if h.isClosed() {
+		_ = conn.Close()
+		return false
 	}
-	for c := range h.inbound {
-		_ = c.Close()
-	}
-	for _, c := range h.clients {
-		_ = c.Close()
-	}
+	h.open[conn] = true
+	return true
+}
+
+// forget closes conn and drops it from the open set: its owner is done.
+func (h *ServerHost) forget(conn transport.Conn) {
+	_ = conn.Close()
+	h.ingressMu.Lock()
+	delete(h.open, conn)
+	h.ingressMu.Unlock()
 }
 
 // clockSeconds is the middleware clock: monotonic seconds since the host
@@ -592,11 +603,12 @@ func (h *ServerHost) toMC(m protocol.Message) bool {
 }
 
 // ingressMsg is one coordinator- or peer-originated message awaiting the
-// tick goroutine, or a funnel call (fn; see onTick).
+// tick goroutine, or a funnel call (fn; see onTick), closing ran once run.
 type ingressMsg struct {
 	from id.ServerID
 	msg  protocol.Message
 	fn   func()
+	ran  chan struct{}
 }
 
 // maxIngress bounds the frames in the funnel between ticks; beyond it frames
@@ -640,6 +652,9 @@ func (h *ServerHost) drainIngress() {
 	for _, im := range msgs {
 		if im.fn != nil {
 			im.fn()
+			if im.ran != nil {
+				close(im.ran)
+			}
 			continue
 		}
 		if h.tr != nil {
@@ -694,17 +709,20 @@ func (h *ServerHost) acceptLoop() {
 		if err != nil {
 			return
 		}
+		if !h.track(conn) {
+			return
+		}
 		h.wg.Add(1)
 		go h.serveConn(conn)
 	}
 }
 
-// serveConn classifies one inbound connection.
+// serveConn classifies one inbound connection, and forgets it when done.
 func (h *ServerHost) serveConn(conn transport.Conn) {
 	defer h.wg.Done()
+	defer h.forget(conn)
 	first, err := conn.Recv()
 	if err != nil {
-		_ = conn.Close()
 		return
 	}
 	switch m := first.(type) {
@@ -718,17 +736,10 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		} else if err := sendSnapshot(conn, blob); err != nil {
 			h.cfg.Logger.Printf("server %v: snapshot send: %v", h.node.Core.ID(), err)
 		}
-		_ = conn.Close()
 	case *protocol.Forward, *protocol.StateTransfer:
-		if !h.await(func() { h.inbound[conn] = true }) {
-			_ = conn.Close()
-			return
-		}
 		h.servePeer(conn, first)
-		h.enqueueIngress(ingressMsg{fn: func() { delete(h.inbound, conn) }})
 	default:
 		h.cfg.Logger.Printf("server %v: unexpected first message %v", h.node.Core.ID(), m.MsgType())
-		_ = conn.Close()
 	}
 }
 
@@ -742,11 +753,9 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 	if v := h.node.Admit(&req); !v.Admitted() {
 		h.cfg.Logger.Printf("server %v: client %v hello rejected: %v", h.node.Core.ID(), hello.Client, v)
 		_ = conn.Send(&protocol.ErrorMsg{Of: protocol.TypeClientHello, Reason: "middleware: " + v.String()})
-		_ = conn.Close()
 		return
 	}
 	if !h.await(func() { h.register(hello, conn) }) {
-		_ = conn.Close()
 		return
 	}
 	for {
@@ -770,7 +779,6 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 	}
 	// The pump enqueues nothing more, so the count read now is past every
 	// frame this client sent.
-	_ = conn.Close()
 	accepted, _ := h.node.Game.Queued()
 	h.enqueueIngress(ingressMsg{fn: func() { h.dropClient(hello.Client, conn, accepted) }})
 }
@@ -803,7 +811,6 @@ func (h *ServerHost) servePeer(conn transport.Conn, m protocol.Message) {
 		h.enqueueIngress(ingressMsg{from: from, msg: m})
 		var err error
 		if m, err = conn.Recv(); err != nil {
-			_ = conn.Close()
 			return
 		}
 	}
@@ -838,7 +845,6 @@ func (h *ServerHost) tickLoop() {
 	for {
 		select {
 		case <-h.done:
-			h.closeConns()
 			return
 		case <-beatC:
 			h.beat()
@@ -1079,9 +1085,10 @@ func (h *ServerHost) sendPeerMsgs(addr string, msgs ...protocol.Message) {
 func (h *ServerHost) dialPeer(addr string) {
 	defer h.wg.Done()
 	conn, err := h.dialTimeout(addr)
-	if !h.await(func() { h.dialed(addr, conn, err) }) && conn != nil {
-		_ = conn.Close()
+	if err == nil && !h.track(conn) {
+		return
 	}
+	h.await(func() { h.dialed(addr, conn, err) }) // refused only by Close, which closes conn
 }
 
 // dialed ends addr's dial: on failure the backlog is dropped and counted
@@ -1155,10 +1162,8 @@ func (h *ServerHost) sendPeerConn(addr string, conn transport.Conn, msgs []proto
 	}
 	if errors.Is(err, transport.ErrClosed) {
 		h.cfg.Logger.Printf("server %v: peer %s connection lost: %v", h.node.Core.ID(), addr, err)
-		if h.peers[addr] == conn {
-			delete(h.peers, addr)
-		}
-		_ = conn.Close()
+		delete(h.peers, addr)
+		h.forget(conn)
 	}
 }
 
