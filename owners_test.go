@@ -17,7 +17,8 @@ import (
 // coordinator (its lock covers each decision's fan-out too). A live host's
 // core, game server and connection tables belong to its tick goroutine,
 // which connection events reach as funnel calls; the host locks only the
-// status it publishes and its ingress funnel. The game server's receive
+// status it publishes and its ingress funnel, whose lock also guards the set
+// of open connections that Close closes. The game server's receive
 // queue, which the host's connection pumps fill, is the one shared
 // structure, and its file is the one exception.
 var singleOwner = []string{"internal/coordinator", "internal/core", "internal/gameclient", "internal/gameserver", "internal/load", "internal/space"}
